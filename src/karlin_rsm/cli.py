@@ -3,10 +3,10 @@
 Subcommands: ``simulate`` (one urn run, top-order CSV or occupancy JSON),
 ``limit-sample`` (batches from the exact limit samplers), ``oracle``
 (closed-form evaluation of a query), and ``verify`` (statistical suites).
-Exit codes: 0 success, 1 a verification suite failed, 2 usage or domain
-error.  With an explicit ``--seed`` the output files are byte-identical
-across runs and thread counts; without one a fresh 64-bit seed is drawn
-from system entropy and printed to stderr.
+Exit codes: 0 success, 1 a verification suite failed, 2 usage, domain or
+resource error.  With an explicit ``--seed`` the output files are
+byte-identical across runs and thread counts; without one a fresh 64-bit
+seed is drawn from system entropy and printed to stderr.
 """
 
 from __future__ import annotations
@@ -36,6 +36,17 @@ def _default_threads() -> int:
         except ValueError:
             pass
     return os.cpu_count() or 1
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for counts: anything but an integer >= 1 is a usage error."""
+    try:
+        value = int(text)
+        if value >= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
 
 
 def _resolve_seed(seed) -> int:
@@ -84,12 +95,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run the urn model once")
     _add_common(p_sim)
-    p_sim.add_argument("--n", type=int, required=True, help="number of draws")
-    p_sim.add_argument("--top-m", type=int, default=5, dest="top_m")
+    p_sim.add_argument("--n", type=_positive_int, required=True, help="number of draws")
+    p_sim.add_argument("--top-m", type=_positive_int, default=5, dest="top_m")
 
     p_lim = sub.add_parser("limit-sample", help="draw from the limit sup-measure")
     _add_common(p_lim)
-    p_lim.add_argument("--replicas", type=int, default=1000)
+    p_lim.add_argument("--replicas", type=_positive_int, default=1000)
     p_lim.add_argument("--query", required=True, help="JSON file with the query family")
     p_lim.add_argument("--variant", choices=("karlin", "mstar"), default="karlin")
 
@@ -103,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_ver)
     p_ver.add_argument("--suite", required=True, choices=sorted(SUITES))
     p_ver.add_argument("--n", default=None, help="n or comma-separated n grid")
-    p_ver.add_argument("--replicas", type=int, default=None)
+    p_ver.add_argument("--replicas", type=_positive_int, default=None)
     p_ver.add_argument("--threads", type=int, default=None)
     p_ver.add_argument("--confidence", type=float, default=0.99)
     p_ver.add_argument("--query", default=None, help="optional JSON file overriding the query family")
@@ -200,7 +211,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ksim.ResourceError, lsim.StoppingBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

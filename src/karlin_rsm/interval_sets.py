@@ -19,10 +19,6 @@ __all__ = [
     "IntervalSet",
     "AtomDecomposition",
     "normalize",
-    "union",
-    "intersect",
-    "complement",
-    "lebesgue",
     "atomize",
 ]
 
@@ -124,10 +120,6 @@ class IntervalSet:
             raise ValueError("width must be positive")
         return normalize([(lo / width, hi / width) for lo, hi in self.intervals], UNIT)
 
-    def translated(self, shift: float, carrier=None) -> "IntervalSet":
-        carrier = self.carrier if carrier is None else carrier
-        return normalize([(lo + shift, hi + shift) for lo, hi in self.intervals], carrier)
-
     def to_json(self) -> dict:
         return {
             "carrier": [self.carrier[0], self.carrier[1]],
@@ -164,22 +156,6 @@ def normalize(raw, carrier=UNIT) -> IntervalSet:
         else:
             merged.append([lo, hi])
     return IntervalSet(tuple((lo, hi) for lo, hi in merged), tuple(carrier))
-
-
-def union(a: IntervalSet, b: IntervalSet) -> IntervalSet:
-    return a.union(b)
-
-
-def intersect(a: IntervalSet, b: IntervalSet) -> IntervalSet:
-    return a.intersect(b)
-
-
-def complement(a: IntervalSet) -> IntervalSet:
-    return a.complement()
-
-
-def lebesgue(a: IntervalSet) -> float:
-    return a.lebesgue()
 
 
 @dataclass(frozen=True)

@@ -19,12 +19,12 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import zeta as _hurwitz_zeta
 
 from .distributions import (
     HeavyTailSpec,
     gamma_fn,
     pareto_sample_batch,
+    riemann_zeta,
     zeta_sample_batch,
 )
 from .interval_sets import IntervalSet
@@ -35,7 +35,6 @@ __all__ = [
     "TopOrderStat",
     "ResourceError",
     "b_n",
-    "nu_count",
     "simulate",
     "replica_rng",
     "top_m",
@@ -80,7 +79,6 @@ class FrequencyModel:
     """
 
     beta: float
-    form: str = "zeta"
 
     def __post_init__(self):
         if not 0.0 < self.beta < 1.0:
@@ -92,7 +90,7 @@ class FrequencyModel:
 
     @cached_property
     def zeta_norm(self) -> float:
-        return float(_hurwitz_zeta(self.s, 1))
+        return riemann_zeta(self.s)
 
     def p(self, ell: int) -> float:
         if ell < 1:
@@ -112,10 +110,6 @@ class FrequencyModel:
 
     def sample_labels(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return zeta_sample_batch(rng, self.s, size)
-
-
-def nu_count(model: FrequencyModel, x: float) -> int:
-    return model.nu_count(x)
 
 
 def b_n(model: FrequencyModel, spec: HeavyTailSpec, n: int) -> float:
@@ -177,14 +171,6 @@ class SimRun:
     def first_mask(self) -> np.ndarray:
         """True where step j is the first visit to its box."""
         return np.arange(self.n) == self.first_index[self.inverse]
-
-    @cached_property
-    def occupancy(self) -> dict:
-        return {int(l): int(c) for l, c in zip(self.labels, self.counts)}
-
-    @cached_property
-    def marks(self) -> dict:
-        return {int(l): float(v) for l, v in zip(self.labels, self.mark_values)}
 
 
 def simulate(

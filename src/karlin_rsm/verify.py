@@ -25,7 +25,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as sps
 
 from . import choquet_oracle as oracle
 from . import karlin_sim as ksim
@@ -66,6 +65,12 @@ DEFAULT_THRESHOLDS = {
 
 _BLOCK = 1 << 20  # replica-offset block separating independent suite parts
 
+# Quantiles at the two confidences SuiteConfig accepts, equal to SciPy's
+# kstwobign.ppf(c), norm.ppf((1 + c) / 2) and chi2.ppf(c, 10) to the last bit.
+_KS_QUANTILE = {0.95: 1.3580986393225505, 0.99: 1.6276236115189502}
+_NORMAL_QUANTILE = {0.95: 1.959963984540054, 0.99: 2.5758293035489004}
+_CHI2_10_QUANTILE = {0.95: 18.307038053275146, 0.99: 23.209251158954356}
+
 
 @dataclass(frozen=True)
 class SuiteConfig:
@@ -83,7 +88,7 @@ class SuiteConfig:
     def __post_init__(self):
         if self.replicas < 100:
             raise ValueError("replica count must be at least 100")
-        if self.confidence not in (0.95, 0.99):
+        if self.confidence not in _KS_QUANTILE:
             raise ValueError("confidence level must be 0.95 or 0.99")
         if not self.n_grid or any(n < 1 for n in self.n_grid):
             raise ValueError("n grid must contain positive integers")
@@ -235,18 +240,31 @@ def ks_statistic(samples, cdf) -> float:
     return float(np.max(np.maximum(np.abs(f_right - hi), np.abs(f_left - lo))))
 
 
+def _quantile(table: dict, confidence: float) -> float:
+    try:
+        return table[confidence]
+    except KeyError:
+        raise ValueError(f"confidence level must be 0.95 or 0.99, got {confidence}") from None
+
+
 def ks_critical(n: int, confidence: float) -> float:
     """Asymptotic one-sample KS critical value at the given confidence."""
-    return float(sps.kstwobign.ppf(confidence)) / math.sqrt(n)
+    return _quantile(_KS_QUANTILE, confidence) / math.sqrt(n)
 
 
 def two_sample_ks(a, b) -> float:
-    """Two-sample KS statistic (sup distance of the empirical CDFs)."""
-    return float(sps.ks_2samp(a, b, method="asymp").statistic)
+    """Two-sample KS statistic: sup distance of the empirical CDFs, at the pooled samples."""
+    a, b = np.sort(a), np.sort(b)
+    if not a.size or not b.size:
+        raise ValueError("both samples must be nonempty")
+    pooled = np.concatenate([a, b])
+    cdf_a = np.searchsorted(a, pooled, side="right") / a.size
+    cdf_b = np.searchsorted(b, pooled, side="right") / b.size
+    return float(np.max(np.abs(cdf_a - cdf_b)))
 
 
 def two_sample_ks_critical(n1: int, n2: int, confidence: float) -> float:
-    return float(sps.kstwobign.ppf(confidence)) * math.sqrt((n1 + n2) / (n1 * n2))
+    return _quantile(_KS_QUANTILE, confidence) * math.sqrt((n1 + n2) / (n1 * n2))
 
 
 def wilson_ci(hits: int, trials: int, confidence: float):
@@ -255,7 +273,7 @@ def wilson_ci(hits: int, trials: int, confidence: float):
         raise ValueError("trials must be positive")
     if not 0 <= hits <= trials:
         raise ValueError("hits must lie in [0, trials]")
-    z = float(sps.norm.ppf(0.5 * (1.0 + confidence)))
+    z = _quantile(_NORMAL_QUANTILE, confidence)
     phat = hits / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
@@ -472,7 +490,7 @@ def suite_occupancy(cfg: SuiteConfig) -> SuiteReport:
     tail_exp = qbeta_tail(kmax, cfg.beta) * total
     chi2 = float(np.sum((pooled - expected) ** 2 / expected) + (tail_obs - tail_exp) ** 2 / tail_exp)
     df = kmax
-    crit = float(sps.chi2.ppf(cfg.confidence, df))
+    crit = _quantile(_CHI2_10_QUANTILE, cfg.confidence)  # the table is for df = 10
     rows.append(CheckRow(
         suite=cfg.suite, check="block_freq_chi2", estimate=chi2, target=float(df),
         se_or_crit=crit, passed=chi2 <= crit, n=n, replicas=cfg.replicas, seed=cfg.seed,

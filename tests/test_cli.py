@@ -1,8 +1,12 @@
+import functools
 import json
 import subprocess
 import sys
 
 import pytest
+
+from karlin_rsm import cli
+from karlin_rsm import limit_sim as lsim
 
 BIN = [sys.executable, "-m", "karlin_rsm.cli"]
 
@@ -56,6 +60,13 @@ class TestOracleCommand:
         assert res.returncode == 2
 
 
+def test_import_loads_no_scipy():
+    code = "import karlin_rsm.cli, sys; print([m for m in sys.modules if m.startswith('scipy')])"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
+
+
 class TestUsageErrors:
     def test_missing_beta(self):
         res = run_cli("verify", "--suite", "occupancy")
@@ -69,6 +80,43 @@ class TestUsageErrors:
         res = run_cli("simulate", "--beta", "1.5", "--n", "100", "--seed", "1")
         assert res.returncode == 2
         assert "beta" in res.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["limit-sample", "--replicas", "-5"],
+        ["limit-sample", "--replicas", "0"],
+        ["simulate", "--n", "0"],
+        ["simulate", "--n", "1e3"],
+        ["simulate", "--n", "100", "--top-m", "0"],
+        ["verify", "--suite", "occupancy", "--replicas", "-100"],
+    ])
+    def test_counts_must_be_positive(self, argv, family_file, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        argv = [*argv, "--beta", "0.5", "--seed", "1", "--out", str(out)]
+        if argv[0] == "limit-sample":
+            argv += ["--query", family_file]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "positive integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_resource_error_exits_two(self):
+        res = run_cli("simulate", "--beta", "0.5", "--n", "20000000", "--seed", "1")
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: ") and len(res.stderr.splitlines()) == 1
+        assert "budget" in res.stderr
+
+    def test_stopping_budget_exits_two(self, tmp_path, monkeypatch, capsys):
+        # a set of measure 1e-300 is never hit; a small atom budget makes the
+        # sampler give up at once instead of after its default 1e6 atoms
+        tiny = tmp_path / "tiny.json"
+        tiny.write_text(json.dumps({"family": [{"carrier": [0, 1], "intervals": [[0.0, 1e-300]]}]}))
+        monkeypatch.setattr(lsim, "sample_karlin", functools.partial(lsim.sample_karlin, max_atoms=1000))
+        code = cli.main(["limit-sample", "--beta", "0.5", "--replicas", "1", "--seed", "1",
+                         "--query", str(tiny), "--out", str(tmp_path / "out.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: no hit after 1000 atoms") and len(err.splitlines()) == 1
 
 
 class TestSimulateCommand:

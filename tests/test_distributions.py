@@ -18,6 +18,7 @@ from karlin_rsm.distributions import (
     qbeta_pmf,
     qbeta_sample,
     qbeta_tail,
+    riemann_zeta,
     zeta_acceptance_rate,
     zeta_sample_batch,
 )
@@ -187,6 +188,24 @@ class TestBlockSizeLaw:
         assert abs(phat - 0.5) <= 3.0 * math.sqrt(0.25 / draws.size)
         # heavy tail shows up: some draws far beyond any fixed block size
         assert draws.max() > 10 ** 3
+
+
+class TestRiemannZeta:
+    def test_matches_scipy(self):
+        from scipy.special import zeta
+
+        for beta in np.linspace(0.01, 0.999, 2000):
+            s = 1.0 / beta
+            assert riemann_zeta(s) == pytest.approx(float(zeta(s, 1)), rel=4e-15, abs=0)
+
+    def test_known_values(self):
+        assert riemann_zeta(2.0) == pytest.approx(math.pi ** 2 / 6, rel=4e-16)
+        assert riemann_zeta(4.0) == pytest.approx(math.pi ** 4 / 90, rel=4e-16)
+
+    def test_domain(self):
+        for s in (1.0, 0.5, float("nan")):
+            with pytest.raises(ValueError):
+                riemann_zeta(s)
 
 
 class TestZetaDraws:

@@ -7,11 +7,7 @@ from karlin_rsm.interval_sets import (
     CapacityError,
     IntervalSet,
     atomize,
-    complement,
-    intersect,
-    lebesgue,
     normalize,
-    union,
 )
 
 from oracles import grid_bitmap
@@ -41,32 +37,32 @@ def test_normalize_rejects_nan():
 
 
 def test_union_merges_adjacent():
-    assert union(normalize([(0.0, 0.5)]), normalize([(0.5, 1.0)])).intervals == ((0.0, 1.0),)
+    assert normalize([(0.0, 0.5)]).union(normalize([(0.5, 1.0)])).intervals == ((0.0, 1.0),)
 
 
 def test_intersect():
-    assert intersect(normalize([(0.0, 0.5)]), normalize([(0.25, 1.0)])).intervals == ((0.25, 0.5),)
-    assert intersect(normalize([(0.0, 0.5)]), normalize([])).intervals == ()
+    assert normalize([(0.0, 0.5)]).intersect(normalize([(0.25, 1.0)])).intervals == ((0.25, 0.5),)
+    assert normalize([(0.0, 0.5)]).intersect(normalize([])).intervals == ()
 
 
 def test_carrier_mismatch():
     a = normalize([(0.0, 0.5)])
     b = normalize([(0.0, 0.5)], carrier=(0.0, 2.0))
     with pytest.raises(ValueError):
-        union(a, b)
+        a.union(b)
 
 
 def test_lebesgue():
-    assert lebesgue(normalize([(0.2, 0.45)])) == pytest.approx(0.25)
-    assert lebesgue(normalize([])) == 0.0
-    assert lebesgue(normalize([(0.0, 0.1), (0.9, 1.0)])) == pytest.approx(0.2)
+    assert normalize([(0.2, 0.45)]).lebesgue() == pytest.approx(0.25)
+    assert normalize([]).lebesgue() == 0.0
+    assert normalize([(0.0, 0.1), (0.9, 1.0)]).lebesgue() == pytest.approx(0.2)
 
 
 def test_measure_additivity():
     a = normalize([(0.1, 0.4), (0.6, 0.9)])
     b = normalize([(0.3, 0.7)])
-    total = lebesgue(union(a, b)) + lebesgue(intersect(a, b))
-    assert total == pytest.approx(lebesgue(a) + lebesgue(b), abs=1e-14)
+    total = a.union(b).lebesgue() + a.intersect(b).lebesgue()
+    assert total == pytest.approx(a.lebesgue() + b.lebesgue(), abs=1e-14)
 
 
 def test_contains_points_half_open():
@@ -77,8 +73,8 @@ def test_contains_points_half_open():
 
 def test_complement():
     a = normalize([(0.2, 0.4), (0.6, 0.7)])
-    assert complement(a).intervals == ((0.0, 0.2), (0.4, 0.6), (0.7, 1.0))
-    assert complement(complement(a)).intervals == a.intervals
+    assert a.complement().intervals == ((0.0, 0.2), (0.4, 0.6), (0.7, 1.0))
+    assert a.complement().complement().intervals == a.intervals
 
 
 def test_atomize_example():
@@ -147,19 +143,19 @@ def interval_sets(draw):
 @given(interval_sets(), interval_sets())
 @settings(max_examples=200)
 def test_union_commutes(a, b):
-    assert union(a, b) == union(b, a)
+    assert a.union(b) == b.union(a)
 
 
 @given(interval_sets(), interval_sets(), interval_sets())
 @settings(max_examples=200)
 def test_union_associative(a, b, c):
-    assert union(union(a, b), c) == union(a, union(b, c))
+    assert a.union(b).union(c) == a.union(b.union(c))
 
 
 @given(interval_sets(), interval_sets())
 @settings(max_examples=200)
 def test_intersect_commutes(a, b):
-    assert intersect(a, b) == intersect(b, a)
+    assert a.intersect(b) == b.intersect(a)
 
 
 def test_algebra_against_bitmap_oracle():
@@ -171,6 +167,6 @@ def test_algebra_against_bitmap_oracle():
         raw_b = [tuple(sorted(np.round(rng.uniform(0, 1, 2), 4))) for _ in range(rng.integers(0, 4))]
         a, b = normalize(raw_a), normalize(raw_b)
         bm_a, bm_b = grid_bitmap(a.intervals, cells), grid_bitmap(b.intervals, cells)
-        assert np.array_equal(grid_bitmap(union(a, b).intervals, cells), bm_a | bm_b)
-        assert np.array_equal(grid_bitmap(intersect(a, b).intervals, cells), bm_a & bm_b)
-        assert abs(lebesgue(a) - bm_a.mean()) < 1e-12
+        assert np.array_equal(grid_bitmap(a.union(b).intervals, cells), bm_a | bm_b)
+        assert np.array_equal(grid_bitmap(a.intersect(b).intervals, cells), bm_a & bm_b)
+        assert abs(a.lebesgue() - bm_a.mean()) < 1e-12

@@ -13,7 +13,6 @@ from karlin_rsm.karlin_sim import (
     ResourceError,
     b_n,
     empirical_sup,
-    nu_count,
     occupancy_histogram,
     occupancy_json,
     pattern_counts,
@@ -44,9 +43,9 @@ class TestFrequencyModel:
 
     def test_nu_count_values(self):
         # floor((x / zeta(2)) ** 0.5) with zeta(2) = pi^2 / 6
-        assert nu_count(MODEL, 10 ** 6) == int(math.sqrt(10 ** 6 / (math.pi ** 2 / 6))) == 779
-        assert nu_count(MODEL, 10 ** 4) == 77
-        assert nu_count(MODEL, 1.0) == 0
+        assert MODEL.nu_count(10 ** 6) == int(math.sqrt(10 ** 6 / (math.pi ** 2 / 6))) == 779
+        assert MODEL.nu_count(10 ** 4) == 77
+        assert MODEL.nu_count(1.0) == 0
 
     def test_nu_count_is_exact_count(self):
         m = FrequencyModel(beta=0.37)
@@ -62,7 +61,7 @@ class TestFrequencyModel:
             math.sqrt(gamma_fn(0.5) * 77), rel=1e-12
         )
         # unit-count point: nu((0, 2]) = 1
-        assert nu_count(MODEL, 2) == 1
+        assert MODEL.nu_count(2) == 1
         assert b_n(MODEL, SPEC, 2) == pytest.approx(gamma_fn(0.5), rel=1e-12)
 
 
@@ -104,7 +103,7 @@ class TestSimulate:
 
     def test_occupancy_growth_single_run(self):
         run = simulate(MODEL, SPEC, 10 ** 6, seed=3)
-        ratio = run.k_n / nu_count(MODEL, 10 ** 6)
+        ratio = run.k_n / MODEL.nu_count(10 ** 6)
         assert abs(ratio - gamma_fn(0.5)) <= 0.15  # one run, loose sanity
 
     def test_block_frequency_single_run(self):
@@ -223,7 +222,7 @@ class TestPatternCounts:
 
     def test_mean_matches_limit(self):
         # tau / nu at beta = 0.5, Leb = 0.5 -> gamma(0.5) * sqrt(0.5)
-        nu = nu_count(MODEL, 10 ** 5)
+        nu = MODEL.nu_count(10 ** 5)
         a = [normalize([(0.0, 0.5)])]
         vals = [
             pattern_counts(simulate(MODEL, SPEC, 10 ** 5, seed=18, replica=r), a, (1,)) / nu

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from karlin_rsm import verify
+from karlin_rsm.karlin_sim import replica_rng
 from karlin_rsm.verify import (
     DEFAULT_THRESHOLDS,
     SUITES,
@@ -52,9 +54,62 @@ class TestKsStatistic:
             ks_statistic(np.array([2.0, 1.0]), sps.norm.cdf)
 
     def test_two_sample_matches_scipy(self):
+        # method="asymp" reports the raw statistic; the exact method rounds
+        # it to a multiple of 1/lcm(n1, n2)
+        def scipy_ks(a, b):
+            return sps.ks_2samp(a, b, method="asymp").statistic
+
         rng = np.random.default_rng(2)
         a, b = rng.random(1000), rng.random(800)
-        assert two_sample_ks(a, b) == pytest.approx(sps.ks_2samp(a, b).statistic)
+        assert two_sample_ks(a, b) == scipy_ks(a, b)
+        for _ in range(50):
+            n1, n2 = rng.integers(1, 300, size=2)
+            # ties within and across the samples
+            a, b = rng.integers(0, 20, n1) / 4.0, rng.integers(0, 25, n2) / 4.0
+            assert two_sample_ks(a, b) == scipy_ks(a, b)
+            a, b = rng.standard_exponential(n1), rng.standard_exponential(n2)
+            assert two_sample_ks(a, b) == scipy_ks(a, b)
+
+    def test_two_sample_extremes(self):
+        assert two_sample_ks([1.0, 2.0], [1.0, 2.0]) == 0.0
+        assert two_sample_ks([1.0, 2.0], [3.0]) == 1.0
+        with pytest.raises(ValueError):
+            two_sample_ks([], [1.0])
+
+
+class TestQuantileTables:
+    # the tables replace SciPy calls and must equal them to the last bit
+    def test_equal_scipy(self):
+        for c in (0.95, 0.99):
+            assert verify._KS_QUANTILE[c] == sps.kstwobign.ppf(c)
+            assert verify._NORMAL_QUANTILE[c] == sps.norm.ppf(0.5 * (1.0 + c))
+            assert verify._CHI2_10_QUANTILE[c] == sps.chi2.ppf(c, 10)
+
+    def test_only_suite_confidences(self):
+        assert set(verify._KS_QUANTILE) == set(verify._NORMAL_QUANTILE) == {0.95, 0.99}
+        assert set(verify._CHI2_10_QUANTILE) == {0.95, 0.99}
+        with pytest.raises(ValueError):
+            ks_critical(100, 0.9)
+        with pytest.raises(ValueError):
+            wilson_ci(1, 2, 0.5)
+
+
+class TestReplicaStreamMap:
+    @staticmethod
+    def _draws(rng):
+        # float32 uniforms and small-range integers take 32-bit halves of the
+        # 64-bit outputs: the odd total leaves a buffered half behind, and
+        # the 64-bit draws stop mid Philox block
+        return (rng.random(2, dtype=np.float32).tolist(), rng.random(3).tolist(),
+                rng.integers(0, 1000, size=3).tolist(), rng.standard_exponential(5).tolist(),
+                rng.random(2, dtype=np.float32).tolist())
+
+    def test_reproduces_replica_rng(self):
+        seed = 2 ** 64 - 12345
+        for offset in (0, verify._BLOCK):
+            streamed = verify._replica_stream_map(self._draws, 5, seed, offset)
+            direct = [self._draws(replica_rng(seed, offset + r)) for r in range(5)]
+            assert streamed == direct
 
 
 class TestWilson:
