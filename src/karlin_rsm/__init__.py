@@ -6,7 +6,7 @@ from .choquet_oracle import ChoquetQuery, PatternQuery
 from .distributions import FrechetLaw, HeavyTailSpec
 from .interval_sets import IntervalSet, normalize
 from .karlin_sim import FrequencyModel, SimRun, replica_rng, simulate
-from .limit_sim import LimitSample, sample_karlin, sample_mstar, sample_on_window
+from .limit_sim import LimitSample, sample_karlin, sample_mstar
 from .verify import SuiteConfig, SuiteReport, run_suite
 
 __version__ = "0.1.0"
@@ -25,7 +25,6 @@ __all__ = [
     "LimitSample",
     "sample_karlin",
     "sample_mstar",
-    "sample_on_window",
     "SuiteConfig",
     "SuiteReport",
     "run_suite",

@@ -211,7 +211,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ValueError, OSError, ksim.ResourceError, lsim.StoppingBudgetError) as exc:
+    except (ValueError, OSError, ksim.ResourceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

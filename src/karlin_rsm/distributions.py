@@ -1,9 +1,9 @@
 """Elementary laws used across the toolkit.
 
 Exact samplers and closed-form densities for Pareto-tailed marks, Frechet
-distributions, the block-size law with parameter ``beta`` (an N-valued law
-with infinite mean whose tail decays like ``k**-beta``), and the zeta (Zipf)
-draw distribution.  All samplers are pure given an explicit
+distributions and the zeta (Zipf) draw distribution, and the closed-form
+pmf and tail of the block-size law with parameter ``beta`` (an N-valued law
+with infinite mean whose tail decays like ``k**-beta``).  All samplers are pure given an explicit
 ``numpy.random.Generator`` handle; parallel callers must use distinct
 generators.
 """
@@ -11,9 +11,7 @@ generators.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -28,8 +26,6 @@ __all__ = [
     "frechet_quantile",
     "qbeta_pmf",
     "qbeta_tail",
-    "qbeta_from_uniform",
-    "qbeta_sample",
     "riemann_zeta",
     "zeta_sample_batch",
     "zeta_acceptance_rate",
@@ -193,50 +189,6 @@ def qbeta_tail(k: int, beta: float) -> float:
     if k < 0:
         raise ValueError(f"qbeta_tail requires k >= 0, got {k}")
     return math.exp(_log_qbeta_tail(k, beta))
-
-
-_TAIL_TABLE_SIZE = 64
-
-
-@lru_cache(maxsize=64)
-def _neg_tail_table(beta: float) -> list:
-    """-P(Q > k) for k = 0..63, ascending, for the fast inversion path."""
-    return [-qbeta_tail(k, beta) for k in range(_TAIL_TABLE_SIZE)]
-
-
-def qbeta_from_uniform(u: float, beta: float) -> int:
-    """Invert the tail at u in (0, 1]: smallest k >= 1 with P(Q > k) < u.
-
-    Small values come from a cached table of the closed-form tail;
-    otherwise exponential search plus bisection on the tail, so the cost is
-    O(log k) gamma evaluations.  The mean of Q is infinite, which rules out
-    sequential summation of the pmf.
-    """
-    _check_beta(beta)
-    if not 0.0 < u <= 1.0:
-        raise ValueError(f"u must lie in (0, 1], got {u}")
-    # first k with tail(k) < u; index 0 is tail(0) = 1 >= u always
-    idx = bisect_right(_neg_tail_table(beta), -u)
-    if idx < _TAIL_TABLE_SIZE:
-        return idx
-    # compare exponentiated tails so boundary cases agree with qbeta_tail
-    # down to the last ulp
-    hi = _TAIL_TABLE_SIZE
-    while math.exp(_log_qbeta_tail(hi, beta)) >= u:
-        hi *= 2
-    lo = hi // 2  # tail(lo) >= u > tail(hi) since the tail is decreasing
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if math.exp(_log_qbeta_tail(mid, beta)) < u:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def qbeta_sample(rng: np.random.Generator, beta: float) -> int:
-    """Exact inverse-CDF draw of the block-size law."""
-    return qbeta_from_uniform(1.0 - rng.random(), beta)
 
 
 _ZETA_HEAD = 15

@@ -114,12 +114,6 @@ class IntervalSet:
         flat = np.array([v for pair in self.intervals for v in pair])
         return np.searchsorted(flat, xs, side="right") % 2 == 1
 
-    def rescaled_to_unit(self, width: float) -> "IntervalSet":
-        """Divide all endpoints by ``width``, mapping carrier [0, w] to [0, 1]."""
-        if not width > 0:
-            raise ValueError("width must be positive")
-        return normalize([(lo / width, hi / width) for lo, hi in self.intervals], UNIT)
-
     def to_json(self) -> dict:
         return {
             "carrier": [self.carrier[0], self.carrier[1]],

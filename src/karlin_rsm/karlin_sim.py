@@ -116,11 +116,18 @@ def b_n(model: FrequencyModel, spec: HeavyTailSpec, n: int) -> float:
     """Normalization (c_alpha * gamma(1-beta) * nu((0, n]))**(1/alpha).
 
     Uses the exact counting function in place of its asymptote, which
-    reduces finite-n bias.
+    reduces finite-n bias.  Below n = zeta(1/beta) no box has 1/p_ell <= n,
+    so nu is 0 and no normalisation exists.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    return (spec.c_alpha * gamma_fn(1.0 - model.beta) * model.nu_count(n)) ** (1.0 / spec.alpha)
+    nu = model.nu_count(n)
+    if nu == 0:
+        raise ValueError(
+            f"n={n} is below zeta(1/beta)={model.zeta_norm:.6g}, where nu((0, n]) = 0 "
+            "and the normalisation b_n is 0"
+        )
+    return (spec.c_alpha * gamma_fn(1.0 - model.beta) * nu) ** (1.0 / spec.alpha)
 
 
 @dataclass(frozen=True)
@@ -152,7 +159,11 @@ class SimRun:
     counts: np.ndarray
     inverse: np.ndarray
     mark_values: np.ndarray
-    b_n: float
+
+    @cached_property
+    def b_n(self) -> float:
+        """The normalisation; raises ValueError below n = zeta(1/beta)."""
+        return b_n(self.model, self.spec, self.n)
 
     @property
     def k_n(self) -> int:
@@ -210,7 +221,6 @@ def simulate(
         counts=counts,
         inverse=inverse,
         mark_values=mark_values,
-        b_n=b_n(model, spec, n),
     )
 
 

@@ -1,15 +1,20 @@
 """Exact joint samplers of the limiting random sup-measures.
 
-Each limit object is a decreasing sequence of Poisson levels
-``gamma_ell**(-1/alpha)`` paired with i.i.d. random hitting sets; a query
-set takes the level of the first atom whose hitting set meets it.  Since
-levels are strictly decreasing, generation can stop as soon as every query
-set has been hit, which makes the joint sample exact.
+Each limit object is a Poisson sequence of levels ``gamma**(-1/alpha)``
+whose atoms carry i.i.d. random hitting sets; a query set takes the level
+of the first atom whose hitting set meets it.  Every joint law depends on
+the sets only through ``theta(K) = Leb(K)**beta``, so by the marking
+theorem the atoms whose hit pattern over the family is S arrive as
+independent Poisson clocks of rate p_S, the inclusion-exclusion of theta
+over the family.  A replica therefore needs one exponential per pattern:
+M(A_i) is the level at the first arrival among the clocks whose pattern
+contains i.  The rates hold on any carrier, so no rescaling is needed.
 
-The hitting set consists of Q i.i.d. uniforms where Q has the block-size law
-with infinite mean, so individual draws can exceed 10**12.  Points are never
-enumerated: void patterns over the query atoms and the minimum of the
-uniforms are both sampled in closed form given Q, in log space.
+The first-occurrence variant M* reads only the leftmost point of a hitting
+set, which lands in [a, b) at rate b**beta - a**beta: one clock per atom of
+the family, on the unit carrier only.  The coupled pair runs the pattern
+clocks over the full partition of [0, 1) and M* reads the lowest cell of
+each pattern.
 """
 
 from __future__ import annotations
@@ -22,412 +27,315 @@ from functools import lru_cache
 
 import numpy as np
 
-from .distributions import qbeta_sample
-from .interval_sets import CapacityError, IntervalSet, atomize, normalize
+from .distributions import _check_beta
+from .interval_sets import UNIT, CapacityError, atomize, normalize
 
 __all__ = [
-    "LimitAtom",
     "LimitSample",
-    "StoppingBudgetError",
-    "sample_rbeta_hits",
-    "sample_rbeta_points",
+    "pattern_rates",
+    "karlin_batch",
+    "mstar_batch",
+    "coupled_batch",
+    "top_m_batch",
     "sample_karlin",
-    "sample_on_window",
     "sample_mstar",
     "sample_coupled",
     "sample_top_m_process",
     "limit_samples_csv",
 ]
 
-DEFAULT_MAX_ATOMS = 10 ** 6
-PATTERN_BUDGET = 20
-POINT_ENUMERATION_CAP = 10 ** 8
-
-
-class StoppingBudgetError(RuntimeError):
-    """Atom budget exhausted before every query set was hit (diagnostic)."""
-
-    def __init__(self, max_atoms, unhit):
-        self.unhit = tuple(unhit)
-        super().__init__(
-            f"no hit after {max_atoms} atoms for query sets {self.unhit}; "
-            "their hit probabilities may be vanishingly small"
-        )
-
-
-class _HitPatternSampler:
-    """Joint void-pattern sampler over disjoint atoms with measures mu_j.
-
-    Given Q, the probability that exactly the atoms in S see no point is
-    sum over supersets T of S of (-1)**(|T|-|S|) * (1 - mu_T)**Q.  The
-    superset sums for all 2**m patterns at once are a Moebius transform,
-    after which the pattern is drawn categorically.
-    """
-
-    def __init__(self, beta: float, measures):
-        mu = np.asarray(measures, dtype=float)
-        if mu.ndim != 1:
-            raise ValueError("measures must be a flat vector")
-        m = mu.size
-        if m > PATTERN_BUDGET:
-            raise CapacityError(
-                f"{m} atoms exceed the {PATTERN_BUDGET}-atom pattern budget"
-            )
-        if np.any(mu <= 0):
-            raise ValueError("atom measures must be positive")
-        if mu.sum() > 1.0 + 1e-9:
-            raise ValueError("atom measures must sum to at most 1")
-        self.beta = beta
-        self.m = m
-        # mu_sum[mask] = total measure of the atoms in the mask; a full
-        # cover has mu_sum = 1 and log1p(-1) = -inf, which is the intended
-        # zero void probability
-        mu_sum = np.zeros(1)
-        for j in range(m):
-            mu_sum = np.concatenate([mu_sum, mu_sum + mu[j]])
-        with np.errstate(divide="ignore"):
-            self._log1m = np.log1p(-np.minimum(mu_sum, 1.0))
-        self._log1m_list = self._log1m.tolist()
-        self._full = (1 << m) - 1
-
-    def void_pmf(self, q) -> np.ndarray:
-        try:
-            qf = float(q)
-        except OverflowError:
-            qf = 1e308  # (1-mu)**q is flush to zero either way
-        with np.errstate(under="ignore"):
-            p = np.exp(qf * self._log1m)
-        # Moebius transform over the subset lattice: p[S] -= p[S | bit]
-        for j in range(self.m):
-            v = p.reshape(-1, 2, 1 << j)
-            v[:, 0, :] -= v[:, 1, :]
-        np.clip(p, 0.0, None, out=p)
-        total = p.sum()
-        if not 0.0 < total < np.inf:
-            raise FloatingPointError("void-pattern pmf degenerated")
-        return p / total
-
-    def draw(self, rng: np.random.Generator):
-        """Returns (q, hit_mask); bit j of hit_mask set when atom j is hit."""
-        q = qbeta_sample(rng, self.beta)
-        try:
-            qf = float(q)
-        except OverflowError:
-            qf = 1e308
-        if self.m == 1:
-            hit = rng.random() < -math.expm1(qf * self._log1m_list[1])
-            return q, int(hit)
-        if self.m <= 6:
-            # scalar math beats numpy dispatch at these sizes
-            p = [math.exp(qf * l) for l in self._log1m_list]
-            for j in range(self.m):
-                bit = 1 << j
-                for mask in range(len(p)):
-                    if not mask & bit:
-                        p[mask] -= p[mask | bit]
-            total = 0.0
-            for mask, v in enumerate(p):
-                if v < 0.0:
-                    p[mask] = 0.0
-                total += p[mask]
-            r = rng.random() * total
-            acc = 0.0
-            void_mask = self._full
-            for mask, v in enumerate(p):
-                acc += v
-                if r < acc:
-                    void_mask = mask
-                    break
-            return q, self._full & ~void_mask
-        pmf = self.void_pmf(q)
-        c = np.cumsum(pmf)
-        void_mask = int(np.searchsorted(c, rng.random() * c[-1], side="right"))
-        void_mask = min(void_mask, self._full)
-        return q, self._full & ~void_mask
-
-
-def sample_rbeta_hits(rng: np.random.Generator, beta: float, measures) -> np.ndarray:
-    """Exact joint hit indicators of disjoint atoms under one hitting set.
-
-    Draws Q from the block-size law and then the void pattern of the atoms
-    under Q i.i.d. uniforms, without enumerating the points.  Marginally
-    each atom is hit with probability mu_j**beta.
-    """
-    sampler = _HitPatternSampler(beta, measures)
-    _, hit_mask = sampler.draw(rng)
-    return np.array([(hit_mask >> j) & 1 == 1 for j in range(sampler.m)])
-
-
-def sample_rbeta_points(rng: np.random.Generator, beta: float, cap: int = POINT_ENUMERATION_CAP) -> np.ndarray:
-    """Explicit uniform points of one hitting set; only for modest Q.
-
-    The block-size law has infinite mean, so enumeration is guarded by a
-    hard cap and raises :class:`CapacityError` beyond it.
-    """
-    q = qbeta_sample(rng, beta)
-    if q > cap:
-        raise CapacityError(f"hitting set has {q} points, beyond the cap {cap}")
-    return rng.random(q)
-
-
-@dataclass(frozen=True)
-class LimitAtom:
-    index: int
-    gamma: float
-    value: float
-    q: int
-    hit_pattern: int  # bitmask over the query atoms
+PATTERN_BUDGET = 20  # cells of a coupled pair, as atomize caps the sets: 2**20 clocks at most
+_CHUNK_FLOATS = 1 << 16  # largest per-chunk array: 512 KB
+_POISSON_MAX = 1e18  # numpy's Poisson sampler stops near 9.2e18
+_SCALE = 1 << 1074  # every double is an integer multiple of 2**-1074
 
 
 @dataclass(frozen=True)
 class LimitSample:
-    """Joint values of a limit sup-measure over a query family."""
+    """Joint values of a limit sup-measure over a query family.
+
+    ``atoms_used`` is the index of the Poisson atom at which the last set
+    with positive measure is first hit (0 when there is none).
+    """
 
     values: tuple
     atoms_used: int
     seed: int | None = None
 
 
-def _split_family(family):
-    family = list(family)
-    if not family:
-        raise ValueError("query family must be nonempty")
-    active = [i for i, a in enumerate(family) if a.lebesgue() > 0.0]
-    return family, active
+@dataclass(frozen=True)
+class _Clocks:
+    """Independent exponential clocks and the outputs each of them hits."""
+
+    rates: np.ndarray  # (clocks,) positive rates
+    misses: np.ndarray  # (clocks, outputs): 0 where the clock hits the output, else inf
+    idle: float  # rate of the atoms that hit no clock; only atoms_used sees it
 
 
-@lru_cache(maxsize=256)
-def _family_setup(beta: float, active_family: tuple):
-    """Shared decomposition and pattern sampler for a repeated query family."""
-    deco = atomize(active_family)
-    sampler = _HitPatternSampler(beta, tuple(deco.measures))
-    return sampler, tuple(deco.member_masks())
+def _hits(patterns: np.ndarray, masks) -> np.ndarray:
+    """(clocks, outputs) True where a clock's pattern meets an output's mask."""
+    return (patterns[:, None] & np.array(masks, dtype=np.int64)) != 0
 
 
-@lru_cache(maxsize=256)
-def _coupled_setup(beta: float, active_family: tuple):
-    """Full partition of [0, 1) (atoms plus gaps) in left-to-right order."""
-    deco = atomize(active_family)
-    union_all = normalize(
-        [iv for a in deco.atoms for iv in a.intervals], deco.atoms[0].carrier
-    )
-    cells = list(deco.atoms) + [
-        IntervalSet((piece,), union_all.carrier) for piece in union_all.complement().intervals
-    ]
-    order = sorted(range(len(cells)), key=lambda j: cells[j].intervals[0][0])
-    rank_of = {old: new for new, old in enumerate(order)}
-    cells = [cells[j] for j in order]
-    member = [0] * len(active_family)
-    for i, idxs in enumerate(deco.membership):
-        for j in idxs:
-            member[i] |= 1 << rank_of[j]
-    sampler = _HitPatternSampler(beta, tuple(c.lebesgue() for c in cells))
-    return sampler, tuple(member)
+def _clocks(rates: np.ndarray, hits: np.ndarray, idle: float) -> _Clocks:
+    return _Clocks(rates, np.where(hits, 0.0, np.inf), idle)
 
 
-def sample_karlin(
-    rng: np.random.Generator,
-    alpha: float,
-    beta: float,
-    family,
-    max_atoms: int = DEFAULT_MAX_ATOMS,
-    collect_atoms: bool = False,
-):
-    """Exact joint sample of the limit sup-measure over a family on [0, 1].
-
-    Levels arrive by exponential increments; hit patterns come from the
-    atom decomposition of the family.  Generation stops once every
-    positive-measure set is hit; later atoms have strictly smaller levels
-    and cannot alter any coordinate.  Zero-measure sets are 0 outright
-    (the hitting set is a.s. a finite point set).
-    """
-    family, active = _split_family(family)
-    values = [0.0] * len(family)
-    if not active:
-        sample = LimitSample(values=tuple(values), atoms_used=0)
-        return (sample, []) if collect_atoms else sample
-
-    sampler, member = _family_setup(beta, tuple(family[i] for i in active))
-    pending = set(range(len(active)))
-    atoms = []
-    gamma = 0.0
-    used = 0
-    while used < max_atoms:
-        used += 1
-        gamma += rng.standard_exponential()
-        q, hit_mask = sampler.draw(rng)
-        if collect_atoms:
-            atoms.append(
-                LimitAtom(index=used, gamma=gamma, value=gamma ** (-1.0 / alpha), q=q, hit_pattern=hit_mask)
-            )
-        if not hit_mask:
-            continue
-        level = gamma ** (-1.0 / alpha)
-        for i in list(pending):
-            if member[i] & hit_mask:
-                values[active[i]] = level
-                pending.discard(i)
-        if not pending:
-            sample = LimitSample(values=tuple(values), atoms_used=used)
-            return (sample, atoms) if collect_atoms else sample
-    raise StoppingBudgetError(max_atoms, tuple(active[i] for i in sorted(pending)))
-
-
-@lru_cache(maxsize=256)
-def _scaled_family(family: tuple, width: float) -> tuple:
-    return tuple(a.rescaled_to_unit(width) for a in family)
-
-
-def sample_on_window(
-    rng: np.random.Generator,
-    alpha: float,
-    beta: float,
-    family,
-    width: float | None = None,
-    max_atoms: int = DEFAULT_MAX_ATOMS,
-) -> LimitSample:
-    """Sample over a family on [0, T] via self-similar scaling.
-
-    The family is shrunk by 1/T onto the unit carrier, sampled there, and
-    the values are scaled by T**(beta/alpha).
-    """
+def _family(family) -> tuple:
     family = tuple(family)
     if not family:
         raise ValueError("query family must be nonempty")
-    if width is None:
-        width = family[0].carrier[1]
-    if not width > 0:
-        raise ValueError("window width must be positive")
-    base = sample_karlin(rng, alpha, beta, _scaled_family(family, width), max_atoms=max_atoms)
-    factor = width ** (beta / alpha)
-    return LimitSample(values=tuple(v * factor for v in base.values), atoms_used=base.atoms_used)
+    lo, hi = family[0].carrier
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"carrier {family[0].carrier} must be a finite interval")
+    return family
 
 
-def sample_mstar(
-    rng: np.random.Generator,
-    alpha: float,
-    beta: float,
-    family,
-    max_atoms: int = DEFAULT_MAX_ATOMS,
-) -> LimitSample:
-    """Variant sup-measure whose hitting set is the minimum uniform only.
+def _require_unit(family) -> None:
+    for a in family:
+        if a.carrier != UNIT:
+            raise ValueError(
+                f"the first-occurrence variant M* is defined on the unit carrier only, "
+                f"got carrier {a.carrier}"
+            )
 
-    The minimum of Q uniforms is drawn directly as 1-(1-U)**(1/Q) in log
-    space; an interval [a, b) is hit with probability b**beta - a**beta.
+
+def _exact(x: float) -> int:
+    num, den = x.as_integer_ratio()
+    return num * (_SCALE // den)
+
+
+def _union_theta(beta: float, measures, members) -> np.ndarray:
+    """Leb(union of the sets in U)**beta for every subset U, indexed by bitmask.
+
+    ``members[i]`` is the bitmask of the disjoint atoms inside set i.
     """
-    family, active = _split_family(family)
-    values = [0.0] * len(family)
-    if not active:
-        return LimitSample(values=tuple(values), atoms_used=0)
-    pending = set(active)
-    gamma = 0.0
-    used = 0
-    while used < max_atoms:
-        used += 1
-        gamma += rng.standard_exponential()
-        q = qbeta_sample(rng, beta)
-        try:
-            qf = float(q)
-        except OverflowError:
-            qf = 1e308
-        x = -math.expm1(math.log1p(-rng.random()) / qf)
-        touched = [i for i in pending if family[i].contains(x)]
-        if not touched:
-            continue
-        level = gamma ** (-1.0 / alpha)
-        for i in touched:
-            values[i] = level
-            pending.discard(i)
-        if not pending:
-            return LimitSample(values=tuple(values), atoms_used=used)
-    raise StoppingBudgetError(max_atoms, tuple(sorted(pending)))
+    covered = np.zeros(1, dtype=np.int64)
+    for mask in members:
+        covered = np.concatenate([covered, covered | mask])
+    leb = np.zeros(covered.size)
+    for j, mu in enumerate(measures):
+        leb += ((covered >> j) & 1) * mu
+    return leb ** beta
 
 
-def sample_coupled(
-    rng: np.random.Generator,
-    alpha: float,
-    beta: float,
-    family,
-    max_atoms: int = DEFAULT_MAX_ATOMS,
-):
+def _moebius_rates(f: np.ndarray) -> np.ndarray:
+    """p_S = sum over T within S of (-1)**(|T|+1) f[S^c | T], for every S.
+
+    The alternating sums run in integer arithmetic on the rounded f, so no
+    rate is lost to cancellation between nearly equal measures (a set of
+    measure 1e-300 beside one of 1/2 keeps its rate).  Each rate is rounded
+    once, and rounding residue below 0 is cut to 0.  Entry 0 is meaningless.
+    """
+    h = np.array([_exact(x) for x in f[::-1].tolist()], dtype=object)  # h[V] = f[V^c]
+    for j in range(f.size.bit_length() - 1):
+        v = h.reshape(-1, 2, 1 << j)
+        v[:, 1, :] -= v[:, 0, :]
+    return np.array([max(0.0, -x / _SCALE) for x in h.tolist()])
+
+
+@lru_cache(maxsize=256)
+def _karlin_rates(beta: float, family: tuple) -> np.ndarray:
+    _check_beta(beta)
+    deco = atomize(family)
+    f = _union_theta(beta, deco.measures, deco.member_masks())
+    rates = _moebius_rates(f)
+    lo, hi = family[0].carrier
+    rates[0] = max(0.0, (hi - lo) ** beta - f[-1])
+    rates.setflags(write=False)
+    return rates
+
+
+def pattern_rates(beta: float, family) -> np.ndarray:
+    """Rate p_S of the Poisson atoms whose hit pattern over the family is S.
+
+    Entry S (a bitmask, bit i for set i) is the inclusion-exclusion of
+    Leb(union)**beta; entry 0 is the rate of the atoms that hit no set,
+    Leb(carrier)**beta - Leb(union of the family)**beta.  Read-only.
+    """
+    return _karlin_rates(beta, _family(family))
+
+
+@lru_cache(maxsize=256)
+def _karlin_clocks(beta: float, family: tuple) -> _Clocks:
+    rates = _karlin_rates(beta, family)
+    live = np.flatnonzero(rates[1:]) + 1
+    return _clocks(rates[live], _hits(live, [1 << i for i in range(len(family))]), float(rates[0]))
+
+
+def _mstar_rate(lo: float, hi: float, beta: float) -> float:
+    """hi**beta - lo**beta, without cancellation for atoms narrower than lo."""
+    if hi >= 2.0 * lo:
+        return hi ** beta - lo ** beta
+    return lo ** beta * math.expm1(beta * math.log1p((hi - lo) / lo))
+
+
+@lru_cache(maxsize=256)
+def _mstar_clocks(beta: float, family: tuple) -> _Clocks:
+    _check_beta(beta)
+    _require_unit(family)
+    deco = atomize(family)
+    rates = np.array([_mstar_rate(*a.intervals[0], beta) for a in deco.atoms])
+    hits = _hits(1 << np.arange(rates.size, dtype=np.int64), deco.member_masks())
+    return _clocks(rates, hits, max(0.0, 1.0 - float(rates.sum())))
+
+
+@lru_cache(maxsize=256)
+def _coupled_clocks(beta: float, family: tuple) -> _Clocks:
+    """Pattern clocks over the atoms and gaps of [0, 1), left to right.
+
+    The leftmost point of a hitting set lies in the lowest cell it hits, so
+    M* of a set reads the clocks whose lowest cell is inside the set.
+    """
+    _check_beta(beta)
+    _require_unit(family)
+    deco = atomize(family)
+    union = normalize([iv for a in family for iv in a.intervals])
+    cells = sorted([a.intervals[0] for a in deco.atoms] + list(union.complement().intervals))
+    if len(cells) > PATTERN_BUDGET:
+        raise CapacityError(f"{len(cells)} cells exceed the {PATTERN_BUDGET}-cell pattern budget")
+    rank = {iv: c for c, iv in enumerate(cells)}
+    members = [sum(1 << rank[deco.atoms[j].intervals[0]] for j in idx) for idx in deco.membership]
+    f = _union_theta(beta, [hi - lo for lo, hi in cells], [1 << c for c in range(len(cells))])
+    rates = _moebius_rates(f)
+    live = np.flatnonzero(rates[1:]) + 1
+    hits = np.hstack([_hits(live, members), _hits(live & -live, members)])
+    return _clocks(rates[live], hits, max(0.0, 1.0 - float(f[-1])))
+
+
+def _chunk_rows(per_replica: int) -> int:
+    """Replicas per chunk; the stream never depends on it, only the memory does."""
+    return max(1, _CHUNK_FLOATS // max(1, per_replica))
+
+
+def _first_hits(g: np.ndarray, clocks: _Clocks) -> np.ndarray:
+    """Per replica and output, the first arrival among the clocks it reads; inf for none."""
+    return (g[:, :, None] + clocks.misses).min(axis=1, initial=np.inf)
+
+
+def _batch(rng, alpha: float, clocks: _Clocks, replicas: int) -> np.ndarray:
+    """(replicas, outputs) values, drawn a chunk of replicas at a time.
+
+    Every chunk draws its exponentials in replica order, so replica r of a
+    batch reads the same draws however the batch is chunked.
+    """
+    k = clocks.rates.size
+    rows = _chunk_rows(clocks.misses.size)
+    first = [
+        _first_hits(rng.standard_exponential((min(rows, replicas - start), k)) / clocks.rates, clocks)
+        for start in range(0, replicas, rows)
+    ]
+    return np.concatenate(first) ** (-1.0 / alpha)
+
+
+def _poisson(rng: np.random.Generator, lam: float) -> int:
+    if lam < _POISSON_MAX:
+        return int(rng.poisson(lam))
+    # the normal limit; its error, of order lam**-0.5, is below float resolution
+    return int(round(lam + math.sqrt(lam) * rng.standard_normal()))
+
+
+def _sample(rng, alpha: float, clocks: _Clocks) -> tuple:
+    """One replica, as a batch of one: (values, atoms_used).
+
+    With T the arrival at which the last output is first hit, the atoms
+    before T are: the first arrival of each clock that fired before T, the
+    Poisson(p (T - arrival)) later arrivals of those clocks, and the
+    Poisson(idle T) atoms that hit nothing.
+    """
+    g = rng.standard_exponential((1, clocks.rates.size)) / clocks.rates
+    first = _first_hits(g, clocks)[0]
+    values = tuple((first ** (-1.0 / alpha)).tolist())
+    hit = [x for x in first.tolist() if x < math.inf]
+    if not hit:
+        return values, 0
+    t = max(hit)
+    early = g[0] < t
+    lam = clocks.idle * t + float(clocks.rates[early] @ (t - g[0, early]))
+    return values, 1 + int(early.sum()) + _poisson(rng, lam)
+
+
+def karlin_batch(rng: np.random.Generator, alpha: float, beta: float, family, replicas: int) -> np.ndarray:
+    """Values of M over the family for ``replicas`` replicas, shape (replicas, len(family)).
+
+    Sets of measure 0 are 0 (a hitting set is a.s. finite).  A batch of R
+    replicas is the first R rows of a larger batch from the same stream.
+    """
+    return _batch(rng, alpha, _karlin_clocks(beta, _family(family)), replicas)
+
+
+def mstar_batch(rng: np.random.Generator, alpha: float, beta: float, family, replicas: int) -> np.ndarray:
+    """Values of the first-occurrence variant M*; unit carrier only."""
+    return _batch(rng, alpha, _mstar_clocks(beta, _family(family)), replicas)
+
+
+def coupled_batch(rng: np.random.Generator, alpha: float, beta: float, family, replicas: int):
+    """(M, M*) from one Poisson realization; pathwise M >= M*."""
+    values = _batch(rng, alpha, _coupled_clocks(beta, _family(family)), replicas)
+    d = values.shape[1] // 2
+    return values[:, :d], values[:, d:]
+
+
+@lru_cache(maxsize=256)
+def _race(beta: float, family: tuple):
+    """Clocks of all patterns with positive rate, the idle one included, and their hits."""
+    rates = _karlin_rates(beta, family)
+    live = np.flatnonzero(rates)
+    return rates[live], _hits(live, [1 << i for i in range(len(family))])
+
+
+def top_m_batch(rng: np.random.Generator, alpha: float, beta: float, m: int, family, replicas: int):
+    """Levels and per-set hits of the first m limit atoms.
+
+    Returns values of shape (replicas, m) and hits of shape (replicas, m,
+    len(family)).  Each atom is the winner of a race of the pattern clocks,
+    so the level increments are Exp(total rate) and the patterns i.i.d.
+    with probabilities proportional to p_S, independently of the levels.
+    """
+    if m < 1:
+        raise ValueError("m must be at least 1")
+    rates, hits = _race(beta, _family(family))
+    rows = _chunk_rows(m * rates.size)
+    values, winners = [], []
+    for start in range(0, replicas, rows):
+        g = rng.standard_exponential((min(rows, replicas - start), m, rates.size)) / rates
+        values.append(np.cumsum(g.min(axis=2), axis=1) ** (-1.0 / alpha))
+        winners.append(g.argmin(axis=2))
+    return np.concatenate(values), hits[np.concatenate(winners)]
+
+
+def sample_karlin(rng: np.random.Generator, alpha: float, beta: float, family) -> LimitSample:
+    """Exact joint sample of the limit sup-measure over a family on any finite carrier."""
+    return LimitSample(*_sample(rng, alpha, _karlin_clocks(beta, _family(family))))
+
+
+def sample_mstar(rng: np.random.Generator, alpha: float, beta: float, family) -> LimitSample:
+    """Variant sup-measure whose hitting set is its leftmost point only.
+
+    An interval [a, b) is hit at rate b**beta - a**beta; unit carrier only.
+    """
+    return LimitSample(*_sample(rng, alpha, _mstar_clocks(beta, _family(family))))
+
+
+def sample_coupled(rng: np.random.Generator, alpha: float, beta: float, family):
     """One Poisson realization driving both sup-measures; returns (M, M*).
 
-    The unit carrier is partitioned into the query atoms plus the gaps, the
-    joint void pattern is drawn over the whole partition, and the minimum
-    uniform necessarily lies in the leftmost occupied cell.  Pathwise
-    M(A) >= M*(A) by construction.
+    ``atoms_used`` of both is the atom at which the last set is first hit
+    under either measure.
     """
-    family, active = _split_family(family)
-    values = [0.0] * len(family)
-    star_values = [0.0] * len(family)
-    if not active:
-        return (
-            LimitSample(values=tuple(values), atoms_used=0),
-            LimitSample(values=tuple(star_values), atoms_used=0),
-        )
-
-    sampler, member = _coupled_setup(beta, tuple(family[i] for i in active))
-    pending = set(range(len(active)))
-    star_pending = set(range(len(active)))
-    gamma = 0.0
-    used = 0
-    while used < max_atoms:
-        used += 1
-        gamma += rng.standard_exponential()
-        _, hit_mask = sampler.draw(rng)
-        if not hit_mask:
-            continue
-        level = gamma ** (-1.0 / alpha)
-        min_bit = 1 << ((hit_mask & -hit_mask).bit_length() - 1)  # leftmost occupied cell
-        for i in list(pending):
-            if member[i] & hit_mask:
-                values[active[i]] = level
-                pending.discard(i)
-        for i in list(star_pending):
-            if member[i] & min_bit:
-                star_values[active[i]] = level
-                star_pending.discard(i)
-        if not pending and not star_pending:
-            return (
-                LimitSample(values=tuple(values), atoms_used=used),
-                LimitSample(values=tuple(star_values), atoms_used=used),
-            )
-    raise StoppingBudgetError(
-        max_atoms, tuple(active[i] for i in sorted(pending | star_pending))
-    )
+    values, atoms = _sample(rng, alpha, _coupled_clocks(beta, _family(family)))
+    d = len(values) // 2
+    return LimitSample(values[:d], atoms), LimitSample(values[d:], atoms)
 
 
-def sample_top_m_process(
-    rng: np.random.Generator,
-    alpha: float,
-    beta: float,
-    m: int,
-    family,
-):
+def sample_top_m_process(rng: np.random.Generator, alpha: float, beta: float, m: int, family):
     """Values and per-set hit indicators of the first m limit atoms.
 
     This is the limit counterpart of the discrete top-m order statistics
     with their location sets, for distributional comparison.
     """
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    family, active = _split_family(family)
-    hits_none = [False] * len(family)
-    if not active:
-        gammas = np.cumsum(rng.standard_exponential(m))
-        return [(float(g ** (-1.0 / alpha)), tuple(hits_none)) for g in gammas]
-
-    sampler, member = _family_setup(beta, tuple(family[i] for i in active))
-    out = []
-    gamma = 0.0
-    for _ in range(m):
-        gamma += rng.standard_exponential()
-        _, hit_mask = sampler.draw(rng)
-        hits = list(hits_none)
-        for i, mask in enumerate(member):
-            hits[active[i]] = bool(mask & hit_mask)
-        out.append((gamma ** (-1.0 / alpha), tuple(hits)))
-    return out
+    values, hits = top_m_batch(rng, alpha, beta, m, family, 1)
+    return [(v, tuple(h)) for v, h in zip(values[0].tolist(), hits[0].tolist())]
 
 
 def limit_samples_csv(samples, fh=None) -> str:

@@ -9,9 +9,12 @@ documented calibration constant in :data:`DEFAULT_THRESHOLDS` (the theory
 provides no convergence rates, so the KS-style bounds are calibrated, not
 derived).
 
-Replica r of a suite draws from the counter-based stream
-``replica_rng(seed, offset + r)``; distinct parts of a suite use disjoint
-offset blocks, so reports are byte-identical for any ``threads`` setting.
+Replica r of an urn part of a suite draws from the counter-based stream
+``replica_rng(seed, offset + r)``, and the replicas run on ``threads``
+threads.  A limit part draws all its replicas, in replica order, as one
+vectorised batch from the single stream ``replica_rng(seed, offset)``, and
+the limit parts run one after another.  Distinct parts use disjoint offset
+blocks, so reports are byte-identical for any ``threads`` setting.
 """
 
 from __future__ import annotations
@@ -64,6 +67,7 @@ DEFAULT_THRESHOLDS = {
 }
 
 _BLOCK = 1 << 20  # replica-offset block separating independent suite parts
+_RATE_REL = 1e-12  # relative gate of the pattern_rates_exact row
 
 # Quantiles at the two confidences SuiteConfig accepts, equal to SciPy's
 # kstwobign.ppf(c), norm.ppf((1 + c) / 2) and chi2.ppf(c, 10) to the last bit.
@@ -285,18 +289,17 @@ def _parallel_map(fn, count: int, threads: int):
     """fn(i) for i in range(count), results in index order regardless of scheduling."""
     if threads <= 1 or count <= 1:
         return [fn(i) for i in range(count)]
-    chunk = max(1, count // (threads * 16))
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(count), chunksize=chunk))
+        return list(pool.map(fn, range(count)))
 
 
 def _replica_stream_map(fn, count: int, seed: int, offset: int = 0):
     """fn(rng) across replica streams offset .. offset+count-1, serially.
 
-    The exact-sampler bodies are pure Python and hold the GIL, so threads
-    are counterproductive for them; one Philox is reused by resetting its
-    counter block, which reproduces ``replica_rng(seed, offset + r)`` draw
-    for draw at a fraction of the construction cost.
+    One Philox is reused by resetting its counter block, which reproduces
+    ``replica_rng(seed, offset + r)`` draw for draw at a fraction of the
+    construction cost.  No suite calls it since the limit parts are drawn
+    as batches; the benchmark's tracer still looks it up by name.
     """
     bg = np.random.Philox(key=seed)
     gen = np.random.Generator(bg)
@@ -317,7 +320,9 @@ def _replica_stream_map(fn, count: int, seed: int, offset: int = 0):
 
 
 def _model_spec(cfg: SuiteConfig):
-    return FrequencyModel(beta=cfg.beta), HeavyTailSpec(alpha=cfg.alpha)
+    model, spec = FrequencyModel(beta=cfg.beta), HeavyTailSpec(alpha=cfg.alpha)
+    ksim.b_n(model, spec, min(cfg.n_grid))  # raises where no normalisation exists
+    return model, spec
 
 
 def _wilson_row(cfg, check, hits, trials, target, n=0) -> CheckRow:
@@ -433,11 +438,8 @@ def suite_locations(cfg: SuiteConfig) -> SuiteReport:
     hits = np.array([h for h, _ in results], dtype=bool)
     values = np.array([v for _, v in results])
 
-    def limit_one(rng):
-        tops = lsim.sample_top_m_process(rng, cfg.alpha, cfg.beta, m, family)
-        return [v for v, _ in tops]
-
-    limit_values = np.array(_replica_stream_map(limit_one, cfg.replicas, cfg.seed, _BLOCK))
+    limit_values, _ = lsim.top_m_batch(replica_rng(cfg.seed, _BLOCK), cfg.alpha, cfg.beta, m,
+                                       family, cfg.replicas)
 
     rows = []
     for k in range(m):
@@ -557,56 +559,69 @@ def _random_queries(cfg: SuiteConfig, count: int, max_d: int = 3):
     return queries
 
 
+def _pattern_rates_row(cfg: SuiteConfig, families) -> CheckRow:
+    """Worst relative gap, over the families, between the pattern rates and theta.
+
+    For every family the rates of the patterns containing set i must add up
+    to Leb(A_i)**beta, and all rates to Leb(union)**beta.
+    """
+    worst = 0.0
+    for family in families:
+        rates = lsim.pattern_rates(cfg.beta, family)
+        patterns = np.arange(rates.size)
+        union = family[0]
+        for a in family[1:]:
+            union = union.union(a)
+        sums = [(rates[patterns & (1 << i) != 0].sum(), oracle.theta(a, cfg.beta))
+                for i, a in enumerate(family)]
+        sums.append((rates[1:].sum(), oracle.theta(union, cfg.beta)))
+        worst = max(worst, *(abs(got - want) / want for got, want in sums))
+    return CheckRow(
+        suite=cfg.suite, check="pattern_rates_exact", estimate=worst, target=0.0,
+        se_or_crit=_RATE_REL, passed=worst <= _RATE_REL, n=0, replicas=0, seed=cfg.seed,
+    )
+
+
+def _karlin(cfg: SuiteConfig, family, offset: int) -> np.ndarray:
+    """(replicas, sets) values of the limit sup-measure from the stream of one suite part."""
+    return lsim.karlin_batch(replica_rng(cfg.seed, offset), cfg.alpha, cfg.beta, family, cfg.replicas)
+
+
 def suite_limit_vs_oracle(cfg: SuiteConfig) -> SuiteReport:
     """Exact limit sampler against the closed-form oracle.
 
     Randomized joint queries are estimated by Monte Carlo and compared at
-    +-3 binomial SE; the stopping rule is re-run with a doubled atom budget
-    and must reproduce bitwise; the non-ergodicity statistic is estimated
-    on windows and adjudicated against the two candidate closed forms
-    (2**beta versus 2 - 2**beta for the joint exponent).
+    +-3 binomial SE; the pattern rates of every sampled family must add up
+    to theta; the non-ergodicity statistic is estimated on windows and
+    adjudicated against the two candidate closed forms (2**beta versus
+    2 - 2**beta for the joint exponent).
     """
     t0 = time.perf_counter()
     rows = []
     queries = _random_queries(cfg, 10)
+    families = []
     for qi, q in enumerate(queries):
         family = tuple(a for a, _ in q.pairs)
-        zs = tuple(z for _, z in q.pairs)
-
-        def one(rng, family=family, zs=zs):
-            sample = lsim.sample_karlin(rng, cfg.alpha, cfg.beta, family)
-            return all(v <= z for v, z in zip(sample.values, zs))
-
-        hits = sum(_replica_stream_map(one, cfg.replicas, cfg.seed, qi * _BLOCK))
+        zs = np.array([z for _, z in q.pairs])
+        hits = int((_karlin(cfg, family, qi * _BLOCK) <= zs).all(axis=1).sum())
         rows.append(_binom_row(cfg, f"joint_cdf_q{qi}", hits, cfg.replicas, oracle.joint_cdf(q)))
+        families.append(family)
 
-    # stopping-rule exactness: doubling the atom budget must not change bits
-    family0 = tuple(a for a, _ in queries[0].pairs)
-    s1 = lsim.sample_karlin(replica_rng(cfg.seed, 11 * _BLOCK), cfg.alpha, cfg.beta, family0)
-    s2 = lsim.sample_karlin(replica_rng(cfg.seed, 11 * _BLOCK), cfg.alpha, cfg.beta, family0,
-                            max_atoms=2 * lsim.DEFAULT_MAX_ATOMS)
-    exact = s1.values == s2.values and s1.atoms_used == s2.atoms_used
-    rows.append(CheckRow(
-        suite=cfg.suite, check="stopping_rule_bitwise", estimate=float(exact), target=1.0,
-        se_or_crit=0.0, passed=exact, n=0, replicas=1, seed=cfg.seed,
-    ))
+    # non-ergodicity statistic on windows [0, t+1]; adjudication on [0, 3]
+    windows = []
+    for t in (1.5, 2.0, 5.0):
+        carrier = (0.0, t + 1.0)
+        windows.append((t, (IntervalSet(((0.0, 1.0),), carrier), IntervalSet(((t, t + 1.0),), carrier))))
+    fam_adj = (IntervalSet(((0.0, 1.0),), (0.0, 3.0)), IntervalSet(((2.0, 3.0),), (0.0, 3.0)))
+    rows.append(_pattern_rates_row(cfg, families + [fam for _, fam in windows] + [fam_adj]))
 
-    # non-ergodicity statistic on windows [0, t+1]
     z = 1.0
     mult = cfg.threshold("binom_se_mult")
     tau_rows = []
-    for ti, t in enumerate((1.5, 2.0, 5.0)):
-        width = t + 1.0
-        carrier = (0.0, width)
-        fam = (IntervalSet(((0.0, 1.0),), carrier), IntervalSet(((t, t + 1.0),), carrier))
-
-        def one(rng, fam=fam, width=width):
-            sample = lsim.sample_on_window(rng, cfg.alpha, cfg.beta, fam, width=width)
-            return sample.values[0] <= z, sample.values[0] <= z and sample.values[1] <= z
-
-        res = _replica_stream_map(one, cfg.replicas, cfg.seed, (12 + ti) * _BLOCK)
-        p_single = sum(s for s, _ in res) / cfg.replicas
-        p_joint = sum(j for _, j in res) / cfg.replicas
+    for ti, (t, fam) in enumerate(windows):
+        below = _karlin(cfg, fam, (12 + ti) * _BLOCK) <= z
+        p_single = int(below[:, 0].sum()) / cfg.replicas
+        p_joint = int(below.all(axis=1).sum()) / cfg.replicas
         tau_hat = math.log(p_joint) - 2.0 * math.log(p_single)
         # conservative SE: Var(log p) ~ (1-p)/(p N); covariance is positive
         se = math.sqrt(
@@ -633,13 +648,7 @@ def suite_limit_vs_oracle(cfg: SuiteConfig) -> SuiteReport:
     ))
 
     # adjudication of the joint exponent on disjoint unit windows (t = 2)
-    fam_adj = (IntervalSet(((0.0, 1.0),), (0.0, 3.0)), IntervalSet(((2.0, 3.0),), (0.0, 3.0)))
-
-    def adj_one(rng):
-        sample = lsim.sample_on_window(rng, cfg.alpha, cfg.beta, fam_adj, width=3.0)
-        return sample.values[0] <= z and sample.values[1] <= z
-
-    joint_hits = sum(_replica_stream_map(adj_one, cfg.replicas, cfg.seed, 14 * _BLOCK))
+    joint_hits = int((_karlin(cfg, fam_adj, 14 * _BLOCK) <= z).all(axis=1).sum())
     p_joint = joint_hits / cfg.replicas
     neg_log = -math.log(p_joint)
     se_neglog = math.sqrt((1.0 - p_joint) / (p_joint * cfg.replicas))
@@ -670,39 +679,21 @@ def suite_extremal_and_mstar(cfg: SuiteConfig) -> SuiteReport:
     """
     t0 = time.perf_counter()
     rows = []
-    mult = cfg.threshold("binom_se_mult")
-    ln2 = math.log(2.0)
 
     for ti, t in enumerate((0.25, 1.0, 4.0)):
-        if t <= 1.0:
-            fam = (normalize([(0.0, t)]),)
-
-            def one(rng, fam=fam):
-                return lsim.sample_karlin(rng, cfg.alpha, cfg.beta, fam).values[0]
-        else:
-            fam = (IntervalSet(((0.0, t),), (0.0, t)),)
-
-            def one(rng, fam=fam, t=t):
-                return lsim.sample_on_window(rng, cfg.alpha, cfg.beta, fam, width=t).values[0]
-
-        vals = np.array(_replica_stream_map(one, cfg.replicas, cfg.seed, ti * _BLOCK))
-        med_target = (t ** cfg.beta / ln2) ** (1.0 / cfg.alpha)
+        fam = (IntervalSet(((0.0, t),), (0.0, max(t, 1.0))),)
+        vals = _karlin(cfg, fam, ti * _BLOCK)[:, 0]
+        med_target = (t ** cfg.beta / math.log(2.0)) ** (1.0 / cfg.alpha)
         rows.append(_rel_row(cfg, f"extremal_median_t{t}", float(np.median(vals)), med_target,
                              "median_rel", replicas=cfg.replicas))
         law = FrechetLaw(cfg.alpha, t ** cfg.beta)
         stat = ks_statistic(np.sort(vals), lambda v: frechet_cdf(v, law))
         rows.append(_ks_row(cfg, f"extremal_ks_t{t}", stat, ks_critical(cfg.replicas, cfg.confidence),
                             replicas=cfg.replicas))
-        if t == 4.0:
-            window_vals = vals
+    window_vals = vals  # the [0, 4] window
 
     # self-similarity: [0, T] window versus T**(beta/alpha)-scaled unit samples
-    fam_unit = (normalize([(0.0, 1.0)]),)
-
-    def unit_one(rng):
-        return lsim.sample_karlin(rng, cfg.alpha, cfg.beta, fam_unit).values[0]
-
-    unit_vals = np.array(_replica_stream_map(unit_one, cfg.replicas, cfg.seed, 3 * _BLOCK))
+    unit_vals = _karlin(cfg, (normalize([(0.0, 1.0)]),), 3 * _BLOCK)[:, 0]
     scaled = unit_vals * 4.0 ** (cfg.beta / cfg.alpha)
     stat = two_sample_ks(window_vals, scaled)
     rows.append(_ks_row(cfg, "self_similarity_two_sample", stat,
@@ -710,12 +701,7 @@ def suite_extremal_and_mstar(cfg: SuiteConfig) -> SuiteReport:
                         replicas=cfg.replicas))
 
     # translation invariance of increments: same-width windows at two origins
-    fam_tr = (normalize([(0.0, 0.5)]), normalize([(0.5, 1.0)]))
-
-    def tr_one(rng):
-        return lsim.sample_karlin(rng, cfg.alpha, cfg.beta, fam_tr).values
-
-    tr = np.array(_replica_stream_map(tr_one, cfg.replicas, cfg.seed, 4 * _BLOCK))
+    tr = _karlin(cfg, (normalize([(0.0, 0.5)]), normalize([(0.5, 1.0)])), 4 * _BLOCK)
     stat = two_sample_ks(tr[:, 0], tr[:, 1])
     rows.append(_ks_row(cfg, "translation_invariance_two_sample", stat,
                         two_sample_ks_critical(cfg.replicas, cfg.replicas, cfg.confidence),
@@ -723,12 +709,8 @@ def suite_extremal_and_mstar(cfg: SuiteConfig) -> SuiteReport:
 
     # variant marginal on [a, b): P(M* <= z) = exp(-(b**beta - a**beta) z**-alpha)
     a_lo, b_hi, z = 0.25, 1.0, 1.0
-    fam_star = (normalize([(a_lo, b_hi)]),)
-
-    def star_one(rng):
-        return lsim.sample_mstar(rng, cfg.alpha, cfg.beta, fam_star).values[0]
-
-    star_vals = np.array(_replica_stream_map(star_one, cfg.replicas, cfg.seed, 5 * _BLOCK))
+    star_vals = lsim.mstar_batch(replica_rng(cfg.seed, 5 * _BLOCK), cfg.alpha, cfg.beta,
+                                 (normalize([(a_lo, b_hi)]),), cfg.replicas)[:, 0]
     sigma_star = oracle.mstar_theta(a_lo, b_hi, cfg.beta)
     target_p = math.exp(-sigma_star * z ** -cfg.alpha)
     rows.append(_binom_row(cfg, "mstar_marginal_prob", int((star_vals <= z).sum()), cfg.replicas, target_p))
@@ -739,25 +721,17 @@ def suite_extremal_and_mstar(cfg: SuiteConfig) -> SuiteReport:
 
     # variant equals the time-changed law on [0, t]
     t_tc = 0.49
-    fam_tc = (normalize([(0.0, t_tc)]),)
-
-    def tc_one(rng):
-        return lsim.sample_mstar(rng, cfg.alpha, cfg.beta, fam_tc).values[0]
-
-    tc_vals = np.array(_replica_stream_map(tc_one, cfg.replicas, cfg.seed, 6 * _BLOCK))
+    tc_vals = lsim.mstar_batch(replica_rng(cfg.seed, 6 * _BLOCK), cfg.alpha, cfg.beta,
+                               (normalize([(0.0, t_tc)]),), cfg.replicas)[:, 0]
     law_tc = FrechetLaw(cfg.alpha, t_tc ** cfg.beta)
     stat = ks_statistic(np.sort(tc_vals), lambda v: frechet_cdf(v, law_tc))
     rows.append(_ks_row(cfg, "mstar_time_change_ks", stat, ks_critical(cfg.replicas, cfg.confidence),
                         replicas=cfg.replicas))
 
     # pathwise domination of the coupled pair
-    fam_dom = (normalize([(0.25, 1.0)]), normalize([(0.1, 0.6)]))
-
-    def dom_one(rng):
-        big, small = lsim.sample_coupled(rng, cfg.alpha, cfg.beta, fam_dom)
-        return all(x >= y for x, y in zip(big.values, small.values))
-
-    dominated = sum(_replica_stream_map(dom_one, cfg.replicas, cfg.seed, 8 * _BLOCK))
+    big, small = lsim.coupled_batch(replica_rng(cfg.seed, 8 * _BLOCK), cfg.alpha, cfg.beta,
+                                    (normalize([(0.25, 1.0)]), normalize([(0.1, 0.6)])), cfg.replicas)
+    dominated = int((big >= small).all(axis=1).sum())
     rows.append(CheckRow(
         suite=cfg.suite, check="coupled_domination", estimate=dominated / cfg.replicas, target=1.0,
         se_or_crit=0.0, passed=dominated == cfg.replicas, n=0, replicas=cfg.replicas, seed=cfg.seed,

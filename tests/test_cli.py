@@ -1,12 +1,12 @@
-import functools
 import json
+import math
 import subprocess
 import sys
+import time
 
 import pytest
 
 from karlin_rsm import cli
-from karlin_rsm import limit_sim as lsim
 
 BIN = [sys.executable, "-m", "karlin_rsm.cli"]
 
@@ -106,17 +106,49 @@ class TestUsageErrors:
         assert res.stderr.startswith("error: ") and len(res.stderr.splitlines()) == 1
         assert "budget" in res.stderr
 
-    def test_stopping_budget_exits_two(self, tmp_path, monkeypatch, capsys):
-        # a set of measure 1e-300 is never hit; a small atom budget makes the
-        # sampler give up at once instead of after its default 1e6 atoms
-        tiny = tmp_path / "tiny.json"
-        tiny.write_text(json.dumps({"family": [{"carrier": [0, 1], "intervals": [[0.0, 1e-300]]}]}))
-        monkeypatch.setattr(lsim, "sample_karlin", functools.partial(lsim.sample_karlin, max_atoms=1000))
-        code = cli.main(["limit-sample", "--beta", "0.5", "--replicas", "1", "--seed", "1",
-                         "--query", str(tiny), "--out", str(tmp_path / "out.csv")])
-        assert code == 2
+    def test_normalisation_zero_exits_two(self, capsys):
+        # at beta 0.9, zeta(1/beta) = 9.59 > n = 5: nu((0, n]) = 0, so b_n would be 0
+        for argv in (["simulate", "--beta", "0.9", "--n", "5", "--seed", "1"],
+                     ["verify", "--suite", "marginal", "--beta", "0.9", "--n", "5",
+                      "--replicas", "100", "--seed", "1", "--threads", "1"]):
+            assert cli.main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: n=5 is below zeta") and len(err.splitlines()) == 1
+
+
+def _family_json(tmp_path, carrier, intervals):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({"family": [{"carrier": carrier, "intervals": intervals}]}))
+    return str(path)
+
+
+class TestLimitSampleDomain:
+    def test_wide_carrier_samples(self, tmp_path):
+        query = _family_json(tmp_path, [0, 4], [[0.0, 3.0]])
+        out = tmp_path / "out.csv"
+        assert cli.main(["limit-sample", "--beta", "0.5", "--replicas", "20", "--seed", "1",
+                         "--query", query, "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 20
+        assert all(float(r.split(",")[2]) > 0 and int(r.split(",")[3]) >= 1 for r in rows)
+
+    def test_mstar_wide_carrier_exits_two(self, tmp_path, capsys):
+        query = _family_json(tmp_path, [0, 4], [[0.0, 3.0]])
+        assert cli.main(["limit-sample", "--beta", "0.5", "--replicas", "5", "--seed", "1",
+                         "--query", query, "--variant", "mstar",
+                         "--out", str(tmp_path / "out.csv")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: no hit after 1000 atoms") and len(err.splitlines()) == 1
+        assert err.startswith("error: ") and "unit carrier" in err and len(err.splitlines()) == 1
+
+    def test_tiny_set_samples_at_once(self, tmp_path):
+        query = _family_json(tmp_path, [0, 1], [[0.0, 1e-300]])
+        out = tmp_path / "out.csv"
+        t0 = time.perf_counter()
+        assert cli.main(["limit-sample", "--beta", "0.5", "--replicas", "1", "--seed", "1",
+                         "--query", query, "--out", str(out)]) == 0
+        assert time.perf_counter() - t0 < 1.0
+        value = float(out.read_text().splitlines()[1].split(",")[2])
+        assert math.isfinite(value) and value > 0
 
 
 class TestSimulateCommand:

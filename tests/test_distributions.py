@@ -14,16 +14,14 @@ from karlin_rsm.distributions import (
     log_gamma,
     pareto_from_uniform,
     pareto_sample_batch,
-    qbeta_from_uniform,
     qbeta_pmf,
-    qbeta_sample,
     qbeta_tail,
     riemann_zeta,
     zeta_acceptance_rate,
     zeta_sample_batch,
 )
 
-from oracles import zeta_series
+from oracles import qbeta_from_uniform, qbeta_sample, zeta_series
 
 
 class TestGamma:

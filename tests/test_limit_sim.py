@@ -1,22 +1,38 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
+from karlin_rsm import karlin_sim as ksim
+from karlin_rsm.choquet_oracle import PatternQuery, pattern_limit, theta
+from karlin_rsm.distributions import HeavyTailSpec, gamma_fn
 from karlin_rsm.interval_sets import CapacityError, IntervalSet, normalize
+from karlin_rsm.karlin_sim import FrequencyModel, replica_rng
 from karlin_rsm.limit_sim import (
-    DEFAULT_MAX_ATOMS,
-    StoppingBudgetError,
-    _HitPatternSampler,
+    coupled_batch,
+    karlin_batch,
     limit_samples_csv,
+    mstar_batch,
+    pattern_rates,
     sample_coupled,
     sample_karlin,
     sample_mstar,
-    sample_on_window,
-    sample_rbeta_hits,
-    sample_rbeta_points,
     sample_top_m_process,
+    top_m_batch,
+)
+from karlin_rsm.verify import two_sample_ks_critical
+
+from oracles import (
+    HitPatternSampler,
+    reference_coupled,
+    reference_karlin,
+    reference_mstar,
+    reference_top_m,
+    sample_rbeta_hits,
 )
 
 N_MC = 30000
@@ -27,9 +43,11 @@ def binom_tol(p, n=N_MC, k=3.0):
 
 
 class TestHitPatterns:
+    """The sequential reference: void patterns of the atoms given the block size."""
+
     def test_conditional_void_pmf_single_atom(self):
         # given Q = q, P(void) = (1 - mu) ** q exactly
-        s = _HitPatternSampler(0.5, [0.3])
+        s = HitPatternSampler(0.5, [0.3])
         for q in (1, 2, 7, 1000):
             pmf = s.void_pmf(q)
             assert pmf[1] == pytest.approx((1 - 0.3) ** q, rel=1e-12)
@@ -38,7 +56,7 @@ class TestHitPatterns:
     def test_conditional_void_pmf_two_atoms(self):
         # inclusion-exclusion by hand for two disjoint atoms
         mu1, mu2, q = 0.2, 0.35, 5
-        s = _HitPatternSampler(0.5, [mu1, mu2])
+        s = HitPatternSampler(0.5, [mu1, mu2])
         pmf = s.void_pmf(q)
         v1, v2, v12 = (1 - mu1) ** q, (1 - mu2) ** q, (1 - mu1 - mu2) ** q
         assert pmf[3] == pytest.approx(v12, rel=1e-10)          # both void
@@ -47,7 +65,7 @@ class TestHitPatterns:
         assert pmf[0] == pytest.approx(1 - v1 - v2 + v12, rel=1e-9)
 
     def test_huge_q_void_pmf(self):
-        s = _HitPatternSampler(0.5, [0.3])
+        s = HitPatternSampler(0.5, [0.3])
         pmf = s.void_pmf(10 ** 400)  # beyond float; all atoms hit
         assert pmf[0] == pytest.approx(1.0)
 
@@ -76,53 +94,92 @@ class TestHitPatterns:
         with pytest.raises(CapacityError):
             sample_rbeta_hits(rng, 0.5, [0.01] * 21)
 
-    def test_point_enumeration_cap(self):
-        rng = np.random.default_rng(23)
-        pts = sample_rbeta_points(rng, 0.9)  # small blocks typical
-        assert np.all((0 <= pts) & (pts < 1))
-        with pytest.raises(CapacityError):
-            # beta small makes astronomically large blocks likely; cap 10 draws
-            for _ in range(200):
-                sample_rbeta_points(rng, 0.1, cap=10)
+
+class TestPatternRates:
+    FAMILY = (normalize([(0.1, 0.4)]), normalize([(0.3, 0.7)]), normalize([(0.2, 0.35), (0.8, 0.9)]))
+
+    def test_equal_pattern_limits(self):
+        # p_S is the occupancy-pattern limit of S divided by gamma(1 - beta)
+        for beta in (0.2, 0.5, 0.9):
+            rates = pattern_rates(beta, self.FAMILY)
+            for s in range(1, 8):
+                delta = tuple((s >> i) & 1 for i in range(3))
+                target = pattern_limit(PatternQuery(self.FAMILY, delta), beta) / gamma_fn(1.0 - beta)
+                assert rates[s] == pytest.approx(target, rel=1e-12, abs=1e-15)
+
+    def test_add_up_to_theta(self):
+        rates = pattern_rates(0.5, self.FAMILY)
+        patterns = np.arange(8)
+        for i, a in enumerate(self.FAMILY):
+            assert rates[patterns & (1 << i) != 0].sum() == pytest.approx(theta(a, 0.5), rel=1e-14)
+        assert rates.sum() == pytest.approx(1.0, rel=1e-14)  # idle atoms included
+
+    def test_tiny_set_keeps_its_rate(self):
+        # no cancellation: the set of measure 1e-300 keeps rate 1e-150 in either order
+        big, tiny = normalize([(0.5, 1.0)]), normalize([(0.0, 1e-300)])
+        for family, i in (((big, tiny), 1), ((tiny, big), 0)):
+            rates = pattern_rates(0.5, family)
+            assert rates[np.arange(4) & (1 << i) != 0].sum() == pytest.approx(1e-150, rel=1e-14)
+            assert sample_karlin(np.random.default_rng(1), 1.0, 0.5, family).values[i] > 0
+
+    def test_any_carrier_and_read_only(self):
+        fam = (IntervalSet(((0.0, 1.0),), (0.0, 3.0)), IntervalSet(((2.0, 3.0),), (0.0, 3.0)))
+        rates = pattern_rates(0.5, fam)
+        assert rates[1] == rates[2] == pytest.approx(2.0 ** 0.5 - 1.0, rel=1e-14)
+        assert rates[3] == pytest.approx(2.0 - 2.0 ** 0.5, rel=1e-14)
+        assert rates[0] == pytest.approx(3.0 ** 0.5 - 2.0 ** 0.5, rel=1e-14)
+        with pytest.raises(ValueError):
+            rates[0] = 1.0
+
+    def test_beta_outside_unit_interval(self):
+        fam = [normalize([(0.0, 0.5)])]
+        for beta in (0.0, 1.0, 1.5):
+            for sampler in (sample_karlin, sample_mstar, sample_coupled):
+                with pytest.raises(ValueError, match="beta"):
+                    sampler(np.random.default_rng(0), 1.0, beta, fam)
+            with pytest.raises(ValueError, match="beta"):
+                sample_top_m_process(np.random.default_rng(0), 1.0, beta, 1, fam)
+
+    def test_null_sets_have_no_rate(self):
+        rates = pattern_rates(0.5, (normalize([]), normalize([(0.0, 0.25)])))
+        assert rates[1] == rates[3] == 0.0 and rates[2] == 0.5
 
 
 class TestKarlinSampler:
     def test_full_set_frechet(self):
-        rng = np.random.default_rng(24)
-        fam = [normalize([(0.0, 1.0)])]
-        vals = np.array([sample_karlin(rng, 1.0, 0.5, fam).values[0] for _ in range(N_MC)])
+        vals = karlin_batch(np.random.default_rng(24), 1.0, 0.5, [normalize([(0.0, 1.0)])], N_MC)
         target = math.exp(-1.0)
-        assert abs(np.mean(vals <= 1.0) - target) <= binom_tol(target)
+        assert abs(np.mean(vals[:, 0] <= 1.0) - target) <= binom_tol(target)
 
     def test_quarter_set(self):
-        rng = np.random.default_rng(25)
-        fam = [normalize([(0.0, 0.25)])]
-        vals = np.array([sample_karlin(rng, 1.0, 0.5, fam).values[0] for _ in range(N_MC)])
+        vals = karlin_batch(np.random.default_rng(25), 1.0, 0.5, [normalize([(0.0, 0.25)])], N_MC)
         target = math.exp(-0.5)
-        assert abs(np.mean(vals <= 1.0) - target) <= binom_tol(target)
+        assert abs(np.mean(vals[:, 0] <= 1.0) - target) <= binom_tol(target)
 
     def test_two_halves_joint(self):
-        rng = np.random.default_rng(26)
         fam = [normalize([(0.0, 0.5)]), normalize([(0.5, 1.0)])]
-        hits = 0
-        for _ in range(N_MC):
-            v = sample_karlin(rng, 1.0, 0.5, fam).values
-            hits += v[0] <= 1.0 and v[1] <= 1.0
+        vals = karlin_batch(np.random.default_rng(26), 1.0, 0.5, fam, N_MC)
         target = math.exp(-1.0)
-        assert abs(hits / N_MC - target) <= binom_tol(target)
+        assert abs(np.mean((vals <= 1.0).all(axis=1)) - target) <= binom_tol(target)
 
     def test_zero_measure_sets_answered_zero(self):
         rng = np.random.default_rng(27)
         fam = [normalize([]), normalize([(0.3, 0.3)]), normalize([(0.0, 0.5)])]
         s = sample_karlin(rng, 1.0, 0.5, fam)
         assert s.values[0] == 0.0 and s.values[1] == 0.0 and s.values[2] > 0.0
+        assert s.atoms_used >= 1
+        assert sample_karlin(rng, 1.0, 0.5, fam[:2]).atoms_used == 0
 
-    def test_stopping_rule_bitwise_exact(self):
+    def test_single_replica_is_batch_of_one(self):
         fam = [normalize([(0.0, 0.2)]), normalize([(0.6, 0.9)])]
-        a = sample_karlin(np.random.default_rng(28), 1.0, 0.3, fam)
-        b = sample_karlin(np.random.default_rng(28), 1.0, 0.3, fam, max_atoms=2 * DEFAULT_MAX_ATOMS)
-        assert a.values == b.values
-        assert a.atoms_used == b.atoms_used
+        a = sample_karlin(replica_rng(28, 0), 1.0, 0.3, fam)
+        b = karlin_batch(replica_rng(28, 0), 1.0, 0.3, fam, 1)
+        assert a.values == tuple(b[0])
+        big, small = sample_coupled(replica_rng(28, 1), 1.0, 0.3, fam)
+        b_big, b_small = coupled_batch(replica_rng(28, 1), 1.0, 0.3, fam, 1)
+        assert big.values == tuple(b_big[0]) and small.values == tuple(b_small[0])
+        assert sample_mstar(replica_rng(28, 2), 1.0, 0.3, fam).values == tuple(
+            mstar_batch(replica_rng(28, 2), 1.0, 0.3, fam, 1)[0])
 
     def test_sup_measure_axiom_and_monotonicity(self):
         rng = np.random.default_rng(29)
@@ -134,82 +191,68 @@ class TestKarlinSampler:
             assert vu == max(va, vb)
             assert va <= vu and vb <= vu
 
-    def test_iteration_cap_reports_unhit(self):
-        rng = np.random.default_rng(30)
-        fam = [normalize([(0.0, 1e-9)])]  # hit probability ~3e-5 per atom
-        with pytest.raises(StoppingBudgetError) as err:
-            sample_karlin(rng, 1.0, 0.5, fam, max_atoms=5)
-        assert err.value.unhit == (0,)
-
-    def test_atoms_collection(self):
-        rng = np.random.default_rng(31)
-        sample, atoms = sample_karlin(rng, 1.0, 0.5, [normalize([(0.0, 0.5)])], collect_atoms=True)
-        assert len(atoms) == sample.atoms_used
-        gammas = [a.gamma for a in atoms]
-        assert gammas == sorted(gammas)
-        values = [a.value for a in atoms]
-        assert values == sorted(values, reverse=True)
+    def test_tiny_set_is_hit(self):
+        # hit rate 1e-150 per unit level: no atom walk, a finite value at once
+        fam = [normalize([(0.0, 1e-300)])]
+        t0 = time.perf_counter()
+        s = sample_karlin(np.random.default_rng(30), 1.0, 0.5, fam)
+        assert time.perf_counter() - t0 < 1.0
+        assert 0.0 < s.values[0] < 1e-140 and s.atoms_used > 10 ** 140
 
 
 class TestWindowSampler:
     def test_width_one_identical(self):
-        fam = [normalize([(0.0, 0.4)])]
-        a = sample_karlin(np.random.default_rng(32), 1.0, 0.5, fam)
-        b = sample_on_window(np.random.default_rng(32), 1.0, 0.5, fam, width=1.0)
+        # the rates depend on the sets only; a wider carrier changes atoms_used alone
+        a = sample_karlin(np.random.default_rng(32), 1.0, 0.5, [normalize([(0.0, 0.4)])])
+        b = sample_karlin(np.random.default_rng(32), 1.0, 0.5, [IntervalSet(((0.0, 0.4),), (0.0, 4.0))])
         assert a.values == b.values
 
     def test_window_median(self):
         # median of the value on [0, 4] is (4**beta)/log 2 at alpha 1
-        rng = np.random.default_rng(33)
         fam = [IntervalSet(((0.0, 4.0),), (0.0, 4.0))]
-        vals = [sample_on_window(rng, 1.0, 0.5, fam).values[0] for _ in range(N_MC)]
+        vals = karlin_batch(np.random.default_rng(33), 1.0, 0.5, fam, N_MC)[:, 0]
         assert np.median(vals) == pytest.approx(2.0 / math.log(2.0), rel=0.03)
 
     def test_self_similarity_two_sample(self):
         rng = np.random.default_rng(34)
-        fam_w = [IntervalSet(((0.0, 2.0),), (0.0, 2.0))]
-        w = [sample_on_window(rng, 1.0, 0.5, fam_w).values[0] for _ in range(8000)]
-        u = [
-            2.0 ** 0.5 * sample_karlin(rng, 1.0, 0.5, [normalize([(0.0, 1.0)])]).values[0]
-            for _ in range(8000)
-        ]
+        w = karlin_batch(rng, 1.0, 0.5, [IntervalSet(((0.0, 2.0),), (0.0, 2.0))], 8000)[:, 0]
+        u = 2.0 ** 0.5 * karlin_batch(rng, 1.0, 0.5, [normalize([(0.0, 1.0)])], 8000)[:, 0]
         assert ks_2samp(w, u).pvalue > 0.01
 
 
 class TestVariantSampler:
     def test_marginal_on_interval(self):
-        rng = np.random.default_rng(35)
-        fam = [normalize([(0.25, 1.0)])]
-        vals = np.array([sample_mstar(rng, 1.0, 0.5, fam).values[0] for _ in range(N_MC)])
+        vals = mstar_batch(np.random.default_rng(35), 1.0, 0.5, [normalize([(0.25, 1.0)])], N_MC)
         target = math.exp(-0.5)  # exp(-(1**b - 0.25**b))
-        assert abs(np.mean(vals <= 1.0) - target) <= binom_tol(target)
+        assert abs(np.mean(vals[:, 0] <= 1.0) - target) <= binom_tol(target)
 
     def test_reduces_to_theta_at_zero(self):
-        rng = np.random.default_rng(36)
-        fam = [normalize([(0.0, 0.49)])]
-        vals = np.array([sample_mstar(rng, 1.0, 0.5, fam).values[0] for _ in range(N_MC)])
+        vals = mstar_batch(np.random.default_rng(36), 1.0, 0.5, [normalize([(0.0, 0.49)])], N_MC)
         target = math.exp(-(0.49 ** 0.5))
-        assert abs(np.mean(vals <= 1.0) - target) <= binom_tol(target)
+        assert abs(np.mean(vals[:, 0] <= 1.0) - target) <= binom_tol(target)
 
     def test_time_change_law_matches_full_measure(self):
         # on [0, t] both laws are Frechet with scale t**beta
         rng = np.random.default_rng(37)
         fam = [normalize([(0.0, 0.64)])]
-        star = [sample_mstar(rng, 1.0, 0.5, fam).values[0] for _ in range(8000)]
-        full = [sample_karlin(rng, 1.0, 0.5, fam).values[0] for _ in range(8000)]
+        star = mstar_batch(rng, 1.0, 0.5, fam, 8000)[:, 0]
+        full = karlin_batch(rng, 1.0, 0.5, fam, 8000)[:, 0]
         assert ks_2samp(star, full).pvalue > 0.01
 
     def test_coupled_domination_and_marginals(self):
         rng = np.random.default_rng(38)
         fam = [normalize([(0.25, 1.0)]), normalize([(0.1, 0.6)])]
         n = 10000
-        star_le = 0
-        for _ in range(n):
-            big, small = sample_coupled(rng, 1.0, 0.5, fam)
-            assert all(x >= y for x, y in zip(big.values, small.values))
-            star_le += small.values[0] <= 1.0
+        big, small = coupled_batch(rng, 1.0, 0.5, fam, n)
+        assert (big >= small).all()
         target = math.exp(-0.5)
-        assert abs(star_le / n - target) <= binom_tol(target, n)
+        assert abs(np.mean(small[:, 0] <= 1.0) - target) <= binom_tol(target, n)
+
+    def test_unit_carrier_only(self):
+        fam = [IntervalSet(((0.0, 1.0),), (0.0, 4.0))]
+        for sampler in (sample_mstar, sample_coupled):
+            with pytest.raises(ValueError, match="unit carrier"):
+                sampler(np.random.default_rng(0), 1.0, 0.5, fam)
 
 
 class TestTopProcess:
@@ -248,6 +291,125 @@ class TestTopProcess:
         recs = sample_top_m_process(rng, 2.0, 0.5, 6, [normalize([(0.0, 1.0)])])
         vals = [v for v, _ in recs]
         assert all(a > b for a, b in zip(vals, vals[1:]))
+
+
+class TestEqualityInLaw:
+    """Pattern clocks against the sequential atom walk of tests/oracles.py.
+
+    Two-sample KS at 99% on every coordinate and on atoms_used, and joint
+    events within 3 SE of the difference, with 20000 replicas a side.
+    """
+
+    R = 20000
+
+    @staticmethod
+    def _compare(ours, ref, events):
+        crit = two_sample_ks_critical(len(ours), len(ref), 0.99)
+        ours, ref = np.asarray(ours, dtype=float), np.asarray(ref, dtype=float)
+        for j in range(ours.shape[1]):
+            assert ks_2samp(ours[:, j], ref[:, j]).statistic <= crit, j
+        for event in events:
+            p, q = event(ours).mean(), event(ref).mean()
+            pooled = 0.5 * (p + q)
+            assert abs(p - q) <= 3.0 * math.sqrt(pooled * (1.0 - pooled) * 2.0 / len(ours)), event
+
+    def _karlin(self, seed, family, z):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed + 1)
+        ours, ref = [], []
+        for _ in range(self.R):
+            s = sample_karlin(rng, 1.0, 0.5, family)
+            ours.append(s.values + (s.atoms_used,))
+            values, used = reference_karlin(ref_rng, 1.0, 0.5, family)
+            ref.append(values + (used,))
+        d = len(family)
+        self._compare(ours, ref, [lambda x: (x[:, :d] <= z).all(axis=1),
+                                  lambda x: x[:, d] <= 2, lambda x: x[:, 0] >= x[:, d - 1]])
+
+    def test_karlin(self):
+        fam = (normalize([(0.0, 0.3)]), normalize([(0.2, 0.6)]), normalize([(0.5, 0.55), (0.7, 0.9)]))
+        self._karlin(50, fam, 1.0)
+
+    def test_karlin_wide_carrier(self):
+        carrier = (0.0, 3.0)
+        self._karlin(52, (IntervalSet(((0.0, 1.0),), carrier), IntervalSet(((0.5, 2.5),), carrier)), 1.5)
+
+    def test_karlin_narrow_set(self):
+        self._karlin(54, (normalize([(0.3, 0.3001)]), normalize([(0.5, 0.75)])), 1.0)
+
+    def test_mstar(self):
+        fam = (normalize([(0.25, 1.0)]), normalize([(0.1, 0.6)]), normalize([(0.0, 0.05)]))
+        rng, ref_rng = np.random.default_rng(56), np.random.default_rng(57)
+        ours, ref = [], []
+        for _ in range(self.R):
+            s = sample_mstar(rng, 1.0, 0.5, fam)
+            ours.append(s.values + (s.atoms_used,))
+            values, used = reference_mstar(ref_rng, 1.0, 0.5, fam)
+            ref.append(values + (used,))
+        self._compare(ours, ref, [lambda x: (x[:, :3] <= 1.0).all(axis=1), lambda x: x[:, 3] <= 3])
+
+    def test_coupled(self):
+        fam = (normalize([(0.25, 1.0)]), normalize([(0.1, 0.6)]))
+        rng, ref_rng = np.random.default_rng(58), np.random.default_rng(59)
+        ours, ref = [], []
+        for _ in range(self.R):
+            big, small = sample_coupled(rng, 1.0, 0.5, fam)
+            ours.append(big.values + small.values + (big.atoms_used,))
+            (ref_big, ref_small), used = reference_coupled(ref_rng, 1.0, 0.5, fam)
+            ref.append(ref_big + ref_small + (used,))
+        self._compare(ours, ref, [lambda x: (x[:, :4] <= 1.0).all(axis=1),
+                                  lambda x: x[:, 0] == x[:, 2], lambda x: x[:, 4] <= 3])
+
+    def test_top_m(self):
+        fam = (normalize([(0.0, 0.25)]), normalize([(0.2, 0.6)]))
+        values, hits = top_m_batch(np.random.default_rng(60), 1.0, 0.5, 3, fam, self.R)
+        ours = np.column_stack([values, hits.reshape(self.R, -1)])
+        ref_rng = np.random.default_rng(61)
+        ref = []
+        for _ in range(self.R):
+            recs = reference_top_m(ref_rng, 1.0, 0.5, 3, fam)
+            ref.append([v for v, _ in recs] + [h for _, hs in recs for h in hs])
+        self._compare(ours, ref, [lambda x: x[:, 3] * x[:, 4] == 1, lambda x: x[:, 5] + x[:, 8] == 0])
+
+
+@st.composite
+def interval_sets(draw):
+    k = draw(st.integers(min_value=0, max_value=3))
+    pairs = []
+    for _ in range(k):
+        lo = draw(st.floats(min_value=0.0, max_value=0.99))
+        hi = draw(st.floats(min_value=lo, max_value=1.0))
+        pairs.append((lo, hi))
+    return normalize(pairs)
+
+
+class TestProperties:
+    @given(interval_sets(), interval_sets(), st.integers(0, 2 ** 32))
+    @settings(max_examples=100, deadline=None)
+    def test_sup_measure_axiom_batch(self, a, b, seed):
+        vals = karlin_batch(replica_rng(seed), 1.0, 0.5, (a, b, a.union(b)), 50)
+        assert np.array_equal(vals[:, 2], np.maximum(vals[:, 0], vals[:, 1]))
+
+    @given(interval_sets(), interval_sets(), st.integers(0, 2 ** 32))
+    @settings(max_examples=50, deadline=None)
+    def test_sup_measure_axiom_urn(self, a, b, seed):
+        run = ksim.simulate(FrequencyModel(beta=0.5), HeavyTailSpec(alpha=1.0), 2000, seed)
+        va, vb = ksim.empirical_sup(run, a), ksim.empirical_sup(run, b)
+        assert ksim.empirical_sup(run, a.union(b)) == max(va, vb)
+
+    @given(interval_sets(), interval_sets(), st.integers(1, 3000), st.integers(0, 2 ** 32))
+    @settings(max_examples=50, deadline=None)
+    def test_prefix_property(self, a, b, r, seed):
+        fam = (a, b, normalize([(0.2, 0.3)]))
+        big = karlin_batch(replica_rng(seed), 1.0, 0.5, fam, 2 * r)
+        assert np.array_equal(karlin_batch(replica_rng(seed), 1.0, 0.5, fam, r), big[:r])
+        star = mstar_batch(replica_rng(seed), 1.0, 0.5, fam, 2 * r)
+        assert np.array_equal(mstar_batch(replica_rng(seed), 1.0, 0.5, fam, r), star[:r])
+        pair = coupled_batch(replica_rng(seed), 1.0, 0.5, fam, 2 * r)
+        for small, whole in zip(coupled_batch(replica_rng(seed), 1.0, 0.5, fam, r), pair):
+            assert np.array_equal(small, whole[:r])
+        top = top_m_batch(replica_rng(seed), 1.0, 0.5, 2, fam, 2 * r)
+        for small, whole in zip(top_m_batch(replica_rng(seed), 1.0, 0.5, 2, fam, r), top):
+            assert np.array_equal(small, whole[:r])
 
 
 def test_csv_export():
