@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,6 +28,7 @@ __all__ = [
     "qbeta_pmf",
     "qbeta_tail",
     "riemann_zeta",
+    "ZETA_TABLE_SIZE",
     "zeta_sample_batch",
     "zeta_acceptance_rate",
 ]
@@ -197,96 +199,98 @@ _ZETA_EM = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160,
             -691 / 1307674368000, 1 / 74724249600)
 
 
-def riemann_zeta(s: float) -> float:
-    """zeta(s) = sum of k**-s over k >= 1, for real s > 1.
-
-    Euler-Maclaurin: the first 15 terms summed directly, the rest as the
-    integral from N = 16 plus half the N-th term and 7 Bernoulli
-    corrections.  Within a few ulp of the true value for every s > 1.
-    """
-    if not s > 1.0:
-        raise ValueError(f"riemann_zeta requires s > 1, got {s}")
-    n = _ZETA_HEAD + 1.0
-    total = n ** (1.0 - s) / (s - 1.0) + 0.5 * n ** -s
-    # j-th correction: B_2j / (2j)! * s (s+1) ... (s+2j-2) * n**(-s-2j+1)
-    term = s * n ** (-s - 1.0)
+def _scaled_zeta_tail(s: float, n: float) -> float:
+    """n**(s-1) times the sum of k**-s over k >= n (n >= 16), by Euler-Maclaurin:
+    the integral from n, half the n-th term and 7 Bernoulli corrections."""
+    total = 1.0 / (s - 1.0) + 0.5 / n
+    # j-th correction: B_2j / (2j)! * s (s+1) ... (s+2j-2) * n**(-2j)
+    term = s / (n * n)
     for j, coeff in enumerate(_ZETA_EM):
         total += coeff * term
         term *= (s + 2 * j + 1) * (s + 2 * j + 2) / (n * n)
-    return sum(k ** -s for k in range(1, _ZETA_HEAD + 1)) + total
+    return total
+
+
+def riemann_zeta(s: float) -> float:
+    """zeta(s) for real s > 1: 15 terms summed, the rest by Euler-Maclaurin from
+    N = 16 (:func:`_scaled_zeta_tail`).  Within a few ulp for every s > 1."""
+    if not s > 1.0:
+        raise ValueError(f"riemann_zeta requires s > 1, got {s}")
+    n = _ZETA_HEAD + 1.0
+    return sum(k ** -s for k in range(1, _ZETA_HEAD + 1)) + n ** (1.0 - s) * _scaled_zeta_tail(s, n)
+
+
+# Labels up to ZETA_TABLE_SIZE invert a cumulative table through a guide
+# table of _GUIDE equal cells; larger ones come from a conditioned envelope.
+ZETA_TABLE_SIZE = 2 ** 12
+_GUIDE = 2 ** 14
+
+
+@lru_cache(maxsize=16)
+def _zeta_table(s: float):
+    """(cdf, guide): cdf[i] = P(Y <= i+1) for i < L, padded with cdf[L] = 2.0
+    above every uniform; guide[c] = #{i : cdf[i] <= c / _GUIDE}, or -1 when
+    cell c spans two or more table steps."""
+    k = np.arange(1, ZETA_TABLE_SIZE + 1, dtype=float)
+    cdf = np.append(np.cumsum(k ** -s) / riemann_zeta(s), 2.0)
+    edges = np.searchsorted(cdf, np.arange(_GUIDE + 1) / _GUIDE, side="right")
+    return cdf, np.where(np.diff(edges) >= 2, -1, edges[:-1])
+
+
+def _envelope_ratio(x, s: float):
+    """f(x) = x (1 - (1 + 1/x)**(1-s)), increasing from f(1) to s - 1, so that
+    P(floor(Z) = k) is proportional to k**-s f(k) for Z = (L+1) U**(-1/(s-1)).
+    Clamped at 2**1000 (inf included), where f is s - 1 to double precision."""
+    x = np.minimum(x, 2.0 ** 1000)
+    return -np.expm1((1.0 - s) * np.log1p(1.0 / x)) * x
 
 
 def zeta_acceptance_rate(s: float) -> float:
-    """Per-trial acceptance probability of the zeta rejection sampler.
+    """Per-trial acceptance of the tail draws of :func:`zeta_sample_batch`.
 
-    Equals (1 - 2**(1-s)) * zeta(s); it is minimized as s -> 1 where it
-    tends to log 2, so the expected number of trials never exceeds
-    1/log 2 ~ 1.443.
+    Equals f(L+1) (L+1)**(s-1) sum_{k>L} k**-s with L = ZETA_TABLE_SIZE,
+    which is 1 - O(s/L) for every s > 1.
     """
     if not s > 1.0:
         raise ValueError(f"zeta law requires s > 1, got {s}")
-    return (1.0 - 2.0 ** (1.0 - s)) * riemann_zeta(s)
-
-
-def _bigint_from_log(log_x: float) -> int:
-    """floor(exp(log_x)) for values beyond float range (magnitude-accurate)."""
-    t = log_x / math.log(2.0)
-    e = int(t) - 53
-    m = int(2.0 ** (t - int(t) + 53))
-    return m << e if e > 0 else m >> -e
+    start = ZETA_TABLE_SIZE + 1.0
+    return float(_envelope_ratio(start, s)) * _scaled_zeta_tail(s, start)
 
 
 def zeta_sample_batch(rng: np.random.Generator, s: float, size: int) -> np.ndarray:
     """Vectorized exact sampling of P(Y = k) = k**-s / zeta(s), k >= 1.
 
-    Rejection from the Pareto envelope floor(U**(-1/(s-1))) (Devroye's
-    method); see :func:`zeta_acceptance_rate` for the documented constant.
-    Labels above 2**53 carry float64 granularity in their low bits; labels
-    beyond float range are produced on a separate exact-arithmetic branch.
-    Returns an int64 array when every label fits, else an object array of
-    Python ints.
+    One uniform per draw inverts the cached table of P(Y <= k) for k <= L =
+    ZETA_TABLE_SIZE: the guide cell, then one comparison, or a binary search
+    in the rare cells that span several steps.  The draws beyond L are then
+    replaced, in order, by Y conditioned on Y > L: X = floor((L+1) U**(-1/(s-1)))
+    accepted with probability f(L+1) / f(X) (:func:`_envelope_ratio`).
+
+    Returns float64 label keys: the label itself below 2**1024 (exact up to
+    2**53, float-granular above), and -log2(label) beyond float range, so
+    such keys are below -1024 and distinct boxes keep distinct keys.
     """
     if not s > 1.0:
         raise ValueError(f"zeta law requires s > 1, got {s}")
     if size < 0:
         raise ValueError("size must be nonnegative")
-    sm1 = s - 1.0
-    b = 2.0 ** sm1
-    chunks = []
-    big_labels = False
-    filled = 0
-    while filled < size:
-        m = int((size - filled) * 1.6) + 16
-        u = 1.0 - rng.random(m)
-        v = rng.random(m)
+    cdf, guide = _zeta_table(s)
+    u = rng.random(size)
+    idx = guide[(u * _GUIDE).astype(np.int32)]  # int32: numpy converts to it far faster
+    idx += cdf[idx] <= u  # cdf[-1] = 2.0 keeps the wide cells' -1
+    slow = np.flatnonzero(idx < 0)
+    idx[slow] = np.searchsorted(cdf, u[slow], side="right")
+    keys = idx + 1.0
+    tail = np.flatnonzero(idx == ZETA_TABLE_SIZE)
+    sm1, start = s - 1.0, ZETA_TABLE_SIZE + 1.0
+    while tail.size:
+        u = 1.0 - rng.random(tail.size + tail.size // 32 + 16)
+        v = rng.random(u.size)
         with np.errstate(over="ignore"):
-            x = np.floor(u ** (-1.0 / sm1))
-        finite = np.isfinite(x)
-        xf = x[finite]
-        log_t = sm1 * np.log1p(1.0 / xf)
-        tm1 = np.expm1(log_t)
-        # accept iff v * x * (t-1) / (b-1) <= t / b, rearranged without division
-        acc = v[finite] * xf * tm1 * b <= (tm1 + 1.0) * (b - 1.0)
-        accepted = xf[acc]
-        if not np.all(finite):
-            # x beyond float range: t -> 1 and x*(t-1) -> s-1 to full precision
-            extras = [
-                _bigint_from_log(-math.log(ui) / sm1)
-                for ui, vi in zip(u[~finite], v[~finite])
-                if vi * sm1 * b <= b - 1.0
-            ]
-            if extras:
-                big_labels = True
-                accepted = np.concatenate([accepted, np.array(extras, dtype=object)])
-        if accepted.size:
-            take = min(size - filled, accepted.size)
-            chunks.append(accepted[:take])
-            filled += take
-    if not chunks:
-        return np.empty(0, dtype=np.int64)
-    out = np.concatenate([np.asarray(c, dtype=object) for c in chunks]) if big_labels else np.concatenate(chunks)
-    if big_labels:
-        return np.array([int(val) for val in out], dtype=object)
-    if out.size and out.max() < 2.0 ** 62:
-        return out.astype(np.int64)
-    return np.array([int(val) for val in out], dtype=object)
+            x = np.floor(start * u ** (-1.0 / sm1))
+        keep = np.flatnonzero(v * _envelope_ratio(x, s) <= _envelope_ratio(start, s))[:tail.size]
+        huge = keep[np.isinf(x[keep])]
+        x[huge] = np.log2(u[huge]) / sm1 - math.log2(start)
+        keys[tail[:keep.size]] = x[keep]
+        tail = tail[keep.size:]
+    return keys

@@ -59,10 +59,6 @@ class IntervalSet:
                 raise ValueError("intervals must be sorted, disjoint and non-adjacent")
             prev_hi = hi
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.intervals
-
     def lebesgue(self) -> float:
         return float(sum(hi - lo for lo, hi in self.intervals))
 
@@ -114,6 +110,12 @@ class IntervalSet:
         flat = np.array([v for pair in self.intervals for v in pair])
         return np.searchsorted(flat, xs, side="right") % 2 == 1
 
+    def grid_ranges(self, n: int) -> list:
+        """Nonempty index ranges [j_lo, j_hi) of the points j/n, j < n, in the set:
+        exactly the points :meth:`contains_points` accepts on ``np.arange(n) / n``."""
+        ranges = [(_grid_index(lo, n), _grid_index(hi, n)) for lo, hi in self.intervals]
+        return [(lo, hi) for lo, hi in ranges if lo < hi]
+
     def to_json(self) -> dict:
         return {
             "carrier": [self.carrier[0], self.carrier[1]],
@@ -128,6 +130,19 @@ class IntervalSet:
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed interval-set JSON: {exc}") from exc
         return normalize(raw, carrier)
+
+
+def _grid_index(x: float, n: int) -> int:
+    """Smallest j in [0, n] with j/n >= x in float division, n when there is none."""
+    if not x > 0.0:
+        return 0
+    j = n if x >= 1.0 else min(n, math.ceil(x * n))
+    # j/n is monotone in j, and x * n is within an ulp of the crossing
+    while j > 0 and (j - 1) / n >= x:
+        j -= 1
+    while j < n and j / n < x:
+        j += 1
+    return j
 
 
 def normalize(raw, carrier=UNIT) -> IntervalSet:

@@ -7,7 +7,9 @@ the top order statistics with their location sets, the empirical sup-measure
 and its first-occurrence variant, and occupancy-pattern counts.
 
 Draw ``j`` (0-based) sits at position ``j/n``, so the unit carrier ``[0, 1)``
-contains every draw exactly once.
+contains every draw exactly once, and a query set's positions are index
+ranges of the draws (``IntervalSet.grid_ranges``).  Box labels are float64
+keys (see :func:`~karlin_rsm.distributions.zeta_sample_batch`).
 """
 
 from __future__ import annotations
@@ -15,12 +17,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .distributions import (
+    ZETA_TABLE_SIZE,
     HeavyTailSpec,
     gamma_fn,
     pareto_sample_batch,
@@ -41,6 +45,7 @@ __all__ = [
     "empirical_sup",
     "variant_star_sup",
     "pattern_counts",
+    "pattern_count_table",
     "occupancy_histogram",
     "top_m_csv",
     "occupancy_json",
@@ -143,9 +148,10 @@ class TopOrderStat:
 class SimRun:
     """One realization of the urn model, immutable after construction.
 
-    ``draws`` is the raw label stream (int64 when every label fits, else
-    Python ints); the unique labels, counts, first-occurrence indices,
-    inverse map and marks are precomputed so queries are vectorized.
+    ``draws`` holds the float64 label key of every step, ``labels`` and
+    ``counts`` the sorted distinct keys and their ball counts, and
+    ``arrival_marks`` the box marks in order of first visit.  The other
+    fields are computed on first use; occupancy statistics need none.
     """
 
     model: FrequencyModel
@@ -155,10 +161,8 @@ class SimRun:
     replica: int
     draws: np.ndarray
     labels: np.ndarray
-    first_index: np.ndarray
     counts: np.ndarray
-    inverse: np.ndarray
-    mark_values: np.ndarray
+    arrival_marks: np.ndarray
 
     @cached_property
     def b_n(self) -> float:
@@ -170,18 +174,31 @@ class SimRun:
         return len(self.labels)
 
     @cached_property
-    def positions(self) -> np.ndarray:
-        return np.arange(self.n) / self.n
+    def inverse(self) -> np.ndarray:
+        """Index into ``labels`` of each step's box: a rank table for the
+        labels 1..ZETA_TABLE_SIZE, a binary search for the rare other keys."""
+        keys, labels = self.draws, self.labels
+        rank = np.zeros(ZETA_TABLE_SIZE + 1, dtype=np.intp)
+        small = (labels >= 1.0) & (labels <= ZETA_TABLE_SIZE)
+        rank[labels[small].astype(np.int32)] = np.flatnonzero(small)
+        inv = rank[np.clip(keys, 0.0, ZETA_TABLE_SIZE).astype(np.int32)]
+        rare = np.flatnonzero((keys < 1.0) | (keys > ZETA_TABLE_SIZE))
+        inv[rare] = np.searchsorted(labels, keys[rare])
+        return inv
 
     @cached_property
-    def x_stream(self) -> np.ndarray:
-        """X_j = mark of the box drawn at step j."""
-        return self.mark_values[self.inverse]
+    def first_index(self) -> np.ndarray:
+        """Step of the first visit to each box."""
+        first = np.full(self.k_n, self.n, dtype=np.intp)
+        np.minimum.at(first, self.inverse, np.arange(self.n))
+        return first
 
     @cached_property
-    def first_mask(self) -> np.ndarray:
-        """True where step j is the first visit to its box."""
-        return np.arange(self.n) == self.first_index[self.inverse]
+    def mark_values(self) -> np.ndarray:
+        """Mark of each box, in key order."""
+        marks = np.empty(self.k_n)
+        marks[np.argsort(self.first_index, kind="stable")] = self.arrival_marks
+        return marks
 
 
 def simulate(
@@ -194,8 +211,9 @@ def simulate(
 ) -> SimRun:
     """Run the urn for n rounds; deterministic given (model, spec, n, seed, replica).
 
-    Marks are consumed from the stream in first-occurrence order of the
-    boxes, which is what makes revisits return the identical mark.
+    The stream gives the n labels, then one mark per occupied box in the
+    order of first visits, which is what makes revisits return the
+    identical mark.  Only the occupancy counts are computed here.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -203,12 +221,7 @@ def simulate(
         raise ResourceError(f"n={n} exceeds the allocation budget max_n={max_n}")
     rng = replica_rng(seed, replica)
     draws = model.sample_labels(rng, n)
-    labels, first_index, inverse, counts = np.unique(
-        draws, return_index=True, return_inverse=True, return_counts=True
-    )
-    order = np.argsort(first_index, kind="stable")
-    mark_values = np.empty(len(labels))
-    mark_values[order] = pareto_sample_batch(rng, spec, len(labels))
+    labels, counts = np.unique(draws, return_counts=True)
     return SimRun(
         model=model,
         spec=spec,
@@ -217,34 +230,40 @@ def simulate(
         replica=replica,
         draws=draws,
         labels=labels,
-        first_index=first_index,
         counts=counts,
-        inverse=inverse,
-        mark_values=mark_values,
+        arrival_marks=pareto_sample_batch(rng, spec, len(labels)),
     )
+
+
+def _label_int(key: float) -> int:
+    """The decimal label of a key: the key itself, or 2**-key for a log-key."""
+    if key > 0:
+        return int(key)
+    whole = math.floor(-key)
+    return int(2.0 ** (-key - whole) * 2 ** 52) << (whole - 52)
 
 
 def top_m(run: SimRun, m: int) -> list:
     """The m largest distinct-box marks with labels and location sets.
 
     Returns k_n entries when the run has fewer occupied boxes than m.  Ties
-    (a null event under continuous marks) resolve to the smallest label.
+    (a null event under continuous marks) resolve to the smallest key.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
     take = min(m, run.k_n)
-    # labels are sorted ascending, so a stable sort on -value breaks ties
-    # toward the smaller label
+    # keys are sorted ascending, so a stable sort on -value breaks ties
+    # toward the smaller key
     order = np.argsort(-run.mark_values, kind="stable")[:take]
     out = []
     for rank, idx in enumerate(order, start=1):
-        locs = np.nonzero(run.inverse == idx)[0] / run.n
+        locs = np.flatnonzero(run.draws == run.labels[idx]) / run.n
         out.append(
             TopOrderStat(
                 rank=rank,
                 value=float(run.mark_values[idx]),
                 value_normalized=float(run.mark_values[idx] / run.b_n),
-                label=int(run.labels[idx]),
+                label=_label_int(run.labels[idx]),
                 locations=tuple(float(v) for v in locs),
             )
         )
@@ -253,12 +272,10 @@ def top_m(run: SimRun, m: int) -> list:
 
 def empirical_sup(run: SimRun, a: IntervalSet, normalized: bool = False) -> float:
     """max of X_j over positions in the set; 0 when no position falls inside."""
-    if a.is_empty:
+    ranges = a.grid_ranges(run.n)
+    if not ranges:
         return 0.0
-    mask = a.contains_points(run.positions)
-    if not mask.any():
-        return 0.0
-    val = float(run.x_stream[mask].max())
+    val = float(max(run.mark_values[run.inverse[lo:hi]].max() for lo, hi in ranges))
     return val / run.b_n if normalized else val
 
 
@@ -268,22 +285,25 @@ def variant_star_sup(run: SimRun, a: IntervalSet, normalized: bool = False) -> f
     The box achieving the overall maximum attains its mark at its first
     visit, so on the full carrier this coincides with :func:`empirical_sup`.
     """
-    if a.is_empty:
+    inside = np.zeros(run.k_n, dtype=bool)
+    for lo, hi in a.grid_ranges(run.n):
+        inside |= (run.first_index >= lo) & (run.first_index < hi)
+    if not inside.any():
         return 0.0
-    mask = a.contains_points(run.positions) & run.first_mask
-    if not mask.any():
-        return 0.0
-    val = float(run.x_stream[mask].max())
+    val = float(run.mark_values[inside].max())
     return val / run.b_n if normalized else val
 
 
-def _hit_matrix(run: SimRun, family) -> np.ndarray:
-    """hit[j, k] = box j was drawn at some position inside family[k]."""
-    hits = np.zeros((run.k_n, len(family)), dtype=bool)
+def pattern_count_table(run: SimRun, family) -> np.ndarray:
+    """Entry sum_k delta_k 2**k counts the boxes hit inside exactly the sets
+    k with delta_k = 1; entry 0 counts the boxes hit nowhere."""
+    codes = np.zeros(run.k_n, dtype=np.intp)
     for k, a in enumerate(family):
-        mask = a.contains_points(run.positions)
-        hits[run.inverse[mask], k] = True
-    return hits
+        hit = np.zeros(run.k_n, dtype=bool)
+        for lo, hi in a.grid_ranges(run.n):
+            hit[run.inverse[lo:hi]] = True
+        codes += hit.astype(np.intp) << k
+    return np.bincount(codes, minlength=1 << len(family))
 
 
 def pattern_counts(run: SimRun, family, delta) -> int:
@@ -299,9 +319,7 @@ def pattern_counts(run: SimRun, family, delta) -> int:
         raise ValueError("delta entries must be 0 or 1")
     if not any(delta):
         raise ValueError("delta must contain at least one 1")
-    hits = _hit_matrix(run, family)
-    want = np.array(delta, dtype=bool)
-    return int(np.all(hits == want, axis=1).sum())
+    return int(pattern_count_table(run, family)[sum(d << k for k, d in enumerate(delta))])
 
 
 def occupancy_histogram(run: SimRun) -> dict:

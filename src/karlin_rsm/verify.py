@@ -25,7 +25,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -103,6 +103,10 @@ class SuiteConfig:
         return float(self.thresholds.get(name, DEFAULT_THRESHOLDS[name]))
 
 
+# report columns, in the order of the CheckRow fields (``passed`` is "pass")
+_REPORT_FIELDS = ("suite", "check", "estimate", "target", "se_or_crit", "pass", "n", "replicas", "seed")
+
+
 @dataclass(frozen=True)
 class CheckRow:
     suite: str
@@ -140,9 +144,7 @@ class SuiteReport:
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            ["suite", "check", "estimate", "target", "se_or_crit", "pass", "n", "replicas", "seed"]
-        )
+        writer.writerow(_REPORT_FIELDS)
         for r in self.rows:
             writer.writerow(
                 [r.suite, r.check, repr(r.estimate), repr(r.target), repr(r.se_or_crit),
@@ -152,63 +154,19 @@ class SuiteReport:
 
     @classmethod
     def from_csv(cls, text: str) -> "SuiteReport":
-        reader = csv.DictReader(io.StringIO(text))
-        rows = [
-            CheckRow(
-                suite=rec["suite"],
-                check=rec["check"],
-                estimate=float(rec["estimate"]),
-                target=float(rec["target"]),
-                se_or_crit=float(rec["se_or_crit"]),
-                passed=rec["pass"] == "true",
-                n=int(rec["n"]),
-                replicas=int(rec["replicas"]),
-                seed=int(rec["seed"]),
-            )
-            for rec in reader
-        ]
-        suite = rows[0].suite if rows else ""
-        seed = rows[0].seed if rows else 0
-        return cls(suite=suite, seed=seed, rows=rows)
+        # CheckRow converts the numeric columns from their decimal text
+        rows = [CheckRow(*[rec[k] == "true" if k == "pass" else rec[k] for k in _REPORT_FIELDS])
+                for rec in csv.DictReader(io.StringIO(text))]
+        return cls(suite=rows[0].suite if rows else "", seed=rows[0].seed if rows else 0, rows=rows)
 
     def to_json(self) -> str:
-        payload = {
-            "suite": self.suite,
-            "seed": self.seed,
-            "rows": [
-                {
-                    "suite": r.suite,
-                    "check": r.check,
-                    "estimate": r.estimate,
-                    "target": r.target,
-                    "se_or_crit": r.se_or_crit,
-                    "pass": r.passed,
-                    "n": r.n,
-                    "replicas": r.replicas,
-                    "seed": r.seed,
-                }
-                for r in self.rows
-            ],
-        }
-        return json.dumps(payload, indent=2)
+        rows = [dict(zip(_REPORT_FIELDS, astuple(r))) for r in self.rows]
+        return json.dumps({"suite": self.suite, "seed": self.seed, "rows": rows}, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "SuiteReport":
         payload = json.loads(text)
-        rows = [
-            CheckRow(
-                suite=rec["suite"],
-                check=rec["check"],
-                estimate=rec["estimate"],
-                target=rec["target"],
-                se_or_crit=rec["se_or_crit"],
-                passed=rec["pass"],
-                n=rec["n"],
-                replicas=rec["replicas"],
-                seed=rec["seed"],
-            )
-            for rec in payload["rows"]
-        ]
+        rows = [CheckRow(*[rec[k] for k in _REPORT_FIELDS]) for rec in payload["rows"]]
         return cls(suite=payload["suite"], seed=payload["seed"], rows=rows)
 
 
@@ -511,11 +469,12 @@ def suite_patterns(cfg: SuiteConfig) -> SuiteReport:
     if d > 3:
         raise ValueError("patterns suite supports at most 3 query sets")
     deltas = [tuple(int(b) for b in format(mask, f"0{d}b")) for mask in range(1, 1 << d)]
+    entries = [sum(b << k for k, b in enumerate(delta)) for delta in deltas]  # in the pattern table
     single = (normalize([(0.0, 0.5)]),)
 
     def one(r):
         run = ksim.simulate(model, spec, n, cfg.seed, replica=r)
-        per_delta = [ksim.pattern_counts(run, family, delta) / nu for delta in deltas]
+        per_delta = list(ksim.pattern_count_table(run, family)[entries] / nu)
         per_delta.append(ksim.pattern_counts(run, single, (1,)) / nu)
         return per_delta
 

@@ -1,7 +1,8 @@
 """Independent reference computations for the tests.
 
 These deliberately avoid the code paths they check: the zeta constant comes
-from a truncated series with an Euler-Maclaurin tail, set algebra is checked
+from a truncated series with an Euler-Maclaurin tail, zeta labels from
+Devroye's rejection over the whole support, set algebra is checked
 against dense boolean grids, and the joint-law exponent is recomputed by
 adaptive quadrature of the pattern-expanded integrand instead of the layer
 cake.
@@ -26,6 +27,30 @@ def zeta_series(s: float, terms: int = 10 ** 6) -> float:
     a = terms + 1.0
     tail = a ** (1.0 - s) / (s - 1.0) + 0.5 * a ** -s + s * a ** (-s - 1.0) / 12.0
     return head + tail
+
+
+def zeta_devroye(rng: np.random.Generator, s: float, size: int) -> np.ndarray:
+    """Devroye's rejection sampler of P(Y = k) = k**-s / zeta(s), k >= 1.
+
+    Candidates floor(U**(-1/(s-1))) from the Pareto envelope over all k >= 1,
+    accepted in trial order (Devroye 1986, ch. X.6).  Returns float64
+    labels, inf for labels beyond float range.
+    """
+    sm1 = s - 1.0
+    b = 2.0 ** sm1
+    out = np.empty(0)
+    while out.size < size:
+        m = 2 * (size - out.size) + 16
+        u = 1.0 - rng.random(m)
+        v = rng.random(m)
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = np.floor(u ** (-1.0 / sm1))
+            tm1 = np.expm1(sm1 * np.log1p(1.0 / x))
+            # x * (t - 1) tends to s - 1 as x leaves float range
+            xt = np.where(np.isfinite(x), x * tm1, sm1)
+        # accept iff v * x * (t-1) / (b-1) <= t / b
+        out = np.concatenate([out, x[v * xt * b <= (tm1 + 1.0) * (b - 1.0)]])
+    return out[:size]
 
 
 def grid_bitmap(intervals, cells: int = 10 ** 4) -> np.ndarray:
@@ -112,8 +137,9 @@ def exponent_by_quadrature(query) -> float:
 #
 # These walk the Poisson atoms one at a time: each atom draws its block size
 # Q from the block-size law and then the void pattern of the query atoms
-# under Q i.i.d. uniforms, and the walk stops once every set is hit.  They
-# share no code with the pattern-clock samplers they check.
+# under Q i.i.d. uniforms, and the walk stops once every set is hit.  The
+# walk for M skips the atoms that hit no pending set in one step instead.
+# They share no code with the pattern-clock samplers they check.
 
 _TAIL_TABLE_SIZE = 64
 
@@ -237,20 +263,59 @@ def _atom_walk(beta, family):
     return HitPatternSampler(beta, deco.measures), deco.member_masks()
 
 
+def hit_pattern_pmf(beta: float, measures) -> np.ndarray:
+    """P(one hitting set hits exactly the atoms in mask), for every mask.
+
+    A hitting set misses a union of measure mu with probability
+    E[(1 - mu)**Q] = 1 - mu**beta, so it hits inside S with probability
+    1 - mu(complement of S)**beta; the pmf is the Moebius inversion of that.
+    """
+    mu = list(measures)
+    m = len(mu)
+    full = (1 << m) - 1
+    union = [math.fsum(mu[j] for j in range(m) if mask >> j & 1) for mask in range(1 << m)]
+    p = [1.0 - union[full & ~mask] ** beta for mask in range(1 << m)]
+    for j in range(m):
+        for mask in range(1 << m):
+            if mask >> j & 1:
+                p[mask] -= p[mask ^ 1 << j]
+    return np.maximum(p, 0.0)
+
+
+@lru_cache(maxsize=16)
+def _pattern_setup(beta: float, family: tuple):
+    """The family on [0, 1], its carrier width, set masks over atoms and pattern pmf."""
+    unit, width = _on_unit(family)
+    deco = atomize(unit)
+    return unit, width, deco.member_masks(), hit_pattern_pmf(beta, deco.measures)
+
+
 def reference_karlin(rng, alpha: float, beta: float, family):
     """(values, atoms_used) of M over a family on a carrier [0, w], atom by atom.
 
-    Values on [0, w] are those on the unit carrier times w**(beta/alpha).
+    The atoms that hit no pending set are skipped in one step: their number
+    is geometric with success probability theta(U) = Leb(U)**beta for the
+    union U of the pending sets, their exponential level spacings add up to
+    one gamma draw, and the next atom's pattern is drawn conditioned on
+    hitting U.  Values on [0, w] are those on the unit carrier times
+    w**(beta/alpha).
     """
-    unit, width = _on_unit(family)
-    sampler, member = _atom_walk(beta, unit)
+    unit, width, member, pmf = _pattern_setup(beta, tuple(family))
+    masks = np.arange(pmf.size)
     values = [0.0] * len(family)
     pending = {i for i, a in enumerate(unit) if a.lebesgue() > 0}
     gamma, used = 0.0, 0
     while pending:
-        used += 1
-        gamma += rng.standard_exponential()
-        hit = sampler.draw(rng)
+        union = 0
+        for i in pending:
+            union |= member[i]
+        hitting = masks[masks & union != 0]
+        cum = np.cumsum(pmf[hitting])
+        skip = int(rng.geometric(min(cum[-1], 1.0)))
+        used += skip
+        gamma += rng.gamma(skip)
+        pick = np.searchsorted(cum, rng.random() * cum[-1], side="right")
+        hit = int(hitting[min(pick, hitting.size - 1)])
         for i in [i for i in pending if member[i] & hit]:
             values[i] = gamma ** (-1.0 / alpha) * width ** (beta / alpha)
             pending.discard(i)

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from karlin_rsm.distributions import (
+    ZETA_TABLE_SIZE,
     FrechetLaw,
     HeavyTailSpec,
     frechet_cdf,
@@ -20,8 +23,9 @@ from karlin_rsm.distributions import (
     zeta_acceptance_rate,
     zeta_sample_batch,
 )
+from karlin_rsm.karlin_sim import FrequencyModel, simulate, top_m, top_m_csv
 
-from oracles import qbeta_from_uniform, qbeta_sample, zeta_series
+from oracles import qbeta_from_uniform, qbeta_sample, zeta_devroye, zeta_series
 
 
 class TestGamma:
@@ -208,9 +212,15 @@ class TestRiemannZeta:
 
 class TestZetaDraws:
     def test_acceptance_rate_bounds(self):
+        L = ZETA_TABLE_SIZE
+        k = np.arange(L + 1, 10 ** 6, dtype=float)
         for s in (1.01, 1.2, 2.0, 5.0, 10.0):
             rate = zeta_acceptance_rate(s)
-            assert math.log(2.0) - 1e-9 <= rate <= 1.0
+            assert 1.0 - s / L <= rate <= 1.0
+            # f(L+1) (L+1)**(s-1) sum_{k>L} k**-s, the sum direct plus an integral tail
+            f = (L + 1) * (1.0 - (1.0 + 1.0 / (L + 1)) ** (1.0 - s))
+            tail = math.fsum(k ** -s) + (10 ** 6 - 0.5) ** (1.0 - s) / (s - 1.0)
+            assert rate == pytest.approx(f * (L + 1) ** (s - 1.0) * tail, rel=1e-9)
 
     def test_pmf_ratio_and_normalization(self):
         rng = np.random.default_rng(11)
@@ -243,11 +253,48 @@ class TestZetaDraws:
         with pytest.raises(ValueError):
             zeta_sample_batch(rng, 1.0, 10)
 
-    def test_huge_labels_exact_integers(self):
-        # s close to 1 produces labels beyond float range on the big-int path
-        rng = np.random.default_rng(17)
-        ys = zeta_sample_batch(rng, 1.03, 5000)
-        assert ys.dtype == object
-        assert all(isinstance(int(y), int) for y in ys)
-        assert max(ys) > 2 ** 63
-        assert min(ys) >= 1
+    @pytest.mark.parametrize("s", [2.0, 1.0 / 0.9])
+    def test_matches_devroye_in_law(self, s):
+        from scipy.stats import chi2, ks_2samp
+
+        from karlin_rsm.verify import two_sample_ks_critical
+
+        n = 10 ** 6
+        ours = zeta_sample_batch(np.random.default_rng(21), s, n)
+        ref = zeta_devroye(np.random.default_rng(22), s, n)
+        # homogeneity chi-square over the labels 1..50 and the rest
+        kmax = 50
+        counts = np.array([np.bincount(np.minimum(y, kmax + 1).astype(int), minlength=kmax + 2)[1:]
+                           for y in (ours, ref)], dtype=float)
+        expected = counts.sum(axis=0) / 2.0
+        stat = float(np.sum((counts - expected) ** 2 / expected))
+        assert stat <= chi2.ppf(0.99, kmax)
+        # the conditioned tail beyond the table, on log labels
+        big, ref_big = np.log(ours[ours > ZETA_TABLE_SIZE]), np.log(ref[ref > ZETA_TABLE_SIZE])
+        assert big.size > 50 and ref_big.size > 50
+        crit = two_sample_ks_critical(big.size, ref_big.size, 0.99)
+        assert ks_2samp(big, ref_big).statistic <= crit
+
+    @pytest.mark.parametrize("s", [1.001, 1.01])
+    def test_tail_beyond_float_range_kept(self, s):
+        # P(Y >= 2**1024) = 2**(-1024 (s-1)) / ((s-1) zeta(s)) to relative 1e-300
+        n = 10 ** 6
+        keys = zeta_sample_batch(np.random.default_rng(17), s, n)
+        p = 2.0 ** (-1024 * (s - 1.0)) / ((s - 1.0) * zeta_series(s))
+        share = np.mean(keys < 0)
+        assert abs(share - p) <= 3.0 * math.sqrt(p * (1.0 - p) / n)
+        assert np.all(keys[keys < 0] < -1024) and np.all(keys[keys > 0] >= 1)
+
+    def test_huge_labels_fixed_width_keys(self):
+        # s = 1.001 puts about half the labels beyond float range, as log-keys
+        model = FrequencyModel(1.0 / 1.001)
+        run = simulate(model, HeavyTailSpec(alpha=1.0), 10 ** 4, seed=17)
+        keys = run.draws
+        assert keys.dtype == np.float64 and np.all(np.isfinite(keys))
+        assert np.any(keys < -1024) and np.all((keys >= 1) | (keys < -1024))
+        assert run.k_n == len(set(keys.tolist())) == len(run.labels)
+        assert int(run.counts.sum()) == run.n
+        rows = list(csv.DictReader(io.StringIO(top_m_csv(top_m(run, 50)))))
+        labels = [int(r["label"]) for r in rows]
+        assert min(labels) >= 1 and len(set(labels)) == len(labels)
+        assert max(labels) >= 2 ** 1024

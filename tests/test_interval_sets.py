@@ -170,3 +170,52 @@ def test_algebra_against_bitmap_oracle():
         assert np.array_equal(grid_bitmap(a.union(b).intervals, cells), bm_a | bm_b)
         assert np.array_equal(grid_bitmap(a.intersect(b).intervals, cells), bm_a & bm_b)
         assert abs(a.lebesgue() - bm_a.mean()) < 1e-12
+
+
+GRID_SIZES = (1, 3, 7, 10007, 10 ** 5)
+
+
+@st.composite
+def grid_sets(draw):
+    """A grid size n and a set whose endpoints sit at, or one ulp beside, points j/n."""
+    n = draw(st.sampled_from(GRID_SIZES))
+    points = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        kind = draw(st.sampled_from(["grid", "free"]))
+        if kind == "free":
+            points.append(draw(st.floats(min_value=-0.5, max_value=1.5)))
+            continue
+        x = draw(st.integers(min_value=0, max_value=n)) / n
+        points.append(float(np.nextafter(x, draw(st.sampled_from([-np.inf, x, np.inf])))))
+    points.sort()
+    carrier = (-0.5, 1.5)
+    return n, normalize(list(zip(points[::2], points[1::2])), carrier=carrier)
+
+
+def _range_mask(ranges, n):
+    mask = np.zeros(n, dtype=bool)
+    for lo, hi in ranges:
+        assert 0 <= lo < hi <= n
+        mask[lo:hi] = True
+    return mask
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_sets())
+def test_grid_ranges_equal_point_membership(case):
+    n, a = case
+    ranges = a.grid_ranges(n)
+    assert np.array_equal(_range_mask(ranges, n), a.contains_points(np.arange(n) / n))
+    assert all(prev[1] <= nxt[0] for prev, nxt in zip(ranges, ranges[1:]))
+
+
+@pytest.mark.parametrize("n", GRID_SIZES)
+def test_grid_ranges_at_every_boundary(n):
+    grid = np.arange(n) / n
+    carrier = (-1.0, 2.0)
+    for j in sorted({0, 1, n // 3, n // 2, n - 1, n}):
+        x = j / n
+        for lo in (float(np.nextafter(x, -1.0)), x, float(np.nextafter(x, 2.0))):
+            for a in (normalize([(lo, 2.0)], carrier), normalize([(-1.0, lo)], carrier),
+                      normalize([(-1.0, lo / 2), (lo, 2.0)], carrier)):
+                assert np.array_equal(_range_mask(a.grid_ranges(n), n), a.contains_points(grid))

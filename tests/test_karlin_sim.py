@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from karlin_rsm.distributions import HeavyTailSpec, gamma_fn
 from karlin_rsm.interval_sets import normalize
@@ -15,6 +17,7 @@ from karlin_rsm.karlin_sim import (
     empirical_sup,
     occupancy_histogram,
     occupancy_json,
+    pattern_count_table,
     pattern_counts,
     simulate,
     top_m,
@@ -70,7 +73,7 @@ class TestSimulate:
         run = simulate(MODEL, SPEC, 1, seed=5)
         assert run.k_n == 1
         assert run.counts.tolist() == [1]
-        assert run.x_stream[0] >= 1.0
+        assert run.mark_values[run.inverse][0] >= 1.0
 
     def test_counts_sum_to_n(self):
         run = simulate(MODEL, SPEC, 10 ** 4, seed=1)
@@ -80,7 +83,7 @@ class TestSimulate:
     def test_mark_reuse_is_bitwise(self):
         run = simulate(MODEL, SPEC, 5000, seed=2)
         marks = {}
-        for y, x in zip(run.draws, run.x_stream):
+        for y, x in zip(run.draws, run.mark_values[run.inverse]):
             key = int(y)
             if key in marks:
                 assert marks[key] == x  # same box, identical float
@@ -117,9 +120,10 @@ class TestTopOrderStats:
     def test_top1_is_max(self):
         run = simulate(MODEL, SPEC, 10 ** 4, seed=6)
         tops = top_m(run, 1)
-        assert tops[0].value == run.x_stream.max()
+        x_stream = run.mark_values[run.inverse]
+        assert tops[0].value == x_stream.max()
         locs = np.asarray(tops[0].locations)
-        assert np.all(run.x_stream[(locs * run.n + 0.5).astype(int)] == tops[0].value)
+        assert np.all(x_stream[(locs * run.n + 0.5).astype(int)] == tops[0].value)
 
     def test_values_nonincreasing_and_locations_exact(self):
         run = simulate(MODEL, SPEC, 10 ** 4, seed=7)
@@ -160,7 +164,7 @@ class TestTopOrderStats:
 class TestEmpiricalSup:
     def test_full_carrier_and_empty(self):
         run = simulate(MODEL, SPEC, 10 ** 4, seed=11)
-        assert empirical_sup(run, normalize([(0.0, 1.0)])) == run.x_stream.max()
+        assert empirical_sup(run, normalize([(0.0, 1.0)])) == run.mark_values.max()
         assert empirical_sup(run, normalize([])) == 0.0
 
     def test_sup_measure_axiom(self):
@@ -230,3 +234,58 @@ class TestPatternCounts:
         ]
         target = gamma_fn(0.5) * math.sqrt(0.5)
         assert abs(np.mean(vals) - target) <= 0.05 * target
+
+
+@st.composite
+def grid_family(draw):
+    """Up to three sets on [0, 1) with endpoints on, or next to, the grid j/n."""
+    n = draw(st.sampled_from([1, 7, 1000]))
+    family = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        ends = sorted(
+            draw(st.integers(min_value=0, max_value=n)) / n + draw(st.sampled_from([-1e-12, 0.0, 1e-12]))
+            for _ in range(2 * draw(st.integers(min_value=0, max_value=2)))
+        )
+        family.append(normalize([(min(max(lo, 0.0), 1.0), min(max(hi, 0.0), 1.0))
+                                 for lo, hi in zip(ends[::2], ends[1::2])]))
+    return n, tuple(family)
+
+
+class TestAgainstBruteForce:
+    """Range queries and lazy fields against a scan of all n positions."""
+
+    BETAS = (0.5, 1.0 / 1.001)  # the second puts about half the keys beyond float range
+
+    @staticmethod
+    def _brute(run):
+        _, first, inverse = np.unique(run.draws, return_index=True, return_inverse=True)
+        return np.arange(run.n) / run.n, first, inverse, run.mark_values[inverse]
+
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_lazy_fields_match_full_unique(self, beta):
+        run = simulate(FrequencyModel(beta), SPEC, 20000, seed=19)
+        _, first, inverse, _ = self._brute(run)
+        assert np.array_equal(run.inverse, inverse)
+        assert np.array_equal(run.first_index, first)
+        assert np.array_equal(run.mark_values[np.argsort(first)], run.arrival_marks)
+
+    @given(grid_family(), st.sampled_from(BETAS), st.integers(0, 2 ** 32))
+    @settings(max_examples=150, deadline=None)
+    def test_queries_match_position_scan(self, case, beta, seed):
+        n, family = case
+        run = simulate(FrequencyModel(beta), SPEC, n, seed=seed)
+        positions, first, inverse, x = self._brute(run)
+        first_mask = np.arange(n) == first[inverse]
+        hits = np.zeros((run.k_n, len(family)), dtype=bool)
+        for k, a in enumerate(family):
+            mask = a.contains_points(positions)
+            assert empirical_sup(run, a) == (x[mask].max() if mask.any() else 0.0)
+            star = mask & first_mask
+            assert variant_star_sup(run, a) == (x[star].max() if star.any() else 0.0)
+            hits[inverse[mask], k] = True
+        table = pattern_count_table(run, family)
+        for code in range(1, 1 << len(family)):
+            delta = tuple(code >> k & 1 for k in range(len(family)))
+            expected = int(np.all(hits == np.array(delta, dtype=bool), axis=1).sum())
+            assert pattern_counts(run, family, delta) == table[code] == expected
+        assert table.sum() == run.k_n
