@@ -11,10 +11,11 @@ first-occurrence variant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .distributions import gamma_fn
+from .distributions import _check_beta, gamma_fn
 from .interval_sets import IntervalSet, atomize
 
 __all__ = [
@@ -23,26 +24,16 @@ __all__ = [
     "theta",
     "tail_dependence",
     "joint_cdf",
-    "extremal_cdf",
     "tau_z",
     "pattern_limit",
     "mstar_theta",
-    "mstar_theta_set",
 ]
-
-import math
-
-
-def _check_beta(beta: float):
-    if not 0.0 < beta < 1.0:
-        raise ValueError(f"beta must lie in (0, 1), got {beta}")
 
 
 def theta(k: IntervalSet, beta: float) -> float:
     """Extremal coefficient of a set: Leb(K)**beta, with 0**beta = 0."""
     _check_beta(beta)
-    leb = k.lebesgue()
-    return leb ** beta if leb > 0 else 0.0
+    return k.lebesgue() ** beta
 
 
 @dataclass(frozen=True)
@@ -67,15 +58,10 @@ class ChoquetQuery:
     def weights(self) -> tuple:
         return tuple(z ** -self.alpha for _, z in self.pairs)
 
-    def to_json(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "pairs": [{"set": a.to_json(), "z": z} for a, z in self.pairs],
-        }
-
     @classmethod
-    def from_json(cls, obj: dict) -> "ChoquetQuery":
+    def from_json(cls, obj) -> "ChoquetQuery":
+        if not isinstance(obj, dict):
+            raise ValueError(f"query JSON must be an object, got {type(obj).__name__}")
         for field in ("alpha", "beta", "pairs"):
             if field not in obj:
                 raise ValueError(f"query JSON is missing field {field!r}")
@@ -83,9 +69,10 @@ class ChoquetQuery:
             pairs = tuple(
                 (IntervalSet.from_json(p["set"]), float(p["z"])) for p in obj["pairs"]
             )
+            alpha, beta = float(obj["alpha"]), float(obj["beta"])
         except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed query pairs: field {exc}") from exc
-        return cls(pairs=pairs, alpha=float(obj["alpha"]), beta=float(obj["beta"]))
+            raise ValueError(f"malformed query: field {exc}") from exc
+        return cls(pairs=pairs, alpha=alpha, beta=beta)
 
 
 @dataclass(frozen=True)
@@ -138,38 +125,13 @@ def tail_dependence(q: ChoquetQuery) -> float:
     for k, i in enumerate(order):
         cum |= masks[i]
         if w[k] > w[k + 1]:
-            total += (w[k] - w[k + 1]) * theta_measure(leb_of_mask(cum), q.beta)
+            total += (w[k] - w[k + 1]) * leb_of_mask(cum) ** q.beta
     return float(total)
-
-
-def theta_measure(leb: float, beta: float) -> float:
-    return leb ** beta if leb > 0 else 0.0
 
 
 def joint_cdf(q: ChoquetQuery) -> float:
     """P(M(A_i) <= z_i for all i) = exp(-tail_dependence)."""
     return math.exp(-tail_dependence(q))
-
-
-def extremal_cdf(times, levels, alpha: float, beta: float) -> float:
-    """Joint CDF of the extremal process t -> M([0, t]) at increasing times.
-
-    Evaluates the layer cake over the nested family {[0, t_k)}; the d = 1
-    marginal is Frechet with scale t**beta.
-    """
-    times = [float(t) for t in times]
-    levels = [float(x) for x in levels]
-    if len(times) != len(levels):
-        raise ValueError("times and levels must have equal length")
-    if not times:
-        raise ValueError("at least one time is required")
-    if times[0] <= 0 or any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
-        raise ValueError("times must be positive and strictly increasing")
-    carrier = (0.0, times[-1])
-    pairs = tuple(
-        (IntervalSet(((0.0, t),), carrier), x) for t, x in zip(times, levels)
-    )
-    return joint_cdf(ChoquetQuery(pairs=pairs, alpha=alpha, beta=beta))
 
 
 def tau_z(t: float, z: float, alpha: float, beta: float) -> float:
@@ -214,7 +176,7 @@ def pattern_limit(p: PatternQuery, beta: float) -> float:
             mask = miss_mask
             for k in subset:
                 mask |= masks[k]
-            total += sign * theta_measure(leb_of_mask(mask), beta)
+            total += sign * leb_of_mask(mask) ** beta
     return float(gamma_fn(1.0 - beta) * total)
 
 
@@ -229,8 +191,3 @@ def mstar_theta(a: float, b: float, beta: float) -> float:
         raise ValueError(f"need 0 <= a < b, got a={a}, b={b}")
     return b ** beta - a ** beta
 
-
-def mstar_theta_set(s: IntervalSet, beta: float) -> float:
-    """Variant functional of a finite union: additive over its intervals."""
-    _check_beta(beta)
-    return sum(mstar_theta(lo, hi, beta) for lo, hi in s.intervals)

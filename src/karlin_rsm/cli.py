@@ -89,7 +89,7 @@ def _add_common(p, need_beta=True):
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="karlin-rsm")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -201,7 +201,7 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _build_parser()
     args = parser.parse_args(argv)
     handlers = {
         "simulate": _cmd_simulate,

@@ -20,11 +20,9 @@ __all__ = [
     "HeavyTailSpec",
     "FrechetLaw",
     "gamma_fn",
-    "log_gamma",
     "pareto_from_uniform",
     "pareto_sample_batch",
     "frechet_cdf",
-    "frechet_quantile",
     "qbeta_pmf",
     "qbeta_tail",
     "riemann_zeta",
@@ -45,34 +43,15 @@ def gamma_fn(x: float) -> float:
     return math.gamma(x)
 
 
-def log_gamma(x: float) -> float:
-    """log of the gamma function for positive x (use for large arguments)."""
-    if not x > 0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
-
-
 @dataclass(frozen=True)
 class HeavyTailSpec:
-    """Mark law with survival function ~ c_alpha * y**-alpha.
-
-    The default law ("pareto") is exactly Pareto: P(mark > y) = c_alpha *
-    y**-alpha for y >= c_alpha**(1/alpha).  A "frechet" option with the same
-    tail constant is provided since only the tail matters for the limit
-    theorems.
-    """
+    """Pareto mark law: P(mark > y) = y**-alpha for y >= 1."""
 
     alpha: float
-    c_alpha: float = 1.0
-    mark_law: str = "pareto"
 
     def __post_init__(self):
         if not self.alpha > 0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if not self.c_alpha > 0:
-            raise ValueError(f"c_alpha must be positive, got {self.c_alpha}")
-        if self.mark_law not in ("pareto", "frechet"):
-            raise ValueError(f"unknown mark_law {self.mark_law!r}")
 
 
 @dataclass(frozen=True)
@@ -90,18 +69,9 @@ class FrechetLaw:
 
 
 def pareto_from_uniform(u, spec: HeavyTailSpec):
-    """Map a tail probability u in (0, 1] to the mark value.
-
-    For the Pareto law this is the exact survival-function inverse
-    ``(c_alpha / u) ** (1/alpha)``; for the Frechet option the exact quantile
-    at 1-u.  Accepts scalars or arrays.
-    """
-    u = np.asarray(u, dtype=float)
-    if spec.mark_law == "frechet":
-        # -log(1-u) in stable form; tail P(>y) = 1 - exp(-c y^-a) ~ c y^-a
-        out = (-np.log1p(-u) / spec.c_alpha) ** (-1.0 / spec.alpha)
-    else:
-        out = (u / spec.c_alpha) ** (-1.0 / spec.alpha)
+    """Map a tail probability u in (0, 1] to the mark value u**(-1/alpha),
+    the exact survival-function inverse.  Accepts scalars or arrays."""
+    out = np.asarray(u, dtype=float) ** (-1.0 / spec.alpha)
     return out if out.ndim else float(out)
 
 
@@ -114,15 +84,6 @@ def frechet_cdf(z, law: FrechetLaw):
     z = np.asarray(z, dtype=float)
     with np.errstate(divide="ignore"):
         out = np.where(z > 0, np.exp(-law.sigma * np.maximum(z, 0.0) ** -law.alpha), 0.0)
-    return out if out.ndim else float(out)
-
-
-def frechet_quantile(p, law: FrechetLaw):
-    """Exact inverse of :func:`frechet_cdf` on (0, 1)."""
-    p = np.asarray(p, dtype=float)
-    if np.any((p <= 0) | (p >= 1)):
-        raise ValueError("frechet_quantile requires p in (0, 1)")
-    out = (law.sigma / -np.log(p)) ** (1.0 / law.alpha)
     return out if out.ndim else float(out)
 
 

@@ -66,22 +66,6 @@ class IntervalSet:
         _check_carrier(self, other)
         return normalize(list(self.intervals) + list(other.intervals), self.carrier)
 
-    def intersect(self, other: "IntervalSet") -> "IntervalSet":
-        _check_carrier(self, other)
-        out = []
-        i = j = 0
-        a, b = self.intervals, other.intervals
-        while i < len(a) and j < len(b):
-            lo = max(a[i][0], b[j][0])
-            hi = min(a[i][1], b[j][1])
-            if lo < hi:
-                out.append((lo, hi))
-            if a[i][1] <= b[j][1]:
-                i += 1
-            else:
-                j += 1
-        return IntervalSet(tuple(out), self.carrier)
-
     def complement(self) -> "IntervalSet":
         """Carrier minus this set; requires a finite carrier."""
         lo_c, hi_c = self.carrier
@@ -116,14 +100,10 @@ class IntervalSet:
         ranges = [(_grid_index(lo, n), _grid_index(hi, n)) for lo, hi in self.intervals]
         return [(lo, hi) for lo, hi in ranges if lo < hi]
 
-    def to_json(self) -> dict:
-        return {
-            "carrier": [self.carrier[0], self.carrier[1]],
-            "intervals": [[lo, hi] for lo, hi in self.intervals],
-        }
-
     @classmethod
-    def from_json(cls, obj: dict) -> "IntervalSet":
+    def from_json(cls, obj) -> "IntervalSet":
+        if not isinstance(obj, dict):
+            raise ValueError(f"malformed interval-set JSON: expected an object, got {type(obj).__name__}")
         try:
             carrier = tuple(float(v) for v in obj.get("carrier", UNIT))
             raw = [(float(lo), float(hi)) for lo, hi in obj["intervals"]]

@@ -51,7 +51,7 @@ __all__ = [
     "occupancy_json",
 ]
 
-DEFAULT_MAX_N = 10 ** 7
+MAX_N = 10 ** 7  # simulate raises ResourceError above this n
 
 
 class ResourceError(RuntimeError):
@@ -78,9 +78,7 @@ class FrequencyModel:
 
     The counting function nu((0, x]) = #{ell : 1/p_ell <= x} equals
     floor((x / zeta(s)) ** beta), i.e. x**beta * L(x) with L converging to
-    zeta(s)**-beta.  Any regularly varying family works for the limit
-    theorems; alternatives can subclass and override ``p``, ``nu_count`` and
-    ``sample_labels``.
+    zeta(s)**-beta.
     """
 
     beta: float
@@ -113,12 +111,9 @@ class FrequencyModel:
             cand -= 1
         return cand
 
-    def sample_labels(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return zeta_sample_batch(rng, self.s, size)
-
 
 def b_n(model: FrequencyModel, spec: HeavyTailSpec, n: int) -> float:
-    """Normalization (c_alpha * gamma(1-beta) * nu((0, n]))**(1/alpha).
+    """Normalization (gamma(1-beta) * nu((0, n]))**(1/alpha).
 
     Uses the exact counting function in place of its asymptote, which
     reduces finite-n bias.  Below n = zeta(1/beta) no box has 1/p_ell <= n,
@@ -132,7 +127,7 @@ def b_n(model: FrequencyModel, spec: HeavyTailSpec, n: int) -> float:
             f"n={n} is below zeta(1/beta)={model.zeta_norm:.6g}, where nu((0, n]) = 0 "
             "and the normalisation b_n is 0"
         )
-    return (spec.c_alpha * gamma_fn(1.0 - model.beta) * nu) ** (1.0 / spec.alpha)
+    return (gamma_fn(1.0 - model.beta) * nu) ** (1.0 / spec.alpha)
 
 
 @dataclass(frozen=True)
@@ -207,7 +202,6 @@ def simulate(
     n: int,
     seed: int,
     replica: int = 0,
-    max_n: int = DEFAULT_MAX_N,
 ) -> SimRun:
     """Run the urn for n rounds; deterministic given (model, spec, n, seed, replica).
 
@@ -217,10 +211,10 @@ def simulate(
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if n > max_n:
-        raise ResourceError(f"n={n} exceeds the allocation budget max_n={max_n}")
+    if n > MAX_N:
+        raise ResourceError(f"n={n} exceeds the allocation budget n <= {MAX_N}")
     rng = replica_rng(seed, replica)
-    draws = model.sample_labels(rng, n)
+    draws = zeta_sample_batch(rng, model.s, n)
     labels, counts = np.unique(draws, return_counts=True)
     return SimRun(
         model=model,
@@ -328,9 +322,9 @@ def occupancy_histogram(run: SimRun) -> dict:
     return {int(k): int(c) for k, c in zip(sizes, freq)}
 
 
-def top_m_csv(stats, fh=None) -> str:
+def top_m_csv(stats) -> str:
     """CSV export of top-order records; locations are ;-joined j/n decimals."""
-    buf = fh if fh is not None else io.StringIO()
+    buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["rank", "value", "value_normalized", "label", "locations"])
     for st in stats:
@@ -338,7 +332,7 @@ def top_m_csv(stats, fh=None) -> str:
             [st.rank, repr(st.value), repr(st.value_normalized), st.label,
              ";".join(repr(x) for x in st.locations)]
         )
-    return buf.getvalue() if fh is None else ""
+    return buf.getvalue()
 
 
 def occupancy_json(run: SimRun) -> str:

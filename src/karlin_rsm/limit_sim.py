@@ -39,8 +39,6 @@ __all__ = [
     "top_m_batch",
     "sample_karlin",
     "sample_mstar",
-    "sample_coupled",
-    "sample_top_m_process",
     "limit_samples_csv",
 ]
 
@@ -60,7 +58,6 @@ class LimitSample:
 
     values: tuple
     atoms_used: int
-    seed: int | None = None
 
 
 @dataclass(frozen=True)
@@ -317,33 +314,12 @@ def sample_mstar(rng: np.random.Generator, alpha: float, beta: float, family) ->
     return LimitSample(*_sample(rng, alpha, _mstar_clocks(beta, _family(family))))
 
 
-def sample_coupled(rng: np.random.Generator, alpha: float, beta: float, family):
-    """One Poisson realization driving both sup-measures; returns (M, M*).
-
-    ``atoms_used`` of both is the atom at which the last set is first hit
-    under either measure.
-    """
-    values, atoms = _sample(rng, alpha, _coupled_clocks(beta, _family(family)))
-    d = len(values) // 2
-    return LimitSample(values[:d], atoms), LimitSample(values[d:], atoms)
-
-
-def sample_top_m_process(rng: np.random.Generator, alpha: float, beta: float, m: int, family):
-    """Values and per-set hit indicators of the first m limit atoms.
-
-    This is the limit counterpart of the discrete top-m order statistics
-    with their location sets, for distributional comparison.
-    """
-    values, hits = top_m_batch(rng, alpha, beta, m, family, 1)
-    return [(v, tuple(h)) for v, h in zip(values[0].tolist(), hits[0].tolist())]
-
-
-def limit_samples_csv(samples, fh=None) -> str:
+def limit_samples_csv(samples) -> str:
     """CSV export of a batch: columns replica,set_id,value,atoms_used."""
-    buf = fh if fh is not None else io.StringIO()
+    buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["replica", "set_id", "value", "atoms_used"])
     for replica, sample in enumerate(samples):
         for set_id, value in enumerate(sample.values):
             writer.writerow([replica, set_id, repr(value), sample.atoms_used])
-    return buf.getvalue() if fh is None else ""
+    return buf.getvalue()

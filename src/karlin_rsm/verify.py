@@ -4,10 +4,9 @@ Turns the limit theorems into quantitative desk-scale checks: empirical
 CDFs against closed-form Frechet targets, hitting frequencies against
 Wilson intervals, occupancy and pattern counts against their limits, and
 the exact limit samplers against the closed-form oracle.  Every pass/fail
-threshold is either a confidence bound computed from the run or a
-documented calibration constant in :data:`DEFAULT_THRESHOLDS` (the theory
-provides no convergence rates, so the KS-style bounds are calibrated, not
-derived).
+threshold is either a confidence bound computed from the run or a fixed
+calibration constant in :data:`DEFAULT_THRESHOLDS` (the theory provides no
+convergence rates, so the KS-style bounds are calibrated, not derived).
 
 Replica r of an urn part of a suite draws from the counter-based stream
 ``replica_rng(seed, offset + r)``, and the replicas run on ``threads``
@@ -25,7 +24,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -45,6 +44,7 @@ __all__ = [
     "ks_statistic",
     "ks_critical",
     "two_sample_ks",
+    "two_sample_ks_critical",
     "wilson_ci",
     "run_suite",
     "suite_marginal",
@@ -55,7 +55,8 @@ __all__ = [
     "suite_extremal_and_mstar",
 ]
 
-# Calibration constants; all are overridable per-run via SuiteConfig.thresholds.
+# Calibration constants, the same for every run: the acceptance criteria are
+# stated at these gates.
 DEFAULT_THRESHOLDS = {
     "ks_marginal": 0.05,        # KS bound at the largest n of the marginal grid
     "ks_marginal_other": 0.30,  # sanity bound at smaller grid points
@@ -87,7 +88,6 @@ class SuiteConfig:
     seed: int = 0
     confidence: float = 0.99
     threads: int = 1
-    thresholds: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.replicas < 100:
@@ -98,9 +98,6 @@ class SuiteConfig:
             raise ValueError("n grid must contain positive integers")
         if self.threads < 1:
             raise ValueError("threads must be at least 1")
-
-    def threshold(self, name: str) -> float:
-        return float(self.thresholds.get(name, DEFAULT_THRESHOLDS[name]))
 
 
 # report columns, in the order of the CheckRow fields (``passed`` is "pass")
@@ -152,40 +149,20 @@ class SuiteReport:
             )
         return buf.getvalue()
 
-    @classmethod
-    def from_csv(cls, text: str) -> "SuiteReport":
-        # CheckRow converts the numeric columns from their decimal text
-        rows = [CheckRow(*[rec[k] == "true" if k == "pass" else rec[k] for k in _REPORT_FIELDS])
-                for rec in csv.DictReader(io.StringIO(text))]
-        return cls(suite=rows[0].suite if rows else "", seed=rows[0].seed if rows else 0, rows=rows)
-
     def to_json(self) -> str:
         rows = [dict(zip(_REPORT_FIELDS, astuple(r))) for r in self.rows]
         return json.dumps({"suite": self.suite, "seed": self.seed, "rows": rows}, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SuiteReport":
-        payload = json.loads(text)
-        rows = [CheckRow(*[rec[k] for k in _REPORT_FIELDS]) for rec in payload["rows"]]
-        return cls(suite=payload["suite"], seed=payload["seed"], rows=rows)
 
 
 # ---------------------------------------------------------------------------
 # statistics
 
 
-def _eval_cdf(cdf, x: np.ndarray) -> np.ndarray:
-    f = np.asarray(cdf(x), dtype=float)
-    if f.shape != x.shape:  # scalar-only callable
-        f = np.array([cdf(v) for v in x], dtype=float)
-    return f
-
-
 def ks_statistic(samples, cdf) -> float:
     """Sup distance between the empirical CDF and a reference, exact at jumps.
 
-    ``samples`` must be sorted ascending; the reference is any callable,
-    nondecreasing CDF.  Left limits at the jump points are taken one float
+    ``samples`` must be sorted ascending; the reference is a nondecreasing
+    CDF that maps an array to an array of the same shape.  Left limits at the jump points are taken one float
     ulp below the samples, so step references (e.g. the samples' own
     empirical CDF) are handled exactly as well as continuous laws.
     """
@@ -195,8 +172,8 @@ def ks_statistic(samples, cdf) -> float:
     if np.any(np.diff(x) < 0):
         raise ValueError("samples must be sorted ascending")
     n = x.size
-    f_right = _eval_cdf(cdf, x)
-    f_left = _eval_cdf(cdf, np.nextafter(x, -np.inf))
+    f_right = np.asarray(cdf(x), dtype=float)
+    f_left = np.asarray(cdf(np.nextafter(x, -np.inf)), dtype=float)
     hi = np.arange(1, n + 1) / n
     lo = np.arange(0, n) / n
     return float(np.max(np.maximum(np.abs(f_right - hi), np.abs(f_left - lo))))
@@ -226,6 +203,7 @@ def two_sample_ks(a, b) -> float:
 
 
 def two_sample_ks_critical(n1: int, n2: int, confidence: float) -> float:
+    """Asymptotic two-sample KS critical value at the given confidence."""
     return _quantile(_KS_QUANTILE, confidence) * math.sqrt((n1 + n2) / (n1 * n2))
 
 
@@ -293,7 +271,7 @@ def _wilson_row(cfg, check, hits, trials, target, n=0) -> CheckRow:
 
 
 def _binom_row(cfg, check, hits, trials, target, n=0) -> CheckRow:
-    mult = cfg.threshold("binom_se_mult")
+    mult = DEFAULT_THRESHOLDS["binom_se_mult"]
     se = math.sqrt(max(target * (1.0 - target), 1e-12) / trials)
     est = hits / trials
     return CheckRow(
@@ -304,7 +282,7 @@ def _binom_row(cfg, check, hits, trials, target, n=0) -> CheckRow:
 
 
 def _rel_row(cfg, check, estimate, target, rel_key, n=0, replicas=0) -> CheckRow:
-    tol = cfg.threshold(rel_key) * abs(target)
+    tol = DEFAULT_THRESHOLDS[rel_key] * abs(target)
     return CheckRow(
         suite=cfg.suite, check=check, estimate=estimate, target=target,
         se_or_crit=tol, passed=abs(estimate - target) <= tol,
@@ -345,7 +323,7 @@ def suite_marginal(cfg: SuiteConfig) -> SuiteReport:
 
         sups = np.array(_parallel_map(one, cfg.replicas, cfg.threads))
         is_last = n_idx == len(grid) - 1
-        crit = cfg.threshold("ks_marginal") if is_last else cfg.threshold("ks_marginal_other")
+        crit = DEFAULT_THRESHOLDS["ks_marginal" if is_last else "ks_marginal_other"]
         for j, a in enumerate(family):
             law = FrechetLaw(cfg.alpha, oracle.theta(a, cfg.beta))
             stat = ks_statistic(np.sort(sups[:, j]), lambda z: frechet_cdf(z, law))
@@ -575,7 +553,7 @@ def suite_limit_vs_oracle(cfg: SuiteConfig) -> SuiteReport:
     rows.append(_pattern_rates_row(cfg, families + [fam for _, fam in windows] + [fam_adj]))
 
     z = 1.0
-    mult = cfg.threshold("binom_se_mult")
+    mult = DEFAULT_THRESHOLDS["binom_se_mult"]
     tau_rows = []
     for ti, (t, fam) in enumerate(windows):
         below = _karlin(cfg, fam, (12 + ti) * _BLOCK) <= z
@@ -708,7 +686,7 @@ def suite_extremal_and_mstar(cfg: SuiteConfig) -> SuiteReport:
 
     disc_vals = np.array(_parallel_map(disc_one, n_star, cfg.threads))
     stat = ks_statistic(np.sort(disc_vals), lambda v: frechet_cdf(v, law_star))
-    rows.append(_ks_row(cfg, "variant_discrete_ks", stat, cfg.threshold("ks_star"),
+    rows.append(_ks_row(cfg, "variant_discrete_ks", stat, DEFAULT_THRESHOLDS["ks_star"],
                         n=n, replicas=n_star))
     return SuiteReport(cfg.suite, cfg.seed, rows, time.perf_counter() - t0)
 

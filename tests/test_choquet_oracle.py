@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,10 +7,8 @@ import pytest
 from karlin_rsm.choquet_oracle import (
     ChoquetQuery,
     PatternQuery,
-    extremal_cdf,
     joint_cdf,
     mstar_theta,
-    mstar_theta_set,
     pattern_limit,
     tail_dependence,
     tau_z,
@@ -132,31 +131,30 @@ class TestJointCdf:
 
 
 class TestExtremalProcess:
+    """The extremal process t -> M([0, t)) through joint_cdf on nested sets."""
+
+    @staticmethod
+    def cdf(times, levels):
+        carrier = (0.0, max(times))
+        return joint_cdf(query([(IntervalSet(((0.0, t),), carrier), z) for t, z in zip(times, levels)]))
+
     def test_single_time(self):
-        assert extremal_cdf([1.0], [1.0], 1.0, 0.5) == pytest.approx(math.exp(-1.0))
+        assert self.cdf([1.0], [1.0]) == pytest.approx(math.exp(-1.0))
 
     def test_median_at_window_four(self):
         from scipy.optimize import brentq
 
-        med = brentq(lambda z: extremal_cdf([4.0], [z], 1.0, 0.5) - 0.5, 0.01, 100.0)
+        med = brentq(lambda z: self.cdf([4.0], [z]) - 0.5, 0.01, 100.0)
         assert med == pytest.approx(2.0 / math.log(2.0), rel=1e-10)
 
     def test_nested_pair(self):
-        assert extremal_cdf([1.0, 2.0], [1.0, 1.0], 1.0, 0.5) == pytest.approx(
-            math.exp(-math.sqrt(2.0))
-        )
+        assert self.cdf([1.0, 2.0], [1.0, 1.0]) == pytest.approx(math.exp(-math.sqrt(2.0)))
 
     def test_marginal_is_frechet_scale_t_beta(self):
         for t in (0.25, 1.0, 4.0):
             for z in (0.5, 1.0, 2.0):
                 law = FrechetLaw(1.0, t ** 0.5)
-                assert extremal_cdf([t], [z], 1.0, 0.5) == pytest.approx(frechet_cdf(z, law))
-
-    def test_monotone_times_required(self):
-        with pytest.raises(ValueError):
-            extremal_cdf([2.0, 1.0], [1.0, 1.0], 1.0, 0.5)
-        with pytest.raises(ValueError):
-            extremal_cdf([0.0], [1.0], 1.0, 0.5)
+                assert self.cdf([t], [z]) == pytest.approx(frechet_cdf(z, law))
 
 
 class TestTauZ:
@@ -235,12 +233,6 @@ class TestVariantFunctional:
             numeric = grid[-1] - grid[0]
             assert mstar_theta(a, b, beta) == pytest.approx(numeric, rel=1e-9)
 
-    def test_set_version_additive(self):
-        s = normalize([(0.1, 0.3), (0.6, 0.9)])
-        assert mstar_theta_set(s, 0.5) == pytest.approx(
-            mstar_theta(0.1, 0.3, 0.5) + mstar_theta(0.6, 0.9, 0.5)
-        )
-
     def test_domain(self):
         with pytest.raises(ValueError):
             mstar_theta(0.5, 0.5, 0.5)
@@ -251,7 +243,13 @@ class TestVariantFunctional:
 class TestQueryJson:
     def test_round_trip(self):
         q = query([(normalize([(0.0, 0.25)]), 1.0), (normalize([(0.5, 1.0)]), 2.0)])
-        assert ChoquetQuery.from_json(q.to_json()) == q
+        text = json.dumps({
+            "alpha": q.alpha,
+            "beta": q.beta,
+            "pairs": [{"set": {"carrier": list(a.carrier), "intervals": [list(iv) for iv in a.intervals]},
+                       "z": z} for a, z in q.pairs],
+        })
+        assert ChoquetQuery.from_json(json.loads(text)) == q
 
     def test_missing_field_named(self):
         with pytest.raises(ValueError, match="beta"):

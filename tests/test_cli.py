@@ -60,6 +60,26 @@ class TestOracleCommand:
         assert res.returncode == 2
 
 
+def test_all_lists_exactly_the_public_api():
+    # every name in __all__ exists, and every public function or class a
+    # module defines is in its __all__
+    import importlib
+    import inspect
+
+    import karlin_rsm
+
+    problems = [f"karlin_rsm.{name} does not exist" for name in karlin_rsm.__all__
+                if not hasattr(karlin_rsm, name)]
+    for short in ("choquet_oracle", "cli", "distributions", "interval_sets", "karlin_sim", "limit_sim",
+                  "verify"):
+        module = importlib.import_module(f"karlin_rsm.{short}")
+        problems += [f"{short}.{name} does not exist" for name in module.__all__ if not hasattr(module, name)]
+        problems += [f"{short}.{name} is not in __all__" for name, obj in vars(module).items()
+                     if not name.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))
+                     and obj.__module__ == module.__name__ and name not in module.__all__]
+    assert not problems, problems
+
+
 def test_import_loads_no_scipy():
     code = "import karlin_rsm.cli, sys; print([m for m in sys.modules if m.startswith('scipy')])"
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
@@ -120,6 +140,26 @@ def _family_json(tmp_path, carrier, intervals):
     path = tmp_path / "family.json"
     path.write_text(json.dumps({"family": [{"carrier": carrier, "intervals": intervals}]}))
     return str(path)
+
+
+BAD_FAMILY = {"family": [[[0, 0.5]]]}
+
+
+@pytest.mark.parametrize("command, payload", [
+    (["oracle"], 5),
+    (["oracle"], {"alpha": None, "beta": 0.5, "pairs": [{"set": {"intervals": [[0.0, 0.25]]}, "z": 1.0}]}),
+    (["oracle"], {"alpha": 1.0, "beta": 0.5, "pairs": [{"set": [[0.0, 0.25]], "z": 1.0}]}),
+    (["limit-sample", "--beta", "0.5", "--replicas", "5", "--seed", "1"], BAD_FAMILY),
+    (["verify", "--suite", "patterns", "--beta", "0.5", "--n", "1000", "--replicas", "100",
+      "--seed", "1", "--threads", "1"], BAD_FAMILY),
+])
+def test_query_of_wrong_shape_exits_two(command, payload, tmp_path, capsys):
+    # valid JSON of the wrong shape is a usage error: exit 2 and one error line
+    query = tmp_path / "query.json"
+    query.write_text(json.dumps(payload))
+    assert cli.main([*command, "--query", str(query)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 class TestLimitSampleDomain:

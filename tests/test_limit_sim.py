@@ -18,10 +18,8 @@ from karlin_rsm.limit_sim import (
     limit_samples_csv,
     mstar_batch,
     pattern_rates,
-    sample_coupled,
     sample_karlin,
     sample_mstar,
-    sample_top_m_process,
     top_m_batch,
 )
 from karlin_rsm.verify import two_sample_ks_critical
@@ -134,11 +132,13 @@ class TestPatternRates:
     def test_beta_outside_unit_interval(self):
         fam = [normalize([(0.0, 0.5)])]
         for beta in (0.0, 1.0, 1.5):
-            for sampler in (sample_karlin, sample_mstar, sample_coupled):
+            for sampler in (sample_karlin, sample_mstar):
                 with pytest.raises(ValueError, match="beta"):
                     sampler(np.random.default_rng(0), 1.0, beta, fam)
             with pytest.raises(ValueError, match="beta"):
-                sample_top_m_process(np.random.default_rng(0), 1.0, beta, 1, fam)
+                coupled_batch(np.random.default_rng(0), 1.0, beta, fam, 1)
+            with pytest.raises(ValueError, match="beta"):
+                top_m_batch(np.random.default_rng(0), 1.0, beta, 1, fam, 1)
 
     def test_null_sets_have_no_rate(self):
         rates = pattern_rates(0.5, (normalize([]), normalize([(0.0, 0.25)])))
@@ -175,9 +175,6 @@ class TestKarlinSampler:
         a = sample_karlin(replica_rng(28, 0), 1.0, 0.3, fam)
         b = karlin_batch(replica_rng(28, 0), 1.0, 0.3, fam, 1)
         assert a.values == tuple(b[0])
-        big, small = sample_coupled(replica_rng(28, 1), 1.0, 0.3, fam)
-        b_big, b_small = coupled_batch(replica_rng(28, 1), 1.0, 0.3, fam, 1)
-        assert big.values == tuple(b_big[0]) and small.values == tuple(b_small[0])
         assert sample_mstar(replica_rng(28, 2), 1.0, 0.3, fam).values == tuple(
             mstar_batch(replica_rng(28, 2), 1.0, 0.3, fam, 1)[0])
 
@@ -250,25 +247,23 @@ class TestVariantSampler:
 
     def test_unit_carrier_only(self):
         fam = [IntervalSet(((0.0, 1.0),), (0.0, 4.0))]
-        for sampler in (sample_mstar, sample_coupled):
-            with pytest.raises(ValueError, match="unit carrier"):
-                sampler(np.random.default_rng(0), 1.0, 0.5, fam)
+        with pytest.raises(ValueError, match="unit carrier"):
+            sample_mstar(np.random.default_rng(0), 1.0, 0.5, fam)
+        with pytest.raises(ValueError, match="unit carrier"):
+            coupled_batch(np.random.default_rng(0), 1.0, 0.5, fam, 1)
 
 
 class TestTopProcess:
     def test_first_value_law(self):
-        rng = np.random.default_rng(39)
         fam = [normalize([(0.0, 0.25)])]
-        vals = np.array([sample_top_m_process(rng, 1.0, 0.5, 1, fam)[0][0] for _ in range(N_MC)])
+        vals, _ = top_m_batch(np.random.default_rng(39), 1.0, 0.5, 1, fam, N_MC)
         target = math.exp(-1.0)  # P(Gamma_1 ** -1 <= 1)
-        assert abs(np.mean(vals <= 1.0) - target) <= binom_tol(target)
+        assert abs(np.mean(vals[:, 0] <= 1.0) - target) <= binom_tol(target)
 
     def test_hit_marginal_and_independence(self):
-        rng = np.random.default_rng(40)
         fam = [normalize([(0.0, 0.25)])]
-        recs = [sample_top_m_process(rng, 1.0, 0.5, 1, fam)[0] for _ in range(N_MC)]
-        hits = np.array([h[0] for _, h in recs])
-        vals = np.array([v for v, _ in recs])
+        vals, hits = top_m_batch(np.random.default_rng(40), 1.0, 0.5, 1, fam, N_MC)
+        vals, hits = vals[:, 0], hits[:, 0, 0]
         assert abs(hits.mean() - 0.5) <= binom_tol(0.5)
         # independence of the hit pattern and the level
         med = np.median(vals)
@@ -277,27 +272,22 @@ class TestTopProcess:
         assert abs(hi - lo) <= 2.0 * binom_tol(0.5, N_MC // 2)
 
     def test_joint_hits_product_form(self):
-        rng = np.random.default_rng(41)
         fam = [normalize([(0.0, 0.25)]), normalize([(0.5, 0.75)])]
+        _, hits = top_m_batch(np.random.default_rng(41), 1.0, 0.5, 2, fam, N_MC)
         target = 0.25  # product of 0.25**0.5
-        hits = 0
-        for _ in range(N_MC):
-            recs = sample_top_m_process(rng, 1.0, 0.5, 2, fam)
-            hits += recs[0][1][0] and recs[1][1][1]
-        assert abs(hits / N_MC - target) <= binom_tol(target)
+        assert abs(np.mean(hits[:, 0, 0] & hits[:, 1, 1]) - target) <= binom_tol(target)
 
     def test_values_strictly_decreasing(self):
-        rng = np.random.default_rng(42)
-        recs = sample_top_m_process(rng, 2.0, 0.5, 6, [normalize([(0.0, 1.0)])])
-        vals = [v for v, _ in recs]
-        assert all(a > b for a, b in zip(vals, vals[1:]))
+        vals, _ = top_m_batch(np.random.default_rng(42), 2.0, 0.5, 6, [normalize([(0.0, 1.0)])], 1000)
+        assert (np.diff(vals, axis=1) < 0).all()
 
 
 class TestEqualityInLaw:
     """Pattern clocks against the sequential atom walk of tests/oracles.py.
 
-    Two-sample KS at 99% on every coordinate and on atoms_used, and joint
-    events within 3 SE of the difference, with 20000 replicas a side.
+    Two-sample KS at 99% on every coordinate (atoms_used included where the
+    sampler reports it), and joint events within 3 SE of the difference,
+    with 20000 replicas a side.
     """
 
     R = 20000
@@ -349,15 +339,13 @@ class TestEqualityInLaw:
 
     def test_coupled(self):
         fam = (normalize([(0.25, 1.0)]), normalize([(0.1, 0.6)]))
-        rng, ref_rng = np.random.default_rng(58), np.random.default_rng(59)
-        ours, ref = [], []
+        ours = np.hstack(coupled_batch(np.random.default_rng(58), 1.0, 0.5, fam, self.R))
+        ref_rng = np.random.default_rng(59)
+        ref = []
         for _ in range(self.R):
-            big, small = sample_coupled(rng, 1.0, 0.5, fam)
-            ours.append(big.values + small.values + (big.atoms_used,))
-            (ref_big, ref_small), used = reference_coupled(ref_rng, 1.0, 0.5, fam)
-            ref.append(ref_big + ref_small + (used,))
-        self._compare(ours, ref, [lambda x: (x[:, :4] <= 1.0).all(axis=1),
-                                  lambda x: x[:, 0] == x[:, 2], lambda x: x[:, 4] <= 3])
+            (ref_big, ref_small), _ = reference_coupled(ref_rng, 1.0, 0.5, fam)
+            ref.append(ref_big + ref_small)
+        self._compare(ours, ref, [lambda x: (x[:, :4] <= 1.0).all(axis=1), lambda x: x[:, 0] == x[:, 2]])
 
     def test_top_m(self):
         fam = (normalize([(0.0, 0.25)]), normalize([(0.2, 0.6)]))
