@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .distributions import _check_beta, gamma_fn
+from .distributions import _check_alpha, _check_beta, gamma_fn
 from .interval_sets import IntervalSet, atomize
 
 __all__ = [
@@ -45,8 +45,7 @@ class ChoquetQuery:
     beta: float
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        _check_alpha(self.alpha)
         _check_beta(self.beta)
         if not self.pairs:
             raise ValueError("query must contain at least one pair")

@@ -28,16 +28,6 @@ from .verify import SuiteConfig, SUITES, run_suite
 __all__ = ["main"]
 
 
-def _default_threads() -> int:
-    env = os.environ.get("KARLIN_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
-
 def _positive_int(text: str) -> int:
     """argparse type for counts: anything but an integer >= 1 is a usage error."""
     try:
@@ -115,7 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--suite", required=True, choices=sorted(SUITES))
     p_ver.add_argument("--n", default=None, help="n or comma-separated n grid")
     p_ver.add_argument("--replicas", type=_positive_int, default=None)
-    p_ver.add_argument("--threads", type=int, default=None)
+    p_ver.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     p_ver.add_argument("--confidence", type=float, default=0.99)
     p_ver.add_argument("--query", default=None, help="optional JSON file overriding the query family")
     return parser
@@ -188,7 +178,7 @@ def _cmd_verify(args) -> int:
         family=family,
         seed=seed,
         confidence=args.confidence,
-        threads=args.threads if args.threads is not None else _default_threads(),
+        threads=args.threads,
     )
     report = run_suite(cfg)
     _write_out(report.to_csv() if args.format == "csv" else report.to_json() + "\n", args.out)

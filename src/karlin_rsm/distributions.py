@@ -50,8 +50,7 @@ class HeavyTailSpec:
     alpha: float
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        _check_alpha(self.alpha)
 
 
 @dataclass(frozen=True)
@@ -62,8 +61,7 @@ class FrechetLaw:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        _check_alpha(self.alpha)
         if not self.sigma > 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
 
@@ -85,6 +83,11 @@ def frechet_cdf(z, law: FrechetLaw):
     with np.errstate(divide="ignore"):
         out = np.where(z > 0, np.exp(-law.sigma * np.maximum(z, 0.0) ** -law.alpha), 0.0)
     return out if out.ndim else float(out)
+
+
+def _check_alpha(alpha: float):
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
 
 
 def _check_beta(beta: float):

@@ -197,7 +197,7 @@ def _coupled_clocks(beta: float, family: tuple) -> _Clocks:
     rates = _moebius_rates(f)
     live = np.flatnonzero(rates[1:]) + 1
     hits = np.hstack([_hits(live, members), _hits(live & -live, members)])
-    return _clocks(rates[live], hits, max(0.0, 1.0 - float(f[-1])))
+    return _clocks(rates[live], hits, 0.0)  # the cells cover [0, 1)
 
 
 def _chunk_rows(per_replica: int) -> int:

@@ -8,12 +8,15 @@ threshold is either a confidence bound computed from the run or a fixed
 calibration constant in :data:`DEFAULT_THRESHOLDS` (the theory provides no
 convergence rates, so the KS-style bounds are calibrated, not derived).
 
-Replica r of an urn part of a suite draws from the counter-based stream
-``replica_rng(seed, offset + r)``, and the replicas run on ``threads``
-threads.  A limit part draws all its replicas, in replica order, as one
-vectorised batch from the single stream ``replica_rng(seed, offset)``, and
-the limit parts run one after another.  Distinct parts use disjoint offset
-blocks, so reports are byte-identical for any ``threads`` setting.
+Each suite's parts (an urn family or one limit batch) and their stream
+blocks are listed in one table, :data:`_PARTS`.  Replica r of an urn part
+draws from the counter-based stream ``replica_rng(seed, block * 2**20 + r)``,
+and the replicas run on ``threads`` threads; a suite takes at most 2**20
+replicas per part.  A limit part draws all its replicas, in replica order,
+as one vectorised batch from the single stream
+``replica_rng(seed, block * 2**20)``, and the limit parts run one after
+another.  So no two parts share a stream, and reports are byte-identical
+for any ``threads`` setting.
 """
 
 from __future__ import annotations
@@ -67,7 +70,27 @@ DEFAULT_THRESHOLDS = {
     "binom_se_mult": 3.0,       # +-k*SE window for binomial comparisons
 }
 
-_BLOCK = 1 << 20  # replica-offset block separating independent suite parts
+_BLOCK = 1 << 20  # replica-offset block of one suite part, and its replica bound
+
+# Stream block of each part of each suite; tests/test_verify.py checks that
+# no two parts of a suite share a stream.  Grid point k of the marginal suite
+# is its own urn part, at block k.  Query 7 draws from block 11, as block 7
+# holds the stream of the query parameters.
+_PARTS = {
+    "marginal": {"grid": 0},
+    "locations": {"urn": 0, "top_m": 1},
+    "occupancy": {"urn": 0},
+    "patterns": {"urn": 0},
+    "limit-vs-oracle": {
+        "q0": 0, "q1": 1, "q2": 2, "q3": 3, "q4": 4, "q5": 5, "q6": 6, "queries": 7, "q8": 8,
+        "q9": 9, "q7": 11, "t1.5": 12, "t2.0": 13, "t5.0": 14, "adjudication": 15,
+    },
+    "extremal-mstar": {
+        "t0.25": 0, "t1.0": 1, "t4.0": 2, "unit": 3, "translation": 4, "mstar_marginal": 5,
+        "time_change": 6, "coupled": 8, "discrete": 9,
+    },
+}
+
 _RATE_REL = 1e-12  # relative gate of the pattern_rates_exact row
 
 # Quantiles at the two confidences SuiteConfig accepts, equal to SciPy's
@@ -90,8 +113,8 @@ class SuiteConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if self.replicas < 100:
-            raise ValueError("replica count must be at least 100")
+        if not 100 <= self.replicas <= _BLOCK:
+            raise ValueError(f"replica count must be between 100 and {_BLOCK}")
         if self.confidence not in _KS_QUANTILE:
             raise ValueError("confidence level must be 0.95 or 0.99")
         if not self.n_grid or any(n < 1 for n in self.n_grid):
@@ -261,48 +284,45 @@ def _model_spec(cfg: SuiteConfig):
     return model, spec
 
 
+def _offset(cfg: SuiteConfig, part: str, index: int = 0) -> int:
+    """First replica stream of a part of the suite (of its grid point ``index``)."""
+    return (_PARTS[cfg.suite][part] + index) * _BLOCK
+
+
+def _stream(cfg: SuiteConfig, part: str) -> np.random.Generator:
+    """The single stream from which a limit part draws its whole batch."""
+    return replica_rng(cfg.seed, _offset(cfg, part))
+
+
+def _row(cfg, check, estimate, target, crit, passed, n=0, replicas=0) -> CheckRow:
+    return CheckRow(cfg.suite, check, estimate, target, crit, passed, n, replicas, cfg.seed)
+
+
 def _wilson_row(cfg, check, hits, trials, target, n=0) -> CheckRow:
     lo, hi = wilson_ci(hits, trials, cfg.confidence)
-    return CheckRow(
-        suite=cfg.suite, check=check, estimate=hits / trials, target=target,
-        se_or_crit=0.5 * (hi - lo), passed=lo <= target <= hi,
-        n=n, replicas=trials, seed=cfg.seed,
-    )
+    return _row(cfg, check, hits / trials, target, 0.5 * (hi - lo), lo <= target <= hi, n, trials)
 
 
 def _binom_row(cfg, check, hits, trials, target, n=0) -> CheckRow:
-    mult = DEFAULT_THRESHOLDS["binom_se_mult"]
-    se = math.sqrt(max(target * (1.0 - target), 1e-12) / trials)
+    crit = DEFAULT_THRESHOLDS["binom_se_mult"] * math.sqrt(max(target * (1.0 - target), 1e-12) / trials)
     est = hits / trials
-    return CheckRow(
-        suite=cfg.suite, check=check, estimate=est, target=target,
-        se_or_crit=mult * se, passed=abs(est - target) <= mult * se,
-        n=n, replicas=trials, seed=cfg.seed,
-    )
+    return _row(cfg, check, est, target, crit, abs(est - target) <= crit, n, trials)
 
 
 def _rel_row(cfg, check, estimate, target, rel_key, n=0, replicas=0) -> CheckRow:
     tol = DEFAULT_THRESHOLDS[rel_key] * abs(target)
-    return CheckRow(
-        suite=cfg.suite, check=check, estimate=estimate, target=target,
-        se_or_crit=tol, passed=abs(estimate - target) <= tol,
-        n=n, replicas=replicas, seed=cfg.seed,
-    )
+    return _row(cfg, check, estimate, target, tol, abs(estimate - target) <= tol, n, replicas)
 
 
 def _ks_row(cfg, check, stat, crit, n=0, replicas=0) -> CheckRow:
-    return CheckRow(
-        suite=cfg.suite, check=check, estimate=stat, target=0.0,
-        se_or_crit=crit, passed=stat <= crit,
-        n=n, replicas=replicas, seed=cfg.seed,
-    )
+    return _row(cfg, check, stat, 0.0, crit, stat <= crit, n, replicas)
 
 
 # ---------------------------------------------------------------------------
 # suites
 
 
-def suite_marginal(cfg: SuiteConfig) -> SuiteReport:
+def suite_marginal(cfg: SuiteConfig) -> list:
     """Empirical sup-measure marginals against their Frechet limits.
 
     For each n in the grid and each query set A, the KS distance between
@@ -310,14 +330,13 @@ def suite_marginal(cfg: SuiteConfig) -> SuiteReport:
     scale Leb(A)**beta; also reports whether the KS distance at the largest
     n improved on the smallest.
     """
-    t0 = time.perf_counter()
     model, spec = _model_spec(cfg)
     family = cfg.family or (normalize([(0.0, 1.0)]),)
     rows = []
     ks_by_set = {j: [] for j in range(len(family))}
     grid = sorted(cfg.n_grid)
     for n_idx, n in enumerate(grid):
-        def one(r, n=n, off=n_idx * _BLOCK):
+        def one(r, n=n, off=_offset(cfg, "grid", n_idx)):
             run = ksim.simulate(model, spec, n, cfg.seed, replica=off + r)
             return [ksim.empirical_sup(run, a, normalized=True) for a in family]
 
@@ -332,14 +351,12 @@ def suite_marginal(cfg: SuiteConfig) -> SuiteReport:
     if len(grid) >= 2:
         for j in range(len(family)):
             drop = ks_by_set[j][-1] - ks_by_set[j][0]
-            rows.append(CheckRow(
-                suite=cfg.suite, check=f"ks_decreases_set{j}", estimate=drop, target=0.0,
-                se_or_crit=0.0, passed=drop < 0.0, n=grid[-1], replicas=cfg.replicas, seed=cfg.seed,
-            ))
-    return SuiteReport(cfg.suite, cfg.seed, rows, time.perf_counter() - t0)
+            rows.append(_row(cfg, f"ks_decreases_set{j}", drop, 0.0, 0.0, drop < 0.0, n=grid[-1],
+                             replicas=cfg.replicas))
+    return rows
 
 
-def suite_locations(cfg: SuiteConfig) -> SuiteReport:
+def suite_locations(cfg: SuiteConfig) -> list:
     """Top order statistics: location-set hits and value laws.
 
     Hitting frequencies of the k-th location set are compared with the
@@ -347,7 +364,6 @@ def suite_locations(cfg: SuiteConfig) -> SuiteReport:
     top values are compared with the limit point-process sampler by
     two-sample KS.
     """
-    t0 = time.perf_counter()
     model, spec = _model_spec(cfg)
     family = cfg.family or (normalize([(0.0, 0.25)]), normalize([(0.5, 0.75)]))
     m = len(family)
@@ -356,7 +372,7 @@ def suite_locations(cfg: SuiteConfig) -> SuiteReport:
     n = max(cfg.n_grid)
 
     def one(r):
-        run = ksim.simulate(model, spec, n, cfg.seed, replica=r)
+        run = ksim.simulate(model, spec, n, cfg.seed, replica=_offset(cfg, "urn") + r)
         tops = ksim.top_m(run, m)
         hits = []
         values = []
@@ -374,8 +390,7 @@ def suite_locations(cfg: SuiteConfig) -> SuiteReport:
     hits = np.array([h for h, _ in results], dtype=bool)
     values = np.array([v for _, v in results])
 
-    limit_values, _ = lsim.top_m_batch(replica_rng(cfg.seed, _BLOCK), cfg.alpha, cfg.beta, m,
-                                       family, cfg.replicas)
+    limit_values, _ = lsim.top_m_batch(_stream(cfg, "top_m"), cfg.alpha, cfg.beta, m, family, cfg.replicas)
 
     rows = []
     for k in range(m):
@@ -389,24 +404,23 @@ def suite_locations(cfg: SuiteConfig) -> SuiteReport:
         stat = two_sample_ks(vals, limit_values[:, k])
         crit = two_sample_ks_critical(vals.size, cfg.replicas, cfg.confidence)
         rows.append(_ks_row(cfg, f"value_top{k + 1}_two_sample", stat, crit, n=n, replicas=cfg.replicas))
-    return SuiteReport(cfg.suite, cfg.seed, rows, time.perf_counter() - t0)
+    return rows
 
 
-def suite_occupancy(cfg: SuiteConfig) -> SuiteReport:
+def suite_occupancy(cfg: SuiteConfig) -> list:
     """Occupancy growth and block frequencies of the urn.
 
     Checks mean K_n / nu((0, n]) against gamma(1-beta) and the pooled
     box-size frequencies against the block-size pmf for k <= 10 by
     chi-square.
     """
-    t0 = time.perf_counter()
     model, spec = _model_spec(cfg)
     n = max(cfg.n_grid)
     nu = model.nu_count(n)
     kmax = 10
 
     def one(r):
-        run = ksim.simulate(model, spec, n, cfg.seed, replica=r)
+        run = ksim.simulate(model, spec, n, cfg.seed, replica=_offset(cfg, "urn") + r)
         hist = ksim.occupancy_histogram(run)
         counts = [hist.get(k, 0) for k in range(1, kmax + 1)]
         return run.k_n, counts
@@ -429,16 +443,12 @@ def suite_occupancy(cfg: SuiteConfig) -> SuiteReport:
     chi2 = float(np.sum((pooled - expected) ** 2 / expected) + (tail_obs - tail_exp) ** 2 / tail_exp)
     df = kmax
     crit = _quantile(_CHI2_10_QUANTILE, cfg.confidence)  # the table is for df = 10
-    rows.append(CheckRow(
-        suite=cfg.suite, check="block_freq_chi2", estimate=chi2, target=float(df),
-        se_or_crit=crit, passed=chi2 <= crit, n=n, replicas=cfg.replicas, seed=cfg.seed,
-    ))
-    return SuiteReport(cfg.suite, cfg.seed, rows, time.perf_counter() - t0)
+    rows.append(_row(cfg, "block_freq_chi2", chi2, float(df), crit, chi2 <= crit, n, cfg.replicas))
+    return rows
 
 
-def suite_patterns(cfg: SuiteConfig) -> SuiteReport:
+def suite_patterns(cfg: SuiteConfig) -> list:
     """Occupancy-pattern counts against their closed-form limits."""
-    t0 = time.perf_counter()
     model, spec = _model_spec(cfg)
     n = max(cfg.n_grid)
     nu = model.nu_count(n)
@@ -451,7 +461,7 @@ def suite_patterns(cfg: SuiteConfig) -> SuiteReport:
     single = (normalize([(0.0, 0.5)]),)
 
     def one(r):
-        run = ksim.simulate(model, spec, n, cfg.seed, replica=r)
+        run = ksim.simulate(model, spec, n, cfg.seed, replica=_offset(cfg, "urn") + r)
         per_delta = list(ksim.pattern_count_table(run, family)[entries] / nu)
         per_delta.append(ksim.pattern_counts(run, single, (1,)) / nu)
         return per_delta
@@ -477,12 +487,12 @@ def suite_patterns(cfg: SuiteConfig) -> SuiteReport:
         cfg, "tau_partition_sum", float(means[: len(deltas)].sum()), partition_target,
         "pattern_rel", n=n, replicas=cfg.replicas,
     ))
-    return SuiteReport(cfg.suite, cfg.seed, rows, time.perf_counter() - t0)
+    return rows
 
 
 def _random_queries(cfg: SuiteConfig, count: int, max_d: int = 3):
     """Deterministic pseudo-random query families with comfortable measures."""
-    rng = replica_rng(cfg.seed, 7 * _BLOCK)
+    rng = _stream(cfg, "queries")
     queries = []
     for _ in range(count):
         d = int(rng.integers(1, max_d + 1))
@@ -513,18 +523,15 @@ def _pattern_rates_row(cfg: SuiteConfig, families) -> CheckRow:
                 for i, a in enumerate(family)]
         sums.append((rates[1:].sum(), oracle.theta(union, cfg.beta)))
         worst = max(worst, *(abs(got - want) / want for got, want in sums))
-    return CheckRow(
-        suite=cfg.suite, check="pattern_rates_exact", estimate=worst, target=0.0,
-        se_or_crit=_RATE_REL, passed=worst <= _RATE_REL, n=0, replicas=0, seed=cfg.seed,
-    )
+    return _row(cfg, "pattern_rates_exact", worst, 0.0, _RATE_REL, worst <= _RATE_REL)
 
 
-def _karlin(cfg: SuiteConfig, family, offset: int) -> np.ndarray:
+def _karlin(cfg: SuiteConfig, family, part: str) -> np.ndarray:
     """(replicas, sets) values of the limit sup-measure from the stream of one suite part."""
-    return lsim.karlin_batch(replica_rng(cfg.seed, offset), cfg.alpha, cfg.beta, family, cfg.replicas)
+    return lsim.karlin_batch(_stream(cfg, part), cfg.alpha, cfg.beta, family, cfg.replicas)
 
 
-def suite_limit_vs_oracle(cfg: SuiteConfig) -> SuiteReport:
+def suite_limit_vs_oracle(cfg: SuiteConfig) -> list:
     """Exact limit sampler against the closed-form oracle.
 
     Randomized joint queries are estimated by Monte Carlo and compared at
@@ -533,14 +540,13 @@ def suite_limit_vs_oracle(cfg: SuiteConfig) -> SuiteReport:
     adjudicated against the two candidate closed forms (2**beta versus
     2 - 2**beta for the joint exponent).
     """
-    t0 = time.perf_counter()
     rows = []
     queries = _random_queries(cfg, 10)
     families = []
     for qi, q in enumerate(queries):
         family = tuple(a for a, _ in q.pairs)
         zs = np.array([z for _, z in q.pairs])
-        hits = int((_karlin(cfg, family, qi * _BLOCK) <= zs).all(axis=1).sum())
+        hits = int((_karlin(cfg, family, f"q{qi}") <= zs).all(axis=1).sum())
         rows.append(_binom_row(cfg, f"joint_cdf_q{qi}", hits, cfg.replicas, oracle.joint_cdf(q)))
         families.append(family)
 
@@ -555,8 +561,8 @@ def suite_limit_vs_oracle(cfg: SuiteConfig) -> SuiteReport:
     z = 1.0
     mult = DEFAULT_THRESHOLDS["binom_se_mult"]
     tau_rows = []
-    for ti, (t, fam) in enumerate(windows):
-        below = _karlin(cfg, fam, (12 + ti) * _BLOCK) <= z
+    for t, fam in windows:
+        below = _karlin(cfg, fam, f"t{t}") <= z
         p_single = int(below[:, 0].sum()) / cfg.replicas
         p_joint = int(below.all(axis=1).sum()) / cfg.replicas
         tau_hat = math.log(p_joint) - 2.0 * math.log(p_single)
@@ -566,47 +572,32 @@ def suite_limit_vs_oracle(cfg: SuiteConfig) -> SuiteReport:
         )
         target = oracle.tau_z(t, z, cfg.alpha, cfg.beta)
         tau_rows.append((t, tau_hat, se))
-        rows.append(CheckRow(
-            suite=cfg.suite, check=f"tau_z_t{t}", estimate=tau_hat, target=target,
-            se_or_crit=mult * se, passed=abs(tau_hat - target) <= mult * se,
-            n=0, replicas=cfg.replicas, seed=cfg.seed,
-        ))
+        rows.append(_row(cfg, f"tau_z_t{t}", tau_hat, target, mult * se,
+                         abs(tau_hat - target) <= mult * se, replicas=cfg.replicas))
     spread = max(a for _, a, _ in tau_rows) - min(a for _, a, _ in tau_rows)
     spread_crit = mult * max(se for _, _, se in tau_rows) * math.sqrt(2.0)
-    rows.append(CheckRow(
-        suite=cfg.suite, check="tau_constant_in_t", estimate=spread, target=0.0,
-        se_or_crit=spread_crit, passed=spread <= spread_crit,
-        n=0, replicas=cfg.replicas, seed=cfg.seed,
-    ))
+    rows.append(_row(cfg, "tau_constant_in_t", spread, 0.0, spread_crit, spread <= spread_crit,
+                     replicas=cfg.replicas))
     positive = all(a - mult * se > 0 for _, a, se in tau_rows)
-    rows.append(CheckRow(
-        suite=cfg.suite, check="tau_strictly_positive", estimate=min(a for _, a, _ in tau_rows),
-        target=0.0, se_or_crit=0.0, passed=positive, n=0, replicas=cfg.replicas, seed=cfg.seed,
-    ))
+    rows.append(_row(cfg, "tau_strictly_positive", min(a for _, a, _ in tau_rows), 0.0, 0.0, positive,
+                     replicas=cfg.replicas))
 
     # adjudication of the joint exponent on disjoint unit windows (t = 2)
-    joint_hits = int((_karlin(cfg, fam_adj, 14 * _BLOCK) <= z).all(axis=1).sum())
+    joint_hits = int((_karlin(cfg, fam_adj, "adjudication") <= z).all(axis=1).sum())
     p_joint = joint_hits / cfg.replicas
     neg_log = -math.log(p_joint)
     se_neglog = math.sqrt((1.0 - p_joint) / (p_joint * cfg.replicas))
     union_form = 2.0 ** cfg.beta * z ** -cfg.alpha
     and_form = (2.0 - 2.0 ** cfg.beta) * z ** -cfg.alpha
-    agrees_union = abs(neg_log - union_form) <= mult * se_neglog
-    agrees_and = abs(neg_log - and_form) <= mult * se_neglog
-    rows.append(CheckRow(
-        suite=cfg.suite, check="adjudication_joint_exponent_union_form", estimate=neg_log,
-        target=union_form, se_or_crit=mult * se_neglog, passed=agrees_union,
-        n=0, replicas=cfg.replicas, seed=cfg.seed,
-    ))
-    rows.append(CheckRow(
-        suite=cfg.suite, check="adjudication_joint_exponent_and_form_flagged", estimate=neg_log,
-        target=and_form, se_or_crit=mult * se_neglog, passed=not agrees_and,
-        n=0, replicas=cfg.replicas, seed=cfg.seed,
-    ))
-    return SuiteReport(cfg.suite, cfg.seed, rows, time.perf_counter() - t0)
+    crit = mult * se_neglog
+    rows.append(_row(cfg, "adjudication_joint_exponent_union_form", neg_log, union_form, crit,
+                     abs(neg_log - union_form) <= crit, replicas=cfg.replicas))
+    rows.append(_row(cfg, "adjudication_joint_exponent_and_form_flagged", neg_log, and_form, crit,
+                     not abs(neg_log - and_form) <= crit, replicas=cfg.replicas))
+    return rows
 
 
-def suite_extremal_and_mstar(cfg: SuiteConfig) -> SuiteReport:
+def suite_extremal_and_mstar(cfg: SuiteConfig) -> list:
     """Extremal process, self-similarity, and the first-occurrence variant.
 
     Medians and KS of M([0, t]) against Frechet with scale t**beta; window
@@ -614,12 +605,11 @@ def suite_extremal_and_mstar(cfg: SuiteConfig) -> SuiteReport:
     marginal law, the pathwise domination of the coupled pair, and the
     discrete variant's convergence.
     """
-    t0 = time.perf_counter()
     rows = []
 
-    for ti, t in enumerate((0.25, 1.0, 4.0)):
+    for t in (0.25, 1.0, 4.0):
         fam = (IntervalSet(((0.0, t),), (0.0, max(t, 1.0))),)
-        vals = _karlin(cfg, fam, ti * _BLOCK)[:, 0]
+        vals = _karlin(cfg, fam, f"t{t}")[:, 0]
         med_target = (t ** cfg.beta / math.log(2.0)) ** (1.0 / cfg.alpha)
         rows.append(_rel_row(cfg, f"extremal_median_t{t}", float(np.median(vals)), med_target,
                              "median_rel", replicas=cfg.replicas))
@@ -630,7 +620,7 @@ def suite_extremal_and_mstar(cfg: SuiteConfig) -> SuiteReport:
     window_vals = vals  # the [0, 4] window
 
     # self-similarity: [0, T] window versus T**(beta/alpha)-scaled unit samples
-    unit_vals = _karlin(cfg, (normalize([(0.0, 1.0)]),), 3 * _BLOCK)[:, 0]
+    unit_vals = _karlin(cfg, (normalize([(0.0, 1.0)]),), "unit")[:, 0]
     scaled = unit_vals * 4.0 ** (cfg.beta / cfg.alpha)
     stat = two_sample_ks(window_vals, scaled)
     rows.append(_ks_row(cfg, "self_similarity_two_sample", stat,
@@ -638,7 +628,7 @@ def suite_extremal_and_mstar(cfg: SuiteConfig) -> SuiteReport:
                         replicas=cfg.replicas))
 
     # translation invariance of increments: same-width windows at two origins
-    tr = _karlin(cfg, (normalize([(0.0, 0.5)]), normalize([(0.5, 1.0)])), 4 * _BLOCK)
+    tr = _karlin(cfg, (normalize([(0.0, 0.5)]), normalize([(0.5, 1.0)])), "translation")
     stat = two_sample_ks(tr[:, 0], tr[:, 1])
     rows.append(_ks_row(cfg, "translation_invariance_two_sample", stat,
                         two_sample_ks_critical(cfg.replicas, cfg.replicas, cfg.confidence),
@@ -646,7 +636,7 @@ def suite_extremal_and_mstar(cfg: SuiteConfig) -> SuiteReport:
 
     # variant marginal on [a, b): P(M* <= z) = exp(-(b**beta - a**beta) z**-alpha)
     a_lo, b_hi, z = 0.25, 1.0, 1.0
-    star_vals = lsim.mstar_batch(replica_rng(cfg.seed, 5 * _BLOCK), cfg.alpha, cfg.beta,
+    star_vals = lsim.mstar_batch(_stream(cfg, "mstar_marginal"), cfg.alpha, cfg.beta,
                                  (normalize([(a_lo, b_hi)]),), cfg.replicas)[:, 0]
     sigma_star = oracle.mstar_theta(a_lo, b_hi, cfg.beta)
     target_p = math.exp(-sigma_star * z ** -cfg.alpha)
@@ -658,7 +648,7 @@ def suite_extremal_and_mstar(cfg: SuiteConfig) -> SuiteReport:
 
     # variant equals the time-changed law on [0, t]
     t_tc = 0.49
-    tc_vals = lsim.mstar_batch(replica_rng(cfg.seed, 6 * _BLOCK), cfg.alpha, cfg.beta,
+    tc_vals = lsim.mstar_batch(_stream(cfg, "time_change"), cfg.alpha, cfg.beta,
                                (normalize([(0.0, t_tc)]),), cfg.replicas)[:, 0]
     law_tc = FrechetLaw(cfg.alpha, t_tc ** cfg.beta)
     stat = ks_statistic(np.sort(tc_vals), lambda v: frechet_cdf(v, law_tc))
@@ -666,13 +656,11 @@ def suite_extremal_and_mstar(cfg: SuiteConfig) -> SuiteReport:
                         replicas=cfg.replicas))
 
     # pathwise domination of the coupled pair
-    big, small = lsim.coupled_batch(replica_rng(cfg.seed, 8 * _BLOCK), cfg.alpha, cfg.beta,
+    big, small = lsim.coupled_batch(_stream(cfg, "coupled"), cfg.alpha, cfg.beta,
                                     (normalize([(0.25, 1.0)]), normalize([(0.1, 0.6)])), cfg.replicas)
     dominated = int((big >= small).all(axis=1).sum())
-    rows.append(CheckRow(
-        suite=cfg.suite, check="coupled_domination", estimate=dominated / cfg.replicas, target=1.0,
-        se_or_crit=0.0, passed=dominated == cfg.replicas, n=0, replicas=cfg.replicas, seed=cfg.seed,
-    ))
+    rows.append(_row(cfg, "coupled_domination", dominated / cfg.replicas, 1.0, 0.0,
+                     dominated == cfg.replicas, replicas=cfg.replicas))
 
     # discrete first-occurrence variant against its limit law
     model, spec = _model_spec(cfg)
@@ -681,14 +669,14 @@ def suite_extremal_and_mstar(cfg: SuiteConfig) -> SuiteReport:
     n_star = min(cfg.replicas, 2000)
 
     def disc_one(r):
-        run = ksim.simulate(model, spec, n, cfg.seed, replica=9 * _BLOCK + r)
+        run = ksim.simulate(model, spec, n, cfg.seed, replica=_offset(cfg, "discrete") + r)
         return ksim.variant_star_sup(run, star_set, normalized=True)
 
     disc_vals = np.array(_parallel_map(disc_one, n_star, cfg.threads))
     stat = ks_statistic(np.sort(disc_vals), lambda v: frechet_cdf(v, law_star))
     rows.append(_ks_row(cfg, "variant_discrete_ks", stat, DEFAULT_THRESHOLDS["ks_star"],
                         n=n, replicas=n_star))
-    return SuiteReport(cfg.suite, cfg.seed, rows, time.perf_counter() - t0)
+    return rows
 
 
 SUITES = {
@@ -704,4 +692,6 @@ SUITES = {
 def run_suite(cfg: SuiteConfig) -> SuiteReport:
     if cfg.suite not in SUITES:
         raise ValueError(f"unknown suite {cfg.suite!r}; choose from {sorted(SUITES)}")
-    return SUITES[cfg.suite](cfg)
+    t0 = time.perf_counter()
+    rows = SUITES[cfg.suite](cfg)
+    return SuiteReport(cfg.suite, cfg.seed, rows, time.perf_counter() - t0)

@@ -128,6 +128,8 @@ class TestJointCdf:
             query([])
         with pytest.raises(ValueError):
             ChoquetQuery(pairs=((normalize([(0.0, 0.5)]), 1.0),), alpha=1.0, beta=1.0)
+        with pytest.raises(ValueError):
+            query([(normalize([(0.0, 0.5)]), 1.0)], alpha=math.inf)
 
 
 class TestExtremalProcess:

@@ -101,6 +101,11 @@ class TestUsageErrors:
         assert res.returncode == 2
         assert "beta" in res.stderr
 
+    def test_infinite_alpha(self, capsys):
+        assert cli.main(["simulate", "--alpha", "inf", "--beta", "0.5", "--n", "100", "--seed", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: alpha") and len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("argv", [
         ["limit-sample", "--replicas", "-5"],
         ["limit-sample", "--replicas", "0"],

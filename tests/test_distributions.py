@@ -65,6 +65,8 @@ class TestPareto:
             HeavyTailSpec(alpha=0.0)
         with pytest.raises(ValueError):
             HeavyTailSpec(alpha=-1.0)
+        with pytest.raises(ValueError):
+            HeavyTailSpec(alpha=math.inf)
 
 
 class TestFrechet:
@@ -77,6 +79,11 @@ class TestFrechet:
 
     def test_median(self):
         assert frechet_cdf(1.0 / math.log(2.0), FrechetLaw(1.0, 1.0)) == pytest.approx(0.5, rel=1e-13)
+
+    def test_validation(self):
+        for alpha, sigma in ((0.0, 1.0), (math.inf, 1.0), (1.0, 0.0)):
+            with pytest.raises(ValueError):
+                FrechetLaw(alpha, sigma)
 
     def test_round_trip(self):
         # the closed-form quantile (sigma / -log p)**(1/alpha) inverts the CDF

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from karlin_rsm import verify
+from karlin_rsm import karlin_sim, verify
 from karlin_rsm.karlin_sim import replica_rng
 from karlin_rsm.verify import (
     SUITES,
@@ -151,6 +151,9 @@ class TestConfig:
             SuiteConfig(suite="occupancy", replicas=100, confidence=0.9)
         with pytest.raises(ValueError):
             SuiteConfig(suite="occupancy", replicas=100, n_grid=())
+        with pytest.raises(ValueError):
+            SuiteConfig(suite="marginal", replicas=verify._BLOCK + 1)
+        assert SuiteConfig(suite="marginal", replicas=verify._BLOCK).replicas == verify._BLOCK
 
     def test_unknown_suite(self):
         with pytest.raises(ValueError):
@@ -232,3 +235,53 @@ class TestSuitesSmoke:
         assert set(SUITES) == {
             "marginal", "locations", "occupancy", "patterns", "limit-vs-oracle", "extremal-mstar",
         }
+
+
+# Check names of each suite at its default family and a single n = 1000.
+SUITE_CHECKS = {
+    "marginal": ["ks_frechet_n1000_set0"],
+    "locations": ["hit_top1", "hit_top2", "hit_joint", "value_top1_two_sample", "value_top2_two_sample"],
+    "occupancy": ["mean_kn_ratio", "block_freq_1", "block_freq_2", "block_freq_chi2"],
+    "patterns": ["tau_half_interval", "tau_01", "tau_10", "tau_11", "tau_partition_sum"],
+    "limit-vs-oracle": [
+        *(f"joint_cdf_q{i}" for i in range(10)), "pattern_rates_exact", "tau_z_t1.5", "tau_z_t2.0",
+        "tau_z_t5.0", "tau_constant_in_t", "tau_strictly_positive", "adjudication_joint_exponent_union_form",
+        "adjudication_joint_exponent_and_form_flagged",
+    ],
+    "extremal-mstar": [
+        *(f"extremal_{stat}_t{t}" for t in (0.25, 1.0, 4.0) for stat in ("median", "ks")),
+        "self_similarity_two_sample", "translation_invariance_two_sample", "mstar_marginal_prob",
+        "mstar_marginal_ks", "mstar_time_change_ks", "coupled_domination", "variant_discrete_ks",
+    ],
+}
+
+
+@pytest.mark.parametrize("suite", sorted(SUITE_CHECKS))
+def test_suite_parts_draw_disjoint_streams(suite, monkeypatch):
+    # Every stream a suite opens, in order (one thread).  A part is a run of
+    # consecutive offsets: an urn part opens offset, offset + 1, ...; a limit
+    # part opens one offset.  No offset may be opened twice, and no block of
+    # 2**20 offsets may hold two parts.
+    opened = []
+
+    def recording(seed, replica=0):
+        opened.append((seed, replica))
+        return replica_rng(seed, replica)
+
+    monkeypatch.setattr(verify, "replica_rng", recording)
+    monkeypatch.setattr(karlin_sim, "replica_rng", recording)
+    rep = run_suite(SuiteConfig(suite=suite, n_grid=(10 ** 3,), replicas=100, seed=5, threads=1))
+    assert [row.check for row in rep.rows] == SUITE_CHECKS[suite]
+
+    assert {seed for seed, _ in opened} == {5}
+    offsets = [offset for _, offset in opened]
+    repeated = sorted({off // verify._BLOCK for off in offsets if offsets.count(off) > 1})
+    assert not repeated, f"offsets opened twice in blocks {repeated}"
+    parts_of_block = {}
+    part = 0
+    for i, off in enumerate(offsets):
+        if i and off != offsets[i - 1] + 1:
+            part += 1
+        parts_of_block.setdefault(off // verify._BLOCK, set()).add(part)
+    shared = sorted(block for block, parts in parts_of_block.items() if len(parts) > 1)
+    assert not shared, f"blocks {shared} hold more than one part"
