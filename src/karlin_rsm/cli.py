@@ -71,12 +71,11 @@ def _family_from_json(obj) -> tuple:
     return tuple(IntervalSet.from_json(entry) for entry in obj)
 
 
-def _add_common(p, need_beta=True):
+def _add_common(p):
     p.add_argument("--alpha", type=float, default=1.0, help="tail index of the marks")
-    p.add_argument("--beta", type=float, required=need_beta, help="memory parameter in (0,1)")
+    p.add_argument("--beta", type=float, required=True, help="memory parameter in (0,1)")
     p.add_argument("--seed", type=int, default=None, help="64-bit seed; drawn from entropy if absent")
     p.add_argument("--out", default=None, help="output path (stdout if absent)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -108,6 +107,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     p_ver.add_argument("--confidence", type=float, default=0.99)
     p_ver.add_argument("--query", default=None, help="optional JSON file overriding the query family")
+    for p in (p_sim, p_ver):  # limit-sample writes CSV only
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
 
 

@@ -1,10 +1,11 @@
 """Heavy-tailed infinite-urn simulation.
 
-Boxes are drawn with regularly varying zeta frequencies, each box carries a
-heavy-tailed mark assigned once on first occupancy, and the observed process
-is the mark of the drawn box.  The module exposes the occupancy statistics,
-the top order statistics with their location sets, the empirical sup-measure
-and its first-occurrence variant, and occupancy-pattern counts.
+Boxes are drawn with regularly varying zeta frequencies, each occupied box
+carries one heavy-tailed mark (i.i.d., so assigned in key order), and the
+observed process is the mark of the drawn box.  The module exposes the
+occupancy statistics, the top order statistics with their location sets, the
+empirical sup-measure and its first-occurrence variant, and occupancy-pattern
+counts.
 
 Draw ``j`` (0-based) sits at position ``j/n``, so the unit carrier ``[0, 1)``
 contains every draw exactly once, and a query set's positions are index
@@ -144,9 +145,9 @@ class SimRun:
     """One realization of the urn model, immutable after construction.
 
     ``draws`` holds the float64 label key of every step, ``labels`` and
-    ``counts`` the sorted distinct keys and their ball counts, and
-    ``arrival_marks`` the box marks in order of first visit.  The other
-    fields are computed on first use; occupancy statistics need none.
+    ``counts`` the sorted distinct keys and their ball counts, and ``marks``
+    the mark of each box, aligned with ``labels``.  ``b_n`` and ``inverse``
+    are computed on first use; occupancy statistics need neither.
     """
 
     model: FrequencyModel
@@ -157,7 +158,7 @@ class SimRun:
     draws: np.ndarray
     labels: np.ndarray
     counts: np.ndarray
-    arrival_marks: np.ndarray
+    marks: np.ndarray
 
     @cached_property
     def b_n(self) -> float:
@@ -181,20 +182,6 @@ class SimRun:
         inv[rare] = np.searchsorted(labels, keys[rare])
         return inv
 
-    @cached_property
-    def first_index(self) -> np.ndarray:
-        """Step of the first visit to each box."""
-        first = np.full(self.k_n, self.n, dtype=np.intp)
-        np.minimum.at(first, self.inverse, np.arange(self.n))
-        return first
-
-    @cached_property
-    def mark_values(self) -> np.ndarray:
-        """Mark of each box, in key order."""
-        marks = np.empty(self.k_n)
-        marks[np.argsort(self.first_index, kind="stable")] = self.arrival_marks
-        return marks
-
 
 def simulate(
     model: FrequencyModel,
@@ -205,9 +192,9 @@ def simulate(
 ) -> SimRun:
     """Run the urn for n rounds; deterministic given (model, spec, n, seed, replica).
 
-    The stream gives the n labels, then one mark per occupied box in the
-    order of first visits, which is what makes revisits return the
-    identical mark.  Only the occupancy counts are computed here.
+    The stream gives the n labels, then one mark per occupied box in key
+    order; every visit to a box returns its one mark.  Only the occupancy
+    counts are computed here.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -225,7 +212,7 @@ def simulate(
         draws=draws,
         labels=labels,
         counts=counts,
-        arrival_marks=pareto_sample_batch(rng, spec, len(labels)),
+        marks=pareto_sample_batch(rng, spec, len(labels)),
     )
 
 
@@ -248,15 +235,15 @@ def top_m(run: SimRun, m: int) -> list:
     take = min(m, run.k_n)
     # keys are sorted ascending, so a stable sort on -value breaks ties
     # toward the smaller key
-    order = np.argsort(-run.mark_values, kind="stable")[:take]
+    order = np.argsort(-run.marks, kind="stable")[:take]
     out = []
     for rank, idx in enumerate(order, start=1):
         locs = np.flatnonzero(run.draws == run.labels[idx]) / run.n
         out.append(
             TopOrderStat(
                 rank=rank,
-                value=float(run.mark_values[idx]),
-                value_normalized=float(run.mark_values[idx] / run.b_n),
+                value=float(run.marks[idx]),
+                value_normalized=float(run.marks[idx] / run.b_n),
                 label=_label_int(run.labels[idx]),
                 locations=tuple(float(v) for v in locs),
             )
@@ -269,7 +256,7 @@ def empirical_sup(run: SimRun, a: IntervalSet, normalized: bool = False) -> floa
     ranges = a.grid_ranges(run.n)
     if not ranges:
         return 0.0
-    val = float(max(run.mark_values[run.inverse[lo:hi]].max() for lo, hi in ranges))
+    val = float(max(run.marks[run.inverse[lo:hi]].max() for lo, hi in ranges))
     return val / run.b_n if normalized else val
 
 
@@ -281,10 +268,13 @@ def variant_star_sup(run: SimRun, a: IntervalSet, normalized: bool = False) -> f
     """
     inside = np.zeros(run.k_n, dtype=bool)
     for lo, hi in a.grid_ranges(run.n):
-        inside |= (run.first_index >= lo) & (run.first_index < hi)
+        first = np.zeros(run.k_n, dtype=bool)
+        first[run.inverse[lo:hi]] = True
+        first[run.inverse[:lo]] = False  # first visited in [lo, hi): no draw before lo
+        inside |= first
     if not inside.any():
         return 0.0
-    val = float(run.mark_values[inside].max())
+    val = float(run.marks[inside].max())
     return val / run.b_n if normalized else val
 
 

@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .distributions import _check_beta
+from .distributions import _check_alpha, _check_beta
 from .interval_sets import UNIT, CapacityError, atomize, normalize
 
 __all__ = [
@@ -200,9 +200,12 @@ def _coupled_clocks(beta: float, family: tuple) -> _Clocks:
     return _clocks(rates[live], hits, 0.0)  # the cells cover [0, 1)
 
 
-def _chunk_rows(per_replica: int) -> int:
-    """Replicas per chunk; the stream never depends on it, only the memory does."""
-    return max(1, _CHUNK_FLOATS // max(1, per_replica))
+def _chunks(replicas: int, per_replica: int) -> list:
+    """Replicas per chunk, in order; the stream never depends on them, only the memory does."""
+    if replicas < 1:
+        raise ValueError(f"replicas must be at least 1, got {replicas}")
+    rows = max(1, _CHUNK_FLOATS // max(1, per_replica))
+    return [min(rows, replicas - start) for start in range(0, replicas, rows)]
 
 
 def _first_hits(g: np.ndarray, clocks: _Clocks) -> np.ndarray:
@@ -216,11 +219,11 @@ def _batch(rng, alpha: float, clocks: _Clocks, replicas: int) -> np.ndarray:
     Every chunk draws its exponentials in replica order, so replica r of a
     batch reads the same draws however the batch is chunked.
     """
+    _check_alpha(alpha)
     k = clocks.rates.size
-    rows = _chunk_rows(clocks.misses.size)
     first = [
-        _first_hits(rng.standard_exponential((min(rows, replicas - start), k)) / clocks.rates, clocks)
-        for start in range(0, replicas, rows)
+        _first_hits(rng.standard_exponential((size, k)) / clocks.rates, clocks)
+        for size in _chunks(replicas, clocks.misses.size)
     ]
     return np.concatenate(first) ** (-1.0 / alpha)
 
@@ -240,6 +243,7 @@ def _sample(rng, alpha: float, clocks: _Clocks) -> tuple:
     Poisson(p (T - arrival)) later arrivals of those clocks, and the
     Poisson(idle T) atoms that hit nothing.
     """
+    _check_alpha(alpha)
     g = rng.standard_exponential((1, clocks.rates.size)) / clocks.rates
     first = _first_hits(g, clocks)[0]
     values = tuple((first ** (-1.0 / alpha)).tolist())
@@ -291,11 +295,11 @@ def top_m_batch(rng: np.random.Generator, alpha: float, beta: float, m: int, fam
     """
     if m < 1:
         raise ValueError("m must be at least 1")
+    _check_alpha(alpha)
     rates, hits = _race(beta, _family(family))
-    rows = _chunk_rows(m * rates.size)
     values, winners = [], []
-    for start in range(0, replicas, rows):
-        g = rng.standard_exponential((min(rows, replicas - start), m, rates.size)) / rates
+    for size in _chunks(replicas, m * rates.size):
+        g = rng.standard_exponential((size, m, rates.size)) / rates
         values.append(np.cumsum(g.min(axis=2), axis=1) ** (-1.0 / alpha))
         winners.append(g.argmin(axis=2))
     return np.concatenate(values), hits[np.concatenate(winners)]

@@ -119,6 +119,10 @@ class SuiteConfig:
             raise ValueError("confidence level must be 0.95 or 0.99")
         if not self.n_grid or any(n < 1 for n in self.n_grid):
             raise ValueError("n grid must contain positive integers")
+        if len(set(self.n_grid)) < len(self.n_grid):
+            raise ValueError(f"n grid {self.n_grid} repeats a point")
+        if self.family and self.suite in ("occupancy", "limit-vs-oracle", "extremal-mstar"):
+            raise ValueError(f"the {self.suite} suite takes no query family")
         if self.threads < 1:
             raise ValueError("threads must be at least 1")
 

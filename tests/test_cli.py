@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import subprocess
@@ -124,6 +125,14 @@ class TestUsageErrors:
         assert exc.value.code == 2
         assert "positive integer" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_limit_sample_has_no_format(self, family_file, capsys):
+        # limit-sample writes CSV only, so --format json is a usage error
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["limit-sample", "--beta", "0.5", "--replicas", "5", "--seed", "1",
+                      "--query", family_file, "--format", "json"])
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err
 
     def test_resource_error_exits_two(self):
         res = run_cli("simulate", "--beta", "0.5", "--n", "20000000", "--seed", "1")
@@ -270,3 +279,46 @@ class TestVerifyCommand:
         res = run_cli("verify", "--suite", "marginal", "--beta", "0.5", "--n", "100000",
                       "--replicas", "100", "--seed", "42")
         assert res.returncode == 1
+
+
+class _ReadRecorder(argparse.Namespace):
+    """A parsed namespace that records which options are read."""
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "__dict__").setdefault("_read", set()).add(name)
+        return object.__getattribute__(self, name)
+
+
+@pytest.mark.parametrize("command, argv", [
+    ("simulate", ["--beta", "0.5", "--n", "100"]),
+    ("limit-sample", ["--beta", "0.5", "--replicas", "2", "--query", "{family}"]),
+    ("oracle", ["--query", "{query}"]),
+    ("verify", ["--suite", "occupancy", "--beta", "0.5", "--n", "1000", "--replicas", "100",
+                "--threads", "1"]),
+])
+def test_every_option_is_read(command, argv, monkeypatch, query_file, family_file, tmp_path):
+    # an option that its handler never reads is accepted and silently ignored
+    build = cli._build_parser
+    parsed = []
+
+    def recording_parser():
+        parser = build()
+        parse = parser.parse_args
+
+        def parse_args(args):
+            parsed.append(_ReadRecorder(**vars(parse(args))))
+            return parsed[-1]
+
+        parser.parse_args = parse_args
+        return parser
+
+    monkeypatch.setattr(cli, "_build_parser", recording_parser)
+    argv = [a.format(family=family_file, query=query_file) for a in argv]
+    if command != "oracle":
+        argv += ["--seed", "1", "--out", str(tmp_path / "out")]
+    assert cli.main([command, *argv]) == 0
+    subparsers = next(a for a in build()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {a.dest for a in subparsers.choices[command]._actions} - {"help"}
+    unread = options - vars(parsed[0])["_read"]
+    assert not unread, f"{command} never reads {sorted(unread)}"

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from karlin_rsm.distributions import HeavyTailSpec, gamma_fn
+from karlin_rsm.distributions import HeavyTailSpec, gamma_fn, pareto_sample_batch, zeta_sample_batch
 from karlin_rsm.interval_sets import normalize
 from karlin_rsm.karlin_sim import (
     FrequencyModel,
@@ -19,6 +19,7 @@ from karlin_rsm.karlin_sim import (
     occupancy_json,
     pattern_count_table,
     pattern_counts,
+    replica_rng,
     simulate,
     top_m,
     top_m_csv,
@@ -73,7 +74,7 @@ class TestSimulate:
         run = simulate(MODEL, SPEC, 1, seed=5)
         assert run.k_n == 1
         assert run.counts.tolist() == [1]
-        assert run.mark_values[run.inverse][0] >= 1.0
+        assert run.marks[run.inverse][0] >= 1.0
 
     def test_counts_sum_to_n(self):
         run = simulate(MODEL, SPEC, 10 ** 4, seed=1)
@@ -83,7 +84,7 @@ class TestSimulate:
     def test_mark_reuse_is_bitwise(self):
         run = simulate(MODEL, SPEC, 5000, seed=2)
         marks = {}
-        for y, x in zip(run.draws, run.mark_values[run.inverse]):
+        for y, x in zip(run.draws, run.marks[run.inverse]):
             key = int(y)
             if key in marks:
                 assert marks[key] == x  # same box, identical float
@@ -95,8 +96,16 @@ class TestSimulate:
         b = simulate(MODEL, SPEC, 2000, seed=9)
         c = simulate(MODEL, SPEC, 2000, seed=9, replica=1)
         assert np.array_equal(a.draws, b.draws)
-        assert np.array_equal(a.mark_values, b.mark_values)
+        assert np.array_equal(a.marks, b.marks)
         assert not np.array_equal(a.draws, c.draws)
+
+    def test_marks_in_key_order_from_the_stream(self):
+        # the k_n marks are the Pareto draws that follow the n labels, unpermuted
+        run = simulate(MODEL, SPEC, 5000, seed=3, replica=2)
+        rng = replica_rng(3, 2)
+        keys = zeta_sample_batch(rng, MODEL.s, 5000)
+        assert np.array_equal(run.labels, np.unique(keys))
+        assert np.array_equal(run.marks, pareto_sample_batch(rng, SPEC, run.k_n))
 
     def test_budget(self):
         with pytest.raises(ResourceError):
@@ -120,7 +129,7 @@ class TestTopOrderStats:
     def test_top1_is_max(self):
         run = simulate(MODEL, SPEC, 10 ** 4, seed=6)
         tops = top_m(run, 1)
-        x_stream = run.mark_values[run.inverse]
+        x_stream = run.marks[run.inverse]
         assert tops[0].value == x_stream.max()
         locs = np.asarray(tops[0].locations)
         assert np.all(x_stream[(locs * run.n + 0.5).astype(int)] == tops[0].value)
@@ -164,7 +173,7 @@ class TestTopOrderStats:
 class TestEmpiricalSup:
     def test_full_carrier_and_empty(self):
         run = simulate(MODEL, SPEC, 10 ** 4, seed=11)
-        assert empirical_sup(run, normalize([(0.0, 1.0)])) == run.mark_values.max()
+        assert empirical_sup(run, normalize([(0.0, 1.0)])) == run.marks.max()
         assert empirical_sup(run, normalize([])) == 0.0
 
     def test_sup_measure_axiom(self):
@@ -259,15 +268,13 @@ class TestAgainstBruteForce:
     @staticmethod
     def _brute(run):
         _, first, inverse = np.unique(run.draws, return_index=True, return_inverse=True)
-        return np.arange(run.n) / run.n, first, inverse, run.mark_values[inverse]
+        return np.arange(run.n) / run.n, first, inverse, run.marks[inverse]
 
     @pytest.mark.parametrize("beta", BETAS)
     def test_lazy_fields_match_full_unique(self, beta):
         run = simulate(FrequencyModel(beta), SPEC, 20000, seed=19)
-        _, first, inverse, _ = self._brute(run)
+        _, _, inverse, _ = self._brute(run)
         assert np.array_equal(run.inverse, inverse)
-        assert np.array_equal(run.first_index, first)
-        assert np.array_equal(run.mark_values[np.argsort(first)], run.arrival_marks)
 
     @given(grid_family(), st.sampled_from(BETAS), st.integers(0, 2 ** 32))
     @settings(max_examples=150, deadline=None)

@@ -411,3 +411,23 @@ def test_csv_export():
     first = lines[1].split(",")
     assert first[0] == "0" and first[1] == "0"
     assert float(first[2]) == samples[0].values[0]
+
+
+_HALF = (normalize([(0.0, 0.5)]),)
+_SAMPLERS = {
+    "karlin_batch": lambda alpha, r: karlin_batch(replica_rng(1), alpha, 0.5, _HALF, r),
+    "mstar_batch": lambda alpha, r: mstar_batch(replica_rng(1), alpha, 0.5, _HALF, r),
+    "coupled_batch": lambda alpha, r: coupled_batch(replica_rng(1), alpha, 0.5, _HALF, r),
+    "top_m_batch": lambda alpha, r: top_m_batch(replica_rng(1), alpha, 0.5, 2, _HALF, r),
+    "sample_karlin": lambda alpha, r: sample_karlin(replica_rng(1), alpha, 0.5, _HALF),
+    "sample_mstar": lambda alpha, r: sample_mstar(replica_rng(1), alpha, 0.5, _HALF),
+}
+
+
+@pytest.mark.parametrize("name, alpha, replicas, field", [
+    *[(name, alpha, 5, "alpha") for name in _SAMPLERS for alpha in (math.inf, -1.0, 0.0, math.nan)],
+    *[(name, 1.0, r, "replicas") for name in _SAMPLERS if name.endswith("_batch") for r in (-2, 0)],
+])
+def test_samplers_reject_bad_alpha_and_replicas(name, alpha, replicas, field):
+    with pytest.raises(ValueError, match=field):
+        _SAMPLERS[name](alpha, replicas)

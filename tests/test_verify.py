@@ -8,6 +8,7 @@ import pytest
 from scipy import stats as sps
 
 from karlin_rsm import karlin_sim, verify
+from karlin_rsm.interval_sets import normalize
 from karlin_rsm.karlin_sim import replica_rng
 from karlin_rsm.verify import (
     SUITES,
@@ -153,6 +154,11 @@ class TestConfig:
             SuiteConfig(suite="occupancy", replicas=100, n_grid=())
         with pytest.raises(ValueError):
             SuiteConfig(suite="marginal", replicas=verify._BLOCK + 1)
+        with pytest.raises(ValueError, match="repeats"):
+            SuiteConfig(suite="marginal", replicas=100, n_grid=(1000, 1000))
+        for suite in ("occupancy", "limit-vs-oracle", "extremal-mstar"):
+            with pytest.raises(ValueError, match="no query family"):
+                SuiteConfig(suite=suite, replicas=100, family=(normalize([(0.0, 0.5)]),))
         assert SuiteConfig(suite="marginal", replicas=verify._BLOCK).replicas == verify._BLOCK
 
     def test_unknown_suite(self):
