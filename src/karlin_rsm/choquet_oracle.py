@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .distributions import _check_alpha, _check_beta, gamma_fn
-from .interval_sets import IntervalSet, atomize
+from .interval_sets import IntervalSet, _json_fields, _json_number, atomize
 
 __all__ = [
     "ChoquetQuery",
@@ -59,19 +59,15 @@ class ChoquetQuery:
 
     @classmethod
     def from_json(cls, obj) -> "ChoquetQuery":
-        if not isinstance(obj, dict):
-            raise ValueError(f"query JSON must be an object, got {type(obj).__name__}")
-        for field in ("alpha", "beta", "pairs"):
-            if field not in obj:
-                raise ValueError(f"query JSON is missing field {field!r}")
-        try:
-            pairs = tuple(
-                (IntervalSet.from_json(p["set"]), float(p["z"])) for p in obj["pairs"]
-            )
-            alpha, beta = float(obj["alpha"]), float(obj["beta"])
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed query: field {exc}") from exc
-        return cls(pairs=pairs, alpha=alpha, beta=beta)
+        """The query of a JSON object; a malformed field's error starts with its JSON path."""
+        alpha, beta, raw = _json_fields(obj, ("alpha", "beta", "pairs"), "")
+        if not isinstance(raw, list) or not raw:
+            raise ValueError("pairs: expected a nonempty list of {set, z} objects")
+        pairs = []
+        for i, pair in enumerate(raw):
+            a, z = _json_fields(pair, ("set", "z"), f"pairs[{i}]")
+            pairs.append((IntervalSet.from_json(a, f"pairs[{i}].set"), _json_number(z, f"pairs[{i}].z")))
+        return cls(pairs=tuple(pairs), alpha=_json_number(alpha, "alpha"), beta=_json_number(beta, "beta"))
 
 
 @dataclass(frozen=True)

@@ -64,11 +64,12 @@ def _load_json(path: str):
 
 
 def _family_from_json(obj) -> tuple:
+    """The sets of ``{"family": [...]}`` (or of a bare list); errors start with the JSON path."""
     if isinstance(obj, dict) and "family" in obj:
         obj = obj["family"]
     if not isinstance(obj, list) or not obj:
-        raise ValueError("query file must contain a nonempty field 'family'")
-    return tuple(IntervalSet.from_json(entry) for entry in obj)
+        raise ValueError("family: expected a nonempty list of interval sets")
+    return tuple(IntervalSet.from_json(entry, f"family[{i}]") for i, entry in enumerate(obj))
 
 
 def _add_common(p):
@@ -105,7 +106,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--n", default=None, help="n or comma-separated n grid")
     p_ver.add_argument("--replicas", type=_positive_int, default=None)
     p_ver.add_argument("--threads", type=int, default=os.cpu_count() or 1)
-    p_ver.add_argument("--confidence", type=float, default=0.99)
     p_ver.add_argument("--query", default=None, help="optional JSON file overriding the query family")
     for p in (p_sim, p_ver):  # limit-sample writes CSV only
         p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -178,7 +178,6 @@ def _cmd_verify(args) -> int:
         replicas=replicas,
         family=family,
         seed=seed,
-        confidence=args.confidence,
         threads=args.threads,
     )
     report = run_suite(cfg)

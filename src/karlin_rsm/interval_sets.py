@@ -101,15 +101,44 @@ class IntervalSet:
         return [(lo, hi) for lo, hi in ranges if lo < hi]
 
     @classmethod
-    def from_json(cls, obj) -> "IntervalSet":
-        if not isinstance(obj, dict):
-            raise ValueError(f"malformed interval-set JSON: expected an object, got {type(obj).__name__}")
+    def from_json(cls, obj, path: str) -> "IntervalSet":
+        """The set of a JSON object at ``path``; every error message starts with the path."""
+        (intervals,) = _json_fields(obj, ("intervals",), path)
+        carrier = _json_pair(obj.get("carrier", list(UNIT)), f"{path}.carrier")
+        if not isinstance(intervals, list):
+            raise ValueError(f"{path}.intervals: expected a list of [lo, hi]")
+        raw = [_json_pair(pair, f"{path}.intervals[{i}]") for i, pair in enumerate(intervals)]
         try:
-            carrier = tuple(float(v) for v in obj.get("carrier", UNIT))
-            raw = [(float(lo), float(hi)) for lo, hi in obj["intervals"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed interval-set JSON: {exc}") from exc
-        return normalize(raw, carrier)
+            return normalize(raw, carrier)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
+def _json_fields(obj, fields, path: str) -> list:
+    """The values of the required fields of a JSON object at ``path`` ("" for a query's root)."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path or 'query'}: expected an object with fields {', '.join(fields)}")
+    for field in fields:
+        if field not in obj:
+            raise ValueError(f"{path + '.' if path else ''}{field}: missing")
+    return [obj[field] for field in fields]
+
+
+def _json_number(value, path: str) -> float:
+    """A JSON number as a float; anything else, booleans included, raises naming ``path``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{path}: expected a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{path}: number out of float range") from None
+
+
+def _json_pair(value, path: str) -> tuple:
+    """A JSON ``[lo, hi]`` array as two floats; anything else raises naming ``path``."""
+    if not isinstance(value, list) or len(value) != 2:
+        raise ValueError(f"{path}: expected [lo, hi]")
+    return _json_number(value[0], f"{path}[0]"), _json_number(value[1], f"{path}[1]")
 
 
 def _grid_index(x: float, n: int) -> int:

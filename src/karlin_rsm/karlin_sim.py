@@ -4,12 +4,14 @@ Boxes are drawn with regularly varying zeta frequencies, each occupied box
 carries one heavy-tailed mark (i.i.d., so assigned in key order), and the
 observed process is the mark of the drawn box.  The module exposes the
 occupancy statistics, the top order statistics with their location sets, the
-empirical sup-measure and its first-occurrence variant, and occupancy-pattern
-counts.
+empirical sup-measure and its first-occurrence variant, and the table of
+occupancy-pattern counts.
 
 Draw ``j`` (0-based) sits at position ``j/n``, so the unit carrier ``[0, 1)``
 contains every draw exactly once, and a query set's positions are index
-ranges of the draws (``IntervalSet.grid_ranges``).  Box labels are float64
+ranges of the draws (``IntervalSet.grid_ranges``).  Every set query asks
+which boxes have a draw in some ranges, and reads the per-draw box index
+through that one mask over the boxes (``_boxes``).  Box labels are float64
 keys (see :func:`~karlin_rsm.distributions.zeta_sample_batch`).
 """
 
@@ -45,7 +47,6 @@ __all__ = [
     "top_m",
     "empirical_sup",
     "variant_star_sup",
-    "pattern_counts",
     "pattern_count_table",
     "occupancy_histogram",
     "top_m_csv",
@@ -251,59 +252,49 @@ def top_m(run: SimRun, m: int) -> list:
     return out
 
 
+def _boxes(run: SimRun, ranges) -> np.ndarray:
+    """Mask over the k_n boxes: True where a box has a draw at an index in one of the ranges."""
+    hit = np.zeros(run.k_n, dtype=bool)
+    for lo, hi in ranges:
+        hit[run.inverse[lo:hi]] = True
+    return hit
+
+
+def _sup(run: SimRun, boxes: np.ndarray, normalized: bool) -> float:
+    """Largest mark of the masked boxes, over b_n when normalized; 0 for an empty mask."""
+    if not boxes.any():
+        return 0.0
+    val = float(run.marks[boxes].max())
+    return val / run.b_n if normalized else val
+
+
 def empirical_sup(run: SimRun, a: IntervalSet, normalized: bool = False) -> float:
     """max of X_j over positions in the set; 0 when no position falls inside."""
-    ranges = a.grid_ranges(run.n)
-    if not ranges:
-        return 0.0
-    val = float(max(run.marks[run.inverse[lo:hi]].max() for lo, hi in ranges))
-    return val / run.b_n if normalized else val
+    return _sup(run, _boxes(run, a.grid_ranges(run.n)), normalized)
 
 
 def variant_star_sup(run: SimRun, a: IntervalSet, normalized: bool = False) -> float:
     """Sup of the first-occurrence-only process over the set.
 
-    The box achieving the overall maximum attains its mark at its first
-    visit, so on the full carrier this coincides with :func:`empirical_sup`.
+    A box is first visited in a range [lo, hi) when it has a draw there and
+    none before lo.  The box achieving the overall maximum attains its mark
+    at its first visit, so on the full carrier this coincides with
+    :func:`empirical_sup`.
     """
-    inside = np.zeros(run.k_n, dtype=bool)
+    first = np.zeros(run.k_n, dtype=bool)
     for lo, hi in a.grid_ranges(run.n):
-        first = np.zeros(run.k_n, dtype=bool)
-        first[run.inverse[lo:hi]] = True
-        first[run.inverse[:lo]] = False  # first visited in [lo, hi): no draw before lo
-        inside |= first
-    if not inside.any():
-        return 0.0
-    val = float(run.marks[inside].max())
-    return val / run.b_n if normalized else val
+        first |= _boxes(run, [(lo, hi)]) & ~_boxes(run, [(0, lo)])
+    return _sup(run, first, normalized)
 
 
 def pattern_count_table(run: SimRun, family) -> np.ndarray:
     """Entry sum_k delta_k 2**k counts the boxes hit inside exactly the sets
-    k with delta_k = 1; entry 0 counts the boxes hit nowhere."""
+    k with delta_k = 1; entry 0 counts the boxes hit nowhere.  The entries
+    over all nonzero codes partition the boxes hit in the union."""
     codes = np.zeros(run.k_n, dtype=np.intp)
     for k, a in enumerate(family):
-        hit = np.zeros(run.k_n, dtype=bool)
-        for lo, hi in a.grid_ranges(run.n):
-            hit[run.inverse[lo:hi]] = True
-        codes += hit.astype(np.intp) << k
+        codes += _boxes(run, a.grid_ranges(run.n)).astype(np.intp) << k
     return np.bincount(codes, minlength=1 << len(family))
-
-
-def pattern_counts(run: SimRun, family, delta) -> int:
-    """Number of boxes hit inside every marked set and in no unmarked set.
-
-    ``delta`` is a 0/1 vector over the family with at least one 1; the
-    patterns over all such vectors partition the boxes hit in the union.
-    """
-    delta = tuple(int(d) for d in delta)
-    if len(delta) != len(family):
-        raise ValueError("delta length must match the family")
-    if any(d not in (0, 1) for d in delta):
-        raise ValueError("delta entries must be 0 or 1")
-    if not any(delta):
-        raise ValueError("delta must contain at least one 1")
-    return int(pattern_count_table(run, family)[sum(d << k for k, d in enumerate(delta))])
 
 
 def occupancy_histogram(run: SimRun) -> dict:

@@ -9,14 +9,16 @@ calibration constant in :data:`DEFAULT_THRESHOLDS` (the theory provides no
 convergence rates, so the KS-style bounds are calibrated, not derived).
 
 Each suite's parts (an urn family or one limit batch) and their stream
-blocks are listed in one table, :data:`_PARTS`.  Replica r of an urn part
-draws from the counter-based stream ``replica_rng(seed, block * 2**20 + r)``,
-and the replicas run on ``threads`` threads; a suite takes at most 2**20
-replicas per part.  A limit part draws all its replicas, in replica order,
-as one vectorised batch from the single stream
+blocks are listed in one table, :data:`_PARTS`.  An urn part gets its runs
+from one function, ``_urn_map``, which hands each run to the suite's
+statistic: replica r draws from the counter-based stream
+``replica_rng(seed, block * 2**20 + r)``, and the replicas run on
+``threads`` threads; a suite takes at most 2**20 replicas per part, and
+only ``marginal`` takes more than one n.  A limit part draws all its
+replicas, in replica order, as one vectorised batch from the single stream
 ``replica_rng(seed, block * 2**20)``, and the limit parts run one after
 another.  So no two parts share a stream, and reports are byte-identical
-for any ``threads`` setting.
+for any ``threads`` setting.  Every confidence bound is at the 99 % level.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -93,11 +96,11 @@ _PARTS = {
 
 _RATE_REL = 1e-12  # relative gate of the pattern_rates_exact row
 
-# Quantiles at the two confidences SuiteConfig accepts, equal to SciPy's
-# kstwobign.ppf(c), norm.ppf((1 + c) / 2) and chi2.ppf(c, 10) to the last bit.
-_KS_QUANTILE = {0.95: 1.3580986393225505, 0.99: 1.6276236115189502}
-_NORMAL_QUANTILE = {0.95: 1.959963984540054, 0.99: 2.5758293035489004}
-_CHI2_10_QUANTILE = {0.95: 18.307038053275146, 0.99: 23.209251158954356}
+# 99 % quantiles, equal to SciPy's kstwobign.ppf(0.99), norm.ppf(0.995) and
+# chi2.ppf(0.99, 10) to the last bit.
+_KS_QUANTILE = 1.6276236115189502
+_NORMAL_QUANTILE = 2.5758293035489004
+_CHI2_10_QUANTILE = 23.209251158954356
 
 
 @dataclass(frozen=True)
@@ -109,18 +112,17 @@ class SuiteConfig:
     replicas: int = 2000
     family: tuple = ()
     seed: int = 0
-    confidence: float = 0.99
     threads: int = 1
 
     def __post_init__(self):
         if not 100 <= self.replicas <= _BLOCK:
             raise ValueError(f"replica count must be between 100 and {_BLOCK}")
-        if self.confidence not in _KS_QUANTILE:
-            raise ValueError("confidence level must be 0.95 or 0.99")
         if not self.n_grid or any(n < 1 for n in self.n_grid):
             raise ValueError("n grid must contain positive integers")
         if len(set(self.n_grid)) < len(self.n_grid):
             raise ValueError(f"n grid {self.n_grid} repeats a point")
+        if len(self.n_grid) > 1 and self.suite != "marginal":
+            raise ValueError(f"the {self.suite} suite takes one n, got the grid {self.n_grid}")
         if self.family and self.suite in ("occupancy", "limit-vs-oracle", "extremal-mstar"):
             raise ValueError(f"the {self.suite} suite takes no query family")
         if self.threads < 1:
@@ -206,16 +208,9 @@ def ks_statistic(samples, cdf) -> float:
     return float(np.max(np.maximum(np.abs(f_right - hi), np.abs(f_left - lo))))
 
 
-def _quantile(table: dict, confidence: float) -> float:
-    try:
-        return table[confidence]
-    except KeyError:
-        raise ValueError(f"confidence level must be 0.95 or 0.99, got {confidence}") from None
-
-
-def ks_critical(n: int, confidence: float) -> float:
-    """Asymptotic one-sample KS critical value at the given confidence."""
-    return _quantile(_KS_QUANTILE, confidence) / math.sqrt(n)
+def ks_critical(n: int) -> float:
+    """Asymptotic one-sample KS critical value at the 99 % level."""
+    return _KS_QUANTILE / math.sqrt(n)
 
 
 def two_sample_ks(a, b) -> float:
@@ -229,31 +224,23 @@ def two_sample_ks(a, b) -> float:
     return float(np.max(np.abs(cdf_a - cdf_b)))
 
 
-def two_sample_ks_critical(n1: int, n2: int, confidence: float) -> float:
-    """Asymptotic two-sample KS critical value at the given confidence."""
-    return _quantile(_KS_QUANTILE, confidence) * math.sqrt((n1 + n2) / (n1 * n2))
+def two_sample_ks_critical(n1: int, n2: int) -> float:
+    """Asymptotic two-sample KS critical value at the 99 % level."""
+    return _KS_QUANTILE * math.sqrt((n1 + n2) / (n1 * n2))
 
 
-def wilson_ci(hits: int, trials: int, confidence: float):
-    """Wilson score interval for a binomial proportion."""
+def wilson_ci(hits: int, trials: int):
+    """99 % Wilson score interval for a binomial proportion."""
     if trials <= 0:
         raise ValueError("trials must be positive")
     if not 0 <= hits <= trials:
         raise ValueError("hits must lie in [0, trials]")
-    z = _quantile(_NORMAL_QUANTILE, confidence)
+    z = _NORMAL_QUANTILE
     phat = hits / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
     half = z * math.sqrt(phat * (1.0 - phat) / trials + z * z / (4 * trials * trials)) / denom
     return max(center - half, 0.0), min(center + half, 1.0)
-
-
-def _parallel_map(fn, count: int, threads: int):
-    """fn(i) for i in range(count), results in index order regardless of scheduling."""
-    if threads <= 1 or count <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(count)))
 
 
 def _replica_stream_map(fn, count: int, seed: int, offset: int = 0):
@@ -282,15 +269,31 @@ def _replica_stream_map(fn, count: int, seed: int, offset: int = 0):
 # suite helpers
 
 
-def _model_spec(cfg: SuiteConfig):
-    model, spec = FrequencyModel(beta=cfg.beta), HeavyTailSpec(alpha=cfg.alpha)
-    ksim.b_n(model, spec, min(cfg.n_grid))  # raises where no normalisation exists
-    return model, spec
-
-
 def _offset(cfg: SuiteConfig, part: str, index: int = 0) -> int:
     """First replica stream of a part of the suite (of its grid point ``index``)."""
     return (_PARTS[cfg.suite][part] + index) * _BLOCK
+
+
+def _urn_map(cfg: SuiteConfig, part: str, fn, n=None, index=0, count=None) -> list:
+    """fn(run) for the runs of an urn part, in replica order, on ``cfg.threads`` threads.
+
+    Run r < count (default: the replicas) has n draws (default: the suite's
+    one n) from the stream ``_offset(cfg, part, index) + r``.  Raises first
+    where b_n does not exist.
+    """
+    n = max(cfg.n_grid) if n is None else n
+    count = cfg.replicas if count is None else count
+    model, spec = FrequencyModel(beta=cfg.beta), HeavyTailSpec(alpha=cfg.alpha)
+    ksim.b_n(model, spec, n)
+    offset = _offset(cfg, part, index)
+
+    def one(r):
+        return fn(ksim.simulate(model, spec, n, cfg.seed, replica=offset + r))
+
+    if cfg.threads <= 1:
+        return [one(r) for r in range(count)]
+    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+        return list(pool.map(one, range(count)))
 
 
 def _stream(cfg: SuiteConfig, part: str) -> np.random.Generator:
@@ -303,7 +306,7 @@ def _row(cfg, check, estimate, target, crit, passed, n=0, replicas=0) -> CheckRo
 
 
 def _wilson_row(cfg, check, hits, trials, target, n=0) -> CheckRow:
-    lo, hi = wilson_ci(hits, trials, cfg.confidence)
+    lo, hi = wilson_ci(hits, trials)
     return _row(cfg, check, hits / trials, target, 0.5 * (hi - lo), lo <= target <= hi, n, trials)
 
 
@@ -334,17 +337,15 @@ def suite_marginal(cfg: SuiteConfig) -> list:
     scale Leb(A)**beta; also reports whether the KS distance at the largest
     n improved on the smallest.
     """
-    model, spec = _model_spec(cfg)
     family = cfg.family or (normalize([(0.0, 1.0)]),)
     rows = []
     ks_by_set = {j: [] for j in range(len(family))}
     grid = sorted(cfg.n_grid)
     for n_idx, n in enumerate(grid):
-        def one(r, n=n, off=_offset(cfg, "grid", n_idx)):
-            run = ksim.simulate(model, spec, n, cfg.seed, replica=off + r)
-            return [ksim.empirical_sup(run, a, normalized=True) for a in family]
-
-        sups = np.array(_parallel_map(one, cfg.replicas, cfg.threads))
+        sups = np.array(_urn_map(
+            cfg, "grid", lambda run: [ksim.empirical_sup(run, a, normalized=True) for a in family],
+            n=n, index=n_idx,
+        ))
         is_last = n_idx == len(grid) - 1
         crit = DEFAULT_THRESHOLDS["ks_marginal" if is_last else "ks_marginal_other"]
         for j, a in enumerate(family):
@@ -368,15 +369,13 @@ def suite_locations(cfg: SuiteConfig) -> list:
     top values are compared with the limit point-process sampler by
     two-sample KS.
     """
-    model, spec = _model_spec(cfg)
     family = cfg.family or (normalize([(0.0, 0.25)]), normalize([(0.5, 0.75)]))
     m = len(family)
     if m > 5:
         raise ValueError("locations suite supports at most 5 query sets")
     n = max(cfg.n_grid)
 
-    def one(r):
-        run = ksim.simulate(model, spec, n, cfg.seed, replica=_offset(cfg, "urn") + r)
+    def one(run):
         tops = ksim.top_m(run, m)
         hits = []
         values = []
@@ -390,7 +389,7 @@ def suite_locations(cfg: SuiteConfig) -> list:
                 values.append(np.nan)
         return hits, values
 
-    results = _parallel_map(one, cfg.replicas, cfg.threads)
+    results = _urn_map(cfg, "urn", one)
     hits = np.array([h for h, _ in results], dtype=bool)
     values = np.array([v for _, v in results])
 
@@ -406,7 +405,7 @@ def suite_locations(cfg: SuiteConfig) -> list:
         vals = values[:, k]
         vals = vals[np.isfinite(vals)]
         stat = two_sample_ks(vals, limit_values[:, k])
-        crit = two_sample_ks_critical(vals.size, cfg.replicas, cfg.confidence)
+        crit = two_sample_ks_critical(vals.size, cfg.replicas)
         rows.append(_ks_row(cfg, f"value_top{k + 1}_two_sample", stat, crit, n=n, replicas=cfg.replicas))
     return rows
 
@@ -418,18 +417,15 @@ def suite_occupancy(cfg: SuiteConfig) -> list:
     box-size frequencies against the block-size pmf for k <= 10 by
     chi-square.
     """
-    model, spec = _model_spec(cfg)
     n = max(cfg.n_grid)
-    nu = model.nu_count(n)
+    nu = FrequencyModel(beta=cfg.beta).nu_count(n)
     kmax = 10
 
-    def one(r):
-        run = ksim.simulate(model, spec, n, cfg.seed, replica=_offset(cfg, "urn") + r)
+    def one(run):
         hist = ksim.occupancy_histogram(run)
-        counts = [hist.get(k, 0) for k in range(1, kmax + 1)]
-        return run.k_n, counts
+        return run.k_n, [hist.get(k, 0) for k in range(1, kmax + 1)]
 
-    results = _parallel_map(one, cfg.replicas, cfg.threads)
+    results = _urn_map(cfg, "urn", one)
     k_n = np.array([k for k, _ in results], dtype=float)
     pooled = np.sum([c for _, c in results], axis=0).astype(float)
     total = float(k_n.sum())
@@ -445,17 +441,15 @@ def suite_occupancy(cfg: SuiteConfig) -> list:
     tail_obs = total - pooled.sum()
     tail_exp = qbeta_tail(kmax, cfg.beta) * total
     chi2 = float(np.sum((pooled - expected) ** 2 / expected) + (tail_obs - tail_exp) ** 2 / tail_exp)
-    df = kmax
-    crit = _quantile(_CHI2_10_QUANTILE, cfg.confidence)  # the table is for df = 10
-    rows.append(_row(cfg, "block_freq_chi2", chi2, float(df), crit, chi2 <= crit, n, cfg.replicas))
+    crit = _CHI2_10_QUANTILE  # the quantile is for df = kmax = 10
+    rows.append(_row(cfg, "block_freq_chi2", chi2, float(kmax), crit, chi2 <= crit, n, cfg.replicas))
     return rows
 
 
 def suite_patterns(cfg: SuiteConfig) -> list:
     """Occupancy-pattern counts against their closed-form limits."""
-    model, spec = _model_spec(cfg)
     n = max(cfg.n_grid)
-    nu = model.nu_count(n)
+    nu = FrequencyModel(beta=cfg.beta).nu_count(n)
     family = cfg.family or (normalize([(0.0, 0.25)]), normalize([(0.5, 0.75)]))
     d = len(family)
     if d > 3:
@@ -464,13 +458,12 @@ def suite_patterns(cfg: SuiteConfig) -> list:
     entries = [sum(b << k for k, b in enumerate(delta)) for delta in deltas]  # in the pattern table
     single = (normalize([(0.0, 0.5)]),)
 
-    def one(r):
-        run = ksim.simulate(model, spec, n, cfg.seed, replica=_offset(cfg, "urn") + r)
+    def one(run):
         per_delta = list(ksim.pattern_count_table(run, family)[entries] / nu)
-        per_delta.append(ksim.pattern_counts(run, single, (1,)) / nu)
+        per_delta.append(ksim.pattern_count_table(run, single)[1] / nu)
         return per_delta
 
-    results = np.array(_parallel_map(one, cfg.replicas, cfg.threads))
+    results = np.array(_urn_map(cfg, "urn", one))
     means = results.mean(axis=0)
 
     rows = []
@@ -483,10 +476,7 @@ def suite_patterns(cfg: SuiteConfig) -> list:
         target = oracle.pattern_limit(oracle.PatternQuery(family=family, delta=delta), cfg.beta)
         name = "tau_" + "".join(str(b) for b in delta)
         rows.append(_rel_row(cfg, name, float(means[j]), target, "pattern_rel", n=n, replicas=cfg.replicas))
-    union_all = family[0]
-    for a in family[1:]:
-        union_all = union_all.union(a)
-    partition_target = gamma_fn(1.0 - cfg.beta) * oracle.theta(union_all, cfg.beta)
+    partition_target = gamma_fn(1.0 - cfg.beta) * oracle.theta(reduce(IntervalSet.union, family), cfg.beta)
     rows.append(_rel_row(
         cfg, "tau_partition_sum", float(means[: len(deltas)].sum()), partition_target,
         "pattern_rel", n=n, replicas=cfg.replicas,
@@ -520,9 +510,7 @@ def _pattern_rates_row(cfg: SuiteConfig, families) -> CheckRow:
     for family in families:
         rates = lsim.pattern_rates(cfg.beta, family)
         patterns = np.arange(rates.size)
-        union = family[0]
-        for a in family[1:]:
-            union = union.union(a)
+        union = reduce(IntervalSet.union, family)
         sums = [(rates[patterns & (1 << i) != 0].sum(), oracle.theta(a, cfg.beta))
                 for i, a in enumerate(family)]
         sums.append((rates[1:].sum(), oracle.theta(union, cfg.beta)))
@@ -619,7 +607,7 @@ def suite_extremal_and_mstar(cfg: SuiteConfig) -> list:
                              "median_rel", replicas=cfg.replicas))
         law = FrechetLaw(cfg.alpha, t ** cfg.beta)
         stat = ks_statistic(np.sort(vals), lambda v: frechet_cdf(v, law))
-        rows.append(_ks_row(cfg, f"extremal_ks_t{t}", stat, ks_critical(cfg.replicas, cfg.confidence),
+        rows.append(_ks_row(cfg, f"extremal_ks_t{t}", stat, ks_critical(cfg.replicas),
                             replicas=cfg.replicas))
     window_vals = vals  # the [0, 4] window
 
@@ -628,14 +616,14 @@ def suite_extremal_and_mstar(cfg: SuiteConfig) -> list:
     scaled = unit_vals * 4.0 ** (cfg.beta / cfg.alpha)
     stat = two_sample_ks(window_vals, scaled)
     rows.append(_ks_row(cfg, "self_similarity_two_sample", stat,
-                        two_sample_ks_critical(cfg.replicas, cfg.replicas, cfg.confidence),
+                        two_sample_ks_critical(cfg.replicas, cfg.replicas),
                         replicas=cfg.replicas))
 
     # translation invariance of increments: same-width windows at two origins
     tr = _karlin(cfg, (normalize([(0.0, 0.5)]), normalize([(0.5, 1.0)])), "translation")
     stat = two_sample_ks(tr[:, 0], tr[:, 1])
     rows.append(_ks_row(cfg, "translation_invariance_two_sample", stat,
-                        two_sample_ks_critical(cfg.replicas, cfg.replicas, cfg.confidence),
+                        two_sample_ks_critical(cfg.replicas, cfg.replicas),
                         replicas=cfg.replicas))
 
     # variant marginal on [a, b): P(M* <= z) = exp(-(b**beta - a**beta) z**-alpha)
@@ -647,7 +635,7 @@ def suite_extremal_and_mstar(cfg: SuiteConfig) -> list:
     rows.append(_binom_row(cfg, "mstar_marginal_prob", int((star_vals <= z).sum()), cfg.replicas, target_p))
     law_star = FrechetLaw(cfg.alpha, sigma_star)
     stat = ks_statistic(np.sort(star_vals), lambda v: frechet_cdf(v, law_star))
-    rows.append(_ks_row(cfg, "mstar_marginal_ks", stat, ks_critical(cfg.replicas, cfg.confidence),
+    rows.append(_ks_row(cfg, "mstar_marginal_ks", stat, ks_critical(cfg.replicas),
                         replicas=cfg.replicas))
 
     # variant equals the time-changed law on [0, t]
@@ -656,7 +644,7 @@ def suite_extremal_and_mstar(cfg: SuiteConfig) -> list:
                                (normalize([(0.0, t_tc)]),), cfg.replicas)[:, 0]
     law_tc = FrechetLaw(cfg.alpha, t_tc ** cfg.beta)
     stat = ks_statistic(np.sort(tc_vals), lambda v: frechet_cdf(v, law_tc))
-    rows.append(_ks_row(cfg, "mstar_time_change_ks", stat, ks_critical(cfg.replicas, cfg.confidence),
+    rows.append(_ks_row(cfg, "mstar_time_change_ks", stat, ks_critical(cfg.replicas),
                         replicas=cfg.replicas))
 
     # pathwise domination of the coupled pair
@@ -667,16 +655,12 @@ def suite_extremal_and_mstar(cfg: SuiteConfig) -> list:
                      dominated == cfg.replicas, replicas=cfg.replicas))
 
     # discrete first-occurrence variant against its limit law
-    model, spec = _model_spec(cfg)
     n = max(cfg.n_grid)
     star_set = normalize([(a_lo, b_hi)])
     n_star = min(cfg.replicas, 2000)
-
-    def disc_one(r):
-        run = ksim.simulate(model, spec, n, cfg.seed, replica=_offset(cfg, "discrete") + r)
-        return ksim.variant_star_sup(run, star_set, normalized=True)
-
-    disc_vals = np.array(_parallel_map(disc_one, n_star, cfg.threads))
+    disc_vals = np.array(_urn_map(
+        cfg, "discrete", lambda run: ksim.variant_star_sup(run, star_set, normalized=True), count=n_star,
+    ))
     stat = ks_statistic(np.sort(disc_vals), lambda v: frechet_cdf(v, law_star))
     rows.append(_ks_row(cfg, "variant_discrete_ks", stat, DEFAULT_THRESHOLDS["ks_star"],
                         n=n, replicas=n_star))

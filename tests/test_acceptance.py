@@ -86,7 +86,7 @@ def test_02_capacity_functional():
     n = 10 ** 5
     rng = replica_rng(ACCEPTANCE_SEED, 0)
     hits = sum(bool(sample_rbeta_hits(rng, 0.5, (0.25,))[0]) for _ in range(n))
-    lo, hi = wilson_ci(hits, n, 0.99)
+    lo, hi = wilson_ci(hits, n)
     ok = lo <= 0.5 <= hi
     emit(2, "capacity functional: hit frequency of Leb=1/4 set at beta=1/2",
          ok, f"estimate={hits / n:.4f}, 99% CI=({lo:.4f}, {hi:.4f}), target 0.5")

@@ -214,8 +214,10 @@ class TestPatternLimits:
             assert abs(total - target) <= 1e-10
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            PatternQuery(family=(normalize([(0.0, 0.5)]),), delta=(0,))
+        fam = (normalize([(0.0, 0.5)]),)
+        for delta in ((0,), (1, 0), (2,)):
+            with pytest.raises(ValueError, match="delta"):
+                PatternQuery(family=fam, delta=delta)
 
 
 class TestVariantFunctional:

@@ -1,11 +1,17 @@
 import argparse
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from karlin_rsm import cli
 
@@ -140,6 +146,19 @@ class TestUsageErrors:
         assert res.stderr.startswith("error: ") and len(res.stderr.splitlines()) == 1
         assert "budget" in res.stderr
 
+    def test_n_grid_only_for_marginal(self, capsys):
+        # the other suites read one n; a grid would silently lose its points
+        assert cli.main(["verify", "--suite", "occupancy", "--beta", "0.5", "--n", "1000,10000",
+                         "--replicas", "100", "--seed", "1", "--threads", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the ") and "takes one n" in err and len(err.splitlines()) == 1
+
+    def test_no_confidence_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--suite", "occupancy", "--beta", "0.5", "--confidence", "0.99"])
+        assert exc.value.code == 2
+        assert "--confidence" in capsys.readouterr().err
+
     def test_normalisation_zero_exits_two(self, capsys):
         # at beta 0.9, zeta(1/beta) = 9.59 > n = 5: nu((0, n]) = 0, so b_n would be 0
         for argv in (["simulate", "--beta", "0.9", "--n", "5", "--seed", "1"],
@@ -166,6 +185,8 @@ BAD_FAMILY = {"family": [[[0, 0.5]]]}
     (["limit-sample", "--beta", "0.5", "--replicas", "5", "--seed", "1"], BAD_FAMILY),
     (["verify", "--suite", "patterns", "--beta", "0.5", "--n", "1000", "--replicas", "100",
       "--seed", "1", "--threads", "1"], BAD_FAMILY),
+    (["oracle"], {"alpha": 10 ** 400, "beta": 0.5,
+                  "pairs": [{"set": {"intervals": [[0.0, 0.25]]}, "z": 1.0}]}),
 ])
 def test_query_of_wrong_shape_exits_two(command, payload, tmp_path, capsys):
     # valid JSON of the wrong shape is a usage error: exit 2 and one error line
@@ -174,6 +195,103 @@ def test_query_of_wrong_shape_exits_two(command, payload, tmp_path, capsys):
     assert cli.main([*command, "--query", str(query)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+# Valid query files, each with the kind of every field by JSON path; a kind
+# maps to values of the wrong type or shape for it.
+VALID_QUERIES = {
+    "oracle": {"alpha": 1.0, "beta": 0.5, "pairs": [
+        {"set": {"carrier": [0, 1], "intervals": [[0.0, 0.25], [0.5, 0.75]]}, "z": 1.0},
+        {"set": {"intervals": [[0.1, 0.2]]}, "z": 2},
+    ]},
+    "limit-sample": {"family": [
+        {"carrier": [0, 1], "intervals": [[0.0, 0.25]]},
+        {"carrier": [0.0, 1.0], "intervals": [[0.5, 0.75], [0.8, 0.9]]},
+    ]},
+}
+
+
+def _kind(keys: tuple) -> str:
+    last, parent = keys[-1], (keys[-2] if len(keys) > 1 else None)
+    if last in ("alpha", "beta", "z"):
+        return "number"
+    if last == "carrier" or parent == "intervals":
+        return "pair"
+    if last in ("pairs", "family"):
+        return "nonempty list"
+    return "list" if last == "intervals" else "object"
+
+
+def _fields(node, keys=()):
+    """(keys, kind) of every field below a node, outermost first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield keys + (key,), _kind(keys + (key,))
+        if isinstance(value, dict) or (isinstance(value, list) and _kind(keys + (key,)) != "pair"):
+            yield from _fields(value, keys + (key,))
+
+
+def _path_text(keys: tuple) -> str:
+    return "".join(f"[{k}]" if isinstance(k, int) else (f".{k}" if i else k) for i, k in enumerate(keys))
+
+
+_SCALARS = st.one_of(st.text(max_size=3), st.booleans(), st.none())
+_OBJECTS = st.dictionaries(st.text(max_size=2), st.integers(), max_size=2)
+_NOT_NUMBER = st.one_of(_SCALARS, _OBJECTS, st.lists(st.integers(), max_size=2))
+_NUMBERS = st.one_of(st.integers(-5, 5), st.floats(0.0, 1.0))
+WRONG = {
+    "number": _NOT_NUMBER,
+    "pair": st.one_of(
+        _NUMBERS, _SCALARS, _OBJECTS,
+        st.lists(_NUMBERS, max_size=4).filter(lambda v: len(v) != 2),
+        st.tuples(_NOT_NUMBER, _NUMBERS).map(list), st.tuples(_NUMBERS, _NOT_NUMBER).map(list),
+    ),
+    "list": st.one_of(_NUMBERS, _SCALARS, _OBJECTS),
+    "nonempty list": st.one_of(_NUMBERS, _SCALARS, _OBJECTS, st.just([])),
+    "object": st.one_of(_NUMBERS, _SCALARS, st.lists(_NUMBERS, max_size=2)),
+}
+_CASES = [(command, keys, kind) for command, doc in VALID_QUERIES.items() for keys, kind in _fields(doc)]
+
+
+def _run_query(command: str, doc) -> tuple:
+    """Exit code and stderr of ``command`` on a query file holding ``doc``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        query = Path(tmp) / "query.json"
+        query.write_text(json.dumps(doc))
+        argv = [command, "--query", str(query)]
+        if command == "limit-sample":
+            argv += ["--beta", "0.5", "--replicas", "2", "--seed", "1", "--out", str(Path(tmp) / "out.csv")]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(argv)
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("command", sorted(VALID_QUERIES))
+def test_valid_query_files_exit_zero(command):
+    assert _run_query(command, VALID_QUERIES[command]) == (0, "")
+
+
+@given(st.sampled_from(_CASES), st.data())
+@settings(max_examples=200, deadline=None)
+def test_query_field_errors_name_the_field(case, data):
+    # one field of a valid query file replaced by a value of the wrong type
+    # or shape (or removed, where it is required): exit 2, and the one error
+    # line names the field's JSON path
+    command, keys, kind = case
+    doc = json.loads(json.dumps(VALID_QUERIES[command]))
+    parent = doc
+    for key in keys[:-1]:
+        parent = parent[key]
+    required = isinstance(keys[-1], str) and keys[-1] != "carrier"
+    if required and data.draw(st.booleans()):
+        del parent[keys[-1]]
+    else:
+        parent[keys[-1]] = data.draw(WRONG[kind])
+    code, err = _run_query(command, doc)
+    assert code == 2, err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+    assert _path_text(keys) in err, err
 
 
 class TestLimitSampleDomain:

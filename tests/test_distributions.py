@@ -259,7 +259,7 @@ class TestZetaDraws:
         # the conditioned tail beyond the table, on log labels
         big, ref_big = np.log(ours[ours > ZETA_TABLE_SIZE]), np.log(ref[ref > ZETA_TABLE_SIZE])
         assert big.size > 50 and ref_big.size > 50
-        crit = two_sample_ks_critical(big.size, ref_big.size, 0.99)
+        crit = two_sample_ks_critical(big.size, ref_big.size)
         assert ks_2samp(big, ref_big).statistic <= crit
 
     @pytest.mark.parametrize("s", [1.001, 1.01])

@@ -129,9 +129,9 @@ def test_atomize_capacity():
 
 def test_json_round_trip():
     a = normalize([(0.1, 0.2), (0.5, 0.8)], carrier=(0.0, 2.0))
-    assert IntervalSet.from_json({"carrier": [0.0, 2.0], "intervals": [[0.1, 0.2], [0.5, 0.8]]}) == a
-    with pytest.raises(ValueError):
-        IntervalSet.from_json({"carrier": [0, 1]})
+    assert IntervalSet.from_json({"carrier": [0.0, 2.0], "intervals": [[0.1, 0.2], [0.5, 0.8]]}, "set") == a
+    with pytest.raises(ValueError, match=r"^set\.intervals: missing"):
+        IntervalSet.from_json({"carrier": [0, 1]}, "set")
 
 
 @st.composite

@@ -18,7 +18,6 @@ from karlin_rsm.karlin_sim import (
     occupancy_histogram,
     occupancy_json,
     pattern_count_table,
-    pattern_counts,
     replica_rng,
     simulate,
     top_m,
@@ -211,34 +210,22 @@ class TestVariantStar:
 class TestPatternCounts:
     def test_full_carrier_counts_all_boxes(self):
         run = simulate(MODEL, SPEC, 10 ** 4, seed=15)
-        assert pattern_counts(run, [normalize([(0.0, 1.0)])], (1,)) == run.k_n
+        assert pattern_count_table(run, [normalize([(0.0, 1.0)])]).tolist() == [0, run.k_n]
 
     def test_partition_identity(self):
+        # the nonzero codes of a family split the boxes hit in its union
         run = simulate(MODEL, SPEC, 10 ** 4, seed=16)
         fam = [normalize([(0.0, 0.3)]), normalize([(0.2, 0.6)]), normalize([(0.5, 0.9)])]
-        total = sum(
-            pattern_counts(run, fam, delta)
-            for delta in [(0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1)]
-        )
+        table = pattern_count_table(run, fam)
         union_all = fam[0].union(fam[1]).union(fam[2])
-        assert total == pattern_counts(run, [union_all], (1,))
-
-    def test_delta_validation(self):
-        run = simulate(MODEL, SPEC, 100, seed=17)
-        fam = [normalize([(0.0, 0.5)])]
-        with pytest.raises(ValueError):
-            pattern_counts(run, fam, (0,))
-        with pytest.raises(ValueError):
-            pattern_counts(run, fam, (1, 0))
-        with pytest.raises(ValueError):
-            pattern_counts(run, fam, (2,))
+        assert table[1:].sum() == pattern_count_table(run, [union_all])[1]
 
     def test_mean_matches_limit(self):
         # tau / nu at beta = 0.5, Leb = 0.5 -> gamma(0.5) * sqrt(0.5)
         nu = MODEL.nu_count(10 ** 5)
         a = [normalize([(0.0, 0.5)])]
         vals = [
-            pattern_counts(simulate(MODEL, SPEC, 10 ** 5, seed=18, replica=r), a, (1,)) / nu
+            pattern_count_table(simulate(MODEL, SPEC, 10 ** 5, seed=18, replica=r), a)[1] / nu
             for r in range(40)
         ]
         target = gamma_fn(0.5) * math.sqrt(0.5)
@@ -247,13 +234,13 @@ class TestPatternCounts:
 
 @st.composite
 def grid_family(draw):
-    """Up to three sets on [0, 1) with endpoints on, or next to, the grid j/n."""
+    """Up to three sets of up to three intervals on [0, 1), endpoints on or next to the grid j/n."""
     n = draw(st.sampled_from([1, 7, 1000]))
     family = []
     for _ in range(draw(st.integers(min_value=1, max_value=3))):
         ends = sorted(
             draw(st.integers(min_value=0, max_value=n)) / n + draw(st.sampled_from([-1e-12, 0.0, 1e-12]))
-            for _ in range(2 * draw(st.integers(min_value=0, max_value=2)))
+            for _ in range(2 * draw(st.integers(min_value=0, max_value=3)))
         )
         family.append(normalize([(min(max(lo, 0.0), 1.0), min(max(hi, 0.0), 1.0))
                                  for lo, hi in zip(ends[::2], ends[1::2])]))
@@ -294,5 +281,5 @@ class TestAgainstBruteForce:
         for code in range(1, 1 << len(family)):
             delta = tuple(code >> k & 1 for k in range(len(family)))
             expected = int(np.all(hits == np.array(delta, dtype=bool), axis=1).sum())
-            assert pattern_counts(run, family, delta) == table[code] == expected
+            assert table[code] == expected
         assert table.sum() == run.k_n

@@ -294,7 +294,7 @@ class TestEqualityInLaw:
 
     @staticmethod
     def _compare(ours, ref, events):
-        crit = two_sample_ks_critical(len(ours), len(ref), 0.99)
+        crit = two_sample_ks_critical(len(ours), len(ref))
         ours, ref = np.asarray(ours, dtype=float), np.asarray(ref, dtype=float)
         for j in range(ours.shape[1]):
             assert ks_2samp(ours[:, j], ref[:, j]).statistic <= crit, j

@@ -31,7 +31,7 @@ class TestKsStatistic:
         # always: at least 95 of 100 repetitions at N = 1e4
         rng = np.random.default_rng(0)
         n = 10 ** 4
-        crit = ks_critical(n, 0.99)
+        crit = ks_critical(n)
         assert crit == pytest.approx(1.628 / math.sqrt(n), rel=0.01)
         below = sum(
             ks_statistic(np.sort(rng.standard_normal(n)), sps.norm.cdf) <= crit
@@ -83,20 +83,11 @@ class TestKsStatistic:
 
 
 class TestQuantileTables:
-    # the tables replace SciPy calls and must equal them to the last bit
+    # the constants replace SciPy calls and must equal them to the last bit
     def test_equal_scipy(self):
-        for c in (0.95, 0.99):
-            assert verify._KS_QUANTILE[c] == sps.kstwobign.ppf(c)
-            assert verify._NORMAL_QUANTILE[c] == sps.norm.ppf(0.5 * (1.0 + c))
-            assert verify._CHI2_10_QUANTILE[c] == sps.chi2.ppf(c, 10)
-
-    def test_only_suite_confidences(self):
-        assert set(verify._KS_QUANTILE) == set(verify._NORMAL_QUANTILE) == {0.95, 0.99}
-        assert set(verify._CHI2_10_QUANTILE) == {0.95, 0.99}
-        with pytest.raises(ValueError):
-            ks_critical(100, 0.9)
-        with pytest.raises(ValueError):
-            wilson_ci(1, 2, 0.5)
+        assert verify._KS_QUANTILE == sps.kstwobign.ppf(0.99)
+        assert verify._NORMAL_QUANTILE == sps.norm.ppf(0.995)
+        assert verify._CHI2_10_QUANTILE == sps.chi2.ppf(0.99, 10)
 
 
 class TestReplicaStreamMap:
@@ -119,19 +110,19 @@ class TestReplicaStreamMap:
 
 class TestWilson:
     def test_reference_value(self):
-        lo, hi = wilson_ci(500, 1000, 0.95)
-        assert lo == pytest.approx(0.4690, abs=2e-4)
-        assert hi == pytest.approx(0.5310, abs=2e-4)
+        for hits, trials in ((500, 1000), (37, 400), (3, 100)):
+            ref = sps.binomtest(hits, trials).proportion_ci(confidence_level=0.99, method="wilson")
+            assert wilson_ci(hits, trials) == pytest.approx((ref.low, ref.high), rel=1e-12)
 
     def test_extremes(self):
-        assert wilson_ci(100, 100, 0.99)[1] == 1.0
-        assert wilson_ci(0, 100, 0.99)[0] == 0.0
+        assert wilson_ci(100, 100)[1] == 1.0
+        assert wilson_ci(0, 100)[0] == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            wilson_ci(1, 0, 0.95)
+            wilson_ci(1, 0)
         with pytest.raises(ValueError):
-            wilson_ci(5, 3, 0.95)
+            wilson_ci(5, 3)
 
     def test_coverage(self):
         rng = np.random.default_rng(3)
@@ -139,9 +130,9 @@ class TestWilson:
         cover = 0
         for _ in range(500):
             hits = rng.binomial(400, p)
-            lo, hi = wilson_ci(int(hits), 400, 0.95)
+            lo, hi = wilson_ci(int(hits), 400)
             cover += lo <= p <= hi
-        assert cover >= 450  # 95% nominal, wide slack
+        assert cover >= 485  # 99% nominal, 2 points of slack
 
 
 class TestConfig:
@@ -149,13 +140,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             SuiteConfig(suite="occupancy", replicas=50)
         with pytest.raises(ValueError):
-            SuiteConfig(suite="occupancy", replicas=100, confidence=0.9)
-        with pytest.raises(ValueError):
             SuiteConfig(suite="occupancy", replicas=100, n_grid=())
         with pytest.raises(ValueError):
             SuiteConfig(suite="marginal", replicas=verify._BLOCK + 1)
         with pytest.raises(ValueError, match="repeats"):
             SuiteConfig(suite="marginal", replicas=100, n_grid=(1000, 1000))
+        for suite in sorted(set(SUITES) - {"marginal"}):
+            with pytest.raises(ValueError, match="takes one n"):
+                SuiteConfig(suite=suite, replicas=100, n_grid=(1000, 10000))
         for suite in ("occupancy", "limit-vs-oracle", "extremal-mstar"):
             with pytest.raises(ValueError, match="no query family"):
                 SuiteConfig(suite=suite, replicas=100, family=(normalize([(0.0, 0.5)]),))
