@@ -112,19 +112,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# per-suite defaults for (n_grid, replicas); a multi-n marginal grid adds a
-# convergence-direction row, which needs replicas in the thousands to have
-# power (the finite-n bias is within a couple of percent already at n = 1e3)
-_SUITE_DEFAULTS = {
-    "marginal": ((10 ** 5,), 2000),
-    "locations": ((10 ** 5,), 10 ** 4),
-    "occupancy": ((10 ** 6,), 100),
-    "patterns": ((10 ** 6,), 100),
-    "limit-vs-oracle": ((10 ** 5,), 10 ** 5),
-    "extremal-mstar": ((10 ** 5,), 10 ** 5),
-}
-
-
 def _cmd_simulate(args) -> int:
     seed = _resolve_seed(args.seed)
     model = FrequencyModel(beta=args.beta)
@@ -159,14 +146,12 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_verify(args) -> int:
     seed = _resolve_seed(args.seed)
-    n_grid, replicas = _SUITE_DEFAULTS[args.suite]
+    n_grid = None  # the suite's default
     if args.n is not None:
         try:
             n_grid = tuple(int(part) for part in str(args.n).split(","))
         except ValueError as exc:
             raise ValueError(f"malformed --n value {args.n!r}") from exc
-    if args.replicas is not None:
-        replicas = args.replicas
     family = ()
     if args.query is not None:
         family = _family_from_json(_load_json(args.query))
@@ -175,7 +160,7 @@ def _cmd_verify(args) -> int:
         alpha=args.alpha,
         beta=args.beta,
         n_grid=n_grid,
-        replicas=replicas,
+        replicas=args.replicas,
         family=family,
         seed=seed,
         threads=args.threads,

@@ -47,6 +47,8 @@ class IntervalSet:
 
     def __post_init__(self):
         lo_c, hi_c = self.carrier
+        if not lo_c < hi_c:
+            raise ValueError(f"carrier {self.carrier} must have lo < hi")
         prev_hi = None
         for lo, hi in self.intervals:
             if math.isnan(lo) or math.isnan(hi):

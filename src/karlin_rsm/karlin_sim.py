@@ -97,11 +97,6 @@ class FrequencyModel:
     def zeta_norm(self) -> float:
         return riemann_zeta(self.s)
 
-    def p(self, ell: int) -> float:
-        if ell < 1:
-            raise ValueError("box labels start at 1")
-        return ell ** -self.s / self.zeta_norm
-
     def nu_count(self, x: float) -> int:
         """Exact #{ell : 1/p_ell <= x}; floating candidates are re-checked."""
         if not x > 0:

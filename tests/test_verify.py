@@ -151,6 +151,17 @@ class TestConfig:
         for suite in ("occupancy", "limit-vs-oracle", "extremal-mstar"):
             with pytest.raises(ValueError, match="no query family"):
                 SuiteConfig(suite=suite, replicas=100, family=(normalize([(0.0, 0.5)]),))
+        with pytest.raises(ValueError, match="unknown suite"):
+            SuiteConfig(suite="nope")
+        for suite, sets in (("locations", 6), ("patterns", 4)):
+            with pytest.raises(ValueError, match="at most"):
+                SuiteConfig(suite=suite, replicas=100, family=(normalize([(0.0, 0.5)]),) * sets)
+        for suite in ("marginal", "locations", "patterns"):
+            with pytest.raises(ValueError, match="unit carrier"):
+                SuiteConfig(suite=suite, replicas=100, family=(normalize([(0.0, 0.5)], carrier=(0.0, 2.0)),))
+        for suite, (n, replicas, _, _) in verify._SUITE_INPUTS.items():
+            cfg = SuiteConfig(suite=suite)
+            assert (cfg.n_grid, cfg.replicas) == ((n,), replicas)
         assert SuiteConfig(suite="marginal", replicas=verify._BLOCK).replicas == verify._BLOCK
 
     def test_unknown_suite(self):
