@@ -68,7 +68,7 @@ class FrechetLaw:
 
 def pareto_from_uniform(u, spec: HeavyTailSpec):
     """Map a tail probability u in (0, 1] to the mark value u**(-1/alpha),
-    the exact survival-function inverse.  Accepts scalars or arrays."""
+    the y with P(mark > y) = u exactly.  Accepts scalars or arrays."""
     out = np.asarray(u, dtype=float) ** (-1.0 / spec.alpha)
     return out if out.ndim else float(out)
 
@@ -246,15 +246,34 @@ def zeta_sample_batch(rng: np.random.Generator, s: float, size: int) -> np.ndarr
     idx[slow] = np.searchsorted(cdf, u[slow], side="right")
     keys = idx + 1.0
     tail = np.flatnonzero(idx == ZETA_TABLE_SIZE)
+    keys[tail] = _zeta_tail(rng, s, tail.size)
+    return keys
+
+
+def _zeta_tail(rng: np.random.Generator, s: float, size: int) -> np.ndarray:
+    """``size`` keys of Y conditioned on Y > L, in trial order: X = floor((L+1) U**(-1/(s-1)))
+    accepted with probability f(L+1) / f(X); keys as in :func:`zeta_sample_batch`."""
+    out = np.empty(size)
     sm1, start = s - 1.0, ZETA_TABLE_SIZE + 1.0
-    while tail.size:
-        u = 1.0 - rng.random(tail.size + tail.size // 32 + 16)
+    done = 0
+    while done < size:
+        need = size - done
+        u = 1.0 - rng.random(need + need // 32 + 16)
         v = rng.random(u.size)
         with np.errstate(over="ignore"):
             x = np.floor(start * u ** (-1.0 / sm1))
-        keep = np.flatnonzero(v * _envelope_ratio(x, s) <= _envelope_ratio(start, s))[:tail.size]
+        keep = np.flatnonzero(v * _envelope_ratio(x, s) <= _envelope_ratio(start, s))[:need]
         huge = keep[np.isinf(x[keep])]
         x[huge] = np.log2(u[huge]) / sm1 - math.log2(start)
-        keys[tail[:keep.size]] = x[keep]
-        tail = tail[keep.size:]
-    return keys
+        out[done:done + keep.size] = x[keep]
+        done += keep.size
+    return out
+
+
+@lru_cache(maxsize=16)
+def _zeta_pmf(s: float) -> np.ndarray:
+    """P(Y = k) for k = 1..L, then P(Y > L): the cells of a multinomial count of zeta draws."""
+    k = np.arange(1, ZETA_TABLE_SIZE + 1, dtype=float)
+    start = ZETA_TABLE_SIZE + 1.0
+    tail = start ** (1.0 - s) * _scaled_zeta_tail(s, start)
+    return np.append(k ** -s, tail) / riemann_zeta(s)

@@ -9,10 +9,14 @@ occupancy-pattern counts.
 
 Draw ``j`` (0-based) sits at position ``j/n``, so the unit carrier ``[0, 1)``
 contains every draw exactly once, and a query set's positions are index
-ranges of the draws (``IntervalSet.grid_ranges``).  Every set query asks
-which boxes have a draw in some ranges, and reads the per-draw box index
-through that one mask over the boxes (``_boxes``).  Box labels are float64
-keys (see :func:`~karlin_rsm.distributions.zeta_sample_batch`).
+ranges of the draws (``IntervalSet.grid_ranges``).  A run is drawn count
+first: the box counts are multinomial, and given them the order of the draws
+is a uniform arrangement (Karlin 1967; Gnedin, Hansen & Pitman 2007), so a
+run keeps only how many balls of each box fall in each cell between the
+range ends of the family passed to :func:`simulate`.  Every set query asks
+which boxes have a draw in some ranges, and reads these cell counts through
+that one mask over the boxes (``_boxes``).  Box labels are float64 keys (see
+:func:`~karlin_rsm.distributions.zeta_sample_batch`).
 """
 
 from __future__ import annotations
@@ -21,18 +25,18 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .distributions import (
-    ZETA_TABLE_SIZE,
     HeavyTailSpec,
+    _zeta_pmf,
+    _zeta_tail,
     gamma_fn,
     pareto_sample_batch,
     riemann_zeta,
-    zeta_sample_batch,
 )
 from .interval_sets import IntervalSet
 
@@ -44,7 +48,9 @@ __all__ = [
     "b_n",
     "simulate",
     "replica_rng",
+    "top_boxes",
     "top_m",
+    "boxes_hit",
     "empirical_sup",
     "variant_star_sup",
     "pattern_count_table",
@@ -140,10 +146,13 @@ class TopOrderStat:
 class SimRun:
     """One realization of the urn model, immutable after construction.
 
-    ``draws`` holds the float64 label key of every step, ``labels`` and
-    ``counts`` the sorted distinct keys and their ball counts, and ``marks``
-    the mark of each box, aligned with ``labels``.  ``b_n`` and ``inverse``
-    are computed on first use; occupancy statistics need neither.
+    ``labels`` and ``counts`` hold the sorted distinct float64 keys and their
+    ball counts, and ``marks`` the mark of each box, aligned with ``labels``.
+    The positions are split into cells at ``cuts`` (0 = cuts[0] < ... <
+    cuts[-1] = n), and ``cells[c, i]`` counts the balls of box i at indices
+    in [cuts[c], cuts[c+1]).  ``b_n`` and ``draws`` are computed on first
+    use: ``draws`` holds the key of every step, each cell's balls in uniform
+    order, drawn from ``rng``, the run's stream after the cell splits.
     """
 
     model: FrequencyModel
@@ -151,10 +160,12 @@ class SimRun:
     n: int
     seed: int
     replica: int
-    draws: np.ndarray
     labels: np.ndarray
     counts: np.ndarray
     marks: np.ndarray
+    cuts: np.ndarray
+    cells: np.ndarray
+    rng: np.random.Generator = field(repr=False, compare=False)
 
     @cached_property
     def b_n(self) -> float:
@@ -166,17 +177,41 @@ class SimRun:
         return len(self.labels)
 
     @cached_property
-    def inverse(self) -> np.ndarray:
-        """Index into ``labels`` of each step's box: a rank table for the
-        labels 1..ZETA_TABLE_SIZE, a binary search for the rare other keys."""
-        keys, labels = self.draws, self.labels
-        rank = np.zeros(ZETA_TABLE_SIZE + 1, dtype=np.intp)
-        small = (labels >= 1.0) & (labels <= ZETA_TABLE_SIZE)
-        rank[labels[small].astype(np.int32)] = np.flatnonzero(small)
-        inv = rank[np.clip(keys, 0.0, ZETA_TABLE_SIZE).astype(np.int32)]
-        rare = np.flatnonzero((keys < 1.0) | (keys > ZETA_TABLE_SIZE))
-        inv[rare] = np.searchsorted(labels, keys[rare])
-        return inv
+    def draws(self) -> np.ndarray:
+        """The key of every step: O(n), read only by :func:`top_m` and position scans."""
+        out = np.empty(self.n)
+        for c, cell in enumerate(self.cells):
+            seg = out[self.cuts[c]:self.cuts[c + 1]]
+            seg[:] = np.repeat(self.labels, cell)
+            self.rng.shuffle(seg)
+        return out
+
+
+def _cuts(family, n: int) -> np.ndarray:
+    """0, n and every end of the index ranges of the family's sets, sorted and distinct."""
+    ends = {0, n}
+    for a in family:
+        for lo, hi in a.grid_ranges(n):
+            ends.update((lo, hi))
+    return np.array(sorted(ends), dtype=np.int64)
+
+
+def _split(rng: np.random.Generator, counts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """(cells, boxes) ball counts of a uniform arrangement of the boxes' balls over cells of the
+    given sizes.  The singleton boxes take one multivariate hypergeometric draw over the cell
+    sizes and a permutation; then each cell but the last draws its share of the other boxes'
+    balls."""
+    cells = np.zeros((sizes.size, counts.size), dtype=np.int64)
+    single = counts == 1
+    per_cell = rng.multivariate_hypergeometric(sizes, int(single.sum()))
+    cells[rng.permutation(np.repeat(np.arange(sizes.size), per_cell)), np.flatnonzero(single)] = 1
+    multi = np.flatnonzero(~single)
+    left = counts[multi]
+    for c, room in enumerate((sizes - per_cell)[:-1]):
+        cells[c, multi] = rng.multivariate_hypergeometric(left, room, method="marginals")
+        left = left - cells[c, multi]
+    cells[-1, multi] = left
+    return cells
 
 
 def simulate(
@@ -185,31 +220,33 @@ def simulate(
     n: int,
     seed: int,
     replica: int = 0,
+    family=(),
 ) -> SimRun:
-    """Run the urn for n rounds; deterministic given (model, spec, n, seed, replica).
+    """Run the urn for n rounds; deterministic given (model, spec, n, seed, replica, family).
 
-    The stream gives the n labels, then one mark per occupied box in key
-    order; every visit to a box returns its one mark.  Only the occupancy
-    counts are computed here.
+    The stream gives the multinomial box counts of the labels 1..L and of
+    one tail cell (L = ZETA_TABLE_SIZE), the tail's keys, one mark per
+    occupied box in key order, and last the split of each box's balls over
+    the cells that the family's index ranges cut, so labels, counts and
+    marks do not depend on the family.  Queries on the run may use only
+    sets whose index ranges are unions of these cells.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     if n > MAX_N:
         raise ResourceError(f"n={n} exceeds the allocation budget n <= {MAX_N}")
     rng = replica_rng(seed, replica)
-    draws = zeta_sample_batch(rng, model.s, n)
-    labels, counts = np.unique(draws, return_counts=True)
-    return SimRun(
-        model=model,
-        spec=spec,
-        n=n,
-        seed=seed,
-        replica=replica,
-        draws=draws,
-        labels=labels,
-        counts=counts,
-        marks=pareto_sample_batch(rng, spec, len(labels)),
-    )
+    table = rng.multinomial(n, _zeta_pmf(model.s))
+    tail, tail_counts = np.unique(_zeta_tail(rng, model.s, int(table[-1])), return_counts=True)
+    small = np.flatnonzero(table[:-1])
+    logs = np.searchsorted(tail, 0.0)  # log-keys of labels beyond float range come first
+    labels = np.concatenate([tail[:logs], small + 1.0, tail[logs:]])
+    counts = np.concatenate([tail_counts[:logs], table[small], tail_counts[logs:]])
+    marks = pareto_sample_batch(rng, spec, len(labels))
+    cuts = _cuts(family, n)
+    cells = _split(rng, counts, np.diff(cuts)) if cuts.size > 2 else counts[None, :]
+    return SimRun(model=model, spec=spec, n=n, seed=seed, replica=replica, labels=labels,
+                  counts=counts, marks=marks, cuts=cuts, cells=cells, rng=rng)
 
 
 def _label_int(key: float) -> int:
@@ -220,20 +257,26 @@ def _label_int(key: float) -> int:
     return int(2.0 ** (-key - whole) * 2 ** 52) << (whole - 52)
 
 
-def top_m(run: SimRun, m: int) -> list:
-    """The m largest distinct-box marks with labels and location sets.
+def top_boxes(run: SimRun, m: int) -> np.ndarray:
+    """Indices into ``labels`` of the min(m, k_n) largest marks, largest first.
 
-    Returns k_n entries when the run has fewer occupied boxes than m.  Ties
-    (a null event under continuous marks) resolve to the smallest key.
+    Ties (a null event under continuous marks) resolve to the smallest key.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
-    take = min(m, run.k_n)
     # keys are sorted ascending, so a stable sort on -value breaks ties
     # toward the smaller key
-    order = np.argsort(-run.marks, kind="stable")[:take]
+    return np.argsort(-run.marks, kind="stable")[:m]
+
+
+def top_m(run: SimRun, m: int) -> list:
+    """The m largest distinct-box marks with labels and location sets.
+
+    Returns k_n entries when the run has fewer occupied boxes than m.  The
+    location sets come from ``run.draws``.
+    """
     out = []
-    for rank, idx in enumerate(order, start=1):
+    for rank, idx in enumerate(top_boxes(run, m), start=1):
         locs = np.flatnonzero(run.draws == run.labels[idx]) / run.n
         out.append(
             TopOrderStat(
@@ -248,11 +291,23 @@ def top_m(run: SimRun, m: int) -> list:
 
 
 def _boxes(run: SimRun, ranges) -> np.ndarray:
-    """Mask over the k_n boxes: True where a box has a draw at an index in one of the ranges."""
+    """Mask over the k_n boxes: True where a box has a draw at an index in one of the ranges.
+
+    Raises ValueError for a range that is not a union of the run's cells.
+    """
     hit = np.zeros(run.k_n, dtype=bool)
     for lo, hi in ranges:
-        hit[run.inverse[lo:hi]] = True
+        first, last = np.searchsorted(run.cuts, (lo, hi))
+        if run.cuts[first] != lo or run.cuts[last] != hi:
+            raise ValueError(f"index range [{lo}, {hi}) is not a union of the run's cells; "
+                             "pass its set to simulate")
+        hit |= run.cells[first:last].any(axis=0)
     return hit
+
+
+def boxes_hit(run: SimRun, a: IntervalSet) -> np.ndarray:
+    """Mask over the k_n boxes: True where a box has a draw at a position in the set."""
+    return _boxes(run, a.grid_ranges(run.n))
 
 
 def _sup(run: SimRun, boxes: np.ndarray, normalized: bool) -> float:
@@ -265,7 +320,7 @@ def _sup(run: SimRun, boxes: np.ndarray, normalized: bool) -> float:
 
 def empirical_sup(run: SimRun, a: IntervalSet, normalized: bool = False) -> float:
     """max of X_j over positions in the set; 0 when no position falls inside."""
-    return _sup(run, _boxes(run, a.grid_ranges(run.n)), normalized)
+    return _sup(run, boxes_hit(run, a), normalized)
 
 
 def variant_star_sup(run: SimRun, a: IntervalSet, normalized: bool = False) -> float:
@@ -288,7 +343,7 @@ def pattern_count_table(run: SimRun, family) -> np.ndarray:
     over all nonzero codes partition the boxes hit in the union."""
     codes = np.zeros(run.k_n, dtype=np.intp)
     for k, a in enumerate(family):
-        codes += _boxes(run, a.grid_ranges(run.n)).astype(np.intp) << k
+        codes += boxes_hit(run, a).astype(np.intp) << k
     return np.bincount(codes, minlength=1 << len(family))
 
 

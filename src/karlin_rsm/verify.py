@@ -12,15 +12,16 @@ Each suite's inputs are listed in one table, ``_SUITE_INPUTS``, which
 only :class:`SuiteConfig` reads; its parts (an urn family or one limit
 batch, each limit family drawn once) and their stream blocks in another,
 :data:`_PARTS`.  An urn part gets its runs from one function, ``_urn_map``,
-which hands each run to the suite's statistic: replica r draws from the
-counter-based stream ``replica_rng(seed, block * 2**20 + r)``, and the
-replicas run on ``threads`` threads; a suite takes at most 2**20 replicas
-per part, and only ``marginal`` takes more than one n.  A limit part draws
-all its replicas, in replica order, as one vectorised batch from the single
-stream ``replica_rng(seed, block * 2**20)``, and the limit parts run one
-after another.  So no two parts share a stream, and reports are
-byte-identical for any ``threads`` setting.  Every confidence bound is at
-the 99 % level.
+which hands each run, cut into the cells of the part's query sets, to the
+suite's statistic: replica r draws from the counter-based stream
+``replica_rng(seed, block * 2**20 + r)``, and each of the ``threads``
+threads runs one contiguous chunk of the replicas; a suite takes at most
+2**20 replicas per part, and only ``marginal`` takes more than one n.  A
+limit part draws all its replicas, in replica order, as one vectorised
+batch from the single stream ``replica_rng(seed, block * 2**20)``, and the
+limit parts run one after another.  So no two parts share a stream, and
+reports are byte-identical for any ``threads`` setting.  Every confidence
+bound is at the 99 % level.
 """
 
 from __future__ import annotations
@@ -147,6 +148,8 @@ class SuiteConfig:
             raise ValueError(f"the {self.suite} suite takes at most {max_sets} query sets")
         elif any(a.carrier != UNIT for a in self.family):
             raise ValueError(f"the {self.suite} suite takes sets on the unit carrier {UNIT} only")
+        elif not all(a.lebesgue() > 0 for a in self.family):
+            raise ValueError(f"the {self.suite} suite takes sets of positive measure only")
         if not 100 <= self.replicas <= _BLOCK:
             raise ValueError(f"replica count must be between 100 and {_BLOCK}")
         if not self.n_grid or any(n < 1 for n in self.n_grid):
@@ -304,12 +307,13 @@ def _offset(cfg: SuiteConfig, part: str, index: int = 0) -> int:
     return (_PARTS[cfg.suite][part] + index) * _BLOCK
 
 
-def _urn_map(cfg: SuiteConfig, part: str, fn, n=None, index=0, count=None) -> list:
+def _urn_map(cfg: SuiteConfig, part: str, sets, fn, n=None, index=0, count=None) -> list:
     """fn(run) for the runs of an urn part, in replica order, on ``cfg.threads`` threads.
 
     Run r < count (default: the replicas) has n draws (default: the suite's
-    one n) from the stream ``_offset(cfg, part, index) + r``.  Raises first
-    where b_n does not exist.
+    one n) from the stream ``_offset(cfg, part, index) + r``, cut into the
+    cells of the query sets ``sets``.  Each thread takes one contiguous
+    chunk of the replicas.  Raises first where b_n does not exist.
     """
     n = max(cfg.n_grid) if n is None else n
     count = cfg.replicas if count is None else count
@@ -317,13 +321,15 @@ def _urn_map(cfg: SuiteConfig, part: str, fn, n=None, index=0, count=None) -> li
     ksim.b_n(model, spec, n)
     offset = _offset(cfg, part, index)
 
-    def one(r):
-        return fn(ksim.simulate(model, spec, n, cfg.seed, replica=offset + r))
+    def chunk(replicas):
+        return [fn(ksim.simulate(model, spec, n, cfg.seed, offset + r, sets)) for r in replicas]
 
     if cfg.threads <= 1:
-        return [one(r) for r in range(count)]
+        return chunk(range(count))
+    bounds = np.linspace(0, count, min(cfg.threads, count) + 1).astype(int)
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        return list(pool.map(one, range(count)))
+        chunks = pool.map(chunk, [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])])
+        return [result for results in chunks for result in results]
 
 
 def _stream(cfg: SuiteConfig, part: str) -> np.random.Generator:
@@ -383,7 +389,7 @@ def suite_marginal(cfg: SuiteConfig) -> list:
     grid = sorted(cfg.n_grid)
     for n_idx, n in enumerate(grid):
         sups = np.array(_urn_map(
-            cfg, "grid", lambda run: [ksim.empirical_sup(run, a, normalized=True) for a in family],
+            cfg, "grid", family, lambda run: [ksim.empirical_sup(run, a, normalized=True) for a in family],
             n=n, index=n_idx,
         ))
         is_last = n_idx == len(grid) - 1
@@ -413,20 +419,14 @@ def suite_locations(cfg: SuiteConfig) -> list:
     n = max(cfg.n_grid)
 
     def one(run):
-        tops = ksim.top_m(run, m)
-        hits = []
-        values = []
-        for k in range(m):
-            if k < len(tops):
-                locs = np.asarray(tops[k].locations)
-                hits.append(bool(family[k].contains_points(locs).any()))
-                values.append(tops[k].value_normalized)
-            else:
-                hits.append(False)
-                values.append(np.nan)
-        return hits, values
+        # top box k hits A_k, and its normalized mark; a run with fewer boxes pads with a miss
+        top = ksim.top_boxes(run, m)
+        hits = [bool(ksim.boxes_hit(run, a)[i]) for a, i in zip(family, top)]
+        values = list(run.marks[top] / run.b_n)
+        pad = m - top.size
+        return hits + [False] * pad, values + [np.nan] * pad
 
-    results = _urn_map(cfg, "urn", one)
+    results = _urn_map(cfg, "urn", family, one)
     hits = np.array([h for h, _ in results], dtype=bool)
     values = np.array([v for _, v in results])
 
@@ -460,7 +460,7 @@ def suite_occupancy(cfg: SuiteConfig) -> list:
         hist = ksim.occupancy_histogram(run)
         return run.k_n, [hist.get(k, 0) for k in range(1, kmax + 1)]
 
-    results = _urn_map(cfg, "urn", one)
+    results = _urn_map(cfg, "urn", (), one)
     k_n = np.array([k for k, _ in results], dtype=float)
     pooled = np.sum([c for _, c in results], axis=0).astype(float)
     total = float(k_n.sum())
@@ -496,7 +496,7 @@ def suite_patterns(cfg: SuiteConfig) -> list:
         per_delta.append(ksim.pattern_count_table(run, single)[1] / nu)
         return per_delta
 
-    results = np.array(_urn_map(cfg, "urn", one))
+    results = np.array(_urn_map(cfg, "urn", family + single, one))
     means = results.mean(axis=0)
 
     rows = []
@@ -675,7 +675,8 @@ def suite_extremal_and_mstar(cfg: SuiteConfig) -> list:
     star_set = normalize([(a_lo, b_hi)])
     n_star = min(cfg.replicas, 2000)
     disc_vals = np.array(_urn_map(
-        cfg, "discrete", lambda run: ksim.variant_star_sup(run, star_set, normalized=True), count=n_star,
+        cfg, "discrete", (star_set,), lambda run: ksim.variant_star_sup(run, star_set, normalized=True),
+        count=n_star,
     ))
     rows.append(_frechet_row(cfg, "variant_discrete_ks", disc_vals, sigma_star, DEFAULT_THRESHOLDS["ks_star"],
                              n=n))

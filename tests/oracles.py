@@ -2,7 +2,8 @@
 
 These deliberately avoid the code paths they check: the zeta constant comes
 from a truncated series with an Euler-Maclaurin tail, zeta labels from
-Devroye's rejection over the whole support, set algebra is checked
+Devroye's rejection over the whole support, the urn from one label per
+step instead of box counts, set algebra is checked
 against dense boolean grids, and the joint-law exponent is recomputed by
 adaptive quadrature of the pattern-expanded integrand instead of the layer
 cake.
@@ -16,17 +17,47 @@ from itertools import combinations
 import numpy as np
 from scipy.integrate import quad
 
-from karlin_rsm.distributions import qbeta_tail
+from karlin_rsm.distributions import pareto_sample_batch, qbeta_tail, zeta_sample_batch
 from karlin_rsm.interval_sets import CapacityError, atomize, normalize
+from karlin_rsm.karlin_sim import replica_rng
+
+
+def _power_tail(s: float, a: float) -> float:
+    """Sum of k**-s over k >= a, by Euler-Maclaurin (a large)."""
+    return a ** (1.0 - s) / (s - 1.0) + 0.5 * a ** -s + s * a ** (-s - 1.0) / 12.0
 
 
 def zeta_series(s: float, terms: int = 10 ** 6) -> float:
     """zeta(s) via direct summation plus an Euler-Maclaurin tail."""
     ell = np.arange(1, terms + 1, dtype=float)
-    head = float(np.sum(ell ** -s))
-    a = terms + 1.0
-    tail = a ** (1.0 - s) / (s - 1.0) + 0.5 * a ** -s + s * a ** (-s - 1.0) / 12.0
-    return head + tail
+    return float(np.sum(ell ** -s)) + _power_tail(s, terms + 1.0)
+
+
+def reference_urn(model, spec, n: int, seed: int, replica: int = 0):
+    """The urn drawn one label per step: the n zeta labels, then one mark per
+    occupied box in key order.  Returns the draws and the mark of every step."""
+    rng = replica_rng(seed, replica)
+    draws = zeta_sample_batch(rng, model.s, n)
+    labels, inverse = np.unique(draws, return_inverse=True)
+    return draws, pareto_sample_batch(rng, spec, len(labels))[inverse]
+
+
+def expected_boxes(beta: float, hit: int, miss: int, head: int = 2 ** 22) -> float:
+    """E #{boxes with a draw among ``hit`` positions and none among ``miss`` others}:
+    the sum over l of (1 - p_l)**miss - (1 - p_l)**(hit + miss), p_l = l**-s / zeta(s).
+
+    The first ``head`` terms are summed directly; beyond them each term is
+    hit p - (C(hit + miss, 2) - C(miss, 2)) p**2 to third order in p.
+    """
+    s = 1.0 / beta
+    norm = zeta_series(s)
+    total = 0.0
+    for lo in range(1, head + 1, 2 ** 20):
+        log_q = np.log1p(-np.arange(lo, lo + 2 ** 20, dtype=float) ** -s / norm)
+        total += float(np.sum(np.exp(miss * log_q) * -np.expm1(hit * log_q)))
+    quad = (hit + miss) * (hit + miss - 1) / 2 - miss * (miss - 1) / 2
+    a = head + 1.0
+    return total + hit * _power_tail(s, a) / norm - quad * _power_tail(2.0 * s, a) / norm ** 2
 
 
 def zeta_devroye(rng: np.random.Generator, s: float, size: int) -> np.ndarray:

@@ -202,6 +202,21 @@ def test_query_of_wrong_shape_exits_two(command, payload, tmp_path, capsys):
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("suite", ["marginal", "locations", "patterns"])
+def test_query_set_of_measure_zero_exits_two_before_any_run(suite, tmp_path, capsys, monkeypatch):
+    # an empty set has no Frechet law and no hit target, so it is a usage error
+    def no_run(*args, **kwargs):
+        raise AssertionError("the urn ran")
+
+    monkeypatch.setattr(cli.ksim, "simulate", no_run)
+    query = tmp_path / "query.json"
+    query.write_text(json.dumps({"family": [{"intervals": []}]}))
+    assert cli.main(["verify", "--suite", suite, "--beta", "0.5", "--n", "100000", "--replicas", "500",
+                     "--seed", "1", "--threads", "1", "--query", str(query)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "positive measure" in err and len(err.splitlines()) == 1
+
+
 # Valid query files, each with the kind of every field by JSON path; a kind
 # maps to values of the wrong type or shape for it.
 VALID_QUERIES = {

@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from karlin_rsm.distributions import HeavyTailSpec, gamma_fn, pareto_sample_batch, zeta_sample_batch
+from karlin_rsm.distributions import (
+    ZETA_TABLE_SIZE,
+    HeavyTailSpec,
+    _zeta_pmf,
+    _zeta_tail,
+    gamma_fn,
+    pareto_sample_batch,
+)
 from karlin_rsm.interval_sets import normalize
 from karlin_rsm.karlin_sim import (
     FrequencyModel,
@@ -25,7 +32,9 @@ from karlin_rsm.karlin_sim import (
     variant_star_sup,
 )
 
-from oracles import zeta_series
+from karlin_rsm.verify import two_sample_ks, two_sample_ks_critical
+
+from oracles import expected_boxes, reference_urn, zeta_series
 
 MODEL = FrequencyModel(beta=0.5)
 SPEC = HeavyTailSpec(alpha=1.0)
@@ -72,8 +81,8 @@ class TestSimulate:
     def test_single_draw(self):
         run = simulate(MODEL, SPEC, 1, seed=5)
         assert run.k_n == 1
-        assert run.counts.tolist() == [1]
-        assert run.marks[run.inverse][0] >= 1.0
+        assert run.counts.tolist() == [1] and run.cells.tolist() == [[1]]
+        assert run.draws.tolist() == run.labels.tolist() and run.marks[0] >= 1.0
 
     def test_counts_sum_to_n(self):
         run = simulate(MODEL, SPEC, 10 ** 4, seed=1)
@@ -83,7 +92,7 @@ class TestSimulate:
     def test_mark_reuse_is_bitwise(self):
         run = simulate(MODEL, SPEC, 5000, seed=2)
         marks = {}
-        for y, x in zip(run.draws, run.marks[run.inverse]):
+        for y, x in zip(run.draws, run.marks[np.searchsorted(run.labels, run.draws)]):
             key = int(y)
             if key in marks:
                 assert marks[key] == x  # same box, identical float
@@ -99,12 +108,17 @@ class TestSimulate:
         assert not np.array_equal(a.draws, c.draws)
 
     def test_marks_in_key_order_from_the_stream(self):
-        # the k_n marks are the Pareto draws that follow the n labels, unpermuted
-        run = simulate(MODEL, SPEC, 5000, seed=3, replica=2)
-        rng = replica_rng(3, 2)
-        keys = zeta_sample_batch(rng, MODEL.s, 5000)
-        assert np.array_equal(run.labels, np.unique(keys))
-        assert np.array_equal(run.marks, pareto_sample_batch(rng, SPEC, run.k_n))
+        # the k_n marks are the Pareto draws that follow the multinomial table
+        # counts and the tail keys, unpermuted
+        for beta in (0.5, 0.9):
+            model = FrequencyModel(beta)
+            run = simulate(model, SPEC, 5000, seed=3, replica=2, family=(normalize([(0.0, 0.3)]),))
+            rng = replica_rng(3, 2)
+            table = rng.multinomial(5000, _zeta_pmf(model.s))
+            tail = _zeta_tail(rng, model.s, int(table[-1]))
+            keys = np.concatenate([np.repeat(np.arange(1.0, ZETA_TABLE_SIZE + 1), table[:-1]), tail])
+            assert np.array_equal(run.labels, np.unique(keys))
+            assert np.array_equal(run.marks, pareto_sample_batch(rng, SPEC, run.k_n))
 
     def test_budget(self):
         with pytest.raises(ResourceError):
@@ -124,11 +138,93 @@ class TestSimulate:
         assert sum(hist.values()) == run.k_n
 
 
+class TestCountFirst:
+    """The count-first sampler against the one-label-per-step reference urn, and exact means."""
+
+    QUARTER = normalize([(0.0, 0.25)])
+    UNIT = normalize([(0.0, 1.0)])
+
+    @pytest.mark.parametrize("n", [10 ** 3, 10 ** 4, 10 ** 5])
+    @pytest.mark.parametrize("beta", [0.5, 0.9])
+    def test_equal_in_law_to_reference(self, beta, n):
+        model, reps = FrequencyModel(beta), 300
+        quarter = self.QUARTER.contains_points(np.arange(n) / n)
+        ours, ref = [], []
+        for r in range(reps):
+            run = simulate(model, SPEC, n, seed=1, replica=r, family=(self.QUARTER,))
+            ours.append((run.k_n, empirical_sup(run, self.QUARTER), empirical_sup(run, self.UNIT)))
+            draws, x = reference_urn(model, SPEC, n, seed=2, replica=r)
+            ref.append((np.unique(draws).size, x[quarter].max(), x.max()))
+        ours, ref = np.array(ours), np.array(ref)
+        crit = two_sample_ks_critical(reps, reps)
+        for j, name in enumerate(("k_n", "sup on [0, 1/4)", "sup on [0, 1)")):
+            stat = two_sample_ks(ours[:, j], ref[:, j])
+            assert stat <= crit, f"{name}: two-sample KS {stat:.4f} above {crit:.4f}"
+
+    @staticmethod
+    def _within_3_se(values, target):
+        values = np.asarray(values, dtype=float)
+        se = values.std(ddof=1) / math.sqrt(values.size)
+        assert abs(values.mean() - target) <= 3.0 * se, (values.mean(), target, se)
+
+    @pytest.mark.parametrize("beta", [0.5, 0.9])
+    def test_mean_occupancy_exact(self, beta):
+        # E K_n = sum_l 1 - (1 - p_l)**n
+        n = 10 ** 4
+        k_n = [simulate(FrequencyModel(beta), SPEC, n, seed=3, replica=r).k_n for r in range(400)]
+        self._within_3_se(k_n, expected_boxes(beta, n, 0))
+
+    @pytest.mark.parametrize("beta", [0.5, 0.9])
+    def test_mean_boxes_hitting_a_missing_b_exact(self, beta):
+        # A = [0, 1/4) holds 2500 positions and B = [1/2, 1) 5000; pattern code 1 is "in A only"
+        n, family = 10 ** 4, (self.QUARTER, normalize([(0.5, 1.0)]))
+        counts = [pattern_count_table(simulate(FrequencyModel(beta), SPEC, n, seed=4, replica=r,
+                                               family=family), family)[1] for r in range(400)]
+        self._within_3_se(counts, expected_boxes(beta, 2500, 5000))
+
+
+class TestLazyDraws:
+    QUARTER = TestCountFirst.QUARTER
+    FAMILY = (QUARTER, normalize([(0.5, 0.75)]))
+
+    def _queries(self, run):
+        return ([empirical_sup(run, a) for a in self.FAMILY], [variant_star_sup(run, a) for a in self.FAMILY],
+                pattern_count_table(run, self.FAMILY).tolist(), top_m(run, 3))
+
+    def test_reading_draws_first_changes_no_query(self):
+        plain = simulate(MODEL, SPEC, 10 ** 4, seed=20, family=self.FAMILY)
+        early = simulate(MODEL, SPEC, 10 ** 4, seed=20, family=self.FAMILY)
+        early.draws
+        assert self._queries(early) == self._queries(plain)
+        assert np.array_equal(early.draws, plain.draws)
+
+    @pytest.mark.parametrize("beta", [0.5, 0.9])
+    def test_family_moves_only_the_cells(self, beta):
+        bare = simulate(FrequencyModel(beta), SPEC, 10 ** 4, seed=21, replica=3)
+        cut = simulate(FrequencyModel(beta), SPEC, 10 ** 4, seed=21, replica=3, family=self.FAMILY)
+        for name in ("labels", "counts", "marks"):
+            assert np.array_equal(getattr(bare, name), getattr(cut, name))
+        assert bare.cells.tolist() == [bare.counts.tolist()]
+        assert np.array_equal(cut.cells.sum(axis=0), cut.counts)
+        assert np.array_equal(cut.cells.sum(axis=1), np.diff(cut.cuts))
+
+    def test_query_on_an_uncut_boundary_raises(self):
+        run = simulate(MODEL, SPEC, 10 ** 4, seed=22, family=(self.QUARTER,))
+        uncut = normalize([(0.0, 0.3)])
+        for query in (empirical_sup, variant_star_sup):
+            with pytest.raises(ValueError, match="not a union of the run's cells"):
+                query(run, uncut)
+        with pytest.raises(ValueError, match="not a union of the run's cells"):
+            pattern_count_table(run, [normalize([(0.1, 0.25)])])
+        # sets whose ends are cuts need no cuts of their own
+        assert empirical_sup(run, normalize([(0.25, 1.0)])) <= empirical_sup(run, TestCountFirst.UNIT)
+
+
 class TestTopOrderStats:
     def test_top1_is_max(self):
         run = simulate(MODEL, SPEC, 10 ** 4, seed=6)
         tops = top_m(run, 1)
-        x_stream = run.marks[run.inverse]
+        x_stream = run.marks[np.searchsorted(run.labels, run.draws)]
         assert tops[0].value == x_stream.max()
         locs = np.asarray(tops[0].locations)
         assert np.all(x_stream[(locs * run.n + 0.5).astype(int)] == tops[0].value)
@@ -176,18 +272,18 @@ class TestEmpiricalSup:
         assert empirical_sup(run, normalize([])) == 0.0
 
     def test_sup_measure_axiom(self):
-        run = simulate(MODEL, SPEC, 10 ** 4, seed=12)
         rng = np.random.default_rng(0)
-        for _ in range(25):
+        for r in range(25):
             pts = np.sort(rng.random(4))
             a = normalize([(pts[0], pts[1])])
             b = normalize([(pts[2], pts[3])])
             u = a.union(b)
+            run = simulate(MODEL, SPEC, 10 ** 4, seed=12, replica=r, family=(a, b))
             assert empirical_sup(run, u) == max(empirical_sup(run, a), empirical_sup(run, b))
 
     def test_normalized_form(self):
-        run = simulate(MODEL, SPEC, 10 ** 4, seed=13)
         a = normalize([(0.0, 0.5)])
+        run = simulate(MODEL, SPEC, 10 ** 4, seed=13, family=(a,))
         assert empirical_sup(run, a, normalized=True) == pytest.approx(
             empirical_sup(run, a) / run.b_n
         )
@@ -201,8 +297,9 @@ class TestVariantStar:
             assert variant_star_sup(run, full) == empirical_sup(run, full)
 
     def test_dominated_on_subsets(self):
-        run = simulate(MODEL, SPEC, 10 ** 4, seed=14)
-        for a in (normalize([(0.2, 0.7)]), normalize([(0.0, 0.1), (0.8, 1.0)])):
+        family = (normalize([(0.2, 0.7)]), normalize([(0.0, 0.1), (0.8, 1.0)]))
+        run = simulate(MODEL, SPEC, 10 ** 4, seed=14, family=family)
+        for a in family:
             assert variant_star_sup(run, a) <= empirical_sup(run, a)
         assert variant_star_sup(run, normalize([])) == 0.0
 
@@ -214,8 +311,8 @@ class TestPatternCounts:
 
     def test_partition_identity(self):
         # the nonzero codes of a family split the boxes hit in its union
-        run = simulate(MODEL, SPEC, 10 ** 4, seed=16)
         fam = [normalize([(0.0, 0.3)]), normalize([(0.2, 0.6)]), normalize([(0.5, 0.9)])]
+        run = simulate(MODEL, SPEC, 10 ** 4, seed=16, family=fam)
         table = pattern_count_table(run, fam)
         union_all = fam[0].union(fam[1]).union(fam[2])
         assert table[1:].sum() == pattern_count_table(run, [union_all])[1]
@@ -225,7 +322,7 @@ class TestPatternCounts:
         nu = MODEL.nu_count(10 ** 5)
         a = [normalize([(0.0, 0.5)])]
         vals = [
-            pattern_count_table(simulate(MODEL, SPEC, 10 ** 5, seed=18, replica=r), a)[1] / nu
+            pattern_count_table(simulate(MODEL, SPEC, 10 ** 5, seed=18, replica=r, family=a), a)[1] / nu
             for r in range(40)
         ]
         target = gamma_fn(0.5) * math.sqrt(0.5)
@@ -259,15 +356,21 @@ class TestAgainstBruteForce:
 
     @pytest.mark.parametrize("beta", BETAS)
     def test_lazy_fields_match_full_unique(self, beta):
-        run = simulate(FrequencyModel(beta), SPEC, 20000, seed=19)
-        _, _, inverse, _ = self._brute(run)
-        assert np.array_equal(run.inverse, inverse)
+        # draws expands labels, counts and cells exactly: per cell, the balls of each box
+        family = (normalize([(0.0, 0.25)]), normalize([(0.1, 0.6)]))
+        run = simulate(FrequencyModel(beta), SPEC, 20000, seed=19, family=family)
+        labels, counts = np.unique(run.draws, return_counts=True)
+        assert np.array_equal(labels, run.labels) and np.array_equal(counts, run.counts)
+        assert run.cuts.tolist() == [0, 2000, 5000, 12000, 20000]
+        for c, (lo, hi) in enumerate(zip(run.cuts, run.cuts[1:])):
+            box = np.searchsorted(run.labels, run.draws[lo:hi])
+            assert np.array_equal(np.bincount(box, minlength=run.k_n), run.cells[c])
 
     @given(grid_family(), st.sampled_from(BETAS), st.integers(0, 2 ** 32))
     @settings(max_examples=150, deadline=None)
     def test_queries_match_position_scan(self, case, beta, seed):
         n, family = case
-        run = simulate(FrequencyModel(beta), SPEC, n, seed=seed)
+        run = simulate(FrequencyModel(beta), SPEC, n, seed=seed, family=family)
         positions, first, inverse, x = self._brute(run)
         first_mask = np.arange(n) == first[inverse]
         hits = np.zeros((run.k_n, len(family)), dtype=bool)

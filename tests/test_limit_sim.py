@@ -380,7 +380,7 @@ class TestProperties:
     @given(interval_sets(), interval_sets(), st.integers(0, 2 ** 32))
     @settings(max_examples=50, deadline=None)
     def test_sup_measure_axiom_urn(self, a, b, seed):
-        run = ksim.simulate(FrequencyModel(beta=0.5), HeavyTailSpec(alpha=1.0), 2000, seed)
+        run = ksim.simulate(FrequencyModel(beta=0.5), HeavyTailSpec(alpha=1.0), 2000, seed, family=(a, b))
         va, vb = ksim.empirical_sup(run, a), ksim.empirical_sup(run, b)
         assert ksim.empirical_sup(run, a.union(b)) == max(va, vb)
 

@@ -159,6 +159,8 @@ class TestConfig:
         for suite in ("marginal", "locations", "patterns"):
             with pytest.raises(ValueError, match="unit carrier"):
                 SuiteConfig(suite=suite, replicas=100, family=(normalize([(0.0, 0.5)], carrier=(0.0, 2.0)),))
+            with pytest.raises(ValueError, match="positive measure"):
+                SuiteConfig(suite=suite, replicas=100, family=(normalize([(0.0, 0.5)]), normalize([])))
         for suite, (n, replicas, _, _) in verify._SUITE_INPUTS.items():
             cfg = SuiteConfig(suite=suite)
             assert (cfg.n_grid, cfg.replicas) == ((n,), replicas)
@@ -207,6 +209,20 @@ class TestReports:
     def test_rerun_identical(self):
         cfg = SuiteConfig(suite="patterns", beta=0.5, n_grid=(10 ** 4,), replicas=100, seed=3)
         assert run_suite(cfg).to_csv() == run_suite(cfg).to_csv()
+
+
+def test_urn_map_chunks_keep_replica_order():
+    # 101 replicas: neither 2 nor 3 threads divide them into equal chunks
+    sets = (normalize([(0.0, 0.3)]), normalize([(0.2, 0.7)]))
+
+    def stat(run):
+        return run.replica, run.k_n, [karlin_sim.empirical_sup(run, a) for a in sets]
+
+    results = [verify._urn_map(SuiteConfig(suite="patterns", n_grid=(1000,), replicas=101, seed=4,
+                                           threads=threads), "urn", sets, stat)
+               for threads in (1, 2, 3)]
+    assert results[0] == results[1] == results[2]
+    assert [replica for replica, _, _ in results[0]] == list(range(101))
 
 
 class TestSuitesSmoke:
