@@ -3,9 +3,11 @@
 Exact samplers and closed-form densities for Pareto-tailed marks, Frechet
 distributions and the zeta (Zipf) draw distribution, and the closed-form
 pmf and tail of the block-size law with parameter ``beta`` (an N-valued law
-with infinite mean whose tail decays like ``k**-beta``).  All samplers are pure given an explicit
-``numpy.random.Generator`` handle; parallel callers must use distinct
-generators.
+with infinite mean whose tail decays like ``k**-beta``).  Zeta draws split
+at ZETA_TABLE_SIZE: :func:`_zeta_pmf` for the multinomial box counts, and
+:func:`_zeta_tail`, which also defines the float64 label keys, beyond it.
+All samplers are pure given an explicit ``numpy.random.Generator`` handle;
+parallel callers must use distinct generators.
 """
 
 from __future__ import annotations
@@ -27,8 +29,6 @@ __all__ = [
     "qbeta_tail",
     "riemann_zeta",
     "ZETA_TABLE_SIZE",
-    "zeta_sample_batch",
-    "zeta_acceptance_rate",
 ]
 
 
@@ -184,21 +184,7 @@ def riemann_zeta(s: float) -> float:
     return sum(k ** -s for k in range(1, _ZETA_HEAD + 1)) + n ** (1.0 - s) * _scaled_zeta_tail(s, n)
 
 
-# Labels up to ZETA_TABLE_SIZE invert a cumulative table through a guide
-# table of _GUIDE equal cells; larger ones come from a conditioned envelope.
 ZETA_TABLE_SIZE = 2 ** 12
-_GUIDE = 2 ** 14
-
-
-@lru_cache(maxsize=16)
-def _zeta_table(s: float):
-    """(cdf, guide): cdf[i] = P(Y <= i+1) for i < L, padded with cdf[L] = 2.0
-    above every uniform; guide[c] = #{i : cdf[i] <= c / _GUIDE}, or -1 when
-    cell c spans two or more table steps."""
-    k = np.arange(1, ZETA_TABLE_SIZE + 1, dtype=float)
-    cdf = np.append(np.cumsum(k ** -s) / riemann_zeta(s), 2.0)
-    edges = np.searchsorted(cdf, np.arange(_GUIDE + 1) / _GUIDE, side="right")
-    return cdf, np.where(np.diff(edges) >= 2, -1, edges[:-1])
 
 
 def _envelope_ratio(x, s: float):
@@ -209,50 +195,12 @@ def _envelope_ratio(x, s: float):
     return -np.expm1((1.0 - s) * np.log1p(1.0 / x)) * x
 
 
-def zeta_acceptance_rate(s: float) -> float:
-    """Per-trial acceptance of the tail draws of :func:`zeta_sample_batch`.
-
-    Equals f(L+1) (L+1)**(s-1) sum_{k>L} k**-s with L = ZETA_TABLE_SIZE,
-    which is 1 - O(s/L) for every s > 1.
-    """
-    if not s > 1.0:
-        raise ValueError(f"zeta law requires s > 1, got {s}")
-    start = ZETA_TABLE_SIZE + 1.0
-    return float(_envelope_ratio(start, s)) * _scaled_zeta_tail(s, start)
-
-
-def zeta_sample_batch(rng: np.random.Generator, s: float, size: int) -> np.ndarray:
-    """Vectorized exact sampling of P(Y = k) = k**-s / zeta(s), k >= 1.
-
-    One uniform per draw inverts the cached table of P(Y <= k) for k <= L =
-    ZETA_TABLE_SIZE: the guide cell, then one comparison, or a binary search
-    in the rare cells that span several steps.  The draws beyond L are then
-    replaced, in order, by Y conditioned on Y > L: X = floor((L+1) U**(-1/(s-1)))
-    accepted with probability f(L+1) / f(X) (:func:`_envelope_ratio`).
-
-    Returns float64 label keys: the label itself below 2**1024 (exact up to
-    2**53, float-granular above), and -log2(label) beyond float range, so
-    such keys are below -1024 and distinct boxes keep distinct keys.
-    """
-    if not s > 1.0:
-        raise ValueError(f"zeta law requires s > 1, got {s}")
-    if size < 0:
-        raise ValueError("size must be nonnegative")
-    cdf, guide = _zeta_table(s)
-    u = rng.random(size)
-    idx = guide[(u * _GUIDE).astype(np.int32)]  # int32: numpy converts to it far faster
-    idx += cdf[idx] <= u  # cdf[-1] = 2.0 keeps the wide cells' -1
-    slow = np.flatnonzero(idx < 0)
-    idx[slow] = np.searchsorted(cdf, u[slow], side="right")
-    keys = idx + 1.0
-    tail = np.flatnonzero(idx == ZETA_TABLE_SIZE)
-    keys[tail] = _zeta_tail(rng, s, tail.size)
-    return keys
-
-
 def _zeta_tail(rng: np.random.Generator, s: float, size: int) -> np.ndarray:
-    """``size`` keys of Y conditioned on Y > L, in trial order: X = floor((L+1) U**(-1/(s-1)))
-    accepted with probability f(L+1) / f(X); keys as in :func:`zeta_sample_batch`."""
+    """``size`` keys of Y ~ k**-s / zeta(s) conditioned on Y > L = ZETA_TABLE_SIZE, in trial
+    order: X = floor((L+1) U**(-1/(s-1))) accepted with probability f(L+1) / f(X).
+
+    A key is the label itself below 2**1024 (exact up to 2**53, float-granular
+    above), and -log2(label) beyond float range: below -1024, and distinct."""
     out = np.empty(size)
     sm1, start = s - 1.0, ZETA_TABLE_SIZE + 1.0
     done = 0

@@ -16,7 +16,7 @@ run keeps only how many balls of each box fall in each cell between the
 range ends of the family passed to :func:`simulate`.  Every set query asks
 which boxes have a draw in some ranges, and reads these cell counts through
 that one mask over the boxes (``_boxes``).  Box labels are float64 keys (see
-:func:`~karlin_rsm.distributions.zeta_sample_batch`).
+:func:`~karlin_rsm.distributions._zeta_tail`).
 """
 
 from __future__ import annotations

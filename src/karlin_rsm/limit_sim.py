@@ -277,14 +277,6 @@ def coupled_batch(rng: np.random.Generator, alpha: float, beta: float, family, r
     return values[:, :d], values[:, d:]
 
 
-@lru_cache(maxsize=256)
-def _race(beta: float, family: tuple):
-    """Clocks of all patterns with positive rate, the idle one included, and their hits."""
-    rates = _karlin_rates(beta, family)
-    live = np.flatnonzero(rates)
-    return rates[live], _hits(live, [1 << i for i in range(len(family))])
-
-
 def top_m_batch(rng: np.random.Generator, alpha: float, beta: float, m: int, family, replicas: int):
     """Levels and per-set hits of the first m limit atoms.
 
@@ -296,7 +288,10 @@ def top_m_batch(rng: np.random.Generator, alpha: float, beta: float, m: int, fam
     if m < 1:
         raise ValueError("m must be at least 1")
     _check_alpha(alpha)
-    rates, hits = _race(beta, _family(family))
+    clocks = _karlin_clocks(beta, _family(family))
+    idle = [clocks.idle] if clocks.idle > 0 else []  # the atoms that hit no set race too
+    rates = np.concatenate([idle, clocks.rates])
+    hits = np.vstack([np.zeros((len(idle), clocks.misses.shape[1]), dtype=bool), clocks.misses == 0])
     values, winners = [], []
     for size in _chunks(replicas, m * rates.size):
         g = rng.standard_exponential((size, m, rates.size)) / rates

@@ -14,14 +14,14 @@ batch, each limit family drawn once) and their stream blocks in another,
 :data:`_PARTS`.  An urn part gets its runs from one function, ``_urn_map``,
 which hands each run, cut into the cells of the part's query sets, to the
 suite's statistic: replica r draws from the counter-based stream
-``replica_rng(seed, block * 2**20 + r)``, and each of the ``threads``
-threads runs one contiguous chunk of the replicas; a suite takes at most
-2**20 replicas per part, and only ``marginal`` takes more than one n.  A
-limit part draws all its replicas, in replica order, as one vectorised
-batch from the single stream ``replica_rng(seed, block * 2**20)``, and the
-limit parts run one after another.  So no two parts share a stream, and
-reports are byte-identical for any ``threads`` setting.  Every confidence
-bound is at the 99 % level.
+``replica_rng(seed, block * 2**20 + r)``, and the replicas are cut into
+``threads`` contiguous chunks, run on at most one thread per CPU; a suite
+takes at most 2**20 replicas per part, and only ``marginal`` takes more
+than one n.  A limit part draws all its replicas, in replica order, as one
+vectorised batch from the single stream ``replica_rng(seed, block *
+2**20)``, and the limit parts run one after another.  So no two parts share
+a stream, and reports are byte-identical for any ``threads`` setting.
+Every confidence bound is at the 99 % level.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import csv
 import io
 import json
 import math
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass
@@ -158,6 +159,11 @@ class SuiteConfig:
             raise ValueError(f"n grid {self.n_grid} repeats a point")
         if len(self.n_grid) > 1 and self.suite != "marginal":
             raise ValueError(f"the {self.suite} suite takes one n, got the grid {self.n_grid}")
+        model, spec = FrequencyModel(beta=self.beta), HeavyTailSpec(alpha=self.alpha)
+        for n in self.n_grid:  # every suite, so a bad n exits before any part runs
+            ksim.b_n(model, spec, n)
+            if n > ksim.MAX_N:
+                raise ksim.ResourceError(f"n={n} exceeds the allocation budget n <= {ksim.MAX_N}")
         if self.threads < 1:
             raise ValueError("threads must be at least 1")
 
@@ -312,13 +318,12 @@ def _urn_map(cfg: SuiteConfig, part: str, sets, fn, n=None, index=0, count=None)
 
     Run r < count (default: the replicas) has n draws (default: the suite's
     one n) from the stream ``_offset(cfg, part, index) + r``, cut into the
-    cells of the query sets ``sets``.  Each thread takes one contiguous
-    chunk of the replicas.  Raises first where b_n does not exist.
+    cells of the query sets ``sets``.  Each requested thread gets one
+    contiguous chunk of the replicas; at most one thread per CPU runs them.
     """
     n = max(cfg.n_grid) if n is None else n
     count = cfg.replicas if count is None else count
     model, spec = FrequencyModel(beta=cfg.beta), HeavyTailSpec(alpha=cfg.alpha)
-    ksim.b_n(model, spec, n)
     offset = _offset(cfg, part, index)
 
     def chunk(replicas):
@@ -327,7 +332,7 @@ def _urn_map(cfg: SuiteConfig, part: str, sets, fn, n=None, index=0, count=None)
     if cfg.threads <= 1:
         return chunk(range(count))
     bounds = np.linspace(0, count, min(cfg.threads, count) + 1).astype(int)
-    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+    with ThreadPoolExecutor(max_workers=min(cfg.threads, os.cpu_count() or 1)) as pool:
         chunks = pool.map(chunk, [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])])
         return [result for results in chunks for result in results]
 

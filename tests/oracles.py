@@ -17,7 +17,7 @@ from itertools import combinations
 import numpy as np
 from scipy.integrate import quad
 
-from karlin_rsm.distributions import pareto_sample_batch, qbeta_tail, zeta_sample_batch
+from karlin_rsm.distributions import pareto_sample_batch, qbeta_tail
 from karlin_rsm.interval_sets import CapacityError, atomize, normalize
 from karlin_rsm.karlin_sim import replica_rng
 
@@ -34,10 +34,12 @@ def zeta_series(s: float, terms: int = 10 ** 6) -> float:
 
 
 def reference_urn(model, spec, n: int, seed: int, replica: int = 0):
-    """The urn drawn one label per step: the n zeta labels, then one mark per
-    occupied box in key order.  Returns the draws and the mark of every step."""
+    """The urn drawn one label per step: the n zeta labels from :func:`zeta_devroye`,
+    then one mark per occupied box in label order.  Returns the draws and the
+    mark of every step; a label beyond float range would merge boxes, so it fails."""
     rng = replica_rng(seed, replica)
-    draws = zeta_sample_batch(rng, model.s, n)
+    draws = zeta_devroye(rng, model.s, n)
+    assert np.all(np.isfinite(draws)), "a zeta label beyond float range"
     labels, inverse = np.unique(draws, return_inverse=True)
     return draws, pareto_sample_batch(rng, spec, len(labels))[inverse]
 

@@ -141,11 +141,17 @@ class TestUsageErrors:
         assert exc.value.code == 2
         assert "--format" in capsys.readouterr().err
 
-    def test_resource_error_exits_two(self):
+    def test_resource_error_exits_two(self, capsys, monkeypatch):
         res = run_cli("simulate", "--beta", "0.5", "--n", "20000000", "--seed", "1")
         assert res.returncode == 2
         assert res.stderr.startswith("error: ") and len(res.stderr.splitlines()) == 1
         assert "budget" in res.stderr
+        # every suite checks each n of its grid before any part runs
+        _no_samplers(monkeypatch)
+        for suite, beta, n, replicas in (("extremal-mstar", "0.9", "20000000", "100000"),
+                                         ("marginal", "0.5", "10000,20000000", "2000")):
+            _exits_two(capsys, ["verify", "--suite", suite, "--beta", beta, "--n", n, "--replicas", replicas,
+                                "--seed", "1", "--threads", "1"], "n=20000000 exceeds the allocation budget")
 
     def test_n_grid_only_for_marginal(self, capsys):
         # the other suites read one n; a grid would silently lose its points
@@ -160,14 +166,29 @@ class TestUsageErrors:
         assert exc.value.code == 2
         assert "--confidence" in capsys.readouterr().err
 
-    def test_normalisation_zero_exits_two(self, capsys):
+    def test_normalisation_zero_exits_two(self, capsys, monkeypatch):
         # at beta 0.9, zeta(1/beta) = 9.59 > n = 5: nu((0, n]) = 0, so b_n would be 0
-        for argv in (["simulate", "--beta", "0.9", "--n", "5", "--seed", "1"],
-                     ["verify", "--suite", "marginal", "--beta", "0.9", "--n", "5",
-                      "--replicas", "100", "--seed", "1", "--threads", "1"]):
-            assert cli.main(argv) == 2
-            err = capsys.readouterr().err
-            assert err.startswith("error: n=5 is below zeta") and len(err.splitlines()) == 1
+        _exits_two(capsys, ["simulate", "--beta", "0.9", "--n", "5", "--seed", "1"], "n=5 is below zeta")
+        _no_samplers(monkeypatch)  # every suite checks its n before any part runs
+        for suite, replicas in (("marginal", "100"), ("extremal-mstar", "100000")):
+            _exits_two(capsys, ["verify", "--suite", suite, "--beta", "0.9", "--n", "5", "--replicas", replicas,
+                                "--seed", "1", "--threads", "1"], "n=5 is below zeta")
+
+
+def _exits_two(capsys, argv, message):
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and len(err.splitlines()) == 1
+
+
+def _no_samplers(monkeypatch):
+    """Make the urn and every limit sampler fail if a suite calls them."""
+    def no_run(*args, **kwargs):
+        raise AssertionError("a sampler ran")
+
+    monkeypatch.setattr(cli.ksim, "simulate", no_run)
+    for name in ("karlin_batch", "mstar_batch", "coupled_batch", "top_m_batch"):
+        monkeypatch.setattr(cli.lsim, name, no_run)
 
 
 def _family_json(tmp_path, carrier, intervals):
@@ -205,10 +226,7 @@ def test_query_of_wrong_shape_exits_two(command, payload, tmp_path, capsys):
 @pytest.mark.parametrize("suite", ["marginal", "locations", "patterns"])
 def test_query_set_of_measure_zero_exits_two_before_any_run(suite, tmp_path, capsys, monkeypatch):
     # an empty set has no Frechet law and no hit target, so it is a usage error
-    def no_run(*args, **kwargs):
-        raise AssertionError("the urn ran")
-
-    monkeypatch.setattr(cli.ksim, "simulate", no_run)
+    _no_samplers(monkeypatch)
     query = tmp_path / "query.json"
     query.write_text(json.dumps({"family": [{"intervals": []}]}))
     assert cli.main(["verify", "--suite", suite, "--beta", "0.5", "--n", "100000", "--replicas", "500",

@@ -11,6 +11,8 @@ from karlin_rsm.distributions import (
     ZETA_TABLE_SIZE,
     FrechetLaw,
     HeavyTailSpec,
+    _zeta_pmf,
+    _zeta_tail,
     frechet_cdf,
     gamma_fn,
     pareto_from_uniform,
@@ -18,8 +20,6 @@ from karlin_rsm.distributions import (
     qbeta_pmf,
     qbeta_tail,
     riemann_zeta,
-    zeta_acceptance_rate,
-    zeta_sample_batch,
 )
 from karlin_rsm.karlin_sim import FrequencyModel, simulate, top_m, top_m_csv
 
@@ -198,79 +198,71 @@ class TestRiemannZeta:
 
 
 class TestZetaDraws:
-    def test_acceptance_rate_bounds(self):
-        L = ZETA_TABLE_SIZE
-        k = np.arange(L + 1, 10 ** 6, dtype=float)
-        for s in (1.01, 1.2, 2.0, 5.0, 10.0):
-            rate = zeta_acceptance_rate(s)
-            assert 1.0 - s / L <= rate <= 1.0
-            # f(L+1) (L+1)**(s-1) sum_{k>L} k**-s, the sum direct plus an integral tail
-            f = (L + 1) * (1.0 - (1.0 + 1.0 / (L + 1)) ** (1.0 - s))
-            tail = math.fsum(k ** -s) + (10 ** 6 - 0.5) ** (1.0 - s) / (s - 1.0)
-            assert rate == pytest.approx(f * (L + 1) ** (s - 1.0) * tail, rel=1e-9)
+    """The zeta code the urn runs: the multinomial cells of the labels up to
+    L = ZETA_TABLE_SIZE (``_zeta_pmf``) and the conditioned tail (``_zeta_tail``)."""
+
+    @staticmethod
+    def _tail_mass(s):
+        # P(Y > L), from the series: 1 minus the head mass
+        z = zeta_series(s)
+        return (z - math.fsum(np.arange(1.0, ZETA_TABLE_SIZE + 1) ** -s)) / z
 
     def test_pmf_ratio_and_normalization(self):
-        rng = np.random.default_rng(11)
-        ys = zeta_sample_batch(rng, 2.0, 10 ** 6)
-        p1 = np.mean(ys == 1)
-        p2 = np.mean(ys == 2)
-        inv_zeta2 = 1.0 / zeta_series(2.0)
-        assert abs(p1 - inv_zeta2) <= 3.0 * math.sqrt(inv_zeta2 * (1 - inv_zeta2) / ys.size)
-        assert p2 / p1 == pytest.approx(0.25, abs=0.01)
+        for s in (2.0, 1.0 / 0.9, 1.001):
+            pmf = _zeta_pmf(s)
+            assert pmf.shape == (ZETA_TABLE_SIZE + 1,)
+            z = zeta_series(s)
+            for k in range(1, 51):
+                assert pmf[k - 1] == pytest.approx(k ** -s / z, rel=1e-12)
+            assert pmf[-1] == pytest.approx(self._tail_mass(s), rel=1e-9)
+            assert math.fsum(pmf) == pytest.approx(1.0, abs=1e-12)
 
     def test_chi_square_exactness(self):
+        # box counts of the labels 1..50 and the rest, pooled over 100 urn runs of 1e4 draws at s = 2
         from scipy.stats import chi2
 
-        rng = np.random.default_rng(13)
-        s = 2.0
-        n = 10 ** 6
-        ys = zeta_sample_batch(rng, s, n)
+        s, n, runs, kmax = 2.0, 10 ** 4, 100, 50
+        observed = np.zeros(kmax)
+        for r in range(runs):
+            run = simulate(FrequencyModel(1.0 / s), HeavyTailSpec(alpha=1.0), n, seed=13, replica=r)
+            head = run.labels <= kmax
+            observed[run.labels[head].astype(int) - 1] += run.counts[head]
+        total = n * runs
         z = zeta_series(s)
-        kmax = 50
-        observed = np.array([(ys == k).sum() for k in range(1, kmax + 1)], dtype=float)
         probs = np.array([k ** -s / z for k in range(1, kmax + 1)])
         tail_p = 1.0 - probs.sum()
-        obs_tail = n - observed.sum()
-        stat = float(np.sum((observed - n * probs) ** 2 / (n * probs)))
-        stat += (obs_tail - n * tail_p) ** 2 / (n * tail_p)
+        obs_tail = total - observed.sum()
+        stat = float(np.sum((observed - total * probs) ** 2 / (total * probs)))
+        stat += (obs_tail - total * tail_p) ** 2 / (total * tail_p)
         assert stat <= chi2.ppf(0.99, kmax)
-
-    def test_domain(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            zeta_sample_batch(rng, 1.0, 10)
 
     @pytest.mark.parametrize("s", [2.0, 1.0 / 0.9])
     def test_matches_devroye_in_law(self, s):
-        from scipy.stats import chi2, ks_2samp
+        # the tail keys against Devroye draws over the whole support, kept where Y > L
+        from scipy.stats import ks_2samp
 
         from karlin_rsm.verify import two_sample_ks_critical
 
-        n = 10 ** 6
-        ours = zeta_sample_batch(np.random.default_rng(21), s, n)
-        ref = zeta_devroye(np.random.default_rng(22), s, n)
-        # homogeneity chi-square over the labels 1..50 and the rest
-        kmax = 50
-        counts = np.array([np.bincount(np.minimum(y, kmax + 1).astype(int), minlength=kmax + 2)[1:]
-                           for y in (ours, ref)], dtype=float)
-        expected = counts.sum(axis=0) / 2.0
-        stat = float(np.sum((counts - expected) ** 2 / expected))
-        assert stat <= chi2.ppf(0.99, kmax)
-        # the conditioned tail beyond the table, on log labels
-        big, ref_big = np.log(ours[ours > ZETA_TABLE_SIZE]), np.log(ref[ref > ZETA_TABLE_SIZE])
-        assert big.size > 50 and ref_big.size > 50
-        crit = two_sample_ks_critical(big.size, ref_big.size)
-        assert ks_2samp(big, ref_big).statistic <= crit
+        rng = np.random.default_rng(22)
+        ref = []
+        while sum(r.size for r in ref) < 1000:  # P(Y > L) is 1.5e-4 at s = 2
+            y = zeta_devroye(rng, s, 10 ** 6)
+            ref.append(y[y > ZETA_TABLE_SIZE])
+        ref = np.log(np.concatenate(ref))
+        ours = _zeta_tail(np.random.default_rng(21), s, 10 ** 5)
+        assert np.all(ours > ZETA_TABLE_SIZE)
+        crit = two_sample_ks_critical(ours.size, ref.size)
+        assert ks_2samp(np.log(ours), ref).statistic <= crit
 
     @pytest.mark.parametrize("s", [1.001, 1.01])
     def test_tail_beyond_float_range_kept(self, s):
-        # P(Y >= 2**1024) = 2**(-1024 (s-1)) / ((s-1) zeta(s)) to relative 1e-300
+        # P(Y >= 2**1024 | Y > L), with P(Y >= 2**1024) = 2**(-1024 (s-1)) / ((s-1) zeta(s)) to relative 1e-300
         n = 10 ** 6
-        keys = zeta_sample_batch(np.random.default_rng(17), s, n)
-        p = 2.0 ** (-1024 * (s - 1.0)) / ((s - 1.0) * zeta_series(s))
+        keys = _zeta_tail(np.random.default_rng(17), s, n)
+        p = 2.0 ** (-1024 * (s - 1.0)) / ((s - 1.0) * zeta_series(s)) / self._tail_mass(s)
         share = np.mean(keys < 0)
         assert abs(share - p) <= 3.0 * math.sqrt(p * (1.0 - p) / n)
-        assert np.all(keys[keys < 0] < -1024) and np.all(keys[keys > 0] >= 1)
+        assert np.all(keys[keys < 0] < -1024) and np.all(keys[keys > 0] > ZETA_TABLE_SIZE)
 
     def test_huge_labels_fixed_width_keys(self):
         # s = 1.001 puts about half the labels beyond float range, as log-keys

@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -223,6 +225,20 @@ def test_urn_map_chunks_keep_replica_order():
                for threads in (1, 2, 3)]
     assert results[0] == results[1] == results[2]
     assert [replica for replica, _, _ in results[0]] == list(range(101))
+
+
+def test_urn_map_runs_at_most_one_thread_per_cpu(monkeypatch):
+    # 8 chunks asked for on 2 CPUs: 2 worker threads run them, and the results keep replica order
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+    def stat(run):
+        return threading.get_ident(), run.replica, run.k_n
+
+    base = dict(suite="occupancy", n_grid=(1000,), replicas=101, seed=4)
+    serial = verify._urn_map(SuiteConfig(threads=1, **base), "urn", (), stat)
+    pooled = verify._urn_map(SuiteConfig(threads=8, **base), "urn", (), stat)
+    assert len({ident for ident, _, _ in pooled}) <= 2
+    assert [row[1:] for row in pooled] == [row[1:] for row in serial]
 
 
 class TestSuitesSmoke:
