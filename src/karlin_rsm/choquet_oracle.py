@@ -86,23 +86,9 @@ class PatternQuery:
             raise ValueError("delta must contain at least one 1")
 
 
-def _union_measures(family):
-    """Atom measures and per-set atom masks; all combinatorics route here."""
-    deco = atomize(family)
-    measures = deco.measures
-    masks = deco.member_masks()
-
-    def leb_of_mask(mask: int) -> float:
-        total = 0.0
-        j = 0
-        while mask:
-            if mask & 1:
-                total += measures[j]
-            mask >>= 1
-            j += 1
-        return total
-
-    return masks, leb_of_mask
+def _leb(atoms, mask: int) -> float:
+    """Lebesgue measure of the atoms in a bitmask, summed in bit order."""
+    return sum((hi - lo for j, (lo, hi) in enumerate(atoms) if mask >> j & 1), 0.0)
 
 
 def tail_dependence(q: ChoquetQuery) -> float:
@@ -112,7 +98,7 @@ def tail_dependence(q: ChoquetQuery) -> float:
     sum_k (w_(k) - w_(k+1)) * Leb(A_(1) u ... u A_(k))**beta; ties collapse
     automatically because their increments vanish.
     """
-    masks, leb_of_mask = _union_measures([a for a, _ in q.pairs])
+    atoms, masks = atomize([a for a, _ in q.pairs])
     order = sorted(range(len(q.pairs)), key=lambda i: -q.weights[i])
     w = [q.weights[i] for i in order] + [0.0]
     total = 0.0
@@ -120,7 +106,7 @@ def tail_dependence(q: ChoquetQuery) -> float:
     for k, i in enumerate(order):
         cum |= masks[i]
         if w[k] > w[k + 1]:
-            total += (w[k] - w[k + 1]) * leb_of_mask(cum) ** q.beta
+            total += (w[k] - w[k + 1]) * _leb(atoms, cum) ** q.beta
     return float(total)
 
 
@@ -158,7 +144,7 @@ def pattern_limit(p: PatternQuery, beta: float) -> float:
     contributing -Leb(union of the missed sets)**beta (0 when all hit).
     """
     _check_beta(beta)
-    masks, leb_of_mask = _union_measures(list(p.family))
+    atoms, masks = atomize(p.family)
     hit = [k for k, d in enumerate(p.delta) if d == 1]
     miss_mask = 0
     for k, d in enumerate(p.delta):
@@ -171,7 +157,7 @@ def pattern_limit(p: PatternQuery, beta: float) -> float:
             mask = miss_mask
             for k in subset:
                 mask |= masks[k]
-            total += sign * leb_of_mask(mask) ** beta
+            total += sign * _leb(atoms, mask) ** beta
     return float(gamma_fn(1.0 - beta) * total)
 
 

@@ -23,7 +23,7 @@ from .choquet_oracle import ChoquetQuery, joint_cdf, tail_dependence
 from .distributions import HeavyTailSpec
 from .interval_sets import IntervalSet
 from .karlin_sim import FrequencyModel, replica_rng
-from .verify import SuiteConfig, SUITES, run_suite
+from .verify import MAX_REPLICAS, SuiteConfig, SUITES, run_suite
 
 __all__ = ["main"]
 
@@ -125,8 +125,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_limit_sample(args) -> int:
+    if args.replicas > MAX_REPLICAS:  # the CSV is built in memory
+        raise ValueError(f"replica count must be at most {MAX_REPLICAS}, got {args.replicas}")
     seed = _resolve_seed(args.seed)
-    HeavyTailSpec(alpha=args.alpha)  # fail fast on a bad tail index
     family = _family_from_json(_load_json(args.query))
     sampler = lsim.sample_mstar if args.variant == "mstar" else lsim.sample_karlin
     samples = [

@@ -5,6 +5,8 @@ represented here as normalized unions of ``[lo, hi)`` pairs.  The half-open
 convention means sample positions ``i/n`` and atom boundaries are counted
 exactly once; the laws evaluated downstream depend on the sets only through
 Lebesgue measure, so boundary conventions are null events throughout.
+A family reaches them through :func:`atomize`: the ``(lo, hi)`` atoms of
+its union and one bitmask of atoms per set.
 """
 
 from __future__ import annotations
@@ -17,16 +19,15 @@ import numpy as np
 __all__ = [
     "CapacityError",
     "IntervalSet",
-    "AtomDecomposition",
     "normalize",
     "atomize",
 ]
 
 UNIT = (0.0, 1.0)
 
-# d query sets expand to at most 2^d hit patterns in the closed-form
-# evaluators and the limit samplers, so the family size is capped.
-ATOMIZE_BUDGET = 20
+# d sets, or d cells of a coupled pair, expand to at most 2^d hit patterns in
+# the closed-form evaluators and the limit samplers, so both are capped.
+PATTERN_BUDGET = 20
 
 
 class CapacityError(ValueError):
@@ -82,12 +83,6 @@ class IntervalSet:
         if cursor < hi_c:
             out.append((cursor, hi_c))
         return IntervalSet(tuple(out), self.carrier)
-
-    def contains(self, x: float) -> bool:
-        from bisect import bisect_right
-
-        flat = [v for pair in self.intervals for v in pair]
-        return bisect_right(flat, x) % 2 == 1
 
     def contains_points(self, xs: np.ndarray) -> np.ndarray:
         """Vectorized membership for half-open intervals."""
@@ -178,41 +173,22 @@ def normalize(raw, carrier=UNIT) -> IntervalSet:
     return IntervalSet(tuple((lo, hi) for lo, hi in merged), tuple(carrier))
 
 
-@dataclass(frozen=True)
-class AtomDecomposition:
-    """Coarsest interval partition of a family's union refining every input."""
-
-    atoms: tuple  # of IntervalSet, each a single interval, sorted
-    membership: tuple  # membership[i] = atom indices composing input i
-
-    @property
-    def measures(self) -> np.ndarray:
-        return np.array([a.lebesgue() for a in self.atoms])
-
-    def member_masks(self) -> list:
-        """Per-input bitmask over atoms (bit j set when atom j is inside)."""
-        out = []
-        for idxs in self.membership:
-            mask = 0
-            for j in idxs:
-                mask |= 1 << j
-            out.append(mask)
-        return out
-
-
-def atomize(family) -> AtomDecomposition:
+def atomize(family) -> tuple:
     """Split a family of interval sets into disjoint elementary intervals.
 
+    Returns ``(atoms, masks)``: ``atoms`` lists the ``(lo, hi)`` pieces of
+    the coarsest partition of the union refining every input, left to
+    right, and ``masks[i]`` has bit j set when atom j lies in input i.
     Every boundary point of a normalized input switches at least one
     membership, so the pieces between consecutive boundaries (restricted to
-    the union) are exactly the coarsest refining partition.
+    the union) are exactly that partition.
     """
     family = list(family)
     if not family:
         raise ValueError("atomize requires a nonempty family")
-    if len(family) > ATOMIZE_BUDGET:
+    if len(family) > PATTERN_BUDGET:
         raise CapacityError(
-            f"family of {len(family)} sets exceeds the {ATOMIZE_BUDGET}-set pattern budget"
+            f"family of {len(family)} sets exceeds the {PATTERN_BUDGET}-set pattern budget"
         )
     carrier = family[0].carrier
     for s in family[1:]:
@@ -220,15 +196,10 @@ def atomize(family) -> AtomDecomposition:
             raise ValueError(f"carrier mismatch: {s.carrier} vs {carrier}")
 
     bounds = sorted({v for s in family for pair in s.intervals for v in pair})
-    atoms = []
-    membership = [[] for _ in family]
-    for lo, hi in zip(bounds, bounds[1:]):
-        mid = 0.5 * (lo + hi)
-        owners = [i for i, s in enumerate(family) if s.contains(mid)]
-        if not owners:
-            continue
-        idx = len(atoms)
-        atoms.append(IntervalSet(((lo, hi),), carrier))
-        for i in owners:
-            membership[i].append(idx)
-    return AtomDecomposition(tuple(atoms), tuple(tuple(ix) for ix in membership))
+    pieces = list(zip(bounds, bounds[1:]))
+    mids = np.array([0.5 * (lo + hi) for lo, hi in pieces])
+    inside = np.array([s.contains_points(mids) for s in family])
+    keep = inside.any(axis=0)
+    atoms = [piece for piece, k in zip(pieces, keep.tolist()) if k]
+    masks = [sum(1 << j for j in np.flatnonzero(row[keep]).tolist()) for row in inside]
+    return atoms, masks

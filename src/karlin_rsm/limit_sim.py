@@ -9,12 +9,14 @@ independent Poisson clocks of rate p_S, the inclusion-exclusion of theta
 over the family.  A replica therefore needs one exponential per pattern:
 M(A_i) is the level at the first arrival among the clocks whose pattern
 contains i.  The rates hold on any carrier, so no rescaling is needed.
+The clocks read a family as :func:`atomize` gives it: ``(lo, hi)`` atoms
+and one bitmask of atoms per set.
 
 The first-occurrence variant M* reads only the leftmost point of a hitting
 set, which lands in [a, b) at rate b**beta - a**beta: one clock per atom of
 the family, on the unit carrier only.  The coupled pair runs the pattern
-clocks over the full partition of [0, 1) and M* reads the lowest cell of
-each pattern.
+clocks over the cells of [0, 1), the atoms and the gaps between them (at
+most ``PATTERN_BUDGET``), and M* reads the lowest cell of each pattern.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .distributions import _check_alpha, _check_beta
-from .interval_sets import UNIT, CapacityError, atomize, normalize
+from .interval_sets import PATTERN_BUDGET, UNIT, CapacityError, atomize, normalize
 
 __all__ = [
     "LimitSample",
@@ -42,7 +44,6 @@ __all__ = [
     "limit_samples_csv",
 ]
 
-PATTERN_BUDGET = 20  # cells of a coupled pair, as atomize caps the sets: 2**20 clocks at most
 _CHUNK_FLOATS = 1 << 16  # largest per-chunk array: 512 KB
 _POISSON_MAX = 1e18  # numpy's Poisson sampler stops near 9.2e18
 _SCALE = 1 << 1074  # every double is an integer multiple of 2**-1074
@@ -102,17 +103,17 @@ def _exact(x: float) -> int:
     return num * (_SCALE // den)
 
 
-def _union_theta(beta: float, measures, members) -> np.ndarray:
+def _union_theta(beta: float, atoms, members) -> np.ndarray:
     """Leb(union of the sets in U)**beta for every subset U, indexed by bitmask.
 
-    ``members[i]`` is the bitmask of the disjoint atoms inside set i.
+    ``members[i]`` is the bitmask of the disjoint ``(lo, hi)`` atoms inside set i.
     """
     covered = np.zeros(1, dtype=np.int64)
     for mask in members:
         covered = np.concatenate([covered, covered | mask])
     leb = np.zeros(covered.size)
-    for j, mu in enumerate(measures):
-        leb += ((covered >> j) & 1) * mu
+    for j, (lo, hi) in enumerate(atoms):
+        leb += ((covered >> j) & 1) * (hi - lo)
     return leb ** beta
 
 
@@ -134,8 +135,7 @@ def _moebius_rates(f: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=256)
 def _karlin_rates(beta: float, family: tuple) -> np.ndarray:
     _check_beta(beta)
-    deco = atomize(family)
-    f = _union_theta(beta, deco.measures, deco.member_masks())
+    f = _union_theta(beta, *atomize(family))
     rates = _moebius_rates(f)
     lo, hi = family[0].carrier
     rates[0] = max(0.0, (hi - lo) ** beta - f[-1])
@@ -171,9 +171,9 @@ def _mstar_rate(lo: float, hi: float, beta: float) -> float:
 def _mstar_clocks(beta: float, family: tuple) -> _Clocks:
     _check_beta(beta)
     _require_unit(family)
-    deco = atomize(family)
-    rates = np.array([_mstar_rate(*a.intervals[0], beta) for a in deco.atoms])
-    hits = _hits(1 << np.arange(rates.size, dtype=np.int64), deco.member_masks())
+    atoms, masks = atomize(family)
+    rates = np.array([_mstar_rate(lo, hi, beta) for lo, hi in atoms])
+    hits = _hits(1 << np.arange(rates.size, dtype=np.int64), masks)
     return _clocks(rates, hits, max(0.0, 1.0 - float(rates.sum())))
 
 
@@ -186,14 +186,13 @@ def _coupled_clocks(beta: float, family: tuple) -> _Clocks:
     """
     _check_beta(beta)
     _require_unit(family)
-    deco = atomize(family)
-    union = normalize([iv for a in family for iv in a.intervals])
-    cells = sorted([a.intervals[0] for a in deco.atoms] + list(union.complement().intervals))
+    atoms, masks = atomize(family)
+    cells = sorted(atoms + list(normalize(atoms).complement().intervals))
     if len(cells) > PATTERN_BUDGET:
         raise CapacityError(f"{len(cells)} cells exceed the {PATTERN_BUDGET}-cell pattern budget")
-    rank = {iv: c for c, iv in enumerate(cells)}
-    members = [sum(1 << rank[deco.atoms[j].intervals[0]] for j in idx) for idx in deco.membership]
-    f = _union_theta(beta, [hi - lo for lo, hi in cells], [1 << c for c in range(len(cells))])
+    bits = [1 << cells.index(a) for a in atoms]  # the cell of each atom
+    members = [sum(b for j, b in enumerate(bits) if mask >> j & 1) for mask in masks]
+    f = _union_theta(beta, cells, [1 << c for c in range(len(cells))])
     rates = _moebius_rates(f)
     live = np.flatnonzero(rates[1:]) + 1
     hits = np.hstack([_hits(live, members), _hits(live & -live, members)])

@@ -77,7 +77,7 @@ DEFAULT_THRESHOLDS = {
     "binom_se_mult": 3.0,       # +-k*SE window for binomial comparisons
 }
 
-_BLOCK = 1 << 20  # replica-offset block of one suite part, and its replica bound
+MAX_REPLICAS = 1 << 20  # per suite part or limit-sample call; part k streams from k * MAX_REPLICAS
 
 # Stream block of each part of each suite; tests/test_verify.py checks that
 # no two parts of a suite share a stream.  Grid point k of the marginal suite
@@ -151,8 +151,8 @@ class SuiteConfig:
             raise ValueError(f"the {self.suite} suite takes sets on the unit carrier {UNIT} only")
         elif not all(a.lebesgue() > 0 for a in self.family):
             raise ValueError(f"the {self.suite} suite takes sets of positive measure only")
-        if not 100 <= self.replicas <= _BLOCK:
-            raise ValueError(f"replica count must be between 100 and {_BLOCK}")
+        if not 100 <= self.replicas <= MAX_REPLICAS:
+            raise ValueError(f"replica count must be between 100 and {MAX_REPLICAS}")
         if not self.n_grid or any(n < 1 for n in self.n_grid):
             raise ValueError("n grid must contain positive integers")
         if len(set(self.n_grid)) < len(self.n_grid):
@@ -310,7 +310,7 @@ def _replica_stream_map(fn, count: int, seed: int, offset: int = 0):
 
 def _offset(cfg: SuiteConfig, part: str, index: int = 0) -> int:
     """First replica stream of a part of the suite (of its grid point ``index``)."""
-    return (_PARTS[cfg.suite][part] + index) * _BLOCK
+    return (_PARTS[cfg.suite][part] + index) * MAX_REPLICAS
 
 
 def _urn_map(cfg: SuiteConfig, part: str, sets, fn, n=None, index=0, count=None) -> list:

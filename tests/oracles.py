@@ -292,8 +292,8 @@ def _on_unit(family):
 
 def _atom_walk(beta, family):
     """Atom decomposition of the family on [0, 1], its sampler and set masks."""
-    deco = atomize(family)
-    return HitPatternSampler(beta, deco.measures), deco.member_masks()
+    atoms, masks = atomize(family)
+    return HitPatternSampler(beta, [hi - lo for lo, hi in atoms]), masks
 
 
 def hit_pattern_pmf(beta: float, measures) -> np.ndarray:
@@ -319,8 +319,8 @@ def hit_pattern_pmf(beta: float, measures) -> np.ndarray:
 def _pattern_setup(beta: float, family: tuple):
     """The family on [0, 1], its carrier width, set masks over atoms and pattern pmf."""
     unit, width = _on_unit(family)
-    deco = atomize(unit)
-    return unit, width, deco.member_masks(), hit_pattern_pmf(beta, deco.measures)
+    atoms, masks = atomize(unit)
+    return unit, width, masks, hit_pattern_pmf(beta, [hi - lo for lo, hi in atoms])
 
 
 def reference_karlin(rng, alpha: float, beta: float, family):
@@ -357,6 +357,7 @@ def reference_karlin(rng, alpha: float, beta: float, family):
 
 def reference_mstar(rng, alpha: float, beta: float, family):
     """(values, atoms_used) of M*: each atom hits only the minimum of its Q uniforms."""
+    flats = [[v for pair in a.intervals for v in pair] for a in family]  # x is in set i iff odd rank
     values = [0.0] * len(family)
     pending = {i for i, a in enumerate(family) if a.lebesgue() > 0}
     gamma, used = 0.0, 0
@@ -365,7 +366,7 @@ def reference_mstar(rng, alpha: float, beta: float, family):
         gamma += rng.standard_exponential()
         q = float(qbeta_sample(rng, beta))
         x = -math.expm1(math.log1p(-rng.random()) / q)
-        for i in [i for i in pending if family[i].contains(x)]:
+        for i in [i for i in pending if bisect_right(flats[i], x) % 2 == 1]:
             values[i] = gamma ** (-1.0 / alpha)
             pending.discard(i)
     return tuple(values), used
@@ -376,11 +377,11 @@ def reference_coupled(rng, alpha: float, beta: float, family):
 
     The minimum uniform lies in the leftmost hit cell.
     """
-    deco = atomize(family)
+    atoms, masks = atomize(family)
     union = normalize([iv for a in family for iv in a.intervals])
-    cells = sorted([a.intervals[0] for a in deco.atoms] + list(union.complement().intervals))
+    cells = sorted(atoms + list(union.complement().intervals))
     sampler = HitPatternSampler(beta, [hi - lo for lo, hi in cells])
-    member = [sum(1 << cells.index(deco.atoms[j].intervals[0]) for j in idx) for idx in deco.membership]
+    member = [sum(1 << cells.index(a) for j, a in enumerate(atoms) if mask >> j & 1) for mask in masks]
     big, small = [0.0] * len(family), [0.0] * len(family)
     pending = {(k, i) for k in (0, 1) for i, a in enumerate(family) if a.lebesgue() > 0}
     gamma, used = 0.0, 0

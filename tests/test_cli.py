@@ -70,16 +70,18 @@ class TestOracleCommand:
 
 def test_all_lists_exactly_the_public_api():
     # every name in __all__ exists, and every public function or class a
-    # module defines is in its __all__
+    # module defines is in its __all__, for every module of the package
     import importlib
     import inspect
+    import pkgutil
 
     import karlin_rsm
 
     problems = [f"karlin_rsm.{name} does not exist" for name in karlin_rsm.__all__
                 if not hasattr(karlin_rsm, name)]
-    for short in ("choquet_oracle", "cli", "distributions", "interval_sets", "karlin_sim", "limit_sim",
-                  "verify"):
+    shorts = [m.name for m in pkgutil.iter_modules(karlin_rsm.__path__)]
+    assert len(shorts) >= 7, shorts  # the discovery found the modules
+    for short in shorts:
         module = importlib.import_module(f"karlin_rsm.{short}")
         problems += [f"{short}.{name} does not exist" for name in module.__all__ if not hasattr(module, name)]
         problems += [f"{short}.{name} is not in __all__" for name, obj in vars(module).items()
@@ -132,6 +134,16 @@ class TestUsageErrors:
         assert exc.value.code == 2
         assert "positive integer" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_limit_sample_replica_bound(self, family_file, capsys, monkeypatch):
+        # checked before the seed is drawn, the family file read or a replica drawn
+        _no_samplers(monkeypatch)
+        assert cli.main(["limit-sample", "--beta", "0.5", "--replicas", "1048577",
+                         "--query", "no-such-file.json"]) == 2
+        assert capsys.readouterr().err == "error: replica count must be at most 1048576, got 1048577\n"
+        with pytest.raises(AssertionError, match="a sampler ran"):
+            cli.main(["limit-sample", "--beta", "0.5", "--replicas", "1048576", "--seed", "1",
+                      "--query", family_file])
 
     def test_limit_sample_has_no_format(self, family_file, capsys):
         # limit-sample writes CSV only, so --format json is a usage error
@@ -187,7 +199,8 @@ def _no_samplers(monkeypatch):
         raise AssertionError("a sampler ran")
 
     monkeypatch.setattr(cli.ksim, "simulate", no_run)
-    for name in ("karlin_batch", "mstar_batch", "coupled_batch", "top_m_batch"):
+    for name in ("karlin_batch", "mstar_batch", "coupled_batch", "top_m_batch",
+                 "sample_karlin", "sample_mstar"):
         monkeypatch.setattr(cli.lsim, name, no_run)
 
 

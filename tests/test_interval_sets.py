@@ -1,3 +1,6 @@
+from functools import reduce
+from operator import or_
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -89,17 +92,16 @@ def test_complement():
 
 
 def test_atomize_example():
-    dec = atomize([normalize([(0.0, 0.6)]), normalize([(0.4, 1.0)])])
-    assert [a.intervals for a in dec.atoms] == [((0.0, 0.4),), ((0.4, 0.6),), ((0.6, 1.0),)]
-    assert dec.membership == ((0, 1), (1, 2))
+    atoms, masks = atomize([normalize([(0.0, 0.6)]), normalize([(0.4, 1.0)])])
+    assert (atoms, masks) == ([(0.0, 0.4), (0.4, 0.6), (0.6, 1.0)], [0b011, 0b110])
 
 
 def test_atomize_single_and_disjoint():
-    one = atomize([normalize([(0.1, 0.5)])])
-    assert len(one.atoms) == 1 and one.membership == ((0,),)
-    two = atomize([normalize([(0.0, 0.2)]), normalize([(0.5, 0.8)])])
-    assert len(two.atoms) == 2
-    assert two.membership == ((0,), (1,))
+    atoms, masks = atomize([normalize([(0.1, 0.5)])])
+    assert len(atoms) == 1 and masks == [0b1]
+    atoms, masks = atomize([normalize([(0.0, 0.2)]), normalize([(0.5, 0.8)])])
+    assert len(atoms) == 2
+    assert masks == [0b01, 0b10]
 
 
 def test_atomize_reunion_exact():
@@ -108,9 +110,9 @@ def test_atomize_reunion_exact():
         normalize([(0.2, 0.6)]),
         normalize([(0.55, 0.95)]),
     ]
-    dec = atomize(fam)
-    for i, s in enumerate(fam):
-        parts = [iv for j in dec.membership[i] for iv in dec.atoms[j].intervals]
+    atoms, masks = atomize(fam)
+    for s, mask in zip(fam, masks):
+        parts = [a for j, a in enumerate(atoms) if mask >> j & 1]
         assert normalize(parts).intervals == s.intervals
 
 
@@ -124,7 +126,8 @@ def test_atomize_atom_budget_bound():
             w = rng.uniform(0.05, 0.5)
             lo = rng.uniform(0, 1 - w)
             fam.append(normalize([(lo, lo + w)]))
-        assert len(atomize(fam).atoms) <= 2 * d - 1
+        atoms, _ = atomize(fam)
+        assert len(atoms) <= 2 * d - 1
 
 
 def test_atomize_capacity():
@@ -149,6 +152,19 @@ def interval_sets(draw):
         hi = draw(st.floats(min_value=lo, max_value=1.0))
         pairs.append((round(lo, 4), round(hi, 4)))  # align to the bitmap grid
     return normalize(pairs)
+
+
+@given(st.lists(interval_sets(), min_size=1, max_size=5))
+@settings(max_examples=200)
+def test_atomize_against_bitmap_oracle(family):
+    # sorted and disjoint atoms, each inside some set, and every set their union
+    atoms, masks = atomize(family)
+    flat = [v for atom in atoms for v in atom]
+    assert all(lo < hi for lo, hi in atoms) and flat == sorted(flat)
+    assert len(masks) == len(family) and reduce(or_, masks) == (1 << len(atoms)) - 1
+    for s, mask in zip(family, masks):
+        parts = [atom for j, atom in enumerate(atoms) if mask >> j & 1]
+        assert np.array_equal(grid_bitmap(s.intervals), grid_bitmap(parts))
 
 
 @given(interval_sets(), interval_sets())

@@ -245,6 +245,12 @@ class TestVariantSampler:
         target = math.exp(-0.5)
         assert abs(np.mean(small[:, 0] <= 1.0) - target) <= binom_tol(target, n)
 
+    def test_coupled_cell_budget(self):
+        # 10 atoms and 11 gaps: one cell over the budget that also caps the sets
+        fam = [normalize([(k / 10 + 0.02, k / 10 + 0.05)]) for k in range(10)]
+        with pytest.raises(CapacityError, match="21 cells exceed the 20-cell"):
+            coupled_batch(np.random.default_rng(0), 1.0, 0.5, fam, 1)
+
     def test_unit_carrier_only(self):
         fam = [IntervalSet(((0.0, 1.0),), (0.0, 4.0))]
         with pytest.raises(ValueError, match="unit carrier"):

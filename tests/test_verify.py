@@ -104,7 +104,7 @@ class TestReplicaStreamMap:
 
     def test_reproduces_replica_rng(self):
         seed = 2 ** 64 - 12345
-        for offset in (0, verify._BLOCK):
+        for offset in (0, verify.MAX_REPLICAS):
             streamed = verify._replica_stream_map(self._draws, 5, seed, offset)
             direct = [self._draws(replica_rng(seed, offset + r)) for r in range(5)]
             assert streamed == direct
@@ -144,7 +144,7 @@ class TestConfig:
         with pytest.raises(ValueError):
             SuiteConfig(suite="occupancy", replicas=100, n_grid=())
         with pytest.raises(ValueError):
-            SuiteConfig(suite="marginal", replicas=verify._BLOCK + 1)
+            SuiteConfig(suite="marginal", replicas=verify.MAX_REPLICAS + 1)
         with pytest.raises(ValueError, match="repeats"):
             SuiteConfig(suite="marginal", replicas=100, n_grid=(1000, 1000))
         for suite in sorted(set(SUITES) - {"marginal"}):
@@ -166,7 +166,7 @@ class TestConfig:
         for suite, (n, replicas, _, _) in verify._SUITE_INPUTS.items():
             cfg = SuiteConfig(suite=suite)
             assert (cfg.n_grid, cfg.replicas) == ((n,), replicas)
-        assert SuiteConfig(suite="marginal", replicas=verify._BLOCK).replicas == verify._BLOCK
+        assert SuiteConfig(suite="marginal", replicas=verify.MAX_REPLICAS).replicas == verify.MAX_REPLICAS
 
     def test_unknown_suite(self):
         with pytest.raises(ValueError):
@@ -316,13 +316,13 @@ def test_suite_parts_draw_disjoint_streams(suite, monkeypatch):
 
     assert {seed for seed, _ in opened} == {5}
     offsets = [offset for _, offset in opened]
-    repeated = sorted({off // verify._BLOCK for off in offsets if offsets.count(off) > 1})
+    repeated = sorted({off // verify.MAX_REPLICAS for off in offsets if offsets.count(off) > 1})
     assert not repeated, f"offsets opened twice in blocks {repeated}"
     parts_of_block = {}
     part = 0
     for i, off in enumerate(offsets):
         if i and off != offsets[i - 1] + 1:
             part += 1
-        parts_of_block.setdefault(off // verify._BLOCK, set()).add(part)
+        parts_of_block.setdefault(off // verify.MAX_REPLICAS, set()).add(part)
     shared = sorted(block for block, parts in parts_of_block.items() if len(parts) > 1)
     assert not shared, f"blocks {shared} hold more than one part"
