@@ -3,9 +3,10 @@
 Exact samplers and closed-form densities for Pareto-tailed marks, Frechet
 distributions and the zeta (Zipf) draw distribution, and the closed-form
 pmf and tail of the block-size law with parameter ``beta`` (an N-valued law
-with infinite mean whose tail decays like ``k**-beta``).  Zeta draws split
-at ZETA_TABLE_SIZE: :func:`_zeta_pmf` for the multinomial box counts, and
-:func:`_zeta_tail`, which also defines the float64 label keys, beyond it.
+with infinite mean whose tail decays like ``k**-beta``).  A run counts zeta
+draws up to a label L by one multinomial (:func:`_zeta_head`) and draws the
+rest from Y | Y > L (:func:`_zeta_rest`): by the table :func:`_zeta_pmf` up to
+ZETA_TABLE_SIZE, and by :func:`_zeta_tail`, which defines the label keys, beyond.
 All samplers are pure given an explicit ``numpy.random.Generator`` handle;
 parallel callers must use distinct generators.
 """
@@ -220,8 +221,27 @@ def _zeta_tail(rng: np.random.Generator, s: float, size: int) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _zeta_pmf(s: float) -> np.ndarray:
-    """P(Y = k) for k = 1..L, then P(Y > L): the cells of a multinomial count of zeta draws."""
+    """P(Y = k) for k = 1..L, then P(Y > L), for L = ZETA_TABLE_SIZE: the table :func:`_zeta_head` cuts."""
     k = np.arange(1, ZETA_TABLE_SIZE + 1, dtype=float)
     start = ZETA_TABLE_SIZE + 1.0
     tail = start ** (1.0 - s) * _scaled_zeta_tail(s, start)
     return np.append(k ** -s, tail) / riemann_zeta(s)
+
+
+@lru_cache(maxsize=64)
+def _zeta_head(s: float, size: int):
+    """P(Y = k) for k = 1..size, then P(Y > size): the cells of a run's multinomial head; and
+    P(size < Y <= size + j) for j = 0..ZETA_TABLE_SIZE - size, the rest's in-table cdf."""
+    pmf = _zeta_pmf(s)
+    cdf = np.cumsum(np.append(0.0, pmf[size:-1]))
+    return np.append(pmf[:size], cdf[-1] + pmf[-1]), cdf
+
+
+def _zeta_rest(rng: np.random.Generator, s: float, size: int, count: int) -> np.ndarray:
+    """``count`` i.i.d. keys of Y | Y > size: a binomial count of keys up to ZETA_TABLE_SIZE, which
+    invert the in-table cdf (index clamped against rounding), then :func:`_zeta_tail` keys."""
+    cells, cdf = _zeta_head(s, size)
+    inside = int(rng.binomial(count, cdf[-1] / cells[-1]))
+    u = rng.random(inside) * cdf[-1]  # uniforms scaled to the in-table share
+    keys = size + np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)
+    return np.concatenate([keys.astype(float), _zeta_tail(rng, s, count - inside)])

@@ -13,10 +13,11 @@ ranges of the draws (``IntervalSet.grid_ranges``).  A run is drawn count
 first: the box counts are multinomial, and given them the order of the draws
 is a uniform arrangement (Karlin 1967; Gnedin, Hansen & Pitman 2007), so a
 run keeps only how many balls of each box fall in each cell between the
-range ends of the family passed to :func:`simulate`.  Every set query asks
-which boxes have a draw in some ranges, and reads these cell counts through
-that one mask over the boxes (``_boxes``).  Box labels are float64 keys (see
-:func:`~karlin_rsm.distributions._zeta_tail`).
+range ends of the family passed to :func:`simulate`.  Only the about nu(n)
+heavy labels get multinomial cells; the other balls draw keys one by one.
+Every set query asks which boxes have a draw in some ranges, and reads these
+cell counts through that one mask over the boxes (``_boxes``).  Box labels
+are float64 keys (see :func:`~karlin_rsm.distributions._zeta_tail`).
 """
 
 from __future__ import annotations
@@ -31,9 +32,10 @@ from functools import cached_property
 import numpy as np
 
 from .distributions import (
+    ZETA_TABLE_SIZE,
     HeavyTailSpec,
-    _zeta_pmf,
-    _zeta_tail,
+    _zeta_head,
+    _zeta_rest,
     gamma_fn,
     pareto_sample_batch,
     riemann_zeta,
@@ -60,6 +62,7 @@ __all__ = [
 ]
 
 MAX_N = 10 ** 7  # simulate raises ResourceError above this n
+HEAD_FLOOR = 32  # the multinomial head counts at least the labels 1..HEAD_FLOOR
 
 
 class ResourceError(RuntimeError):
@@ -224,24 +227,25 @@ def simulate(
 ) -> SimRun:
     """Run the urn for n rounds; deterministic given (model, spec, n, seed, replica, family).
 
-    The stream gives the multinomial box counts of the labels 1..L and of
-    one tail cell (L = ZETA_TABLE_SIZE), the tail's keys, one mark per
-    occupied box in key order, and last the split of each box's balls over
-    the cells that the family's index ranges cut, so labels, counts and
-    marks do not depend on the family.  Queries on the run may use only
-    sets whose index ranges are unions of these cells.
+    The stream gives the multinomial counts of the labels 1..L and one rest
+    cell, L = min(max(nu(n), HEAD_FLOOR), ZETA_TABLE_SIZE); the rest's keys
+    (``distributions._zeta_rest``); one mark per occupied box in key order;
+    and last the split of each box's balls over the cells that the family's
+    index ranges cut, so labels, counts and marks do not depend on the
+    family.  Queries may use only sets whose ranges are unions of these cells.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     if n > MAX_N:
         raise ResourceError(f"n={n} exceeds the allocation budget n <= {MAX_N}")
     rng = replica_rng(seed, replica)
-    table = rng.multinomial(n, _zeta_pmf(model.s))
-    tail, tail_counts = np.unique(_zeta_tail(rng, model.s, int(table[-1])), return_counts=True)
-    small = np.flatnonzero(table[:-1])
-    logs = np.searchsorted(tail, 0.0)  # log-keys of labels beyond float range come first
-    labels = np.concatenate([tail[:logs], small + 1.0, tail[logs:]])
-    counts = np.concatenate([tail_counts[:logs], table[small], tail_counts[logs:]])
+    size = min(max(model.nu_count(n), HEAD_FLOOR), ZETA_TABLE_SIZE)
+    head = rng.multinomial(n, _zeta_head(model.s, size)[0])
+    rest, rest_counts = np.unique(_zeta_rest(rng, model.s, size, int(head[-1])), return_counts=True)
+    small = np.flatnonzero(head[:-1])
+    logs = np.searchsorted(rest, 0.0)  # log-keys of labels beyond float range come first
+    labels = np.concatenate([rest[:logs], small + 1.0, rest[logs:]])
+    counts = np.concatenate([rest_counts[:logs], head[small], rest_counts[logs:]])
     marks = pareto_sample_batch(rng, spec, len(labels))
     cuts = _cuts(family, n)
     cells = _split(rng, counts, np.diff(cuts)) if cuts.size > 2 else counts[None, :]
@@ -264,9 +268,10 @@ def top_boxes(run: SimRun, m: int) -> np.ndarray:
     """
     if m < 1:
         raise ValueError("m must be at least 1")
-    # keys are sorted ascending, so a stable sort on -value breaks ties
-    # toward the smaller key
-    return np.argsort(-run.marks, kind="stable")[:m]
+    # boxes with at least the m-th largest mark, in ascending key order: a stable sort breaks ties
+    cut = max(run.k_n - m, 0)
+    top = np.flatnonzero(run.marks >= np.partition(run.marks, cut)[cut])
+    return top[np.argsort(-run.marks[top], kind="stable")][:m]
 
 
 def top_m(run: SimRun, m: int) -> list:

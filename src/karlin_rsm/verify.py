@@ -14,8 +14,9 @@ batch, each limit family drawn once) and their stream blocks in another,
 :data:`_PARTS`.  An urn part gets its runs from one function, ``_urn_map``,
 which hands each run, cut into the cells of the part's query sets, to the
 suite's statistic: replica r draws from the counter-based stream
-``replica_rng(seed, block * 2**20 + r)``, and the replicas are cut into
-``threads`` contiguous chunks, run on at most one thread per CPU; a suite
+``replica_rng(seed, block * 2**20 + r)``; only a part whose runs draw at
+least ZETA_TABLE_SIZE tail keys each is cut into ``threads`` contiguous
+chunks, run on at most one thread per CPU; a suite
 takes at most 2**20 replicas per part, and only ``marginal`` takes more
 than one n.  A limit part draws all its replicas, in replica order, as one
 vectorised batch from the single stream ``replica_rng(seed, block *
@@ -42,6 +43,7 @@ from . import choquet_oracle as oracle
 from . import karlin_sim as ksim
 from . import limit_sim as lsim
 from .distributions import FrechetLaw, HeavyTailSpec, frechet_cdf, gamma_fn, qbeta_pmf, qbeta_tail
+from .distributions import ZETA_TABLE_SIZE, _zeta_pmf
 from .interval_sets import UNIT, IntervalSet, normalize
 from .karlin_sim import FrequencyModel, replica_rng
 
@@ -314,12 +316,13 @@ def _offset(cfg: SuiteConfig, part: str, index: int = 0) -> int:
 
 
 def _urn_map(cfg: SuiteConfig, part: str, sets, fn, n=None, index=0, count=None) -> list:
-    """fn(run) for the runs of an urn part, in replica order, on ``cfg.threads`` threads.
+    """fn(run) for the runs of an urn part, in replica order, on up to ``cfg.threads`` threads.
 
     Run r < count (default: the replicas) has n draws (default: the suite's
     one n) from the stream ``_offset(cfg, part, index) + r``, cut into the
-    cells of the query sets ``sets``.  Each requested thread gets one
-    contiguous chunk of the replicas; at most one thread per CPU runs them.
+    cells of the query sets ``sets``.  If a run expects at least ZETA_TABLE_SIZE
+    tail keys, each requested thread gets one contiguous chunk of the replicas;
+    at most one thread per CPU runs them.  Shorter runs would only trade the GIL.
     """
     n = max(cfg.n_grid) if n is None else n
     count = cfg.replicas if count is None else count
@@ -329,7 +332,7 @@ def _urn_map(cfg: SuiteConfig, part: str, sets, fn, n=None, index=0, count=None)
     def chunk(replicas):
         return [fn(ksim.simulate(model, spec, n, cfg.seed, offset + r, sets)) for r in replicas]
 
-    if cfg.threads <= 1:
+    if cfg.threads <= 1 or n * _zeta_pmf(model.s)[-1] < ZETA_TABLE_SIZE:
         return chunk(range(count))
     bounds = np.linspace(0, count, min(cfg.threads, count) + 1).astype(int)
     with ThreadPoolExecutor(max_workers=min(cfg.threads, os.cpu_count() or 1)) as pool:

@@ -232,21 +232,24 @@ def test_11_ergodicity_statistic(limit_oracle_report):
 
 
 def test_12_determinism_across_threads():
-    small = {
-        "marginal": dict(n_grid=(10 ** 3,), replicas=100),
-        "locations": dict(n_grid=(10 ** 4,), replicas=100),
-        "occupancy": dict(n_grid=(10 ** 4,), replicas=100),
-        "patterns": dict(n_grid=(10 ** 4,), replicas=100),
-        "limit-vs-oracle": dict(n_grid=(10 ** 4,), replicas=100),
-        "extremal-mstar": dict(n_grid=(10 ** 4,), replicas=100),
-    }
+    # every suite at beta 0.5, whose short urn runs take one thread whatever is asked, and
+    # two urn suites at beta 0.9, n = 2e4, whose runs (about 7450 keys beyond the table
+    # each) are shared among the threads asked for
+    small = [
+        ("marginal", dict(beta=0.5, n_grid=(10 ** 3,), replicas=100)),
+        ("locations", dict(beta=0.5, n_grid=(10 ** 4,), replicas=100)),
+        ("occupancy", dict(beta=0.5, n_grid=(10 ** 4,), replicas=100)),
+        ("patterns", dict(beta=0.5, n_grid=(10 ** 4,), replicas=100)),
+        ("limit-vs-oracle", dict(beta=0.5, n_grid=(10 ** 4,), replicas=100)),
+        ("extremal-mstar", dict(beta=0.5, n_grid=(10 ** 4,), replicas=100)),
+        ("occupancy", dict(beta=0.9, n_grid=(2 * 10 ** 4,), replicas=100)),
+        ("patterns", dict(beta=0.9, n_grid=(2 * 10 ** 4,), replicas=100)),
+    ]
     ok = True
-    for suite, kw in small.items():
+    for suite, kw in small:
         out = []
         for threads in (1, 3):
-            cfg = SuiteConfig(
-                suite=suite, alpha=1.0, beta=0.5, seed=ACCEPTANCE_SEED, threads=threads, **kw,
-            )
+            cfg = SuiteConfig(suite=suite, alpha=1.0, seed=ACCEPTANCE_SEED, threads=threads, **kw)
             rep = run_suite(cfg)
             out.append((rep.to_csv(), rep.to_json()))
         ok = ok and out[0] == out[1]

@@ -426,12 +426,14 @@ class TestVerifyCommand:
         assert all(line.split(",")[5] == "true" for line in lines[1:])
 
     def test_byte_identical_across_runs_and_threads(self, tmp_path):
-        args = ["verify", "--suite", "patterns", "--beta", "0.5", "--n", "10000",
-                "--replicas", "100", "--seed", "7"]
-        out1, out2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
-        assert run_cli(*args, "--threads", "1", "--out", str(out1)).returncode == 0
-        assert run_cli(*args, "--threads", "3", "--out", str(out2)).returncode == 0
-        assert out1.read_bytes() == out2.read_bytes()
+        # beta 0.5 at n = 1e4 runs on one thread whatever is asked; beta 0.9 at n = 2e4 on the threads asked for
+        for beta, n in (("0.5", "10000"), ("0.9", "20000")):
+            args = ["verify", "--suite", "patterns", "--beta", beta, "--n", n,
+                    "--replicas", "100", "--seed", "7"]
+            out1, out2 = tmp_path / f"r1-{beta}.csv", tmp_path / f"r2-{beta}.csv"
+            assert run_cli(*args, "--threads", "1", "--out", str(out1)).returncode == 0
+            assert run_cli(*args, "--threads", "3", "--out", str(out2)).returncode == 0
+            assert out1.read_bytes() == out2.read_bytes()
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "report.json"
@@ -498,7 +500,14 @@ def test_every_option_is_read(command, argv, monkeypatch, query_file, family_fil
     argv = [a.format(family=family_file, query=query_file) for a in argv]
     if command != "oracle":
         argv += ["--seed", "1", "--out", str(tmp_path / "out")]
-    assert cli.main([command, *argv]) == 0
+    code = cli.main([command, *argv])
+    if command == "verify":
+        # the run completes; exit 1 is the suite's verdict and must match the report's pass
+        # column (at n = 1000 the mean_kn_ratio row fails by finite-n bias on some seeds)
+        passed = [line.split(",")[5] for line in (tmp_path / "out").read_text().splitlines()[1:]]
+        assert code == (0 if all(p == "true" for p in passed) else 1)
+    else:
+        assert code == 0
     subparsers = next(a for a in build()._actions if isinstance(a, argparse._SubParsersAction))
     options = {a.dest for a in subparsers.choices[command]._actions} - {"help"}
     unread = options - vars(parsed[0])["_read"]

@@ -12,6 +12,7 @@ from karlin_rsm.distributions import (
     FrechetLaw,
     HeavyTailSpec,
     _zeta_pmf,
+    _zeta_rest,
     _zeta_tail,
     frechet_cdf,
     gamma_fn,
@@ -197,9 +198,23 @@ class TestRiemannZeta:
                 riemann_zeta(s)
 
 
+class _Stub:
+    """A generator whose binomials return their count and whose uniforms all equal ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def binomial(self, count, p):
+        return count
+
+    def random(self, size):
+        return np.full(size, self.u)
+
+
 class TestZetaDraws:
-    """The zeta code the urn runs: the multinomial cells of the labels up to
-    L = ZETA_TABLE_SIZE (``_zeta_pmf``) and the conditioned tail (``_zeta_tail``)."""
+    """The zeta code the urn runs: the table of the labels up to L = ZETA_TABLE_SIZE
+    (``_zeta_pmf``), the keys of a run's rest cell (``_zeta_rest``) and the
+    conditioned tail (``_zeta_tail``)."""
 
     @staticmethod
     def _tail_mass(s):
@@ -253,6 +268,28 @@ class TestZetaDraws:
         assert np.all(ours > ZETA_TABLE_SIZE)
         crit = two_sample_ks_critical(ours.size, ref.size)
         assert ks_2samp(np.log(ours), ref).statistic <= crit
+
+    @pytest.mark.parametrize("s, size", [(2.0, 32), (2.0, 779), (1.0 / 0.9, 520), (1.0 / 0.9, ZETA_TABLE_SIZE)])
+    def test_rest_keys_in_law(self, s, size):
+        # Y | Y > size: P(key <= x) at labels up to the table's end, from the series, within 4 SE
+        n = 10 ** 5
+        keys = _zeta_rest(np.random.default_rng(23), s, size, n)
+        assert np.all(keys > size)
+        z = zeta_series(s)
+        pmf = np.arange(1.0, ZETA_TABLE_SIZE + 1) ** -s / z
+        rest = (z - math.fsum(np.arange(1.0, size + 1) ** -s)) / z
+        for x in {min(x, ZETA_TABLE_SIZE) for x in (size + 1, 2 * size, (size + ZETA_TABLE_SIZE) // 2)}:
+            p = math.fsum(pmf[size:x]) / rest
+            assert abs(np.mean(keys <= x) - p) <= 4.0 * math.sqrt(p * (1.0 - p) / n), (x, p)
+
+    @pytest.mark.parametrize("s", [2.0, 1.0 / 0.9, 10.0])
+    def test_rest_inversion_stays_in_the_table(self, s):
+        # a uniform that rounds onto the in-table share still gives the last table label,
+        # and 0 gives the first label of the rest
+        for size in (32, 1000, ZETA_TABLE_SIZE - 1):
+            top = _zeta_rest(_Stub(1.0), s, size, 5)
+            assert top.tolist() == [float(ZETA_TABLE_SIZE)] * 5
+            assert _zeta_rest(_Stub(0.0), s, size, 5).tolist() == [size + 1.0] * 5
 
     @pytest.mark.parametrize("s", [1.001, 1.01])
     def test_tail_beyond_float_range_kept(self, s):

@@ -18,6 +18,8 @@ from karlin_rsm.distributions import (
 )
 from karlin_rsm.interval_sets import normalize
 from karlin_rsm.karlin_sim import (
+    HEAD_FLOOR,
+    MAX_N,
     FrequencyModel,
     ResourceError,
     b_n,
@@ -27,6 +29,7 @@ from karlin_rsm.karlin_sim import (
     pattern_count_table,
     replica_rng,
     simulate,
+    top_boxes,
     top_m,
     top_m_csv,
     variant_star_sup,
@@ -108,15 +111,24 @@ class TestSimulate:
         assert not np.array_equal(a.draws, c.draws)
 
     def test_marks_in_key_order_from_the_stream(self):
-        # the k_n marks are the Pareto draws that follow the multinomial table
-        # counts and the tail keys, unpermuted
+        # the stream: the head counts of the labels 1..L and the rest, the binomial count of
+        # the rest's keys up to the table's end, their uniforms, the tail keys, and then the
+        # k_n Pareto marks, unpermuted
+        n = 5000
         for beta in (0.5, 0.9):
             model = FrequencyModel(beta)
-            run = simulate(model, SPEC, 5000, seed=3, replica=2, family=(normalize([(0.0, 0.3)]),))
+            run = simulate(model, SPEC, n, seed=3, replica=2, family=(normalize([(0.0, 0.3)]),))
+            size = model.nu_count(n)
+            assert HEAD_FLOOR < size < ZETA_TABLE_SIZE
+            pmf = _zeta_pmf(model.s)
+            cdf = np.cumsum(pmf[size:-1])
             rng = replica_rng(3, 2)
-            table = rng.multinomial(5000, _zeta_pmf(model.s))
-            tail = _zeta_tail(rng, model.s, int(table[-1]))
-            keys = np.concatenate([np.repeat(np.arange(1.0, ZETA_TABLE_SIZE + 1), table[:-1]), tail])
+            head = rng.multinomial(n, np.append(pmf[:size], cdf[-1] + pmf[-1]))
+            inside = rng.binomial(head[-1], cdf[-1] / (cdf[-1] + pmf[-1]))
+            table = size + 1.0 + np.searchsorted(cdf, rng.random(inside) * cdf[-1], side="right")
+            assert np.all(table <= ZETA_TABLE_SIZE)
+            tail = _zeta_tail(rng, model.s, int(head[-1] - inside))
+            keys = np.concatenate([np.repeat(np.arange(1.0, size + 1), head[:-1]), table, tail])
             assert np.array_equal(run.labels, np.unique(keys))
             assert np.array_equal(run.marks, pareto_sample_batch(rng, SPEC, run.k_n))
 
@@ -144,8 +156,22 @@ class TestCountFirst:
     QUARTER = normalize([(0.0, 0.25)])
     UNIT = normalize([(0.0, 1.0)])
 
-    @pytest.mark.parametrize("n", [10 ** 3, 10 ** 4, 10 ** 5])
-    @pytest.mark.parametrize("beta", [0.5, 0.9])
+    # the multinomial head size L against its floor and the table: below the floor
+    # (beta 0.5 at 1e3, 0.9 at 300), nu(n) between them, and L = ZETA_TABLE_SIZE
+    # (beta 0.9 at 1e5; out of reach at beta 0.5 below MAX_N)
+    REGIMES = [(0.5, 10 ** 3), (0.5, 10 ** 4), (0.5, 10 ** 5),
+               (0.9, 300), (0.9, 10 ** 3), (0.9, 10 ** 4), (0.9, 10 ** 5)]
+
+    def test_regimes_cover_every_head_size(self):
+        sizes = {}
+        for beta, n in self.REGIMES:
+            nu = FrequencyModel(beta).nu_count(n)
+            regime = "floor" if nu < HEAD_FLOOR else "table" if nu >= ZETA_TABLE_SIZE else "nu"
+            sizes.setdefault(beta, set()).add(regime)
+        assert sizes == {0.5: {"floor", "nu"}, 0.9: {"floor", "nu", "table"}}
+        assert FrequencyModel(0.5).nu_count(MAX_N) < ZETA_TABLE_SIZE
+
+    @pytest.mark.parametrize("beta, n", REGIMES)
     def test_equal_in_law_to_reference(self, beta, n):
         model, reps = FrequencyModel(beta), 300
         quarter = self.QUARTER.contains_points(np.arange(n) / n)
@@ -169,10 +195,10 @@ class TestCountFirst:
 
     @pytest.mark.parametrize("beta", [0.5, 0.9])
     def test_mean_occupancy_exact(self, beta):
-        # E K_n = sum_l 1 - (1 - p_l)**n
-        n = 10 ** 4
-        k_n = [simulate(FrequencyModel(beta), SPEC, n, seed=3, replica=r).k_n for r in range(400)]
-        self._within_3_se(k_n, expected_boxes(beta, n, 0))
+        # E K_n = sum_l 1 - (1 - p_l)**n, in every head size regime
+        for n in {0.5: (10 ** 3, 10 ** 4), 0.9: (300, 10 ** 4, 10 ** 5)}[beta]:
+            k_n = [simulate(FrequencyModel(beta), SPEC, n, seed=3, replica=r).k_n for r in range(400)]
+            self._within_3_se(k_n, expected_boxes(beta, n, 0))
 
     @pytest.mark.parametrize("beta", [0.5, 0.9])
     def test_mean_boxes_hitting_a_missing_b_exact(self, beta):
@@ -247,6 +273,14 @@ class TestTopOrderStats:
     def test_rank_count_capped_by_k_n(self):
         run = simulate(MODEL, SPEC, 3, seed=8)
         assert len(top_m(run, 10)) == run.k_n
+
+    def test_top_boxes_is_the_stable_sort_prefix(self):
+        # marks drawn from 4 values tie often; ties go to the smaller key, also for m > k_n
+        run = simulate(MODEL, SPEC, 10 ** 4, seed=11)
+        for marks in (run.marks.copy(), np.random.default_rng(5).integers(1, 5, run.k_n).astype(float)):
+            run.marks = marks
+            for m in (1, 2, 5, run.k_n - 1, run.k_n, run.k_n + 3):
+                assert np.array_equal(top_boxes(run, m), np.argsort(-marks, kind="stable")[:m])
 
     def test_csv_export_round_trip(self):
         run = simulate(MODEL, SPEC, 1000, seed=9)

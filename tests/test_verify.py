@@ -25,6 +25,9 @@ from karlin_rsm.verify import (
 
 
 REPORT_FIELDS = ("suite", "check", "estimate", "target", "se_or_crit", "pass", "n", "replicas", "seed")
+# runs that draw about 7450 keys beyond the table each, so an urn part shares them among threads;
+# beta 0.5 runs below n = 2.7e7 are short and take one thread whatever is asked
+LONG_RUNS = dict(beta=0.9, n_grid=(2 * 10 ** 4,))
 
 
 class TestKsStatistic:
@@ -202,11 +205,12 @@ class TestReports:
         assert back == rep.rows
 
     def test_thread_count_does_not_change_bytes(self):
-        base = dict(suite="occupancy", beta=0.5, n_grid=(10 ** 4,), replicas=100, seed=11)
-        rep1 = run_suite(SuiteConfig(threads=1, **base))
-        rep4 = run_suite(SuiteConfig(threads=4, **base))
-        assert rep1.to_csv() == rep4.to_csv()
-        assert rep1.to_json() == rep4.to_json()
+        for config in (dict(beta=0.5, n_grid=(10 ** 4,)), LONG_RUNS):
+            base = dict(suite="occupancy", replicas=100, seed=11, **config)
+            rep1 = run_suite(SuiteConfig(threads=1, **base))
+            rep4 = run_suite(SuiteConfig(threads=4, **base))
+            assert rep1.to_csv() == rep4.to_csv()
+            assert rep1.to_json() == rep4.to_json()
 
     def test_rerun_identical(self):
         cfg = SuiteConfig(suite="patterns", beta=0.5, n_grid=(10 ** 4,), replicas=100, seed=3)
@@ -220,25 +224,28 @@ def test_urn_map_chunks_keep_replica_order():
     def stat(run):
         return run.replica, run.k_n, [karlin_sim.empirical_sup(run, a) for a in sets]
 
-    results = [verify._urn_map(SuiteConfig(suite="patterns", n_grid=(1000,), replicas=101, seed=4,
-                                           threads=threads), "urn", sets, stat)
+    results = [verify._urn_map(SuiteConfig(suite="patterns", replicas=101, seed=4, threads=threads,
+                                           **LONG_RUNS), "urn", sets, stat)
                for threads in (1, 2, 3)]
     assert results[0] == results[1] == results[2]
     assert [replica for replica, _, _ in results[0]] == list(range(101))
 
 
 def test_urn_map_runs_at_most_one_thread_per_cpu(monkeypatch):
-    # 8 chunks asked for on 2 CPUs: 2 worker threads run them, and the results keep replica order
+    # 8 chunks of long runs asked for on 2 CPUs: exactly 2 worker threads run them, and the
+    # results keep replica order; short runs stay on the calling thread
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
 
     def stat(run):
         return threading.get_ident(), run.replica, run.k_n
 
-    base = dict(suite="occupancy", n_grid=(1000,), replicas=101, seed=4)
-    serial = verify._urn_map(SuiteConfig(threads=1, **base), "urn", (), stat)
-    pooled = verify._urn_map(SuiteConfig(threads=8, **base), "urn", (), stat)
-    assert len({ident for ident, _, _ in pooled}) <= 2
-    assert [row[1:] for row in pooled] == [row[1:] for row in serial]
+    for config, idents in ((LONG_RUNS, 2), (dict(n_grid=(1000,)), 1)):
+        base = dict(suite="occupancy", replicas=100, seed=4, **config)
+        serial = verify._urn_map(SuiteConfig(threads=1, **base), "urn", (), stat)
+        pooled = verify._urn_map(SuiteConfig(threads=8, **base), "urn", (), stat)
+        assert len({ident for ident, _, _ in pooled}) == idents
+        assert [row[1:] for row in pooled] == [row[1:] for row in serial]
+    assert {ident for ident, _, _ in pooled} == {threading.get_ident()}
 
 
 class TestSuitesSmoke:
