@@ -234,7 +234,7 @@ def _zeta_head(s: float, size: int):
     P(size < Y <= size + j) for j = 0..ZETA_TABLE_SIZE - size, the rest's in-table cdf."""
     pmf = _zeta_pmf(s)
     cdf = np.cumsum(np.append(0.0, pmf[size:-1]))
-    return np.append(pmf[:size], cdf[-1] + pmf[-1]), cdf
+    return np.append(pmf[:size], min(cdf[-1] + pmf[-1], 1.0)), cdf  # 1 but for rounding at size 0
 
 
 def _zeta_rest(rng: np.random.Generator, s: float, size: int, count: int) -> np.ndarray:

@@ -35,6 +35,7 @@ from .distributions import (
     ZETA_TABLE_SIZE,
     HeavyTailSpec,
     _zeta_head,
+    _zeta_pmf,
     _zeta_rest,
     gamma_fn,
     pareto_sample_batch,
@@ -49,6 +50,7 @@ __all__ = [
     "ResourceError",
     "b_n",
     "simulate",
+    "threads_pay",
     "replica_rng",
     "top_boxes",
     "top_m",
@@ -62,7 +64,7 @@ __all__ = [
 ]
 
 MAX_N = 10 ** 7  # simulate raises ResourceError above this n
-HEAD_FLOOR = 32  # the multinomial head counts at least the labels 1..HEAD_FLOOR
+THREAD_BREAK_EVEN = 2 ** 12  # tail keys per run from which two threads beat one (measured break-even)
 
 
 class ResourceError(RuntimeError):
@@ -116,6 +118,17 @@ class FrequencyModel:
         while cand >= 1 and cand ** self.s * self.zeta_norm > x:
             cand -= 1
         return cand
+
+    def mean_occupancy(self, n: int) -> float:
+        """E K_n = sum over ell of 1 - (1 - p_ell)**n: directly up to H with n p_H < 1/2, then the
+        integral of 1 - exp(-n p_x) from H + 1/2 (midpoint rule) as a series in n p_(H + 1/2)."""
+        c = n / self.zeta_norm
+        head = max(int((2.0 * c) ** self.beta) + 1, 2 ** 12)
+        p = np.arange(1.0, head + 1.0) ** -self.s / self.zeta_norm
+        a = head + 0.5
+        t = c * a ** -self.s
+        series = sum((-t) ** k / (math.factorial(k) * (k - self.beta)) for k in range(1, 25))
+        return float(-np.expm1(n * np.log1p(-p)).sum()) - self.beta * a * series
 
 
 def b_n(model: FrequencyModel, spec: HeavyTailSpec, n: int) -> float:
@@ -217,6 +230,11 @@ def _split(rng: np.random.Generator, counts: np.ndarray, sizes: np.ndarray) -> n
     return cells
 
 
+def threads_pay(model: FrequencyModel, n: int) -> bool:
+    """Whether runs of n draws gain from threads: THREAD_BREAK_EVEN keys beyond the zeta table expected."""
+    return n * _zeta_pmf(model.s)[-1] >= THREAD_BREAK_EVEN
+
+
 def simulate(
     model: FrequencyModel,
     spec: HeavyTailSpec,
@@ -228,7 +246,7 @@ def simulate(
     """Run the urn for n rounds; deterministic given (model, spec, n, seed, replica, family).
 
     The stream gives the multinomial counts of the labels 1..L and one rest
-    cell, L = min(max(nu(n), HEAD_FLOOR), ZETA_TABLE_SIZE); the rest's keys
+    cell, L = min(nu(n), ZETA_TABLE_SIZE); the rest's keys
     (``distributions._zeta_rest``); one mark per occupied box in key order;
     and last the split of each box's balls over the cells that the family's
     index ranges cut, so labels, counts and marks do not depend on the
@@ -239,7 +257,7 @@ def simulate(
     if n > MAX_N:
         raise ResourceError(f"n={n} exceeds the allocation budget n <= {MAX_N}")
     rng = replica_rng(seed, replica)
-    size = min(max(model.nu_count(n), HEAD_FLOOR), ZETA_TABLE_SIZE)
+    size = min(model.nu_count(n), ZETA_TABLE_SIZE)
     head = rng.multinomial(n, _zeta_head(model.s, size)[0])
     rest, rest_counts = np.unique(_zeta_rest(rng, model.s, size, int(head[-1])), return_counts=True)
     small = np.flatnonzero(head[:-1])

@@ -14,9 +14,9 @@ batch, each limit family drawn once) and their stream blocks in another,
 :data:`_PARTS`.  An urn part gets its runs from one function, ``_urn_map``,
 which hands each run, cut into the cells of the part's query sets, to the
 suite's statistic: replica r draws from the counter-based stream
-``replica_rng(seed, block * 2**20 + r)``; only a part whose runs draw at
-least ZETA_TABLE_SIZE tail keys each is cut into ``threads`` contiguous
-chunks, run on at most one thread per CPU; a suite
+``replica_rng(seed, block * 2**20 + r)``; only a part whose runs are long
+enough to share (``karlin_sim.threads_pay``) is cut into ``threads``
+contiguous chunks, run on at most one thread per CPU; a suite
 takes at most 2**20 replicas per part, and only ``marginal`` takes more
 than one n.  A limit part draws all its replicas, in replica order, as one
 vectorised batch from the single stream ``replica_rng(seed, block *
@@ -43,7 +43,6 @@ from . import choquet_oracle as oracle
 from . import karlin_sim as ksim
 from . import limit_sim as lsim
 from .distributions import FrechetLaw, HeavyTailSpec, frechet_cdf, gamma_fn, qbeta_pmf, qbeta_tail
-from .distributions import ZETA_TABLE_SIZE, _zeta_pmf
 from .interval_sets import UNIT, IntervalSet, normalize
 from .karlin_sim import FrequencyModel, replica_rng
 
@@ -320,9 +319,9 @@ def _urn_map(cfg: SuiteConfig, part: str, sets, fn, n=None, index=0, count=None)
 
     Run r < count (default: the replicas) has n draws (default: the suite's
     one n) from the stream ``_offset(cfg, part, index) + r``, cut into the
-    cells of the query sets ``sets``.  If a run expects at least ZETA_TABLE_SIZE
-    tail keys, each requested thread gets one contiguous chunk of the replicas;
-    at most one thread per CPU runs them.  Shorter runs would only trade the GIL.
+    cells of the query sets ``sets``.  If runs are long enough to share
+    (``karlin_sim.threads_pay``), each requested thread gets one contiguous
+    chunk of the replicas; at most one thread per CPU runs them.
     """
     n = max(cfg.n_grid) if n is None else n
     count = cfg.replicas if count is None else count
@@ -332,7 +331,7 @@ def _urn_map(cfg: SuiteConfig, part: str, sets, fn, n=None, index=0, count=None)
     def chunk(replicas):
         return [fn(ksim.simulate(model, spec, n, cfg.seed, offset + r, sets)) for r in replicas]
 
-    if cfg.threads <= 1 or n * _zeta_pmf(model.s)[-1] < ZETA_TABLE_SIZE:
+    if cfg.threads <= 1 or not ksim.threads_pay(model, n):
         return chunk(range(count))
     bounds = np.linspace(0, count, min(cfg.threads, count) + 1).astype(int)
     with ThreadPoolExecutor(max_workers=min(cfg.threads, os.cpu_count() or 1)) as pool:
@@ -456,12 +455,13 @@ def suite_locations(cfg: SuiteConfig) -> list:
 def suite_occupancy(cfg: SuiteConfig) -> list:
     """Occupancy growth and block frequencies of the urn.
 
-    Checks mean K_n / nu((0, n]) against gamma(1-beta) and the pooled
-    box-size frequencies against the block-size pmf for k <= 10 by
-    chi-square.
+    Checks mean K_n / nu((0, n]) against its exact mean E K_n / nu((0, n]),
+    which tends to gamma(1-beta), and the pooled box-size frequencies
+    against the block-size pmf for k <= 10 by chi-square.
     """
     n = max(cfg.n_grid)
-    nu = FrequencyModel(beta=cfg.beta).nu_count(n)
+    model = FrequencyModel(beta=cfg.beta)
+    nu = model.nu_count(n)
     kmax = 10
 
     def one(run):
@@ -474,7 +474,7 @@ def suite_occupancy(cfg: SuiteConfig) -> list:
     total = float(k_n.sum())
 
     rows = [
-        _rel_row(cfg, "mean_kn_ratio", float(np.mean(k_n / nu)), gamma_fn(1.0 - cfg.beta),
+        _rel_row(cfg, "mean_kn_ratio", float(np.mean(k_n / nu)), model.mean_occupancy(n) / nu,
                  "occupancy_rel", n=n, replicas=cfg.replicas)
     ]
     for k in (1, 2):

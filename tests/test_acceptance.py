@@ -176,7 +176,7 @@ def test_07_occupancy_laws():
     ratio = row(rep, "mean_kn_ratio")
     chi2 = row(rep, "block_freq_chi2")
     ok = ratio.passed and chi2.passed
-    emit(7, "occupancy: mean K_n/nu within 2% of gamma(1/2), block sizes pass chi-square",
+    emit(7, "occupancy: mean K_n/nu within 2% of its exact mean (-> gamma(1/2)), block sizes pass chi-square",
          ok, f"ratio={ratio.estimate:.4f} vs {ratio.target:.4f}; chi2={chi2.estimate:.1f} < {chi2.se_or_crit:.1f}")
 
 

@@ -500,14 +500,7 @@ def test_every_option_is_read(command, argv, monkeypatch, query_file, family_fil
     argv = [a.format(family=family_file, query=query_file) for a in argv]
     if command != "oracle":
         argv += ["--seed", "1", "--out", str(tmp_path / "out")]
-    code = cli.main([command, *argv])
-    if command == "verify":
-        # the run completes; exit 1 is the suite's verdict and must match the report's pass
-        # column (at n = 1000 the mean_kn_ratio row fails by finite-n bias on some seeds)
-        passed = [line.split(",")[5] for line in (tmp_path / "out").read_text().splitlines()[1:]]
-        assert code == (0 if all(p == "true" for p in passed) else 1)
-    else:
-        assert code == 0
+    assert cli.main([command, *argv]) == 0
     subparsers = next(a for a in build()._actions if isinstance(a, argparse._SubParsersAction))
     options = {a.dest for a in subparsers.choices[command]._actions} - {"help"}
     unread = options - vars(parsed[0])["_read"]

@@ -18,8 +18,8 @@ from karlin_rsm.distributions import (
 )
 from karlin_rsm.interval_sets import normalize
 from karlin_rsm.karlin_sim import (
-    HEAD_FLOOR,
     MAX_N,
+    THREAD_BREAK_EVEN,
     FrequencyModel,
     ResourceError,
     b_n,
@@ -29,6 +29,7 @@ from karlin_rsm.karlin_sim import (
     pattern_count_table,
     replica_rng,
     simulate,
+    threads_pay,
     top_boxes,
     top_m,
     top_m_csv,
@@ -79,6 +80,12 @@ class TestFrequencyModel:
         assert MODEL.nu_count(2) == 1
         assert b_n(MODEL, SPEC, 2) == pytest.approx(gamma_fn(0.5), rel=1e-12)
 
+    def test_threads_pay_from_the_break_even(self):
+        # n P(Y > 2**12) >= 2**12 tail keys: beta 0.9 from n of about 1.1e4, beta 0.5 never below MAX_N
+        assert THREAD_BREAK_EVEN == 2 ** 12
+        cases = ((0.9, 10 ** 4), (0.9, 2 * 10 ** 4), (0.5, MAX_N))
+        assert [threads_pay(FrequencyModel(beta), n) for beta, n in cases] == [False, True, False]
+
 
 class TestSimulate:
     def test_single_draw(self):
@@ -119,7 +126,7 @@ class TestSimulate:
             model = FrequencyModel(beta)
             run = simulate(model, SPEC, n, seed=3, replica=2, family=(normalize([(0.0, 0.3)]),))
             size = model.nu_count(n)
-            assert HEAD_FLOOR < size < ZETA_TABLE_SIZE
+            assert 0 < size < ZETA_TABLE_SIZE
             pmf = _zeta_pmf(model.s)
             cdf = np.cumsum(pmf[size:-1])
             rng = replica_rng(3, 2)
@@ -156,19 +163,19 @@ class TestCountFirst:
     QUARTER = normalize([(0.0, 0.25)])
     UNIT = normalize([(0.0, 1.0)])
 
-    # the multinomial head size L against its floor and the table: below the floor
-    # (beta 0.5 at 1e3, 0.9 at 300), nu(n) between them, and L = ZETA_TABLE_SIZE
+    # the multinomial head size L = min(nu(n), ZETA_TABLE_SIZE): L = 0, every ball in the
+    # rest cell (beta 0.9 at n = 8), 0 < L < ZETA_TABLE_SIZE, and L = ZETA_TABLE_SIZE
     # (beta 0.9 at 1e5; out of reach at beta 0.5 below MAX_N)
     REGIMES = [(0.5, 10 ** 3), (0.5, 10 ** 4), (0.5, 10 ** 5),
-               (0.9, 300), (0.9, 10 ** 3), (0.9, 10 ** 4), (0.9, 10 ** 5)]
+               (0.9, 8), (0.9, 10 ** 3), (0.9, 10 ** 4), (0.9, 10 ** 5)]
 
     def test_regimes_cover_every_head_size(self):
         sizes = {}
         for beta, n in self.REGIMES:
             nu = FrequencyModel(beta).nu_count(n)
-            regime = "floor" if nu < HEAD_FLOOR else "table" if nu >= ZETA_TABLE_SIZE else "nu"
+            regime = "empty" if nu == 0 else "table" if nu >= ZETA_TABLE_SIZE else "nu"
             sizes.setdefault(beta, set()).add(regime)
-        assert sizes == {0.5: {"floor", "nu"}, 0.9: {"floor", "nu", "table"}}
+        assert sizes == {0.5: {"nu"}, 0.9: {"empty", "nu", "table"}}
         assert FrequencyModel(0.5).nu_count(MAX_N) < ZETA_TABLE_SIZE
 
     @pytest.mark.parametrize("beta, n", REGIMES)
@@ -196,9 +203,18 @@ class TestCountFirst:
     @pytest.mark.parametrize("beta", [0.5, 0.9])
     def test_mean_occupancy_exact(self, beta):
         # E K_n = sum_l 1 - (1 - p_l)**n, in every head size regime
-        for n in {0.5: (10 ** 3, 10 ** 4), 0.9: (300, 10 ** 4, 10 ** 5)}[beta]:
+        for n in {0.5: (10 ** 3, 10 ** 4), 0.9: (8, 10 ** 4, 10 ** 5)}[beta]:
             k_n = [simulate(FrequencyModel(beta), SPEC, n, seed=3, replica=r).k_n for r in range(400)]
             self._within_3_se(k_n, expected_boxes(beta, n, 0))
+
+    @pytest.mark.parametrize("beta", [0.1, 0.5, 0.9, 0.99])
+    def test_model_mean_occupancy_is_exact(self, beta):
+        # the closed form the occupancy suite checks against, from n = 1 to where n p_l is
+        # small only far beyond 2**12 labels
+        model = FrequencyModel(beta)
+        assert model.mean_occupancy(1) == pytest.approx(1.0, rel=1e-6)
+        for n in (10, 10 ** 3, 10 ** 6):
+            assert model.mean_occupancy(n) == pytest.approx(expected_boxes(beta, n, 0), rel=1e-6)
 
     @pytest.mark.parametrize("beta", [0.5, 0.9])
     def test_mean_boxes_hitting_a_missing_b_exact(self, beta):
