@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .distributions import _check_alpha, _check_beta, gamma_fn
+from .distributions import _check_alpha, _check_beta
 from .interval_sets import IntervalSet, _json_fields, _json_number, atomize
 
 __all__ = [
@@ -158,7 +158,7 @@ def pattern_limit(p: PatternQuery, beta: float) -> float:
             for k in subset:
                 mask |= masks[k]
             total += sign * _leb(atoms, mask) ** beta
-    return float(gamma_fn(1.0 - beta) * total)
+    return float(math.gamma(1.0 - beta) * total)
 
 
 def mstar_theta(a: float, b: float, beta: float) -> float:

@@ -22,8 +22,6 @@ import numpy as np
 __all__ = [
     "HeavyTailSpec",
     "FrechetLaw",
-    "gamma_fn",
-    "pareto_from_uniform",
     "pareto_sample_batch",
     "frechet_cdf",
     "qbeta_pmf",
@@ -31,17 +29,6 @@ __all__ = [
     "riemann_zeta",
     "ZETA_TABLE_SIZE",
 ]
-
-
-def gamma_fn(x: float) -> float:
-    """Gamma function on (0, inf), relative error well below 1e-12.
-
-    Backed by the C library's Lanczos-style ``tgamma``; raises ``ValueError``
-    for nonpositive arguments instead of following the reflection formula.
-    """
-    if not x > 0:
-        raise ValueError(f"gamma_fn requires x > 0, got {x}")
-    return math.gamma(x)
 
 
 @dataclass(frozen=True)
@@ -67,15 +54,9 @@ class FrechetLaw:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
 
 
-def pareto_from_uniform(u, spec: HeavyTailSpec):
-    """Map a tail probability u in (0, 1] to the mark value u**(-1/alpha),
-    the y with P(mark > y) = u exactly.  Accepts scalars or arrays."""
-    out = np.asarray(u, dtype=float) ** (-1.0 / spec.alpha)
-    return out if out.ndim else float(out)
-
-
 def pareto_sample_batch(rng: np.random.Generator, spec: HeavyTailSpec, size: int) -> np.ndarray:
-    return pareto_from_uniform(1.0 - rng.random(size), spec)
+    """``size`` marks u**(-1/alpha) for tail probabilities u uniform on (0, 1]."""
+    return (1.0 - rng.random(size)) ** (-1.0 / spec.alpha)
 
 
 def frechet_cdf(z, law: FrechetLaw):

@@ -34,10 +34,10 @@ import numpy as np
 from .distributions import (
     ZETA_TABLE_SIZE,
     HeavyTailSpec,
+    _check_beta,
     _zeta_head,
     _zeta_pmf,
     _zeta_rest,
-    gamma_fn,
     pareto_sample_batch,
     riemann_zeta,
 )
@@ -97,8 +97,7 @@ class FrequencyModel:
     beta: float
 
     def __post_init__(self):
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
+        _check_beta(self.beta)
 
     @property
     def s(self) -> float:
@@ -146,7 +145,7 @@ def b_n(model: FrequencyModel, spec: HeavyTailSpec, n: int) -> float:
             f"n={n} is below zeta(1/beta)={model.zeta_norm:.6g}, where nu((0, n]) = 0 "
             "and the normalisation b_n is 0"
         )
-    return (gamma_fn(1.0 - model.beta) * nu) ** (1.0 / spec.alpha)
+    return (math.gamma(1.0 - model.beta) * nu) ** (1.0 / spec.alpha)
 
 
 @dataclass(frozen=True)
@@ -333,20 +332,19 @@ def boxes_hit(run: SimRun, a: IntervalSet) -> np.ndarray:
     return _boxes(run, a.grid_ranges(run.n))
 
 
-def _sup(run: SimRun, boxes: np.ndarray, normalized: bool) -> float:
-    """Largest mark of the masked boxes, over b_n when normalized; 0 for an empty mask."""
+def _sup(run: SimRun, boxes: np.ndarray) -> float:
+    """Largest mark of the masked boxes; 0 for an empty mask."""
     if not boxes.any():
         return 0.0
-    val = float(run.marks[boxes].max())
-    return val / run.b_n if normalized else val
+    return float(run.marks[boxes].max())
 
 
-def empirical_sup(run: SimRun, a: IntervalSet, normalized: bool = False) -> float:
+def empirical_sup(run: SimRun, a: IntervalSet) -> float:
     """max of X_j over positions in the set; 0 when no position falls inside."""
-    return _sup(run, boxes_hit(run, a), normalized)
+    return _sup(run, boxes_hit(run, a))
 
 
-def variant_star_sup(run: SimRun, a: IntervalSet, normalized: bool = False) -> float:
+def variant_star_sup(run: SimRun, a: IntervalSet) -> float:
     """Sup of the first-occurrence-only process over the set.
 
     A box is first visited in a range [lo, hi) when it has a draw there and
@@ -357,7 +355,7 @@ def variant_star_sup(run: SimRun, a: IntervalSet, normalized: bool = False) -> f
     first = np.zeros(run.k_n, dtype=bool)
     for lo, hi in a.grid_ranges(run.n):
         first |= _boxes(run, [(lo, hi)]) & ~_boxes(run, [(0, lo)])
-    return _sup(run, first, normalized)
+    return _sup(run, first)
 
 
 def pattern_count_table(run: SimRun, family) -> np.ndarray:

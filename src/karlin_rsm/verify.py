@@ -42,7 +42,7 @@ import numpy as np
 from . import choquet_oracle as oracle
 from . import karlin_sim as ksim
 from . import limit_sim as lsim
-from .distributions import FrechetLaw, HeavyTailSpec, frechet_cdf, gamma_fn, qbeta_pmf, qbeta_tail
+from .distributions import FrechetLaw, HeavyTailSpec, frechet_cdf, qbeta_pmf, qbeta_tail
 from .interval_sets import UNIT, IntervalSet, normalize
 from .karlin_sim import FrequencyModel, replica_rng
 
@@ -83,8 +83,9 @@ MAX_REPLICAS = 1 << 20  # per suite part or limit-sample call; part k streams fr
 # Stream block of each part of each suite; tests/test_verify.py checks that
 # no two parts of a suite share a stream.  Grid point k of the marginal suite
 # is its own urn part, at block k.  Query 7 draws from block 11, as block 7
-# holds the stream of the query parameters.  Blocks 3 and 15 are unused, so
-# that no later part's stream moves.
+# holds the stream of the query parameters.  Block 10 of limit-vs-oracle and
+# blocks 3 and 7 of extremal-mstar are unused, so that no later part's stream
+# moves.
 _PARTS = {
     "marginal": {"grid": 0},
     "locations": {"urn": 0, "top_m": 1},
@@ -284,25 +285,12 @@ def wilson_ci(hits: int, trials: int):
 
 
 def _replica_stream_map(fn, count: int, seed: int, offset: int = 0):
-    """fn(rng) across replica streams offset .. offset+count-1, serially.
+    """fn(replica_rng(seed, offset + r)) for r = 0 .. count-1, serially.
 
-    One Philox is reused by resetting its counter block, which reproduces
-    ``replica_rng(seed, offset + r)`` draw for draw at a fraction of the
-    construction cost.  No suite calls it since the limit parts are drawn
-    as batches; the benchmark's tracer still looks it up by name.
+    No suite calls it since the limit parts are drawn as batches; the
+    benchmark's tracer still looks it up by name.
     """
-    bg = np.random.Philox(key=seed)
-    gen = np.random.Generator(bg)
-    out = []
-    for r in range(count):
-        st = bg.state
-        st["state"]["counter"] = np.array([0, 0, offset + r, 0], dtype=np.uint64)
-        st["buffer_pos"] = 4
-        st["has_uint32"] = 0
-        st["uinteger"] = 0
-        bg.state = st
-        out.append(fn(gen))
-    return out
+    return [fn(replica_rng(seed, offset + r)) for r in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +384,7 @@ def suite_marginal(cfg: SuiteConfig) -> list:
     grid = sorted(cfg.n_grid)
     for n_idx, n in enumerate(grid):
         sups = np.array(_urn_map(
-            cfg, "grid", family, lambda run: [ksim.empirical_sup(run, a, normalized=True) for a in family],
+            cfg, "grid", family, lambda run: [ksim.empirical_sup(run, a) / run.b_n for a in family],
             n=n, index=n_idx,
         ))
         is_last = n_idx == len(grid) - 1
@@ -517,7 +505,7 @@ def suite_patterns(cfg: SuiteConfig) -> list:
         target = oracle.pattern_limit(oracle.PatternQuery(family=family, delta=delta), cfg.beta)
         name = "tau_" + "".join(str(b) for b in delta)
         rows.append(_rel_row(cfg, name, float(means[j]), target, "pattern_rel", n=n, replicas=cfg.replicas))
-    partition_target = gamma_fn(1.0 - cfg.beta) * oracle.theta(reduce(IntervalSet.union, family), cfg.beta)
+    partition_target = math.gamma(1.0 - cfg.beta) * oracle.theta(reduce(IntervalSet.union, family), cfg.beta)
     rows.append(_rel_row(
         cfg, "tau_partition_sum", float(means[: len(deltas)].sum()), partition_target,
         "pattern_rel", n=n, replicas=cfg.replicas,
@@ -683,7 +671,7 @@ def suite_extremal_and_mstar(cfg: SuiteConfig) -> list:
     star_set = normalize([(a_lo, b_hi)])
     n_star = min(cfg.replicas, 2000)
     disc_vals = np.array(_urn_map(
-        cfg, "discrete", (star_set,), lambda run: ksim.variant_star_sup(run, star_set, normalized=True),
+        cfg, "discrete", (star_set,), lambda run: ksim.variant_star_sup(run, star_set) / run.b_n,
         count=n_star,
     ))
     rows.append(_frechet_row(cfg, "variant_discrete_ks", disc_vals, sigma_star, DEFAULT_THRESHOLDS["ks_star"],

@@ -14,7 +14,7 @@ from karlin_rsm.choquet_oracle import (
     tau_z,
     theta,
 )
-from karlin_rsm.distributions import FrechetLaw, frechet_cdf, gamma_fn
+from karlin_rsm.distributions import FrechetLaw, frechet_cdf
 from karlin_rsm.interval_sets import IntervalSet, normalize
 
 from oracles import exponent_by_quadrature
@@ -181,12 +181,12 @@ class TestTauZ:
 class TestPatternLimits:
     def test_single_set(self):
         q = PatternQuery(family=(normalize([(0.0, 0.5)]),), delta=(1,))
-        assert pattern_limit(q, 0.5) == pytest.approx(gamma_fn(0.5) * 0.5 ** 0.5, rel=1e-13)
+        assert pattern_limit(q, 0.5) == pytest.approx(math.gamma(0.5) * 0.5 ** 0.5, rel=1e-13)
 
     def test_two_disjoint_joint_pattern(self):
         fam = (normalize([(0.0, 0.5)]), normalize([(0.5, 1.0)]))
         q = PatternQuery(family=fam, delta=(1, 1))
-        target = gamma_fn(0.5) * (0.5 ** 0.5 + 0.5 ** 0.5 - 1.0)
+        target = math.gamma(0.5) * (0.5 ** 0.5 + 0.5 ** 0.5 - 1.0)
         assert pattern_limit(q, 0.5) == pytest.approx(target, rel=1e-12)
 
     def test_partition_telescopes(self):
@@ -210,7 +210,7 @@ class TestPatternLimits:
             union_all = fam[0]
             for s in fam[1:]:
                 union_all = union_all.union(s)
-            target = gamma_fn(1 - beta) * theta(union_all, beta)
+            target = math.gamma(1 - beta) * theta(union_all, beta)
             assert abs(total - target) <= 1e-10
 
     def test_validation(self):

@@ -357,11 +357,12 @@ class TestLimitSampleDomain:
 
     def test_mstar_wide_carrier_exits_two(self, tmp_path, capsys):
         query = _family_json(tmp_path, [0, 4], [[0.0, 3.0]])
+        out = tmp_path / "out.csv"
         assert cli.main(["limit-sample", "--beta", "0.5", "--replicas", "5", "--seed", "1",
-                         "--query", query, "--variant", "mstar",
-                         "--out", str(tmp_path / "out.csv")]) == 2
+                         "--query", query, "--variant", "mstar", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "unit carrier" in err and len(err.splitlines()) == 1
+        assert not out.exists()  # the first replica fails before the output is opened
 
     def test_tiny_set_samples_at_once(self, tmp_path):
         query = _family_json(tmp_path, [0, 1], [[0.0, 1e-300]])

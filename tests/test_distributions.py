@@ -15,8 +15,6 @@ from karlin_rsm.distributions import (
     _zeta_rest,
     _zeta_tail,
     frechet_cdf,
-    gamma_fn,
-    pareto_from_uniform,
     pareto_sample_batch,
     qbeta_pmf,
     qbeta_tail,
@@ -27,27 +25,11 @@ from karlin_rsm.karlin_sim import FrequencyModel, simulate, top_m, top_m_csv
 from oracles import qbeta_from_uniform, qbeta_sample, zeta_devroye, zeta_series
 
 
-class TestGamma:
-    def test_known_values(self):
-        assert gamma_fn(1.0) == 1.0
-        assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
-        assert gamma_fn(1.5) == pytest.approx(math.sqrt(math.pi) / 2, rel=1e-14)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            gamma_fn(0.0)
-        with pytest.raises(ValueError):
-            gamma_fn(-1.3)
-
-    @given(st.floats(min_value=0.05, max_value=40.0))
-    def test_recurrence(self, x):
-        assert gamma_fn(x + 1.0) == pytest.approx(x * gamma_fn(x), rel=1e-12)
-
-
 class TestPareto:
     def test_inverse_cdf_points(self):
-        assert pareto_from_uniform(0.5, HeavyTailSpec(alpha=1.0)) == pytest.approx(2.0)
-        assert pareto_from_uniform(0.25, HeavyTailSpec(alpha=2.0)) == pytest.approx(2.0)
+        # a uniform u gives the mark with tail probability 1 - u: P(mark > 2) = 0.5 at alpha 1, 0.25 at alpha 2
+        assert pareto_sample_batch(_Stub(0.5), HeavyTailSpec(alpha=1.0), 1) == pytest.approx([2.0])
+        assert pareto_sample_batch(_Stub(0.75), HeavyTailSpec(alpha=2.0), 1) == pytest.approx([2.0])
 
     def test_support(self):
         rng = np.random.default_rng(0)

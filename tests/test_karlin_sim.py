@@ -13,7 +13,6 @@ from karlin_rsm.distributions import (
     HeavyTailSpec,
     _zeta_pmf,
     _zeta_tail,
-    gamma_fn,
     pareto_sample_batch,
 )
 from karlin_rsm.interval_sets import normalize
@@ -72,13 +71,13 @@ class TestFrequencyModel:
             assert 1.0 / ((k + 1) ** -m.s / m.zeta_norm) > x
 
     def test_b_n_values(self):
-        assert b_n(MODEL, SPEC, 10 ** 4) == pytest.approx(gamma_fn(0.5) * 77, rel=1e-12)
+        assert b_n(MODEL, SPEC, 10 ** 4) == pytest.approx(math.gamma(0.5) * 77, rel=1e-12)
         assert b_n(MODEL, HeavyTailSpec(alpha=2.0), 10 ** 4) == pytest.approx(
-            math.sqrt(gamma_fn(0.5) * 77), rel=1e-12
+            math.sqrt(math.gamma(0.5) * 77), rel=1e-12
         )
         # unit-count point: nu((0, 2]) = 1
         assert MODEL.nu_count(2) == 1
-        assert b_n(MODEL, SPEC, 2) == pytest.approx(gamma_fn(0.5), rel=1e-12)
+        assert b_n(MODEL, SPEC, 2) == pytest.approx(math.gamma(0.5), rel=1e-12)
 
     def test_threads_pay_from_the_break_even(self):
         # n P(Y > 2**12) >= 2**12 tail keys: beta 0.9 from n of about 1.1e4, beta 0.5 never below MAX_N
@@ -148,7 +147,7 @@ class TestSimulate:
     def test_occupancy_growth_single_run(self):
         run = simulate(MODEL, SPEC, 10 ** 6, seed=3)
         ratio = run.k_n / MODEL.nu_count(10 ** 6)
-        assert abs(ratio - gamma_fn(0.5)) <= 0.15  # one run, loose sanity
+        assert abs(ratio - math.gamma(0.5)) <= 0.15  # one run, loose sanity
 
     def test_block_frequency_single_run(self):
         run = simulate(MODEL, SPEC, 10 ** 6, seed=4)
@@ -331,13 +330,6 @@ class TestEmpiricalSup:
             run = simulate(MODEL, SPEC, 10 ** 4, seed=12, replica=r, family=(a, b))
             assert empirical_sup(run, u) == max(empirical_sup(run, a), empirical_sup(run, b))
 
-    def test_normalized_form(self):
-        a = normalize([(0.0, 0.5)])
-        run = simulate(MODEL, SPEC, 10 ** 4, seed=13, family=(a,))
-        assert empirical_sup(run, a, normalized=True) == pytest.approx(
-            empirical_sup(run, a) / run.b_n
-        )
-
 
 class TestVariantStar:
     def test_equals_sup_on_full_carrier(self):
@@ -375,7 +367,7 @@ class TestPatternCounts:
             pattern_count_table(simulate(MODEL, SPEC, 10 ** 5, seed=18, replica=r, family=a), a)[1] / nu
             for r in range(40)
         ]
-        target = gamma_fn(0.5) * math.sqrt(0.5)
+        target = math.gamma(0.5) * math.sqrt(0.5)
         assert abs(np.mean(vals) - target) <= 0.05 * target
 
 
