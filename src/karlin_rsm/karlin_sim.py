@@ -15,9 +15,11 @@ is a uniform arrangement (Karlin 1967; Gnedin, Hansen & Pitman 2007), so a
 run keeps only how many balls of each box fall in each cell between the
 range ends of the family passed to :func:`simulate`.  Only the about nu(n)
 heavy labels get multinomial cells; the other balls draw keys one by one.
-Every set query asks which boxes have a draw in some ranges, and reads these
-cell counts through that one mask over the boxes (``_boxes``).  Box labels
-are float64 keys (see :func:`~karlin_rsm.distributions._zeta_tail`).
+The arrangement is independent of the marks, so the cell counts are split
+lazily, box by box in decreasing mark order (``SimRun.walk``): a set query
+reads boxes in that order and stops at the first that answers it, and only
+a query that no top-``WALK`` box answers, or a full table, splits the rest.
+Box labels are float64 keys (see :func:`~karlin_rsm.distributions._zeta_tail`).
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ __all__ = [
     "top_boxes",
     "top_m",
     "boxes_hit",
+    "ranked_hit",
     "empirical_sup",
     "variant_star_sup",
     "pattern_count_table",
@@ -65,6 +68,7 @@ __all__ = [
 
 MAX_N = 10 ** 7  # simulate raises ResourceError above this n
 THREAD_BREAK_EVEN = 2 ** 12  # tail keys per run from which two threads beat one (measured break-even)
+WALK = 5  # boxes split one by one in mark order before the rest are split at once
 
 
 class ResourceError(RuntimeError):
@@ -159,15 +163,19 @@ class TopOrderStat:
 
 @dataclass
 class SimRun:
-    """One realization of the urn model, immutable after construction.
+    """One realization of the urn model; its values never change once read.
 
     ``labels`` and ``counts`` hold the sorted distinct float64 keys and their
     ball counts, and ``marks`` the mark of each box, aligned with ``labels``.
     The positions are split into cells at ``cuts`` (0 = cuts[0] < ... <
     cuts[-1] = n), and ``cells[c, i]`` counts the balls of box i at indices
-    in [cuts[c], cuts[c+1]).  ``b_n`` and ``draws`` are computed on first
-    use: ``draws`` holds the key of every step, each cell's balls in uniform
-    order, drawn from ``rng``, the run's stream after the cell splits.
+    in [cuts[c], cuts[c+1]).  The split is drawn from ``rng`` on first use,
+    in one fixed sequence that every reader extends: first the boxes of mark
+    rank 0, 1, ... below min(WALK, k_n) one at a time (:meth:`walk`), then
+    all other boxes in one ``_split`` over the room left (``cells``), then
+    ``draws``, the key of every step, each cell's balls in uniform order.  So
+    no value depends on the order in which it is read.  A one-cell run draws
+    no split.  ``b_n`` is also computed on first use.
     """
 
     model: FrequencyModel
@@ -179,8 +187,8 @@ class SimRun:
     counts: np.ndarray
     marks: np.ndarray
     cuts: np.ndarray
-    cells: np.ndarray
     rng: np.random.Generator = field(repr=False, compare=False)
+    _rows: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     @cached_property
     def b_n(self) -> float:
@@ -190,6 +198,55 @@ class SimRun:
     @property
     def k_n(self) -> int:
         return len(self.labels)
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        """Indices of the min(WALK, k_n) boxes of largest mark, largest first (:func:`top_boxes`)."""
+        return top_boxes(self, WALK)
+
+    def box(self, rank: int) -> int:
+        """``order[rank]``; rank 0, the first of the largest marks, needs no sort."""
+        return int(self.marks.argmax()) if rank == 0 else int(self.order[rank])
+
+    @cached_property
+    def _room(self) -> list:
+        """Positions of each cell not yet given to a walked box."""
+        cuts = self.cuts.tolist()
+        return [hi - lo for lo, hi in zip(cuts, cuts[1:])]
+
+    def walk(self, rank: int) -> np.ndarray:
+        """The cell counts (a column of ``cells``) of the box ``box(rank)``, rank < min(WALK, k_n).
+
+        Splits the boxes up to that rank, each by one hypergeometric draw per
+        cell but the last over the room the cells have left.
+        """
+        room = self._room
+        while len(self._rows) <= rank:
+            left = int(self.counts[self.box(len(self._rows))])
+            row = [0] * len(room)
+            rest = sum(room)
+            for c in range(len(room) - 1):
+                if not left:
+                    break
+                rest -= room[c]
+                row[c] = int(self.rng.hypergeometric(room[c], rest, left))
+                left -= row[c]
+            row[-1] += left
+            room[:] = [free - take for free, take in zip(room, row)]
+            self._rows.append(np.array(row))
+        return self._rows[rank]
+
+    @cached_property
+    def cells(self) -> np.ndarray:
+        """(cells, boxes) ball counts: the walk's rows, then one ``_split`` of the other boxes' balls."""
+        if self.cuts.size == 2:
+            return self.counts[None, :]
+        self.walk(len(self.order) - 1)
+        rest = self.counts.copy()
+        rest[self.order] = 0  # the walked boxes, placed after the split of the others
+        cells = _split(self.rng, rest, np.array(self._room))
+        cells[:, self.order] = np.array(self._rows).T
+        return cells
 
     @cached_property
     def draws(self) -> np.ndarray:
@@ -246,9 +303,10 @@ def simulate(
 
     The stream gives the multinomial counts of the labels 1..L and one rest
     cell, L = min(nu(n), ZETA_TABLE_SIZE); the rest's keys
-    (``distributions._zeta_rest``); one mark per occupied box in key order;
-    and last the split of each box's balls over the cells that the family's
-    index ranges cut, so labels, counts and marks do not depend on the
+    (``distributions._zeta_rest``); and one mark per occupied box in key
+    order.  The family's index ranges only set the ``cuts``: the split of the
+    boxes over the cells comes after the marks and is drawn on first use
+    (see :class:`SimRun`), so labels, counts and marks do not depend on the
     family.  Queries may use only sets whose ranges are unions of these cells.
     """
     if n < 1:
@@ -264,10 +322,8 @@ def simulate(
     labels = np.concatenate([rest[:logs], small + 1.0, rest[logs:]])
     counts = np.concatenate([rest_counts[:logs], head[small], rest_counts[logs:]])
     marks = pareto_sample_batch(rng, spec, len(labels))
-    cuts = _cuts(family, n)
-    cells = _split(rng, counts, np.diff(cuts)) if cuts.size > 2 else counts[None, :]
     return SimRun(model=model, spec=spec, n=n, seed=seed, replica=replica, labels=labels,
-                  counts=counts, marks=marks, cuts=cuts, cells=cells, rng=rng)
+                  counts=counts, marks=marks, cuts=_cuts(family, n), rng=rng)
 
 
 def _label_int(key: float) -> int:
@@ -312,50 +368,74 @@ def top_m(run: SimRun, m: int) -> list:
     return out
 
 
-def _boxes(run: SimRun, ranges) -> np.ndarray:
-    """Mask over the k_n boxes: True where a box has a draw at an index in one of the ranges.
+def _inside(run: SimRun, a: IntervalSet) -> np.ndarray:
+    """Mask over the run's cells: True for those inside the set.
 
-    Raises ValueError for a range that is not a union of the run's cells.
+    Raises ValueError for a range of the set that is not a union of the run's cells.
     """
-    hit = np.zeros(run.k_n, dtype=bool)
-    for lo, hi in ranges:
-        first, last = np.searchsorted(run.cuts, (lo, hi))
-        if run.cuts[first] != lo or run.cuts[last] != hi:
+    cuts = run.cuts.tolist()
+    inside = np.zeros(len(cuts) - 1, dtype=bool)
+    for lo, hi in a.grid_ranges(run.n):
+        if lo not in cuts or hi not in cuts:
             raise ValueError(f"index range [{lo}, {hi}) is not a union of the run's cells; "
                              "pass its set to simulate")
-        hit |= run.cells[first:last].any(axis=0)
-    return hit
+        inside[cuts.index(lo):cuts.index(hi)] = True
+    return inside
+
+
+def _hit(cells: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    """Per box (column of cells, or one column): whether it has a ball in the cells inside."""
+    return cells[inside].any(axis=0)
+
+
+def _first_hit(cells: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    """Per box: whether its first ball falls in the cells inside."""
+    return inside[(cells > 0).argmax(axis=0)]
+
+
+def _sup(run: SimRun, a: IntervalSet, hit) -> float:
+    """Largest mark of the boxes that ``hit`` finds in the set's cells; 0 if none.
+
+    Walks the boxes in decreasing mark order and returns the mark of the
+    first one hit; if none of the min(WALK, k_n) top boxes is, and others
+    remain, it reads the mask over all the ``cells``.  A one-cell run reads
+    that mask at once, as it draws no split.
+    """
+    inside = _inside(run, a)
+    if run.cuts.size > 2:
+        for rank in range(min(WALK, run.k_n)):
+            if hit(run.walk(rank), inside):
+                return float(run.marks[run.box(rank)])
+        if run.k_n <= WALK:
+            return 0.0
+    boxes = hit(run.cells, inside)
+    return float(run.marks[boxes].max()) if boxes.any() else 0.0
 
 
 def boxes_hit(run: SimRun, a: IntervalSet) -> np.ndarray:
     """Mask over the k_n boxes: True where a box has a draw at a position in the set."""
-    return _boxes(run, a.grid_ranges(run.n))
+    return _hit(run.cells, _inside(run, a))
 
 
-def _sup(run: SimRun, boxes: np.ndarray) -> float:
-    """Largest mark of the masked boxes; 0 for an empty mask."""
-    if not boxes.any():
-        return 0.0
-    return float(run.marks[boxes].max())
+def ranked_hit(run: SimRun, rank: int, a: IntervalSet) -> bool:
+    """Whether the box of mark rank ``rank`` < min(WALK, k_n) has a draw in the set."""
+    return bool(_hit(run.walk(rank), _inside(run, a)))
 
 
 def empirical_sup(run: SimRun, a: IntervalSet) -> float:
     """max of X_j over positions in the set; 0 when no position falls inside."""
-    return _sup(run, boxes_hit(run, a))
+    return _sup(run, a, _hit)
 
 
 def variant_star_sup(run: SimRun, a: IntervalSet) -> float:
     """Sup of the first-occurrence-only process over the set.
 
     A box is first visited in a range [lo, hi) when it has a draw there and
-    none before lo.  The box achieving the overall maximum attains its mark
-    at its first visit, so on the full carrier this coincides with
-    :func:`empirical_sup`.
+    none before lo, that is, when its first ball falls in the set.  The box
+    achieving the overall maximum attains its mark at its first visit, so on
+    the full carrier this coincides with :func:`empirical_sup`.
     """
-    first = np.zeros(run.k_n, dtype=bool)
-    for lo, hi in a.grid_ranges(run.n):
-        first |= _boxes(run, [(lo, hi)]) & ~_boxes(run, [(0, lo)])
-    return _sup(run, first)
+    return _sup(run, a, _first_hit)
 
 
 def pattern_count_table(run: SimRun, family) -> np.ndarray:

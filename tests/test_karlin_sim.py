@@ -1,3 +1,4 @@
+import copy
 import csv
 import io
 import json
@@ -19,6 +20,7 @@ from karlin_rsm.interval_sets import normalize
 from karlin_rsm.karlin_sim import (
     MAX_N,
     THREAD_BREAK_EVEN,
+    WALK,
     FrequencyModel,
     ResourceError,
     b_n,
@@ -26,6 +28,7 @@ from karlin_rsm.karlin_sim import (
     occupancy_histogram,
     occupancy_json,
     pattern_count_table,
+    ranked_hit,
     replica_rng,
     simulate,
     threads_pay,
@@ -259,6 +262,94 @@ class TestLazyDraws:
             pattern_count_table(run, [normalize([(0.1, 0.25)])])
         # sets whose ends are cuts need no cuts of their own
         assert empirical_sup(run, normalize([(0.25, 1.0)])) <= empirical_sup(run, TestCountFirst.UNIT)
+
+
+class TestWalk:
+    """The mark-order walk: splits boxes one at a time, in law and pathwise like the full split."""
+
+    FAMILY = TestLazyDraws.FAMILY
+
+    @pytest.mark.parametrize("beta", [0.5, 0.9])
+    def test_equal_in_law_to_reference(self, beta):
+        # the sups and variant sups of both sets, and whether top box k hits set k, k = 1, 2
+        model, n, reps = FrequencyModel(beta), 2000, 400
+        positions = np.arange(n) / n
+        inside = [a.contains_points(positions) for a in self.FAMILY]
+        ours, ref = [], []
+        for r in range(reps):
+            run = simulate(model, SPEC, n, seed=30, replica=r, family=self.FAMILY)
+            ours.append([*(empirical_sup(run, a) for a in self.FAMILY),
+                         *(variant_star_sup(run, a) for a in self.FAMILY),
+                         *(ranked_hit(run, k, a) for k, a in enumerate(self.FAMILY))])
+            draws, x = reference_urn(model, SPEC, n, seed=31, replica=r)
+            labels, first, inverse = np.unique(draws, return_index=True, return_inverse=True)
+            first_visit = np.arange(n) == first[inverse]
+            top = np.argsort(-x[first])[:2]  # the boxes of the two largest marks
+            ref.append([*(x[mask].max() if mask.any() else 0.0 for mask in inside),
+                        *(x[mask & first_visit].max() if (mask & first_visit).any() else 0.0 for mask in inside),
+                        *(bool(mask[inverse == box].any()) for mask, box in zip(inside, top))])
+        ours, ref = np.array(ours, dtype=float), np.array(ref, dtype=float)
+        crit = two_sample_ks_critical(reps, reps)
+        names = ("sup A", "sup B", "variant sup A", "variant sup B", "top 1 hits A", "top 2 hits B")
+        for j, name in enumerate(names):
+            stat = two_sample_ks(ours[:, j], ref[:, j])
+            assert stat <= crit, f"{name}: two-sample KS {stat:.4f} above {crit:.4f}"
+
+    @staticmethod
+    def _one_position(n):
+        return normalize([((n - 1) / n, 1.0)])
+
+    def _read(self, run, first):
+        """Every value of the run, after reading ``first``: the walk, the table, the draws, or a
+        walk past WALK boxes (a one-position set that the top boxes almost never hit)."""
+        point = self._one_position(run.n)
+        family = (*self.FAMILY, point)
+        reads = {
+            "walk": lambda: [ranked_hit(run, k, a) for k, a in zip(range(len(run.order)), family)],
+            "table": lambda: pattern_count_table(run, family).tolist(),
+            "draws": lambda: run.draws.tolist(),
+            "past": lambda: [empirical_sup(run, point), variant_star_sup(run, point)],
+        }
+        reads[first]()
+        sups = [(empirical_sup(run, a), variant_star_sup(run, a)) for a in family]
+        return sups, {name: read() for name, read in reads.items()}, run.cells.tolist()
+
+    @pytest.mark.parametrize("beta, n", [(0.5, 10 ** 4), (0.9, 10 ** 4), (0.5, 4)])
+    def test_reading_order_changes_no_value(self, beta, n):
+        # n = 4 holds fewer than WALK boxes
+        family = (*self.FAMILY, self._one_position(n))
+        for replica in range(3):
+            values = []
+            for first in ("walk", "table", "draws", "past"):
+                run = simulate(FrequencyModel(beta), SPEC, n, seed=32, replica=replica, family=family)
+                values.append(self._read(run, first))
+            assert all(v == values[0] for v in values[1:])
+        if n == 4:
+            assert run.k_n < WALK and len(run.order) == run.k_n
+
+    @pytest.mark.parametrize("beta", [0.5, 0.9])
+    def test_walk_rows_are_the_columns_of_cells(self, beta):
+        for replica, read_cells_first in ((0, False), (1, True), (2, False)):
+            run = simulate(FrequencyModel(beta), SPEC, 10 ** 4, seed=33, replica=replica, family=self.FAMILY)
+            if read_cells_first:
+                run.cells
+            rows = [run.walk(rank) for rank in range(len(run.order))]
+            assert len(run.order) == min(WALK, run.k_n)
+            assert np.array_equal(run.order, top_boxes(run, WALK))
+            for row, box in zip(rows, run.order):
+                assert np.array_equal(row, run.cells[:, box])
+            assert np.array_equal(run.cells.sum(axis=1), np.diff(run.cuts))
+
+    def test_one_cell_queries_draw_nothing(self):
+        unit = TestCountFirst.UNIT
+        for family in ((), (unit,)):
+            run = simulate(MODEL, SPEC, 10 ** 4, seed=34, family=family)
+            untouched = copy.deepcopy(run.rng)
+            assert empirical_sup(run, unit) == variant_star_sup(run, unit) == run.marks.max()
+            assert [ranked_hit(run, k, unit) for k in range(WALK)] == [True] * WALK
+            assert pattern_count_table(run, [unit]).tolist() == [0, run.k_n]
+            assert run.cells.tolist() == [run.counts.tolist()]
+            assert np.array_equal(run.rng.random(8), untouched.random(8))
 
 
 class TestTopOrderStats:

@@ -95,6 +95,44 @@ class TestQuantileTables:
         assert verify._CHI2_10_QUANTILE == sps.chi2.ppf(0.99, 10)
 
 
+class TestGates:
+    """The gates of the rows with a closed-form sampling law, computed without sampling."""
+
+    def test_fixed_gate_holds_at_the_acceptance_scales(self):
+        # test_05 (2000 replicas), test_09 (1e5) and test_10 (2000 discrete runs) keep their gates
+        assert verify._ks_gate("ks_marginal", 2000) == 0.05 > ks_critical(2000) == pytest.approx(0.0364, abs=1e-4)
+        assert verify._median_gate(1.0, 10 ** 5) == 0.02
+        assert 2.5758 / (math.log(2.0) * math.sqrt(10 ** 5)) == pytest.approx(0.0118, abs=1e-4)
+        assert verify._ks_gate("ks_star", 2000) == 0.07
+
+    def test_sampling_bound_takes_over_at_small_replica_counts(self):
+        # 1.6276/sqrt(R) passes 0.05 below R = 1060 and 0.07 below R = 541, and the median's
+        # bound passes 2 % below R = 34,500 at alpha = 1 (34,500 / alpha**2 in general)
+        assert verify._ks_gate("ks_marginal", 500) == ks_critical(500) == pytest.approx(0.0728, abs=1e-4)
+        assert verify._ks_gate("ks_marginal", 1059) > 0.05 == verify._ks_gate("ks_marginal", 1060)
+        assert verify._ks_gate("ks_star", 540) > 0.07 == verify._ks_gate("ks_star", 541)
+        for alpha, replicas in ((1.0, 2500), (2.0, 2500), (0.5, 10 ** 5)):
+            se = 1.0 / (alpha * math.log(2.0) * math.sqrt(replicas))
+            assert verify._median_gate(alpha, replicas) == pytest.approx(max(0.02, verify._NORMAL_QUANTILE * se))
+        assert verify._median_gate(1.0, 2500) == pytest.approx(0.0743, abs=1e-4)
+
+    def test_frechet_median_relative_se(self):
+        # the sample median of Frechet(alpha) has relative SE 1/(alpha ln 2 sqrt(R)): 1/(2 f(m) m sqrt(R))
+        for alpha in (0.5, 1.0, 3.0):
+            m = math.log(2.0) ** (-1.0 / alpha)
+            density = alpha * m ** (-alpha - 1.0) * 0.5
+            assert 1.0 / (2.0 * density * m) == pytest.approx(1.0 / (alpha * math.log(2.0)))
+
+    def test_rows_read_the_widened_gates(self):
+        marginal = run_suite(SuiteConfig(suite="marginal", n_grid=(10 ** 3,), replicas=500, seed=3))
+        assert marginal.rows[0].se_or_crit == ks_critical(500)
+        extremal = {row.check: row for row in run_suite(
+            SuiteConfig(suite="extremal-mstar", n_grid=(10 ** 3,), replicas=2500, seed=3)).rows}
+        row = extremal["extremal_median_t1.0"]
+        assert row.se_or_crit == pytest.approx(verify._median_gate(1.0, 2500) * row.target)
+        assert extremal["variant_discrete_ks"].se_or_crit == 0.07
+
+
 class TestReplicaStreamMap:
     @staticmethod
     def _draws(rng):
