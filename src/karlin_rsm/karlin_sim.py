@@ -218,7 +218,9 @@ class SimRun:
         """The cell counts (a column of ``cells``) of the box ``box(rank)``, rank < min(WALK, k_n).
 
         Splits the boxes up to that rank, each by one hypergeometric draw per
-        cell but the last over the room the cells have left.
+        cell but the last over the room the cells have left.  Scalar draws,
+        as one ``multivariate_hypergeometric`` call per box costs more than
+        the few draws it replaces.
         """
         room = self._room
         while len(self._rows) <= rank:
@@ -397,17 +399,13 @@ def _sup(run: SimRun, a: IntervalSet, hit) -> float:
     """Largest mark of the boxes that ``hit`` finds in the set's cells; 0 if none.
 
     Walks the boxes in decreasing mark order and returns the mark of the
-    first one hit; if none of the min(WALK, k_n) top boxes is, and others
-    remain, it reads the mask over all the ``cells``.  A one-cell run reads
-    that mask at once, as it draws no split.
+    first one hit; if none of the min(WALK, k_n) top boxes is, it reads the
+    mask over all the ``cells``.
     """
     inside = _inside(run, a)
-    if run.cuts.size > 2:
-        for rank in range(min(WALK, run.k_n)):
-            if hit(run.walk(rank), inside):
-                return float(run.marks[run.box(rank)])
-        if run.k_n <= WALK:
-            return 0.0
+    for rank in range(min(WALK, run.k_n)):
+        if hit(run.walk(rank), inside):
+            return float(run.marks[run.box(rank)])
     boxes = hit(run.cells, inside)
     return float(run.marks[boxes].max()) if boxes.any() else 0.0
 

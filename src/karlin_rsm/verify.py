@@ -6,10 +6,10 @@ Wilson intervals, occupancy and pattern counts against their limits, and
 the exact limit samplers against the closed-form oracle.  Every pass/fail
 threshold is either a confidence bound computed from the run or a fixed
 calibration constant in :data:`DEFAULT_THRESHOLDS` (the theory provides no
-convergence rates, so the KS-style bounds are calibrated, not derived).  The
-three constants whose rows have a closed-form sampling law (``ks_marginal``,
-``ks_star`` and ``median_rel``) are widened to that law's 99 % bound at the
-row's replica count where it is the larger, so no row fails by design.
+convergence rates, so the KS-style bounds are calibrated, not derived).  A
+Frechet KS row and an extremal median row, whose statistics have a
+closed-form sampling law, take the larger of their constant and that law's
+99 % bound at the row's replica count, so no row fails by design.
 
 Each suite's inputs are listed in one table, ``_SUITE_INPUTS``, which
 only :class:`SuiteConfig` reads; its parts (an urn family or one limit
@@ -72,9 +72,9 @@ __all__ = [
 # Calibration constants, the same for every run: the acceptance criteria are
 # stated at these gates.
 DEFAULT_THRESHOLDS = {
-    "ks_marginal": 0.05,        # KS bound at the largest n of the marginal grid (see _ks_gate)
+    "ks_marginal": 0.05,        # KS bound at the largest n of the marginal grid (see _frechet_row)
     "ks_marginal_other": 0.30,  # sanity bound at smaller grid points
-    "ks_star": 0.07,            # KS bound for the discrete first-occurrence variant (see _ks_gate)
+    "ks_star": 0.07,            # KS bound for the discrete first-occurrence variant (see _frechet_row)
     "occupancy_rel": 0.02,      # relative error of mean K_n / nu(n)
     "pattern_rel": 0.05,        # relative error of pattern-count limits
     "median_rel": 0.02,         # relative error of extremal-process medians (see _median_gate)
@@ -111,7 +111,7 @@ _PARTS = {
 _QUARTERS = (normalize([(0.0, 0.25)]), normalize([(0.5, 0.75)]))
 _SUITE_INPUTS = {
     "marginal": (10 ** 5, 2000, (normalize([(0.0, 1.0)]),), math.inf),
-    "locations": (10 ** 5, 10 ** 4, _QUARTERS, 5),
+    "locations": (10 ** 5, 10 ** 4, _QUARTERS, ksim.WALK),  # one set per walked top box
     "occupancy": (10 ** 6, 100, (), 0),
     "patterns": (10 ** 6, 100, _QUARTERS, 3),
     "limit-vs-oracle": (10 ** 5, 10 ** 5, (), 0),
@@ -355,22 +355,19 @@ def _rel_row(cfg, check, estimate, target, rel, n=0, replicas=0) -> CheckRow:
     return _row(cfg, check, estimate, target, tol, abs(estimate - target) <= tol, n, replicas)
 
 
-def _ks_gate(key: str, replicas: int) -> float:
-    """A fixed KS gate, or the 99 % critical value at the replica count where that is larger."""
-    return max(DEFAULT_THRESHOLDS[key], ks_critical(replicas))
-
-
 def _median_gate(alpha: float, replicas: int) -> float:
     """Relative gate of a Frechet(alpha) sample median: ``median_rel``, or 99 % of its
     relative standard error 1/(alpha ln 2 sqrt(replicas)) where that is larger."""
-    return max(DEFAULT_THRESHOLDS["median_rel"], _NORMAL_QUANTILE / (alpha * math.log(2.0) * math.sqrt(replicas)))
+    se = 1.0 / (alpha * math.log(2.0) * math.sqrt(replicas))
+    return max(DEFAULT_THRESHOLDS["median_rel"], _NORMAL_QUANTILE * se)
 
 
 def _frechet_row(cfg, check, values, sigma, crit=None, n=0) -> CheckRow:
-    """KS distance of the values from the Frechet law of scale sigma; crit defaults to 99 %."""
+    """KS distance of the values from the Frechet law of scale sigma, gated at the 99 % critical
+    value at their count, or at crit where that is larger."""
     law = FrechetLaw(cfg.alpha, sigma)
     stat = ks_statistic(np.sort(values), lambda z: frechet_cdf(z, law))
-    crit = ks_critical(len(values)) if crit is None else crit
+    crit = ks_critical(len(values)) if crit is None else max(crit, ks_critical(len(values)))
     return _row(cfg, check, stat, 0.0, crit, stat <= crit, n, len(values))
 
 
@@ -402,7 +399,7 @@ def suite_marginal(cfg: SuiteConfig) -> list:
             n=n, index=n_idx,
         ))
         is_last = n_idx == len(grid) - 1
-        crit = _ks_gate("ks_marginal", cfg.replicas) if is_last else DEFAULT_THRESHOLDS["ks_marginal_other"]
+        crit = DEFAULT_THRESHOLDS["ks_marginal" if is_last else "ks_marginal_other"]
         for j, a in enumerate(family):
             rows.append(_frechet_row(cfg, f"ks_frechet_n{n}_set{j}", sups[:, j], oracle.theta(a, cfg.beta),
                                      crit, n=n))
@@ -429,7 +426,7 @@ def suite_locations(cfg: SuiteConfig) -> list:
 
     def one(run):
         # top box k hits A_k, and its normalized mark; a run with fewer boxes pads with a miss.
-        # The walk covers the top m <= 5 <= WALK boxes, so no other box is split.
+        # m <= WALK, so the walk splits no box but these.
         top = run.order[:m]
         hits = [ksim.ranked_hit(run, k, a) for k, a in zip(range(top.size), family)]
         values = list(run.marks[top] / run.b_n)
@@ -690,7 +687,7 @@ def suite_extremal_and_mstar(cfg: SuiteConfig) -> list:
         cfg, "discrete", (star_set,), lambda run: ksim.variant_star_sup(run, star_set) / run.b_n,
         count=n_star,
     ))
-    rows.append(_frechet_row(cfg, "variant_discrete_ks", disc_vals, sigma_star, _ks_gate("ks_star", n_star),
+    rows.append(_frechet_row(cfg, "variant_discrete_ks", disc_vals, sigma_star, DEFAULT_THRESHOLDS["ks_star"],
                              n=n))
     return rows
 

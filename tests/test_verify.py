@@ -98,19 +98,26 @@ class TestQuantileTables:
 class TestGates:
     """The gates of the rows with a closed-form sampling law, computed without sampling."""
 
+    @staticmethod
+    def ks_gate(crit, replicas):
+        values = np.ones(replicas)  # any sample: the gate depends on its size only
+        return verify._frechet_row(SuiteConfig(suite="marginal"), "ks", values, 1.0, crit).se_or_crit
+
     def test_fixed_gate_holds_at_the_acceptance_scales(self):
         # test_05 (2000 replicas), test_09 (1e5) and test_10 (2000 discrete runs) keep their gates
-        assert verify._ks_gate("ks_marginal", 2000) == 0.05 > ks_critical(2000) == pytest.approx(0.0364, abs=1e-4)
+        assert self.ks_gate(0.05, 2000) == 0.05 > ks_critical(2000) == pytest.approx(0.0364, abs=1e-4)
         assert verify._median_gate(1.0, 10 ** 5) == 0.02
         assert 2.5758 / (math.log(2.0) * math.sqrt(10 ** 5)) == pytest.approx(0.0118, abs=1e-4)
-        assert verify._ks_gate("ks_star", 2000) == 0.07
+        assert self.ks_gate(0.07, 2000) == 0.07
+        assert self.ks_gate(None, 2000) == ks_critical(2000)
 
     def test_sampling_bound_takes_over_at_small_replica_counts(self):
-        # 1.6276/sqrt(R) passes 0.05 below R = 1060 and 0.07 below R = 541, and the median's
-        # bound passes 2 % below R = 34,500 at alpha = 1 (34,500 / alpha**2 in general)
-        assert verify._ks_gate("ks_marginal", 500) == ks_critical(500) == pytest.approx(0.0728, abs=1e-4)
-        assert verify._ks_gate("ks_marginal", 1059) > 0.05 == verify._ks_gate("ks_marginal", 1060)
-        assert verify._ks_gate("ks_star", 540) > 0.07 == verify._ks_gate("ks_star", 541)
+        # 1.6276/sqrt(R) passes 0.05 below R = 1060, 0.07 below R = 541 and 0.30 below R = 30, and
+        # the median's bound passes 2 % below R = 34,500 at alpha = 1 (34,500 / alpha**2 in general)
+        assert self.ks_gate(0.05, 500) == ks_critical(500) == pytest.approx(0.0728, abs=1e-4)
+        assert self.ks_gate(0.05, 1059) > 0.05 == self.ks_gate(0.05, 1060)
+        assert self.ks_gate(0.07, 540) > 0.07 == self.ks_gate(0.07, 541)
+        assert self.ks_gate(0.30, 29) > 0.30 == self.ks_gate(0.30, 30)
         for alpha, replicas in ((1.0, 2500), (2.0, 2500), (0.5, 10 ** 5)):
             se = 1.0 / (alpha * math.log(2.0) * math.sqrt(replicas))
             assert verify._median_gate(alpha, replicas) == pytest.approx(max(0.02, verify._NORMAL_QUANTILE * se))
