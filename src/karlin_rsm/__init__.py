@@ -5,7 +5,7 @@ from . import choquet_oracle, distributions, interval_sets, karlin_sim, limit_si
 from .choquet_oracle import ChoquetQuery, PatternQuery
 from .distributions import FrechetLaw, HeavyTailSpec
 from .interval_sets import IntervalSet, normalize
-from .karlin_sim import FrequencyModel, SimRun, replica_rng, simulate
+from .karlin_sim import FrequencyModel, SimRun, UrnBatch, replica_rng, simulate, simulate_batch
 from .limit_sim import LimitSample, sample_karlin, sample_mstar
 from .verify import SuiteConfig, SuiteReport, run_suite
 
@@ -20,8 +20,10 @@ __all__ = [
     "normalize",
     "FrequencyModel",
     "SimRun",
+    "UrnBatch",
     "replica_rng",
     "simulate",
+    "simulate_batch",
     "LimitSample",
     "sample_karlin",
     "sample_mstar",

@@ -4,9 +4,9 @@ Exact samplers and closed-form densities for Pareto-tailed marks, Frechet
 distributions and the zeta (Zipf) draw distribution, and the closed-form
 pmf and tail of the block-size law with parameter ``beta`` (an N-valued law
 with infinite mean whose tail decays like ``k**-beta``).  A run counts zeta
-draws up to a label L by one multinomial (:func:`_zeta_head`) and draws the
-rest from Y | Y > L (:func:`_zeta_rest`): by the table :func:`_zeta_pmf` up to
-ZETA_TABLE_SIZE, and by :func:`_zeta_tail`, which defines the label keys, beyond.
+draws up to a label L by one multinomial (:func:`_zeta_head`, cut from the
+table :func:`_zeta_pmf`) and draws the rest from Y | Y > L by rejection
+(:func:`_zeta_tail`, which also defines the label keys).
 All samplers are pure given an explicit ``numpy.random.Generator`` handle;
 parallel callers must use distinct generators.
 """
@@ -177,22 +177,24 @@ def _envelope_ratio(x, s: float):
     return -np.expm1((1.0 - s) * np.log1p(1.0 / x)) * x
 
 
-def _zeta_tail(rng: np.random.Generator, s: float, size: int) -> np.ndarray:
-    """``size`` keys of Y ~ k**-s / zeta(s) conditioned on Y > L = ZETA_TABLE_SIZE, in trial
-    order: X = floor((L+1) U**(-1/(s-1))) accepted with probability f(L+1) / f(X).
+def _zeta_tail(rng: np.random.Generator, s: float, size: int, after: int = ZETA_TABLE_SIZE) -> np.ndarray:
+    """``size`` i.i.d. keys of Y ~ k**-s / zeta(s) conditioned on Y > ``after``, in trial order:
+    X = floor((after+1) U**(-1/(s-1))) accepted with probability f(after+1) / f(X), so each round
+    draws ``need`` over the least acceptance rate f(after+1) / (s-1) candidates.
 
     A key is the label itself below 2**1024 (exact up to 2**53, float-granular
     above), and -log2(label) beyond float range: below -1024, and distinct."""
     out = np.empty(size)
-    sm1, start = s - 1.0, ZETA_TABLE_SIZE + 1.0
+    sm1, start = s - 1.0, after + 1.0
+    least = _envelope_ratio(start, s)
     done = 0
     while done < size:
         need = size - done
-        u = 1.0 - rng.random(need + need // 32 + 16)
+        u = 1.0 - rng.random(int(need * sm1 / least) + 16)
         v = rng.random(u.size)
         with np.errstate(over="ignore"):
             x = np.floor(start * u ** (-1.0 / sm1))
-        keep = np.flatnonzero(v * _envelope_ratio(x, s) <= _envelope_ratio(start, s))[:need]
+        keep = np.flatnonzero(v * _envelope_ratio(x, s) <= least)[:need]
         huge = keep[np.isinf(x[keep])]
         x[huge] = np.log2(u[huge]) / sm1 - math.log2(start)
         out[done:done + keep.size] = x[keep]
@@ -210,19 +212,7 @@ def _zeta_pmf(s: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _zeta_head(s: float, size: int):
-    """P(Y = k) for k = 1..size, then P(Y > size): the cells of a run's multinomial head; and
-    P(size < Y <= size + j) for j = 0..ZETA_TABLE_SIZE - size, the rest's in-table cdf."""
+def _zeta_head(s: float, size: int) -> np.ndarray:
+    """P(Y = k) for k = 1..size, then P(Y > size): the cells of a run's multinomial head."""
     pmf = _zeta_pmf(s)
-    cdf = np.cumsum(np.append(0.0, pmf[size:-1]))
-    return np.append(pmf[:size], min(cdf[-1] + pmf[-1], 1.0)), cdf  # 1 but for rounding at size 0
-
-
-def _zeta_rest(rng: np.random.Generator, s: float, size: int, count: int) -> np.ndarray:
-    """``count`` i.i.d. keys of Y | Y > size: a binomial count of keys up to ZETA_TABLE_SIZE, which
-    invert the in-table cdf (index clamped against rounding), then :func:`_zeta_tail` keys."""
-    cells, cdf = _zeta_head(s, size)
-    inside = int(rng.binomial(count, cdf[-1] / cells[-1]))
-    u = rng.random(inside) * cdf[-1]  # uniforms scaled to the in-table share
-    keys = size + np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)
-    return np.concatenate([keys.astype(float), _zeta_tail(rng, s, count - inside)])
+    return np.append(pmf[:size], min(pmf[size:].sum(), 1.0))  # 1 but for rounding at size 0

@@ -1,11 +1,10 @@
-"""Heavy-tailed infinite-urn simulation.
+"""Heavy-tailed infinite-urn simulation, drawn many runs at a time.
 
 Boxes are drawn with regularly varying zeta frequencies, each occupied box
-carries one heavy-tailed mark (i.i.d., so assigned in key order), and the
-observed process is the mark of the drawn box.  The module exposes the
-occupancy statistics, the top order statistics with their location sets, the
-empirical sup-measure and its first-occurrence variant, and the table of
-occupancy-pattern counts.
+carries one heavy-tailed mark, and the observed process is the mark of the
+drawn box.  The module exposes the occupancy statistics, the top order
+statistics with their location sets, the empirical sup-measure and its
+first-occurrence variant, and the table of occupancy-pattern counts.
 
 Draw ``j`` (0-based) sits at position ``j/n``, so the unit carrier ``[0, 1)``
 contains every draw exactly once, and a query set's positions are index
@@ -13,13 +12,16 @@ ranges of the draws (``IntervalSet.grid_ranges``).  A run is drawn count
 first: the box counts are multinomial, and given them the order of the draws
 is a uniform arrangement (Karlin 1967; Gnedin, Hansen & Pitman 2007), so a
 run keeps only how many balls of each box fall in each cell between the
-range ends of the family passed to :func:`simulate`.  Only the about nu(n)
-heavy labels get multinomial cells; the other balls draw keys one by one.
-The arrangement is independent of the marks, so the cell counts are split
-lazily, box by box in decreasing mark order (``SimRun.walk``): a set query
-reads boxes in that order and stops at the first that answers it, and only
-a query that no top-``WALK`` box answers, or a full table, splits the rest.
-Box labels are float64 keys (see :func:`~karlin_rsm.distributions._zeta_tail`).
+range ends of its query family.  :func:`simulate_batch` draws a batch of
+runs as ragged arrays (:class:`UrnBatch`): one multinomial over the about
+nu(n) heavy labels for every run, one pooled draw of the other balls' keys,
+and one mark per box.  The arrangement is independent of the marks, so the
+cells are split in decreasing mark order: the top ``WALK`` boxes of every run
+by one hypergeometric array call per rank and cell, and the other boxes of a
+run only when a query needs them (a set that no top box answers, or a
+pattern table).  Every query returns one value per run.  The CLI's
+:func:`simulate` is a batch of one.  Box labels are float64 keys (see
+:func:`~karlin_rsm.distributions._zeta_tail`).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -38,8 +40,7 @@ from .distributions import (
     HeavyTailSpec,
     _check_beta,
     _zeta_head,
-    _zeta_pmf,
-    _zeta_rest,
+    _zeta_tail,
     pareto_sample_batch,
     riemann_zeta,
 )
@@ -47,14 +48,17 @@ from .interval_sets import IntervalSet
 
 __all__ = [
     "FrequencyModel",
+    "UrnBatch",
     "SimRun",
     "TopOrderStat",
     "ResourceError",
     "b_n",
+    "simulate_batch",
     "simulate",
+    "chunk_runs",
     "threads_pay",
     "replica_rng",
-    "top_boxes",
+    "top_marks",
     "top_m",
     "boxes_hit",
     "ranked_hit",
@@ -66,9 +70,11 @@ __all__ = [
     "occupancy_json",
 ]
 
-MAX_N = 10 ** 7  # simulate raises ResourceError above this n
-THREAD_BREAK_EVEN = 2 ** 12  # tail keys per run from which two threads beat one (measured break-even)
-WALK = 5  # boxes split one by one in mark order before the rest are split at once
+MAX_N = 10 ** 7  # simulate_batch raises ResourceError above this n
+CHUNK = 2 ** 8  # runs of a batch that one stream draws (chunk_runs)
+CHUNK_KEYS = 2 ** 20  # keys a chunk is expected to sort at most, which bounds its memory
+THREAD_BREAK_EVEN = 2 ** 14  # keys per chunk from which two threads beat one (measured break-even)
+WALK = 5  # boxes of every run split in mark order when it is drawn
 
 
 class ResourceError(RuntimeError):
@@ -125,6 +131,8 @@ class FrequencyModel:
     def mean_occupancy(self, n: int) -> float:
         """E K_n = sum over ell of 1 - (1 - p_ell)**n: directly up to H with n p_H < 1/2, then the
         integral of 1 - exp(-n p_x) from H + 1/2 (midpoint rule) as a series in n p_(H + 1/2)."""
+        if n == 0:
+            return 0.0
         c = n / self.zeta_norm
         head = max(int((2.0 * c) ** self.beta) + 1, 2 ** 12)
         p = np.arange(1.0, head + 1.0) ** -self.s / self.zeta_norm
@@ -132,6 +140,23 @@ class FrequencyModel:
         t = c * a ** -self.s
         series = sum((-t) ** k / (math.factorial(k) * (k - self.beta)) for k in range(1, 25))
         return float(-np.expm1(n * np.log1p(-p)).sum()) - self.beta * a * series
+
+    def mean_pattern_count(self, n: int, family, code: int) -> float:
+        """E of the pattern table entry ``code`` > 0 (:func:`pattern_count_table`) of runs of n draws.
+
+        A box's hits in disjoint sets of positions are independent, so by
+        inclusion-exclusion over the sets S that ``code`` hits, with M the
+        union of those it misses, the entry's mean is the sum over T in S of
+        (-1)**(|T|+1) E K_m, m the positions in M and the sets of T.
+        """
+        hit = [a for k, a in enumerate(family) if code >> k & 1]
+        missed = [a for k, a in enumerate(family) if not code >> k & 1]
+        total = 0.0
+        for t in range(1 << len(hit)):
+            sets = missed + [a for j, a in enumerate(hit) if t >> j & 1]
+            m = sum(hi - lo for lo, hi in reduce(IntervalSet.union, sets).grid_ranges(n)) if sets else 0
+            total += (-1) ** (bin(t).count("1") + 1) * self.mean_occupancy(m)
+        return total
 
 
 def b_n(model: FrequencyModel, spec: HeavyTailSpec, n: int) -> float:
@@ -161,107 +186,114 @@ class TopOrderStat:
     locations: tuple  # sorted positions j/n with Y_j = label
 
 
-@dataclass
-class SimRun:
-    """One realization of the urn model; its values never change once read.
+def _stream(key) -> np.random.Generator:
+    """A run's own generator, keyed by one of its ``UrnBatch.streams`` keys."""
+    return np.random.Generator(np.random.Philox(key=int(key)))
 
-    ``labels`` and ``counts`` hold the sorted distinct float64 keys and their
-    ball counts, and ``marks`` the mark of each box, aligned with ``labels``.
-    The positions are split into cells at ``cuts`` (0 = cuts[0] < ... <
-    cuts[-1] = n), and ``cells[c, i]`` counts the balls of box i at indices
-    in [cuts[c], cuts[c+1]).  The split is drawn from ``rng`` on first use,
-    in one fixed sequence that every reader extends: first the boxes of mark
-    rank 0, 1, ... below min(WALK, k_n) one at a time (:meth:`walk`), then
-    all other boxes in one ``_split`` over the room left (``cells``), then
-    ``draws``, the key of every step, each cell's balls in uniform order.  So
-    no value depends on the order in which it is read.  A one-cell run draws
-    no split.  ``b_n`` is also computed on first use.
+
+@dataclass
+class UrnBatch:
+    """Runs of the urn drawn together by :func:`simulate_batch`, as ragged arrays.
+
+    Per box, the runs in order and each run's boxes in box order (the labels
+    up to L, then the other keys, each increasing): ``run``, ``keys``,
+    ``counts`` and ``marks``.  Per run: ``k_n``, ``start``, the index of its
+    first box, and ``top``, the indices of its boxes of mark rank 0 .. WALK-1
+    (equal marks in box order; -1 past k_n).  The positions are split into
+    cells at ``cuts`` (0 = cuts[0] < ... < cuts[-1] = n): ``top_cells[r, j,
+    c]`` counts the balls of box ``top[r, j]`` in cell c, and ``room[r, c]``
+    the positions of cell c that these boxes leave.  The other boxes of run r
+    are split over that room on first use (:meth:`cells_of`), from the run's
+    own stream ``streams[r, 0]``, so no value depends on the order in which
+    queries read the batch.
     """
 
     model: FrequencyModel
     spec: HeavyTailSpec
     n: int
-    seed: int
-    replica: int
-    labels: np.ndarray
+    cuts: np.ndarray
+    run: np.ndarray
+    keys: np.ndarray
     counts: np.ndarray
     marks: np.ndarray
-    cuts: np.ndarray
-    rng: np.random.Generator = field(repr=False, compare=False)
-    _rows: list = field(default_factory=list, init=False, repr=False, compare=False)
+    k_n: np.ndarray
+    top: np.ndarray
+    top_cells: np.ndarray
+    room: np.ndarray
+    streams: np.ndarray  # (runs, 2) Philox keys: the split of the other boxes, and the order of draws
+    _cells: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @property
+    def runs(self) -> int:
+        return self.k_n.size
+
+    @cached_property
+    def start(self) -> np.ndarray:
+        return np.cumsum(self.k_n) - self.k_n
 
     @cached_property
     def b_n(self) -> float:
         """The normalisation; raises ValueError below n = zeta(1/beta)."""
         return b_n(self.model, self.spec, self.n)
 
-    @property
-    def k_n(self) -> int:
-        return len(self.labels)
-
-    @cached_property
-    def order(self) -> np.ndarray:
-        """Indices of the min(WALK, k_n) boxes of largest mark, largest first (:func:`top_boxes`)."""
-        return top_boxes(self, WALK)
-
-    def box(self, rank: int) -> int:
-        """``order[rank]``; rank 0, the first of the largest marks, needs no sort."""
-        return int(self.marks.argmax()) if rank == 0 else int(self.order[rank])
-
-    @cached_property
-    def _room(self) -> list:
-        """Positions of each cell not yet given to a walked box."""
-        cuts = self.cuts.tolist()
-        return [hi - lo for lo, hi in zip(cuts, cuts[1:])]
-
-    def walk(self, rank: int) -> np.ndarray:
-        """The cell counts (a column of ``cells``) of the box ``box(rank)``, rank < min(WALK, k_n).
-
-        Splits the boxes up to that rank, each by one hypergeometric draw per
-        cell but the last over the room the cells have left.  Scalar draws,
-        as one ``multivariate_hypergeometric`` call per box costs more than
-        the few draws it replaces.
-        """
-        room = self._room
-        while len(self._rows) <= rank:
-            left = int(self.counts[self.box(len(self._rows))])
-            row = [0] * len(room)
-            rest = sum(room)
-            for c in range(len(room) - 1):
-                if not left:
-                    break
-                rest -= room[c]
-                row[c] = int(self.rng.hypergeometric(room[c], rest, left))
-                left -= row[c]
-            row[-1] += left
-            room[:] = [free - take for free, take in zip(room, row)]
-            self._rows.append(np.array(row))
-        return self._rows[rank]
+    def cells_of(self, r: int) -> np.ndarray:
+        """(k_n[r], cells) ball counts of run r's boxes: the walked rows, and one ``_split`` of the others."""
+        if r not in self._cells:
+            lo, hi = self.start[r], self.start[r] + self.k_n[r]
+            if self.cuts.size == 2:
+                self._cells[r] = self.counts[lo:hi, None]
+            else:
+                walked = self.top[r][self.top[r] >= 0] - lo
+                other = np.ones(hi - lo, dtype=bool)
+                other[walked] = False
+                cells = np.empty((hi - lo, self.cuts.size - 1), dtype=np.int64)
+                cells[walked] = self.top_cells[r, :walked.size]
+                cells[other] = _split(_stream(self.streams[r, 0]), self.counts[lo:hi][other], self.room[r])
+                self._cells[r] = cells
+        return self._cells[r]
 
     @cached_property
     def cells(self) -> np.ndarray:
-        """(cells, boxes) ball counts: the walk's rows, then one ``_split`` of the other boxes' balls."""
-        if self.cuts.size == 2:
-            return self.counts[None, :]
-        self.walk(len(self.order) - 1)
-        rest = self.counts.copy()
-        rest[self.order] = 0  # the walked boxes, placed after the split of the others
-        cells = _split(self.rng, rest, np.array(self._room))
-        cells[:, self.order] = np.array(self._rows).T
-        return cells
+        """(boxes, cells) ball counts of every box of the batch."""
+        return np.concatenate([self.cells_of(r) for r in range(self.runs)])
 
-    @cached_property
-    def draws(self) -> np.ndarray:
-        """The key of every step: O(n), read only by :func:`top_m` and position scans."""
+    def draws(self, r: int) -> np.ndarray:
+        """The key of every step of run r, each cell's balls in uniform order from the run's stream
+        ``streams[r, 1]``: O(n), read only by :func:`top_m` and position scans."""
+        rng = _stream(self.streams[r, 1])
+        keys = self.keys[self.start[r]:self.start[r] + self.k_n[r]]
         out = np.empty(self.n)
-        for c, cell in enumerate(self.cells):
+        for c, cell in enumerate(self.cells_of(r).T):
             seg = out[self.cuts[c]:self.cuts[c + 1]]
-            seg[:] = np.repeat(self.labels, cell)
-            self.rng.shuffle(seg)
+            seg[:] = np.repeat(keys, cell)
+            rng.shuffle(seg)
         return out
 
 
-def _cuts(family, n: int) -> np.ndarray:
+@dataclass
+class SimRun:
+    """One run, as the CLI's ``simulate`` prints it: a batch of one and the seed and replica of its
+    stream."""
+
+    batch: UrnBatch
+    seed: int
+    replica: int
+
+    @property
+    def n(self) -> int:
+        return self.batch.n
+
+    @property
+    def k_n(self) -> int:
+        return int(self.batch.k_n[0])
+
+    @cached_property
+    def draws(self) -> np.ndarray:
+        return self.batch.draws(0)
+
+
+@lru_cache(maxsize=64)
+def _cuts(family: tuple, n: int) -> np.ndarray:
     """0, n and every end of the index ranges of the family's sets, sorted and distinct."""
     ends = {0, n}
     for a in family:
@@ -271,61 +303,123 @@ def _cuts(family, n: int) -> np.ndarray:
 
 
 def _split(rng: np.random.Generator, counts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """(cells, boxes) ball counts of a uniform arrangement of the boxes' balls over cells of the
+    """(boxes, cells) ball counts of a uniform arrangement of the boxes' balls over cells of the
     given sizes.  The singleton boxes take one multivariate hypergeometric draw over the cell
     sizes and a permutation; then each cell but the last draws its share of the other boxes'
     balls."""
-    cells = np.zeros((sizes.size, counts.size), dtype=np.int64)
+    cells = np.zeros((counts.size, sizes.size), dtype=np.int64)
     single = counts == 1
     per_cell = rng.multivariate_hypergeometric(sizes, int(single.sum()))
-    cells[rng.permutation(np.repeat(np.arange(sizes.size), per_cell)), np.flatnonzero(single)] = 1
+    cells[np.flatnonzero(single), rng.permutation(np.repeat(np.arange(sizes.size), per_cell))] = 1
     multi = np.flatnonzero(~single)
     left = counts[multi]
     for c, room in enumerate((sizes - per_cell)[:-1]):
-        cells[c, multi] = rng.multivariate_hypergeometric(left, room, method="marginals")
-        left = left - cells[c, multi]
-    cells[-1, multi] = left
+        cells[multi, c] = rng.multivariate_hypergeometric(left, room, method="marginals")
+        left = left - cells[multi, c]
+    cells[multi, -1] = left
     return cells
 
 
+def _top(run: np.ndarray, marks: np.ndarray, k_n: np.ndarray, start: np.ndarray, m: int) -> np.ndarray:
+    """(runs, m) indices of each run's boxes of mark rank 0..m-1, -1 past k_n: the boxes with at
+    least their run's m-th largest mark (one partition of the runs' marks padded to the largest
+    k_n), sorted by decreasing mark, equal marks in box order."""
+    width = int(k_n.max())
+    padded = np.full((k_n.size, width), -np.inf)
+    padded[run, np.arange(run.size) - start[run]] = marks
+    least = np.partition(padded, width - min(m, width), axis=1)[:, width - min(m, width)]
+    cand = np.flatnonzero(marks >= least[run])
+    cand = cand[np.lexsort((-marks[cand], run[cand]))]
+    rank = np.arange(cand.size) - np.searchsorted(run[cand], run[cand])
+    cand, rank = cand[rank < m], rank[rank < m]
+    top = np.full((k_n.size, m), -1)
+    top[run[cand], rank] = cand
+    return top
+
+
+def _walk(rng: np.random.Generator, counts: np.ndarray, top: np.ndarray, cuts: np.ndarray):
+    """``top_cells`` and ``room`` of :class:`UrnBatch`: rank by rank, the box of that rank in every
+    run draws its balls in each cell but the last by one hypergeometric array call over the room
+    its run's cells have left."""
+    room = np.tile(np.diff(cuts), (top.shape[0], 1))
+    cells = np.zeros((*top.shape, room.shape[1]), dtype=np.int64)
+    for rank in range(WALK):
+        left = np.where(top[:, rank] >= 0, counts[top[:, rank]], 0)
+        for c in range(room.shape[1] - 1):
+            cells[:, rank, c] = rng.hypergeometric(room[:, c], room[:, c + 1:].sum(axis=1), left)
+            left = left - cells[:, rank, c]
+        cells[:, rank, -1] = left
+        room -= cells[:, rank]
+    return cells, room
+
+
+def _run_keys(model: FrequencyModel, n: int) -> float:
+    """Keys a run of n draws expects to sort: its head labels and the balls beyond them."""
+    size = min(model.nu_count(n), ZETA_TABLE_SIZE)
+    return size + n * _zeta_head(model.s, size)[-1]
+
+
+def chunk_runs(model: FrequencyModel, n: int) -> int:
+    """Runs that one stream draws as a batch: CHUNK, or fewer where they expect more than
+    CHUNK_KEYS keys to sort."""
+    return int(max(1, min(CHUNK, CHUNK_KEYS // _run_keys(model, n))))
+
+
 def threads_pay(model: FrequencyModel, n: int) -> bool:
-    """Whether runs of n draws gain from threads: THREAD_BREAK_EVEN keys beyond the zeta table expected."""
-    return n * _zeta_pmf(model.s)[-1] >= THREAD_BREAK_EVEN
+    """Whether chunks of runs of n draws gain from threads: THREAD_BREAK_EVEN keys per chunk expected."""
+    return chunk_runs(model, n) * _run_keys(model, n) >= THREAD_BREAK_EVEN
 
 
-def simulate(
-    model: FrequencyModel,
-    spec: HeavyTailSpec,
-    n: int,
-    seed: int,
-    replica: int = 0,
-    family=(),
-) -> SimRun:
-    """Run the urn for n rounds; deterministic given (model, spec, n, seed, replica, family).
+def simulate_batch(model: FrequencyModel, spec: HeavyTailSpec, n: int, rng: np.random.Generator,
+                   runs: int, family=()) -> UrnBatch:
+    """``runs`` runs of the urn for n rounds, deterministic given (model, spec, n, the state of rng,
+    runs, family).
 
-    The stream gives the multinomial counts of the labels 1..L and one rest
-    cell, L = min(nu(n), ZETA_TABLE_SIZE); the rest's keys
-    (``distributions._zeta_rest``); and one mark per occupied box in key
-    order.  The family's index ranges only set the ``cuts``: the split of the
-    boxes over the cells comes after the marks and is drawn on first use
-    (see :class:`SimRun`), so labels, counts and marks do not depend on the
-    family.  Queries may use only sets whose ranges are unions of these cells.
+    The stream gives, in this order: the multinomial counts of the labels
+    1..L and one rest cell for every run, L = min(nu(n), ZETA_TABLE_SIZE);
+    the rest balls' keys, i.i.d. from Y | Y > L in one pooled draw that run
+    r reads next ``rest[r]`` of; one mark per occupied box, the runs in
+    order and each run's boxes in box order (:class:`UrnBatch`); the walk of the top WALK boxes
+    (:func:`_walk`, nothing on one cell); and two stream keys per run.  The
+    family's index ranges only set the ``cuts``, so keys, counts and marks
+    do not depend on the family.  Queries may use only sets whose ranges are
+    unions of these cells.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     if n > MAX_N:
         raise ResourceError(f"n={n} exceeds the allocation budget n <= {MAX_N}")
-    rng = replica_rng(seed, replica)
     size = min(model.nu_count(n), ZETA_TABLE_SIZE)
-    head = rng.multinomial(n, _zeta_head(model.s, size)[0])
-    rest, rest_counts = np.unique(_zeta_rest(rng, model.s, size, int(head[-1])), return_counts=True)
-    small = np.flatnonzero(head[:-1])
-    logs = np.searchsorted(rest, 0.0)  # log-keys of labels beyond float range come first
-    labels = np.concatenate([rest[:logs], small + 1.0, rest[logs:]])
-    counts = np.concatenate([rest_counts[:logs], head[small], rest_counts[logs:]])
-    marks = pareto_sample_batch(rng, spec, len(labels))
-    return SimRun(model=model, spec=spec, n=n, seed=seed, replica=replica, labels=labels,
-                  counts=counts, marks=marks, cuts=_cuts(family, n), rng=rng)
+    head = rng.multinomial(n, _zeta_head(model.s, size), size=runs)
+    rest = head[:, -1]
+    # the pooled rest keys, sorted within each run's row of a padded array
+    within = np.arange(rest.max()) < rest[:, None]
+    padded = np.full(within.shape, np.inf)
+    padded[within] = _zeta_tail(rng, model.s, int(rest.sum()), size)
+    tail = np.sort(padded, axis=1)[within]
+    tail_run = np.repeat(np.arange(runs), rest)
+    new = np.ones(tail.size, dtype=bool)
+    new[1:] = (tail[1:] != tail[:-1]) | (tail_run[1:] != tail_run[:-1])
+    first = np.flatnonzero(new)
+    run, label = np.nonzero(head[:, :-1])
+    counts = np.concatenate([head[run, label], np.diff(np.append(first, tail.size))])
+    run = np.concatenate([run, tail_run[first]])
+    order = np.argsort(run, kind="stable")  # each run's labels up to L, then its other keys
+    run, keys, counts = run[order], np.concatenate([label + 1.0, tail[first]])[order], counts[order]
+    marks = pareto_sample_batch(rng, spec, keys.size)
+    k_n = np.bincount(run, minlength=runs)
+    top = _top(run, marks, k_n, np.cumsum(k_n) - k_n, WALK)
+    cuts = _cuts(tuple(family), n)
+    top_cells, room = _walk(rng, counts, top, cuts)
+    streams = rng.integers(2 ** 64, size=(runs, 2), dtype=np.uint64)
+    return UrnBatch(model=model, spec=spec, n=n, cuts=cuts, run=run, keys=keys, counts=counts, marks=marks,
+                    k_n=k_n, top=top, top_cells=top_cells, room=room, streams=streams)
+
+
+def simulate(model: FrequencyModel, spec: HeavyTailSpec, n: int, seed: int, replica: int = 0,
+             family=()) -> SimRun:
+    """One run: the batch of one that :func:`simulate_batch` draws from ``replica_rng(seed, replica)``."""
+    return SimRun(simulate_batch(model, spec, n, replica_rng(seed, replica), 1, family), seed, replica)
 
 
 def _label_int(key: float) -> int:
@@ -336,119 +430,119 @@ def _label_int(key: float) -> int:
     return int(2.0 ** (-key - whole) * 2 ** 52) << (whole - 52)
 
 
-def top_boxes(run: SimRun, m: int) -> np.ndarray:
-    """Indices into ``labels`` of the min(m, k_n) largest marks, largest first.
-
-    Ties (a null event under continuous marks) resolve to the smallest key.
-    """
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    # boxes with at least the m-th largest mark, in ascending key order: a stable sort breaks ties
-    cut = max(run.k_n - m, 0)
-    top = np.flatnonzero(run.marks >= np.partition(run.marks, cut)[cut])
-    return top[np.argsort(-run.marks[top], kind="stable")][:m]
+def top_marks(batch: UrnBatch, m: int) -> np.ndarray:
+    """(runs, m) marks of the mark ranks 0..m-1 <= WALK of every run; NaN past its k_n."""
+    top = batch.top[:, :m]
+    return np.where(top >= 0, batch.marks[top], np.nan)
 
 
 def top_m(run: SimRun, m: int) -> list:
     """The m largest distinct-box marks with labels and location sets.
 
-    Returns k_n entries when the run has fewer occupied boxes than m.  The
-    location sets come from ``run.draws``.
+    Returns k_n entries when the run has fewer occupied boxes than m; equal
+    marks keep box order.  The location sets come from ``run.draws``.
     """
+    if m < 1:
+        raise ValueError("m must be at least 1")
+    batch = run.batch
+    top = _top(batch.run, batch.marks, batch.k_n, batch.start, min(m, run.k_n))[0]
     out = []
-    for rank, idx in enumerate(top_boxes(run, m), start=1):
-        locs = np.flatnonzero(run.draws == run.labels[idx]) / run.n
+    for rank, box in enumerate(top, start=1):
+        locs = np.flatnonzero(run.draws == batch.keys[box]) / run.n
         out.append(
             TopOrderStat(
                 rank=rank,
-                value=float(run.marks[idx]),
-                value_normalized=float(run.marks[idx] / run.b_n),
-                label=_label_int(run.labels[idx]),
+                value=float(batch.marks[box]),
+                value_normalized=float(batch.marks[box] / batch.b_n),
+                label=_label_int(batch.keys[box]),
                 locations=tuple(float(v) for v in locs),
             )
         )
     return out
 
 
-def _inside(run: SimRun, a: IntervalSet) -> np.ndarray:
-    """Mask over the run's cells: True for those inside the set.
+def _inside(batch: UrnBatch, a: IntervalSet) -> np.ndarray:
+    """Mask over the batch's cells: True for those inside the set.
 
-    Raises ValueError for a range of the set that is not a union of the run's cells.
+    Raises ValueError for a range of the set that is not a union of the cells.
     """
-    cuts = run.cuts.tolist()
+    cuts = batch.cuts.tolist()
     inside = np.zeros(len(cuts) - 1, dtype=bool)
-    for lo, hi in a.grid_ranges(run.n):
+    for lo, hi in a.grid_ranges(batch.n):
         if lo not in cuts or hi not in cuts:
             raise ValueError(f"index range [{lo}, {hi}) is not a union of the run's cells; "
-                             "pass its set to simulate")
+                             "pass its set to simulate_batch")
         inside[cuts.index(lo):cuts.index(hi)] = True
     return inside
 
 
 def _hit(cells: np.ndarray, inside: np.ndarray) -> np.ndarray:
-    """Per box (column of cells, or one column): whether it has a ball in the cells inside."""
-    return cells[inside].any(axis=0)
+    """Per box (row of the last axis): whether it has a ball in the cells inside."""
+    return cells[..., inside].any(axis=-1)
 
 
 def _first_hit(cells: np.ndarray, inside: np.ndarray) -> np.ndarray:
     """Per box: whether its first ball falls in the cells inside."""
-    return inside[(cells > 0).argmax(axis=0)]
+    ball = cells > 0
+    return inside[ball.argmax(axis=-1)] & ball.any(axis=-1)
 
 
-def _sup(run: SimRun, a: IntervalSet, hit) -> float:
-    """Largest mark of the boxes that ``hit`` finds in the set's cells; 0 if none.
+def _sup(batch: UrnBatch, a: IntervalSet, hit) -> np.ndarray:
+    """Per run, the largest mark of the boxes that ``hit`` finds in the set's cells; 0 if none.
 
-    Walks the boxes in decreasing mark order and returns the mark of the
-    first one hit; if none of the min(WALK, k_n) top boxes is, it reads the
-    mask over all the ``cells``.
+    That is the mark of the first walked box found, in mark order; a run
+    where none is found and that has more than WALK boxes splits the others.
     """
-    inside = _inside(run, a)
-    for rank in range(min(WALK, run.k_n)):
-        if hit(run.walk(rank), inside):
-            return float(run.marks[run.box(rank)])
-    boxes = hit(run.cells, inside)
-    return float(run.marks[boxes].max()) if boxes.any() else 0.0
+    inside = _inside(batch, a)
+    found = hit(batch.top_cells, inside)
+    answered = found.any(axis=1)
+    out = np.where(answered, batch.marks[batch.top[np.arange(batch.runs), found.argmax(axis=1)]], 0.0)
+    for r in np.flatnonzero(~answered & (batch.k_n > WALK)):
+        boxes = hit(batch.cells_of(r), inside)
+        if boxes.any():
+            out[r] = batch.marks[batch.start[r]:batch.start[r] + batch.k_n[r]][boxes].max()
+    return out
 
 
-def boxes_hit(run: SimRun, a: IntervalSet) -> np.ndarray:
-    """Mask over the k_n boxes: True where a box has a draw at a position in the set."""
-    return _hit(run.cells, _inside(run, a))
+def boxes_hit(batch: UrnBatch, a: IntervalSet) -> np.ndarray:
+    """Mask over the boxes of the batch: True where a box has a draw at a position in the set."""
+    return _hit(batch.cells, _inside(batch, a))
 
 
-def ranked_hit(run: SimRun, rank: int, a: IntervalSet) -> bool:
-    """Whether the box of mark rank ``rank`` < min(WALK, k_n) has a draw in the set."""
-    return bool(_hit(run.walk(rank), _inside(run, a)))
+def ranked_hit(batch: UrnBatch, rank: int, a: IntervalSet) -> np.ndarray:
+    """Per run, whether its box of mark rank ``rank`` < WALK has a draw in the set (False past k_n)."""
+    return _hit(batch.top_cells[:, rank], _inside(batch, a))
 
 
-def empirical_sup(run: SimRun, a: IntervalSet) -> float:
-    """max of X_j over positions in the set; 0 when no position falls inside."""
-    return _sup(run, a, _hit)
+def empirical_sup(batch: UrnBatch, a: IntervalSet) -> np.ndarray:
+    """Per run, max of X_j over positions in the set; 0 when no position falls inside."""
+    return _sup(batch, a, _hit)
 
 
-def variant_star_sup(run: SimRun, a: IntervalSet) -> float:
-    """Sup of the first-occurrence-only process over the set.
+def variant_star_sup(batch: UrnBatch, a: IntervalSet) -> np.ndarray:
+    """Per run, the sup of the first-occurrence-only process over the set.
 
     A box is first visited in a range [lo, hi) when it has a draw there and
     none before lo, that is, when its first ball falls in the set.  The box
     achieving the overall maximum attains its mark at its first visit, so on
     the full carrier this coincides with :func:`empirical_sup`.
     """
-    return _sup(run, a, _first_hit)
+    return _sup(batch, a, _first_hit)
 
 
-def pattern_count_table(run: SimRun, family) -> np.ndarray:
-    """Entry sum_k delta_k 2**k counts the boxes hit inside exactly the sets
-    k with delta_k = 1; entry 0 counts the boxes hit nowhere.  The entries
-    over all nonzero codes partition the boxes hit in the union."""
-    codes = np.zeros(run.k_n, dtype=np.intp)
+def pattern_count_table(batch: UrnBatch, family) -> np.ndarray:
+    """(runs, 2**len(family)): entry sum_k delta_k 2**k counts the boxes of a run hit inside
+    exactly the sets k with delta_k = 1; entry 0 counts the boxes hit nowhere.  A run's entries
+    over all nonzero codes partition its boxes hit in the union."""
+    codes = batch.run * (1 << len(family))
     for k, a in enumerate(family):
-        codes += boxes_hit(run, a).astype(np.intp) << k
-    return np.bincount(codes, minlength=1 << len(family))
+        codes = codes + (boxes_hit(batch, a).astype(np.intp) << k)
+    return np.bincount(codes, minlength=batch.runs << len(family)).reshape(batch.runs, -1)
 
 
-def occupancy_histogram(run: SimRun) -> dict:
-    """Map ball-count k to the number of boxes holding exactly k balls."""
-    sizes, freq = np.unique(run.counts, return_counts=True)
+def occupancy_histogram(batch: UrnBatch) -> dict:
+    """Map ball-count k to the number of boxes holding exactly k balls, over every run of the batch."""
+    sizes, freq = np.unique(batch.counts, return_counts=True)
     return {int(k): int(c) for k, c in zip(sizes, freq)}
 
 
@@ -471,7 +565,7 @@ def occupancy_json(run: SimRun) -> str:
         "seed": run.seed,
         "replica": run.replica,
         "k_n": run.k_n,
-        "b_n": run.b_n,
-        "histogram": {str(k): v for k, v in sorted(occupancy_histogram(run).items())},
+        "b_n": run.batch.b_n,
+        "histogram": {str(k): v for k, v in sorted(occupancy_histogram(run.batch).items())},
     }
     return json.dumps(payload, indent=2)

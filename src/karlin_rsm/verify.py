@@ -15,16 +15,21 @@ Each suite's inputs are listed in one table, ``_SUITE_INPUTS``, which
 only :class:`SuiteConfig` reads; its parts (an urn family or one limit
 batch, each limit family drawn once) and their stream blocks in another,
 :data:`_PARTS`.  An urn part gets its runs from one function, ``_urn_map``,
-which hands each run, cut into the cells of the part's query sets, to the
-suite's statistic: replica r draws from the counter-based stream
-``replica_rng(seed, block * 2**20 + r)``; only a part whose runs are long
-enough to share (``karlin_sim.threads_pay``) is cut into ``threads``
-contiguous chunks, run on at most one thread per CPU; a suite
-takes at most 2**20 replicas per part, and only ``marginal`` takes more
-than one n.  A limit part draws all its replicas, in replica order, as one
-vectorised batch from the single stream ``replica_rng(seed, block *
-2**20)``, and the limit parts run one after another.  So no two parts share
-a stream, and reports are byte-identical for any ``threads`` setting.
+which draws them as batches of ``karlin_sim.chunk_runs`` runs (2**8 unless
+runs are long), cut into the cells of the part's query sets, and hands each
+batch to the suite's statistic, whose queries return one value per run:
+chunk c draws from the counter-based stream ``replica_rng(seed, block *
+2**20 + c)``; only a part whose chunks are large enough to share
+(``karlin_sim.threads_pay``) runs them on more than one thread, at most one
+per CPU; a suite takes at most 2**20 replicas per part, and only
+``marginal`` takes more than one n.  A limit part draws all its replicas,
+in replica order, as one vectorised batch from the single stream
+``replica_rng(seed, block * 2**20)``, and the limit parts run one after
+another.  So no two parts share a stream, and reports are byte-identical
+for any ``threads`` setting.  The urn rows compare with exact finite-n
+means where one exists (``mean_kn_ratio`` and the pattern rows), and
+``mean_kn_ratio`` takes the larger of its constant and 99 % of its
+standard error, estimated from the replicas.
 Every confidence bound is at the 99 % level.
 """
 
@@ -75,8 +80,8 @@ DEFAULT_THRESHOLDS = {
     "ks_marginal": 0.05,        # KS bound at the largest n of the marginal grid (see _frechet_row)
     "ks_marginal_other": 0.30,  # sanity bound at smaller grid points
     "ks_star": 0.07,            # KS bound for the discrete first-occurrence variant (see _frechet_row)
-    "occupancy_rel": 0.02,      # relative error of mean K_n / nu(n)
-    "pattern_rel": 0.05,        # relative error of pattern-count limits
+    "occupancy_rel": 0.02,      # relative error of mean K_n / nu(n) (see _mean_row)
+    "pattern_rel": 0.05,        # relative error of pattern counts from their exact means
     "median_rel": 0.02,         # relative error of extremal-process medians (see _median_gate)
     "binom_se_mult": 3.0,       # +-k*SE window for binomial comparisons
 }
@@ -306,28 +311,30 @@ def _offset(cfg: SuiteConfig, part: str, index: int = 0) -> int:
 
 
 def _urn_map(cfg: SuiteConfig, part: str, sets, fn, n=None, index=0, count=None) -> list:
-    """fn(run) for the runs of an urn part, in replica order, on up to ``cfg.threads`` threads.
+    """fn(batch) for the chunks of an urn part, in chunk order, on up to ``cfg.threads`` threads.
 
-    Run r < count (default: the replicas) has n draws (default: the suite's
-    one n) from the stream ``_offset(cfg, part, index) + r``, cut into the
-    cells of the query sets ``sets``.  If runs are long enough to share
-    (``karlin_sim.threads_pay``), each requested thread gets one contiguous
-    chunk of the replicas; at most one thread per CPU runs them.
+    The part's count runs (default: the replicas) of n draws (default: the
+    suite's one n), cut into the cells of the query sets ``sets``, are drawn
+    as batches of ``karlin_sim.chunk_runs`` runs: chunk c from the stream
+    ``_offset(cfg, part, index) + c``.  If runs are long enough to share
+    (``karlin_sim.threads_pay``), the chunks go to at most one thread per CPU.
     """
     n = max(cfg.n_grid) if n is None else n
     count = cfg.replicas if count is None else count
     model, spec = FrequencyModel(beta=cfg.beta), HeavyTailSpec(alpha=cfg.alpha)
+    size = ksim.chunk_runs(model, n)
     offset = _offset(cfg, part, index)
 
-    def chunk(replicas):
-        return [fn(ksim.simulate(model, spec, n, cfg.seed, offset + r, sets)) for r in replicas]
+    def chunk(c):
+        runs = min(size, count - c * size)
+        return fn(ksim.simulate_batch(model, spec, n, replica_rng(cfg.seed, offset + c), runs, sets))
 
-    if cfg.threads <= 1 or not ksim.threads_pay(model, n):
-        return chunk(range(count))
-    bounds = np.linspace(0, count, min(cfg.threads, count) + 1).astype(int)
-    with ThreadPoolExecutor(max_workers=min(cfg.threads, os.cpu_count() or 1)) as pool:
-        chunks = pool.map(chunk, [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])])
-        return [result for results in chunks for result in results]
+    chunks = range(-(-count // size))
+    workers = min(cfg.threads, os.cpu_count() or 1, len(chunks))
+    if workers <= 1 or not ksim.threads_pay(model, n):
+        return [chunk(c) for c in chunks]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(chunk, chunks))
 
 
 def _stream(cfg: SuiteConfig, part: str) -> np.random.Generator:
@@ -353,6 +360,14 @@ def _binom_row(cfg, check, hits, trials, target, n=0) -> CheckRow:
 def _rel_row(cfg, check, estimate, target, rel, n=0, replicas=0) -> CheckRow:
     tol = rel * abs(target)
     return _row(cfg, check, estimate, target, tol, abs(estimate - target) <= tol, n, replicas)
+
+
+def _mean_row(cfg, check, values, target, rel, n=0) -> CheckRow:
+    """Mean of the values against target, gated at the relative ``rel``, or at 99 % of the mean's
+    standard error estimated from the values' spread where that is larger."""
+    est = float(np.mean(values))
+    tol = max(rel * abs(target), _NORMAL_QUANTILE * float(np.std(values, ddof=1)) / math.sqrt(len(values)))
+    return _row(cfg, check, est, target, tol, abs(est - target) <= tol, n, len(values))
 
 
 def _median_gate(alpha: float, replicas: int) -> float:
@@ -394,8 +409,9 @@ def suite_marginal(cfg: SuiteConfig) -> list:
     ks_by_set = {j: [] for j in range(len(family))}
     grid = sorted(cfg.n_grid)
     for n_idx, n in enumerate(grid):
-        sups = np.array(_urn_map(
-            cfg, "grid", family, lambda run: [ksim.empirical_sup(run, a) / run.b_n for a in family],
+        sups = np.concatenate(_urn_map(
+            cfg, "grid", family,
+            lambda batch: np.stack([ksim.empirical_sup(batch, a) for a in family], 1) / batch.b_n,
             n=n, index=n_idx,
         ))
         is_last = n_idx == len(grid) - 1
@@ -424,18 +440,14 @@ def suite_locations(cfg: SuiteConfig) -> list:
     m = len(family)
     n = max(cfg.n_grid)
 
-    def one(run):
-        # top box k hits A_k, and its normalized mark; a run with fewer boxes pads with a miss.
-        # m <= WALK, so the walk splits no box but these.
-        top = run.order[:m]
-        hits = [ksim.ranked_hit(run, k, a) for k, a in zip(range(top.size), family)]
-        values = list(run.marks[top] / run.b_n)
-        pad = m - top.size
-        return hits + [False] * pad, values + [np.nan] * pad
+    def one(batch):
+        # top box k hits A_k, and its normalized mark; a run with fewer boxes has a miss and NaN
+        hits = np.stack([ksim.ranked_hit(batch, k, a) for k, a in enumerate(family)], 1)
+        return hits, ksim.top_marks(batch, m) / batch.b_n
 
     results = _urn_map(cfg, "urn", family, one)
-    hits = np.array([h for h, _ in results], dtype=bool)
-    values = np.array([v for _, v in results])
+    hits = np.concatenate([h for h, _ in results])
+    values = np.concatenate([v for _, v in results])
 
     limit_values, _ = lsim.top_m_batch(_stream(cfg, "top_m"), cfg.alpha, cfg.beta, m, family, cfg.replicas)
 
@@ -464,19 +476,17 @@ def suite_occupancy(cfg: SuiteConfig) -> list:
     nu = model.nu_count(n)
     kmax = 10
 
-    def one(run):
-        hist = ksim.occupancy_histogram(run)
-        return run.k_n, [hist.get(k, 0) for k in range(1, kmax + 1)]
+    def one(batch):
+        hist = ksim.occupancy_histogram(batch)
+        return batch.k_n, [hist.get(k, 0) for k in range(1, kmax + 1)]
 
     results = _urn_map(cfg, "urn", (), one)
-    k_n = np.array([k for k, _ in results], dtype=float)
+    k_n = np.concatenate([k for k, _ in results]).astype(float)
     pooled = np.sum([c for _, c in results], axis=0).astype(float)
     total = float(k_n.sum())
 
-    rows = [
-        _rel_row(cfg, "mean_kn_ratio", float(np.mean(k_n / nu)), model.mean_occupancy(n) / nu,
-                 DEFAULT_THRESHOLDS["occupancy_rel"], n=n, replicas=cfg.replicas)
-    ]
+    rows = [_mean_row(cfg, "mean_kn_ratio", k_n / nu, model.mean_occupancy(n) / nu,
+                      DEFAULT_THRESHOLDS["occupancy_rel"], n=n)]
     for k in (1, 2):
         rows.append(_binom_row(cfg, f"block_freq_{k}", int(pooled[k - 1]), int(total),
                                qbeta_pmf(k, cfg.beta), n=n))
@@ -490,39 +500,33 @@ def suite_occupancy(cfg: SuiteConfig) -> list:
 
 
 def suite_patterns(cfg: SuiteConfig) -> list:
-    """Occupancy-pattern counts against their closed-form limits."""
+    """Occupancy-pattern counts against their exact finite-n means, which tend to the closed-form
+    limits (``choquet_oracle.pattern_limit``) as n grows."""
     n = max(cfg.n_grid)
-    nu = FrequencyModel(beta=cfg.beta).nu_count(n)
+    model = FrequencyModel(beta=cfg.beta)
+    nu = model.nu_count(n)
     family = cfg.family
     d = len(family)
     deltas = [tuple(int(b) for b in format(mask, f"0{d}b")) for mask in range(1, 1 << d)]
     entries = [sum(b << k for k, b in enumerate(delta)) for delta in deltas]  # in the pattern table
     single = (normalize([(0.0, 0.5)]),)
 
-    def one(run):
-        per_delta = list(ksim.pattern_count_table(run, family)[entries] / nu)
-        per_delta.append(ksim.pattern_count_table(run, single)[1] / nu)
-        return per_delta
+    def one(batch):
+        return np.column_stack([ksim.pattern_count_table(batch, family)[:, entries],
+                                ksim.pattern_count_table(batch, single)[:, 1]]) / nu
 
-    results = np.array(_urn_map(cfg, "urn", family + single, one))
-    means = results.mean(axis=0)
+    means = np.concatenate(_urn_map(cfg, "urn", family + single, one)).mean(axis=0)
     rel = DEFAULT_THRESHOLDS["pattern_rel"]
 
-    rows = []
-    rows.append(_rel_row(
-        cfg, "tau_half_interval", float(means[-1]),
-        oracle.pattern_limit(oracle.PatternQuery(family=single, delta=(1,)), cfg.beta),
-        rel, n=n, replicas=cfg.replicas,
-    ))
-    for j, delta in enumerate(deltas):
-        target = oracle.pattern_limit(oracle.PatternQuery(family=family, delta=delta), cfg.beta)
+    half = model.mean_pattern_count(n, single, 1) / nu
+    rows = [_rel_row(cfg, "tau_half_interval", float(means[-1]), half, rel, n=n, replicas=cfg.replicas)]
+    for j, (delta, entry) in enumerate(zip(deltas, entries)):
+        target = model.mean_pattern_count(n, family, entry) / nu
         name = "tau_" + "".join(str(b) for b in delta)
         rows.append(_rel_row(cfg, name, float(means[j]), target, rel, n=n, replicas=cfg.replicas))
-    partition_target = math.gamma(1.0 - cfg.beta) * oracle.theta(reduce(IntervalSet.union, family), cfg.beta)
-    rows.append(_rel_row(
-        cfg, "tau_partition_sum", float(means[: len(deltas)].sum()), partition_target,
-        rel, n=n, replicas=cfg.replicas,
-    ))
+    in_union = model.mean_pattern_count(n, (reduce(IntervalSet.union, family),), 1) / nu
+    rows.append(_rel_row(cfg, "tau_partition_sum", float(means[: len(deltas)].sum()), in_union, rel, n=n,
+                         replicas=cfg.replicas))
     return rows
 
 
@@ -683,8 +687,8 @@ def suite_extremal_and_mstar(cfg: SuiteConfig) -> list:
     n = max(cfg.n_grid)
     star_set = normalize([(a_lo, b_hi)])
     n_star = min(cfg.replicas, 2000)
-    disc_vals = np.array(_urn_map(
-        cfg, "discrete", (star_set,), lambda run: ksim.variant_star_sup(run, star_set) / run.b_n,
+    disc_vals = np.concatenate(_urn_map(
+        cfg, "discrete", (star_set,), lambda batch: ksim.variant_star_sup(batch, star_set) / batch.b_n,
         count=n_star,
     ))
     rows.append(_frechet_row(cfg, "variant_discrete_ks", disc_vals, sigma_star, DEFAULT_THRESHOLDS["ks_star"],

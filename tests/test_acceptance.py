@@ -189,7 +189,7 @@ def test_08_pattern_limits():
     tau_rows = [r for r in rep.rows if r.check.startswith("tau_")]
     ok = all(r.passed for r in tau_rows)
     worst = max(abs(r.estimate - r.target) / abs(r.target) for r in tau_rows)
-    emit(8, "occupancy-pattern counts within 5% of closed-form limits (d<=2, n=1e6)",
+    emit(8, "occupancy-pattern counts within 5% of their exact means (-> closed-form limits; d<=2, n=1e6)",
          ok, f"{len(tau_rows)} patterns, worst rel err={worst:.3f}")
 
 
@@ -232,9 +232,8 @@ def test_11_ergodicity_statistic(limit_oracle_report):
 
 
 def test_12_determinism_across_threads():
-    # every suite at beta 0.5, whose short urn runs take one thread whatever is asked, and
-    # two urn suites at beta 0.9, n = 2e4, whose runs (about 7450 keys beyond the table
-    # each) are shared among the threads asked for
+    # every suite at beta 0.5, and two urn suites at beta 0.9, n = 2e4, whose runs (about
+    # 9700 keys to sort each) would be shared among the threads asked for in chunks of 107
     small = [
         ("marginal", dict(beta=0.5, n_grid=(10 ** 3,), replicas=100)),
         ("locations", dict(beta=0.5, n_grid=(10 ** 4,), replicas=100)),

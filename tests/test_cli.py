@@ -198,7 +198,8 @@ def _no_samplers(monkeypatch):
     def no_run(*args, **kwargs):
         raise AssertionError("a sampler ran")
 
-    monkeypatch.setattr(cli.ksim, "simulate", no_run)
+    for name in ("simulate", "simulate_batch"):
+        monkeypatch.setattr(cli.ksim, name, no_run)
     for name in ("karlin_batch", "mstar_batch", "coupled_batch", "top_m_batch",
                  "sample_karlin", "sample_mstar"):
         monkeypatch.setattr(cli.lsim, name, no_run)

@@ -12,7 +12,6 @@ from karlin_rsm.distributions import (
     FrechetLaw,
     HeavyTailSpec,
     _zeta_pmf,
-    _zeta_rest,
     _zeta_tail,
     frechet_cdf,
     pareto_sample_batch,
@@ -20,7 +19,7 @@ from karlin_rsm.distributions import (
     qbeta_tail,
     riemann_zeta,
 )
-from karlin_rsm.karlin_sim import FrequencyModel, simulate, top_m, top_m_csv
+from karlin_rsm.karlin_sim import FrequencyModel, replica_rng, simulate, simulate_batch, top_m, top_m_csv
 
 from oracles import qbeta_from_uniform, qbeta_sample, zeta_devroye, zeta_series
 
@@ -181,13 +180,10 @@ class TestRiemannZeta:
 
 
 class _Stub:
-    """A generator whose binomials return their count and whose uniforms all equal ``u``."""
+    """A generator whose uniforms all equal ``u``."""
 
     def __init__(self, u):
         self.u = u
-
-    def binomial(self, count, p):
-        return count
 
     def random(self, size):
         return np.full(size, self.u)
@@ -195,8 +191,7 @@ class _Stub:
 
 class TestZetaDraws:
     """The zeta code the urn runs: the table of the labels up to L = ZETA_TABLE_SIZE
-    (``_zeta_pmf``), the keys of a run's rest cell (``_zeta_rest``) and the
-    conditioned tail (``_zeta_tail``)."""
+    (``_zeta_pmf``) and the keys of Y | Y > L of a run's rest cell (``_zeta_tail``)."""
 
     @staticmethod
     def _tail_mass(s):
@@ -220,10 +215,9 @@ class TestZetaDraws:
 
         s, n, runs, kmax = 2.0, 10 ** 4, 100, 50
         observed = np.zeros(kmax)
-        for r in range(runs):
-            run = simulate(FrequencyModel(1.0 / s), HeavyTailSpec(alpha=1.0), n, seed=13, replica=r)
-            head = run.labels <= kmax
-            observed[run.labels[head].astype(int) - 1] += run.counts[head]
+        batch = simulate_batch(FrequencyModel(1.0 / s), HeavyTailSpec(alpha=1.0), n, replica_rng(13), runs)
+        head = batch.keys <= kmax
+        np.add.at(observed, batch.keys[head].astype(int) - 1, batch.counts[head])
         total = n * runs
         z = zeta_series(s)
         probs = np.array([k ** -s / z for k in range(1, kmax + 1)])
@@ -255,7 +249,7 @@ class TestZetaDraws:
     def test_rest_keys_in_law(self, s, size):
         # Y | Y > size: P(key <= x) at labels up to the table's end, from the series, within 4 SE
         n = 10 ** 5
-        keys = _zeta_rest(np.random.default_rng(23), s, size, n)
+        keys = _zeta_tail(np.random.default_rng(23), s, n, size)
         assert np.all(keys > size)
         z = zeta_series(s)
         pmf = np.arange(1.0, ZETA_TABLE_SIZE + 1) ** -s / z
@@ -264,14 +258,21 @@ class TestZetaDraws:
             p = math.fsum(pmf[size:x]) / rest
             assert abs(np.mean(keys <= x) - p) <= 4.0 * math.sqrt(p * (1.0 - p) / n), (x, p)
 
-    @pytest.mark.parametrize("s", [2.0, 1.0 / 0.9, 10.0])
-    def test_rest_inversion_stays_in_the_table(self, s):
-        # a uniform that rounds onto the in-table share still gives the last table label,
-        # and 0 gives the first label of the rest
-        for size in (32, 1000, ZETA_TABLE_SIZE - 1):
-            top = _zeta_rest(_Stub(1.0), s, size, 5)
-            assert top.tolist() == [float(ZETA_TABLE_SIZE)] * 5
-            assert _zeta_rest(_Stub(0.0), s, size, 5).tolist() == [size + 1.0] * 5
+    @pytest.mark.parametrize("s", [2.0, 1.0 / 0.9])
+    @pytest.mark.parametrize("after", [0, 24, ZETA_TABLE_SIZE])
+    def test_tail_exact_in_law(self, s, after):
+        # chi-square of the keys after+1 .. after+30 and the rest against the table's pmf
+        # conditioned on Y > after
+        from scipy.stats import chi2
+
+        n, bins = 2 * 10 ** 5, 30
+        keys = _zeta_tail(np.random.default_rng(24), s, n, after)
+        cond = _zeta_pmf(s)[after:].sum()
+        probs = np.arange(after + 1.0, after + bins + 1.0) ** -s / riemann_zeta(s) / cond
+        observed = np.bincount((keys[keys <= after + bins] - after - 1).astype(int), minlength=bins)
+        expected = np.append(probs, 1.0 - probs.sum()) * n
+        stat = float(np.sum((np.append(observed, n - observed.sum()) - expected) ** 2 / expected))
+        assert stat <= chi2.ppf(0.99, bins), stat
 
     @pytest.mark.parametrize("s", [1.001, 1.01])
     def test_tail_beyond_float_range_kept(self, s):
@@ -290,8 +291,8 @@ class TestZetaDraws:
         keys = run.draws
         assert keys.dtype == np.float64 and np.all(np.isfinite(keys))
         assert np.any(keys < -1024) and np.all((keys >= 1) | (keys < -1024))
-        assert run.k_n == len(set(keys.tolist())) == len(run.labels)
-        assert int(run.counts.sum()) == run.n
+        assert run.k_n == len(set(keys.tolist())) == len(run.batch.keys)
+        assert int(run.batch.counts.sum()) == run.n
         rows = list(csv.DictReader(io.StringIO(top_m_csv(top_m(run, 50)))))
         labels = [int(r["label"]) for r in rows]
         assert min(labels) >= 1 and len(set(labels)) == len(labels)

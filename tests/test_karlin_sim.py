@@ -1,4 +1,3 @@
-import copy
 import csv
 import io
 import json
@@ -9,21 +8,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from karlin_rsm import karlin_sim
+from karlin_rsm.choquet_oracle import PatternQuery, pattern_limit
 from karlin_rsm.distributions import (
     ZETA_TABLE_SIZE,
     HeavyTailSpec,
-    _zeta_pmf,
+    _zeta_head,
     _zeta_tail,
     pareto_sample_batch,
 )
 from karlin_rsm.interval_sets import normalize
 from karlin_rsm.karlin_sim import (
+    CHUNK,
     MAX_N,
     THREAD_BREAK_EVEN,
     WALK,
     FrequencyModel,
     ResourceError,
     b_n,
+    chunk_runs,
     empirical_sup,
     occupancy_histogram,
     occupancy_json,
@@ -31,8 +34,9 @@ from karlin_rsm.karlin_sim import (
     ranked_hit,
     replica_rng,
     simulate,
+    simulate_batch,
     threads_pay,
-    top_boxes,
+    top_marks,
     top_m,
     top_m_csv,
     variant_star_sup,
@@ -44,6 +48,30 @@ from oracles import expected_boxes, reference_urn, zeta_series
 
 MODEL = FrequencyModel(beta=0.5)
 SPEC = HeavyTailSpec(alpha=1.0)
+QUARTER = normalize([(0.0, 0.25)])
+UNIT = normalize([(0.0, 1.0)])
+FAMILY = (QUARTER, normalize([(0.5, 0.75)]))
+
+
+def batches(model, n, reps, seed, family=()):
+    """``reps`` runs as the suites draw them: batches of ``chunk_runs`` runs, batch c from stream c."""
+    size = chunk_runs(model, n)
+    return [simulate_batch(model, SPEC, n, replica_rng(seed, c), min(size, reps - c * size), family)
+            for c in range(-(-reps // size))]
+
+
+def boxes_of(batch, r):
+    """Run r's keys and marks, in box order."""
+    box = slice(batch.start[r], batch.start[r] + batch.k_n[r])
+    return batch.keys[box], batch.marks[box]
+
+
+def step_marks(batch, r):
+    """The draws of run r and the mark of every step."""
+    draws = batch.draws(r)
+    keys, marks = boxes_of(batch, r)
+    order = np.argsort(keys)
+    return draws, marks[order][np.searchsorted(keys[order], draws)]
 
 
 class TestFrequencyModel:
@@ -83,63 +111,67 @@ class TestFrequencyModel:
         assert b_n(MODEL, SPEC, 2) == pytest.approx(math.gamma(0.5), rel=1e-12)
 
     def test_threads_pay_from_the_break_even(self):
-        # n P(Y > 2**12) >= 2**12 tail keys: beta 0.9 from n of about 1.1e4, beta 0.5 never below MAX_N
-        assert THREAD_BREAK_EVEN == 2 ** 12
-        cases = ((0.9, 10 ** 4), (0.9, 2 * 10 ** 4), (0.5, MAX_N))
-        assert [threads_pay(FrequencyModel(beta), n) for beta, n in cases] == [False, True, False]
+        # a chunk expects 2**14 keys to sort: beta 0.5 from n of about 2e3, beta 0.9 at every n used;
+        # long runs take fewer runs per chunk, so that a chunk expects at most 2**20 keys
+        assert THREAD_BREAK_EVEN == 2 ** 14 and CHUNK == 2 ** 8
+        cases = ((0.5, 10 ** 3), (0.5, 2000), (0.5, 10 ** 4), (0.9, 100), (0.9, 10 ** 5))
+        assert [threads_pay(FrequencyModel(beta), n) for beta, n in cases] == [False, True, True, True, True]
+        assert [chunk_runs(FrequencyModel(beta), n) for beta, n in cases] == [CHUNK] * 4 + [25]
+        assert chunk_runs(FrequencyModel(0.99), MAX_N) == 1
 
 
 class TestSimulate:
     def test_single_draw(self):
         run = simulate(MODEL, SPEC, 1, seed=5)
         assert run.k_n == 1
-        assert run.counts.tolist() == [1] and run.cells.tolist() == [[1]]
-        assert run.draws.tolist() == run.labels.tolist() and run.marks[0] >= 1.0
+        assert run.batch.counts.tolist() == [1] and run.batch.cells.tolist() == [[1]]
+        assert run.draws.tolist() == run.batch.keys.tolist() and run.batch.marks[0] >= 1.0
 
     def test_counts_sum_to_n(self):
         run = simulate(MODEL, SPEC, 10 ** 4, seed=1)
-        assert int(run.counts.sum()) == 10 ** 4
+        assert int(run.batch.counts.sum()) == 10 ** 4
         assert run.k_n == len(set(int(y) for y in run.draws))
 
     def test_mark_reuse_is_bitwise(self):
-        run = simulate(MODEL, SPEC, 5000, seed=2)
-        marks = {}
-        for y, x in zip(run.draws, run.marks[np.searchsorted(run.labels, run.draws)]):
-            key = int(y)
-            if key in marks:
-                assert marks[key] == x  # same box, identical float
-            else:
-                marks[key] = x
+        batch = simulate_batch(MODEL, SPEC, 5000, replica_rng(2), 3)
+        for r in range(3):
+            marks = {}
+            for y, x in zip(*step_marks(batch, r)):
+                if y in marks:
+                    assert marks[y] == x  # same box, identical float
+                else:
+                    marks[y] = x
+            assert len(marks) == batch.k_n[r]
 
     def test_determinism_and_replica_streams(self):
         a = simulate(MODEL, SPEC, 2000, seed=9)
         b = simulate(MODEL, SPEC, 2000, seed=9)
         c = simulate(MODEL, SPEC, 2000, seed=9, replica=1)
         assert np.array_equal(a.draws, b.draws)
-        assert np.array_equal(a.marks, b.marks)
+        assert np.array_equal(a.batch.marks, b.batch.marks)
         assert not np.array_equal(a.draws, c.draws)
 
     def test_marks_in_key_order_from_the_stream(self):
-        # the stream: the head counts of the labels 1..L and the rest, the binomial count of
-        # the rest's keys up to the table's end, their uniforms, the tail keys, and then the
-        # k_n Pareto marks, unpermuted
-        n = 5000
+        # the stream: the head counts of the labels 1..L and the rest for every run, the rest keys in
+        # one pooled draw that the runs read in turn, and then the Pareto marks, unpermuted, the runs
+        # in order and each run's boxes in box order (the labels up to L, then the rest keys)
+        n, runs = 5000, 4
         for beta in (0.5, 0.9):
             model = FrequencyModel(beta)
-            run = simulate(model, SPEC, n, seed=3, replica=2, family=(normalize([(0.0, 0.3)]),))
+            batch = simulate_batch(model, SPEC, n, replica_rng(3, 2), runs, family=(normalize([(0.0, 0.3)]),))
             size = model.nu_count(n)
             assert 0 < size < ZETA_TABLE_SIZE
-            pmf = _zeta_pmf(model.s)
-            cdf = np.cumsum(pmf[size:-1])
             rng = replica_rng(3, 2)
-            head = rng.multinomial(n, np.append(pmf[:size], cdf[-1] + pmf[-1]))
-            inside = rng.binomial(head[-1], cdf[-1] / (cdf[-1] + pmf[-1]))
-            table = size + 1.0 + np.searchsorted(cdf, rng.random(inside) * cdf[-1], side="right")
-            assert np.all(table <= ZETA_TABLE_SIZE)
-            tail = _zeta_tail(rng, model.s, int(head[-1] - inside))
-            keys = np.concatenate([np.repeat(np.arange(1.0, size + 1), head[:-1]), table, tail])
-            assert np.array_equal(run.labels, np.unique(keys))
-            assert np.array_equal(run.marks, pareto_sample_batch(rng, SPEC, run.k_n))
+            head = rng.multinomial(n, _zeta_head(model.s, size), size=runs)
+            rest = head[:, -1]
+            tail = np.split(_zeta_tail(rng, model.s, int(rest.sum()), size), np.cumsum(rest)[:-1])
+            for r in range(runs):
+                labels, balls = np.unique(tail[r], return_counts=True)
+                keys = np.concatenate([np.flatnonzero(head[r, :-1]) + 1.0, labels])
+                counts = np.concatenate([head[r, :-1][head[r, :-1] > 0], balls])
+                box = slice(batch.start[r], batch.start[r] + batch.k_n[r])
+                assert np.array_equal(batch.keys[box], keys) and np.array_equal(batch.counts[box], counts)
+            assert np.array_equal(batch.marks, pareto_sample_batch(rng, SPEC, batch.keys.size))
 
     def test_budget(self):
         with pytest.raises(ResourceError):
@@ -154,16 +186,15 @@ class TestSimulate:
 
     def test_block_frequency_single_run(self):
         run = simulate(MODEL, SPEC, 10 ** 6, seed=4)
-        hist = occupancy_histogram(run)
+        hist = occupancy_histogram(run.batch)
         assert abs(hist[1] / run.k_n - 0.5) <= 0.05
         assert sum(hist.values()) == run.k_n
 
 
 class TestCountFirst:
-    """The count-first sampler against the one-label-per-step reference urn, and exact means."""
+    """Batches against the one-label-per-step reference urn, and exact means."""
 
-    QUARTER = normalize([(0.0, 0.25)])
-    UNIT = normalize([(0.0, 1.0)])
+    HALF = normalize([(0.5, 1.0)])
 
     # the multinomial head size L = min(nu(n), ZETA_TABLE_SIZE): L = 0, every ball in the
     # rest cell (beta 0.9 at n = 8), 0 < L < ZETA_TABLE_SIZE, and L = ZETA_TABLE_SIZE
@@ -180,19 +211,46 @@ class TestCountFirst:
         assert sizes == {0.5: {"nu"}, 0.9: {"empty", "nu", "table"}}
         assert FrequencyModel(0.5).nu_count(MAX_N) < ZETA_TABLE_SIZE
 
+    FAMILY_LAW = (QUARTER, HALF)
+    NAMES = ("k_n", "singletons", "largest count", "sup on A", "sup on [0, 1)", "variant sup on A",
+             "top 1 hits A", "top 2 hits B", "boxes in A only", "boxes in B only", "boxes in both")
+
+    def _ours(self, batch):
+        a, b = self.FAMILY_LAW
+        largest = np.maximum.reduceat(batch.counts, batch.start)
+        return np.column_stack([
+            batch.k_n, np.bincount(batch.run[batch.counts == 1], minlength=batch.runs), largest,
+            empirical_sup(batch, a), empirical_sup(batch, UNIT), variant_star_sup(batch, a),
+            ranked_hit(batch, 0, a), ranked_hit(batch, 1, b),
+            pattern_count_table(batch, self.FAMILY_LAW)[:, 1:],
+        ])
+
+    @staticmethod
+    def _reference(draws, x, masks):
+        labels, first, inverse, counts = np.unique(draws, return_index=True, return_inverse=True,
+                                                   return_counts=True)
+        first_visit = np.arange(draws.size) == first[inverse]
+        top = np.argsort(-x[first], kind="stable")[:2]  # the boxes of the two largest marks
+        hit = [np.bincount(inverse[mask], minlength=labels.size) > 0 for mask in masks]
+        code = hit[0] + 2 * hit[1]
+        a = masks[0]
+        return [labels.size, (counts == 1).sum(), counts.max(),
+                x[a].max() if a.any() else 0.0, x.max(),
+                x[a & first_visit].max() if (a & first_visit).any() else 0.0,
+                a[inverse == top[0]].any(), top.size > 1 and masks[1][inverse == top[1]].any(),
+                *(np.sum(code == c) for c in (1, 2, 3))]
+
     @pytest.mark.parametrize("beta, n", REGIMES)
     def test_equal_in_law_to_reference(self, beta, n):
+        # each statistic by two-sample KS, at a family-wise 99 % level over the 11 statistics
         model, reps = FrequencyModel(beta), 300
-        quarter = self.QUARTER.contains_points(np.arange(n) / n)
-        ours, ref = [], []
-        for r in range(reps):
-            run = simulate(model, SPEC, n, seed=1, replica=r, family=(self.QUARTER,))
-            ours.append((run.k_n, empirical_sup(run, self.QUARTER), empirical_sup(run, self.UNIT)))
-            draws, x = reference_urn(model, SPEC, n, seed=2, replica=r)
-            ref.append((np.unique(draws).size, x[quarter].max(), x.max()))
-        ours, ref = np.array(ours), np.array(ref)
-        crit = two_sample_ks_critical(reps, reps)
-        for j, name in enumerate(("k_n", "sup on [0, 1/4)", "sup on [0, 1)")):
+        ours = np.concatenate([self._ours(batch) for batch in batches(model, n, reps, 1, self.FAMILY_LAW)])
+        masks = [a.contains_points(np.arange(n) / n) for a in self.FAMILY_LAW]
+        ref = np.array([self._reference(*reference_urn(model, SPEC, n, seed=2, replica=r), masks)
+                        for r in range(reps)], dtype=float)
+        crit = two_sample_ks_critical(reps, reps) * math.sqrt(math.log(2 * len(self.NAMES) / 0.01)
+                                                              / math.log(2 / 0.01))
+        for j, name in enumerate(self.NAMES):
             stat = two_sample_ks(ours[:, j], ref[:, j])
             assert stat <= crit, f"{name}: two-sample KS {stat:.4f} above {crit:.4f}"
 
@@ -206,7 +264,7 @@ class TestCountFirst:
     def test_mean_occupancy_exact(self, beta):
         # E K_n = sum_l 1 - (1 - p_l)**n, in every head size regime
         for n in {0.5: (10 ** 3, 10 ** 4), 0.9: (8, 10 ** 4, 10 ** 5)}[beta]:
-            k_n = [simulate(FrequencyModel(beta), SPEC, n, seed=3, replica=r).k_n for r in range(400)]
+            k_n = np.concatenate([batch.k_n for batch in batches(FrequencyModel(beta), n, 400, 3)])
             self._within_3_se(k_n, expected_boxes(beta, n, 0))
 
     @pytest.mark.parametrize("beta", [0.1, 0.5, 0.9, 0.99])
@@ -220,75 +278,101 @@ class TestCountFirst:
 
     @pytest.mark.parametrize("beta", [0.5, 0.9])
     def test_mean_boxes_hitting_a_missing_b_exact(self, beta):
-        # A = [0, 1/4) holds 2500 positions and B = [1/2, 1) 5000; pattern code 1 is "in A only"
-        n, family = 10 ** 4, (self.QUARTER, normalize([(0.5, 1.0)]))
-        counts = [pattern_count_table(simulate(FrequencyModel(beta), SPEC, n, seed=4, replica=r,
-                                               family=family), family)[1] for r in range(400)]
-        self._within_3_se(counts, expected_boxes(beta, 2500, 5000))
+        # A = [0, 1/4) holds 2500 positions and B = [1/2, 1) 5000; pattern code 1 is "in A only",
+        # 2 "in B only" and 3 "in both"
+        n, model = 10 ** 4, FrequencyModel(beta)
+        tables = np.concatenate([pattern_count_table(batch, self.FAMILY_LAW)
+                                 for batch in batches(model, n, 400, 4, self.FAMILY_LAW)])
+        both = expected_boxes(beta, 2500, 0) + expected_boxes(beta, 5000, 0) - expected_boxes(beta, 7500, 0)
+        for code, target in ((1, expected_boxes(beta, 2500, 5000)), (2, expected_boxes(beta, 5000, 2500)),
+                             (3, both)):
+            self._within_3_se(tables[:, code], target)
+            assert model.mean_pattern_count(n, self.FAMILY_LAW, code) == pytest.approx(target, rel=1e-6)
+
+    def test_mean_pattern_count_of_overlapping_sets(self):
+        # [0, 0.3) and [0.2, 0.6) at n = 1e4: 2000 positions in the first only, 1000 in both and
+        # 3000 in the second only; code 3 hits both sets, through the overlap or through both sides
+        fam, n = (normalize([(0.0, 0.3)]), normalize([(0.2, 0.6)])), 10 ** 4
+        for beta in (0.5, 0.9):
+            model = FrequencyModel(beta)
+            only_first = expected_boxes(beta, 2000, 4000)
+            only_second = expected_boxes(beta, 3000, 3000)
+            both = expected_boxes(beta, 6000, 0) - only_first - only_second
+            got = [model.mean_pattern_count(n, fam, code) for code in (1, 2, 3)]
+            assert got == pytest.approx([only_first, only_second, both], rel=1e-6)
+
+    def test_exact_pattern_means_tend_to_the_limit(self):
+        # E[boxes hit in exactly the sets of delta] / nu(n) -> pattern_limit, the gap shrinking in n
+        for beta in (0.5, 0.9):
+            model = FrequencyModel(beta)
+            for delta, code in (((1, 0), 1), ((1, 1), 3)):
+                limit = pattern_limit(PatternQuery(family=FAMILY, delta=delta), beta)
+                gaps = [abs(model.mean_pattern_count(n, FAMILY, code) / model.nu_count(n) / limit - 1.0)
+                        for n in (10 ** 3, 10 ** 5, 10 ** 7, 10 ** 9)]
+                assert all(a > b for a, b in zip(gaps, gaps[1:])) and gaps[-1] < 0.01, (beta, delta, gaps)
 
 
 class TestLazyDraws:
-    QUARTER = TestCountFirst.QUARTER
-    FAMILY = (QUARTER, normalize([(0.5, 0.75)]))
+    """The batch splits a run's other boxes and expands its draws only when they are read."""
 
-    def _queries(self, run):
-        return ([empirical_sup(run, a) for a in self.FAMILY], [variant_star_sup(run, a) for a in self.FAMILY],
-                pattern_count_table(run, self.FAMILY).tolist(), top_m(run, 3))
+    def _queries(self, batch):
+        return ([empirical_sup(batch, a).tolist() for a in FAMILY],
+                [variant_star_sup(batch, a).tolist() for a in FAMILY],
+                pattern_count_table(batch, FAMILY).tolist(), top_marks(batch, 3).tolist())
 
     def test_reading_draws_first_changes_no_query(self):
-        plain = simulate(MODEL, SPEC, 10 ** 4, seed=20, family=self.FAMILY)
-        early = simulate(MODEL, SPEC, 10 ** 4, seed=20, family=self.FAMILY)
-        early.draws
+        plain = simulate_batch(MODEL, SPEC, 10 ** 4, replica_rng(20), 4, FAMILY)
+        early = simulate_batch(MODEL, SPEC, 10 ** 4, replica_rng(20), 4, FAMILY)
+        drawn = [early.draws(r) for r in (2, 0)]
         assert self._queries(early) == self._queries(plain)
-        assert np.array_equal(early.draws, plain.draws)
+        assert np.array_equal(drawn[0], plain.draws(2)) and np.array_equal(drawn[1], plain.draws(0))
 
     @pytest.mark.parametrize("beta", [0.5, 0.9])
     def test_family_moves_only_the_cells(self, beta):
-        bare = simulate(FrequencyModel(beta), SPEC, 10 ** 4, seed=21, replica=3)
-        cut = simulate(FrequencyModel(beta), SPEC, 10 ** 4, seed=21, replica=3, family=self.FAMILY)
-        for name in ("labels", "counts", "marks"):
+        bare = simulate_batch(FrequencyModel(beta), SPEC, 10 ** 4, replica_rng(21, 3), 5)
+        cut = simulate_batch(FrequencyModel(beta), SPEC, 10 ** 4, replica_rng(21, 3), 5, FAMILY)
+        for name in ("run", "keys", "counts", "marks", "k_n", "top"):
             assert np.array_equal(getattr(bare, name), getattr(cut, name))
-        assert bare.cells.tolist() == [bare.counts.tolist()]
-        assert np.array_equal(cut.cells.sum(axis=0), cut.counts)
-        assert np.array_equal(cut.cells.sum(axis=1), np.diff(cut.cuts))
+        assert bare.cells.tolist() == bare.counts[:, None].tolist()
+        assert np.array_equal(cut.cells.sum(axis=1), cut.counts)
+        assert np.array_equal(cut.cells.sum(axis=0), 5 * np.diff(cut.cuts))
 
     def test_query_on_an_uncut_boundary_raises(self):
-        run = simulate(MODEL, SPEC, 10 ** 4, seed=22, family=(self.QUARTER,))
+        batch = simulate_batch(MODEL, SPEC, 10 ** 4, replica_rng(22), 3, (QUARTER,))
         uncut = normalize([(0.0, 0.3)])
         for query in (empirical_sup, variant_star_sup):
             with pytest.raises(ValueError, match="not a union of the run's cells"):
-                query(run, uncut)
+                query(batch, uncut)
         with pytest.raises(ValueError, match="not a union of the run's cells"):
-            pattern_count_table(run, [normalize([(0.1, 0.25)])])
+            pattern_count_table(batch, [normalize([(0.1, 0.25)])])
         # sets whose ends are cuts need no cuts of their own
-        assert empirical_sup(run, normalize([(0.25, 1.0)])) <= empirical_sup(run, TestCountFirst.UNIT)
+        assert np.all(empirical_sup(batch, normalize([(0.25, 1.0)])) <= empirical_sup(batch, UNIT))
 
 
 class TestWalk:
-    """The mark-order walk: splits boxes one at a time, in law and pathwise like the full split."""
-
-    FAMILY = TestLazyDraws.FAMILY
+    """The walk of the top WALK boxes of every run: in law and pathwise like the full split."""
 
     @pytest.mark.parametrize("beta", [0.5, 0.9])
     def test_equal_in_law_to_reference(self, beta):
         # the sups and variant sups of both sets, and whether top box k hits set k, k = 1, 2
         model, n, reps = FrequencyModel(beta), 2000, 400
         positions = np.arange(n) / n
-        inside = [a.contains_points(positions) for a in self.FAMILY]
-        ours, ref = [], []
+        inside = [a.contains_points(positions) for a in FAMILY]
+        ours = np.concatenate([np.column_stack([*(empirical_sup(batch, a) for a in FAMILY),
+                                                *(variant_star_sup(batch, a) for a in FAMILY),
+                                                *(ranked_hit(batch, k, a) for k, a in enumerate(FAMILY))])
+                               for batch in batches(model, n, reps, 30, FAMILY)])
+        ref = []
         for r in range(reps):
-            run = simulate(model, SPEC, n, seed=30, replica=r, family=self.FAMILY)
-            ours.append([*(empirical_sup(run, a) for a in self.FAMILY),
-                         *(variant_star_sup(run, a) for a in self.FAMILY),
-                         *(ranked_hit(run, k, a) for k, a in enumerate(self.FAMILY))])
             draws, x = reference_urn(model, SPEC, n, seed=31, replica=r)
             labels, first, inverse = np.unique(draws, return_index=True, return_inverse=True)
             first_visit = np.arange(n) == first[inverse]
             top = np.argsort(-x[first])[:2]  # the boxes of the two largest marks
+            first_in = [mask & first_visit for mask in inside]
             ref.append([*(x[mask].max() if mask.any() else 0.0 for mask in inside),
-                        *(x[mask & first_visit].max() if (mask & first_visit).any() else 0.0 for mask in inside),
+                        *(x[mask].max() if mask.any() else 0.0 for mask in first_in),
                         *(bool(mask[inverse == box].any()) for mask, box in zip(inside, top))])
-        ours, ref = np.array(ours, dtype=float), np.array(ref, dtype=float)
+        ref = np.array(ref, dtype=float)
         crit = two_sample_ks_critical(reps, reps)
         names = ("sup A", "sup B", "variant sup A", "variant sup B", "top 1 hits A", "top 2 hits B")
         for j, name in enumerate(names):
@@ -299,64 +383,65 @@ class TestWalk:
     def _one_position(n):
         return normalize([((n - 1) / n, 1.0)])
 
-    def _read(self, run, first):
-        """Every value of the run, after reading ``first``: the walk, the table, the draws, or a
-        walk past WALK boxes (a one-position set that the top boxes almost never hit)."""
-        point = self._one_position(run.n)
-        family = (*self.FAMILY, point)
+    def _read(self, batch, first):
+        """Every value of the batch, after reading ``first``: the walk, the table, the draws, or
+        sups past the WALK boxes (a one-position set that the top boxes almost never hit)."""
+        point = self._one_position(batch.n)
+        family = (*FAMILY, point)
         reads = {
-            "walk": lambda: [ranked_hit(run, k, a) for k, a in zip(range(len(run.order)), family)],
-            "table": lambda: pattern_count_table(run, family).tolist(),
-            "draws": lambda: run.draws.tolist(),
-            "past": lambda: [empirical_sup(run, point), variant_star_sup(run, point)],
+            "walk": lambda: [ranked_hit(batch, k, a).tolist() for k, a in enumerate(family)],
+            "table": lambda: pattern_count_table(batch, family).tolist(),
+            "draws": lambda: [batch.draws(r).tolist() for r in reversed(range(batch.runs))],
+            "past": lambda: [empirical_sup(batch, point).tolist(), variant_star_sup(batch, point).tolist()],
         }
         reads[first]()
-        sups = [(empirical_sup(run, a), variant_star_sup(run, a)) for a in family]
-        return sups, {name: read() for name, read in reads.items()}, run.cells.tolist()
+        sups = [(empirical_sup(batch, a).tolist(), variant_star_sup(batch, a).tolist()) for a in family]
+        return sups, {name: read() for name, read in reads.items()}, batch.cells.tolist()
 
     @pytest.mark.parametrize("beta, n", [(0.5, 10 ** 4), (0.9, 10 ** 4), (0.5, 4)])
     def test_reading_order_changes_no_value(self, beta, n):
         # n = 4 holds fewer than WALK boxes
-        family = (*self.FAMILY, self._one_position(n))
-        for replica in range(3):
-            values = []
-            for first in ("walk", "table", "draws", "past"):
-                run = simulate(FrequencyModel(beta), SPEC, n, seed=32, replica=replica, family=family)
-                values.append(self._read(run, first))
-            assert all(v == values[0] for v in values[1:])
+        family = (*FAMILY, self._one_position(n))
+        values = []
+        for first in ("walk", "table", "draws", "past"):
+            batch = simulate_batch(FrequencyModel(beta), SPEC, n, replica_rng(32), 3, family)
+            values.append(self._read(batch, first))
+        assert all(v == values[0] for v in values[1:])
         if n == 4:
-            assert run.k_n < WALK and len(run.order) == run.k_n
+            assert np.all(batch.k_n < WALK) and np.array_equal((batch.top >= 0).sum(axis=1), batch.k_n)
 
     @pytest.mark.parametrize("beta", [0.5, 0.9])
     def test_walk_rows_are_the_columns_of_cells(self, beta):
-        for replica, read_cells_first in ((0, False), (1, True), (2, False)):
-            run = simulate(FrequencyModel(beta), SPEC, 10 ** 4, seed=33, replica=replica, family=self.FAMILY)
-            if read_cells_first:
-                run.cells
-            rows = [run.walk(rank) for rank in range(len(run.order))]
-            assert len(run.order) == min(WALK, run.k_n)
-            assert np.array_equal(run.order, top_boxes(run, WALK))
-            for row, box in zip(rows, run.order):
-                assert np.array_equal(row, run.cells[:, box])
-            assert np.array_equal(run.cells.sum(axis=1), np.diff(run.cuts))
+        batch = simulate_batch(FrequencyModel(beta), SPEC, 10 ** 4, replica_rng(33), 6, FAMILY)
+        for r in range(batch.runs):
+            top = batch.top[r][batch.top[r] >= 0]
+            keys, marks = boxes_of(batch, r)
+            assert top.size == min(WALK, batch.k_n[r])
+            assert np.array_equal(top - batch.start[r], np.argsort(-marks, kind="stable")[:WALK])
+            assert np.array_equal(batch.top_cells[r, :top.size], batch.cells_of(r)[top - batch.start[r]])
+            assert np.array_equal(batch.cells_of(r).sum(axis=0), np.diff(batch.cuts))
+        assert not batch.top_cells[batch.top < 0].any()
 
-    def test_one_cell_queries_draw_nothing(self):
-        unit = TestCountFirst.UNIT
-        for family in ((), (unit,)):
-            run = simulate(MODEL, SPEC, 10 ** 4, seed=34, family=family)
-            untouched = copy.deepcopy(run.rng)
-            assert empirical_sup(run, unit) == variant_star_sup(run, unit) == run.marks.max()
-            assert [ranked_hit(run, k, unit) for k in range(WALK)] == [True] * WALK
-            assert pattern_count_table(run, [unit]).tolist() == [0, run.k_n]
-            assert run.cells.tolist() == [run.counts.tolist()]
-            assert np.array_equal(run.rng.random(8), untouched.random(8))
+    def test_one_cell_queries_draw_nothing(self, monkeypatch):
+        def no_stream(key):
+            raise AssertionError("a run's stream was made")
+
+        monkeypatch.setattr(karlin_sim, "_stream", no_stream)
+        for family in ((), (UNIT,)):
+            batch = simulate_batch(MODEL, SPEC, 10 ** 4, replica_rng(34), 3, family)
+            top = np.maximum.reduceat(batch.marks, batch.start)
+            assert np.array_equal(empirical_sup(batch, UNIT), top)
+            assert np.array_equal(variant_star_sup(batch, UNIT), top)
+            assert all(ranked_hit(batch, k, UNIT).all() for k in range(WALK))
+            assert pattern_count_table(batch, [UNIT]).tolist() == [[0, k] for k in batch.k_n]
+            assert batch.cells.tolist() == batch.counts[:, None].tolist()
 
 
 class TestTopOrderStats:
     def test_top1_is_max(self):
         run = simulate(MODEL, SPEC, 10 ** 4, seed=6)
         tops = top_m(run, 1)
-        x_stream = run.marks[np.searchsorted(run.labels, run.draws)]
+        _, x_stream = step_marks(run.batch, 0)
         assert tops[0].value == x_stream.max()
         locs = np.asarray(tops[0].locations)
         assert np.all(x_stream[(locs * run.n + 0.5).astype(int)] == tops[0].value)
@@ -380,13 +465,23 @@ class TestTopOrderStats:
         run = simulate(MODEL, SPEC, 3, seed=8)
         assert len(top_m(run, 10)) == run.k_n
 
-    def test_top_boxes_is_the_stable_sort_prefix(self):
-        # marks drawn from 4 values tie often; ties go to the smaller key, also for m > k_n
+    def test_top_boxes_is_the_stable_sort_prefix(self, monkeypatch):
+        # marks drawn from 4 values tie often; ties go to the earlier box, also for m > k_n, in the
+        # batch's walked boxes as in top_m
+        monkeypatch.setattr(karlin_sim, "pareto_sample_batch",
+                            lambda rng, spec, size: rng.integers(1, 5, size).astype(float))
+        batch = simulate_batch(MODEL, SPEC, 10 ** 4, replica_rng(11), 4)
+        for r in range(batch.runs):
+            _, marks = boxes_of(batch, r)
+            order = np.argsort(-marks, kind="stable")
+            assert np.array_equal(batch.top[r], batch.start[r] + order[:WALK])
         run = simulate(MODEL, SPEC, 10 ** 4, seed=11)
-        for marks in (run.marks.copy(), np.random.default_rng(5).integers(1, 5, run.k_n).astype(float)):
-            run.marks = marks
-            for m in (1, 2, 5, run.k_n - 1, run.k_n, run.k_n + 3):
-                assert np.array_equal(top_boxes(run, m), np.argsort(-marks, kind="stable")[:m])
+        for m in (1, 2, 5, run.k_n - 1, run.k_n, run.k_n + 3):
+            values = [t.value for t in top_m(run, m)]
+            labels = [t.label for t in top_m(run, m)]
+            order = np.argsort(-run.batch.marks, kind="stable")[:m]
+            assert values == run.batch.marks[order].tolist()
+            assert labels == run.batch.keys[order].astype(int).tolist()
 
     def test_csv_export_round_trip(self):
         run = simulate(MODEL, SPEC, 1000, seed=9)
@@ -407,9 +502,9 @@ class TestTopOrderStats:
 
 class TestEmpiricalSup:
     def test_full_carrier_and_empty(self):
-        run = simulate(MODEL, SPEC, 10 ** 4, seed=11)
-        assert empirical_sup(run, normalize([(0.0, 1.0)])) == run.marks.max()
-        assert empirical_sup(run, normalize([])) == 0.0
+        batch = simulate_batch(MODEL, SPEC, 10 ** 4, replica_rng(11), 5)
+        assert np.array_equal(empirical_sup(batch, UNIT), np.maximum.reduceat(batch.marks, batch.start))
+        assert np.array_equal(empirical_sup(batch, normalize([])), np.zeros(5))
 
     def test_sup_measure_axiom(self):
         rng = np.random.default_rng(0)
@@ -418,46 +513,44 @@ class TestEmpiricalSup:
             a = normalize([(pts[0], pts[1])])
             b = normalize([(pts[2], pts[3])])
             u = a.union(b)
-            run = simulate(MODEL, SPEC, 10 ** 4, seed=12, replica=r, family=(a, b))
-            assert empirical_sup(run, u) == max(empirical_sup(run, a), empirical_sup(run, b))
+            batch = simulate_batch(MODEL, SPEC, 10 ** 4, replica_rng(12, r), 3, (a, b))
+            both = np.maximum(empirical_sup(batch, a), empirical_sup(batch, b))
+            assert np.array_equal(empirical_sup(batch, u), both)
 
 
 class TestVariantStar:
     def test_equals_sup_on_full_carrier(self):
         for seed in range(5):
-            run = simulate(MODEL, SPEC, 10 ** 4, seed=seed)
-            full = normalize([(0.0, 1.0)])
-            assert variant_star_sup(run, full) == empirical_sup(run, full)
+            batch = simulate_batch(MODEL, SPEC, 10 ** 4, replica_rng(seed), 3)
+            assert np.array_equal(variant_star_sup(batch, UNIT), empirical_sup(batch, UNIT))
 
     def test_dominated_on_subsets(self):
         family = (normalize([(0.2, 0.7)]), normalize([(0.0, 0.1), (0.8, 1.0)]))
-        run = simulate(MODEL, SPEC, 10 ** 4, seed=14, family=family)
+        batch = simulate_batch(MODEL, SPEC, 10 ** 4, replica_rng(14), 5, family)
         for a in family:
-            assert variant_star_sup(run, a) <= empirical_sup(run, a)
-        assert variant_star_sup(run, normalize([])) == 0.0
+            assert np.all(variant_star_sup(batch, a) <= empirical_sup(batch, a))
+        assert np.all(variant_star_sup(batch, normalize([])) == 0.0)
 
 
 class TestPatternCounts:
     def test_full_carrier_counts_all_boxes(self):
-        run = simulate(MODEL, SPEC, 10 ** 4, seed=15)
-        assert pattern_count_table(run, [normalize([(0.0, 1.0)])]).tolist() == [0, run.k_n]
+        batch = simulate_batch(MODEL, SPEC, 10 ** 4, replica_rng(15), 3)
+        assert pattern_count_table(batch, [UNIT]).tolist() == [[0, k] for k in batch.k_n]
 
     def test_partition_identity(self):
         # the nonzero codes of a family split the boxes hit in its union
         fam = [normalize([(0.0, 0.3)]), normalize([(0.2, 0.6)]), normalize([(0.5, 0.9)])]
-        run = simulate(MODEL, SPEC, 10 ** 4, seed=16, family=fam)
-        table = pattern_count_table(run, fam)
+        batch = simulate_batch(MODEL, SPEC, 10 ** 4, replica_rng(16), 4, fam)
+        table = pattern_count_table(batch, fam)
         union_all = fam[0].union(fam[1]).union(fam[2])
-        assert table[1:].sum() == pattern_count_table(run, [union_all])[1]
+        assert np.array_equal(table[:, 1:].sum(axis=1), pattern_count_table(batch, [union_all])[:, 1])
+        assert np.array_equal(table.sum(axis=1), batch.k_n)
 
     def test_mean_matches_limit(self):
         # tau / nu at beta = 0.5, Leb = 0.5 -> gamma(0.5) * sqrt(0.5)
         nu = MODEL.nu_count(10 ** 5)
         a = [normalize([(0.0, 0.5)])]
-        vals = [
-            pattern_count_table(simulate(MODEL, SPEC, 10 ** 5, seed=18, replica=r, family=a), a)[1] / nu
-            for r in range(40)
-        ]
+        vals = pattern_count_table(simulate_batch(MODEL, SPEC, 10 ** 5, replica_rng(18), 40, a), a)[:, 1] / nu
         target = math.gamma(0.5) * math.sqrt(0.5)
         assert abs(np.mean(vals) - target) <= 0.05 * target
 
@@ -478,44 +571,47 @@ def grid_family(draw):
 
 
 class TestAgainstBruteForce:
-    """Range queries and lazy fields against a scan of all n positions."""
+    """Range queries and lazy fields against a scan of all n positions of every run."""
 
     BETAS = (0.5, 1.0 / 1.001)  # the second puts about half the keys beyond float range
 
-    @staticmethod
-    def _brute(run):
-        _, first, inverse = np.unique(run.draws, return_index=True, return_inverse=True)
-        return np.arange(run.n) / run.n, first, inverse, run.marks[inverse]
-
     @pytest.mark.parametrize("beta", BETAS)
     def test_lazy_fields_match_full_unique(self, beta):
-        # draws expands labels, counts and cells exactly: per cell, the balls of each box
+        # draws expands keys, counts and cells exactly: per cell, the balls of each box
         family = (normalize([(0.0, 0.25)]), normalize([(0.1, 0.6)]))
-        run = simulate(FrequencyModel(beta), SPEC, 20000, seed=19, family=family)
-        labels, counts = np.unique(run.draws, return_counts=True)
-        assert np.array_equal(labels, run.labels) and np.array_equal(counts, run.counts)
-        assert run.cuts.tolist() == [0, 2000, 5000, 12000, 20000]
-        for c, (lo, hi) in enumerate(zip(run.cuts, run.cuts[1:])):
-            box = np.searchsorted(run.labels, run.draws[lo:hi])
-            assert np.array_equal(np.bincount(box, minlength=run.k_n), run.cells[c])
+        batch = simulate_batch(FrequencyModel(beta), SPEC, 20000, replica_rng(19), 3, family)
+        assert batch.cuts.tolist() == [0, 2000, 5000, 12000, 20000]
+        for r in range(batch.runs):
+            draws = batch.draws(r)
+            keys, _ = boxes_of(batch, r)
+            order = np.argsort(keys)
+            labels, counts = np.unique(draws, return_counts=True)
+            assert np.array_equal(labels, keys[order])
+            assert np.array_equal(counts, batch.counts[batch.start[r] + order])
+            for c, (lo, hi) in enumerate(zip(batch.cuts, batch.cuts[1:])):
+                box = order[np.searchsorted(keys[order], draws[lo:hi])]
+                assert np.array_equal(np.bincount(box, minlength=batch.k_n[r]), batch.cells_of(r)[:, c])
 
     @given(grid_family(), st.sampled_from(BETAS), st.integers(0, 2 ** 32))
     @settings(max_examples=150, deadline=None)
     def test_queries_match_position_scan(self, case, beta, seed):
         n, family = case
-        run = simulate(FrequencyModel(beta), SPEC, n, seed=seed, family=family)
-        positions, first, inverse, x = self._brute(run)
-        first_mask = np.arange(n) == first[inverse]
-        hits = np.zeros((run.k_n, len(family)), dtype=bool)
-        for k, a in enumerate(family):
-            mask = a.contains_points(positions)
-            assert empirical_sup(run, a) == (x[mask].max() if mask.any() else 0.0)
-            star = mask & first_mask
-            assert variant_star_sup(run, a) == (x[star].max() if star.any() else 0.0)
-            hits[inverse[mask], k] = True
-        table = pattern_count_table(run, family)
-        for code in range(1, 1 << len(family)):
-            delta = tuple(code >> k & 1 for k in range(len(family)))
-            expected = int(np.all(hits == np.array(delta, dtype=bool), axis=1).sum())
-            assert table[code] == expected
-        assert table.sum() == run.k_n
+        batch = simulate_batch(FrequencyModel(beta), SPEC, n, replica_rng(seed), 2, family)
+        positions = np.arange(n) / n
+        table = pattern_count_table(batch, family)
+        for r in range(batch.runs):
+            draws, x = step_marks(batch, r)
+            _, first, inverse = np.unique(draws, return_index=True, return_inverse=True)
+            first_mask = np.arange(n) == first[inverse]
+            hits = np.zeros((batch.k_n[r], len(family)), dtype=bool)
+            for k, a in enumerate(family):
+                mask = a.contains_points(positions)
+                assert empirical_sup(batch, a)[r] == (x[mask].max() if mask.any() else 0.0)
+                star = mask & first_mask
+                assert variant_star_sup(batch, a)[r] == (x[star].max() if star.any() else 0.0)
+                hits[inverse[mask], k] = True
+            for code in range(1, 1 << len(family)):
+                delta = tuple(code >> k & 1 for k in range(len(family)))
+                expected = int(np.all(hits == np.array(delta, dtype=bool), axis=1).sum())
+                assert table[r, code] == expected
+            assert table[r].sum() == batch.k_n[r]

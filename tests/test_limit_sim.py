@@ -386,9 +386,10 @@ class TestProperties:
     @given(interval_sets(), interval_sets(), st.integers(0, 2 ** 32))
     @settings(max_examples=50, deadline=None)
     def test_sup_measure_axiom_urn(self, a, b, seed):
-        run = ksim.simulate(FrequencyModel(beta=0.5), HeavyTailSpec(alpha=1.0), 2000, seed, family=(a, b))
-        va, vb = ksim.empirical_sup(run, a), ksim.empirical_sup(run, b)
-        assert ksim.empirical_sup(run, a.union(b)) == max(va, vb)
+        batch = ksim.simulate_batch(FrequencyModel(beta=0.5), HeavyTailSpec(alpha=1.0), 2000, replica_rng(seed),
+                                    3, family=(a, b))
+        va, vb = ksim.empirical_sup(batch, a), ksim.empirical_sup(batch, b)
+        assert np.array_equal(ksim.empirical_sup(batch, a.union(b)), np.maximum(va, vb))
 
     @given(interval_sets(), interval_sets(), st.integers(1, 3000), st.integers(0, 2 ** 32))
     @settings(max_examples=50, deadline=None)

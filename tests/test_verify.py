@@ -25,8 +25,8 @@ from karlin_rsm.verify import (
 
 
 REPORT_FIELDS = ("suite", "check", "estimate", "target", "se_or_crit", "pass", "n", "replicas", "seed")
-# runs that draw about 7450 keys beyond the table each, so an urn part shares them among threads;
-# beta 0.5 runs below n = 2.7e7 are short and take one thread whatever is asked
+# runs that sort about 9700 keys each, 107 runs to a chunk, whose chunks an urn part shares among
+# threads; beta 0.5 runs at n = 1e3 sort about 50 keys, and their chunks take one thread
 LONG_RUNS = dict(beta=0.9, n_grid=(2 * 10 ** 4,))
 
 
@@ -140,6 +140,33 @@ class TestGates:
         assert extremal["variant_discrete_ks"].se_or_crit == 0.07
 
 
+class TestMeanGate:
+    """``mean_kn_ratio``: the larger of the relative constant and 99 % of the replicas' standard error."""
+
+    @staticmethod
+    def row(values, target=1.0):
+        return verify._mean_row(SuiteConfig(suite="occupancy"), "mean", np.asarray(values), target, 0.02)
+
+    def test_constant_gate_at_small_spread(self):
+        # SE 0.001: 2.576 SE is below 2 % of the target
+        values = 1.0 + 0.01 * np.tile([-1.0, 1.0], 50)
+        row = self.row(values, target=1.01)
+        assert row.se_or_crit == pytest.approx(0.0202) and row.passed and row.replicas == 100
+
+    def test_standard_error_gate_at_large_spread(self):
+        # 100 values of SD 0.1: SE 0.01, so the gate is 2.576 SE, and a mean 2.4 % off passes
+        values = 1.0 + 0.1 * np.tile([-1.0, 1.0], 50) * math.sqrt(99 / 100)
+        row = self.row(values, target=1.024)
+        assert row.se_or_crit == pytest.approx(verify._NORMAL_QUANTILE * 0.01)
+        assert row.passed and not self.row(values, target=1.03).passed
+
+    def test_acceptance_scale_keeps_the_constant(self):
+        # test_07: n = 1e6 and 100 replicas, where the spread of K_n / nu gives an SE below 2 % / 2.576
+        rep = run_suite(SuiteConfig(suite="occupancy", n_grid=(10 ** 6,), replicas=100, seed=42))
+        row = next(r for r in rep.rows if r.check == "mean_kn_ratio")
+        assert row.se_or_crit == pytest.approx(0.02 * row.target)
+
+
 class TestReplicaStreamMap:
     @staticmethod
     def _draws(rng):
@@ -250,8 +277,9 @@ class TestReports:
         assert back == rep.rows
 
     def test_thread_count_does_not_change_bytes(self):
-        for config in (dict(beta=0.5, n_grid=(10 ** 4,)), LONG_RUNS):
-            base = dict(suite="occupancy", replicas=100, seed=11, **config)
+        # the long runs come in three chunks of at most 107 runs, which threads share
+        for config in (dict(beta=0.5, n_grid=(10 ** 4,), replicas=100), dict(replicas=300, **LONG_RUNS)):
+            base = dict(suite="occupancy", seed=11, **config)
             rep1 = run_suite(SuiteConfig(threads=1, **base))
             rep4 = run_suite(SuiteConfig(threads=4, **base))
             assert rep1.to_csv() == rep4.to_csv()
@@ -263,34 +291,52 @@ class TestReports:
 
 
 def test_urn_map_chunks_keep_replica_order():
-    # 101 replicas: neither 2 nor 3 threads divide them into equal chunks
+    # 301 replicas of long runs: chunks of 107, 107 and 87 runs, which neither 2 nor 3 threads
+    # divide equally
     sets = (normalize([(0.0, 0.3)]), normalize([(0.2, 0.7)]))
 
-    def stat(run):
-        return run.replica, run.k_n, [karlin_sim.empirical_sup(run, a) for a in sets]
+    def stat(batch):
+        return batch.k_n.tolist(), [karlin_sim.empirical_sup(batch, a).tolist() for a in sets]
 
-    results = [verify._urn_map(SuiteConfig(suite="patterns", replicas=101, seed=4, threads=threads,
+    results = [verify._urn_map(SuiteConfig(suite="patterns", replicas=301, seed=4, threads=threads,
                                            **LONG_RUNS), "urn", sets, stat)
                for threads in (1, 2, 3)]
     assert results[0] == results[1] == results[2]
-    assert [replica for replica, _, _ in results[0]] == list(range(101))
+    assert [len(k_n) for k_n, _ in results[0]] == [107, 107, 87]
+
+
+def test_chunks_do_not_depend_on_the_part_size():
+    # chunk c of a part is the batch of chunk_runs runs from stream offset + c, whatever the count
+    q = normalize([(0.25, 1.0)])
+
+    def stat(batch):
+        return batch.k_n.tolist(), karlin_sim.variant_star_sup(batch, q).tolist()
+
+    cfg = SuiteConfig(suite="extremal-mstar", n_grid=(10 ** 3,), replicas=1000, seed=6)
+    short, long = (verify._urn_map(cfg, "discrete", (q,), stat, count=count) for count in (300, 600))
+    assert short[0] == long[0] and [len(k_n) for k_n, _ in short] == [256, 44]
+    model, spec = karlin_sim.FrequencyModel(0.5), verify.HeavyTailSpec(1.0)
+    offset = verify._offset(cfg, "discrete")
+    direct = karlin_sim.simulate_batch(model, spec, 10 ** 3, replica_rng(6, offset + 1), 256, (q,))
+    assert long[1] == stat(direct)
 
 
 def test_urn_map_runs_at_most_one_thread_per_cpu(monkeypatch):
-    # 8 chunks of long runs asked for on 2 CPUs: exactly 2 worker threads run them, and the
-    # results keep replica order; short runs stay on the calling thread
+    # 13 chunks of 8 long runs asked for on 8 threads of 2 CPUs: exactly 2 worker threads run
+    # them, and the results keep chunk order; short runs stay on the calling thread
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(karlin_sim, "CHUNK", 8)
 
-    def stat(run):
-        return threading.get_ident(), run.replica, run.k_n
+    def stat(batch):
+        return threading.get_ident(), batch.k_n.tolist()
 
     for config, idents in ((LONG_RUNS, 2), (dict(n_grid=(1000,)), 1)):
         base = dict(suite="occupancy", replicas=100, seed=4, **config)
         serial = verify._urn_map(SuiteConfig(threads=1, **base), "urn", (), stat)
         pooled = verify._urn_map(SuiteConfig(threads=8, **base), "urn", (), stat)
-        assert len({ident for ident, _, _ in pooled}) == idents
+        assert len(pooled) == 13 and len({ident for ident, _ in pooled}) == idents
         assert [row[1:] for row in pooled] == [row[1:] for row in serial]
-    assert {ident for ident, _, _ in pooled} == {threading.get_ident()}
+    assert {ident for ident, _ in pooled} == {threading.get_ident()}
 
 
 class TestSuitesSmoke:
