@@ -289,6 +289,16 @@ class TestReports:
         cfg = SuiteConfig(suite="patterns", beta=0.5, n_grid=(10 ** 4,), replicas=100, seed=3)
         assert run_suite(cfg).to_csv() == run_suite(cfg).to_csv()
 
+    def test_order_of_the_query_sets_changes_no_value(self):
+        # the sets cut the same cells in either order, so each pattern reads the same counts
+        a, b = normalize([(0.0, 0.3)]), normalize([(0.2, 0.7)])
+        rows = [{r.check: (r.estimate, r.target) for r in run_suite(SuiteConfig(
+            suite="patterns", n_grid=(10 ** 4,), replicas=300, seed=3, family=family)).rows}
+            for family in ((a, b), (b, a))]
+        swap = {"tau_10": "tau_01", "tau_01": "tau_10"}
+        for check, value in rows[0].items():
+            assert rows[1][swap.get(check, check)] == pytest.approx(value, rel=1e-12), check
+
 
 def test_urn_map_chunks_keep_replica_order():
     # 301 replicas of long runs: chunks of 107, 107 and 87 runs, which neither 2 nor 3 threads
