@@ -177,7 +177,7 @@ def _envelope_ratio(x, s: float):
     return -np.expm1((1.0 - s) * np.log1p(1.0 / x)) * x
 
 
-def _zeta_tail(rng: np.random.Generator, s: float, size: int, after: int = ZETA_TABLE_SIZE) -> np.ndarray:
+def _zeta_tail(rng: np.random.Generator, s: float, size: int, after: int) -> np.ndarray:
     """``size`` i.i.d. keys of Y ~ k**-s / zeta(s) conditioned on Y > ``after``, in trial order:
     X = floor((after+1) U**(-1/(s-1))) accepted with probability f(after+1) / f(X), so each round
     draws ``need`` over the least acceptance rate f(after+1) / (s-1) candidates.

@@ -294,12 +294,15 @@ class SimRun:
 
 @lru_cache(maxsize=64)
 def _cuts(family: tuple, n: int) -> np.ndarray:
-    """0, n and every end of the index ranges of the family's sets, sorted and distinct."""
+    """0, n and every end of the index ranges of the family's sets, sorted and distinct.
+    Read-only: every batch of the same family and n shares the cached array."""
     ends = {0, n}
     for a in family:
         for lo, hi in a.grid_ranges(n):
             ends.update((lo, hi))
-    return np.array(sorted(ends), dtype=np.int64)
+    cuts = np.array(sorted(ends), dtype=np.int64)
+    cuts.setflags(write=False)
+    return cuts
 
 
 def _split(rng: np.random.Generator, counts: np.ndarray, sizes: np.ndarray) -> np.ndarray:

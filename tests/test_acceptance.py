@@ -232,8 +232,9 @@ def test_11_ergodicity_statistic(limit_oracle_report):
 
 
 def test_12_determinism_across_threads():
-    # every suite at beta 0.5, and two urn suites at beta 0.9, n = 2e4, whose runs (about
-    # 9700 keys to sort each) would be shared among the threads asked for in chunks of 107
+    # every suite at beta 0.5, and two urn suites at beta 0.9, n = 2e4.  At 100 replicas each
+    # urn part is one chunk (of 256 runs at beta 0.5, of 107 at beta 0.9), so every part runs
+    # on one thread here; test_verify's TestReports shares chunks of long runs among threads
     small = [
         ("marginal", dict(beta=0.5, n_grid=(10 ** 3,), replicas=100)),
         ("locations", dict(beta=0.5, n_grid=(10 ** 4,), replicas=100)),

@@ -240,7 +240,7 @@ class TestZetaDraws:
             y = zeta_devroye(rng, s, 10 ** 6)
             ref.append(y[y > ZETA_TABLE_SIZE])
         ref = np.log(np.concatenate(ref))
-        ours = _zeta_tail(np.random.default_rng(21), s, 10 ** 5)
+        ours = _zeta_tail(np.random.default_rng(21), s, 10 ** 5, ZETA_TABLE_SIZE)
         assert np.all(ours > ZETA_TABLE_SIZE)
         crit = two_sample_ks_critical(ours.size, ref.size)
         assert ks_2samp(np.log(ours), ref).statistic <= crit
@@ -278,7 +278,7 @@ class TestZetaDraws:
     def test_tail_beyond_float_range_kept(self, s):
         # P(Y >= 2**1024 | Y > L), with P(Y >= 2**1024) = 2**(-1024 (s-1)) / ((s-1) zeta(s)) to relative 1e-300
         n = 10 ** 6
-        keys = _zeta_tail(np.random.default_rng(17), s, n)
+        keys = _zeta_tail(np.random.default_rng(17), s, n, ZETA_TABLE_SIZE)
         p = 2.0 ** (-1024 * (s - 1.0)) / ((s - 1.0) * zeta_series(s)) / self._tail_mass(s)
         share = np.mean(keys < 0)
         assert abs(share - p) <= 3.0 * math.sqrt(p * (1.0 - p) / n)

@@ -242,14 +242,13 @@ class TestCountFirst:
 
     @pytest.mark.parametrize("beta, n", REGIMES)
     def test_equal_in_law_to_reference(self, beta, n):
-        # each statistic by two-sample KS, at a family-wise 99 % level over the 11 statistics
+        # each statistic by two-sample KS at the 99 % level
         model, reps = FrequencyModel(beta), 300
         ours = np.concatenate([self._ours(batch) for batch in batches(model, n, reps, 1, self.FAMILY_LAW)])
         masks = [a.contains_points(np.arange(n) / n) for a in self.FAMILY_LAW]
         ref = np.array([self._reference(*reference_urn(model, SPEC, n, seed=2, replica=r), masks)
                         for r in range(reps)], dtype=float)
-        crit = two_sample_ks_critical(reps, reps) * math.sqrt(math.log(2 * len(self.NAMES) / 0.01)
-                                                              / math.log(2 / 0.01))
+        crit = two_sample_ks_critical(reps, reps)
         for j, name in enumerate(self.NAMES):
             stat = two_sample_ks(ours[:, j], ref[:, j])
             assert stat <= crit, f"{name}: two-sample KS {stat:.4f} above {crit:.4f}"

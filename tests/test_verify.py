@@ -276,14 +276,22 @@ class TestReports:
         back = [CheckRow(*(rec[k] for k in REPORT_FIELDS)) for rec in payload["rows"]]
         assert back == rep.rows
 
+    @staticmethod
+    def _same_bytes_on_threads(**base):
+        rep1 = run_suite(SuiteConfig(threads=1, **base))
+        rep4 = run_suite(SuiteConfig(threads=4, **base))
+        assert rep1.to_csv() == rep4.to_csv()
+        assert rep1.to_json() == rep4.to_json()
+
     def test_thread_count_does_not_change_bytes(self):
         # the long runs come in three chunks of at most 107 runs, which threads share
         for config in (dict(beta=0.5, n_grid=(10 ** 4,), replicas=100), dict(replicas=300, **LONG_RUNS)):
-            base = dict(suite="occupancy", seed=11, **config)
-            rep1 = run_suite(SuiteConfig(threads=1, **base))
-            rep4 = run_suite(SuiteConfig(threads=4, **base))
-            assert rep1.to_csv() == rep4.to_csv()
-            assert rep1.to_json() == rep4.to_json()
+            self._same_bytes_on_threads(suite="occupancy", seed=11, **config)
+
+    @pytest.mark.parametrize("suite", ["locations", "patterns", "marginal", "extremal-mstar"])
+    def test_thread_count_does_not_change_query_bytes(self, suite):
+        # three chunks of long runs, so each suite's batched queries run on threads
+        self._same_bytes_on_threads(suite=suite, seed=11, replicas=300, **LONG_RUNS)
 
     def test_rerun_identical(self):
         cfg = SuiteConfig(suite="patterns", beta=0.5, n_grid=(10 ** 4,), replicas=100, seed=3)
