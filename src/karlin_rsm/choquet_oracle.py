@@ -86,9 +86,9 @@ class PatternQuery:
             raise ValueError("delta must contain at least one 1")
 
 
-def _leb(atoms, mask: int) -> float:
-    """Lebesgue measure of the atoms in a bitmask, summed in bit order."""
-    return sum((hi - lo for j, (lo, hi) in enumerate(atoms) if mask >> j & 1), 0.0)
+def _leb(atoms, owners, sets: int) -> float:
+    """Lebesgue measure of the union of the sets in a bitmask: its atoms, summed left to right."""
+    return sum((hi - lo for (lo, hi), owner in zip(atoms, owners) if owner & sets), 0.0)
 
 
 def tail_dependence(q: ChoquetQuery) -> float:
@@ -98,15 +98,15 @@ def tail_dependence(q: ChoquetQuery) -> float:
     sum_k (w_(k) - w_(k+1)) * Leb(A_(1) u ... u A_(k))**beta; ties collapse
     automatically because their increments vanish.
     """
-    atoms, masks = atomize([a for a, _ in q.pairs])
+    atoms, owners = atomize([a for a, _ in q.pairs])
     order = sorted(range(len(q.pairs)), key=lambda i: -q.weights[i])
     w = [q.weights[i] for i in order] + [0.0]
     total = 0.0
     cum = 0
     for k, i in enumerate(order):
-        cum |= masks[i]
+        cum |= 1 << i
         if w[k] > w[k + 1]:
-            total += (w[k] - w[k + 1]) * _leb(atoms, cum) ** q.beta
+            total += (w[k] - w[k + 1]) * _leb(atoms, owners, cum) ** q.beta
     return float(total)
 
 
@@ -144,20 +144,15 @@ def pattern_limit(p: PatternQuery, beta: float) -> float:
     contributing -Leb(union of the missed sets)**beta (0 when all hit).
     """
     _check_beta(beta)
-    atoms, masks = atomize(p.family)
+    atoms, owners = atomize(p.family)
     hit = [k for k, d in enumerate(p.delta) if d == 1]
-    miss_mask = 0
-    for k, d in enumerate(p.delta):
-        if d == 0:
-            miss_mask |= masks[k]
+    miss_mask = sum(1 << k for k, d in enumerate(p.delta) if d == 0)
     total = 0.0
     for size in range(0, len(hit) + 1):
         sign = 1.0 if size % 2 == 1 else -1.0
         for subset in combinations(hit, size):
-            mask = miss_mask
-            for k in subset:
-                mask |= masks[k]
-            total += sign * _leb(atoms, mask) ** beta
+            mask = miss_mask | sum(1 << k for k in subset)
+            total += sign * _leb(atoms, owners, mask) ** beta
     return float(math.gamma(1.0 - beta) * total)
 
 

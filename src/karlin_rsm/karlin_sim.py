@@ -31,7 +31,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from .distributions import (
     pareto_sample_batch,
     riemann_zeta,
 )
-from .interval_sets import IntervalSet
+from .interval_sets import IntervalSet, atomize, moebius, normalize, union_measures
 
 __all__ = [
     "FrequencyModel",
@@ -141,22 +141,22 @@ class FrequencyModel:
         series = sum((-t) ** k / (math.factorial(k) * (k - self.beta)) for k in range(1, 25))
         return float(-np.expm1(n * np.log1p(-p)).sum()) - self.beta * a * series
 
-    def mean_pattern_count(self, n: int, family, code: int) -> float:
-        """E of the pattern table entry ``code`` > 0 (:func:`pattern_count_table`) of runs of n draws.
+    def mean_pattern_counts(self, n: int, family) -> np.ndarray:
+        """(2**len(family),) means of the pattern table (:func:`pattern_count_table`) of runs of n draws.
 
-        A box's hits in disjoint sets of positions are independent, so by
-        inclusion-exclusion over the sets S that ``code`` hits, with M the
-        union of those it misses, the entry's mean is the sum over T in S of
-        (-1)**(|T|+1) E K_m, m the positions in M and the sets of T.
+        A box's hits in disjoint sets of positions are independent, so E K_m,
+        m the positions in a union of the sets, is a functional of unions, and
+        entry S > 0 is its Moebius inversion: the sum over T in S of
+        (-1)**(|T|+1) E K_m, m the positions in the sets of T and outside S.
+        Entry 0 is E K_n less E K_m of the whole union.
         """
-        hit = [a for k, a in enumerate(family) if code >> k & 1]
-        missed = [a for k, a in enumerate(family) if not code >> k & 1]
-        total = 0.0
-        for t in range(1 << len(hit)):
-            sets = missed + [a for j, a in enumerate(hit) if t >> j & 1]
-            m = sum(hi - lo for lo, hi in reduce(IntervalSet.union, sets).grid_ranges(n)) if sets else 0
-            total += (-1) ** (bin(t).count("1") + 1) * self.mean_occupancy(m)
-        return total
+        cells, owners = atomize([normalize(a.grid_ranges(n), (0, n)) for a in family])
+        positions = union_measures(cells, owners, len(family)).astype(np.int64)
+        sizes, index = np.unique(positions, return_inverse=True)
+        occupancy = np.array([self.mean_occupancy(int(m)) for m in sizes])[index]
+        means = moebius(occupancy)
+        means[0] = self.mean_occupancy(n) - occupancy[-1]
+        return means
 
 
 def b_n(model: FrequencyModel, spec: HeavyTailSpec, n: int) -> float:
@@ -419,10 +419,9 @@ def simulate_batch(model: FrequencyModel, spec: HeavyTailSpec, n: int, rng: np.r
                     k_n=k_n, top=top, top_cells=top_cells, room=room, streams=streams)
 
 
-def simulate(model: FrequencyModel, spec: HeavyTailSpec, n: int, seed: int, replica: int = 0,
-             family=()) -> SimRun:
+def simulate(model: FrequencyModel, spec: HeavyTailSpec, n: int, seed: int, replica: int = 0) -> SimRun:
     """One run: the batch of one that :func:`simulate_batch` draws from ``replica_rng(seed, replica)``."""
-    return SimRun(simulate_batch(model, spec, n, replica_rng(seed, replica), 1, family), seed, replica)
+    return SimRun(simulate_batch(model, spec, n, replica_rng(seed, replica), 1), seed, replica)
 
 
 def _label_int(key: float) -> int:

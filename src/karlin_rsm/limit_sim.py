@@ -9,8 +9,10 @@ independent Poisson clocks of rate p_S, the inclusion-exclusion of theta
 over the family.  A replica therefore needs one exponential per pattern:
 M(A_i) is the level at the first arrival among the clocks whose pattern
 contains i.  The rates hold on any carrier, so no rescaling is needed.
-The clocks read a family as :func:`atomize` gives it: ``(lo, hi)`` atoms
-and one bitmask of atoms per set.
+The clocks read a family as :func:`atomize` gives it: ``(lo, hi)`` atoms,
+each with the bitmask of the sets that hold it, so a family may hold any
+number of intervals; the rates are the :func:`moebius` inversion of theta
+over the unions of sets.
 
 The first-occurrence variant M* reads only the leftmost point of a hitting
 set, which lands in [a, b) at rate b**beta - a**beta: one clock per atom of
@@ -30,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .distributions import _check_alpha, _check_beta
-from .interval_sets import PATTERN_BUDGET, UNIT, CapacityError, atomize, normalize
+from .interval_sets import PATTERN_BUDGET, UNIT, CapacityError, atomize, moebius, normalize, union_measures
 
 __all__ = [
     "LimitSample",
@@ -46,7 +48,6 @@ __all__ = [
 
 _CHUNK_FLOATS = 1 << 16  # largest per-chunk array: 512 KB
 _POISSON_MAX = 1e18  # numpy's Poisson sampler stops near 9.2e18
-_SCALE = 1 << 1074  # every double is an integer multiple of 2**-1074
 
 
 @dataclass(frozen=True)
@@ -70,9 +71,9 @@ class _Clocks:
     idle: float  # rate of the atoms that hit no clock; only atoms_used sees it
 
 
-def _hits(patterns: np.ndarray, masks) -> np.ndarray:
-    """(clocks, outputs) True where a clock's pattern meets an output's mask."""
-    return (patterns[:, None] & np.array(masks, dtype=np.int64)) != 0
+def _hits(codes: np.ndarray, sets: int) -> np.ndarray:
+    """(clocks, sets) True where a clock's code, a bitmask over the sets, holds the set."""
+    return (codes[:, None] & (1 << np.arange(sets))) != 0
 
 
 def _clocks(rates: np.ndarray, hits: np.ndarray, idle: float) -> _Clocks:
@@ -98,45 +99,11 @@ def _require_unit(family) -> None:
             )
 
 
-def _exact(x: float) -> int:
-    num, den = x.as_integer_ratio()
-    return num * (_SCALE // den)
-
-
-def _union_theta(beta: float, atoms, members) -> np.ndarray:
-    """Leb(union of the sets in U)**beta for every subset U, indexed by bitmask.
-
-    ``members[i]`` is the bitmask of the disjoint ``(lo, hi)`` atoms inside set i.
-    """
-    covered = np.zeros(1, dtype=np.int64)
-    for mask in members:
-        covered = np.concatenate([covered, covered | mask])
-    leb = np.zeros(covered.size)
-    for j, (lo, hi) in enumerate(atoms):
-        leb += ((covered >> j) & 1) * (hi - lo)
-    return leb ** beta
-
-
-def _moebius_rates(f: np.ndarray) -> np.ndarray:
-    """p_S = sum over T within S of (-1)**(|T|+1) f[S^c | T], for every S.
-
-    The alternating sums run in integer arithmetic on the rounded f, so no
-    rate is lost to cancellation between nearly equal measures (a set of
-    measure 1e-300 beside one of 1/2 keeps its rate).  Each rate is rounded
-    once, and rounding residue below 0 is cut to 0.  Entry 0 is meaningless.
-    """
-    h = np.array([_exact(x) for x in f[::-1].tolist()], dtype=object)  # h[V] = f[V^c]
-    for j in range(f.size.bit_length() - 1):
-        v = h.reshape(-1, 2, 1 << j)
-        v[:, 1, :] -= v[:, 0, :]
-    return np.array([max(0.0, -x / _SCALE) for x in h.tolist()])
-
-
 @lru_cache(maxsize=256)
 def _karlin_rates(beta: float, family: tuple) -> np.ndarray:
     _check_beta(beta)
-    f = _union_theta(beta, *atomize(family))
-    rates = _moebius_rates(f)
+    f = union_measures(*atomize(family), len(family)) ** beta
+    rates = moebius(f)
     lo, hi = family[0].carrier
     rates[0] = max(0.0, (hi - lo) ** beta - f[-1])
     rates.setflags(write=False)
@@ -157,7 +124,7 @@ def pattern_rates(beta: float, family) -> np.ndarray:
 def _karlin_clocks(beta: float, family: tuple) -> _Clocks:
     rates = _karlin_rates(beta, family)
     live = np.flatnonzero(rates[1:]) + 1
-    return _clocks(rates[live], _hits(live, [1 << i for i in range(len(family))]), float(rates[0]))
+    return _clocks(rates[live], _hits(live, len(family)), float(rates[0]))
 
 
 def _mstar_rate(lo: float, hi: float, beta: float) -> float:
@@ -171,9 +138,9 @@ def _mstar_rate(lo: float, hi: float, beta: float) -> float:
 def _mstar_clocks(beta: float, family: tuple) -> _Clocks:
     _check_beta(beta)
     _require_unit(family)
-    atoms, masks = atomize(family)
+    atoms, owners = atomize(family)
     rates = np.array([_mstar_rate(lo, hi, beta) for lo, hi in atoms])
-    hits = _hits(1 << np.arange(rates.size, dtype=np.int64), masks)
+    hits = _hits(np.array(owners, dtype=np.int64), len(family))
     return _clocks(rates, hits, max(0.0, 1.0 - float(rates.sum())))
 
 
@@ -186,16 +153,17 @@ def _coupled_clocks(beta: float, family: tuple) -> _Clocks:
     """
     _check_beta(beta)
     _require_unit(family)
-    atoms, masks = atomize(family)
+    atoms, owners = atomize(family)
     cells = sorted(atoms + list(normalize(atoms).complement().intervals))
     if len(cells) > PATTERN_BUDGET:
         raise CapacityError(f"{len(cells)} cells exceed the {PATTERN_BUDGET}-cell pattern budget")
-    bits = [1 << cells.index(a) for a in atoms]  # the cell of each atom
-    members = [sum(b for j, b in enumerate(bits) if mask >> j & 1) for mask in masks]
-    f = _union_theta(beta, cells, [1 << c for c in range(len(cells))])
-    rates = _moebius_rates(f)
+    rates = moebius(union_measures(cells, [1 << c for c in range(len(cells))], len(cells)) ** beta)
     live = np.flatnonzero(rates[1:]) + 1
-    hits = np.hstack([_hits(live, members), _hits(live & -live, members)])
+    owner = dict(zip(atoms, owners))  # gaps hold no set
+    meets = np.zeros(1, dtype=np.int64)  # meets[P]: the sets that the cells of pattern P hold
+    for cell in cells:
+        meets = np.concatenate([meets, meets | owner.get(cell, 0)])
+    hits = np.hstack([_hits(meets[live], len(family)), _hits(meets[live & -live], len(family))])
     return _clocks(rates[live], hits, 0.0)  # the cells cover [0, 1)
 
 

@@ -518,24 +518,24 @@ def suite_patterns(cfg: SuiteConfig) -> list:
     means = np.concatenate(_urn_map(cfg, "urn", family + single, one)).mean(axis=0)
     rel = DEFAULT_THRESHOLDS["pattern_rel"]
 
-    half = model.mean_pattern_count(n, single, 1) / nu
+    targets = model.mean_pattern_counts(n, family) / nu
+    half = model.mean_pattern_counts(n, single)[1] / nu
     rows = [_rel_row(cfg, "tau_half_interval", float(means[-1]), half, rel, n=n, replicas=cfg.replicas)]
     for j, (delta, entry) in enumerate(zip(deltas, entries)):
-        target = model.mean_pattern_count(n, family, entry) / nu
         name = "tau_" + "".join(str(b) for b in delta)
-        rows.append(_rel_row(cfg, name, float(means[j]), target, rel, n=n, replicas=cfg.replicas))
-    in_union = model.mean_pattern_count(n, (reduce(IntervalSet.union, family),), 1) / nu
+        rows.append(_rel_row(cfg, name, float(means[j]), targets[entry], rel, n=n, replicas=cfg.replicas))
+    in_union = model.mean_pattern_counts(n, (reduce(IntervalSet.union, family),))[1] / nu
     rows.append(_rel_row(cfg, "tau_partition_sum", float(means[: len(deltas)].sum()), in_union, rel, n=n,
                          replicas=cfg.replicas))
     return rows
 
 
-def _random_queries(cfg: SuiteConfig, count: int, max_d: int = 3):
-    """Deterministic pseudo-random query families with comfortable measures."""
+def _random_queries(cfg: SuiteConfig):
+    """Ten deterministic pseudo-random query families of 1 to 3 sets with comfortable measures."""
     rng = _stream(cfg, "queries")
     queries = []
-    for _ in range(count):
-        d = int(rng.integers(1, max_d + 1))
+    for _ in range(10):
+        d = int(rng.integers(1, 4))
         pairs = []
         for _ in range(d):
             width = float(rng.uniform(0.1, 0.45))
@@ -579,7 +579,7 @@ def suite_limit_vs_oracle(cfg: SuiteConfig) -> list:
     2 - 2**beta for the joint exponent).
     """
     rows = []
-    queries = _random_queries(cfg, 10)
+    queries = _random_queries(cfg)
     families = []
     for qi, q in enumerate(queries):
         family = tuple(a for a, _ in q.pairs)

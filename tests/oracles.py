@@ -292,7 +292,8 @@ def _on_unit(family):
 
 def _atom_walk(beta, family):
     """Atom decomposition of the family on [0, 1], its sampler and set masks."""
-    atoms, masks = atomize(family)
+    atoms, owners = atomize(family)
+    masks = [sum(1 << j for j, owner in enumerate(owners) if owner >> i & 1) for i in range(len(family))]
     return HitPatternSampler(beta, [hi - lo for lo, hi in atoms]), masks
 
 
@@ -319,7 +320,8 @@ def hit_pattern_pmf(beta: float, measures) -> np.ndarray:
 def _pattern_setup(beta: float, family: tuple):
     """The family on [0, 1], its carrier width, set masks over atoms and pattern pmf."""
     unit, width = _on_unit(family)
-    atoms, masks = atomize(unit)
+    atoms, owners = atomize(unit)
+    masks = [sum(1 << j for j, owner in enumerate(owners) if owner >> i & 1) for i in range(len(unit))]
     return unit, width, masks, hit_pattern_pmf(beta, [hi - lo for lo, hi in atoms])
 
 
@@ -377,11 +379,12 @@ def reference_coupled(rng, alpha: float, beta: float, family):
 
     The minimum uniform lies in the leftmost hit cell.
     """
-    atoms, masks = atomize(family)
+    atoms, owners = atomize(family)
     union = normalize([iv for a in family for iv in a.intervals])
     cells = sorted(atoms + list(union.complement().intervals))
     sampler = HitPatternSampler(beta, [hi - lo for lo, hi in cells])
-    member = [sum(1 << cells.index(a) for j, a in enumerate(atoms) if mask >> j & 1) for mask in masks]
+    member = [sum(1 << cells.index(a) for a, owner in zip(atoms, owners) if owner >> i & 1)
+              for i in range(len(family))]
     big, small = [0.0] * len(family), [0.0] * len(family)
     pending = {(k, i) for k in (0, 1) for i, a in enumerate(family) if a.lebesgue() > 0}
     gamma, used = 0.0, 0

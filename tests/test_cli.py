@@ -376,6 +376,62 @@ class TestLimitSampleDomain:
         assert math.isfinite(value) and value > 0
 
 
+def _comb(start: int, step: int) -> dict:
+    """The set of intervals [i/128, i/128 + 0.004) for i = start, start + step, ... below 128."""
+    return {"intervals": [[i / 128, i / 128 + 0.004] for i in range(start, 128, step)]}
+
+
+# families that cut [0, 1) into 64 atoms: one set of 64 intervals, two interleaved sets of 32
+MANY_ATOMS = {"one-set": [_comb(0, 2)], "two-sets": [_comb(0, 4), _comb(2, 4)]}
+
+
+def _limit_sample(family: list, variant: str, replicas: int) -> tuple:
+    """Exit code, stderr and output rows of ``limit-sample`` on a family of sets."""
+    with tempfile.TemporaryDirectory() as tmp:
+        query, out = Path(tmp) / "family.json", Path(tmp) / "out.csv"
+        query.write_text(json.dumps({"family": family}))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(["limit-sample", "--beta", "0.5", "--replicas", str(replicas), "--seed", "1",
+                             "--query", str(query), "--variant", variant, "--out", str(out)])
+        rows = out.read_text().splitlines()[1:] if out.exists() else []
+    return code, err.getvalue(), rows
+
+
+class TestManyAtoms:
+    @pytest.mark.parametrize("variant", ["karlin", "mstar"])
+    @pytest.mark.parametrize("name", MANY_ATOMS)
+    def test_limit_sample(self, name, variant):
+        code, err, rows = _limit_sample(MANY_ATOMS[name], variant, 30)
+        assert (code, err) == (0, "")
+        assert len(rows) == 30 * len(MANY_ATOMS[name])
+        assert all(float(row.split(",")[2]) > 0 for row in rows)
+
+    @pytest.mark.parametrize("name", MANY_ATOMS)
+    def test_verify_locations_ends_by_verdict(self, name, tmp_path):
+        query, out = tmp_path / "family.json", tmp_path / "report.csv"
+        query.write_text(json.dumps({"family": MANY_ATOMS[name]}))
+        res = run_cli("verify", "--suite", "locations", "--beta", "0.5", "--n", "10000", "--replicas", "500",
+                      "--seed", "3", "--threads", "1", "--query", str(query), "--out", str(out))
+        assert res.returncode in (0, 1) and "Traceback" not in res.stderr, res.stderr
+        sets = len(MANY_ATOMS[name])
+        assert len(out.read_text().splitlines()) == 1 + 2 * sets + 1  # hits and values per set, joint hit
+
+
+# an interval in one of 128 slots of [0, 1), so that intervals of distinct slots stay disjoint
+_SLOT = st.tuples(st.integers(0, 127), st.floats(0.0, 1 / 128)).map(lambda p: [p[0] / 128, p[0] / 128 + p[1]])
+_SET = st.integers(0, 40).flatmap(lambda k: st.lists(_SLOT, min_size=k, max_size=k))
+
+
+@given(st.lists(_SET, min_size=1, max_size=4))
+@settings(max_examples=120, deadline=None)
+def test_any_family_samples_or_exits_two(intervals):
+    # families of 1-4 sets with 0-40 intervals each, up to 160 atoms: exit 0, or 2 with one error line
+    for variant in ("karlin", "mstar"):
+        code, err, _ = _limit_sample([{"intervals": set_} for set_ in intervals], variant, 20)
+        assert code == 0 or (code == 2 and err.startswith("error: ") and len(err.splitlines()) == 1), err
+
+
 class TestSimulateCommand:
     def test_csv_output(self, tmp_path):
         out = tmp_path / "top.csv"

@@ -1,5 +1,3 @@
-from functools import reduce
-from operator import or_
 
 import numpy as np
 import pytest
@@ -10,7 +8,9 @@ from karlin_rsm.interval_sets import (
     CapacityError,
     IntervalSet,
     atomize,
+    moebius,
     normalize,
+    union_measures,
 )
 
 from oracles import grid_bitmap
@@ -92,16 +92,16 @@ def test_complement():
 
 
 def test_atomize_example():
-    atoms, masks = atomize([normalize([(0.0, 0.6)]), normalize([(0.4, 1.0)])])
-    assert (atoms, masks) == ([(0.0, 0.4), (0.4, 0.6), (0.6, 1.0)], [0b011, 0b110])
+    atoms, owners = atomize([normalize([(0.0, 0.6)]), normalize([(0.4, 1.0)])])
+    assert (atoms, owners) == ([(0.0, 0.4), (0.4, 0.6), (0.6, 1.0)], [0b01, 0b11, 0b10])
 
 
 def test_atomize_single_and_disjoint():
-    atoms, masks = atomize([normalize([(0.1, 0.5)])])
-    assert len(atoms) == 1 and masks == [0b1]
-    atoms, masks = atomize([normalize([(0.0, 0.2)]), normalize([(0.5, 0.8)])])
+    atoms, owners = atomize([normalize([(0.1, 0.5)])])
+    assert len(atoms) == 1 and owners == [0b1]
+    atoms, owners = atomize([normalize([(0.0, 0.2)]), normalize([(0.5, 0.8)])])
     assert len(atoms) == 2
-    assert masks == [0b01, 0b10]
+    assert owners == [0b01, 0b10]
 
 
 def test_atomize_reunion_exact():
@@ -110,10 +110,36 @@ def test_atomize_reunion_exact():
         normalize([(0.2, 0.6)]),
         normalize([(0.55, 0.95)]),
     ]
-    atoms, masks = atomize(fam)
-    for s, mask in zip(fam, masks):
-        parts = [a for j, a in enumerate(atoms) if mask >> j & 1]
+    atoms, owners = atomize(fam)
+    for i, s in enumerate(fam):
+        parts = [a for a, owner in zip(atoms, owners) if owner >> i & 1]
         assert normalize(parts).intervals == s.intervals
+
+
+def test_atomize_any_number_of_intervals():
+    # 64 intervals, 32 of them inside [1/4, 3/4), which adds the 32 gaps after them: 96 atoms,
+    # and owner masks of two bits however many atoms there are
+    comb = normalize([(i / 128, i / 128 + 0.004) for i in range(0, 128, 2)])
+    atoms, owners = atomize([comb, normalize([(0.25, 0.75)])])
+    assert len(atoms) == 96 and [owners.count(owner) for owner in (0b01, 0b10, 0b11)] == [32, 32, 32]
+
+
+def test_union_measures_adds_pieces_left_to_right():
+    atoms, owners = atomize([normalize([(0.0, 0.6)]), normalize([(0.4, 1.0)])])
+    a, ab, b = (hi - lo for lo, hi in atoms)
+    assert union_measures(atoms, owners, 2).tolist() == [0.0, a + ab, ab + b, a + ab + b]
+    assert union_measures([(3.0, 7.0)], [0b10], 2).tolist() == [0.0, 0.0, 4.0, 4.0]
+
+
+def test_moebius_inverts_a_union_functional_exactly():
+    # f of unions of the disjoint sets {a, b}: the share on exactly {a}, {b} and both
+    f = np.array([0.0, 0.25, 0.5, 0.75]) ** 0.5
+    p = moebius(f)
+    assert p[1] == pytest.approx(f[3] - f[2]) and p[2] == pytest.approx(f[3] - f[1])
+    assert p[3] == pytest.approx(f[1] + f[2] - f[3])
+    # a measure of 1e-300 beside one of 1/2 keeps its rate: no cancellation in float
+    tiny = moebius(np.array([0.0, 1e-300, 0.5, 0.5 + 1e-300]) ** 0.5)
+    assert tiny[1] == pytest.approx(1e-150)
 
 
 def test_atomize_atom_budget_bound():
@@ -158,12 +184,12 @@ def interval_sets(draw):
 @settings(max_examples=200)
 def test_atomize_against_bitmap_oracle(family):
     # sorted and disjoint atoms, each inside some set, and every set their union
-    atoms, masks = atomize(family)
+    atoms, owners = atomize(family)
     flat = [v for atom in atoms for v in atom]
     assert all(lo < hi for lo, hi in atoms) and flat == sorted(flat)
-    assert len(masks) == len(family) and reduce(or_, masks) == (1 << len(atoms)) - 1
-    for s, mask in zip(family, masks):
-        parts = [atom for j, atom in enumerate(atoms) if mask >> j & 1]
+    assert len(owners) == len(atoms) and all(0 < owner < 1 << len(family) for owner in owners)
+    for i, s in enumerate(family):
+        parts = [atom for atom, owner in zip(atoms, owners) if owner >> i & 1]
         assert np.array_equal(grid_bitmap(s.intervals), grid_bitmap(parts))
 
 

@@ -277,16 +277,17 @@ class TestCountFirst:
 
     @pytest.mark.parametrize("beta", [0.5, 0.9])
     def test_mean_boxes_hitting_a_missing_b_exact(self, beta):
-        # A = [0, 1/4) holds 2500 positions and B = [1/2, 1) 5000; pattern code 1 is "in A only",
+        # A = [0, 1/4) holds 2500 positions and B = [1/2, 1) 5000; pattern code 0 is "in neither", 1 "in A only",
         # 2 "in B only" and 3 "in both"
         n, model = 10 ** 4, FrequencyModel(beta)
         tables = np.concatenate([pattern_count_table(batch, self.FAMILY_LAW)
                                  for batch in batches(model, n, 400, 4, self.FAMILY_LAW)])
         both = expected_boxes(beta, 2500, 0) + expected_boxes(beta, 5000, 0) - expected_boxes(beta, 7500, 0)
-        for code, target in ((1, expected_boxes(beta, 2500, 5000)), (2, expected_boxes(beta, 5000, 2500)),
-                             (3, both)):
+        means = model.mean_pattern_counts(n, self.FAMILY_LAW)
+        for code, target in ((0, expected_boxes(beta, 2500, 7500)), (1, expected_boxes(beta, 2500, 5000)),
+                             (2, expected_boxes(beta, 5000, 2500)), (3, both)):
             self._within_3_se(tables[:, code], target)
-            assert model.mean_pattern_count(n, self.FAMILY_LAW, code) == pytest.approx(target, rel=1e-6)
+            assert means[code] == pytest.approx(target, rel=1e-6)
 
     def test_mean_pattern_count_of_overlapping_sets(self):
         # [0, 0.3) and [0.2, 0.6) at n = 1e4: 2000 positions in the first only, 1000 in both and
@@ -297,8 +298,8 @@ class TestCountFirst:
             only_first = expected_boxes(beta, 2000, 4000)
             only_second = expected_boxes(beta, 3000, 3000)
             both = expected_boxes(beta, 6000, 0) - only_first - only_second
-            got = [model.mean_pattern_count(n, fam, code) for code in (1, 2, 3)]
-            assert got == pytest.approx([only_first, only_second, both], rel=1e-6)
+            got = model.mean_pattern_counts(n, fam).tolist()
+            assert got == pytest.approx([expected_boxes(beta, 4000, 6000), only_first, only_second, both], rel=1e-6)
 
     def test_exact_pattern_means_tend_to_the_limit(self):
         # E[boxes hit in exactly the sets of delta] / nu(n) -> pattern_limit, the gap shrinking in n
@@ -306,7 +307,7 @@ class TestCountFirst:
             model = FrequencyModel(beta)
             for delta, code in (((1, 0), 1), ((1, 1), 3)):
                 limit = pattern_limit(PatternQuery(family=FAMILY, delta=delta), beta)
-                gaps = [abs(model.mean_pattern_count(n, FAMILY, code) / model.nu_count(n) / limit - 1.0)
+                gaps = [abs(model.mean_pattern_counts(n, FAMILY)[code] / model.nu_count(n) / limit - 1.0)
                         for n in (10 ** 3, 10 ** 5, 10 ** 7, 10 ** 9)]
                 assert all(a > b for a, b in zip(gaps, gaps[1:])) and gaps[-1] < 0.01, (beta, delta, gaps)
 

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 from karlin_rsm import karlin_sim as ksim
-from karlin_rsm.choquet_oracle import PatternQuery, pattern_limit, theta
+from karlin_rsm import limit_sim as lsim
+from karlin_rsm.choquet_oracle import PatternQuery, mstar_theta, pattern_limit, theta
 from karlin_rsm.distributions import HeavyTailSpec
 from karlin_rsm.interval_sets import CapacityError, IntervalSet, normalize
 from karlin_rsm.karlin_sim import FrequencyModel, replica_rng
@@ -143,6 +144,45 @@ class TestPatternRates:
     def test_null_sets_have_no_rate(self):
         rates = pattern_rates(0.5, (normalize([]), normalize([(0.0, 0.25)])))
         assert rates[1] == rates[3] == 0.0 and rates[2] == 0.5
+
+
+def comb(start: int, step: int):
+    """The intervals [i/128, i/128 + 0.004) for i = start, start + step, ... below 128."""
+    return normalize([(i / 128, i / 128 + 0.004) for i in range(start, 128, step)])
+
+
+class TestManyAtoms:
+    """Families that cut [0, 1) into 64 atoms: one set of 64 intervals, and two interleaved sets of
+    32.  Each atom is one clock of M*, and the rates of M see the atoms only through their sets."""
+
+    FAMILIES = {"one-set": (comb(0, 2),), "two-sets": (comb(0, 4), comb(2, 4))}
+
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_pattern_rates_add_up_to_theta(self, name):
+        family = self.FAMILIES[name]
+        rates = pattern_rates(0.5, family)
+        patterns = np.arange(rates.size)
+        for i, a in enumerate(family):
+            assert rates[patterns & (1 << i) != 0].sum() == pytest.approx(theta(a, 0.5), rel=1e-14)
+        union = normalize([iv for a in family for iv in a.intervals])
+        assert rates[1:].sum() == pytest.approx(theta(union, 0.5), rel=1e-14)
+
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_mstar_one_clock_per_atom(self, name):
+        family = self.FAMILIES[name]
+        assert lsim._mstar_clocks(0.5, family).rates.size == 64
+        vals = mstar_batch(np.random.default_rng(31), 1.0, 0.5, family, N_MC)
+        for j, a in enumerate(family):
+            target = math.exp(-sum(mstar_theta(lo, hi, 0.5) for lo, hi in a.intervals))
+            assert abs(np.mean(vals[:, j] <= 1.0) - target) <= binom_tol(target)
+
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_karlin_marginals(self, name):
+        family = self.FAMILIES[name]
+        vals = karlin_batch(np.random.default_rng(32), 1.0, 0.5, family, N_MC)
+        for j, a in enumerate(family):
+            target = math.exp(-theta(a, 0.5))
+            assert abs(np.mean(vals[:, j] <= 1.0) - target) <= binom_tol(target)
 
 
 class TestKarlinSampler:
