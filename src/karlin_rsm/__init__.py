@@ -2,10 +2,9 @@
 laws, and statistical verification of the limit theorems at desk scale."""
 
 from . import choquet_oracle, distributions, interval_sets, karlin_sim, limit_sim, verify
-from .choquet_oracle import ChoquetQuery, PatternQuery
-from .distributions import FrechetLaw, HeavyTailSpec
+from .choquet_oracle import ChoquetQuery
 from .interval_sets import IntervalSet, normalize
-from .karlin_sim import FrequencyModel, SimRun, UrnBatch, replica_rng, simulate, simulate_batch
+from .karlin_sim import SimRun, UrnBatch, replica_rng, simulate, simulate_batch
 from .limit_sim import LimitSample, sample_karlin, sample_mstar
 from .verify import SuiteConfig, SuiteReport, run_suite
 
@@ -13,12 +12,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChoquetQuery",
-    "PatternQuery",
-    "FrechetLaw",
-    "HeavyTailSpec",
     "IntervalSet",
     "normalize",
-    "FrequencyModel",
     "SimRun",
     "UrnBatch",
     "replica_rng",

@@ -5,8 +5,8 @@ max of weighted indicators against the extremal coefficient functional
 ``theta(K) = Leb(K)**beta``.  Comonotonic additivity turns that integral
 into a layer cake over the sorted weights, which is what
 :func:`tail_dependence` computes; everything else here is a reparametrized
-call into it, plus the occupancy-pattern limits and the functional of the
-first-occurrence variant.
+call into it, plus the table of occupancy-pattern limits (indexed by the
+bitmask of the sets hit) and the functional of the first-occurrence variant.
 """
 
 from __future__ import annotations
@@ -15,12 +15,13 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
+import numpy as np
+
 from .distributions import _check_alpha, _check_beta
 from .interval_sets import IntervalSet, _json_fields, _json_number, atomize
 
 __all__ = [
     "ChoquetQuery",
-    "PatternQuery",
     "theta",
     "tail_dependence",
     "joint_cdf",
@@ -68,22 +69,6 @@ class ChoquetQuery:
             a, z = _json_fields(pair, ("set", "z"), f"pairs[{i}]")
             pairs.append((IntervalSet.from_json(a, f"pairs[{i}].set"), _json_number(z, f"pairs[{i}].z")))
         return cls(pairs=tuple(pairs), alpha=_json_number(alpha, "alpha"), beta=_json_number(beta, "beta"))
-
-
-@dataclass(frozen=True)
-class PatternQuery:
-    """Occupancy pattern: which sets must be hit (1) and which missed (0)."""
-
-    family: tuple  # of IntervalSet
-    delta: tuple  # 0/1, at least one 1
-
-    def __post_init__(self):
-        if len(self.family) != len(self.delta):
-            raise ValueError("delta length must match the family")
-        if any(d not in (0, 1) for d in self.delta):
-            raise ValueError("delta entries must be 0 or 1")
-        if not any(self.delta):
-            raise ValueError("delta must contain at least one 1")
 
 
 def _leb(atoms, owners, sets: int) -> float:
@@ -135,25 +120,31 @@ def tau_z(t: float, z: float, alpha: float, beta: float) -> float:
     return 2.0 * single - joint
 
 
-def pattern_limit(p: PatternQuery, beta: float) -> float:
-    """Limit of the normalized occupancy-pattern counts.
+def pattern_limit(beta: float, family) -> np.ndarray:
+    """Limits of the normalized occupancy-pattern counts, one per entry of the pattern table.
 
-    Inclusion-exclusion over the hit events followed by termwise
-    integration gives gamma(1-beta) * sum over S within the hit set of
-    (-1)**(|S|+1) * Leb(union of S and the missed sets)**beta, the empty S
-    contributing -Leb(union of the missed sets)**beta (0 when all hit).
+    Entry S (bit k for set k, as in ``karlin_sim.pattern_count_table``)
+    counts the boxes hit in exactly the sets of S.  For S > 0,
+    inclusion-exclusion over the hit events followed by termwise
+    integration gives gamma(1-beta) * sum over T within S of
+    (-1)**(|T|+1) * Leb(union of T and the sets outside S)**beta, the empty
+    T contributing -Leb(union of the sets outside S)**beta.  Entry 0, the
+    boxes hit nowhere, is gamma(1-beta) * (Leb(carrier)**beta - Leb(union)**beta).
     """
     _check_beta(beta)
-    atoms, owners = atomize(p.family)
-    hit = [k for k, d in enumerate(p.delta) if d == 1]
-    miss_mask = sum(1 << k for k, d in enumerate(p.delta) if d == 0)
-    total = 0.0
-    for size in range(0, len(hit) + 1):
-        sign = 1.0 if size % 2 == 1 else -1.0
-        for subset in combinations(hit, size):
-            mask = miss_mask | sum(1 << k for k in subset)
-            total += sign * _leb(atoms, owners, mask) ** beta
-    return float(math.gamma(1.0 - beta) * total)
+    atoms, owners = atomize(family)
+    full = (1 << len(family)) - 1
+    lo, hi = family[0].carrier
+    table = [(hi - lo) ** beta - _leb(atoms, owners, full) ** beta]
+    for hit_mask in range(1, full + 1):
+        hit = [k for k in range(len(family)) if hit_mask >> k & 1]
+        total = 0.0
+        for size in range(0, len(hit) + 1):
+            sign = 1.0 if size % 2 == 1 else -1.0
+            for subset in combinations(hit, size):
+                total += sign * _leb(atoms, owners, full & ~hit_mask | sum(1 << k for k in subset)) ** beta
+        table.append(total)
+    return math.gamma(1.0 - beta) * np.array(table)
 
 
 def mstar_theta(a: float, b: float, beta: float) -> float:

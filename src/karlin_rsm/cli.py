@@ -20,9 +20,8 @@ import sys
 from . import karlin_sim as ksim
 from . import limit_sim as lsim
 from .choquet_oracle import ChoquetQuery, joint_cdf, tail_dependence
-from .distributions import HeavyTailSpec
 from .interval_sets import IntervalSet
-from .karlin_sim import FrequencyModel, replica_rng
+from .karlin_sim import replica_rng
 from .verify import MAX_REPLICAS, SuiteConfig, SUITES, run_suite
 
 __all__ = ["main"]
@@ -114,9 +113,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_simulate(args) -> int:
     seed = _resolve_seed(args.seed)
-    model = FrequencyModel(beta=args.beta)
-    spec = HeavyTailSpec(alpha=args.alpha)
-    run = ksim.simulate(model, spec, args.n, seed)
+    ksim.b_n(args.alpha, args.beta, args.n)  # every output prints b_n: fail before drawing
+    run = ksim.simulate(args.alpha, args.beta, args.n, seed)
     if args.format == "csv":
         _write_out(ksim.top_m_csv(ksim.top_m(run, args.top_m)), args.out)
     else:

@@ -6,7 +6,8 @@ pmf and tail of the block-size law with parameter ``beta`` (an N-valued law
 with infinite mean whose tail decays like ``k**-beta``).  A run counts zeta
 draws up to a label L by one multinomial (:func:`_zeta_head`, cut from the
 table :func:`_zeta_pmf`) and draws the rest from Y | Y > L by rejection
-(:func:`_zeta_tail`, which also defines the label keys).
+(:func:`_zeta_tail`, which also defines the label keys).  Indices are plain
+floats: ``alpha`` (marks, Frechet), ``beta`` (block sizes), s = 1/beta (zeta).
 All samplers are pure given an explicit ``numpy.random.Generator`` handle;
 parallel callers must use distinct generators.
 """
@@ -14,14 +15,11 @@ parallel callers must use distinct generators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
-    "HeavyTailSpec",
-    "FrechetLaw",
     "pareto_sample_batch",
     "frechet_cdf",
     "qbeta_pmf",
@@ -31,39 +29,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HeavyTailSpec:
-    """Pareto mark law: P(mark > y) = y**-alpha for y >= 1."""
-
-    alpha: float
-
-    def __post_init__(self):
-        _check_alpha(self.alpha)
+def pareto_sample_batch(rng: np.random.Generator, alpha: float, size: int) -> np.ndarray:
+    """``size`` Pareto marks, P(mark > y) = y**-alpha for y >= 1: u**(-1/alpha) for tail
+    probabilities u uniform on (0, 1]."""
+    return (1.0 - rng.random(size)) ** (-1.0 / alpha)
 
 
-@dataclass(frozen=True)
-class FrechetLaw:
-    """alpha-Frechet distribution, CDF z -> exp(-sigma * z**-alpha)."""
-
-    alpha: float
-    sigma: float = 1.0
-
-    def __post_init__(self):
-        _check_alpha(self.alpha)
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-
-
-def pareto_sample_batch(rng: np.random.Generator, spec: HeavyTailSpec, size: int) -> np.ndarray:
-    """``size`` marks u**(-1/alpha) for tail probabilities u uniform on (0, 1]."""
-    return (1.0 - rng.random(size)) ** (-1.0 / spec.alpha)
-
-
-def frechet_cdf(z, law: FrechetLaw):
-    """CDF of the alpha-Frechet law; returns 0 for z <= 0 by convention."""
+def frechet_cdf(z, alpha: float, sigma: float = 1.0):
+    """CDF of the alpha-Frechet law of scale sigma, z -> exp(-sigma * z**-alpha); 0 for z <= 0 by
+    convention."""
+    _check_alpha(alpha)
+    if not sigma > 0:
+        raise ValueError(f"sigma must be positive, got {sigma}")
     z = np.asarray(z, dtype=float)
     with np.errstate(divide="ignore"):
-        out = np.where(z > 0, np.exp(-law.sigma * np.maximum(z, 0.0) ** -law.alpha), 0.0)
+        out = np.where(z > 0, np.exp(-sigma * np.maximum(z, 0.0) ** -alpha), 0.0)
     return out if out.ndim else float(out)
 
 

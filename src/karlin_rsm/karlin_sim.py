@@ -1,8 +1,10 @@
 """Heavy-tailed infinite-urn simulation, drawn many runs at a time.
 
-Boxes are drawn with regularly varying zeta frequencies, each occupied box
-carries one heavy-tailed mark, and the observed process is the mark of the
-drawn box.  The module exposes the occupancy statistics, the top order
+Boxes are drawn with zeta frequencies p_ell = ell**-s / zeta(s), s = 1/beta,
+each occupied box carries one Pareto mark of index alpha (both plain floats),
+and the observed process is the mark of the drawn box.  The module exposes
+exact finite-n means (:func:`nu_count`, :func:`mean_occupancy`,
+:func:`mean_pattern_counts`), the occupancy statistics, the top order
 statistics with their location sets, the empirical sup-measure and its
 first-occurrence variant, and the table of occupancy-pattern counts.
 
@@ -37,7 +39,7 @@ import numpy as np
 
 from .distributions import (
     ZETA_TABLE_SIZE,
-    HeavyTailSpec,
+    _check_alpha,
     _check_beta,
     _zeta_head,
     _zeta_tail,
@@ -47,11 +49,13 @@ from .distributions import (
 from .interval_sets import IntervalSet, atomize, moebius, normalize, union_measures
 
 __all__ = [
-    "FrequencyModel",
     "UrnBatch",
     "SimRun",
     "TopOrderStat",
     "ResourceError",
+    "nu_count",
+    "mean_occupancy",
+    "mean_pattern_counts",
     "b_n",
     "simulate_batch",
     "simulate",
@@ -95,86 +99,77 @@ def replica_rng(seed: int, replica: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, replica, 0]))
 
 
-@dataclass(frozen=True)
-class FrequencyModel:
-    """Box frequencies p_ell = ell**-s / zeta(s) with s = 1/beta.
+def nu_count(beta: float, x: float) -> int:
+    """Exact #{ell : 1/p_ell <= x}, that is floor((x / zeta(s)) ** beta) = x**beta * L(x) with L
+    converging to zeta(s)**-beta; floating candidates are re-checked."""
+    _check_beta(beta)
+    s, norm = 1.0 / beta, riemann_zeta(1.0 / beta)
+    if not x > 0:
+        raise ValueError(f"nu_count requires x > 0, got {x}")
+    cand = int((x / norm) ** beta)
+    while (cand + 1) ** s * norm <= x:
+        cand += 1
+    while cand >= 1 and cand ** s * norm > x:
+        cand -= 1
+    return cand
 
-    The counting function nu((0, x]) = #{ell : 1/p_ell <= x} equals
-    floor((x / zeta(s)) ** beta), i.e. x**beta * L(x) with L converging to
-    zeta(s)**-beta.
+
+def mean_occupancy(beta: float, n: int) -> float:
+    """E K_n = sum over ell of 1 - (1 - p_ell)**n: directly up to H with n p_H < 1/2, then the
+    integral of 1 - exp(-n p_x) from H + 1/2 (midpoint rule) as a series in n p_(H + 1/2)."""
+    _check_beta(beta)
+    s, norm = 1.0 / beta, riemann_zeta(1.0 / beta)
+    if n == 0:
+        return 0.0
+    c = n / norm
+    head = max(int((2.0 * c) ** beta) + 1, 2 ** 12)
+    p = np.arange(1.0, head + 1.0) ** -s / norm
+    a = head + 0.5
+    t = c * a ** -s
+    series = sum((-t) ** k / (math.factorial(k) * (k - beta)) for k in range(1, 25))
+    with np.errstate(divide="ignore"):  # p_1 rounds to 1 below beta of about 0.02: log1p(-1) = -inf
+        return float(-np.expm1(n * np.log1p(-p)).sum()) - beta * a * series
+
+
+def mean_pattern_counts(beta: float, n: int, family) -> np.ndarray:
+    """(2**len(family),) means of the pattern table (:func:`pattern_count_table`) of runs of n draws.
+
+    A box's hits in disjoint sets of positions are independent, so E K_m,
+    m the positions in a union of the sets, is a functional of unions, and
+    entry S > 0 is its Moebius inversion: the sum over T in S of
+    (-1)**(|T|+1) E K_m, m the positions in the sets of T and outside S.
+    Entry 0 is E K_n less E K_m of the whole union.
     """
-
-    beta: float
-
-    def __post_init__(self):
-        _check_beta(self.beta)
-
-    @property
-    def s(self) -> float:
-        return 1.0 / self.beta
-
-    @cached_property
-    def zeta_norm(self) -> float:
-        return riemann_zeta(self.s)
-
-    def nu_count(self, x: float) -> int:
-        """Exact #{ell : 1/p_ell <= x}; floating candidates are re-checked."""
-        if not x > 0:
-            raise ValueError(f"nu_count requires x > 0, got {x}")
-        cand = int((x / self.zeta_norm) ** self.beta)
-        while (cand + 1) ** self.s * self.zeta_norm <= x:
-            cand += 1
-        while cand >= 1 and cand ** self.s * self.zeta_norm > x:
-            cand -= 1
-        return cand
-
-    def mean_occupancy(self, n: int) -> float:
-        """E K_n = sum over ell of 1 - (1 - p_ell)**n: directly up to H with n p_H < 1/2, then the
-        integral of 1 - exp(-n p_x) from H + 1/2 (midpoint rule) as a series in n p_(H + 1/2)."""
-        if n == 0:
-            return 0.0
-        c = n / self.zeta_norm
-        head = max(int((2.0 * c) ** self.beta) + 1, 2 ** 12)
-        p = np.arange(1.0, head + 1.0) ** -self.s / self.zeta_norm
-        a = head + 0.5
-        t = c * a ** -self.s
-        series = sum((-t) ** k / (math.factorial(k) * (k - self.beta)) for k in range(1, 25))
-        return float(-np.expm1(n * np.log1p(-p)).sum()) - self.beta * a * series
-
-    def mean_pattern_counts(self, n: int, family) -> np.ndarray:
-        """(2**len(family),) means of the pattern table (:func:`pattern_count_table`) of runs of n draws.
-
-        A box's hits in disjoint sets of positions are independent, so E K_m,
-        m the positions in a union of the sets, is a functional of unions, and
-        entry S > 0 is its Moebius inversion: the sum over T in S of
-        (-1)**(|T|+1) E K_m, m the positions in the sets of T and outside S.
-        Entry 0 is E K_n less E K_m of the whole union.
-        """
-        cells, owners = atomize([normalize(a.grid_ranges(n), (0, n)) for a in family])
-        positions = union_measures(cells, owners, len(family)).astype(np.int64)
-        sizes, index = np.unique(positions, return_inverse=True)
-        occupancy = np.array([self.mean_occupancy(int(m)) for m in sizes])[index]
-        means = moebius(occupancy)
-        means[0] = self.mean_occupancy(n) - occupancy[-1]
-        return means
+    cells, owners = atomize([normalize(a.grid_ranges(n), (0, n)) for a in family])
+    positions = union_measures(cells, owners, len(family)).astype(np.int64)
+    sizes, index = np.unique(positions, return_inverse=True)
+    occupancy = np.array([mean_occupancy(beta, int(m)) for m in sizes])[index]
+    means = moebius(occupancy)
+    means[0] = mean_occupancy(beta, n) - occupancy[-1]
+    return means
 
 
-def b_n(model: FrequencyModel, spec: HeavyTailSpec, n: int) -> float:
+def b_n(alpha: float, beta: float, n: int) -> float:
     """Normalization (gamma(1-beta) * nu((0, n]))**(1/alpha).
 
     Uses the exact counting function in place of its asymptote, which
-    reduces finite-n bias.  Below n = zeta(1/beta) no box has 1/p_ell <= n,
-    so nu is 0 and no normalisation exists.
+    reduces finite-n bias.  Raises ValueError below n = zeta(1/beta), where
+    no box has 1/p_ell <= n and nu is 0, and where alpha near 0 overflows it.
     """
+    _check_beta(beta)
+    _check_alpha(alpha)
     if n < 1:
         raise ValueError("n must be at least 1")
-    nu = model.nu_count(n)
+    nu = nu_count(beta, n)
     if nu == 0:
         raise ValueError(
-            f"n={n} is below zeta(1/beta)={model.zeta_norm:.6g}, where nu((0, n]) = 0 "
+            f"n={n} is below zeta(1/beta)={riemann_zeta(1.0 / beta):.6g}, where nu((0, n]) = 0 "
             "and the normalisation b_n is 0"
         )
-    return (math.gamma(1.0 - model.beta) * nu) ** (1.0 / spec.alpha)
+    try:
+        return (math.gamma(1.0 - beta) * nu) ** (1.0 / alpha)
+    except OverflowError:
+        raise ValueError(f"the normalisation b_n overflows at alpha={alpha} and n={n}") from None
 
 
 @dataclass(frozen=True)
@@ -208,8 +203,8 @@ class UrnBatch:
     queries read the batch.
     """
 
-    model: FrequencyModel
-    spec: HeavyTailSpec
+    alpha: float
+    beta: float
     n: int
     cuts: np.ndarray
     run: np.ndarray
@@ -233,8 +228,8 @@ class UrnBatch:
 
     @cached_property
     def b_n(self) -> float:
-        """The normalisation; raises ValueError below n = zeta(1/beta)."""
-        return b_n(self.model, self.spec, self.n)
+        """The normalisation; raises ValueError where :func:`b_n` does."""
+        return b_n(self.alpha, self.beta, self.n)
 
     def cells_of(self, r: int) -> np.ndarray:
         """(k_n[r], cells) ball counts of run r's boxes: the walked rows, and one ``_split`` of the others."""
@@ -356,26 +351,26 @@ def _walk(rng: np.random.Generator, counts: np.ndarray, top: np.ndarray, cuts: n
     return cells, room
 
 
-def _run_keys(model: FrequencyModel, n: int) -> float:
+def _run_keys(beta: float, n: int) -> float:
     """Keys a run of n draws expects to sort: its head labels and the balls beyond them."""
-    size = min(model.nu_count(n), ZETA_TABLE_SIZE)
-    return size + n * _zeta_head(model.s, size)[-1]
+    size = min(nu_count(beta, n), ZETA_TABLE_SIZE)
+    return size + n * _zeta_head(1.0 / beta, size)[-1]
 
 
-def chunk_runs(model: FrequencyModel, n: int) -> int:
+def chunk_runs(beta: float, n: int) -> int:
     """Runs that one stream draws as a batch: CHUNK, or fewer where they expect more than
     CHUNK_KEYS keys to sort."""
-    return int(max(1, min(CHUNK, CHUNK_KEYS // _run_keys(model, n))))
+    return int(max(1, min(CHUNK, CHUNK_KEYS // _run_keys(beta, n))))
 
 
-def threads_pay(model: FrequencyModel, n: int) -> bool:
+def threads_pay(beta: float, n: int) -> bool:
     """Whether chunks of runs of n draws gain from threads: THREAD_BREAK_EVEN keys per chunk expected."""
-    return chunk_runs(model, n) * _run_keys(model, n) >= THREAD_BREAK_EVEN
+    return chunk_runs(beta, n) * _run_keys(beta, n) >= THREAD_BREAK_EVEN
 
 
-def simulate_batch(model: FrequencyModel, spec: HeavyTailSpec, n: int, rng: np.random.Generator,
-                   runs: int, family=()) -> UrnBatch:
-    """``runs`` runs of the urn for n rounds, deterministic given (model, spec, n, the state of rng,
+def simulate_batch(alpha: float, beta: float, n: int, rng: np.random.Generator, runs: int,
+                   family=()) -> UrnBatch:
+    """``runs`` runs of the urn for n rounds, deterministic given (alpha, beta, n, the state of rng,
     runs, family).
 
     The stream gives, in this order: the multinomial counts of the labels
@@ -388,17 +383,19 @@ def simulate_batch(model: FrequencyModel, spec: HeavyTailSpec, n: int, rng: np.r
     do not depend on the family.  Queries may use only sets whose ranges are
     unions of these cells.
     """
+    _check_beta(beta)
+    _check_alpha(alpha)
     if n < 1:
         raise ValueError("n must be at least 1")
     if n > MAX_N:
         raise ResourceError(f"n={n} exceeds the allocation budget n <= {MAX_N}")
-    size = min(model.nu_count(n), ZETA_TABLE_SIZE)
-    head = rng.multinomial(n, _zeta_head(model.s, size), size=runs)
+    size = min(nu_count(beta, n), ZETA_TABLE_SIZE)
+    head = rng.multinomial(n, _zeta_head(1.0 / beta, size), size=runs)
     rest = head[:, -1]
     # the pooled rest keys, sorted within each run's row of a padded array
     within = np.arange(rest.max()) < rest[:, None]
     padded = np.full(within.shape, np.inf)
-    padded[within] = _zeta_tail(rng, model.s, int(rest.sum()), size)
+    padded[within] = _zeta_tail(rng, 1.0 / beta, int(rest.sum()), size)
     tail = np.sort(padded, axis=1)[within]
     tail_run = np.repeat(np.arange(runs), rest)
     new = np.ones(tail.size, dtype=bool)
@@ -409,19 +406,19 @@ def simulate_batch(model: FrequencyModel, spec: HeavyTailSpec, n: int, rng: np.r
     run = np.concatenate([run, tail_run[first]])
     order = np.argsort(run, kind="stable")  # each run's labels up to L, then its other keys
     run, keys, counts = run[order], np.concatenate([label + 1.0, tail[first]])[order], counts[order]
-    marks = pareto_sample_batch(rng, spec, keys.size)
+    marks = pareto_sample_batch(rng, alpha, keys.size)
     k_n = np.bincount(run, minlength=runs)
     top = _top(run, marks, k_n, np.cumsum(k_n) - k_n, WALK)
     cuts = _cuts(tuple(family), n)
     top_cells, room = _walk(rng, counts, top, cuts)
     streams = rng.integers(2 ** 64, size=(runs, 2), dtype=np.uint64)
-    return UrnBatch(model=model, spec=spec, n=n, cuts=cuts, run=run, keys=keys, counts=counts, marks=marks,
+    return UrnBatch(alpha=alpha, beta=beta, n=n, cuts=cuts, run=run, keys=keys, counts=counts, marks=marks,
                     k_n=k_n, top=top, top_cells=top_cells, room=room, streams=streams)
 
 
-def simulate(model: FrequencyModel, spec: HeavyTailSpec, n: int, seed: int, replica: int = 0) -> SimRun:
+def simulate(alpha: float, beta: float, n: int, seed: int, replica: int = 0) -> SimRun:
     """One run: the batch of one that :func:`simulate_batch` draws from ``replica_rng(seed, replica)``."""
-    return SimRun(simulate_batch(model, spec, n, replica_rng(seed, replica), 1), seed, replica)
+    return SimRun(simulate_batch(alpha, beta, n, replica_rng(seed, replica), 1), seed, replica)
 
 
 def _label_int(key: float) -> int:

@@ -28,8 +28,8 @@ in replica order, as one vectorised batch from the single stream
 another.  So no two parts share a stream, and reports are byte-identical
 for any ``threads`` setting.  The urn rows compare with exact finite-n
 means where one exists (``mean_kn_ratio`` and the pattern rows), and
-``mean_kn_ratio`` takes the larger of its constant and 99 % of its
-standard error, estimated from the replicas.
+each of them takes the larger of its constant and 99 % of its standard
+error, estimated from the replicas.
 Every confidence bound is at the 99 % level.
 """
 
@@ -50,9 +50,9 @@ import numpy as np
 from . import choquet_oracle as oracle
 from . import karlin_sim as ksim
 from . import limit_sim as lsim
-from .distributions import FrechetLaw, HeavyTailSpec, frechet_cdf, qbeta_pmf, qbeta_tail
+from .distributions import frechet_cdf, qbeta_pmf, qbeta_tail
 from .interval_sets import UNIT, IntervalSet, normalize
-from .karlin_sim import FrequencyModel, replica_rng
+from .karlin_sim import replica_rng
 
 __all__ = [
     "SuiteConfig",
@@ -81,7 +81,7 @@ DEFAULT_THRESHOLDS = {
     "ks_marginal_other": 0.30,  # sanity bound at smaller grid points
     "ks_star": 0.07,            # KS bound for the discrete first-occurrence variant (see _frechet_row)
     "occupancy_rel": 0.02,      # relative error of mean K_n / nu(n) (see _mean_row)
-    "pattern_rel": 0.05,        # relative error of pattern counts from their exact means
+    "pattern_rel": 0.05,        # relative error of pattern counts from their exact means (see _mean_row)
     "median_rel": 0.02,         # relative error of extremal-process medians (see _median_gate)
     "binom_se_mult": 3.0,       # +-k*SE window for binomial comparisons
 }
@@ -169,9 +169,8 @@ class SuiteConfig:
             raise ValueError(f"n grid {self.n_grid} repeats a point")
         if len(self.n_grid) > 1 and self.suite != "marginal":
             raise ValueError(f"the {self.suite} suite takes one n, got the grid {self.n_grid}")
-        model, spec = FrequencyModel(beta=self.beta), HeavyTailSpec(alpha=self.alpha)
-        for n in self.n_grid:  # every suite, so a bad n exits before any part runs
-            ksim.b_n(model, spec, n)
+        for n in self.n_grid:  # every suite, so a bad n, alpha or beta exits before any part runs
+            ksim.b_n(self.alpha, self.beta, n)
             if n > ksim.MAX_N:
                 raise ksim.ResourceError(f"n={n} exceeds the allocation budget n <= {ksim.MAX_N}")
         if self.threads < 1:
@@ -321,17 +320,16 @@ def _urn_map(cfg: SuiteConfig, part: str, sets, fn, n=None, index=0, count=None)
     """
     n = max(cfg.n_grid) if n is None else n
     count = cfg.replicas if count is None else count
-    model, spec = FrequencyModel(beta=cfg.beta), HeavyTailSpec(alpha=cfg.alpha)
-    size = ksim.chunk_runs(model, n)
+    size = ksim.chunk_runs(cfg.beta, n)
     offset = _offset(cfg, part, index)
 
     def chunk(c):
         runs = min(size, count - c * size)
-        return fn(ksim.simulate_batch(model, spec, n, replica_rng(cfg.seed, offset + c), runs, sets))
+        return fn(ksim.simulate_batch(cfg.alpha, cfg.beta, n, replica_rng(cfg.seed, offset + c), runs, sets))
 
     chunks = range(-(-count // size))
     workers = min(cfg.threads, os.cpu_count() or 1, len(chunks))
-    if workers <= 1 or not ksim.threads_pay(model, n):
+    if workers <= 1 or not ksim.threads_pay(cfg.beta, n):
         return [chunk(c) for c in chunks]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(chunk, chunks))
@@ -362,10 +360,11 @@ def _rel_row(cfg, check, estimate, target, rel, n=0, replicas=0) -> CheckRow:
     return _row(cfg, check, estimate, target, tol, abs(estimate - target) <= tol, n, replicas)
 
 
-def _mean_row(cfg, check, values, target, rel, n=0) -> CheckRow:
+def _mean_row(cfg, check, values, target, rel, n=0, estimate=None) -> CheckRow:
     """Mean of the values against target, gated at the relative ``rel``, or at 99 % of the mean's
-    standard error estimated from the values' spread where that is larger."""
-    est = float(np.mean(values))
+    standard error estimated from the values' spread where that is larger.  A caller that has
+    summed the mean in another order passes it as ``estimate``."""
+    est = float(np.mean(values) if estimate is None else estimate)
     tol = max(rel * abs(target), _NORMAL_QUANTILE * float(np.std(values, ddof=1)) / math.sqrt(len(values)))
     return _row(cfg, check, est, target, tol, abs(est - target) <= tol, n, len(values))
 
@@ -380,8 +379,7 @@ def _median_gate(alpha: float, replicas: int) -> float:
 def _frechet_row(cfg, check, values, sigma, crit=None, n=0) -> CheckRow:
     """KS distance of the values from the Frechet law of scale sigma, gated at the 99 % critical
     value at their count, or at crit where that is larger."""
-    law = FrechetLaw(cfg.alpha, sigma)
-    stat = ks_statistic(np.sort(values), lambda z: frechet_cdf(z, law))
+    stat = ks_statistic(np.sort(values), lambda z: frechet_cdf(z, cfg.alpha, sigma))
     crit = ks_critical(len(values)) if crit is None else max(crit, ks_critical(len(values)))
     return _row(cfg, check, stat, 0.0, crit, stat <= crit, n, len(values))
 
@@ -472,8 +470,7 @@ def suite_occupancy(cfg: SuiteConfig) -> list:
     against the block-size pmf for k <= 10 by chi-square.
     """
     n = max(cfg.n_grid)
-    model = FrequencyModel(beta=cfg.beta)
-    nu = model.nu_count(n)
+    nu = ksim.nu_count(cfg.beta, n)
     kmax = 10
 
     def one(batch):
@@ -485,7 +482,7 @@ def suite_occupancy(cfg: SuiteConfig) -> list:
     pooled = np.sum([c for _, c in results], axis=0).astype(float)
     total = float(k_n.sum())
 
-    rows = [_mean_row(cfg, "mean_kn_ratio", k_n / nu, model.mean_occupancy(n) / nu,
+    rows = [_mean_row(cfg, "mean_kn_ratio", k_n / nu, ksim.mean_occupancy(cfg.beta, n) / nu,
                       DEFAULT_THRESHOLDS["occupancy_rel"], n=n)]
     for k in (1, 2):
         rows.append(_binom_row(cfg, f"block_freq_{k}", int(pooled[k - 1]), int(total),
@@ -503,30 +500,29 @@ def suite_patterns(cfg: SuiteConfig) -> list:
     """Occupancy-pattern counts against their exact finite-n means, which tend to the closed-form
     limits (``choquet_oracle.pattern_limit``) as n grows."""
     n = max(cfg.n_grid)
-    model = FrequencyModel(beta=cfg.beta)
-    nu = model.nu_count(n)
+    nu = ksim.nu_count(cfg.beta, n)
     family = cfg.family
     d = len(family)
-    deltas = [tuple(int(b) for b in format(mask, f"0{d}b")) for mask in range(1, 1 << d)]
-    entries = [sum(b << k for k, b in enumerate(delta)) for delta in deltas]  # in the pattern table
+    names = [format(mask, f"0{d}b") for mask in range(1, 1 << d)]  # digit k from the left: set k hit
+    entries = [int(name[::-1], 2) for name in names]  # in the pattern table, bit k for set k
     single = (normalize([(0.0, 0.5)]),)
 
     def one(batch):
         return np.column_stack([ksim.pattern_count_table(batch, family)[:, entries],
                                 ksim.pattern_count_table(batch, single)[:, 1]]) / nu
 
-    means = np.concatenate(_urn_map(cfg, "urn", family + single, one)).mean(axis=0)
+    values = np.concatenate(_urn_map(cfg, "urn", family + single, one))
+    means = values.mean(axis=0)
     rel = DEFAULT_THRESHOLDS["pattern_rel"]
 
-    targets = model.mean_pattern_counts(n, family) / nu
-    half = model.mean_pattern_counts(n, single)[1] / nu
-    rows = [_rel_row(cfg, "tau_half_interval", float(means[-1]), half, rel, n=n, replicas=cfg.replicas)]
-    for j, (delta, entry) in enumerate(zip(deltas, entries)):
-        name = "tau_" + "".join(str(b) for b in delta)
-        rows.append(_rel_row(cfg, name, float(means[j]), targets[entry], rel, n=n, replicas=cfg.replicas))
-    in_union = model.mean_pattern_counts(n, (reduce(IntervalSet.union, family),))[1] / nu
-    rows.append(_rel_row(cfg, "tau_partition_sum", float(means[: len(deltas)].sum()), in_union, rel, n=n,
-                         replicas=cfg.replicas))
+    targets = ksim.mean_pattern_counts(cfg.beta, n, family) / nu
+    half = ksim.mean_pattern_counts(cfg.beta, n, single)[1] / nu
+    rows = [_mean_row(cfg, "tau_half_interval", values[:, -1], half, rel, n, means[-1])]
+    for j, (name, entry) in enumerate(zip(names, entries)):
+        rows.append(_mean_row(cfg, f"tau_{name}", values[:, j], targets[entry], rel, n, means[j]))
+    in_union = ksim.mean_pattern_counts(cfg.beta, n, (reduce(IntervalSet.union, family),))[1] / nu
+    rows.append(_mean_row(cfg, "tau_partition_sum", values[:, :len(names)].sum(axis=1), in_union, rel, n,
+                          means[:len(names)].sum()))
     return rows
 
 

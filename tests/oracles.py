@@ -33,15 +33,15 @@ def zeta_series(s: float, terms: int = 10 ** 6) -> float:
     return float(np.sum(ell ** -s)) + _power_tail(s, terms + 1.0)
 
 
-def reference_urn(model, spec, n: int, seed: int, replica: int = 0):
+def reference_urn(alpha: float, beta: float, n: int, seed: int, replica: int = 0):
     """The urn drawn one label per step: the n zeta labels from :func:`zeta_devroye`,
     then one mark per occupied box in label order.  Returns the draws and the
     mark of every step; a label beyond float range would merge boxes, so it fails."""
     rng = replica_rng(seed, replica)
-    draws = zeta_devroye(rng, model.s, n)
+    draws = zeta_devroye(rng, 1.0 / beta, n)
     assert np.all(np.isfinite(draws)), "a zeta label beyond float range"
     labels, inverse = np.unique(draws, return_inverse=True)
-    return draws, pareto_sample_batch(rng, spec, len(labels))[inverse]
+    return draws, pareto_sample_batch(rng, alpha, len(labels))[inverse]
 
 
 def expected_boxes(beta: float, hit: int, miss: int, head: int = 2 ** 22) -> float:

@@ -3,10 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from karlin_rsm.choquet_oracle import (
     ChoquetQuery,
-    PatternQuery,
     joint_cdf,
     mstar_theta,
     pattern_limit,
@@ -14,8 +15,9 @@ from karlin_rsm.choquet_oracle import (
     tau_z,
     theta,
 )
-from karlin_rsm.distributions import FrechetLaw, frechet_cdf
+from karlin_rsm.distributions import frechet_cdf
 from karlin_rsm.interval_sets import IntervalSet, normalize
+from karlin_rsm.limit_sim import pattern_rates
 
 from oracles import exponent_by_quadrature
 
@@ -109,8 +111,7 @@ class TestJointCdf:
             z = float(rng.uniform(0.3, 4.0))
             alpha, beta = float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.1, 0.9))
             q = query([(normalize([(lo, lo + w)]), z)], alpha=alpha, beta=beta)
-            law = FrechetLaw(alpha, w ** beta)
-            assert joint_cdf(q) == pytest.approx(frechet_cdf(z, law), rel=1e-13)
+            assert joint_cdf(q) == pytest.approx(frechet_cdf(z, alpha, w ** beta), rel=1e-13)
 
     def test_max_stability(self):
         # scaling every threshold by c raises the joint law to c**-alpha
@@ -155,8 +156,7 @@ class TestExtremalProcess:
     def test_marginal_is_frechet_scale_t_beta(self):
         for t in (0.25, 1.0, 4.0):
             for z in (0.5, 1.0, 2.0):
-                law = FrechetLaw(1.0, t ** 0.5)
-                assert self.cdf([t], [z]) == pytest.approx(frechet_cdf(z, law))
+                assert self.cdf([t], [z]) == pytest.approx(frechet_cdf(z, 1.0, t ** 0.5))
 
 
 class TestTauZ:
@@ -180,19 +180,20 @@ class TestTauZ:
 
 class TestPatternLimits:
     def test_single_set(self):
-        q = PatternQuery(family=(normalize([(0.0, 0.5)]),), delta=(1,))
-        assert pattern_limit(q, 0.5) == pytest.approx(math.gamma(0.5) * 0.5 ** 0.5, rel=1e-13)
+        # entry 0 holds the boxes outside [0, 1/2), entry 1 those inside
+        table = pattern_limit(0.5, (normalize([(0.0, 0.5)]),))
+        half = math.gamma(0.5) * 0.5 ** 0.5
+        assert table.tolist() == pytest.approx([math.gamma(0.5) - half, half], rel=1e-13)
 
     def test_two_disjoint_joint_pattern(self):
+        # entry S counts the boxes hit in exactly the sets of S: bit 0 for [0, 1/2), bit 1 for [1/2, 1)
         fam = (normalize([(0.0, 0.5)]), normalize([(0.5, 1.0)]))
-        q = PatternQuery(family=fam, delta=(1, 1))
-        target = math.gamma(0.5) * (0.5 ** 0.5 + 0.5 ** 0.5 - 1.0)
-        assert pattern_limit(q, 0.5) == pytest.approx(target, rel=1e-12)
+        g, half = math.gamma(0.5), 0.5 ** 0.5
+        target = [0.0, g * (1.0 - half), g * (1.0 - half), g * (2.0 * half - 1.0)]
+        assert pattern_limit(0.5, fam).tolist() == pytest.approx(target, rel=1e-12, abs=1e-15)
 
     def test_partition_telescopes(self):
         rng = np.random.default_rng(6)
-        import itertools
-
         for _ in range(40):
             d = int(rng.integers(1, 4))
             fam = []
@@ -200,24 +201,38 @@ class TestPatternLimits:
                 pts = np.sort(rng.random(4))
                 fam.append(normalize([(pts[0], pts[1]), (pts[2], pts[3])]))
             beta = float(rng.uniform(0.05, 0.95))
-            total = 0.0
-            for delta in itertools.product([0, 1], repeat=d):
-                if not any(delta):
-                    continue
-                val = pattern_limit(PatternQuery(family=tuple(fam), delta=delta), beta)
-                assert val >= -1e-10
-                total += val
+            table = pattern_limit(beta, tuple(fam))
+            assert table.shape == (2 ** d,) and np.all(table >= -1e-10)
             union_all = fam[0]
             for s in fam[1:]:
                 union_all = union_all.union(s)
             target = math.gamma(1 - beta) * theta(union_all, beta)
-            assert abs(total - target) <= 1e-10
+            assert abs(table[1:].sum() - target) <= 1e-10
+            assert abs(table.sum() - math.gamma(1 - beta)) <= 1e-10  # every box of the carrier
 
     def test_validation(self):
         fam = (normalize([(0.0, 0.5)]),)
-        for delta in ((0,), (1, 0), (2,)):
-            with pytest.raises(ValueError, match="delta"):
-                PatternQuery(family=fam, delta=delta)
+        for beta in (0.0, 1.0, math.nan):
+            with pytest.raises(ValueError, match="beta"):
+                pattern_limit(beta, fam)
+        with pytest.raises(ValueError, match="carrier"):
+            pattern_limit(0.5, (fam[0], IntervalSet(((0.0, 1.0),), (0.0, 2.0))))
+
+    @given(st.lists(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=1, max_size=3),
+                    min_size=1, max_size=4),
+           st.floats(0.05, 0.95))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_limit_samplers_rates(self, raw, beta):
+        # the oracle's own float subset sums against limit_sim's exact Moebius inversion of the
+        # union measures: they share no code, and agree entry by entry, the idle entry 0 included,
+        # to 1e-12 of the table's total gamma(1 - beta) (an empty pattern's sum may cancel to
+        # +-1e-17 where the exact inversion gives 0)
+        fam = tuple(normalize([(min(a, b), max(a, b)) for a, b in pairs if a != b] or [(0.0, 0.5)])
+                    for pairs in raw)
+        got = pattern_limit(beta, fam)
+        want = math.gamma(1.0 - beta) * pattern_rates(beta, fam)
+        assert got.shape == want.shape == (2 ** len(fam),)
+        assert np.abs(got - want).max() <= 1e-12 * math.gamma(1.0 - beta), (got, want)
 
 
 class TestVariantFunctional:

@@ -165,6 +165,19 @@ class TestUsageErrors:
             _exits_two(capsys, ["verify", "--suite", suite, "--beta", beta, "--n", n, "--replicas", replicas,
                                 "--seed", "1", "--threads", "1"], "n=20000000 exceeds the allocation budget")
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--beta", "0.5", "--alpha", "0.005", "--n", "100000", "--seed", "1"],
+        ["verify", "--suite", "limit-vs-oracle", "--alpha", "0.005", "--beta", "0.5", "--replicas", "100",
+         "--seed", "1"],
+    ])
+    def test_normalisation_overflow_exits_two(self, argv):
+        # b_n = (gamma(1/2) nu(1e5))**(1/alpha) overflows below alpha of about 0.0086: the error line is
+        # all of stderr, with no warning or traceback, because it is raised before any run is drawn
+        res = run_cli(*argv)
+        assert res.returncode == 2
+        assert res.stderr == "error: the normalisation b_n overflows at alpha=0.005 and n=100000\n"
+        assert res.stdout == ""
+
     def test_n_grid_only_for_marginal(self, capsys):
         # the other suites read one n; a grid would silently lose its points
         assert cli.main(["verify", "--suite", "occupancy", "--beta", "0.5", "--n", "1000,10000",

@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 
 from karlin_rsm.distributions import (
     ZETA_TABLE_SIZE,
-    FrechetLaw,
-    HeavyTailSpec,
     _zeta_pmf,
     _zeta_tail,
     frechet_cdf,
@@ -19,7 +17,7 @@ from karlin_rsm.distributions import (
     qbeta_tail,
     riemann_zeta,
 )
-from karlin_rsm.karlin_sim import FrequencyModel, replica_rng, simulate, simulate_batch, top_m, top_m_csv
+from karlin_rsm.karlin_sim import replica_rng, simulate, simulate_batch, top_m, top_m_csv
 
 from oracles import qbeta_from_uniform, qbeta_sample, zeta_devroye, zeta_series
 
@@ -27,58 +25,49 @@ from oracles import qbeta_from_uniform, qbeta_sample, zeta_devroye, zeta_series
 class TestPareto:
     def test_inverse_cdf_points(self):
         # a uniform u gives the mark with tail probability 1 - u: P(mark > 2) = 0.5 at alpha 1, 0.25 at alpha 2
-        assert pareto_sample_batch(_Stub(0.5), HeavyTailSpec(alpha=1.0), 1) == pytest.approx([2.0])
-        assert pareto_sample_batch(_Stub(0.75), HeavyTailSpec(alpha=2.0), 1) == pytest.approx([2.0])
+        assert pareto_sample_batch(_Stub(0.5), 1.0, 1) == pytest.approx([2.0])
+        assert pareto_sample_batch(_Stub(0.75), 2.0, 1) == pytest.approx([2.0])
 
     def test_support(self):
         rng = np.random.default_rng(0)
-        xs = pareto_sample_batch(rng, HeavyTailSpec(alpha=0.7), 10 ** 4)
+        xs = pareto_sample_batch(rng, 0.7, 10 ** 4)
         assert np.all(xs >= 1.0)
 
     def test_empirical_tail(self):
         # P(mark > 10) = 0.1 at alpha = 1
         rng = np.random.default_rng(1)
-        xs = pareto_sample_batch(rng, HeavyTailSpec(alpha=1.0), 10 ** 6)
+        xs = pareto_sample_batch(rng, 1.0, 10 ** 6)
         phat = np.mean(xs > 10.0)
         assert abs(phat - 0.1) <= 3.0 * math.sqrt(0.09 / 10 ** 6)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            HeavyTailSpec(alpha=0.0)
-        with pytest.raises(ValueError):
-            HeavyTailSpec(alpha=-1.0)
-        with pytest.raises(ValueError):
-            HeavyTailSpec(alpha=math.inf)
 
 
 class TestFrechet:
     def test_cdf_values(self):
-        law = FrechetLaw(1.0, 1.0)
-        assert frechet_cdf(1.0, law) == pytest.approx(math.exp(-1.0), rel=1e-14)
-        assert frechet_cdf(1e12, law) == pytest.approx(1.0, abs=1e-10)
-        assert frechet_cdf(0.0, law) == 0.0
-        assert frechet_cdf(-3.0, law) == 0.0
+        assert frechet_cdf(1.0, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-14)
+        assert frechet_cdf(1e12, 1.0, 1.0) == pytest.approx(1.0, abs=1e-10)
+        assert frechet_cdf(0.0, 1.0) == 0.0
+        assert frechet_cdf(-3.0, 1.0) == 0.0
 
     def test_median(self):
-        assert frechet_cdf(1.0 / math.log(2.0), FrechetLaw(1.0, 1.0)) == pytest.approx(0.5, rel=1e-13)
+        assert frechet_cdf(1.0 / math.log(2.0), 1.0, 1.0) == pytest.approx(0.5, rel=1e-13)
 
     def test_validation(self):
-        for alpha, sigma in ((0.0, 1.0), (math.inf, 1.0), (1.0, 0.0)):
-            with pytest.raises(ValueError):
-                FrechetLaw(alpha, sigma)
+        for alpha, sigma, what in ((0.0, 1.0, "alpha"), (-1.0, 1.0, "alpha"), (math.inf, 1.0, "alpha"),
+                                   (math.nan, 1.0, "alpha"), (1.0, 0.0, "sigma"), (1.0, math.nan, "sigma")):
+            with pytest.raises(ValueError, match=what):
+                frechet_cdf(1.0, alpha, sigma)
 
     def test_round_trip(self):
         # the closed-form quantile (sigma / -log p)**(1/alpha) inverts the CDF
-        law = FrechetLaw(1.7, 0.4)
+        alpha, sigma = 1.7, 0.4
         for z in np.linspace(0.05, 20.0, 117):
-            p = frechet_cdf(z, law)
-            assert abs(z - (law.sigma / -math.log(p)) ** (1.0 / law.alpha)) <= 1e-12 * max(1.0, z)
+            p = frechet_cdf(z, alpha, sigma)
+            assert abs(z - (sigma / -math.log(p)) ** (1.0 / alpha)) <= 1e-12 * max(1.0, z)
 
     @given(st.floats(min_value=0.2, max_value=3.0), st.floats(min_value=0.1, max_value=5.0))
     def test_cdf_monotone(self, alpha, sigma):
-        law = FrechetLaw(alpha, sigma)
         zs = np.linspace(0.01, 50.0, 100)
-        cds = frechet_cdf(zs, law)
+        cds = frechet_cdf(zs, alpha, sigma)
         assert np.all(np.diff(cds) >= 0)
 
 
@@ -215,7 +204,7 @@ class TestZetaDraws:
 
         s, n, runs, kmax = 2.0, 10 ** 4, 100, 50
         observed = np.zeros(kmax)
-        batch = simulate_batch(FrequencyModel(1.0 / s), HeavyTailSpec(alpha=1.0), n, replica_rng(13), runs)
+        batch = simulate_batch(1.0, 1.0 / s, n, replica_rng(13), runs)
         head = batch.keys <= kmax
         np.add.at(observed, batch.keys[head].astype(int) - 1, batch.counts[head])
         total = n * runs
@@ -286,8 +275,7 @@ class TestZetaDraws:
 
     def test_huge_labels_fixed_width_keys(self):
         # s = 1.001 puts about half the labels beyond float range, as log-keys
-        model = FrequencyModel(1.0 / 1.001)
-        run = simulate(model, HeavyTailSpec(alpha=1.0), 10 ** 4, seed=17)
+        run = simulate(1.0, 1.0 / 1.001, 10 ** 4, seed=17)
         keys = run.draws
         assert keys.dtype == np.float64 and np.all(np.isfinite(keys))
         assert np.any(keys < -1024) and np.all((keys >= 1) | (keys < -1024))

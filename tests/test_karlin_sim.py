@@ -9,13 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from karlin_rsm import karlin_sim
-from karlin_rsm.choquet_oracle import PatternQuery, pattern_limit
+from karlin_rsm.choquet_oracle import pattern_limit
 from karlin_rsm.distributions import (
     ZETA_TABLE_SIZE,
-    HeavyTailSpec,
     _zeta_head,
     _zeta_tail,
     pareto_sample_batch,
+    riemann_zeta,
 )
 from karlin_rsm.interval_sets import normalize
 from karlin_rsm.karlin_sim import (
@@ -23,11 +23,13 @@ from karlin_rsm.karlin_sim import (
     MAX_N,
     THREAD_BREAK_EVEN,
     WALK,
-    FrequencyModel,
     ResourceError,
     b_n,
     chunk_runs,
     empirical_sup,
+    mean_occupancy,
+    mean_pattern_counts,
+    nu_count,
     occupancy_histogram,
     occupancy_json,
     pattern_count_table,
@@ -46,17 +48,16 @@ from karlin_rsm.verify import two_sample_ks, two_sample_ks_critical
 
 from oracles import expected_boxes, reference_urn, zeta_series
 
-MODEL = FrequencyModel(beta=0.5)
-SPEC = HeavyTailSpec(alpha=1.0)
+ALPHA, BETA = 1.0, 0.5
 QUARTER = normalize([(0.0, 0.25)])
 UNIT = normalize([(0.0, 1.0)])
 FAMILY = (QUARTER, normalize([(0.5, 0.75)]))
 
 
-def batches(model, n, reps, seed, family=()):
+def batches(beta, n, reps, seed, family=()):
     """``reps`` runs as the suites draw them: batches of ``chunk_runs`` runs, batch c from stream c."""
-    size = chunk_runs(model, n)
-    return [simulate_batch(model, SPEC, n, replica_rng(seed, c), min(size, reps - c * size), family)
+    size = chunk_runs(beta, n)
+    return [simulate_batch(ALPHA, beta, n, replica_rng(seed, c), min(size, reps - c * size), family)
             for c in range(-(-reps // size))]
 
 
@@ -75,65 +76,78 @@ def step_marks(batch, r):
 
 
 class TestFrequencyModel:
+    """The box frequencies p_ell = ell**-s / zeta(s), s = 1/beta, and what they fix: nu, b_n, the chunks."""
+
     def test_zeta_norm_against_series(self):
         for beta in (0.3, 0.5, 0.8):
-            m = FrequencyModel(beta=beta)
-            assert m.zeta_norm == pytest.approx(zeta_series(1.0 / beta), abs=1e-12)
+            assert riemann_zeta(1.0 / beta) == pytest.approx(zeta_series(1.0 / beta), abs=1e-12)
 
     def test_probabilities_decrease_and_sum(self):
-        m = FrequencyModel(beta=0.4)
-        ps = [ell ** -m.s / m.zeta_norm for ell in range(1, 2000)]
+        s = 1.0 / 0.4
+        norm = riemann_zeta(s)
+        ps = [ell ** -s / norm for ell in range(1, 2000)]
         assert all(a > b for a, b in zip(ps, ps[1:]))
         # truncated sum plus integral bracket covers 1
-        assert sum(ps) < 1.0 < sum(ps) + 2000 ** (1 - m.s) / (m.s - 1) / m.zeta_norm + 1e-6
+        assert sum(ps) < 1.0 < sum(ps) + 2000 ** (1 - s) / (s - 1) / norm + 1e-6
 
     def test_nu_count_values(self):
         # floor((x / zeta(2)) ** 0.5) with zeta(2) = pi^2 / 6
-        assert MODEL.nu_count(10 ** 6) == int(math.sqrt(10 ** 6 / (math.pi ** 2 / 6))) == 779
-        assert MODEL.nu_count(10 ** 4) == 77
-        assert MODEL.nu_count(1.0) == 0
+        assert nu_count(BETA, 10 ** 6) == int(math.sqrt(10 ** 6 / (math.pi ** 2 / 6))) == 779
+        assert nu_count(BETA, 10 ** 4) == 77
+        assert nu_count(BETA, 1.0) == 0
 
     def test_nu_count_is_exact_count(self):
-        m = FrequencyModel(beta=0.37)
+        beta = 0.37
+        s, norm = 1.0 / beta, riemann_zeta(1.0 / beta)
         for x in (3.7, 10.0, 123.4, 9999.0):
-            k = m.nu_count(x)
+            k = nu_count(beta, x)
             if k >= 1:
-                assert 1.0 / (k ** -m.s / m.zeta_norm) <= x
-            assert 1.0 / ((k + 1) ** -m.s / m.zeta_norm) > x
+                assert 1.0 / (k ** -s / norm) <= x
+            assert 1.0 / ((k + 1) ** -s / norm) > x
 
     def test_b_n_values(self):
-        assert b_n(MODEL, SPEC, 10 ** 4) == pytest.approx(math.gamma(0.5) * 77, rel=1e-12)
-        assert b_n(MODEL, HeavyTailSpec(alpha=2.0), 10 ** 4) == pytest.approx(
-            math.sqrt(math.gamma(0.5) * 77), rel=1e-12
-        )
+        assert b_n(ALPHA, BETA, 10 ** 4) == pytest.approx(math.gamma(0.5) * 77, rel=1e-12)
+        assert b_n(2.0, BETA, 10 ** 4) == pytest.approx(math.sqrt(math.gamma(0.5) * 77), rel=1e-12)
         # unit-count point: nu((0, 2]) = 1
-        assert MODEL.nu_count(2) == 1
-        assert b_n(MODEL, SPEC, 2) == pytest.approx(math.gamma(0.5), rel=1e-12)
+        assert nu_count(BETA, 2) == 1
+        assert b_n(ALPHA, BETA, 2) == pytest.approx(math.gamma(0.5), rel=1e-12)
+
+    def test_b_n_validation(self):
+        # beta is checked first, then alpha, then n; below n = zeta(2) nu is 0, and b_n overflows
+        # below alpha of about 0.0086 at n = 1e5
+        for alpha, beta, n, what in ((1.0, 0.0, 10, "beta"), (1.0, 1.0, 10, "beta"), (0.0, 1.5, 10, "beta"),
+                                     (0.0, BETA, 10, "alpha"), (-1.0, BETA, 10, "alpha"),
+                                     (math.inf, BETA, 10, "alpha"), (math.nan, BETA, 10, "alpha"),
+                                     (1.0, BETA, 0, "n must"), (1.0, BETA, 1, "below zeta"),
+                                     (0.005, BETA, 10 ** 5, "overflows at alpha=0.005 and n=100000")):
+            with pytest.raises(ValueError, match=what):
+                b_n(alpha, beta, n)
+        assert math.isfinite(b_n(0.009, BETA, 10 ** 5))
 
     def test_threads_pay_from_the_break_even(self):
         # a chunk expects 2**14 keys to sort: beta 0.5 from n of about 2e3, beta 0.9 at every n used;
         # long runs take fewer runs per chunk, so that a chunk expects at most 2**20 keys
         assert THREAD_BREAK_EVEN == 2 ** 14 and CHUNK == 2 ** 8
         cases = ((0.5, 10 ** 3), (0.5, 2000), (0.5, 10 ** 4), (0.9, 100), (0.9, 10 ** 5))
-        assert [threads_pay(FrequencyModel(beta), n) for beta, n in cases] == [False, True, True, True, True]
-        assert [chunk_runs(FrequencyModel(beta), n) for beta, n in cases] == [CHUNK] * 4 + [25]
-        assert chunk_runs(FrequencyModel(0.99), MAX_N) == 1
+        assert [threads_pay(beta, n) for beta, n in cases] == [False, True, True, True, True]
+        assert [chunk_runs(beta, n) for beta, n in cases] == [CHUNK] * 4 + [25]
+        assert chunk_runs(0.99, MAX_N) == 1
 
 
 class TestSimulate:
     def test_single_draw(self):
-        run = simulate(MODEL, SPEC, 1, seed=5)
+        run = simulate(ALPHA, BETA, 1, seed=5)
         assert run.k_n == 1
         assert run.batch.counts.tolist() == [1] and run.batch.cells.tolist() == [[1]]
         assert run.draws.tolist() == run.batch.keys.tolist() and run.batch.marks[0] >= 1.0
 
     def test_counts_sum_to_n(self):
-        run = simulate(MODEL, SPEC, 10 ** 4, seed=1)
+        run = simulate(ALPHA, BETA, 10 ** 4, seed=1)
         assert int(run.batch.counts.sum()) == 10 ** 4
         assert run.k_n == len(set(int(y) for y in run.draws))
 
     def test_mark_reuse_is_bitwise(self):
-        batch = simulate_batch(MODEL, SPEC, 5000, replica_rng(2), 3)
+        batch = simulate_batch(ALPHA, BETA, 5000, replica_rng(2), 3)
         for r in range(3):
             marks = {}
             for y, x in zip(*step_marks(batch, r)):
@@ -144,9 +158,9 @@ class TestSimulate:
             assert len(marks) == batch.k_n[r]
 
     def test_determinism_and_replica_streams(self):
-        a = simulate(MODEL, SPEC, 2000, seed=9)
-        b = simulate(MODEL, SPEC, 2000, seed=9)
-        c = simulate(MODEL, SPEC, 2000, seed=9, replica=1)
+        a = simulate(ALPHA, BETA, 2000, seed=9)
+        b = simulate(ALPHA, BETA, 2000, seed=9)
+        c = simulate(ALPHA, BETA, 2000, seed=9, replica=1)
         assert np.array_equal(a.draws, b.draws)
         assert np.array_equal(a.batch.marks, b.batch.marks)
         assert not np.array_equal(a.draws, c.draws)
@@ -157,35 +171,44 @@ class TestSimulate:
         # in order and each run's boxes in box order (the labels up to L, then the rest keys)
         n, runs = 5000, 4
         for beta in (0.5, 0.9):
-            model = FrequencyModel(beta)
-            batch = simulate_batch(model, SPEC, n, replica_rng(3, 2), runs, family=(normalize([(0.0, 0.3)]),))
-            size = model.nu_count(n)
+            batch = simulate_batch(ALPHA, beta, n, replica_rng(3, 2), runs, family=(normalize([(0.0, 0.3)]),))
+            size = nu_count(beta, n)
             assert 0 < size < ZETA_TABLE_SIZE
             rng = replica_rng(3, 2)
-            head = rng.multinomial(n, _zeta_head(model.s, size), size=runs)
+            head = rng.multinomial(n, _zeta_head(1.0 / beta, size), size=runs)
             rest = head[:, -1]
-            tail = np.split(_zeta_tail(rng, model.s, int(rest.sum()), size), np.cumsum(rest)[:-1])
+            tail = np.split(_zeta_tail(rng, 1.0 / beta, int(rest.sum()), size), np.cumsum(rest)[:-1])
             for r in range(runs):
                 labels, balls = np.unique(tail[r], return_counts=True)
                 keys = np.concatenate([np.flatnonzero(head[r, :-1]) + 1.0, labels])
                 counts = np.concatenate([head[r, :-1][head[r, :-1] > 0], balls])
                 box = slice(batch.start[r], batch.start[r] + batch.k_n[r])
                 assert np.array_equal(batch.keys[box], keys) and np.array_equal(batch.counts[box], counts)
-            assert np.array_equal(batch.marks, pareto_sample_batch(rng, SPEC, batch.keys.size))
+            assert np.array_equal(batch.marks, pareto_sample_batch(rng, ALPHA, batch.keys.size))
 
     def test_budget(self):
         with pytest.raises(ResourceError):
-            simulate(MODEL, SPEC, 10 ** 7 + 1, seed=0)
+            simulate(ALPHA, BETA, 10 ** 7 + 1, seed=0)
         with pytest.raises(ValueError):
-            simulate(MODEL, SPEC, 0, seed=0)
+            simulate(ALPHA, BETA, 0, seed=0)
+
+    def test_validation(self):
+        # the mark index alpha and the frequency index beta are checked where they enter, beta first
+        for alpha, beta, what in ((0.0, BETA, "alpha"), (-1.0, BETA, "alpha"), (math.inf, BETA, "alpha"),
+                                  (math.nan, BETA, "alpha"), (ALPHA, 0.0, "beta"), (ALPHA, 1.0, "beta"),
+                                  (0.0, math.nan, "beta")):
+            with pytest.raises(ValueError, match=what):
+                simulate_batch(alpha, beta, 100, replica_rng(0), 2)
+            with pytest.raises(ValueError, match=what):
+                simulate(alpha, beta, 100, seed=0)
 
     def test_occupancy_growth_single_run(self):
-        run = simulate(MODEL, SPEC, 10 ** 6, seed=3)
-        ratio = run.k_n / MODEL.nu_count(10 ** 6)
+        run = simulate(ALPHA, BETA, 10 ** 6, seed=3)
+        ratio = run.k_n / nu_count(BETA, 10 ** 6)
         assert abs(ratio - math.gamma(0.5)) <= 0.15  # one run, loose sanity
 
     def test_block_frequency_single_run(self):
-        run = simulate(MODEL, SPEC, 10 ** 6, seed=4)
+        run = simulate(ALPHA, BETA, 10 ** 6, seed=4)
         hist = occupancy_histogram(run.batch)
         assert abs(hist[1] / run.k_n - 0.5) <= 0.05
         assert sum(hist.values()) == run.k_n
@@ -205,11 +228,11 @@ class TestCountFirst:
     def test_regimes_cover_every_head_size(self):
         sizes = {}
         for beta, n in self.REGIMES:
-            nu = FrequencyModel(beta).nu_count(n)
+            nu = nu_count(beta, n)
             regime = "empty" if nu == 0 else "table" if nu >= ZETA_TABLE_SIZE else "nu"
             sizes.setdefault(beta, set()).add(regime)
         assert sizes == {0.5: {"nu"}, 0.9: {"empty", "nu", "table"}}
-        assert FrequencyModel(0.5).nu_count(MAX_N) < ZETA_TABLE_SIZE
+        assert nu_count(0.5, MAX_N) < ZETA_TABLE_SIZE
 
     FAMILY_LAW = (QUARTER, HALF)
     NAMES = ("k_n", "singletons", "largest count", "sup on A", "sup on [0, 1)", "variant sup on A",
@@ -243,10 +266,10 @@ class TestCountFirst:
     @pytest.mark.parametrize("beta, n", REGIMES)
     def test_equal_in_law_to_reference(self, beta, n):
         # each statistic by two-sample KS at the 99 % level
-        model, reps = FrequencyModel(beta), 300
-        ours = np.concatenate([self._ours(batch) for batch in batches(model, n, reps, 1, self.FAMILY_LAW)])
+        reps = 300
+        ours = np.concatenate([self._ours(batch) for batch in batches(beta, n, reps, 1, self.FAMILY_LAW)])
         masks = [a.contains_points(np.arange(n) / n) for a in self.FAMILY_LAW]
-        ref = np.array([self._reference(*reference_urn(model, SPEC, n, seed=2, replica=r), masks)
+        ref = np.array([self._reference(*reference_urn(ALPHA, beta, n, seed=2, replica=r), masks)
                         for r in range(reps)], dtype=float)
         crit = two_sample_ks_critical(reps, reps)
         for j, name in enumerate(self.NAMES):
@@ -263,27 +286,30 @@ class TestCountFirst:
     def test_mean_occupancy_exact(self, beta):
         # E K_n = sum_l 1 - (1 - p_l)**n, in every head size regime
         for n in {0.5: (10 ** 3, 10 ** 4), 0.9: (8, 10 ** 4, 10 ** 5)}[beta]:
-            k_n = np.concatenate([batch.k_n for batch in batches(FrequencyModel(beta), n, 400, 3)])
+            k_n = np.concatenate([batch.k_n for batch in batches(beta, n, 400, 3)])
             self._within_3_se(k_n, expected_boxes(beta, n, 0))
 
     @pytest.mark.parametrize("beta", [0.1, 0.5, 0.9, 0.99])
     def test_model_mean_occupancy_is_exact(self, beta):
         # the closed form the occupancy suite checks against, from n = 1 to where n p_l is
         # small only far beyond 2**12 labels
-        model = FrequencyModel(beta)
-        assert model.mean_occupancy(1) == pytest.approx(1.0, rel=1e-6)
+        assert mean_occupancy(beta, 1) == pytest.approx(1.0, rel=1e-6)
         for n in (10, 10 ** 3, 10 ** 6):
-            assert model.mean_occupancy(n) == pytest.approx(expected_boxes(beta, n, 0), rel=1e-6)
+            assert mean_occupancy(beta, n) == pytest.approx(expected_boxes(beta, n, 0), rel=1e-6)
+
+    def test_mean_occupancy_where_p_1_rounds_to_1(self):
+        # below beta of about 0.02, p_1 = 1 / zeta(1/beta) rounds to 1: every draw falls in box 1
+        assert mean_occupancy(0.01, 1000) == pytest.approx(1.0, rel=0.0, abs=1e-12)
 
     @pytest.mark.parametrize("beta", [0.5, 0.9])
     def test_mean_boxes_hitting_a_missing_b_exact(self, beta):
         # A = [0, 1/4) holds 2500 positions and B = [1/2, 1) 5000; pattern code 0 is "in neither", 1 "in A only",
         # 2 "in B only" and 3 "in both"
-        n, model = 10 ** 4, FrequencyModel(beta)
+        n = 10 ** 4
         tables = np.concatenate([pattern_count_table(batch, self.FAMILY_LAW)
-                                 for batch in batches(model, n, 400, 4, self.FAMILY_LAW)])
+                                 for batch in batches(beta, n, 400, 4, self.FAMILY_LAW)])
         both = expected_boxes(beta, 2500, 0) + expected_boxes(beta, 5000, 0) - expected_boxes(beta, 7500, 0)
-        means = model.mean_pattern_counts(n, self.FAMILY_LAW)
+        means = mean_pattern_counts(beta, n, self.FAMILY_LAW)
         for code, target in ((0, expected_boxes(beta, 2500, 7500)), (1, expected_boxes(beta, 2500, 5000)),
                              (2, expected_boxes(beta, 5000, 2500)), (3, both)):
             self._within_3_se(tables[:, code], target)
@@ -294,22 +320,20 @@ class TestCountFirst:
         # 3000 in the second only; code 3 hits both sets, through the overlap or through both sides
         fam, n = (normalize([(0.0, 0.3)]), normalize([(0.2, 0.6)])), 10 ** 4
         for beta in (0.5, 0.9):
-            model = FrequencyModel(beta)
             only_first = expected_boxes(beta, 2000, 4000)
             only_second = expected_boxes(beta, 3000, 3000)
             both = expected_boxes(beta, 6000, 0) - only_first - only_second
-            got = model.mean_pattern_counts(n, fam).tolist()
+            got = mean_pattern_counts(beta, n, fam).tolist()
             assert got == pytest.approx([expected_boxes(beta, 4000, 6000), only_first, only_second, both], rel=1e-6)
 
     def test_exact_pattern_means_tend_to_the_limit(self):
-        # E[boxes hit in exactly the sets of delta] / nu(n) -> pattern_limit, the gap shrinking in n
+        # the table of E[boxes hit in exactly the sets S] / nu(n) -> pattern_limit, entry by entry, the
+        # largest relative gap shrinking in n; FAMILY is disjoint, so entry 3 holds the boxes hit in both
         for beta in (0.5, 0.9):
-            model = FrequencyModel(beta)
-            for delta, code in (((1, 0), 1), ((1, 1), 3)):
-                limit = pattern_limit(PatternQuery(family=FAMILY, delta=delta), beta)
-                gaps = [abs(model.mean_pattern_counts(n, FAMILY)[code] / model.nu_count(n) / limit - 1.0)
-                        for n in (10 ** 3, 10 ** 5, 10 ** 7, 10 ** 9)]
-                assert all(a > b for a, b in zip(gaps, gaps[1:])) and gaps[-1] < 0.01, (beta, delta, gaps)
+            limit = pattern_limit(beta, FAMILY)
+            gaps = [np.abs(mean_pattern_counts(beta, n, FAMILY) / nu_count(beta, n) / limit - 1.0).max()
+                    for n in (10 ** 3, 10 ** 5, 10 ** 7, 10 ** 9)]
+            assert all(a > b for a, b in zip(gaps, gaps[1:])) and gaps[-1] < 0.01, (beta, gaps)
 
 
 class TestLazyDraws:
@@ -321,16 +345,16 @@ class TestLazyDraws:
                 pattern_count_table(batch, FAMILY).tolist(), top_marks(batch, 3).tolist())
 
     def test_reading_draws_first_changes_no_query(self):
-        plain = simulate_batch(MODEL, SPEC, 10 ** 4, replica_rng(20), 4, FAMILY)
-        early = simulate_batch(MODEL, SPEC, 10 ** 4, replica_rng(20), 4, FAMILY)
+        plain = simulate_batch(ALPHA, BETA, 10 ** 4, replica_rng(20), 4, FAMILY)
+        early = simulate_batch(ALPHA, BETA, 10 ** 4, replica_rng(20), 4, FAMILY)
         drawn = [early.draws(r) for r in (2, 0)]
         assert self._queries(early) == self._queries(plain)
         assert np.array_equal(drawn[0], plain.draws(2)) and np.array_equal(drawn[1], plain.draws(0))
 
     @pytest.mark.parametrize("beta", [0.5, 0.9])
     def test_family_moves_only_the_cells(self, beta):
-        bare = simulate_batch(FrequencyModel(beta), SPEC, 10 ** 4, replica_rng(21, 3), 5)
-        cut = simulate_batch(FrequencyModel(beta), SPEC, 10 ** 4, replica_rng(21, 3), 5, FAMILY)
+        bare = simulate_batch(ALPHA, beta, 10 ** 4, replica_rng(21, 3), 5)
+        cut = simulate_batch(ALPHA, beta, 10 ** 4, replica_rng(21, 3), 5, FAMILY)
         for name in ("run", "keys", "counts", "marks", "k_n", "top"):
             assert np.array_equal(getattr(bare, name), getattr(cut, name))
         assert bare.cells.tolist() == bare.counts[:, None].tolist()
@@ -338,7 +362,7 @@ class TestLazyDraws:
         assert np.array_equal(cut.cells.sum(axis=0), 5 * np.diff(cut.cuts))
 
     def test_query_on_an_uncut_boundary_raises(self):
-        batch = simulate_batch(MODEL, SPEC, 10 ** 4, replica_rng(22), 3, (QUARTER,))
+        batch = simulate_batch(ALPHA, BETA, 10 ** 4, replica_rng(22), 3, (QUARTER,))
         uncut = normalize([(0.0, 0.3)])
         for query in (empirical_sup, variant_star_sup):
             with pytest.raises(ValueError, match="not a union of the run's cells"):
@@ -355,16 +379,16 @@ class TestWalk:
     @pytest.mark.parametrize("beta", [0.5, 0.9])
     def test_equal_in_law_to_reference(self, beta):
         # the sups and variant sups of both sets, and whether top box k hits set k, k = 1, 2
-        model, n, reps = FrequencyModel(beta), 2000, 400
+        n, reps = 2000, 400
         positions = np.arange(n) / n
         inside = [a.contains_points(positions) for a in FAMILY]
         ours = np.concatenate([np.column_stack([*(empirical_sup(batch, a) for a in FAMILY),
                                                 *(variant_star_sup(batch, a) for a in FAMILY),
                                                 *(ranked_hit(batch, k, a) for k, a in enumerate(FAMILY))])
-                               for batch in batches(model, n, reps, 30, FAMILY)])
+                               for batch in batches(beta, n, reps, 30, FAMILY)])
         ref = []
         for r in range(reps):
-            draws, x = reference_urn(model, SPEC, n, seed=31, replica=r)
+            draws, x = reference_urn(ALPHA, beta, n, seed=31, replica=r)
             labels, first, inverse = np.unique(draws, return_index=True, return_inverse=True)
             first_visit = np.arange(n) == first[inverse]
             top = np.argsort(-x[first])[:2]  # the boxes of the two largest marks
@@ -404,7 +428,7 @@ class TestWalk:
         family = (*FAMILY, self._one_position(n))
         values = []
         for first in ("walk", "table", "draws", "past"):
-            batch = simulate_batch(FrequencyModel(beta), SPEC, n, replica_rng(32), 3, family)
+            batch = simulate_batch(ALPHA, beta, n, replica_rng(32), 3, family)
             values.append(self._read(batch, first))
         assert all(v == values[0] for v in values[1:])
         if n == 4:
@@ -412,7 +436,7 @@ class TestWalk:
 
     @pytest.mark.parametrize("beta", [0.5, 0.9])
     def test_walk_rows_are_the_columns_of_cells(self, beta):
-        batch = simulate_batch(FrequencyModel(beta), SPEC, 10 ** 4, replica_rng(33), 6, FAMILY)
+        batch = simulate_batch(ALPHA, beta, 10 ** 4, replica_rng(33), 6, FAMILY)
         for r in range(batch.runs):
             top = batch.top[r][batch.top[r] >= 0]
             keys, marks = boxes_of(batch, r)
@@ -428,7 +452,7 @@ class TestWalk:
 
         monkeypatch.setattr(karlin_sim, "_stream", no_stream)
         for family in ((), (UNIT,)):
-            batch = simulate_batch(MODEL, SPEC, 10 ** 4, replica_rng(34), 3, family)
+            batch = simulate_batch(ALPHA, BETA, 10 ** 4, replica_rng(34), 3, family)
             top = np.maximum.reduceat(batch.marks, batch.start)
             assert np.array_equal(empirical_sup(batch, UNIT), top)
             assert np.array_equal(variant_star_sup(batch, UNIT), top)
@@ -439,7 +463,7 @@ class TestWalk:
 
 class TestTopOrderStats:
     def test_top1_is_max(self):
-        run = simulate(MODEL, SPEC, 10 ** 4, seed=6)
+        run = simulate(ALPHA, BETA, 10 ** 4, seed=6)
         tops = top_m(run, 1)
         _, x_stream = step_marks(run.batch, 0)
         assert tops[0].value == x_stream.max()
@@ -447,7 +471,7 @@ class TestTopOrderStats:
         assert np.all(x_stream[(locs * run.n + 0.5).astype(int)] == tops[0].value)
 
     def test_values_nonincreasing_and_locations_exact(self):
-        run = simulate(MODEL, SPEC, 10 ** 4, seed=7)
+        run = simulate(ALPHA, BETA, 10 ** 4, seed=7)
         tops = top_m(run, 5)
         vals = [t.value for t in tops]
         assert vals == sorted(vals, reverse=True)
@@ -462,20 +486,20 @@ class TestTopOrderStats:
                     assert i not in listed
 
     def test_rank_count_capped_by_k_n(self):
-        run = simulate(MODEL, SPEC, 3, seed=8)
+        run = simulate(ALPHA, BETA, 3, seed=8)
         assert len(top_m(run, 10)) == run.k_n
 
     def test_top_boxes_is_the_stable_sort_prefix(self, monkeypatch):
         # marks drawn from 4 values tie often; ties go to the earlier box, also for m > k_n, in the
         # batch's walked boxes as in top_m
         monkeypatch.setattr(karlin_sim, "pareto_sample_batch",
-                            lambda rng, spec, size: rng.integers(1, 5, size).astype(float))
-        batch = simulate_batch(MODEL, SPEC, 10 ** 4, replica_rng(11), 4)
+                            lambda rng, alpha, size: rng.integers(1, 5, size).astype(float))
+        batch = simulate_batch(ALPHA, BETA, 10 ** 4, replica_rng(11), 4)
         for r in range(batch.runs):
             _, marks = boxes_of(batch, r)
             order = np.argsort(-marks, kind="stable")
             assert np.array_equal(batch.top[r], batch.start[r] + order[:WALK])
-        run = simulate(MODEL, SPEC, 10 ** 4, seed=11)
+        run = simulate(ALPHA, BETA, 10 ** 4, seed=11)
         for m in (1, 2, 5, run.k_n - 1, run.k_n, run.k_n + 3):
             values = [t.value for t in top_m(run, m)]
             labels = [t.label for t in top_m(run, m)]
@@ -484,7 +508,7 @@ class TestTopOrderStats:
             assert labels == run.batch.keys[order].astype(int).tolist()
 
     def test_csv_export_round_trip(self):
-        run = simulate(MODEL, SPEC, 1000, seed=9)
+        run = simulate(ALPHA, BETA, 1000, seed=9)
         text = top_m_csv(top_m(run, 3))
         rows = list(csv.DictReader(io.StringIO(text)))
         assert [r["rank"] for r in rows] == ["1", "2", "3"]
@@ -494,7 +518,7 @@ class TestTopOrderStats:
         assert locs == sorted(locs)
 
     def test_occupancy_json(self):
-        run = simulate(MODEL, SPEC, 1000, seed=10)
+        run = simulate(ALPHA, BETA, 1000, seed=10)
         payload = json.loads(occupancy_json(run))
         assert payload["k_n"] == run.k_n
         assert sum(payload["histogram"].values()) == run.k_n
@@ -502,7 +526,7 @@ class TestTopOrderStats:
 
 class TestEmpiricalSup:
     def test_full_carrier_and_empty(self):
-        batch = simulate_batch(MODEL, SPEC, 10 ** 4, replica_rng(11), 5)
+        batch = simulate_batch(ALPHA, BETA, 10 ** 4, replica_rng(11), 5)
         assert np.array_equal(empirical_sup(batch, UNIT), np.maximum.reduceat(batch.marks, batch.start))
         assert np.array_equal(empirical_sup(batch, normalize([])), np.zeros(5))
 
@@ -513,7 +537,7 @@ class TestEmpiricalSup:
             a = normalize([(pts[0], pts[1])])
             b = normalize([(pts[2], pts[3])])
             u = a.union(b)
-            batch = simulate_batch(MODEL, SPEC, 10 ** 4, replica_rng(12, r), 3, (a, b))
+            batch = simulate_batch(ALPHA, BETA, 10 ** 4, replica_rng(12, r), 3, (a, b))
             both = np.maximum(empirical_sup(batch, a), empirical_sup(batch, b))
             assert np.array_equal(empirical_sup(batch, u), both)
 
@@ -521,12 +545,12 @@ class TestEmpiricalSup:
 class TestVariantStar:
     def test_equals_sup_on_full_carrier(self):
         for seed in range(5):
-            batch = simulate_batch(MODEL, SPEC, 10 ** 4, replica_rng(seed), 3)
+            batch = simulate_batch(ALPHA, BETA, 10 ** 4, replica_rng(seed), 3)
             assert np.array_equal(variant_star_sup(batch, UNIT), empirical_sup(batch, UNIT))
 
     def test_dominated_on_subsets(self):
         family = (normalize([(0.2, 0.7)]), normalize([(0.0, 0.1), (0.8, 1.0)]))
-        batch = simulate_batch(MODEL, SPEC, 10 ** 4, replica_rng(14), 5, family)
+        batch = simulate_batch(ALPHA, BETA, 10 ** 4, replica_rng(14), 5, family)
         for a in family:
             assert np.all(variant_star_sup(batch, a) <= empirical_sup(batch, a))
         assert np.all(variant_star_sup(batch, normalize([])) == 0.0)
@@ -534,13 +558,13 @@ class TestVariantStar:
 
 class TestPatternCounts:
     def test_full_carrier_counts_all_boxes(self):
-        batch = simulate_batch(MODEL, SPEC, 10 ** 4, replica_rng(15), 3)
+        batch = simulate_batch(ALPHA, BETA, 10 ** 4, replica_rng(15), 3)
         assert pattern_count_table(batch, [UNIT]).tolist() == [[0, k] for k in batch.k_n]
 
     def test_partition_identity(self):
         # the nonzero codes of a family split the boxes hit in its union
         fam = [normalize([(0.0, 0.3)]), normalize([(0.2, 0.6)]), normalize([(0.5, 0.9)])]
-        batch = simulate_batch(MODEL, SPEC, 10 ** 4, replica_rng(16), 4, fam)
+        batch = simulate_batch(ALPHA, BETA, 10 ** 4, replica_rng(16), 4, fam)
         table = pattern_count_table(batch, fam)
         union_all = fam[0].union(fam[1]).union(fam[2])
         assert np.array_equal(table[:, 1:].sum(axis=1), pattern_count_table(batch, [union_all])[:, 1])
@@ -548,9 +572,9 @@ class TestPatternCounts:
 
     def test_mean_matches_limit(self):
         # tau / nu at beta = 0.5, Leb = 0.5 -> gamma(0.5) * sqrt(0.5)
-        nu = MODEL.nu_count(10 ** 5)
+        nu = nu_count(BETA, 10 ** 5)
         a = [normalize([(0.0, 0.5)])]
-        vals = pattern_count_table(simulate_batch(MODEL, SPEC, 10 ** 5, replica_rng(18), 40, a), a)[:, 1] / nu
+        vals = pattern_count_table(simulate_batch(ALPHA, BETA, 10 ** 5, replica_rng(18), 40, a), a)[:, 1] / nu
         target = math.gamma(0.5) * math.sqrt(0.5)
         assert abs(np.mean(vals) - target) <= 0.05 * target
 
@@ -579,7 +603,7 @@ class TestAgainstBruteForce:
     def test_lazy_fields_match_full_unique(self, beta):
         # draws expands keys, counts and cells exactly: per cell, the balls of each box
         family = (normalize([(0.0, 0.25)]), normalize([(0.1, 0.6)]))
-        batch = simulate_batch(FrequencyModel(beta), SPEC, 20000, replica_rng(19), 3, family)
+        batch = simulate_batch(ALPHA, beta, 20000, replica_rng(19), 3, family)
         assert batch.cuts.tolist() == [0, 2000, 5000, 12000, 20000]
         for r in range(batch.runs):
             draws = batch.draws(r)
@@ -596,7 +620,7 @@ class TestAgainstBruteForce:
     @settings(max_examples=150, deadline=None)
     def test_queries_match_position_scan(self, case, beta, seed):
         n, family = case
-        batch = simulate_batch(FrequencyModel(beta), SPEC, n, replica_rng(seed), 2, family)
+        batch = simulate_batch(ALPHA, beta, n, replica_rng(seed), 2, family)
         positions = np.arange(n) / n
         table = pattern_count_table(batch, family)
         for r in range(batch.runs):

@@ -9,10 +9,9 @@ from scipy.stats import ks_2samp
 
 from karlin_rsm import karlin_sim as ksim
 from karlin_rsm import limit_sim as lsim
-from karlin_rsm.choquet_oracle import PatternQuery, mstar_theta, pattern_limit, theta
-from karlin_rsm.distributions import HeavyTailSpec
+from karlin_rsm.choquet_oracle import mstar_theta, pattern_limit, theta
 from karlin_rsm.interval_sets import CapacityError, IntervalSet, normalize
-from karlin_rsm.karlin_sim import FrequencyModel, replica_rng
+from karlin_rsm.karlin_sim import replica_rng
 from karlin_rsm.limit_sim import (
     coupled_batch,
     karlin_batch,
@@ -98,13 +97,10 @@ class TestPatternRates:
     FAMILY = (normalize([(0.1, 0.4)]), normalize([(0.3, 0.7)]), normalize([(0.2, 0.35), (0.8, 0.9)]))
 
     def test_equal_pattern_limits(self):
-        # p_S is the occupancy-pattern limit of S divided by gamma(1 - beta)
+        # p_S is the occupancy-pattern limit of S divided by gamma(1 - beta), entry 0 (no set hit) included
         for beta in (0.2, 0.5, 0.9):
-            rates = pattern_rates(beta, self.FAMILY)
-            for s in range(1, 8):
-                delta = tuple((s >> i) & 1 for i in range(3))
-                target = pattern_limit(PatternQuery(self.FAMILY, delta), beta) / math.gamma(1.0 - beta)
-                assert rates[s] == pytest.approx(target, rel=1e-12, abs=1e-15)
+            target = pattern_limit(beta, self.FAMILY) / math.gamma(1.0 - beta)
+            assert pattern_rates(beta, self.FAMILY).tolist() == pytest.approx(target.tolist(), rel=1e-12, abs=1e-15)
 
     def test_add_up_to_theta(self):
         rates = pattern_rates(0.5, self.FAMILY)
@@ -426,8 +422,7 @@ class TestProperties:
     @given(interval_sets(), interval_sets(), st.integers(0, 2 ** 32))
     @settings(max_examples=50, deadline=None)
     def test_sup_measure_axiom_urn(self, a, b, seed):
-        batch = ksim.simulate_batch(FrequencyModel(beta=0.5), HeavyTailSpec(alpha=1.0), 2000, replica_rng(seed),
-                                    3, family=(a, b))
+        batch = ksim.simulate_batch(1.0, 0.5, 2000, replica_rng(seed), 3, family=(a, b))
         va, vb = ksim.empirical_sup(batch, a), ksim.empirical_sup(batch, b)
         assert np.array_equal(ksim.empirical_sup(batch, a.union(b)), np.maximum(va, vb))
 

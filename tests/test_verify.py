@@ -141,7 +141,8 @@ class TestGates:
 
 
 class TestMeanGate:
-    """``mean_kn_ratio``: the larger of the relative constant and 99 % of the replicas' standard error."""
+    """``mean_kn_ratio`` and the ``tau_*`` rows of ``patterns``: the larger of the relative constant and
+    99 % of the replicas' standard error."""
 
     @staticmethod
     def row(values, target=1.0):
@@ -165,6 +166,27 @@ class TestMeanGate:
         rep = run_suite(SuiteConfig(suite="occupancy", n_grid=(10 ** 6,), replicas=100, seed=42))
         row = next(r for r in rep.rows if r.check == "mean_kn_ratio")
         assert row.se_or_crit == pytest.approx(0.02 * row.target)
+
+    def test_estimate_summed_elsewhere_is_kept(self):
+        # the gate still reads the spread of the values
+        values = 1.0 + 0.01 * np.tile([-1.0, 1.0], 50)
+        row = verify._mean_row(SuiteConfig(suite="occupancy"), "mean", values, 1.0, 0.02, estimate=1.5)
+        assert row.estimate == 1.5 and row.se_or_crit == pytest.approx(0.02) and not row.passed
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_pattern_rows_at_small_nu_take_the_standard_error(self, seed):
+        # beta 0.999 at n = 1e3: nu(n) is about 1e3 and two disjoint quarters share a box in about
+        # 0.09 nu runs, so the 100 replicas' SE of tau_11, about 0.02, is far above 5 % of its target
+        rep = run_suite(SuiteConfig(suite="patterns", beta=0.999, n_grid=(10 ** 3,), replicas=100, seed=seed))
+        row = next(r for r in rep.rows if r.check == "tau_11")
+        assert row.se_or_crit > 5 * 0.05 * row.target
+        assert rep.all_pass
+
+    def test_pattern_rows_at_acceptance_scale_keep_the_constant(self):
+        # test_08: n = 1e6 and 100 replicas, where every tau row's SE is below 5 % / 2.576
+        rep = run_suite(SuiteConfig(suite="patterns", n_grid=(10 ** 6,), replicas=100, seed=42))
+        for row in rep.rows:
+            assert row.se_or_crit == pytest.approx(0.05 * row.target), row.check
 
 
 class TestReplicaStreamMap:
@@ -333,9 +355,8 @@ def test_chunks_do_not_depend_on_the_part_size():
     cfg = SuiteConfig(suite="extremal-mstar", n_grid=(10 ** 3,), replicas=1000, seed=6)
     short, long = (verify._urn_map(cfg, "discrete", (q,), stat, count=count) for count in (300, 600))
     assert short[0] == long[0] and [len(k_n) for k_n, _ in short] == [256, 44]
-    model, spec = karlin_sim.FrequencyModel(0.5), verify.HeavyTailSpec(1.0)
     offset = verify._offset(cfg, "discrete")
-    direct = karlin_sim.simulate_batch(model, spec, 10 ** 3, replica_rng(6, offset + 1), 256, (q,))
+    direct = karlin_sim.simulate_batch(1.0, 0.5, 10 ** 3, replica_rng(6, offset + 1), 256, (q,))
     assert long[1] == stat(direct)
 
 
