@@ -6,12 +6,15 @@ Subcommands: ``simulate`` (one urn run, top-order CSV or occupancy JSON),
 Exit codes: 0 success, 1 a verification suite failed, 2 usage, domain or
 resource error.  With an explicit ``--seed`` the output files are
 byte-identical across runs and thread counts; without one a fresh 64-bit
-seed is drawn from system entropy and printed to stderr.
+seed is drawn from system entropy and printed to stderr.  The CSV and JSON
+formats of ``simulate`` and ``limit-sample`` are written here and nowhere else.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import csv
 import json
 import os
 import secrets
@@ -46,12 +49,14 @@ def _resolve_seed(seed) -> int:
     return fresh
 
 
-def _write_out(text: str, out) -> None:
-    if out is None:
-        sys.stdout.write(text)
+@contextlib.contextmanager
+def _output(path):
+    """Where a command writes: stdout, or the ``--out`` file; commands enter it once their checks pass."""
+    if path is None:
+        yield sys.stdout
     else:
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
+        with open(path, "w", newline="") as fh:
+            yield fh
 
 
 def _load_json(path: str):
@@ -115,24 +120,37 @@ def _cmd_simulate(args) -> int:
     seed = _resolve_seed(args.seed)
     ksim.b_n(args.alpha, args.beta, args.n)  # every output prints b_n: fail before drawing
     run = ksim.simulate(args.alpha, args.beta, args.n, seed)
-    if args.format == "csv":
-        _write_out(ksim.top_m_csv(ksim.top_m(run, args.top_m)), args.out)
-    else:
-        _write_out(ksim.occupancy_json(run) + "\n", args.out)
+    if args.format == "json":
+        histogram = sorted(ksim.occupancy_histogram(run.batch).items())
+        payload = {"n": run.n, "seed": run.seed, "replica": run.replica, "k_n": run.k_n, "b_n": run.batch.b_n,
+                   "histogram": {str(k): count for k, count in histogram}}
+        with _output(args.out) as out:
+            out.write(json.dumps(payload, indent=2) + "\n")
+        return 0
+    stats = ksim.top_m(run, args.top_m)
+    with _output(args.out) as out:
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["rank", "value", "value_normalized", "label", "locations"])
+        writer.writerows([st.rank, repr(st.value), repr(st.value_normalized), st.label,
+                          ";".join(map(repr, st.locations))] for st in stats)
     return 0
 
 
 def _cmd_limit_sample(args) -> int:
-    if args.replicas > MAX_REPLICAS:  # the CSV is built in memory
+    if args.replicas > MAX_REPLICAS:  # the suites' per-part bound; it bounds the run time, not memory
         raise ValueError(f"replica count must be at most {MAX_REPLICAS}, got {args.replicas}")
     seed = _resolve_seed(args.seed)
     family = _family_from_json(_load_json(args.query))
     sampler = lsim.sample_mstar if args.variant == "mstar" else lsim.sample_karlin
-    samples = [
-        sampler(replica_rng(seed, r), args.alpha, args.beta, family)
-        for r in range(args.replicas)
-    ]
-    _write_out(lsim.limit_samples_csv(samples), args.out)
+    sample = sampler(replica_rng(seed, 0), args.alpha, args.beta, family)  # a rejected family opens no file
+    with _output(args.out) as out:
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["replica", "set_id", "value", "atoms_used"])
+        for r in range(args.replicas):  # each replica's rows are written as soon as it is drawn
+            if r:
+                sample = sampler(replica_rng(seed, r), args.alpha, args.beta, family)
+            writer.writerows([r, set_id, repr(value), sample.atoms_used]
+                             for set_id, value in enumerate(sample.values))
     return 0
 
 
@@ -165,7 +183,8 @@ def _cmd_verify(args) -> int:
         threads=args.threads,
     )
     report = run_suite(cfg)
-    _write_out(report.to_csv() if args.format == "csv" else report.to_json() + "\n", args.out)
+    with _output(args.out) as out:
+        out.write(report.to_csv() if args.format == "csv" else report.to_json() + "\n")
     print(
         f"suite {report.suite}: {sum(r.passed for r in report.rows)}/{len(report.rows)} "
         f"checks passed in {report.runtime:.1f}s",

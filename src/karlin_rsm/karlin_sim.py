@@ -1,12 +1,13 @@
 """Heavy-tailed infinite-urn simulation, drawn many runs at a time.
 
 Boxes are drawn with zeta frequencies p_ell = ell**-s / zeta(s), s = 1/beta,
-each occupied box carries one Pareto mark of index alpha (both plain floats),
-and the observed process is the mark of the drawn box.  The module exposes
-exact finite-n means (:func:`nu_count`, :func:`mean_occupancy`,
-:func:`mean_pattern_counts`), the occupancy statistics, the top order
-statistics with their location sets, the empirical sup-measure and its
-first-occurrence variant, and the table of occupancy-pattern counts.
+each occupied box carries one Pareto mark of index alpha > ``ALPHA_FLOOR``
+(both plain floats), and the observed process is the mark of the drawn box.
+The module exposes exact finite-n means (:func:`nu_count`,
+:func:`mean_occupancy`, :func:`mean_pattern_counts`), the occupancy
+statistics, the top order statistics with their location sets, the empirical
+sup-measure and its first-occurrence variant, and the table of
+occupancy-pattern counts.
 
 Draw ``j`` (0-based) sits at position ``j/n``, so the unit carrier ``[0, 1)``
 contains every draw exactly once, and a query set's positions are index
@@ -28,9 +29,6 @@ pattern table).  Every query returns one value per run.  The CLI's
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -70,8 +68,6 @@ __all__ = [
     "variant_star_sup",
     "pattern_count_table",
     "occupancy_histogram",
-    "top_m_csv",
-    "occupancy_json",
 ]
 
 MAX_N = 10 ** 7  # simulate_batch raises ResourceError above this n
@@ -79,6 +75,7 @@ CHUNK = 2 ** 8  # runs of a batch that one stream draws (chunk_runs)
 CHUNK_KEYS = 2 ** 20  # keys a chunk is expected to sort at most, which bounds its memory
 THREAD_BREAK_EVEN = 2 ** 14  # keys per chunk from which two threads beat one (measured break-even)
 WALK = 5  # boxes of every run split in mark order when it is drawn
+ALPHA_FLOOR = 53 / 1024  # a mark (1 - U)**(-1/alpha), U on the 2**-53 grid, is finite above it
 
 
 class ResourceError(RuntimeError):
@@ -97,6 +94,12 @@ def replica_rng(seed: int, replica: int = 0) -> np.random.Generator:
     if replica < 0:
         raise ValueError("replica must be nonnegative")
     return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, replica, 0]))
+
+
+def _check_marks(alpha: float) -> None:
+    if not alpha > ALPHA_FLOOR:
+        raise ValueError(f"alpha must exceed 53/1024 = {ALPHA_FLOOR} in the urn, where a mark can overflow, "
+                         f"got {alpha}")
 
 
 def nu_count(beta: float, x: float) -> int:
@@ -154,7 +157,8 @@ def b_n(alpha: float, beta: float, n: int) -> float:
 
     Uses the exact counting function in place of its asymptote, which
     reduces finite-n bias.  Raises ValueError below n = zeta(1/beta), where
-    no box has 1/p_ell <= n and nu is 0, and where alpha near 0 overflows it.
+    no box has 1/p_ell <= n and nu is 0, where alpha near 0 overflows it,
+    and at alpha <= ALPHA_FLOOR, where the urn's marks can overflow.
     """
     _check_beta(beta)
     _check_alpha(alpha)
@@ -167,9 +171,11 @@ def b_n(alpha: float, beta: float, n: int) -> float:
             "and the normalisation b_n is 0"
         )
     try:
-        return (math.gamma(1.0 - beta) * nu) ** (1.0 / alpha)
+        norm = (math.gamma(1.0 - beta) * nu) ** (1.0 / alpha)
     except OverflowError:
         raise ValueError(f"the normalisation b_n overflows at alpha={alpha} and n={n}") from None
+    _check_marks(alpha)
+    return norm
 
 
 @dataclass(frozen=True)
@@ -235,16 +241,13 @@ class UrnBatch:
         """(k_n[r], cells) ball counts of run r's boxes: the walked rows, and one ``_split`` of the others."""
         if r not in self._cells:
             lo, hi = self.start[r], self.start[r] + self.k_n[r]
-            if self.cuts.size == 2:
-                self._cells[r] = self.counts[lo:hi, None]
-            else:
-                walked = self.top[r][self.top[r] >= 0] - lo
-                other = np.ones(hi - lo, dtype=bool)
-                other[walked] = False
-                cells = np.empty((hi - lo, self.cuts.size - 1), dtype=np.int64)
-                cells[walked] = self.top_cells[r, :walked.size]
-                cells[other] = _split(_stream(self.streams[r, 0]), self.counts[lo:hi][other], self.room[r])
-                self._cells[r] = cells
+            walked = self.top[r][self.top[r] >= 0] - lo
+            other = np.ones(hi - lo, dtype=bool)
+            other[walked] = False
+            cells = np.empty((hi - lo, self.cuts.size - 1), dtype=np.int64)
+            cells[walked] = self.top_cells[r, :walked.size]
+            cells[other] = _split(_stream(self.streams[r, 0]), self.counts[lo:hi][other], self.room[r])
+            self._cells[r] = cells
         return self._cells[r]
 
     @cached_property
@@ -385,6 +388,7 @@ def simulate_batch(alpha: float, beta: float, n: int, rng: np.random.Generator, 
     """
     _check_beta(beta)
     _check_alpha(alpha)
+    _check_marks(alpha)
     if n < 1:
         raise ValueError("n must be at least 1")
     if n > MAX_N:
@@ -543,28 +547,3 @@ def occupancy_histogram(batch: UrnBatch) -> dict:
     """Map ball-count k to the number of boxes holding exactly k balls, over every run of the batch."""
     sizes, freq = np.unique(batch.counts, return_counts=True)
     return {int(k): int(c) for k, c in zip(sizes, freq)}
-
-
-def top_m_csv(stats) -> str:
-    """CSV export of top-order records; locations are ;-joined j/n decimals."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["rank", "value", "value_normalized", "label", "locations"])
-    for st in stats:
-        writer.writerow(
-            [st.rank, repr(st.value), repr(st.value_normalized), st.label,
-             ";".join(repr(x) for x in st.locations)]
-        )
-    return buf.getvalue()
-
-
-def occupancy_json(run: SimRun) -> str:
-    payload = {
-        "n": run.n,
-        "seed": run.seed,
-        "replica": run.replica,
-        "k_n": run.k_n,
-        "b_n": run.batch.b_n,
-        "histogram": {str(k): v for k, v in sorted(occupancy_histogram(run.batch).items())},
-    }
-    return json.dumps(payload, indent=2)

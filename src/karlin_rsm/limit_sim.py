@@ -23,8 +23,6 @@ most ``PATTERN_BUDGET``), and M* reads the lowest cell of each pattern.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -43,7 +41,6 @@ __all__ = [
     "top_m_batch",
     "sample_karlin",
     "sample_mstar",
-    "limit_samples_csv",
 ]
 
 _CHUNK_FLOATS = 1 << 16  # largest per-chunk array: 512 KB
@@ -278,14 +275,3 @@ def sample_mstar(rng: np.random.Generator, alpha: float, beta: float, family) ->
     An interval [a, b) is hit at rate b**beta - a**beta; unit carrier only.
     """
     return LimitSample(*_sample(rng, alpha, _mstar_clocks(beta, _family(family))))
-
-
-def limit_samples_csv(samples) -> str:
-    """CSV export of a batch: columns replica,set_id,value,atoms_used."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["replica", "set_id", "value", "atoms_used"])
-    for replica, sample in enumerate(samples):
-        for set_id, value in enumerate(sample.values):
-            writer.writerow([replica, set_id, repr(value), sample.atoms_used])
-    return buf.getvalue()

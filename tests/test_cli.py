@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from karlin_rsm import cli
 from karlin_rsm.verify import SuiteReport
 
-BIN = [sys.executable, "-m", "karlin_rsm.cli"]
+BIN = [sys.executable, "-W", "error::RuntimeWarning", "-m", "karlin_rsm.cli"]  # a warning fails, as in process
 
 
 def run_cli(*args, **kw):
@@ -177,6 +178,20 @@ class TestUsageErrors:
         assert res.returncode == 2
         assert res.stderr == "error: the normalisation b_n overflows at alpha=0.005 and n=100000\n"
         assert res.stdout == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--beta", "0.5", "--n", "1000", "--seed", "1"],
+        ["verify", "--suite", "marginal", "--beta", "0.5", "--n", "10000", "--replicas", "100", "--seed", "1"],
+        ["verify", "--suite", "limit-vs-oracle", "--beta", "0.5", "--replicas", "100", "--seed", "1"],
+    ])
+    def test_alpha_at_or_below_the_mark_floor_exits_two(self, argv, family_file, capsys, monkeypatch):
+        # a urn mark can overflow at alpha <= 53/1024; marginal at alpha 0.01 used to fail on infinite sups
+        _no_samplers(monkeypatch)
+        for alpha in ("0.01", repr(53 / 1024)):
+            _exits_two(capsys, [*argv, "--alpha", alpha], "alpha must exceed 53/1024 = 0.0517578125 in the urn")
+        monkeypatch.undo()
+        assert cli.main(["limit-sample", "--beta", "0.5", "--alpha", "0.01", "--replicas", "3", "--seed", "1",
+                         "--query", family_file]) == 0  # the limit samplers take any alpha > 0
 
     def test_n_grid_only_for_marginal(self, capsys):
         # the other suites read one n; a grid would silently lose its points
@@ -369,6 +384,18 @@ class TestLimitSampleDomain:
         assert len(rows) == 20
         assert all(float(r.split(",")[2]) > 0 and int(r.split(",")[3]) >= 1 for r in rows)
 
+    @pytest.mark.parametrize("family, argv, message", [
+        ([{"intervals": [[i / 64, i / 64 + 0.01]]} for i in range(21)], [], "family of 21 sets exceeds"),
+        ([{"intervals": [[0.0, 0.5]]}], ["--alpha", "inf"], "alpha must be positive"),
+    ])
+    def test_rejected_family_creates_no_output(self, family, argv, message, tmp_path, capsys):
+        # replica 0 is drawn before --out is opened (the mstar case is test_mstar_wide_carrier_exits_two)
+        query, out = tmp_path / "family.json", tmp_path / "out.csv"
+        query.write_text(json.dumps({"family": family}))
+        _exits_two(capsys, ["limit-sample", "--beta", "0.5", "--replicas", "5", "--seed", "1", "--query", str(query),
+                            "--out", str(out), *argv], message)
+        assert not out.exists()
+
     def test_mstar_wide_carrier_exits_two(self, tmp_path, capsys):
         query = _family_json(tmp_path, [0, 4], [[0.0, 3.0]])
         out = tmp_path / "out.csv"
@@ -470,7 +497,29 @@ class TestSimulateCommand:
         assert "seed:" in res.stderr
 
 
+def _peak_rss_mb(argv) -> float:
+    """Peak resident memory of a CLI call in a child process, in MB, from ``os.wait4``."""
+    child = subprocess.Popen(BIN + argv, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(child.pid, 0)
+    child.returncode = os.waitstatus_to_exitcode(status)
+    assert child.returncode == 0
+    return usage.ru_maxrss / 1024  # KB on Linux
+
+
 class TestLimitSampleCommand:
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KB on Linux")
+    def test_memory_does_not_grow_with_replicas(self, tmp_path):
+        # each replica's rows are written as soon as it is drawn, so 32,768 replicas of a 3-set family
+        # peak within 8 MB of 1,000 (when the CSV was built in memory, about 18 MB apart)
+        query = tmp_path / "family.json"
+        query.write_text(json.dumps({"family": [{"intervals": [[0.03, 0.28]]}, {"intervals": [[0.31, 0.61]]},
+                                                {"intervals": [[0.51, 0.91]]}]}))
+        small, large = (_peak_rss_mb(["limit-sample", "--beta", "0.5", "--replicas", str(replicas), "--seed", "1",
+                                      "--query", str(query), "--out", str(tmp_path / f"{replicas}.csv")])
+                        for replicas in (1000, 32768))
+        assert len((tmp_path / "32768.csv").read_text().splitlines()) == 1 + 3 * 32768
+        assert large - small < 8.0, (small, large)
+
     def test_csv_schema(self, family_file, tmp_path):
         out = tmp_path / "limit.csv"
         res = run_cli("limit-sample", "--beta", "0.5", "--replicas", "5", "--seed", "1",

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from karlin_rsm import cli
 from karlin_rsm.distributions import (
     ZETA_TABLE_SIZE,
     _zeta_pmf,
@@ -17,7 +18,7 @@ from karlin_rsm.distributions import (
     qbeta_tail,
     riemann_zeta,
 )
-from karlin_rsm.karlin_sim import replica_rng, simulate, simulate_batch, top_m, top_m_csv
+from karlin_rsm.karlin_sim import replica_rng, simulate, simulate_batch
 
 from oracles import qbeta_from_uniform, qbeta_sample, zeta_devroye, zeta_series
 
@@ -273,7 +274,7 @@ class TestZetaDraws:
         assert abs(share - p) <= 3.0 * math.sqrt(p * (1.0 - p) / n)
         assert np.all(keys[keys < 0] < -1024) and np.all(keys[keys > 0] > ZETA_TABLE_SIZE)
 
-    def test_huge_labels_fixed_width_keys(self):
+    def test_huge_labels_fixed_width_keys(self, capsys):
         # s = 1.001 puts about half the labels beyond float range, as log-keys
         run = simulate(1.0, 1.0 / 1.001, 10 ** 4, seed=17)
         keys = run.draws
@@ -281,7 +282,10 @@ class TestZetaDraws:
         assert np.any(keys < -1024) and np.all((keys >= 1) | (keys < -1024))
         assert run.k_n == len(set(keys.tolist())) == len(run.batch.keys)
         assert int(run.batch.counts.sum()) == run.n
-        rows = list(csv.DictReader(io.StringIO(top_m_csv(top_m(run, 50)))))
+        # the CLI's CSV prints them as decimal labels
+        assert cli.main(["simulate", "--alpha", "1.0", "--beta", repr(1.0 / 1.001), "--n", "10000", "--seed", "17",
+                         "--top-m", "50"]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         labels = [int(r["label"]) for r in rows]
         assert min(labels) >= 1 and len(set(labels)) == len(labels)
         assert max(labels) >= 2 ** 1024

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from karlin_rsm import karlin_sim
+from karlin_rsm import cli, karlin_sim
 from karlin_rsm.choquet_oracle import pattern_limit
 from karlin_rsm.distributions import (
     ZETA_TABLE_SIZE,
@@ -19,6 +19,7 @@ from karlin_rsm.distributions import (
 )
 from karlin_rsm.interval_sets import normalize
 from karlin_rsm.karlin_sim import (
+    ALPHA_FLOOR,
     CHUNK,
     MAX_N,
     THREAD_BREAK_EVEN,
@@ -31,7 +32,6 @@ from karlin_rsm.karlin_sim import (
     mean_pattern_counts,
     nu_count,
     occupancy_histogram,
-    occupancy_json,
     pattern_count_table,
     ranked_hit,
     replica_rng,
@@ -40,7 +40,6 @@ from karlin_rsm.karlin_sim import (
     threads_pay,
     top_marks,
     top_m,
-    top_m_csv,
     variant_star_sup,
 )
 
@@ -113,16 +112,18 @@ class TestFrequencyModel:
         assert b_n(ALPHA, BETA, 2) == pytest.approx(math.gamma(0.5), rel=1e-12)
 
     def test_b_n_validation(self):
-        # beta is checked first, then alpha, then n; below n = zeta(2) nu is 0, and b_n overflows
-        # below alpha of about 0.0086 at n = 1e5
+        # beta is checked first, then alpha, then n; below n = zeta(2) nu is 0, b_n overflows below
+        # alpha of about 0.0086 at n = 1e5, and the marks' floor is checked after that
         for alpha, beta, n, what in ((1.0, 0.0, 10, "beta"), (1.0, 1.0, 10, "beta"), (0.0, 1.5, 10, "beta"),
                                      (0.0, BETA, 10, "alpha"), (-1.0, BETA, 10, "alpha"),
                                      (math.inf, BETA, 10, "alpha"), (math.nan, BETA, 10, "alpha"),
                                      (1.0, BETA, 0, "n must"), (1.0, BETA, 1, "below zeta"),
-                                     (0.005, BETA, 10 ** 5, "overflows at alpha=0.005 and n=100000")):
+                                     (0.005, BETA, 10 ** 5, "overflows at alpha=0.005 and n=100000"),
+                                     (0.009, BETA, 10 ** 5, "alpha must exceed 53/1024"),
+                                     (ALPHA_FLOOR, BETA, 10 ** 5, "alpha must exceed 53/1024")):
             with pytest.raises(ValueError, match=what):
                 b_n(alpha, beta, n)
-        assert math.isfinite(b_n(0.009, BETA, 10 ** 5))
+        assert math.isfinite(b_n(math.nextafter(ALPHA_FLOOR, 1.0), BETA, 10 ** 5))
 
     def test_threads_pay_from_the_break_even(self):
         # a chunk expects 2**14 keys to sort: beta 0.5 from n of about 2e3, beta 0.9 at every n used;
@@ -193,10 +194,16 @@ class TestSimulate:
             simulate(ALPHA, BETA, 0, seed=0)
 
     def test_validation(self):
-        # the mark index alpha and the frequency index beta are checked where they enter, beta first
+        # the mark index alpha and the frequency index beta are checked where they enter, beta first;
+        # the largest mark, (2**-53)**(-1/alpha) = 2**(53/alpha), is finite only above ALPHA_FLOOR
+        assert ALPHA_FLOOR == 53 / 1024
+        assert math.isfinite((2.0 ** -53) ** (-1.0 / math.nextafter(ALPHA_FLOOR, 1.0)))
+        with pytest.raises(OverflowError):
+            (2.0 ** -53) ** (-1.0 / 0.0517)
         for alpha, beta, what in ((0.0, BETA, "alpha"), (-1.0, BETA, "alpha"), (math.inf, BETA, "alpha"),
                                   (math.nan, BETA, "alpha"), (ALPHA, 0.0, "beta"), (ALPHA, 1.0, "beta"),
-                                  (0.0, math.nan, "beta")):
+                                  (0.0, math.nan, "beta"), (0.01, BETA, "alpha must exceed 53/1024"),
+                                  (ALPHA_FLOOR, BETA, "alpha must exceed 53/1024")):
             with pytest.raises(ValueError, match=what):
                 simulate_batch(alpha, beta, 100, replica_rng(0), 2)
             with pytest.raises(ValueError, match=what):
@@ -450,13 +457,15 @@ class TestWalk:
         def no_stream(key):
             raise AssertionError("a run's stream was made")
 
-        monkeypatch.setattr(karlin_sim, "_stream", no_stream)
         for family in ((), (UNIT,)):
             batch = simulate_batch(ALPHA, BETA, 10 ** 4, replica_rng(34), 3, family)
-            top = np.maximum.reduceat(batch.marks, batch.start)
-            assert np.array_equal(empirical_sup(batch, UNIT), top)
-            assert np.array_equal(variant_star_sup(batch, UNIT), top)
-            assert all(ranked_hit(batch, k, UNIT).all() for k in range(WALK))
+            with monkeypatch.context() as patch:
+                patch.setattr(karlin_sim, "_stream", no_stream)
+                top = np.maximum.reduceat(batch.marks, batch.start)
+                assert np.array_equal(empirical_sup(batch, UNIT), top)
+                assert np.array_equal(variant_star_sup(batch, UNIT), top)
+                assert all(ranked_hit(batch, k, UNIT).all() for k in range(WALK))
+            # the other boxes' cells take their run's own split, which over one cell is the counts
             assert pattern_count_table(batch, [UNIT]).tolist() == [[0, k] for k in batch.k_n]
             assert batch.cells.tolist() == batch.counts[:, None].tolist()
 
@@ -507,20 +516,26 @@ class TestTopOrderStats:
             assert values == run.batch.marks[order].tolist()
             assert labels == run.batch.keys[order].astype(int).tolist()
 
-    def test_csv_export_round_trip(self):
+    def test_csv_export_round_trip(self, capsys):
+        # the CLI's simulate CSV holds top_m of the same run, each float as its repr
         run = simulate(ALPHA, BETA, 1000, seed=9)
-        text = top_m_csv(top_m(run, 3))
-        rows = list(csv.DictReader(io.StringIO(text)))
+        assert cli.main(["simulate", "--beta", repr(BETA), "--n", "1000", "--seed", "9", "--top-m", "3"]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert [r["rank"] for r in rows] == ["1", "2", "3"]
-        top1 = rows[0]
-        assert float(top1["value"]) == top_m(run, 1)[0].value
-        locs = [float(v) for v in top1["locations"].split(";")]
+        for row, st in zip(rows, top_m(run, 3), strict=True):
+            assert (float(row["value"]), float(row["value_normalized"])) == (st.value, st.value_normalized)
+            assert int(row["label"]) == st.label
+            assert tuple(float(v) for v in row["locations"].split(";")) == st.locations
+        locs = [float(v) for v in rows[0]["locations"].split(";")]
         assert locs == sorted(locs)
 
-    def test_occupancy_json(self):
+    def test_occupancy_json(self, capsys):
         run = simulate(ALPHA, BETA, 1000, seed=10)
-        payload = json.loads(occupancy_json(run))
-        assert payload["k_n"] == run.k_n
+        assert cli.main(["simulate", "--beta", repr(BETA), "--n", "1000", "--seed", "10", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["n"], payload["seed"], payload["replica"]) == (1000, 10, 0)
+        assert payload["k_n"] == run.k_n and payload["b_n"] == run.batch.b_n
+        assert payload["histogram"] == {str(k): c for k, c in occupancy_histogram(run.batch).items()}
         assert sum(payload["histogram"].values()) == run.k_n
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 import time
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
+from karlin_rsm import cli
 from karlin_rsm import karlin_sim as ksim
 from karlin_rsm import limit_sim as lsim
 from karlin_rsm.choquet_oracle import mstar_theta, pattern_limit, theta
@@ -15,7 +17,6 @@ from karlin_rsm.karlin_sim import replica_rng
 from karlin_rsm.limit_sim import (
     coupled_batch,
     karlin_batch,
-    limit_samples_csv,
     mstar_batch,
     pattern_rates,
     sample_karlin,
@@ -442,17 +443,20 @@ class TestProperties:
             assert np.array_equal(small, whole[:r])
 
 
-def test_csv_export():
-    rng = np.random.default_rng(43)
-    fam = [normalize([(0.0, 0.5)]), normalize([(0.5, 1.0)])]
-    samples = [sample_karlin(rng, 1.0, 0.5, fam) for _ in range(3)]
-    text = limit_samples_csv(samples)
-    lines = text.strip().splitlines()
+def test_csv_export(tmp_path, capsys):
+    # the CLI's limit-sample CSV: a row per replica and set, replica r drawn from replica_rng(seed, r)
+    query = tmp_path / "family.json"
+    query.write_text(json.dumps({"family": [{"intervals": [[0.0, 0.5]]}, {"intervals": [[0.5, 1.0]]}]}))
+    assert cli.main(["limit-sample", "--beta", "0.5", "--replicas", "3", "--seed", "43", "--query", str(query)]) == 0
+    lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "replica,set_id,value,atoms_used"
     assert len(lines) == 1 + 3 * 2
-    first = lines[1].split(",")
-    assert first[0] == "0" and first[1] == "0"
-    assert float(first[2]) == samples[0].values[0]
+    fam = [normalize([(0.0, 0.5)]), normalize([(0.5, 1.0)])]
+    expected = []
+    for r in range(3):
+        sample = sample_karlin(replica_rng(43, r), 1.0, 0.5, fam)
+        expected += [f"{r},{set_id},{value!r},{sample.atoms_used}" for set_id, value in enumerate(sample.values)]
+    assert lines[1:] == expected
 
 
 _HALF = (normalize([(0.0, 0.5)]),)
