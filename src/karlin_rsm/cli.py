@@ -4,7 +4,9 @@ Subcommands: ``simulate`` (one urn run, top-order CSV or occupancy JSON),
 ``limit-sample`` (batches from the exact limit samplers), ``oracle``
 (closed-form evaluation of a query), and ``verify`` (statistical suites).
 Exit codes: 0 success, 1 a verification suite failed, 2 usage, domain or
-resource error.  With an explicit ``--seed`` the output files are
+resource error, 141 (128 + SIGPIPE, as a shell reports a writer that a closed
+pipe ended) when the reader of stdout closes it early, e.g. ``| head``, with
+nothing printed to stderr.  With an explicit ``--seed`` the output files are
 byte-identical across runs and thread counts; without one a fresh 64-bit
 seed is drawn from system entropy and printed to stderr.  The CSV and JSON
 formats of ``simulate`` and ``limit-sample`` are written here and nowhere else.
@@ -28,6 +30,8 @@ from .karlin_sim import replica_rng
 from .verify import MAX_REPLICAS, SuiteConfig, SUITES, run_suite
 
 __all__ = ["main"]
+
+EXIT_CLOSED_PIPE = 141  # 128 + SIGPIPE
 
 
 def _positive_int(text: str) -> int:
@@ -203,7 +207,15 @@ def main(argv=None) -> int:
         "verify": _cmd_verify,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()  # a closed pipe shows here, not in the flush at exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone: what is left to flush goes to devnull, so the exit prints nothing
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CLOSED_PIPE
     except (ValueError, OSError, ksim.ResourceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

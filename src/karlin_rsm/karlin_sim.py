@@ -23,8 +23,9 @@ cells are split in decreasing mark order: the top ``WALK`` boxes of every run
 by one hypergeometric array call per rank and cell, and the other boxes of a
 run only when a query needs them (a set that no top box answers, or a
 pattern table).  Every query returns one value per run.  The CLI's
-:func:`simulate` is a batch of one.  Box labels are float64 keys (see
-:func:`~karlin_rsm.distributions._zeta_tail`).
+:func:`simulate` is a batch of one, and it prints the top boxes' positions
+(:func:`top_m`) without placing the other balls.  Box labels are float64
+keys (see :func:`~karlin_rsm.distributions._zeta_tail`).
 """
 
 from __future__ import annotations
@@ -205,8 +206,10 @@ class UrnBatch:
     c]`` counts the balls of box ``top[r, j]`` in cell c, and ``room[r, c]``
     the positions of cell c that these boxes leave.  The other boxes of run r
     are split over that room on first use (:meth:`cells_of`), from the run's
-    own stream ``streams[r, 0]``, so no value depends on the order in which
-    queries read the batch.
+    own stream ``streams[r, 0]``.  The positions come from its second stream
+    ``streams[r, 1]``: the walked boxes' balls first (:meth:`walked_positions`),
+    then every other (:meth:`draws`).  So no value depends on the order in
+    which queries read the batch.
     """
 
     alpha: float
@@ -221,7 +224,7 @@ class UrnBatch:
     top: np.ndarray
     top_cells: np.ndarray
     room: np.ndarray
-    streams: np.ndarray  # (runs, 2) Philox keys: the split of the other boxes, and the order of draws
+    streams: np.ndarray  # (runs, 2) Philox keys: the split of the other boxes, and the positions
     _cells: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -255,23 +258,50 @@ class UrnBatch:
         """(boxes, cells) ball counts of every box of the batch."""
         return np.concatenate([self.cells_of(r) for r in range(self.runs)])
 
-    def draws(self, r: int) -> np.ndarray:
-        """The key of every step of run r, each cell's balls in uniform order from the run's stream
-        ``streams[r, 1]``: O(n), read only by :func:`top_m` and position scans."""
+    def _walked(self, r: int):
+        """Run r's stream ``streams[r, 1]`` after it placed the walked boxes' balls, and their
+        positions: per cell one ordered uniform sample of the positions the walked boxes fill
+        there, its first ``top_cells[r, 0, c]`` to rank 0, the next ones to rank 1, and so on."""
         rng = _stream(self.streams[r, 1])
-        keys = self.keys[self.start[r]:self.start[r] + self.k_n[r]]
+        take = self.top_cells[r, :min(WALK, self.k_n[r])]
+        cells = [np.split(rng.choice(hi - lo, int(t.sum()), replace=False) + lo, np.cumsum(t)[:-1])
+                 for lo, hi, t in zip(self.cuts[:-1], self.cuts[1:], take.T)]
+        return rng, [np.sort(np.concatenate(ranks)) for ranks in zip(*cells)]
+
+    def walked_positions(self, r: int) -> list:
+        """The sorted positions (indices j of the draws) of the balls of run r's boxes of mark rank
+        0 .. min(WALK, k_n) - 1, from the run's stream ``streams[r, 1]``: O(their counts), not O(n)
+        (numpy's choice shuffles an int64 copy of a cell where they fill more than 1/50 of it)."""
+        return self._walked(r)[1]
+
+    def draws(self, r: int) -> np.ndarray:
+        """The key of every step of run r: O(n), read only by :func:`top_m` past rank WALK and by
+        position scans.  It extends :meth:`walked_positions`: the same stream then fills each cell's
+        other positions with the other boxes' balls in uniform order."""
+        rng, positions = self._walked(r)
+        lo = self.start[r]
+        keys = self.keys[lo:lo + self.k_n[r]]
+        walked = self.top[r][:len(positions)] - lo
+        other = np.ones(keys.size, dtype=bool)
+        other[walked] = False
+        cells = self.cells_of(r)[other]
         out = np.empty(self.n)
-        for c, cell in enumerate(self.cells_of(r).T):
-            seg = out[self.cuts[c]:self.cuts[c + 1]]
-            seg[:] = np.repeat(keys, cell)
-            rng.shuffle(seg)
+        free = np.ones(self.n, dtype=bool)
+        for box, pos in zip(walked, positions):
+            out[pos] = keys[box]
+            free[pos] = False
+        for c in range(self.cuts.size - 1):
+            seg = slice(self.cuts[c], self.cuts[c + 1])
+            rest = np.repeat(keys[other], cells[:, c])
+            rng.shuffle(rest)
+            out[seg][free[seg]] = rest
         return out
 
 
 @dataclass
 class SimRun:
     """One run, as the CLI's ``simulate`` prints it: a batch of one and the seed and replica of its
-    stream."""
+    stream.  ``draws`` expands the whole run, O(n); :func:`top_m` reads it only past rank WALK."""
 
     batch: UrnBatch
     seed: int
@@ -443,18 +473,23 @@ def top_m(run: SimRun, m: int) -> list:
     """The m largest distinct-box marks with labels and location sets.
 
     Returns k_n entries when the run has fewer occupied boxes than m; equal
-    marks keep box order.  The location sets come from ``run.draws``.
+    marks keep box order.  The location sets of the ranks below WALK are the
+    batch's :meth:`UrnBatch.walked_positions`, which cost O(their counts);
+    only a deeper rank (m > WALK) scans ``run.draws``, O(n), which extends
+    the same arrangement.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
     batch = run.batch
     top = _top(batch.run, batch.marks, batch.k_n, batch.start, min(m, run.k_n))[0]
+    walked = batch.walked_positions(0)
     out = []
-    for rank, box in enumerate(top, start=1):
-        locs = np.flatnonzero(run.draws == batch.keys[box]) / run.n
+    for rank, box in enumerate(top):
+        positions = walked[rank] if rank < WALK else np.flatnonzero(run.draws == batch.keys[box])
+        locs = positions / run.n
         out.append(
             TopOrderStat(
-                rank=rank,
+                rank=rank + 1,
                 value=float(batch.marks[box]),
                 value_normalized=float(batch.marks[box] / batch.b_n),
                 label=_label_int(batch.keys[box]),

@@ -87,6 +87,25 @@ class TestTailDependence:
             q2 = query(grown, alpha=q.alpha, beta=q.beta)
             assert tail_dependence(q2) >= tail_dependence(q) - 1e-14
 
+    def test_max_linear_form_of_the_pattern_rates(self):
+        # TD(q) = sum over patterns S != 0 of p_S max_{i in S} z_i**-alpha, p = pattern_rates: the
+        # oracle's layer cake against the limit sampler's clock rates, on families of overlapping sets
+        rng = np.random.default_rng(9)
+        overlapping = 0
+        for _ in range(200):
+            d = int(rng.integers(2, 6))
+            fam = [normalize([tuple(sorted(rng.uniform(0.0, 1.0, 2))) for _ in range(rng.integers(1, 4))])
+                   for _ in range(d)]
+            q = query(zip(fam, rng.uniform(0.2, 5.0, d)), alpha=float(rng.uniform(0.2, 5.0)),
+                      beta=float(rng.uniform(0.05, 0.95)))
+            rates = pattern_rates(q.beta, fam)
+            codes = np.arange(1, 2 ** d)
+            inside = (codes[:, None] >> np.arange(d)) & 1 == 1
+            form = float(rates[1:] @ np.where(inside, np.array(q.weights), 0.0).max(axis=1))
+            assert form == pytest.approx(tail_dependence(q), rel=1e-12, abs=0.0)
+            overlapping += bool(rates[codes[inside.sum(axis=1) > 1]].any())
+        assert overlapping >= 150
+
     def test_against_quadrature(self):
         rng = np.random.default_rng(3)
         for _ in range(25):

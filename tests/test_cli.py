@@ -498,12 +498,56 @@ class TestSimulateCommand:
 
 
 def _peak_rss_mb(argv) -> float:
-    """Peak resident memory of a CLI call in a child process, in MB, from ``os.wait4``."""
-    child = subprocess.Popen(BIN + argv, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-    _, status, usage = os.wait4(child.pid, 0)
-    child.returncode = os.waitstatus_to_exitcode(status)
-    assert child.returncode == 0
-    return usage.ru_maxrss / 1024  # KB on Linux
+    """Peak resident memory of a CLI call, in MB, from ``os.wait4`` in a small process that starts it.
+
+    A direct child would report at least the test process's own peak: Linux keeps, as a process's
+    peak, that of the memory it replaces at exec."""
+    probe = ("import os, subprocess, sys; child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL); "
+             "_, status, usage = os.wait4(child.pid, 0); print(os.waitstatus_to_exitcode(status), "
+             "usage.ru_maxrss / 1024)")  # KB on Linux
+    res = subprocess.run([sys.executable, "-c", probe, *BIN, *argv], capture_output=True, text=True)
+    code, peak = res.stdout.split()
+    assert code == "0", res.stderr
+    return float(peak)
+
+
+class TestSimulateMemory:
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KB on Linux")
+    def test_csv_locations_do_not_expand_the_run(self, tmp_path):
+        # the CSV draws only the printed boxes' positions, so at n = 1e7 it peaks within 8 MB of the
+        # JSON call, which reads no position (190 MB against 37 MB when the run was expanded)
+        argv = ["simulate", "--beta", "0.5", "--n", "10000000", "--seed", "1"]
+        csv_mb = _peak_rss_mb([*argv, "--out", str(tmp_path / "top.csv")])
+        json_mb = _peak_rss_mb([*argv, "--format", "json", "--out", str(tmp_path / "occ.json")])
+        assert csv_mb - json_mb < 8, (csv_mb, json_mb)
+
+
+class TestClosedPipe:
+    """A reader that closes stdout early, as ``| head`` does, ends the call quietly with exit 141."""
+
+    def test_limit_sample_into_head(self, tmp_path):
+        query = tmp_path / "family.json"
+        query.write_text(json.dumps({"family": [{"intervals": [[0.03, 0.28]]}, {"intervals": [[0.31, 0.61]]},
+                                                {"intervals": [[0.51, 0.91]]}]}))
+        # 20,000 replicas write far more than a pipe holds, so the writer meets the closed pipe
+        child = subprocess.Popen(BIN + ["limit-sample", "--beta", "0.5", "--replicas", "20000", "--seed", "1",
+                                        "--query", str(query)],
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        assert child.stdout.readline() == "replica,set_id,value,atoms_used\n"
+        child.stdout.close()
+        err = child.stderr.read()
+        assert (child.wait(), err) == (cli.EXIT_CLOSED_PIPE, "")
+        assert cli.EXIT_CLOSED_PIPE not in (0, 1, 2)
+
+    def test_failed_suite_is_not_turned_into_success(self):
+        # the failing suite of TestVerifyCommand, its report written into a pipe already closed
+        child = subprocess.Popen(BIN + ["verify", "--suite", "marginal", "--beta", "0.5", "--n", "3",
+                                        "--replicas", "2000", "--seed", "42"],
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        child.stdout.close()
+        err = child.stderr.read()
+        assert child.wait() == cli.EXIT_CLOSED_PIPE
+        assert "error" not in err and "Traceback" not in err
 
 
 class TestLimitSampleCommand:
