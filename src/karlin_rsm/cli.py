@@ -123,15 +123,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_simulate(args) -> int:
     seed = _resolve_seed(args.seed)
     ksim.b_n(args.alpha, args.beta, args.n)  # every output prints b_n: fail before drawing
-    run = ksim.simulate(args.alpha, args.beta, args.n, seed)
+    # the batch of one that ksim.simulate returns, drawn here: perfbench's tracer counter on simulate
+    # reads fields of the run type it returned before, until that counter moves to simulate_batch
+    batch = ksim.simulate_batch(args.alpha, args.beta, args.n, replica_rng(seed), 1)
     if args.format == "json":
-        histogram = sorted(ksim.occupancy_histogram(run.batch).items())
-        payload = {"n": run.n, "seed": run.seed, "replica": run.replica, "k_n": run.k_n, "b_n": run.batch.b_n,
+        histogram = sorted(ksim.occupancy_histogram(batch).items())
+        payload = {"n": batch.n, "seed": seed, "replica": 0, "k_n": int(batch.k_n[0]), "b_n": batch.b_n,
                    "histogram": {str(k): count for k, count in histogram}}
         with _output(args.out) as out:
             out.write(json.dumps(payload, indent=2) + "\n")
         return 0
-    stats = ksim.top_m(run, args.top_m)
+    stats = ksim.top_m(batch, args.top_m)
     with _output(args.out) as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["rank", "value", "value_normalized", "label", "locations"])

@@ -22,10 +22,10 @@ and one mark per box.  The arrangement is independent of the marks, so the
 cells are split in decreasing mark order: the top ``WALK`` boxes of every run
 by one hypergeometric array call per rank and cell, and the other boxes of a
 run only when a query needs them (a set that no top box answers, or a
-pattern table).  Every query returns one value per run.  The CLI's
-:func:`simulate` is a batch of one, and it prints the top boxes' positions
-(:func:`top_m`) without placing the other balls.  Box labels are float64
-keys (see :func:`~karlin_rsm.distributions._zeta_tail`).
+pattern table).  Every query returns one value per run.  One run is a
+batch of one (:func:`simulate`), and :func:`top_m` reads its top boxes'
+positions without placing the other balls.  Box labels are float64 keys
+(see :func:`~karlin_rsm.distributions._zeta_tail`).
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from .interval_sets import IntervalSet, atomize, moebius, normalize, union_measu
 
 __all__ = [
     "UrnBatch",
-    "SimRun",
     "TopOrderStat",
     "ResourceError",
     "nu_count",
@@ -275,9 +274,9 @@ class UrnBatch:
         return self._walked(r)[1]
 
     def draws(self, r: int) -> np.ndarray:
-        """The key of every step of run r: O(n), read only by :func:`top_m` past rank WALK and by
-        position scans.  It extends :meth:`walked_positions`: the same stream then fills each cell's
-        other positions with the other boxes' balls in uniform order."""
+        """The key of every step of run r: O(n), read only by :func:`top_m` past rank WALK, once per
+        call, and by position scans.  It extends :meth:`walked_positions`: the same stream then fills
+        each cell's other positions with the other boxes' balls in uniform order."""
         rng, positions = self._walked(r)
         lo = self.start[r]
         keys = self.keys[lo:lo + self.k_n[r]]
@@ -296,28 +295,6 @@ class UrnBatch:
             rng.shuffle(rest)
             out[seg][free[seg]] = rest
         return out
-
-
-@dataclass
-class SimRun:
-    """One run, as the CLI's ``simulate`` prints it: a batch of one and the seed and replica of its
-    stream.  ``draws`` expands the whole run, O(n); :func:`top_m` reads it only past rank WALK."""
-
-    batch: UrnBatch
-    seed: int
-    replica: int
-
-    @property
-    def n(self) -> int:
-        return self.batch.n
-
-    @property
-    def k_n(self) -> int:
-        return int(self.batch.k_n[0])
-
-    @cached_property
-    def draws(self) -> np.ndarray:
-        return self.batch.draws(0)
 
 
 @lru_cache(maxsize=64)
@@ -450,9 +427,9 @@ def simulate_batch(alpha: float, beta: float, n: int, rng: np.random.Generator, 
                     k_n=k_n, top=top, top_cells=top_cells, room=room, streams=streams)
 
 
-def simulate(alpha: float, beta: float, n: int, seed: int, replica: int = 0) -> SimRun:
+def simulate(alpha: float, beta: float, n: int, seed: int, replica: int = 0) -> UrnBatch:
     """One run: the batch of one that :func:`simulate_batch` draws from ``replica_rng(seed, replica)``."""
-    return SimRun(simulate_batch(alpha, beta, n, replica_rng(seed, replica), 1), seed, replica)
+    return simulate_batch(alpha, beta, n, replica_rng(seed, replica), 1)
 
 
 def _label_int(key: float) -> int:
@@ -469,34 +446,30 @@ def top_marks(batch: UrnBatch, m: int) -> np.ndarray:
     return np.where(top >= 0, batch.marks[top], np.nan)
 
 
-def top_m(run: SimRun, m: int) -> list:
-    """The m largest distinct-box marks with labels and location sets.
+def top_m(batch: UrnBatch, m: int) -> list:
+    """The m largest distinct-box marks of a batch of one run, with labels and location sets.
 
     Returns k_n entries when the run has fewer occupied boxes than m; equal
     marks keep box order.  The location sets of the ranks below WALK are the
     batch's :meth:`UrnBatch.walked_positions`, which cost O(their counts);
-    only a deeper rank (m > WALK) scans ``run.draws``, O(n), which extends
-    the same arrangement.
+    only a deeper rank (m > WALK) scans the run's :meth:`UrnBatch.draws`,
+    O(n) and expanded once per call, which extend the same arrangement.
+    Raises ValueError for a batch of more than one run.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
-    batch = run.batch
-    top = _top(batch.run, batch.marks, batch.k_n, batch.start, min(m, run.k_n))[0]
-    walked = batch.walked_positions(0)
-    out = []
-    for rank, box in enumerate(top):
-        positions = walked[rank] if rank < WALK else np.flatnonzero(run.draws == batch.keys[box])
-        locs = positions / run.n
-        out.append(
-            TopOrderStat(
-                rank=rank + 1,
-                value=float(batch.marks[box]),
-                value_normalized=float(batch.marks[box] / batch.b_n),
-                label=_label_int(batch.keys[box]),
-                locations=tuple(float(v) for v in locs),
-            )
-        )
-    return out
+    if batch.runs != 1:
+        raise ValueError(f"top_m reads a batch of one run, got {batch.runs} runs")
+    top = _top(batch.run, batch.marks, batch.k_n, batch.start, min(m, int(batch.k_n[0])))[0]
+    positions = batch.walked_positions(0)
+    if top.size > WALK:
+        draws = batch.draws(0)
+        positions += [np.flatnonzero(draws == batch.keys[box]) for box in top[WALK:]]
+    return [TopOrderStat(rank=rank + 1, value=float(batch.marks[box]),
+                         value_normalized=float(batch.marks[box] / batch.b_n),
+                         label=_label_int(batch.keys[box]),
+                         locations=tuple(float(v) for v in pos / batch.n))
+            for rank, (box, pos) in enumerate(zip(top, positions))]
 
 
 def _inside(batch: UrnBatch, a: IntervalSet) -> np.ndarray:

@@ -189,7 +189,8 @@ def _batch(rng, alpha: float, clocks: _Clocks, replicas: int) -> np.ndarray:
         _first_hits(rng.standard_exponential((size, k)) / clocks.rates, clocks)
         for size in _chunks(replicas, clocks.misses.size)
     ]
-    return np.concatenate(first) ** (-1.0 / alpha)
+    with np.errstate(over="ignore"):  # a level beyond float range is inf
+        return np.concatenate(first) ** (-1.0 / alpha)
 
 
 def _poisson(rng: np.random.Generator, lam: float) -> int:
@@ -210,7 +211,8 @@ def _sample(rng, alpha: float, clocks: _Clocks) -> tuple:
     _check_alpha(alpha)
     g = rng.standard_exponential((1, clocks.rates.size)) / clocks.rates
     first = _first_hits(g, clocks)[0]
-    values = tuple((first ** (-1.0 / alpha)).tolist())
+    with np.errstate(over="ignore"):  # a level beyond float range is inf
+        values = tuple((first ** (-1.0 / alpha)).tolist())
     hit = [x for x in first.tolist() if x < math.inf]
     if not hit:
         return values, 0
@@ -259,7 +261,8 @@ def top_m_batch(rng: np.random.Generator, alpha: float, beta: float, m: int, fam
     values, winners = [], []
     for size in _chunks(replicas, m * rates.size):
         g = rng.standard_exponential((size, m, rates.size)) / rates
-        values.append(np.cumsum(g.min(axis=2), axis=1) ** (-1.0 / alpha))
+        with np.errstate(over="ignore"):  # a level beyond float range is inf
+            values.append(np.cumsum(g.min(axis=2), axis=1) ** (-1.0 / alpha))
         winners.append(g.argmin(axis=2))
     return np.concatenate(values), hits[np.concatenate(winners)]
 

@@ -405,6 +405,16 @@ class TestLimitSampleDomain:
         assert err.startswith("error: ") and "unit carrier" in err and len(err.splitlines()) == 1
         assert not out.exists()  # the first replica fails before the output is opened
 
+    def test_levels_beyond_float_range_print_inf(self, tmp_path):
+        # on the carrier [0, 1e300] the pattern rate is 1e150, so every first arrival is about 1e-150
+        # and its level at alpha = 0.1 about 1e1500: inf, with no RuntimeWarning (BIN makes one fatal)
+        query = _family_json(tmp_path, [0, 1e300], [[0.0, 1e300]])
+        res = run_cli("limit-sample", "--beta", "0.5", "--alpha", "0.1", "--replicas", "50", "--seed", "1",
+                      "--query", query)
+        assert (res.returncode, res.stderr) == (0, "")
+        values = [row.split(",")[2] for row in res.stdout.splitlines()[1:]]
+        assert len(values) == 50 and set(values) == {"inf"}
+
     def test_tiny_set_samples_at_once(self, tmp_path):
         query = _family_json(tmp_path, [0, 1], [[0.0, 1e-300]])
         out = tmp_path / "out.csv"
@@ -495,6 +505,40 @@ class TestSimulateCommand:
         res = run_cli("simulate", "--beta", "0.5", "--n", "1000")
         assert res.returncode == 0
         assert "seed:" in res.stderr
+
+
+def test_traced_simulate_prints_the_same_bytes(tmp_path, monkeypatch):
+    # perfbench's tracer wraps the package's public functions; its counter on karlin_sim.simulate reads
+    # fields that the batch simulate returns lacks, so the CLI must draw through simulate_batch
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import tracer
+
+    def outputs(tag: str) -> list:
+        out = []
+        for i, extra in enumerate((["--top-m", "7"], ["--format", "json"])):
+            path = tmp_path / f"{tag}{i}"
+            assert cli.main(["simulate", "--beta", "0.5", "--n", "20000", "--seed", "5", *extra,
+                             "--out", str(path)]) == 0
+            out.append(path.read_bytes())
+        return out
+
+    plain = outputs("plain")
+    t = tracer.Tracer("test")
+    uninstall = tracer.install(t)
+    try:
+        traced = outputs("traced")
+    finally:
+        uninstall()
+    assert traced == plain
+    names = [span[1] for span in t.spans]
+    assert names.count("karlin_sim.simulate_batch") == 2 and "karlin_sim.simulate" not in names
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    code = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    res = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
 
 
 def _peak_rss_mb(argv) -> float:

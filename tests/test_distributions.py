@@ -276,12 +276,12 @@ class TestZetaDraws:
 
     def test_huge_labels_fixed_width_keys(self, capsys):
         # s = 1.001 puts about half the labels beyond float range, as log-keys
-        run = simulate(1.0, 1.0 / 1.001, 10 ** 4, seed=17)
-        keys = run.draws
+        batch = simulate(1.0, 1.0 / 1.001, 10 ** 4, seed=17)
+        keys = batch.draws(0)
         assert keys.dtype == np.float64 and np.all(np.isfinite(keys))
         assert np.any(keys < -1024) and np.all((keys >= 1) | (keys < -1024))
-        assert run.k_n == len(set(keys.tolist())) == len(run.batch.keys)
-        assert int(run.batch.counts.sum()) == run.n
+        assert batch.k_n[0] == len(set(keys.tolist())) == len(batch.keys)
+        assert int(batch.counts.sum()) == batch.n
         # the CLI's CSV prints them as decimal labels
         assert cli.main(["simulate", "--alpha", "1.0", "--beta", repr(1.0 / 1.001), "--n", "10000", "--seed", "17",
                          "--top-m", "50"]) == 0

@@ -138,15 +138,15 @@ class TestFrequencyModel:
 
 class TestSimulate:
     def test_single_draw(self):
-        run = simulate(ALPHA, BETA, 1, seed=5)
-        assert run.k_n == 1
-        assert run.batch.counts.tolist() == [1] and run.batch.cells.tolist() == [[1]]
-        assert run.draws.tolist() == run.batch.keys.tolist() and run.batch.marks[0] >= 1.0
+        batch = simulate(ALPHA, BETA, 1, seed=5)
+        assert isinstance(batch, karlin_sim.UrnBatch) and batch.runs == 1 and batch.k_n[0] == 1
+        assert batch.counts.tolist() == [1] and batch.cells.tolist() == [[1]]
+        assert batch.draws(0).tolist() == batch.keys.tolist() and batch.marks[0] >= 1.0
 
     def test_counts_sum_to_n(self):
-        run = simulate(ALPHA, BETA, 10 ** 4, seed=1)
-        assert int(run.batch.counts.sum()) == 10 ** 4
-        assert run.k_n == len(set(int(y) for y in run.draws))
+        batch = simulate(ALPHA, BETA, 10 ** 4, seed=1)
+        assert int(batch.counts.sum()) == 10 ** 4
+        assert batch.k_n[0] == len(set(int(y) for y in batch.draws(0)))
 
     def test_mark_reuse_is_bitwise(self):
         batch = simulate_batch(ALPHA, BETA, 5000, replica_rng(2), 3)
@@ -163,9 +163,9 @@ class TestSimulate:
         a = simulate(ALPHA, BETA, 2000, seed=9)
         b = simulate(ALPHA, BETA, 2000, seed=9)
         c = simulate(ALPHA, BETA, 2000, seed=9, replica=1)
-        assert np.array_equal(a.draws, b.draws)
-        assert np.array_equal(a.batch.marks, b.batch.marks)
-        assert not np.array_equal(a.draws, c.draws)
+        assert np.array_equal(a.draws(0), b.draws(0))
+        assert np.array_equal(a.marks, b.marks)
+        assert not np.array_equal(a.draws(0), c.draws(0))
 
     def test_marks_in_key_order_from_the_stream(self):
         # the stream: the head counts of the labels 1..L and the rest for every run, the rest keys in
@@ -211,15 +211,15 @@ class TestSimulate:
                 simulate(alpha, beta, 100, seed=0)
 
     def test_occupancy_growth_single_run(self):
-        run = simulate(ALPHA, BETA, 10 ** 6, seed=3)
-        ratio = run.k_n / nu_count(BETA, 10 ** 6)
+        batch = simulate(ALPHA, BETA, 10 ** 6, seed=3)
+        ratio = batch.k_n[0] / nu_count(BETA, 10 ** 6)
         assert abs(ratio - math.gamma(0.5)) <= 0.15  # one run, loose sanity
 
     def test_block_frequency_single_run(self):
-        run = simulate(ALPHA, BETA, 10 ** 6, seed=4)
-        hist = occupancy_histogram(run.batch)
-        assert abs(hist[1] / run.k_n - 0.5) <= 0.05
-        assert sum(hist.values()) == run.k_n
+        batch = simulate(ALPHA, BETA, 10 ** 6, seed=4)
+        hist = occupancy_histogram(batch)
+        assert abs(hist[1] / batch.k_n[0] - 0.5) <= 0.05
+        assert sum(hist.values()) == batch.k_n[0]
 
 
 class TestCountFirst:
@@ -473,24 +473,25 @@ class TestWalk:
 
 class TestTopOrderStats:
     def test_top1_is_max(self):
-        run = simulate(ALPHA, BETA, 10 ** 4, seed=6)
-        tops = top_m(run, 1)
-        _, x_stream = step_marks(run.batch, 0)
+        batch = simulate(ALPHA, BETA, 10 ** 4, seed=6)
+        tops = top_m(batch, 1)
+        _, x_stream = step_marks(batch, 0)
         assert tops[0].value == x_stream.max()
         locs = np.asarray(tops[0].locations)
-        assert np.all(x_stream[(locs * run.n + 0.5).astype(int)] == tops[0].value)
+        assert np.all(x_stream[(locs * batch.n + 0.5).astype(int)] == tops[0].value)
 
     def test_values_nonincreasing_and_locations_exact(self):
-        run = simulate(ALPHA, BETA, 10 ** 4, seed=7)
-        tops = top_m(run, 5)
+        batch = simulate(ALPHA, BETA, 10 ** 4, seed=7)
+        tops = top_m(batch, 5)
+        draws = batch.draws(0)
         vals = [t.value for t in tops]
         assert vals == sorted(vals, reverse=True)
         for t in tops:
-            idx = (np.asarray(t.locations) * run.n + 0.5).astype(int)
+            idx = (np.asarray(t.locations) * batch.n + 0.5).astype(int)
             # every listed index maps to the label and no unlisted one does
             listed = set(int(i) for i in idx)
-            for i in range(run.n):
-                if int(run.draws[i]) == t.label:
+            for i in range(batch.n):
+                if int(draws[i]) == t.label:
                     assert i in listed
                 else:
                     assert i not in listed
@@ -518,20 +519,43 @@ class TestTopOrderStats:
         # Where the walked boxes fill more than 1/50 of a cell, numpy's choice shuffles an int64 copy
         # of the cell, at most 400 bytes per location drawn
         for seed in range(10):
-            run = simulate(ALPHA, BETA, 10 ** 6, seed=seed)
+            batch = simulate(ALPHA, BETA, 10 ** 6, seed=seed)
             tracemalloc.start()
             try:
-                tops = top_m(run, 5)
+                tops = top_m(batch, 5)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             printed = sum(len(st.locations) for st in tops)
             assert peak < 2 ** 20 + 400 * printed, (seed, peak, printed)
-            assert "draws" not in vars(run) and not run.batch._cells
+            assert not batch._cells
 
     def test_rank_count_capped_by_k_n(self):
-        run = simulate(ALPHA, BETA, 3, seed=8)
-        assert len(top_m(run, 10)) == run.k_n
+        batch = simulate(ALPHA, BETA, 3, seed=8)
+        assert len(top_m(batch, 10)) == batch.k_n[0]
+
+    def test_top_m_reads_a_batch_of_one(self):
+        batch = simulate_batch(ALPHA, BETA, 1000, replica_rng(8), 2)
+        with pytest.raises(ValueError, match="batch of one run"):
+            top_m(batch, 1)
+
+    @pytest.mark.parametrize("beta", [0.5, 0.9])
+    def test_deeper_ranks_extend_the_first_five(self, beta, monkeypatch, capsys):
+        # ranks past WALK scan the run's draws, expanded once per call, and leave the first five as
+        # they are: in top_m and in the CLI's CSV at the same seed
+        expanded = []
+        draws = karlin_sim.UrnBatch.draws
+        monkeypatch.setattr(karlin_sim.UrnBatch, "draws", lambda self, r: expanded.append(r) or draws(self, r))
+        batch = simulate(ALPHA, beta, 10 ** 4, seed=12)
+        assert batch.k_n[0] > 9
+        assert top_m(batch, 9)[:5] == top_m(batch, 5)
+        assert expanded == [0]
+        rows = {}
+        for m in (5, 9):
+            assert cli.main(["simulate", "--beta", repr(beta), "--n", "10000", "--seed", "12",
+                             "--top-m", str(m)]) == 0
+            rows[m] = capsys.readouterr().out.splitlines()
+        assert len(rows[9]) == 10 and rows[9][:6] == rows[5]
 
     def test_top_boxes_is_the_stable_sort_prefix(self, monkeypatch):
         # marks drawn from 4 values tie often; ties go to the earlier box, also for m > k_n, in the
@@ -543,21 +567,22 @@ class TestTopOrderStats:
             _, marks = boxes_of(batch, r)
             order = np.argsort(-marks, kind="stable")
             assert np.array_equal(batch.top[r], batch.start[r] + order[:WALK])
-        run = simulate(ALPHA, BETA, 10 ** 4, seed=11)
-        for m in (1, 2, 5, run.k_n - 1, run.k_n, run.k_n + 3):
-            values = [t.value for t in top_m(run, m)]
-            labels = [t.label for t in top_m(run, m)]
-            order = np.argsort(-run.batch.marks, kind="stable")[:m]
-            assert values == run.batch.marks[order].tolist()
-            assert labels == run.batch.keys[order].astype(int).tolist()
+        batch = simulate(ALPHA, BETA, 10 ** 4, seed=11)
+        k_n = int(batch.k_n[0])
+        for m in (1, 2, 5, k_n - 1, k_n, k_n + 3):
+            values = [t.value for t in top_m(batch, m)]
+            labels = [t.label for t in top_m(batch, m)]
+            order = np.argsort(-batch.marks, kind="stable")[:m]
+            assert values == batch.marks[order].tolist()
+            assert labels == batch.keys[order].astype(int).tolist()
 
     def test_csv_export_round_trip(self, capsys):
         # the CLI's simulate CSV holds top_m of the same run, each float as its repr
-        run = simulate(ALPHA, BETA, 1000, seed=9)
+        batch = simulate(ALPHA, BETA, 1000, seed=9)
         assert cli.main(["simulate", "--beta", repr(BETA), "--n", "1000", "--seed", "9", "--top-m", "3"]) == 0
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert [r["rank"] for r in rows] == ["1", "2", "3"]
-        for row, st in zip(rows, top_m(run, 3), strict=True):
+        for row, st in zip(rows, top_m(batch, 3), strict=True):
             assert (float(row["value"]), float(row["value_normalized"])) == (st.value, st.value_normalized)
             assert int(row["label"]) == st.label
             assert tuple(float(v) for v in row["locations"].split(";")) == st.locations
@@ -565,13 +590,13 @@ class TestTopOrderStats:
         assert locs == sorted(locs)
 
     def test_occupancy_json(self, capsys):
-        run = simulate(ALPHA, BETA, 1000, seed=10)
+        batch = simulate(ALPHA, BETA, 1000, seed=10)
         assert cli.main(["simulate", "--beta", repr(BETA), "--n", "1000", "--seed", "10", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert (payload["n"], payload["seed"], payload["replica"]) == (1000, 10, 0)
-        assert payload["k_n"] == run.k_n and payload["b_n"] == run.batch.b_n
-        assert payload["histogram"] == {str(k): c for k, c in occupancy_histogram(run.batch).items()}
-        assert sum(payload["histogram"].values()) == run.k_n
+        assert payload["k_n"] == batch.k_n[0] and payload["b_n"] == batch.b_n
+        assert payload["histogram"] == {str(k): c for k, c in occupancy_histogram(batch).items()}
+        assert sum(payload["histogram"].values()) == batch.k_n[0]
 
 
 class TestEmpiricalSup:
