@@ -23,8 +23,9 @@ cells are split in decreasing mark order: the top ``WALK`` boxes of every run
 by one hypergeometric array call per rank and cell, and the other boxes of a
 run only when a query needs them (a set that no top box answers, or a
 pattern table).  Every query returns one value per run.  One run is a
-batch of one (:func:`simulate`), and :func:`top_m` reads its top boxes'
-positions without placing the other balls.  Box labels are float64 keys
+batch of one (:func:`simulate`), and :func:`top_m` places the balls of the
+boxes it prints only, rank after rank in the positions the ranks before
+leave free (:func:`_place`).  Box labels are float64 keys
 (see :func:`~karlin_rsm.distributions._zeta_tail`).
 """
 
@@ -207,8 +208,8 @@ class UrnBatch:
     are split over that room on first use (:meth:`cells_of`), from the run's
     own stream ``streams[r, 0]``.  The positions come from its second stream
     ``streams[r, 1]``: the walked boxes' balls first (:meth:`walked_positions`),
-    then every other (:meth:`draws`).  So no value depends on the order in
-    which queries read the batch.
+    then those of deeper ranks that :func:`top_m` prints, in the positions left
+    free.  So no value depends on the order in which queries read the batch.
     """
 
     alpha: float
@@ -259,13 +260,9 @@ class UrnBatch:
 
     def _walked(self, r: int):
         """Run r's stream ``streams[r, 1]`` after it placed the walked boxes' balls, and their
-        positions: per cell one ordered uniform sample of the positions the walked boxes fill
-        there, its first ``top_cells[r, 0, c]`` to rank 0, the next ones to rank 1, and so on."""
+        positions (:func:`_place`, with no position taken)."""
         rng = _stream(self.streams[r, 1])
-        take = self.top_cells[r, :min(WALK, self.k_n[r])]
-        cells = [np.split(rng.choice(hi - lo, int(t.sum()), replace=False) + lo, np.cumsum(t)[:-1])
-                 for lo, hi, t in zip(self.cuts[:-1], self.cuts[1:], take.T)]
-        return rng, [np.sort(np.concatenate(ranks)) for ranks in zip(*cells)]
+        return rng, _place(rng, self.cuts, self.top_cells[r, :min(WALK, self.k_n[r])], np.empty(0, np.int64))
 
     def walked_positions(self, r: int) -> list:
         """The sorted positions (indices j of the draws) of the balls of run r's boxes of mark rank
@@ -273,28 +270,19 @@ class UrnBatch:
         (numpy's choice shuffles an int64 copy of a cell where they fill more than 1/50 of it)."""
         return self._walked(r)[1]
 
-    def draws(self, r: int) -> np.ndarray:
-        """The key of every step of run r: O(n), read only by :func:`top_m` past rank WALK, once per
-        call, and by position scans.  It extends :meth:`walked_positions`: the same stream then fills
-        each cell's other positions with the other boxes' balls in uniform order."""
-        rng, positions = self._walked(r)
-        lo = self.start[r]
-        keys = self.keys[lo:lo + self.k_n[r]]
-        walked = self.top[r][:len(positions)] - lo
-        other = np.ones(keys.size, dtype=bool)
-        other[walked] = False
-        cells = self.cells_of(r)[other]
-        out = np.empty(self.n)
-        free = np.ones(self.n, dtype=bool)
-        for box, pos in zip(walked, positions):
-            out[pos] = keys[box]
-            free[pos] = False
-        for c in range(self.cuts.size - 1):
-            seg = slice(self.cuts[c], self.cuts[c + 1])
-            rest = np.repeat(keys[other], cells[:, c])
-            rng.shuffle(rest)
-            out[seg][free[seg]] = rest
-        return out
+
+def _place(rng: np.random.Generator, cuts: np.ndarray, take: np.ndarray, taken: np.ndarray) -> list:
+    """The sorted positions of the balls of some boxes of a run, given their ball counts per cell
+    (the rows of ``take``, in rank order) and the sorted positions ``taken`` by other boxes: per cell
+    one ordered uniform sample of the positions left free there, its first ``take[0, c]`` to the first
+    box, the next ones to the second, and so on.  Free position i (0-based, over the whole run) is
+    i plus the taken positions that have at most i free ones before them."""
+    before = taken - np.arange(taken.size)  # free positions before each taken one
+    free = cuts - np.searchsorted(taken, cuts)  # free positions before each cut
+    cells = [np.split(rng.choice(hi - lo, int(t.sum()), replace=False) + lo, np.cumsum(t)[:-1])
+             for lo, hi, t in zip(free[:-1], free[1:], take.T)]
+    ranks = (np.sort(np.concatenate(box)) for box in zip(*cells))
+    return [i + np.searchsorted(before, i, side="right") for i in ranks]
 
 
 @lru_cache(maxsize=64)
@@ -441,7 +429,9 @@ def _label_int(key: float) -> int:
 
 
 def top_marks(batch: UrnBatch, m: int) -> np.ndarray:
-    """(runs, m) marks of the mark ranks 0..m-1 <= WALK of every run; NaN past its k_n."""
+    """(runs, m) marks of the mark ranks 0..m-1 of every run, m <= WALK; NaN past its k_n."""
+    if m > WALK:
+        raise ValueError(f"top_marks reads the walked ranks, m <= WALK = {WALK}, got m = {m}")
     top = batch.top[:, :m]
     return np.where(top >= 0, batch.marks[top], np.nan)
 
@@ -451,9 +441,11 @@ def top_m(batch: UrnBatch, m: int) -> list:
 
     Returns k_n entries when the run has fewer occupied boxes than m; equal
     marks keep box order.  The location sets of the ranks below WALK are the
-    batch's :meth:`UrnBatch.walked_positions`, which cost O(their counts);
-    only a deeper rank (m > WALK) scans the run's :meth:`UrnBatch.draws`,
-    O(n) and expanded once per call, which extend the same arrangement.
+    batch's :meth:`UrnBatch.walked_positions`.  The deeper ranks (m > WALK)
+    take their cells' rows from :meth:`UrnBatch.cells_of` and are placed by
+    the same stream, after the walked sample, in the positions the walked
+    boxes leave (:func:`_place`).  So the first WALK ranks do not depend on
+    m, and the call costs O(k_n + the printed counts), not O(n).
     Raises ValueError for a batch of more than one run.
     """
     if m < 1:
@@ -461,10 +453,9 @@ def top_m(batch: UrnBatch, m: int) -> list:
     if batch.runs != 1:
         raise ValueError(f"top_m reads a batch of one run, got {batch.runs} runs")
     top = _top(batch.run, batch.marks, batch.k_n, batch.start, min(m, int(batch.k_n[0])))[0]
-    positions = batch.walked_positions(0)
-    if top.size > WALK:
-        draws = batch.draws(0)
-        positions += [np.flatnonzero(draws == batch.keys[box]) for box in top[WALK:]]
+    rng, positions = batch._walked(0)
+    if top.size > WALK:  # run 0's boxes start at index 0
+        positions += _place(rng, batch.cuts, batch.cells_of(0)[top[WALK:]], np.sort(np.concatenate(positions)))
     return [TopOrderStat(rank=rank + 1, value=float(batch.marks[box]),
                          value_normalized=float(batch.marks[box] / batch.b_n),
                          label=_label_int(batch.keys[box]),
@@ -522,6 +513,8 @@ def boxes_hit(batch: UrnBatch, a: IntervalSet) -> np.ndarray:
 
 def ranked_hit(batch: UrnBatch, rank: int, a: IntervalSet) -> np.ndarray:
     """Per run, whether its box of mark rank ``rank`` < WALK has a draw in the set (False past k_n)."""
+    if not 0 <= rank < WALK:
+        raise ValueError(f"ranked_hit reads the walked ranks, 0 <= rank < WALK = {WALK}, got rank = {rank}")
     return _hit(batch.top_cells[:, rank], _inside(batch, a))
 
 

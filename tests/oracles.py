@@ -3,7 +3,8 @@
 These deliberately avoid the code paths they check: the zeta constant comes
 from a truncated series with an Euler-Maclaurin tail, zeta labels from
 Devroye's rejection over the whole support, the urn from one label per
-step instead of box counts, set algebra is checked
+step instead of box counts, a run's steps from its cells in one fixed
+arrangement instead of its placed positions, set algebra is checked
 against dense boolean grids, and the joint-law exponent is recomputed by
 adaptive quadrature of the pattern-expanded integrand instead of the layer
 cake.
@@ -42,6 +43,15 @@ def reference_urn(alpha: float, beta: float, n: int, seed: int, replica: int = 0
     assert np.all(np.isfinite(draws)), "a zeta label beyond float range"
     labels, inverse = np.unique(draws, return_inverse=True)
     return draws, pareto_sample_batch(rng, alpha, len(labels))[inverse]
+
+
+def cell_arrangement(batch, r: int) -> np.ndarray:
+    """The key of every step of run r in one arrangement consistent with its cells: per cell, each
+    box's key repeated by its ``cells_of(r)`` count there, in box order.  Every query of a batch
+    reads cells only, so it answers alike for every arrangement with the same cells."""
+    cells = batch.cells_of(r)
+    keys = batch.keys[batch.start[r]:batch.start[r] + batch.k_n[r]]
+    return np.concatenate([np.repeat(keys, column) for column in cells.T])
 
 
 def expected_boxes(beta: float, hit: int, miss: int, head: int = 2 ** 22) -> float:

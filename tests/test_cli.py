@@ -415,6 +415,18 @@ class TestLimitSampleDomain:
         values = [row.split(",")[2] for row in res.stdout.splitlines()[1:]]
         assert len(values) == 50 and set(values) == {"inf"}
 
+    def test_levels_below_float_range_print_zero(self, tmp_path):
+        # at alpha = 0.001 a level Gamma**-1000 rounds to 0.0 once Gamma exceeds about 2.1, so sets of
+        # positive measure print 0.0, the value of a set of measure 0, with no RuntimeWarning
+        query = tmp_path / "family.json"
+        query.write_text(json.dumps({"family": [{"intervals": [[0.0, 0.25]]}, {"intervals": [[0.2, 0.6]]},
+                                                {"intervals": [[0.5, 0.9]]}]}))
+        res = run_cli("limit-sample", "--beta", "0.5", "--alpha", "0.001", "--replicas", "200", "--seed", "1",
+                      "--query", str(query))
+        assert (res.returncode, res.stderr) == (0, "")
+        values = [float(row.split(",")[2]) for row in res.stdout.splitlines()[1:]]
+        assert len(values) == 600 and 0.0 in values
+
     def test_tiny_set_samples_at_once(self, tmp_path):
         query = _family_json(tmp_path, [0, 1], [[0.0, 1e-300]])
         out = tmp_path / "out.csv"
@@ -559,11 +571,13 @@ class TestSimulateMemory:
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KB on Linux")
     def test_csv_locations_do_not_expand_the_run(self, tmp_path):
         # the CSV draws only the printed boxes' positions, so at n = 1e7 it peaks within 8 MB of the
-        # JSON call, which reads no position (190 MB against 37 MB when the run was expanded)
+        # JSON call, which reads no position (190 MB against 37 MB when the run was expanded), also
+        # with ranks past WALK (about 200 MB when they scanned the expanded run)
         argv = ["simulate", "--beta", "0.5", "--n", "10000000", "--seed", "1"]
-        csv_mb = _peak_rss_mb([*argv, "--out", str(tmp_path / "top.csv")])
         json_mb = _peak_rss_mb([*argv, "--format", "json", "--out", str(tmp_path / "occ.json")])
-        assert csv_mb - json_mb < 8, (csv_mb, json_mb)
+        for top in ("5", "20"):
+            csv_mb = _peak_rss_mb([*argv, "--top-m", top, "--out", str(tmp_path / "top.csv")])
+            assert csv_mb - json_mb < 8, (top, csv_mb, json_mb)
 
 
 class TestClosedPipe:

@@ -277,7 +277,7 @@ class TestZetaDraws:
     def test_huge_labels_fixed_width_keys(self, capsys):
         # s = 1.001 puts about half the labels beyond float range, as log-keys
         batch = simulate(1.0, 1.0 / 1.001, 10 ** 4, seed=17)
-        keys = batch.draws(0)
+        keys = batch.keys
         assert keys.dtype == np.float64 and np.all(np.isfinite(keys))
         assert np.any(keys < -1024) and np.all((keys >= 1) | (keys < -1024))
         assert batch.k_n[0] == len(set(keys.tolist())) == len(batch.keys)

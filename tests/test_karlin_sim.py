@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from karlin_rsm import cli, karlin_sim
@@ -46,7 +46,7 @@ from karlin_rsm.karlin_sim import (
 
 from karlin_rsm.verify import two_sample_ks, two_sample_ks_critical
 
-from oracles import expected_boxes, reference_urn, zeta_series
+from oracles import cell_arrangement, expected_boxes, reference_urn, zeta_series
 
 ALPHA, BETA = 1.0, 0.5
 QUARTER = normalize([(0.0, 0.25)])
@@ -68,11 +68,28 @@ def boxes_of(batch, r):
 
 
 def step_marks(batch, r):
-    """The draws of run r and the mark of every step."""
-    draws = batch.draws(r)
+    """The steps of run r in its cell arrangement, and the mark of every step."""
+    draws = cell_arrangement(batch, r)
     keys, marks = boxes_of(batch, r)
     order = np.argsort(keys)
     return draws, marks[order][np.searchsorted(keys[order], draws)]
+
+
+def assert_placed(batch, tops):
+    """``top_m``'s location sets of a batch of one against its cells: each rank's positions are
+    distinct and as many in each cell as its box's row of ``cells_of(0)``, and no position is printed
+    for two ranks."""
+    boxes = np.argsort(-batch.marks, kind="stable")[:len(tops)]
+    cells = batch.cells_of(0)
+    printed = []
+    for t, box in zip(tops, boxes, strict=True):
+        at = np.rint(np.asarray(t.locations) * batch.n).astype(np.int64)
+        assert t.value == batch.marks[box] and at.size == batch.counts[box]
+        assert np.all(np.diff(at) > 0)
+        assert np.array_equal(np.diff(np.searchsorted(at, batch.cuts)), cells[box])
+        printed.append(at)
+    printed = np.concatenate(printed)
+    assert np.unique(printed).size == printed.size
 
 
 class TestFrequencyModel:
@@ -141,12 +158,12 @@ class TestSimulate:
         batch = simulate(ALPHA, BETA, 1, seed=5)
         assert isinstance(batch, karlin_sim.UrnBatch) and batch.runs == 1 and batch.k_n[0] == 1
         assert batch.counts.tolist() == [1] and batch.cells.tolist() == [[1]]
-        assert batch.draws(0).tolist() == batch.keys.tolist() and batch.marks[0] >= 1.0
+        assert [p.tolist() for p in batch.walked_positions(0)] == [[0]] and batch.marks[0] >= 1.0
 
     def test_counts_sum_to_n(self):
         batch = simulate(ALPHA, BETA, 10 ** 4, seed=1)
         assert int(batch.counts.sum()) == 10 ** 4
-        assert batch.k_n[0] == len(set(int(y) for y in batch.draws(0)))
+        assert batch.k_n[0] == len(set(int(y) for y in batch.keys))
 
     def test_mark_reuse_is_bitwise(self):
         batch = simulate_batch(ALPHA, BETA, 5000, replica_rng(2), 3)
@@ -163,9 +180,10 @@ class TestSimulate:
         a = simulate(ALPHA, BETA, 2000, seed=9)
         b = simulate(ALPHA, BETA, 2000, seed=9)
         c = simulate(ALPHA, BETA, 2000, seed=9, replica=1)
-        assert np.array_equal(a.draws(0), b.draws(0))
+        assert np.array_equal(a.keys, b.keys) and np.array_equal(a.counts, b.counts)
         assert np.array_equal(a.marks, b.marks)
-        assert not np.array_equal(a.draws(0), c.draws(0))
+        assert top_m(a, 10) == top_m(b, 10)
+        assert not np.array_equal(a.marks, c.marks) and top_m(a, 10) != top_m(c, 10)
 
     def test_marks_in_key_order_from_the_stream(self):
         # the stream: the head counts of the labels 1..L and the rest for every run, the rest keys in
@@ -345,7 +363,7 @@ class TestCountFirst:
 
 
 class TestLazyDraws:
-    """The batch splits a run's other boxes and expands its draws only when they are read."""
+    """The batch splits a run's other boxes and places its balls only when they are read."""
 
     def _queries(self, batch):
         return ([empirical_sup(batch, a).tolist() for a in FAMILY],
@@ -355,9 +373,9 @@ class TestLazyDraws:
     def test_reading_draws_first_changes_no_query(self):
         plain = simulate_batch(ALPHA, BETA, 10 ** 4, replica_rng(20), 4, FAMILY)
         early = simulate_batch(ALPHA, BETA, 10 ** 4, replica_rng(20), 4, FAMILY)
-        drawn = [early.draws(r) for r in (2, 0)]
+        placed = {r: [p.tolist() for p in early.walked_positions(r)] for r in (2, 0)}
         assert self._queries(early) == self._queries(plain)
-        assert np.array_equal(drawn[0], plain.draws(2)) and np.array_equal(drawn[1], plain.draws(0))
+        assert placed == {r: [p.tolist() for p in plain.walked_positions(r)] for r in (2, 0)}
 
     @pytest.mark.parametrize("beta", [0.5, 0.9])
     def test_family_moves_only_the_cells(self, beta):
@@ -416,14 +434,15 @@ class TestWalk:
         return normalize([((n - 1) / n, 1.0)])
 
     def _read(self, batch, first):
-        """Every value of the batch, after reading ``first``: the walk, the table, the draws, or
-        sups past the WALK boxes (a one-position set that the top boxes almost never hit)."""
+        """Every value of the batch, after reading ``first``: the walk, the table, the walked
+        positions, or sups past the WALK boxes (a one-position set that the top boxes almost never hit)."""
         point = self._one_position(batch.n)
         family = (*FAMILY, point)
         reads = {
             "walk": lambda: [ranked_hit(batch, k, a).tolist() for k, a in enumerate(family)],
             "table": lambda: pattern_count_table(batch, family).tolist(),
-            "draws": lambda: [batch.draws(r).tolist() for r in reversed(range(batch.runs))],
+            "positions": lambda: [[p.tolist() for p in batch.walked_positions(r)]
+                                  for r in reversed(range(batch.runs))],
             "past": lambda: [empirical_sup(batch, point).tolist(), variant_star_sup(batch, point).tolist()],
         }
         reads[first]()
@@ -435,7 +454,7 @@ class TestWalk:
         # n = 4 holds fewer than WALK boxes
         family = (*FAMILY, self._one_position(n))
         values = []
-        for first in ("walk", "table", "draws", "past"):
+        for first in ("walk", "table", "positions", "past"):
             batch = simulate_batch(ALPHA, beta, n, replica_rng(32), 3, family)
             values.append(self._read(batch, first))
         assert all(v == values[0] for v in values[1:])
@@ -453,6 +472,20 @@ class TestWalk:
             assert np.array_equal(batch.top_cells[r, :top.size], batch.cells_of(r)[top - batch.start[r]])
             assert np.array_equal(batch.cells_of(r).sum(axis=0), np.diff(batch.cuts))
         assert not batch.top_cells[batch.top < 0].any()
+
+    def test_top_marks_stop_at_walk(self):
+        # the batch walks WALK ranks; asking for more is an error, not fewer columns
+        batch = simulate(ALPHA, BETA, 10 ** 4, seed=1)
+        assert top_marks(batch, WALK).shape == (1, WALK)
+        with pytest.raises(ValueError, match="WALK = 5"):
+            top_marks(batch, 8)
+
+    def test_ranked_hit_stops_at_walk(self):
+        batch = simulate(ALPHA, BETA, 10 ** 4, seed=1)
+        assert ranked_hit(batch, WALK - 1, UNIT).tolist() == [True]
+        for rank in (WALK, -1):
+            with pytest.raises(ValueError, match="WALK = 5"):
+                ranked_hit(batch, rank, UNIT)
 
     def test_one_cell_queries_draw_nothing(self, monkeypatch):
         def no_stream(key):
@@ -477,58 +510,61 @@ class TestTopOrderStats:
         tops = top_m(batch, 1)
         _, x_stream = step_marks(batch, 0)
         assert tops[0].value == x_stream.max()
-        locs = np.asarray(tops[0].locations)
-        assert np.all(x_stream[(locs * batch.n + 0.5).astype(int)] == tops[0].value)
+        assert_placed(batch, tops)
 
     def test_values_nonincreasing_and_locations_exact(self):
-        batch = simulate(ALPHA, BETA, 10 ** 4, seed=7)
-        tops = top_m(batch, 5)
-        draws = batch.draws(0)
-        vals = [t.value for t in tops]
-        assert vals == sorted(vals, reverse=True)
-        for t in tops:
-            idx = (np.asarray(t.locations) * batch.n + 0.5).astype(int)
-            # every listed index maps to the label and no unlisted one does
-            listed = set(int(i) for i in idx)
-            for i in range(batch.n):
-                if int(draws[i]) == t.label:
-                    assert i in listed
-                else:
-                    assert i not in listed
+        # one cell, and the four cells of FAMILY's cuts
+        for batch in (simulate(ALPHA, BETA, 10 ** 4, seed=7),
+                      simulate_batch(ALPHA, BETA, 10 ** 4, replica_rng(7), 1, FAMILY)):
+            for m in (5, 12):
+                tops = top_m(batch, m)
+                vals = [t.value for t in tops]
+                assert vals == sorted(vals, reverse=True)
+                # every rank lists its box's balls, as many in each cell as its box holds there, and no
+                # position twice
+                assert_placed(batch, tops)
+
+    RANKS = (0, *range(WALK, 10))  # the top box, walked, and the ranks 6..10 placed past the walk
 
     @pytest.mark.parametrize("beta", [0.5, 0.9])
     def test_locations_equal_in_law_to_reference(self, beta):
-        # the top box's first location and its number of locations, from the walked positions that
-        # top_m prints, against the positions scanned in the step-by-step reference urn
+        # each rank's first location and its number of locations, from the positions that top_m
+        # prints, against the positions scanned in the step-by-step reference urn
         n, reps = 1000, 1000
-        ours = np.array([(st.locations[0], len(st.locations))
-                         for st in (top_m(simulate(ALPHA, beta, n, seed=40, replica=r), 1)[0] for r in range(reps))])
-        ref = []
+        ours, ref = [], []
         for r in range(reps):
+            tops = top_m(simulate(ALPHA, beta, n, seed=40, replica=r), 10)
+            ours.append([(tops[k].locations[0], len(tops[k].locations)) for k in self.RANKS])
             draws, x = reference_urn(ALPHA, beta, n, seed=41, replica=r)
-            at = np.flatnonzero(draws == draws[np.argmax(x)])
-            ref.append((at[0] / n, at.size))
-        ref = np.array(ref)
+            _, first, inverse = np.unique(draws, return_index=True, return_inverse=True)
+            boxes = np.argsort(-x[first], kind="stable")
+            at = [np.flatnonzero(inverse == boxes[k]) for k in self.RANKS]
+            ref.append([(a[0] / n, a.size) for a in at])
+        ours, ref = np.array(ours), np.array(ref)
         crit = two_sample_ks_critical(reps, reps)
-        for j, name in enumerate(("first location", "number of locations")):
-            stat = two_sample_ks(ours[:, j], ref[:, j])
-            assert stat <= crit, f"{name}: two-sample KS {stat:.4f} above {crit:.4f}"
+        for j, k in enumerate(self.RANKS):
+            for i, name in enumerate(("first location", "number of locations")):
+                stat = two_sample_ks(ours[:, j, i], ref[:, j, i])
+                assert stat <= crit, f"rank {k + 1}, {name}: two-sample KS {stat:.4f} above {crit:.4f}"
 
     def test_locations_cost_the_printed_counts(self):
         # top_m places only the printed boxes' balls: at n = 1e6 the expanded run peaked at 16 MB.
-        # Where the walked boxes fill more than 1/50 of a cell, numpy's choice shuffles an int64 copy
-        # of the cell, at most 400 bytes per location drawn
+        # Where the printed boxes fill more than 1/50 of a cell, numpy's choice shuffles an int64 copy
+        # of the cell, at most 400 bytes per location drawn.  Ranks past WALK also split the other
+        # boxes over the cells (cells_of), at most 64 bytes per box
         for seed in range(10):
-            batch = simulate(ALPHA, BETA, 10 ** 6, seed=seed)
-            tracemalloc.start()
-            try:
-                tops = top_m(batch, 5)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            printed = sum(len(st.locations) for st in tops)
-            assert peak < 2 ** 20 + 400 * printed, (seed, peak, printed)
-            assert not batch._cells
+            for m in (5, 10):
+                batch = simulate(ALPHA, BETA, 10 ** 6, seed=seed)
+                tracemalloc.start()
+                try:
+                    tops = top_m(batch, m)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                printed = sum(len(st.locations) for st in tops)
+                bound = 2 ** 20 + 400 * printed + (64 * int(batch.k_n[0]) if m > WALK else 0)
+                assert peak < bound, (seed, m, peak, printed)
+                assert bool(batch._cells) == (m > WALK)
 
     def test_rank_count_capped_by_k_n(self):
         batch = simulate(ALPHA, BETA, 3, seed=8)
@@ -541,15 +577,19 @@ class TestTopOrderStats:
 
     @pytest.mark.parametrize("beta", [0.5, 0.9])
     def test_deeper_ranks_extend_the_first_five(self, beta, monkeypatch, capsys):
-        # ranks past WALK scan the run's draws, expanded once per call, and leave the first five as
-        # they are: in top_m and in the CLI's CSV at the same seed
-        expanded = []
-        draws = karlin_sim.UrnBatch.draws
-        monkeypatch.setattr(karlin_sim.UrnBatch, "draws", lambda self, r: expanded.append(r) or draws(self, r))
+        # ranks past WALK are placed by one more call of the placement, in the positions the walked
+        # boxes leave, and leave the first five as they are: in top_m and in the CLI's CSV at the same seed
+        placed = []
+        place = karlin_sim._place
+        monkeypatch.setattr(karlin_sim, "_place", lambda rng, cuts, take, taken: placed.append(
+            (take.shape[0], taken.size)) or place(rng, cuts, take, taken))
         batch = simulate(ALPHA, beta, 10 ** 4, seed=12)
         assert batch.k_n[0] > 9
-        assert top_m(batch, 9)[:5] == top_m(batch, 5)
-        assert expanded == [0]
+        deep = top_m(batch, 9)
+        walked = sum(len(t.locations) for t in deep[:WALK])
+        assert placed == [(WALK, 0), (4, walked)]
+        assert deep[:5] == top_m(batch, 5)
+        assert_placed(batch, deep)
         rows = {}
         for m in (5, 9):
             assert cli.main(["simulate", "--beta", repr(beta), "--n", "10000", "--seed", "12",
@@ -670,31 +710,42 @@ def grid_family(draw):
 
 
 class TestAgainstBruteForce:
-    """Range queries and lazy fields against a scan of all n positions of every run."""
+    """Range queries and lazy fields against a scan of all n positions of every run, in the cell arrangement."""
 
     BETAS = (0.5, 1.0 / 1.001)  # the second puts about half the keys beyond float range
 
     @pytest.mark.parametrize("beta", BETAS)
     def test_lazy_fields_match_full_unique(self, beta):
-        # draws expands keys, counts and cells exactly: per cell, the balls of each box
+        # the keys are distinct, the cells hold every box's balls and fill every cell, and the walked
+        # boxes' positions fall in the cells of their rows, none of them twice
         family = (normalize([(0.0, 0.25)]), normalize([(0.1, 0.6)]))
         batch = simulate_batch(ALPHA, beta, 20000, replica_rng(19), 3, family)
         assert batch.cuts.tolist() == [0, 2000, 5000, 12000, 20000]
         for r in range(batch.runs):
-            draws = batch.draws(r)
             keys, _ = boxes_of(batch, r)
             order = np.argsort(keys)
-            labels, counts = np.unique(draws, return_counts=True)
+            labels, counts = np.unique(cell_arrangement(batch, r), return_counts=True)
             assert np.array_equal(labels, keys[order])
             assert np.array_equal(counts, batch.counts[batch.start[r] + order])
-            for c, (lo, hi) in enumerate(zip(batch.cuts, batch.cuts[1:])):
-                box = order[np.searchsorted(keys[order], draws[lo:hi])]
-                assert np.array_equal(np.bincount(box, minlength=batch.k_n[r]), batch.cells_of(r)[:, c])
-            # and the walked boxes' positions are those of the same arrangement
+            assert np.array_equal(batch.cells_of(r).sum(axis=0), np.diff(batch.cuts))
             walked = batch.walked_positions(r)
             assert len(walked) == min(WALK, batch.k_n[r])
             for box, positions in zip(batch.top[r], walked):
-                assert np.array_equal(positions, np.flatnonzero(draws == batch.keys[box]))
+                assert positions.size == batch.counts[box] and np.all(np.diff(positions) > 0)
+                assert np.array_equal(np.diff(np.searchsorted(positions, batch.cuts)),
+                                      batch.cells_of(r)[box - batch.start[r]])
+            walked = np.concatenate(walked)
+            assert np.unique(walked).size == walked.size
+
+    @given(grid_family(), st.sampled_from([0.5, 0.9]), st.integers(0, 2 ** 32), st.integers(1, 12))
+    @settings(max_examples=100, deadline=None)
+    def test_printed_positions_match_the_cells(self, case, beta, seed, m):
+        # every position top_m prints for ranks 0..m-1 is distinct and, per cell, as many as its box's
+        # row of cells_of: the walked ranks and those placed past them (top_m needs b_n, so nu(n) > 0)
+        n, family = case
+        assume(nu_count(beta, n) > 0)
+        batch = simulate_batch(ALPHA, beta, n, replica_rng(seed), 1, family)
+        assert_placed(batch, top_m(batch, m))
 
     @given(grid_family(), st.sampled_from(BETAS), st.integers(0, 2 ** 32))
     @settings(max_examples=150, deadline=None)
