@@ -373,8 +373,13 @@ class TestLazyDraws:
     def test_reading_draws_first_changes_no_query(self):
         plain = simulate_batch(ALPHA, BETA, 10 ** 4, replica_rng(20), 4, FAMILY)
         early = simulate_batch(ALPHA, BETA, 10 ** 4, replica_rng(20), 4, FAMILY)
+        # split run 2 before run 0, and both before any query
+        drawn = {r: cell_arrangement(early, r).tolist() for r in (2, 0)}
         placed = {r: [p.tolist() for p in early.walked_positions(r)] for r in (2, 0)}
         assert self._queries(early) == self._queries(plain)
+        # the queries split run 2 before run 0 too, so compare with a batch split in run order
+        forward = simulate_batch(ALPHA, BETA, 10 ** 4, replica_rng(20), 4, FAMILY)
+        assert drawn == {r: cell_arrangement(forward, r).tolist() for r in (0, 2)}
         assert placed == {r: [p.tolist() for p in plain.walked_positions(r)] for r in (2, 0)}
 
     @pytest.mark.parametrize("beta", [0.5, 0.9])
@@ -434,15 +439,17 @@ class TestWalk:
         return normalize([((n - 1) / n, 1.0)])
 
     def _read(self, batch, first):
-        """Every value of the batch, after reading ``first``: the walk, the table, the walked
-        positions, or sups past the WALK boxes (a one-position set that the top boxes almost never hit)."""
+        """Every value of the batch, after reading ``first``: the walk, the table, the runs' cell
+        arrangements and walked positions (last run first), or sups past the WALK boxes (a
+        one-position set that the top boxes almost never hit)."""
         point = self._one_position(batch.n)
         family = (*FAMILY, point)
         reads = {
             "walk": lambda: [ranked_hit(batch, k, a).tolist() for k, a in enumerate(family)],
             "table": lambda: pattern_count_table(batch, family).tolist(),
-            "positions": lambda: [[p.tolist() for p in batch.walked_positions(r)]
-                                  for r in reversed(range(batch.runs))],
+            "positions": lambda: ([cell_arrangement(batch, r).tolist() for r in reversed(range(batch.runs))],
+                                  [[p.tolist() for p in batch.walked_positions(r)]
+                                   for r in reversed(range(batch.runs))]),
             "past": lambda: [empirical_sup(batch, point).tolist(), variant_star_sup(batch, point).tolist()],
         }
         reads[first]()
