@@ -194,10 +194,8 @@ def atomize(family) -> tuple:
         raise CapacityError(
             f"family of {len(family)} sets exceeds the {PATTERN_BUDGET}-set pattern budget"
         )
-    carrier = family[0].carrier
     for s in family[1:]:
-        if s.carrier != carrier:
-            raise ValueError(f"carrier mismatch: {s.carrier} vs {carrier}")
+        _check_carrier(s, family[0])
 
     bounds = sorted({v for s in family for pair in s.intervals for v in pair})
     pieces = list(zip(bounds, bounds[1:]))

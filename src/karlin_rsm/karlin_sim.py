@@ -63,7 +63,6 @@ __all__ = [
     "replica_rng",
     "top_marks",
     "top_m",
-    "boxes_hit",
     "ranked_hit",
     "empirical_sup",
     "variant_star_sup",
@@ -203,10 +202,10 @@ class UrnBatch:
     first box, and ``top``, the indices of its boxes of mark rank 0 .. WALK-1
     (equal marks in box order; -1 past k_n).  The positions are split into
     cells at ``cuts`` (0 = cuts[0] < ... < cuts[-1] = n): ``top_cells[r, j,
-    c]`` counts the balls of box ``top[r, j]`` in cell c, and ``room[r, c]``
-    the positions of cell c that these boxes leave.  The other boxes of run r
-    are split over that room on first use (:meth:`cells_of`), from the run's
-    own stream ``streams[r, 0]``.  The positions come from its second stream
+    c]`` counts the balls of box ``top[r, j]`` in cell c.  The other boxes of
+    run r are split over the positions of each cell that these boxes leave
+    on first use (:meth:`cells_of`), from the run's own stream
+    ``streams[r, 0]``.  The positions come from its second stream
     ``streams[r, 1]``: the walked boxes' balls first (:meth:`walked_positions`),
     then those of deeper ranks that :func:`top_m` prints, in the positions left
     free.  So no value depends on the order in which queries read the batch.
@@ -223,7 +222,6 @@ class UrnBatch:
     k_n: np.ndarray
     top: np.ndarray
     top_cells: np.ndarray
-    room: np.ndarray
     streams: np.ndarray  # (runs, 2) Philox keys: the split of the other boxes, and the positions
     _cells: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -249,7 +247,8 @@ class UrnBatch:
             other[walked] = False
             cells = np.empty((hi - lo, self.cuts.size - 1), dtype=np.int64)
             cells[walked] = self.top_cells[r, :walked.size]
-            cells[other] = _split(_stream(self.streams[r, 0]), self.counts[lo:hi][other], self.room[r])
+            room = np.diff(self.cuts) - self.top_cells[r].sum(axis=0)
+            cells[other] = _split(_stream(self.streams[r, 0]), self.counts[lo:hi][other], room)
             self._cells[r] = cells
         return self._cells[r]
 
@@ -334,9 +333,9 @@ def _top(run: np.ndarray, marks: np.ndarray, k_n: np.ndarray, start: np.ndarray,
 
 
 def _walk(rng: np.random.Generator, counts: np.ndarray, top: np.ndarray, cuts: np.ndarray):
-    """``top_cells`` and ``room`` of :class:`UrnBatch`: rank by rank, the box of that rank in every
-    run draws its balls in each cell but the last by one hypergeometric array call over the room
-    its run's cells have left."""
+    """``top_cells`` of :class:`UrnBatch`: rank by rank, the box of that rank in every run draws its
+    balls in each cell but the last by one hypergeometric array call over the room its run's cells
+    have left."""
     room = np.tile(np.diff(cuts), (top.shape[0], 1))
     cells = np.zeros((*top.shape, room.shape[1]), dtype=np.int64)
     for rank in range(WALK):
@@ -346,7 +345,7 @@ def _walk(rng: np.random.Generator, counts: np.ndarray, top: np.ndarray, cuts: n
             left = left - cells[:, rank, c]
         cells[:, rank, -1] = left
         room -= cells[:, rank]
-    return cells, room
+    return cells
 
 
 def _run_keys(beta: float, n: int) -> float:
@@ -391,11 +390,11 @@ def simulate_batch(alpha: float, beta: float, n: int, rng: np.random.Generator, 
     size = min(nu_count(beta, n), ZETA_TABLE_SIZE)
     head = rng.multinomial(n, _zeta_head(1.0 / beta, size), size=runs)
     rest = head[:, -1]
-    # the pooled rest keys, sorted within each run's row of a padded array
-    within = np.arange(rest.max()) < rest[:, None]
-    padded = np.full(within.shape, np.inf)
-    padded[within] = _zeta_tail(rng, 1.0 / beta, int(rest.sum()), size)
-    tail = np.sort(padded, axis=1)[within]
+    # the pooled rest keys, each run's slice sorted in place
+    tail = _zeta_tail(rng, 1.0 / beta, int(rest.sum()), size)
+    ends = np.cumsum(rest)
+    for lo, hi in zip((ends - rest).tolist(), ends.tolist()):
+        tail[lo:hi].sort()
     tail_run = np.repeat(np.arange(runs), rest)
     new = np.ones(tail.size, dtype=bool)
     new[1:] = (tail[1:] != tail[:-1]) | (tail_run[1:] != tail_run[:-1])
@@ -409,10 +408,10 @@ def simulate_batch(alpha: float, beta: float, n: int, rng: np.random.Generator, 
     k_n = np.bincount(run, minlength=runs)
     top = _top(run, marks, k_n, np.cumsum(k_n) - k_n, WALK)
     cuts = _cuts(tuple(family), n)
-    top_cells, room = _walk(rng, counts, top, cuts)
+    top_cells = _walk(rng, counts, top, cuts)
     streams = rng.integers(2 ** 64, size=(runs, 2), dtype=np.uint64)
     return UrnBatch(alpha=alpha, beta=beta, n=n, cuts=cuts, run=run, keys=keys, counts=counts, marks=marks,
-                    k_n=k_n, top=top, top_cells=top_cells, room=room, streams=streams)
+                    k_n=k_n, top=top, top_cells=top_cells, streams=streams)
 
 
 def simulate(alpha: float, beta: float, n: int, seed: int, replica: int = 0) -> UrnBatch:
@@ -440,26 +439,29 @@ def top_m(batch: UrnBatch, m: int) -> list:
     """The m largest distinct-box marks of a batch of one run, with labels and location sets.
 
     Returns k_n entries when the run has fewer occupied boxes than m; equal
-    marks keep box order.  The location sets of the ranks below WALK are the
-    batch's :meth:`UrnBatch.walked_positions`.  The deeper ranks (m > WALK)
-    take their cells' rows from :meth:`UrnBatch.cells_of` and are placed by
-    the same stream, after the walked sample, in the positions the walked
-    boxes leave (:func:`_place`).  So the first WALK ranks do not depend on
-    m, and the call costs O(k_n + the printed counts), not O(n).
+    marks keep box order.  The ranks below WALK are the batch's walked boxes
+    ``top[0]``, with its :meth:`UrnBatch.walked_positions` as location sets:
+    O(the printed counts).  The deeper ranks rank the run's marks again, take
+    their cells' rows from :meth:`UrnBatch.cells_of` and are placed by the
+    same stream, after the walked sample, in the positions the walked boxes
+    leave (:func:`_place`): O(k_n + the printed counts), not O(n).  So the
+    first WALK ranks do not depend on m.
     Raises ValueError for a batch of more than one run.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
     if batch.runs != 1:
         raise ValueError(f"top_m reads a batch of one run, got {batch.runs} runs")
-    top = _top(batch.run, batch.marks, batch.k_n, batch.start, min(m, int(batch.k_n[0])))[0]
+    top = batch.top[0, :m] if m <= WALK else _top(batch.run, batch.marks, batch.k_n, batch.start,
+                                                  min(m, int(batch.k_n[0])))[0]
+    top = top[top >= 0]  # -1 marks a walked rank past k_n
     rng, positions = batch._walked(0)
     if top.size > WALK:  # run 0's boxes start at index 0
         positions += _place(rng, batch.cuts, batch.cells_of(0)[top[WALK:]], np.sort(np.concatenate(positions)))
     return [TopOrderStat(rank=rank + 1, value=float(batch.marks[box]),
                          value_normalized=float(batch.marks[box] / batch.b_n),
                          label=_label_int(batch.keys[box]),
-                         locations=tuple(float(v) for v in pos / batch.n))
+                         locations=tuple((pos / batch.n).tolist()))
             for rank, (box, pos) in enumerate(zip(top, positions))]
 
 
@@ -506,11 +508,6 @@ def _sup(batch: UrnBatch, a: IntervalSet, hit) -> np.ndarray:
     return out
 
 
-def boxes_hit(batch: UrnBatch, a: IntervalSet) -> np.ndarray:
-    """Mask over the boxes of the batch: True where a box has a draw at a position in the set."""
-    return _hit(batch.cells, _inside(batch, a))
-
-
 def ranked_hit(batch: UrnBatch, rank: int, a: IntervalSet) -> np.ndarray:
     """Per run, whether its box of mark rank ``rank`` < WALK has a draw in the set (False past k_n)."""
     if not 0 <= rank < WALK:
@@ -540,7 +537,7 @@ def pattern_count_table(batch: UrnBatch, family) -> np.ndarray:
     over all nonzero codes partition its boxes hit in the union."""
     codes = batch.run * (1 << len(family))
     for k, a in enumerate(family):
-        codes = codes + (boxes_hit(batch, a).astype(np.intp) << k)
+        codes = codes + (_hit(batch.cells, _inside(batch, a)).astype(np.intp) << k)
     return np.bincount(codes, minlength=batch.runs << len(family)).reshape(batch.runs, -1)
 
 

@@ -254,10 +254,10 @@ def top_m_batch(rng: np.random.Generator, alpha: float, beta: float, m: int, fam
     if m < 1:
         raise ValueError("m must be at least 1")
     _check_alpha(alpha)
-    clocks = _karlin_clocks(beta, _family(family))
-    idle = [clocks.idle] if clocks.idle > 0 else []  # the atoms that hit no set race too
-    rates = np.concatenate([idle, clocks.rates])
-    hits = np.vstack([np.zeros((len(idle), clocks.misses.shape[1]), dtype=bool), clocks.misses == 0])
+    family = _family(family)
+    rates = _karlin_rates(beta, family)
+    live = np.flatnonzero(rates)  # pattern 0 first: the atoms that hit no set race too
+    rates, hits = rates[live], _hits(live, len(family))
     values, winners = [], []
     for size in _chunks(replicas, m * rates.size):
         g = rng.standard_exponential((size, m, rates.size)) / rates

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -432,6 +433,17 @@ SUITE_CHECKS = {
         "mstar_marginal_ks", "mstar_time_change_ks", "coupled_domination", "variant_discrete_ks",
     ],
 }
+
+
+def test_benchmark_row_counts_match_the_suites(monkeypatch):
+    # the benchmark's verify calls require each suite's exact row count, so a suite that gains or
+    # loses a row turns every one of them malformed
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    rows = {suite: len(checks) for suite, checks in SUITE_CHECKS.items()}
+    assert rows == workloads.SUITE_ROWS, (
+        "perfbench/workloads.py SUITE_ROWS must move first, in a change to the benchmark")
 
 
 @pytest.mark.parametrize("suite", sorted(SUITE_CHECKS))
