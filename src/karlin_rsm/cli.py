@@ -9,7 +9,8 @@ pipe ended) when the reader of stdout closes it early, e.g. ``| head``, with
 nothing printed to stderr.  With an explicit ``--seed`` the output files are
 byte-identical across runs and thread counts; without one a fresh 64-bit
 seed is drawn from system entropy and printed to stderr.  The CSV and JSON
-formats of ``simulate`` and ``limit-sample`` are written here and nowhere else.
+formats of ``simulate`` and ``limit-sample`` are written here and nowhere else,
+and their values are taken from alpha = 1, where the samplers draw, to ``--alpha``.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import argparse
 import contextlib
 import csv
 import json
+import math
 import os
 import secrets
 import sys
@@ -25,6 +27,7 @@ import sys
 from . import karlin_sim as ksim
 from . import limit_sim as lsim
 from .choquet_oracle import ChoquetQuery, joint_cdf, tail_dependence
+from .distributions import _alpha_power, _check_alpha
 from .interval_sets import IntervalSet
 from .karlin_sim import replica_rng
 from .verify import MAX_REPLICAS, SuiteConfig, SUITES, run_suite
@@ -81,7 +84,7 @@ def _family_from_json(obj) -> tuple:
 
 
 def _add_common(p):
-    p.add_argument("--alpha", type=float, default=1.0, help="tail index of the marks")
+    p.add_argument("--alpha", type=float, default=1.0, help="tail index of marks, applied to printed values")
     p.add_argument("--beta", type=float, required=True, help="memory parameter in (0,1)")
     p.add_argument("--seed", type=int, default=None, help="64-bit seed; drawn from entropy if absent")
     p.add_argument("--out", default=None, help="output path (stdout if absent)")
@@ -122,22 +125,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_simulate(args) -> int:
     seed = _resolve_seed(args.seed)
-    ksim.b_n(args.alpha, args.beta, args.n)  # every output prints b_n: fail before drawing
+    _check_alpha(args.alpha)
+    ksim.b_n(args.beta, args.n)  # every output prints b_n: fail before drawing
     # the batch of one that ksim.simulate returns, drawn here: perfbench's tracer counter on simulate
     # reads fields of the run type it returned before, until that counter moves to simulate_batch
-    batch = ksim.simulate_batch(args.alpha, args.beta, args.n, replica_rng(seed), 1)
+    batch = ksim.simulate_batch(args.beta, args.n, replica_rng(seed), 1)
     if args.format == "json":
         histogram = sorted(ksim.occupancy_histogram(batch).items())
-        payload = {"n": batch.n, "seed": seed, "replica": 0, "k_n": int(batch.k_n[0]), "b_n": batch.b_n,
+        b_n = _alpha_power(batch.b_n, args.alpha)
+        payload = {"n": batch.n, "seed": seed, "replica": 0, "k_n": int(batch.k_n[0]),
+                   "b_n": b_n if math.isfinite(b_n) else None,  # JSON has no inf
                    "histogram": {str(k): count for k, count in histogram}}
         with _output(args.out) as out:
-            out.write(json.dumps(payload, indent=2) + "\n")
+            out.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
         return 0
     stats = ksim.top_m(batch, args.top_m)
     with _output(args.out) as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["rank", "value", "value_normalized", "label", "locations"])
-        writer.writerows([st.rank, repr(st.value), repr(st.value_normalized), st.label,
+        writer.writerows([st.rank, repr(_alpha_power(st.value, args.alpha)),
+                          repr(_alpha_power(st.value_normalized, args.alpha)), st.label,
                           ";".join(map(repr, st.locations))] for st in stats)
     return 0
 
@@ -146,17 +153,18 @@ def _cmd_limit_sample(args) -> int:
     if args.replicas > MAX_REPLICAS:  # the suites' per-part bound; it bounds the run time, not memory
         raise ValueError(f"replica count must be at most {MAX_REPLICAS}, got {args.replicas}")
     seed = _resolve_seed(args.seed)
+    _check_alpha(args.alpha)
     family = _family_from_json(_load_json(args.query))
     sampler = lsim.sample_mstar if args.variant == "mstar" else lsim.sample_karlin
-    sample = sampler(replica_rng(seed, 0), args.alpha, args.beta, family)  # a rejected family opens no file
+    sample = sampler(replica_rng(seed, 0), args.beta, family)  # a rejected family opens no file
     with _output(args.out) as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["replica", "set_id", "value", "atoms_used"])
         for r in range(args.replicas):  # each replica's rows are written as soon as it is drawn
             if r:
-                sample = sampler(replica_rng(seed, r), args.alpha, args.beta, family)
+                sample = sampler(replica_rng(seed, r), args.beta, family)
             writer.writerows([r, set_id, repr(value), sample.atoms_used]
-                             for set_id, value in enumerate(sample.values))
+                             for set_id, value in enumerate(_alpha_power(sample.values, args.alpha).tolist()))
     return 0
 
 

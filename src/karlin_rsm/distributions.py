@@ -1,15 +1,16 @@
 """Elementary laws used across the toolkit.
 
-Exact samplers and closed-form densities for Pareto-tailed marks, Frechet
+Exact samplers and closed-form densities for Pareto marks, Frechet
 distributions and the zeta (Zipf) draw distribution, and the closed-form
 pmf and tail of the block-size law with parameter ``beta`` (an N-valued law
 with infinite mean whose tail decays like ``k**-beta``).  A run counts zeta
 draws up to a label L by one multinomial (:func:`_zeta_head`, cut from the
 table :func:`_zeta_pmf`) and draws the rest from Y | Y > L by rejection
 (:func:`_zeta_tail`, which also defines the label keys).  Indices are plain
-floats: ``alpha`` (marks, Frechet), ``beta`` (block sizes), s = 1/beta (zeta).
-All samplers are pure given an explicit ``numpy.random.Generator`` handle;
-parallel callers must use distinct generators.
+floats: ``alpha`` (Frechet), ``beta`` (block sizes), s = 1/beta (zeta); marks
+are drawn at alpha = 1 (:func:`_alpha_power`).  All samplers are pure given an
+explicit ``numpy.random.Generator`` handle; parallel callers must use distinct
+generators.
 """
 
 from __future__ import annotations
@@ -29,10 +30,18 @@ __all__ = [
 ]
 
 
-def pareto_sample_batch(rng: np.random.Generator, alpha: float, size: int) -> np.ndarray:
-    """``size`` Pareto marks, P(mark > y) = y**-alpha for y >= 1: u**(-1/alpha) for tail
-    probabilities u uniform on (0, 1]."""
-    return (1.0 - rng.random(size)) ** (-1.0 / alpha)
+def pareto_sample_batch(rng: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` Pareto(1) marks, P(mark > y) = 1/y for y >= 1: 1/u for tail probabilities u uniform
+    on (0, 1]."""
+    return 1.0 / (1.0 - rng.random(size))
+
+
+def _alpha_power(x, alpha: float):
+    """x**(1/alpha) of a float or an array: the values of index alpha of the package's alpha-free
+    marks, levels and normalisation.  A value beyond float range is inf."""
+    with np.errstate(over="ignore"):
+        out = np.power(x, 1.0 / alpha)
+    return out if out.ndim else float(out)
 
 
 def frechet_cdf(z, alpha: float, sigma: float = 1.0):

@@ -1,9 +1,9 @@
 """Heavy-tailed infinite-urn simulation, drawn many runs at a time.
 
 Boxes are drawn with zeta frequencies p_ell = ell**-s / zeta(s), s = 1/beta,
-each occupied box carries one Pareto mark of index alpha > ``ALPHA_FLOOR``
-(both plain floats), and the observed process is the mark of the drawn box.
-The module exposes exact finite-n means (:func:`nu_count`,
+each occupied box carries one Pareto(1) mark (of index alpha: its 1/alpha-th
+power, which only a printed value takes), and the observed process is the
+mark of the drawn box.  The module exposes exact finite-n means (:func:`nu_count`,
 :func:`mean_occupancy`, :func:`mean_pattern_counts`), the occupancy
 statistics, the top order statistics with their location sets, the empirical
 sup-measure and its first-occurrence variant, and the table of
@@ -39,7 +39,6 @@ import numpy as np
 
 from .distributions import (
     ZETA_TABLE_SIZE,
-    _check_alpha,
     _check_beta,
     _zeta_head,
     _zeta_tail,
@@ -75,7 +74,6 @@ CHUNK = 2 ** 8  # runs of a batch that one stream draws (chunk_runs)
 CHUNK_KEYS = 2 ** 20  # keys a chunk is expected to sort at most, which bounds its memory
 THREAD_BREAK_EVEN = 2 ** 14  # keys per chunk from which two threads beat one (measured break-even)
 WALK = 5  # boxes of every run split in mark order when it is drawn
-ALPHA_FLOOR = 53 / 1024  # a mark (1 - U)**(-1/alpha), U on the 2**-53 grid, is finite above it
 
 
 class ResourceError(RuntimeError):
@@ -94,12 +92,6 @@ def replica_rng(seed: int, replica: int = 0) -> np.random.Generator:
     if replica < 0:
         raise ValueError("replica must be nonnegative")
     return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, replica, 0]))
-
-
-def _check_marks(alpha: float) -> None:
-    if not alpha > ALPHA_FLOOR:
-        raise ValueError(f"alpha must exceed 53/1024 = {ALPHA_FLOOR} in the urn, where a mark can overflow, "
-                         f"got {alpha}")
 
 
 def nu_count(beta: float, x: float) -> int:
@@ -152,16 +144,14 @@ def mean_pattern_counts(beta: float, n: int, family) -> np.ndarray:
     return means
 
 
-def b_n(alpha: float, beta: float, n: int) -> float:
-    """Normalization (gamma(1-beta) * nu((0, n]))**(1/alpha).
+def b_n(beta: float, n: int) -> float:
+    """Normalisation c_n = gamma(1-beta) * nu((0, n]) of the Pareto(1) marks (c_n**(1/alpha) at
+    index alpha).
 
-    Uses the exact counting function in place of its asymptote, which
-    reduces finite-n bias.  Raises ValueError below n = zeta(1/beta), where
-    no box has 1/p_ell <= n and nu is 0, where alpha near 0 overflows it,
-    and at alpha <= ALPHA_FLOOR, where the urn's marks can overflow.
+    Uses the exact counting function in place of its asymptote, which reduces finite-n bias.
+    Raises ValueError below n = zeta(1/beta), where no box has 1/p_ell <= n and nu is 0.
     """
     _check_beta(beta)
-    _check_alpha(alpha)
     if n < 1:
         raise ValueError("n must be at least 1")
     nu = nu_count(beta, n)
@@ -170,12 +160,7 @@ def b_n(alpha: float, beta: float, n: int) -> float:
             f"n={n} is below zeta(1/beta)={riemann_zeta(1.0 / beta):.6g}, where nu((0, n]) = 0 "
             "and the normalisation b_n is 0"
         )
-    try:
-        norm = (math.gamma(1.0 - beta) * nu) ** (1.0 / alpha)
-    except OverflowError:
-        raise ValueError(f"the normalisation b_n overflows at alpha={alpha} and n={n}") from None
-    _check_marks(alpha)
-    return norm
+    return math.gamma(1.0 - beta) * nu
 
 
 @dataclass(frozen=True)
@@ -198,7 +183,7 @@ class UrnBatch:
 
     Per box, the runs in order and each run's boxes in box order (the labels
     up to L, then the other keys, each increasing): ``run``, ``keys``,
-    ``counts`` and ``marks``.  Per run: ``k_n``, ``start``, the index of its
+    ``counts`` and ``marks`` (Pareto(1)).  Per run: ``k_n``, ``start``, the index of its
     first box, and ``top``, the indices of its boxes of mark rank 0 .. WALK-1
     (equal marks in box order; -1 past k_n).  The positions are split into
     cells at ``cuts`` (0 = cuts[0] < ... < cuts[-1] = n): ``top_cells[r, j,
@@ -211,7 +196,6 @@ class UrnBatch:
     free.  So no value depends on the order in which queries read the batch.
     """
 
-    alpha: float
     beta: float
     n: int
     cuts: np.ndarray
@@ -235,8 +219,8 @@ class UrnBatch:
 
     @cached_property
     def b_n(self) -> float:
-        """The normalisation; raises ValueError where :func:`b_n` does."""
-        return b_n(self.alpha, self.beta, self.n)
+        """The normalisation c_n of the marks; raises ValueError where :func:`b_n` does."""
+        return b_n(self.beta, self.n)
 
     def cells_of(self, r: int) -> np.ndarray:
         """(k_n[r], cells) ball counts of run r's boxes: the walked rows, and one ``_split`` of the others."""
@@ -365,10 +349,9 @@ def threads_pay(beta: float, n: int) -> bool:
     return chunk_runs(beta, n) * _run_keys(beta, n) >= THREAD_BREAK_EVEN
 
 
-def simulate_batch(alpha: float, beta: float, n: int, rng: np.random.Generator, runs: int,
-                   family=()) -> UrnBatch:
-    """``runs`` runs of the urn for n rounds, deterministic given (alpha, beta, n, the state of rng,
-    runs, family).
+def simulate_batch(beta: float, n: int, rng: np.random.Generator, runs: int, family=()) -> UrnBatch:
+    """``runs`` runs of the urn for n rounds, deterministic given (beta, n, the state of rng, runs,
+    family).
 
     The stream gives, in this order: the multinomial counts of the labels
     1..L and one rest cell for every run, L = min(nu(n), ZETA_TABLE_SIZE);
@@ -381,8 +364,6 @@ def simulate_batch(alpha: float, beta: float, n: int, rng: np.random.Generator, 
     unions of these cells.
     """
     _check_beta(beta)
-    _check_alpha(alpha)
-    _check_marks(alpha)
     if n < 1:
         raise ValueError("n must be at least 1")
     if n > MAX_N:
@@ -404,19 +385,19 @@ def simulate_batch(alpha: float, beta: float, n: int, rng: np.random.Generator, 
     run = np.concatenate([run, tail_run[first]])
     order = np.argsort(run, kind="stable")  # each run's labels up to L, then its other keys
     run, keys, counts = run[order], np.concatenate([label + 1.0, tail[first]])[order], counts[order]
-    marks = pareto_sample_batch(rng, alpha, keys.size)
+    marks = pareto_sample_batch(rng, keys.size)
     k_n = np.bincount(run, minlength=runs)
     top = _top(run, marks, k_n, np.cumsum(k_n) - k_n, WALK)
     cuts = _cuts(tuple(family), n)
     top_cells = _walk(rng, counts, top, cuts)
     streams = rng.integers(2 ** 64, size=(runs, 2), dtype=np.uint64)
-    return UrnBatch(alpha=alpha, beta=beta, n=n, cuts=cuts, run=run, keys=keys, counts=counts, marks=marks,
+    return UrnBatch(beta=beta, n=n, cuts=cuts, run=run, keys=keys, counts=counts, marks=marks,
                     k_n=k_n, top=top, top_cells=top_cells, streams=streams)
 
 
-def simulate(alpha: float, beta: float, n: int, seed: int, replica: int = 0) -> UrnBatch:
+def simulate(beta: float, n: int, seed: int, replica: int = 0) -> UrnBatch:
     """One run: the batch of one that :func:`simulate_batch` draws from ``replica_rng(seed, replica)``."""
-    return simulate_batch(alpha, beta, n, replica_rng(seed, replica), 1)
+    return simulate_batch(beta, n, replica_rng(seed, replica), 1)
 
 
 def _label_int(key: float) -> int:

@@ -1,8 +1,9 @@
 """Exact joint samplers of the limiting random sup-measures.
 
-Each limit object is a Poisson sequence of levels ``gamma**(-1/alpha)``
-whose atoms carry i.i.d. random hitting sets; a query set takes the level
-of the first atom whose hitting set meets it.  Every joint law depends on
+Each limit object is a Poisson sequence of levels ``1/gamma`` (of index
+alpha: their 1/alpha-th powers, which only a printed value takes) whose atoms
+carry i.i.d. random hitting sets; a query set takes the level of the first
+atom whose hitting set meets it.  Every joint law depends on
 the sets only through ``theta(K) = Leb(K)**beta``, so by the marking
 theorem the atoms whose hit pattern over the family is S arrive as
 independent Poisson clocks of rate p_S, the inclusion-exclusion of theta
@@ -29,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .distributions import _check_alpha, _check_beta
+from .distributions import _check_beta
 from .interval_sets import PATTERN_BUDGET, UNIT, CapacityError, atomize, moebius, normalize, union_measures
 
 __all__ = [
@@ -177,20 +178,18 @@ def _first_hits(g: np.ndarray, clocks: _Clocks) -> np.ndarray:
     return (g[:, :, None] + clocks.misses).min(axis=1, initial=np.inf)
 
 
-def _batch(rng, alpha: float, clocks: _Clocks, replicas: int) -> np.ndarray:
-    """(replicas, outputs) values, drawn a chunk of replicas at a time.
+def _batch(rng, clocks: _Clocks, replicas: int) -> np.ndarray:
+    """(replicas, outputs) levels, drawn a chunk of replicas at a time.
 
     Every chunk draws its exponentials in replica order, so replica r of a
     batch reads the same draws however the batch is chunked.
     """
-    _check_alpha(alpha)
     k = clocks.rates.size
     first = [
         _first_hits(rng.standard_exponential((size, k)) / clocks.rates, clocks)
         for size in _chunks(replicas, clocks.misses.size)
     ]
-    with np.errstate(over="ignore"):  # a level beyond float range is inf
-        return np.concatenate(first) ** (-1.0 / alpha)
+    return 1.0 / np.concatenate(first)
 
 
 def _poisson(rng: np.random.Generator, lam: float) -> int:
@@ -200,7 +199,7 @@ def _poisson(rng: np.random.Generator, lam: float) -> int:
     return int(round(lam + math.sqrt(lam) * rng.standard_normal()))
 
 
-def _sample(rng, alpha: float, clocks: _Clocks) -> tuple:
+def _sample(rng, clocks: _Clocks) -> tuple:
     """One replica, as a batch of one: (values, atoms_used).
 
     With T the arrival at which the last output is first hit, the atoms
@@ -208,11 +207,9 @@ def _sample(rng, alpha: float, clocks: _Clocks) -> tuple:
     Poisson(p (T - arrival)) later arrivals of those clocks, and the
     Poisson(idle T) atoms that hit nothing.
     """
-    _check_alpha(alpha)
     g = rng.standard_exponential((1, clocks.rates.size)) / clocks.rates
     first = _first_hits(g, clocks)[0]
-    with np.errstate(over="ignore"):  # a level beyond float range is inf
-        values = tuple((first ** (-1.0 / alpha)).tolist())
+    values = tuple((1.0 / first).tolist())
     hit = [x for x in first.tolist() if x < math.inf]
     if not hit:
         return values, 0
@@ -222,38 +219,37 @@ def _sample(rng, alpha: float, clocks: _Clocks) -> tuple:
     return values, 1 + int(early.sum()) + _poisson(rng, lam)
 
 
-def karlin_batch(rng: np.random.Generator, alpha: float, beta: float, family, replicas: int) -> np.ndarray:
-    """Values of M over the family for ``replicas`` replicas, shape (replicas, len(family)).
+def karlin_batch(rng: np.random.Generator, beta: float, family, replicas: int) -> np.ndarray:
+    """Levels of M over the family for ``replicas`` replicas, shape (replicas, len(family)).
 
     Sets of measure 0 are 0 (a hitting set is a.s. finite).  A batch of R
     replicas is the first R rows of a larger batch from the same stream.
     """
-    return _batch(rng, alpha, _karlin_clocks(beta, _family(family)), replicas)
+    return _batch(rng, _karlin_clocks(beta, _family(family)), replicas)
 
 
-def mstar_batch(rng: np.random.Generator, alpha: float, beta: float, family, replicas: int) -> np.ndarray:
-    """Values of the first-occurrence variant M*; unit carrier only."""
-    return _batch(rng, alpha, _mstar_clocks(beta, _family(family)), replicas)
+def mstar_batch(rng: np.random.Generator, beta: float, family, replicas: int) -> np.ndarray:
+    """Levels of the first-occurrence variant M*; unit carrier only."""
+    return _batch(rng, _mstar_clocks(beta, _family(family)), replicas)
 
 
-def coupled_batch(rng: np.random.Generator, alpha: float, beta: float, family, replicas: int):
+def coupled_batch(rng: np.random.Generator, beta: float, family, replicas: int):
     """(M, M*) from one Poisson realization; pathwise M >= M*."""
-    values = _batch(rng, alpha, _coupled_clocks(beta, _family(family)), replicas)
+    values = _batch(rng, _coupled_clocks(beta, _family(family)), replicas)
     d = values.shape[1] // 2
     return values[:, :d], values[:, d:]
 
 
-def top_m_batch(rng: np.random.Generator, alpha: float, beta: float, m: int, family, replicas: int):
+def top_m_batch(rng: np.random.Generator, beta: float, m: int, family, replicas: int):
     """Levels and per-set hits of the first m limit atoms.
 
-    Returns values of shape (replicas, m) and hits of shape (replicas, m,
+    Returns levels of shape (replicas, m) and hits of shape (replicas, m,
     len(family)).  Each atom is the winner of a race of the pattern clocks,
     so the level increments are Exp(total rate) and the patterns i.i.d.
     with probabilities proportional to p_S, independently of the levels.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
-    _check_alpha(alpha)
     family = _family(family)
     rates = _karlin_rates(beta, family)
     live = np.flatnonzero(rates)  # pattern 0 first: the atoms that hit no set race too
@@ -261,20 +257,19 @@ def top_m_batch(rng: np.random.Generator, alpha: float, beta: float, m: int, fam
     values, winners = [], []
     for size in _chunks(replicas, m * rates.size):
         g = rng.standard_exponential((size, m, rates.size)) / rates
-        with np.errstate(over="ignore"):  # a level beyond float range is inf
-            values.append(np.cumsum(g.min(axis=2), axis=1) ** (-1.0 / alpha))
+        values.append(1.0 / np.cumsum(g.min(axis=2), axis=1))
         winners.append(g.argmin(axis=2))
     return np.concatenate(values), hits[np.concatenate(winners)]
 
 
-def sample_karlin(rng: np.random.Generator, alpha: float, beta: float, family) -> LimitSample:
+def sample_karlin(rng: np.random.Generator, beta: float, family) -> LimitSample:
     """Exact joint sample of the limit sup-measure over a family on any finite carrier."""
-    return LimitSample(*_sample(rng, alpha, _karlin_clocks(beta, _family(family))))
+    return LimitSample(*_sample(rng, _karlin_clocks(beta, _family(family))))
 
 
-def sample_mstar(rng: np.random.Generator, alpha: float, beta: float, family) -> LimitSample:
+def sample_mstar(rng: np.random.Generator, beta: float, family) -> LimitSample:
     """Variant sup-measure whose hitting set is its leftmost point only.
 
     An interval [a, b) is hit at rate b**beta - a**beta; unit carrier only.
     """
-    return LimitSample(*_sample(rng, alpha, _mstar_clocks(beta, _family(family))))
+    return LimitSample(*_sample(rng, _mstar_clocks(beta, _family(family))))

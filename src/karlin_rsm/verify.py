@@ -30,7 +30,11 @@ for any ``threads`` setting.  The urn rows compare with exact finite-n
 means where one exists (``mean_kn_ratio`` and the pattern rows), and
 each of them takes the larger of its constant and 99 % of its standard
 error, estimated from the replicas.
-Every confidence bound is at the 99 % level.
+Every confidence bound is at the 99 % level.  The samplers draw at alpha =
+1, a value of index alpha being the 1/alpha-th power of one drawn: the KS
+rows, which that map leaves alone, read Frechet laws of index 1, a level z
+is read as z**alpha, and the extremal medians are taken to the power, so
+every estimate, target and gate stays one of index alpha.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ import numpy as np
 from . import choquet_oracle as oracle
 from . import karlin_sim as ksim
 from . import limit_sim as lsim
-from .distributions import frechet_cdf, qbeta_pmf, qbeta_tail
+from .distributions import _alpha_power, _check_alpha, frechet_cdf, qbeta_pmf, qbeta_tail
 from .interval_sets import UNIT, IntervalSet, normalize
 from .karlin_sim import replica_rng
 
@@ -169,8 +173,9 @@ class SuiteConfig:
             raise ValueError(f"n grid {self.n_grid} repeats a point")
         if len(self.n_grid) > 1 and self.suite != "marginal":
             raise ValueError(f"the {self.suite} suite takes one n, got the grid {self.n_grid}")
-        for n in self.n_grid:  # every suite, so a bad n, alpha or beta exits before any part runs
-            ksim.b_n(self.alpha, self.beta, n)
+        _check_alpha(self.alpha)  # every suite, so a bad n, alpha or beta exits before any part runs
+        for n in self.n_grid:
+            ksim.b_n(self.beta, n)
             if n > ksim.MAX_N:
                 raise ksim.ResourceError(f"n={n} exceeds the allocation budget n <= {ksim.MAX_N}")
         if self.threads < 1:
@@ -325,7 +330,7 @@ def _urn_map(cfg: SuiteConfig, part: str, sets, fn, n=None, index=0, count=None)
 
     def chunk(c):
         runs = min(size, count - c * size)
-        return fn(ksim.simulate_batch(cfg.alpha, cfg.beta, n, replica_rng(cfg.seed, offset + c), runs, sets))
+        return fn(ksim.simulate_batch(cfg.beta, n, replica_rng(cfg.seed, offset + c), runs, sets))
 
     chunks = range(-(-count // size))
     workers = min(cfg.threads, os.cpu_count() or 1, len(chunks))
@@ -377,9 +382,9 @@ def _median_gate(alpha: float, replicas: int) -> float:
 
 
 def _frechet_row(cfg, check, values, sigma, crit=None, n=0) -> CheckRow:
-    """KS distance of the values from the Frechet law of scale sigma, gated at the 99 % critical
-    value at their count, or at crit where that is larger."""
-    stat = ks_statistic(np.sort(values), lambda z: frechet_cdf(z, cfg.alpha, sigma))
+    """KS distance of the draws from the Frechet law of index 1 and scale sigma, gated at the 99 %
+    critical value at their count, or at crit where that is larger."""
+    stat = ks_statistic(np.sort(values), lambda z: frechet_cdf(z, 1.0, sigma))
     crit = ks_critical(len(values)) if crit is None else max(crit, ks_critical(len(values)))
     return _row(cfg, check, stat, 0.0, crit, stat <= crit, n, len(values))
 
@@ -447,7 +452,7 @@ def suite_locations(cfg: SuiteConfig) -> list:
     hits = np.concatenate([h for h, _ in results])
     values = np.concatenate([v for _, v in results])
 
-    limit_values, _ = lsim.top_m_batch(_stream(cfg, "top_m"), cfg.alpha, cfg.beta, m, family, cfg.replicas)
+    limit_values, _ = lsim.top_m_batch(_stream(cfg, "top_m"), cfg.beta, m, family, cfg.replicas)
 
     rows = []
     for k in range(m):
@@ -561,8 +566,8 @@ def _pattern_rates_row(cfg: SuiteConfig, families) -> CheckRow:
 
 
 def _karlin(cfg: SuiteConfig, family, part: str) -> np.ndarray:
-    """(replicas, sets) values of the limit sup-measure from the stream of one suite part."""
-    return lsim.karlin_batch(_stream(cfg, part), cfg.alpha, cfg.beta, family, cfg.replicas)
+    """(replicas, sets) levels of the limit sup-measure from the stream of one suite part."""
+    return lsim.karlin_batch(_stream(cfg, part), cfg.beta, family, cfg.replicas)
 
 
 def suite_limit_vs_oracle(cfg: SuiteConfig) -> list:
@@ -580,7 +585,7 @@ def suite_limit_vs_oracle(cfg: SuiteConfig) -> list:
     for qi, q in enumerate(queries):
         family = tuple(a for a, _ in q.pairs)
         zs = np.array([z for _, z in q.pairs])
-        hits = int((_karlin(cfg, family, f"q{qi}") <= zs).all(axis=1).sum())
+        hits = int((_karlin(cfg, family, f"q{qi}") <= zs ** cfg.alpha).all(axis=1).sum())
         rows.append(_binom_row(cfg, f"joint_cdf_q{qi}", hits, cfg.replicas, oracle.joint_cdf(q)))
         families.append(family)
 
@@ -596,7 +601,7 @@ def suite_limit_vs_oracle(cfg: SuiteConfig) -> list:
     tau_rows = []
     p_joints = {}
     for t, fam in windows:
-        below = _karlin(cfg, fam, f"t{t}") <= z
+        below = _karlin(cfg, fam, f"t{t}") <= z ** cfg.alpha
         p_single = int(below[:, 0].sum()) / cfg.replicas
         p_joint = int(below.all(axis=1).sum()) / cfg.replicas
         tau_hat = math.log(p_joint) - 2.0 * math.log(p_single)
@@ -644,14 +649,14 @@ def suite_extremal_and_mstar(cfg: SuiteConfig) -> list:
     for t in (0.25, 1.0, 4.0):
         fam = (IntervalSet(((0.0, t),), (0.0, max(t, 1.0))),)
         vals[t] = _karlin(cfg, fam, f"t{t}")[:, 0]
-        med_target = (t ** cfg.beta / math.log(2.0)) ** (1.0 / cfg.alpha)
-        rows.append(_rel_row(cfg, f"extremal_median_t{t}", float(np.median(vals[t])), med_target,
+        median = float(np.median(_alpha_power(vals[t], cfg.alpha)))  # of the values of index alpha
+        med_target = _alpha_power(t ** cfg.beta / math.log(2.0), cfg.alpha)
+        rows.append(_rel_row(cfg, f"extremal_median_t{t}", median, med_target,
                              _median_gate(cfg.alpha, cfg.replicas), replicas=cfg.replicas))
         rows.append(_frechet_row(cfg, f"extremal_ks_t{t}", vals[t], t ** cfg.beta))
 
-    # self-similarity: the [0, 4] window versus the 4**(beta/alpha)-scaled [0, 1] window
-    rows.append(_two_sample_row(cfg, "self_similarity_two_sample", vals[4.0],
-                                vals[1.0] * 4.0 ** (cfg.beta / cfg.alpha)))
+    # self-similarity: the [0, 4] window versus the 4**beta-scaled [0, 1] window
+    rows.append(_two_sample_row(cfg, "self_similarity_two_sample", vals[4.0], vals[1.0] * 4.0 ** cfg.beta))
 
     # translation invariance of increments: same-width windows at two origins
     tr = _karlin(cfg, (normalize([(0.0, 0.5)]), normalize([(0.5, 1.0)])), "translation")
@@ -659,21 +664,22 @@ def suite_extremal_and_mstar(cfg: SuiteConfig) -> list:
 
     # variant marginal on [a, b): P(M* <= z) = exp(-(b**beta - a**beta) z**-alpha)
     a_lo, b_hi, z = 0.25, 1.0, 1.0
-    star_vals = lsim.mstar_batch(_stream(cfg, "mstar_marginal"), cfg.alpha, cfg.beta,
-                                 (normalize([(a_lo, b_hi)]),), cfg.replicas)[:, 0]
+    star_vals = lsim.mstar_batch(_stream(cfg, "mstar_marginal"), cfg.beta, (normalize([(a_lo, b_hi)]),),
+                                 cfg.replicas)[:, 0]
     sigma_star = oracle.mstar_theta(a_lo, b_hi, cfg.beta)
     target_p = math.exp(-sigma_star * z ** -cfg.alpha)
-    rows.append(_binom_row(cfg, "mstar_marginal_prob", int((star_vals <= z).sum()), cfg.replicas, target_p))
+    rows.append(_binom_row(cfg, "mstar_marginal_prob", int((star_vals <= z ** cfg.alpha).sum()), cfg.replicas,
+                           target_p))
     rows.append(_frechet_row(cfg, "mstar_marginal_ks", star_vals, sigma_star))
 
     # variant equals the time-changed law on [0, t]
     t_tc = 0.49
-    tc_vals = lsim.mstar_batch(_stream(cfg, "time_change"), cfg.alpha, cfg.beta,
-                               (normalize([(0.0, t_tc)]),), cfg.replicas)[:, 0]
+    tc_vals = lsim.mstar_batch(_stream(cfg, "time_change"), cfg.beta, (normalize([(0.0, t_tc)]),),
+                               cfg.replicas)[:, 0]
     rows.append(_frechet_row(cfg, "mstar_time_change_ks", tc_vals, t_tc ** cfg.beta))
 
     # pathwise domination of the coupled pair
-    big, small = lsim.coupled_batch(_stream(cfg, "coupled"), cfg.alpha, cfg.beta,
+    big, small = lsim.coupled_batch(_stream(cfg, "coupled"), cfg.beta,
                                     (normalize([(0.25, 1.0)]), normalize([(0.1, 0.6)])), cfg.replicas)
     dominated = int((big >= small).all(axis=1).sum())
     rows.append(_row(cfg, "coupled_domination", dominated / cfg.replicas, 1.0, 0.0,

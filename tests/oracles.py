@@ -34,7 +34,7 @@ def zeta_series(s: float, terms: int = 10 ** 6) -> float:
     return float(np.sum(ell ** -s)) + _power_tail(s, terms + 1.0)
 
 
-def reference_urn(alpha: float, beta: float, n: int, seed: int, replica: int = 0):
+def reference_urn(beta: float, n: int, seed: int, replica: int = 0):
     """The urn drawn one label per step: the n zeta labels from :func:`zeta_devroye`,
     then one mark per occupied box in label order.  Returns the draws and the
     mark of every step; a label beyond float range would merge boxes, so it fails."""
@@ -42,7 +42,7 @@ def reference_urn(alpha: float, beta: float, n: int, seed: int, replica: int = 0
     draws = zeta_devroye(rng, 1.0 / beta, n)
     assert np.all(np.isfinite(draws)), "a zeta label beyond float range"
     labels, inverse = np.unique(draws, return_inverse=True)
-    return draws, pareto_sample_batch(rng, alpha, len(labels))[inverse]
+    return draws, pareto_sample_batch(rng, len(labels))[inverse]
 
 
 def cell_arrangement(batch, r: int) -> np.ndarray:
@@ -335,15 +335,15 @@ def _pattern_setup(beta: float, family: tuple):
     return unit, width, masks, hit_pattern_pmf(beta, [hi - lo for lo, hi in atoms])
 
 
-def reference_karlin(rng, alpha: float, beta: float, family):
+def reference_karlin(rng, beta: float, family):
     """(values, atoms_used) of M over a family on a carrier [0, w], atom by atom.
 
     The atoms that hit no pending set are skipped in one step: their number
     is geometric with success probability theta(U) = Leb(U)**beta for the
     union U of the pending sets, their exponential level spacings add up to
     one gamma draw, and the next atom's pattern is drawn conditioned on
-    hitting U.  Values on [0, w] are those on the unit carrier times
-    w**(beta/alpha).
+    hitting U.  Levels on [0, w] are those on the unit carrier times
+    w**beta.
     """
     unit, width, member, pmf = _pattern_setup(beta, tuple(family))
     masks = np.arange(pmf.size)
@@ -362,12 +362,12 @@ def reference_karlin(rng, alpha: float, beta: float, family):
         pick = np.searchsorted(cum, rng.random() * cum[-1], side="right")
         hit = int(hitting[min(pick, hitting.size - 1)])
         for i in [i for i in pending if member[i] & hit]:
-            values[i] = gamma ** (-1.0 / alpha) * width ** (beta / alpha)
+            values[i] = width ** beta / gamma
             pending.discard(i)
     return tuple(values), used
 
 
-def reference_mstar(rng, alpha: float, beta: float, family):
+def reference_mstar(rng, beta: float, family):
     """(values, atoms_used) of M*: each atom hits only the minimum of its Q uniforms."""
     flats = [[v for pair in a.intervals for v in pair] for a in family]  # x is in set i iff odd rank
     values = [0.0] * len(family)
@@ -379,12 +379,12 @@ def reference_mstar(rng, alpha: float, beta: float, family):
         q = float(qbeta_sample(rng, beta))
         x = -math.expm1(math.log1p(-rng.random()) / q)
         for i in [i for i in pending if bisect_right(flats[i], x) % 2 == 1]:
-            values[i] = gamma ** (-1.0 / alpha)
+            values[i] = 1.0 / gamma
             pending.discard(i)
     return tuple(values), used
 
 
-def reference_coupled(rng, alpha: float, beta: float, family):
+def reference_coupled(rng, beta: float, family):
     """((M values, M* values), atoms_used): one atom walk over the atoms and gaps of [0, 1).
 
     The minimum uniform lies in the leftmost hit cell.
@@ -406,17 +406,17 @@ def reference_coupled(rng, alpha: float, beta: float, family):
             continue
         lowest = hit & -hit
         for k, i in [(k, i) for k, i in pending if member[i] & (lowest if k else hit)]:
-            (small if k else big)[i] = gamma ** (-1.0 / alpha)
+            (small if k else big)[i] = 1.0 / gamma
             pending.discard((k, i))
     return (tuple(big), tuple(small)), used
 
 
-def reference_top_m(rng, alpha: float, beta: float, m: int, family):
+def reference_top_m(rng, beta: float, m: int, family):
     """[(value, hits)] of the first m atoms on the unit carrier."""
     sampler, member = _atom_walk(beta, family)
     out, gamma = [], 0.0
     for _ in range(m):
         gamma += rng.standard_exponential()
         hit = sampler.draw(rng)
-        out.append((gamma ** (-1.0 / alpha), tuple(bool(mask & hit) for mask in member)))
+        out.append((1.0 / gamma, tuple(bool(mask & hit) for mask in member)))
     return out

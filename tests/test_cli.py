@@ -167,31 +167,59 @@ class TestUsageErrors:
                                 "--seed", "1", "--threads", "1"], "n=20000000 exceeds the allocation budget")
 
     @pytest.mark.parametrize("argv", [
-        ["simulate", "--beta", "0.5", "--alpha", "0.005", "--n", "100000", "--seed", "1"],
-        ["verify", "--suite", "limit-vs-oracle", "--alpha", "0.005", "--beta", "0.5", "--replicas", "100",
-         "--seed", "1"],
+        ["simulate", "--top-m", "3"],
+        ["simulate", "--format", "json"],
+        *[["verify", "--suite", suite, "--replicas", "100"] for suite in ("marginal", "occupancy", "patterns")],
     ])
-    def test_normalisation_overflow_exits_two(self, argv):
-        # b_n = (gamma(1/2) nu(1e5))**(1/alpha) overflows below alpha of about 0.0086: the error line is
-        # all of stderr, with no warning or traceback, because it is raised before any run is drawn
-        res = run_cli(*argv)
-        assert res.returncode == 2
-        assert res.stderr == "error: the normalisation b_n overflows at alpha=0.005 and n=100000\n"
-        assert res.stdout == ""
+    def test_bad_alpha_exits_two_before_any_draw(self, argv, tmp_path, capsys, monkeypatch):
+        # alpha is checked where it is read, before any run is drawn or --out opened; the suites that
+        # run the limit samplers and limit-sample are test_limit_sim's test_samplers_reject_bad_alpha_...
+        _no_samplers(monkeypatch)
+        out = tmp_path / "out"
+        for alpha in ("0.0", "-1.0", "nan", "inf"):
+            _exits_two(capsys, [*argv, "--beta", "0.5", "--n", "1000", f"--alpha={alpha}", "--seed", "1",
+                                "--out", str(out)], "alpha must be positive and finite")
+            assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
-        ["simulate", "--beta", "0.5", "--n", "1000", "--seed", "1"],
-        ["verify", "--suite", "marginal", "--beta", "0.5", "--n", "10000", "--replicas", "100", "--seed", "1"],
-        ["verify", "--suite", "limit-vs-oracle", "--beta", "0.5", "--replicas", "100", "--seed", "1"],
+        ["simulate", "--alpha", "0.01", "--n", "100000"],
+        ["verify", "--suite", "marginal", "--alpha", "0.01", "--n", "10000", "--replicas", "100"],
+        ["verify", "--suite", "limit-vs-oracle", "--alpha", "0.01", "--replicas", "100"],
+        ["simulate", "--alpha", "0.005", "--n", "100000"],
+        ["verify", "--suite", "limit-vs-oracle", "--alpha", "0.005", "--replicas", "100"],
     ])
-    def test_alpha_at_or_below_the_mark_floor_exits_two(self, argv, family_file, capsys, monkeypatch):
-        # a urn mark can overflow at alpha <= 53/1024; marginal at alpha 0.01 used to fail on infinite sups
-        _no_samplers(monkeypatch)
-        for alpha in ("0.01", repr(53 / 1024)):
-            _exits_two(capsys, [*argv, "--alpha", alpha], "alpha must exceed 53/1024 = 0.0517578125 in the urn")
-        monkeypatch.undo()
-        assert cli.main(["limit-sample", "--beta", "0.5", "--alpha", "0.01", "--replicas", "3", "--seed", "1",
-                         "--query", family_file]) == 0  # the limit samplers take any alpha > 0
+    def test_small_alpha_runs(self, argv):
+        # every alpha > 0 runs: the urn's marks and b_n are drawn at alpha = 1, and only the printed
+        # values take the power 1/alpha.  These calls exited 2 while the urn's marks of index alpha,
+        # or b_n, could overflow; now stderr holds no warning (BIN makes one fatal) and no error
+        res = run_cli(*argv, "--beta", "0.5", "--seed", "1")
+        if argv[0] == "verify":
+            assert res.returncode in (0, 1) and res.stderr.startswith(f"suite {argv[2]}: ")
+            assert len(res.stderr.splitlines()) == 1
+        else:
+            assert (res.returncode, res.stderr) == (0, "")
+            assert all(math.isfinite(float(row.split(",")[2])) for row in res.stdout.splitlines()[1:])
+
+    def test_values_beyond_float_range_print_inf(self):
+        # at alpha = 0.01 and n = 1e7 every mark of index alpha, mark**100, is beyond float range, while
+        # the normalised ones, (mark / b_n)**100 with b_n drawn at alpha = 1, stay finite
+        res = run_cli("simulate", "--beta", "0.5", "--alpha", "0.01", "--n", "10000000", "--seed", "1")
+        assert (res.returncode, res.stderr) == (0, "")
+        rows = [row.split(",") for row in res.stdout.splitlines()[1:]]
+        assert len(rows) == 5 and {row[1] for row in rows} == {"inf"}
+        assert all(math.isfinite(float(row[2])) for row in rows)
+
+    def test_json_stays_strict_where_b_n_is_beyond_float_range(self):
+        # b_n = 4369.1**100 at beta 0.5, n = 1e7 and alpha = 0.01 is beyond float range: JSON has no inf,
+        # so it is written as null, which a strict parser reads
+        def strict(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        for alpha, b_n in (("0.01", None), ("1.0", 4369.098742482097)):
+            res = run_cli("simulate", "--beta", "0.5", "--alpha", alpha, "--n", "10000000", "--seed", "1",
+                          "--format", "json")
+            assert (res.returncode, res.stderr) == (0, "")
+            assert json.loads(res.stdout, parse_constant=strict)["b_n"] == b_n
 
     def test_n_grid_only_for_marginal(self, capsys):
         # the other suites read one n; a grid would silently lose its points
@@ -517,6 +545,36 @@ class TestSimulateCommand:
         res = run_cli("simulate", "--beta", "0.5", "--n", "1000")
         assert res.returncode == 0
         assert "seed:" in res.stderr
+
+
+def _within_4_ulp(value: float, expected: float) -> bool:
+    return abs(value - expected) <= 4.0 * math.ulp(expected)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 3.0])
+def test_alpha_only_powers_the_printed_values(alpha, tmp_path):
+    # the samplers draw at alpha = 1: each value printed at alpha is the one printed at alpha = 1 raised
+    # to 1/alpha, within 4 ulp, and every other field is the same
+    query, out = tmp_path / "family.json", tmp_path / "out"
+    query.write_text(json.dumps({"family": [{"intervals": [[0.0, 0.25]]}, {"intervals": [[0.2, 0.6]]},
+                                            {"intervals": [[0.5, 0.9]]}]}))
+    limit = ["limit-sample", "--beta", "0.5", "--replicas", "200", "--query", str(query)]
+    for argv, columns in ((["simulate", "--beta", "0.5", "--n", "100000", "--top-m", "12"], (1, 2)),
+                          ([*limit, "--variant", "karlin"], (2,)), ([*limit, "--variant", "mstar"], (2,))):
+        rows = {}
+        for a in (1.0, alpha):
+            assert cli.main([*argv, "--alpha", repr(a), "--seed", "3", "--out", str(out)]) == 0
+            rows[a] = [line.split(",") for line in out.read_text().splitlines()]
+        assert rows[1.0][0] == rows[alpha][0] and len(rows[1.0]) == len(rows[alpha]) > 1
+        for one, other in zip(rows[1.0][1:], rows[alpha][1:]):
+            for c, (x, y) in enumerate(zip(one, other, strict=True)):
+                assert _within_4_ulp(float(y), float(x) ** (1.0 / alpha)) if c in columns else x == y
+    b_n = {}
+    for a in (1.0, alpha):
+        assert cli.main(["simulate", "--beta", "0.5", "--n", "100000", "--alpha", repr(a), "--seed", "3",
+                         "--format", "json", "--out", str(out)]) == 0
+        b_n[a] = json.loads(out.read_text())["b_n"]
+    assert _within_4_ulp(b_n[alpha], b_n[1.0] ** (1.0 / alpha))
 
 
 def test_traced_simulate_prints_the_same_bytes(tmp_path, monkeypatch):

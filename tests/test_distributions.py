@@ -25,19 +25,21 @@ from oracles import qbeta_from_uniform, qbeta_sample, zeta_devroye, zeta_series
 
 class TestPareto:
     def test_inverse_cdf_points(self):
-        # a uniform u gives the mark with tail probability 1 - u: P(mark > 2) = 0.5 at alpha 1, 0.25 at alpha 2
-        assert pareto_sample_batch(_Stub(0.5), 1.0, 1) == pytest.approx([2.0])
-        assert pareto_sample_batch(_Stub(0.75), 2.0, 1) == pytest.approx([2.0])
+        # a uniform u gives the Pareto(1) mark 1/(1 - u) of tail probability 1 - u: P(mark > 2) = 0.5;
+        # the largest, at the least tail probability 2**-53, is 2**53
+        assert pareto_sample_batch(_Stub(0.5), 1).tolist() == [2.0]
+        assert pareto_sample_batch(_Stub(0.75), 1).tolist() == [4.0]
+        assert pareto_sample_batch(_Stub(1.0 - 2.0 ** -53), 1).tolist() == [2.0 ** 53]
 
     def test_support(self):
         rng = np.random.default_rng(0)
-        xs = pareto_sample_batch(rng, 0.7, 10 ** 4)
+        xs = pareto_sample_batch(rng, 10 ** 4)
         assert np.all(xs >= 1.0)
 
     def test_empirical_tail(self):
-        # P(mark > 10) = 0.1 at alpha = 1
+        # P(mark > 10) = 0.1
         rng = np.random.default_rng(1)
-        xs = pareto_sample_batch(rng, 1.0, 10 ** 6)
+        xs = pareto_sample_batch(rng, 10 ** 6)
         phat = np.mean(xs > 10.0)
         assert abs(phat - 0.1) <= 3.0 * math.sqrt(0.09 / 10 ** 6)
 
@@ -205,7 +207,7 @@ class TestZetaDraws:
 
         s, n, runs, kmax = 2.0, 10 ** 4, 100, 50
         observed = np.zeros(kmax)
-        batch = simulate_batch(1.0, 1.0 / s, n, replica_rng(13), runs)
+        batch = simulate_batch(1.0 / s, n, replica_rng(13), runs)
         head = batch.keys <= kmax
         np.add.at(observed, batch.keys[head].astype(int) - 1, batch.counts[head])
         total = n * runs
@@ -276,7 +278,7 @@ class TestZetaDraws:
 
     def test_huge_labels_fixed_width_keys(self, capsys):
         # s = 1.001 puts about half the labels beyond float range, as log-keys
-        batch = simulate(1.0, 1.0 / 1.001, 10 ** 4, seed=17)
+        batch = simulate(1.0 / 1.001, 10 ** 4, seed=17)
         keys = batch.keys
         assert keys.dtype == np.float64 and np.all(np.isfinite(keys))
         assert np.any(keys < -1024) and np.all((keys >= 1) | (keys < -1024))

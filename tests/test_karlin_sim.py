@@ -20,7 +20,6 @@ from karlin_rsm.distributions import (
 )
 from karlin_rsm.interval_sets import normalize
 from karlin_rsm.karlin_sim import (
-    ALPHA_FLOOR,
     CHUNK,
     MAX_N,
     THREAD_BREAK_EVEN,
@@ -48,7 +47,7 @@ from karlin_rsm.verify import two_sample_ks, two_sample_ks_critical
 
 from oracles import cell_arrangement, expected_boxes, reference_urn, zeta_series
 
-ALPHA, BETA = 1.0, 0.5
+BETA = 0.5
 QUARTER = normalize([(0.0, 0.25)])
 UNIT = normalize([(0.0, 1.0)])
 FAMILY = (QUARTER, normalize([(0.5, 0.75)]))
@@ -57,7 +56,7 @@ FAMILY = (QUARTER, normalize([(0.5, 0.75)]))
 def batches(beta, n, reps, seed, family=()):
     """``reps`` runs as the suites draw them: batches of ``chunk_runs`` runs, batch c from stream c."""
     size = chunk_runs(beta, n)
-    return [simulate_batch(ALPHA, beta, n, replica_rng(seed, c), min(size, reps - c * size), family)
+    return [simulate_batch(beta, n, replica_rng(seed, c), min(size, reps - c * size), family)
             for c in range(-(-reps // size))]
 
 
@@ -123,25 +122,20 @@ class TestFrequencyModel:
             assert 1.0 / ((k + 1) ** -s / norm) > x
 
     def test_b_n_values(self):
-        assert b_n(ALPHA, BETA, 10 ** 4) == pytest.approx(math.gamma(0.5) * 77, rel=1e-12)
-        assert b_n(2.0, BETA, 10 ** 4) == pytest.approx(math.sqrt(math.gamma(0.5) * 77), rel=1e-12)
+        # c_n = gamma(1 - beta) nu((0, n]), the normalisation of the Pareto(1) marks, at every alpha
+        assert b_n(BETA, 10 ** 4) == pytest.approx(math.gamma(0.5) * 77, rel=1e-12)
         # unit-count point: nu((0, 2]) = 1
         assert nu_count(BETA, 2) == 1
-        assert b_n(ALPHA, BETA, 2) == pytest.approx(math.gamma(0.5), rel=1e-12)
+        assert b_n(BETA, 2) == pytest.approx(math.gamma(0.5), rel=1e-12)
 
     def test_b_n_validation(self):
-        # beta is checked first, then alpha, then n; below n = zeta(2) nu is 0, b_n overflows below
-        # alpha of about 0.0086 at n = 1e5, and the marks' floor is checked after that
-        for alpha, beta, n, what in ((1.0, 0.0, 10, "beta"), (1.0, 1.0, 10, "beta"), (0.0, 1.5, 10, "beta"),
-                                     (0.0, BETA, 10, "alpha"), (-1.0, BETA, 10, "alpha"),
-                                     (math.inf, BETA, 10, "alpha"), (math.nan, BETA, 10, "alpha"),
-                                     (1.0, BETA, 0, "n must"), (1.0, BETA, 1, "below zeta"),
-                                     (0.005, BETA, 10 ** 5, "overflows at alpha=0.005 and n=100000"),
-                                     (0.009, BETA, 10 ** 5, "alpha must exceed 53/1024"),
-                                     (ALPHA_FLOOR, BETA, 10 ** 5, "alpha must exceed 53/1024")):
+        # beta is checked first, then n; below n = zeta(2) nu is 0.  c_n takes no alpha, so it is
+        # finite wherever nu is: at n = MAX_N and beta = 0.5 it is 4369.1
+        for beta, n, what in ((0.0, 10, "beta"), (1.0, 10, "beta"), (1.5, 0, "beta"),
+                              (BETA, 0, "n must"), (BETA, 1, "below zeta")):
             with pytest.raises(ValueError, match=what):
-                b_n(alpha, beta, n)
-        assert math.isfinite(b_n(math.nextafter(ALPHA_FLOOR, 1.0), BETA, 10 ** 5))
+                b_n(beta, n)
+        assert b_n(BETA, MAX_N) == pytest.approx(math.gamma(0.5) * 2465, rel=1e-12)
 
     def test_threads_pay_from_the_break_even(self):
         # a chunk expects 2**14 keys to sort: beta 0.5 from n of about 2e3, beta 0.9 at every n used;
@@ -155,18 +149,18 @@ class TestFrequencyModel:
 
 class TestSimulate:
     def test_single_draw(self):
-        batch = simulate(ALPHA, BETA, 1, seed=5)
+        batch = simulate(BETA, 1, seed=5)
         assert isinstance(batch, karlin_sim.UrnBatch) and batch.runs == 1 and batch.k_n[0] == 1
         assert batch.counts.tolist() == [1] and batch.cells.tolist() == [[1]]
         assert [p.tolist() for p in batch.walked_positions(0)] == [[0]] and batch.marks[0] >= 1.0
 
     def test_counts_sum_to_n(self):
-        batch = simulate(ALPHA, BETA, 10 ** 4, seed=1)
+        batch = simulate(BETA, 10 ** 4, seed=1)
         assert int(batch.counts.sum()) == 10 ** 4
         assert batch.k_n[0] == len(set(int(y) for y in batch.keys))
 
     def test_mark_reuse_is_bitwise(self):
-        batch = simulate_batch(ALPHA, BETA, 5000, replica_rng(2), 3)
+        batch = simulate_batch(BETA, 5000, replica_rng(2), 3)
         for r in range(3):
             marks = {}
             for y, x in zip(*step_marks(batch, r)):
@@ -177,9 +171,9 @@ class TestSimulate:
             assert len(marks) == batch.k_n[r]
 
     def test_determinism_and_replica_streams(self):
-        a = simulate(ALPHA, BETA, 2000, seed=9)
-        b = simulate(ALPHA, BETA, 2000, seed=9)
-        c = simulate(ALPHA, BETA, 2000, seed=9, replica=1)
+        a = simulate(BETA, 2000, seed=9)
+        b = simulate(BETA, 2000, seed=9)
+        c = simulate(BETA, 2000, seed=9, replica=1)
         assert np.array_equal(a.keys, b.keys) and np.array_equal(a.counts, b.counts)
         assert np.array_equal(a.marks, b.marks)
         assert top_m(a, 10) == top_m(b, 10)
@@ -191,7 +185,7 @@ class TestSimulate:
         # in order and each run's boxes in box order (the labels up to L, then the rest keys)
         n, runs = 5000, 4
         for beta in (0.5, 0.9):
-            batch = simulate_batch(ALPHA, beta, n, replica_rng(3, 2), runs, family=(normalize([(0.0, 0.3)]),))
+            batch = simulate_batch(beta, n, replica_rng(3, 2), runs, family=(normalize([(0.0, 0.3)]),))
             size = nu_count(beta, n)
             assert 0 < size < ZETA_TABLE_SIZE
             rng = replica_rng(3, 2)
@@ -204,37 +198,30 @@ class TestSimulate:
                 counts = np.concatenate([head[r, :-1][head[r, :-1] > 0], balls])
                 box = slice(batch.start[r], batch.start[r] + batch.k_n[r])
                 assert np.array_equal(batch.keys[box], keys) and np.array_equal(batch.counts[box], counts)
-            assert np.array_equal(batch.marks, pareto_sample_batch(rng, ALPHA, batch.keys.size))
+            assert np.array_equal(batch.marks, pareto_sample_batch(rng, batch.keys.size))
 
     def test_budget(self):
         with pytest.raises(ResourceError):
-            simulate(ALPHA, BETA, 10 ** 7 + 1, seed=0)
+            simulate(BETA, 10 ** 7 + 1, seed=0)
         with pytest.raises(ValueError):
-            simulate(ALPHA, BETA, 0, seed=0)
+            simulate(BETA, 0, seed=0)
 
     def test_validation(self):
-        # the mark index alpha and the frequency index beta are checked where they enter, beta first;
-        # the largest mark, (2**-53)**(-1/alpha) = 2**(53/alpha), is finite only above ALPHA_FLOOR
-        assert ALPHA_FLOOR == 53 / 1024
-        assert math.isfinite((2.0 ** -53) ** (-1.0 / math.nextafter(ALPHA_FLOOR, 1.0)))
-        with pytest.raises(OverflowError):
-            (2.0 ** -53) ** (-1.0 / 0.0517)
-        for alpha, beta, what in ((0.0, BETA, "alpha"), (-1.0, BETA, "alpha"), (math.inf, BETA, "alpha"),
-                                  (math.nan, BETA, "alpha"), (ALPHA, 0.0, "beta"), (ALPHA, 1.0, "beta"),
-                                  (0.0, math.nan, "beta"), (0.01, BETA, "alpha must exceed 53/1024"),
-                                  (ALPHA_FLOOR, BETA, "alpha must exceed 53/1024")):
-            with pytest.raises(ValueError, match=what):
-                simulate_batch(alpha, beta, 100, replica_rng(0), 2)
-            with pytest.raises(ValueError, match=what):
-                simulate(alpha, beta, 100, seed=0)
+        # the frequency index beta is checked where it enters; the urn takes no alpha (its marks are
+        # Pareto(1), see TestPareto), so the CLI and the suites check alpha
+        for beta in (0.0, 1.0, math.nan):
+            with pytest.raises(ValueError, match="beta"):
+                simulate_batch(beta, 100, replica_rng(0), 2)
+            with pytest.raises(ValueError, match="beta"):
+                simulate(beta, 100, seed=0)
 
     def test_occupancy_growth_single_run(self):
-        batch = simulate(ALPHA, BETA, 10 ** 6, seed=3)
+        batch = simulate(BETA, 10 ** 6, seed=3)
         ratio = batch.k_n[0] / nu_count(BETA, 10 ** 6)
         assert abs(ratio - math.gamma(0.5)) <= 0.15  # one run, loose sanity
 
     def test_block_frequency_single_run(self):
-        batch = simulate(ALPHA, BETA, 10 ** 6, seed=4)
+        batch = simulate(BETA, 10 ** 6, seed=4)
         hist = occupancy_histogram(batch)
         assert abs(hist[1] / batch.k_n[0] - 0.5) <= 0.05
         assert sum(hist.values()) == batch.k_n[0]
@@ -295,7 +282,7 @@ class TestCountFirst:
         reps = 300
         ours = np.concatenate([self._ours(batch) for batch in batches(beta, n, reps, 1, self.FAMILY_LAW)])
         masks = [a.contains_points(np.arange(n) / n) for a in self.FAMILY_LAW]
-        ref = np.array([self._reference(*reference_urn(ALPHA, beta, n, seed=2, replica=r), masks)
+        ref = np.array([self._reference(*reference_urn(beta, n, seed=2, replica=r), masks)
                         for r in range(reps)], dtype=float)
         crit = two_sample_ks_critical(reps, reps)
         for j, name in enumerate(self.NAMES):
@@ -371,21 +358,21 @@ class TestLazyDraws:
                 pattern_count_table(batch, FAMILY).tolist(), top_marks(batch, 3).tolist())
 
     def test_reading_draws_first_changes_no_query(self):
-        plain = simulate_batch(ALPHA, BETA, 10 ** 4, replica_rng(20), 4, FAMILY)
-        early = simulate_batch(ALPHA, BETA, 10 ** 4, replica_rng(20), 4, FAMILY)
+        plain = simulate_batch(BETA, 10 ** 4, replica_rng(20), 4, FAMILY)
+        early = simulate_batch(BETA, 10 ** 4, replica_rng(20), 4, FAMILY)
         # split run 2 before run 0, and both before any query
         drawn = {r: cell_arrangement(early, r).tolist() for r in (2, 0)}
         placed = {r: [p.tolist() for p in early.walked_positions(r)] for r in (2, 0)}
         assert self._queries(early) == self._queries(plain)
         # the queries split run 2 before run 0 too, so compare with a batch split in run order
-        forward = simulate_batch(ALPHA, BETA, 10 ** 4, replica_rng(20), 4, FAMILY)
+        forward = simulate_batch(BETA, 10 ** 4, replica_rng(20), 4, FAMILY)
         assert drawn == {r: cell_arrangement(forward, r).tolist() for r in (0, 2)}
         assert placed == {r: [p.tolist() for p in plain.walked_positions(r)] for r in (2, 0)}
 
     @pytest.mark.parametrize("beta", [0.5, 0.9])
     def test_family_moves_only_the_cells(self, beta):
-        bare = simulate_batch(ALPHA, beta, 10 ** 4, replica_rng(21, 3), 5)
-        cut = simulate_batch(ALPHA, beta, 10 ** 4, replica_rng(21, 3), 5, FAMILY)
+        bare = simulate_batch(beta, 10 ** 4, replica_rng(21, 3), 5)
+        cut = simulate_batch(beta, 10 ** 4, replica_rng(21, 3), 5, FAMILY)
         for name in ("run", "keys", "counts", "marks", "k_n", "top"):
             assert np.array_equal(getattr(bare, name), getattr(cut, name))
         assert bare.cells.tolist() == bare.counts[:, None].tolist()
@@ -393,7 +380,7 @@ class TestLazyDraws:
         assert np.array_equal(cut.cells.sum(axis=0), 5 * np.diff(cut.cuts))
 
     def test_query_on_an_uncut_boundary_raises(self):
-        batch = simulate_batch(ALPHA, BETA, 10 ** 4, replica_rng(22), 3, (QUARTER,))
+        batch = simulate_batch(BETA, 10 ** 4, replica_rng(22), 3, (QUARTER,))
         uncut = normalize([(0.0, 0.3)])
         for query in (empirical_sup, variant_star_sup):
             with pytest.raises(ValueError, match="not a union of the run's cells"):
@@ -419,7 +406,7 @@ class TestWalk:
                                for batch in batches(beta, n, reps, 30, FAMILY)])
         ref = []
         for r in range(reps):
-            draws, x = reference_urn(ALPHA, beta, n, seed=31, replica=r)
+            draws, x = reference_urn(beta, n, seed=31, replica=r)
             labels, first, inverse = np.unique(draws, return_index=True, return_inverse=True)
             first_visit = np.arange(n) == first[inverse]
             top = np.argsort(-x[first])[:2]  # the boxes of the two largest marks
@@ -462,7 +449,7 @@ class TestWalk:
         family = (*FAMILY, self._one_position(n))
         values = []
         for first in ("walk", "table", "positions", "past"):
-            batch = simulate_batch(ALPHA, beta, n, replica_rng(32), 3, family)
+            batch = simulate_batch(beta, n, replica_rng(32), 3, family)
             values.append(self._read(batch, first))
         assert all(v == values[0] for v in values[1:])
         if n == 4:
@@ -470,7 +457,7 @@ class TestWalk:
 
     @pytest.mark.parametrize("beta", [0.5, 0.9])
     def test_walk_rows_are_the_columns_of_cells(self, beta):
-        batch = simulate_batch(ALPHA, beta, 10 ** 4, replica_rng(33), 6, FAMILY)
+        batch = simulate_batch(beta, 10 ** 4, replica_rng(33), 6, FAMILY)
         for r in range(batch.runs):
             top = batch.top[r][batch.top[r] >= 0]
             keys, marks = boxes_of(batch, r)
@@ -482,13 +469,13 @@ class TestWalk:
 
     def test_top_marks_stop_at_walk(self):
         # the batch walks WALK ranks; asking for more is an error, not fewer columns
-        batch = simulate(ALPHA, BETA, 10 ** 4, seed=1)
+        batch = simulate(BETA, 10 ** 4, seed=1)
         assert top_marks(batch, WALK).shape == (1, WALK)
         with pytest.raises(ValueError, match="WALK = 5"):
             top_marks(batch, 8)
 
     def test_ranked_hit_stops_at_walk(self):
-        batch = simulate(ALPHA, BETA, 10 ** 4, seed=1)
+        batch = simulate(BETA, 10 ** 4, seed=1)
         assert ranked_hit(batch, WALK - 1, UNIT).tolist() == [True]
         for rank in (WALK, -1):
             with pytest.raises(ValueError, match="WALK = 5"):
@@ -499,7 +486,7 @@ class TestWalk:
             raise AssertionError("a run's stream was made")
 
         for family in ((), (UNIT,)):
-            batch = simulate_batch(ALPHA, BETA, 10 ** 4, replica_rng(34), 3, family)
+            batch = simulate_batch(BETA, 10 ** 4, replica_rng(34), 3, family)
             with monkeypatch.context() as patch:
                 patch.setattr(karlin_sim, "_stream", no_stream)
                 top = np.maximum.reduceat(batch.marks, batch.start)
@@ -513,7 +500,7 @@ class TestWalk:
 
 class TestTopOrderStats:
     def test_top1_is_max(self):
-        batch = simulate(ALPHA, BETA, 10 ** 4, seed=6)
+        batch = simulate(BETA, 10 ** 4, seed=6)
         tops = top_m(batch, 1)
         _, x_stream = step_marks(batch, 0)
         assert tops[0].value == x_stream.max()
@@ -521,8 +508,8 @@ class TestTopOrderStats:
 
     def test_values_nonincreasing_and_locations_exact(self):
         # one cell, and the four cells of FAMILY's cuts
-        for batch in (simulate(ALPHA, BETA, 10 ** 4, seed=7),
-                      simulate_batch(ALPHA, BETA, 10 ** 4, replica_rng(7), 1, FAMILY)):
+        for batch in (simulate(BETA, 10 ** 4, seed=7),
+                      simulate_batch(BETA, 10 ** 4, replica_rng(7), 1, FAMILY)):
             for m in (5, 12):
                 tops = top_m(batch, m)
                 vals = [t.value for t in tops]
@@ -540,9 +527,9 @@ class TestTopOrderStats:
         n, reps = 1000, 1000
         ours, ref = [], []
         for r in range(reps):
-            tops = top_m(simulate(ALPHA, beta, n, seed=40, replica=r), 10)
+            tops = top_m(simulate(beta, n, seed=40, replica=r), 10)
             ours.append([(tops[k].locations[0], len(tops[k].locations)) for k in self.RANKS])
-            draws, x = reference_urn(ALPHA, beta, n, seed=41, replica=r)
+            draws, x = reference_urn(beta, n, seed=41, replica=r)
             _, first, inverse = np.unique(draws, return_index=True, return_inverse=True)
             boxes = np.argsort(-x[first], kind="stable")
             at = [np.flatnonzero(inverse == boxes[k]) for k in self.RANKS]
@@ -562,7 +549,7 @@ class TestTopOrderStats:
         # boxes: at beta 0.9, ranking the run's marks again peaked 7.5 MB beyond the locations
         for seed in range(10):
             for beta, m in ((BETA, 5), (BETA, 10), (0.9, 5)):
-                batch = simulate(ALPHA, beta, 10 ** 6, seed=seed)
+                batch = simulate(beta, 10 ** 6, seed=seed)
                 tracemalloc.start()
                 try:
                     tops = top_m(batch, m)
@@ -575,11 +562,11 @@ class TestTopOrderStats:
                 assert bool(batch._cells) == (m > WALK)
 
     def test_rank_count_capped_by_k_n(self):
-        batch = simulate(ALPHA, BETA, 3, seed=8)
+        batch = simulate(BETA, 3, seed=8)
         assert len(top_m(batch, 10)) == batch.k_n[0]
 
     def test_top_m_reads_a_batch_of_one(self):
-        batch = simulate_batch(ALPHA, BETA, 1000, replica_rng(8), 2)
+        batch = simulate_batch(BETA, 1000, replica_rng(8), 2)
         with pytest.raises(ValueError, match="batch of one run"):
             top_m(batch, 1)
 
@@ -591,7 +578,7 @@ class TestTopOrderStats:
         place = karlin_sim._place
         monkeypatch.setattr(karlin_sim, "_place", lambda rng, cuts, take, taken: placed.append(
             (take.shape[0], taken.size)) or place(rng, cuts, take, taken))
-        batch = simulate(ALPHA, beta, 10 ** 4, seed=12)
+        batch = simulate(beta, 10 ** 4, seed=12)
         assert batch.k_n[0] > 9
         deep = top_m(batch, 9)
         walked = sum(len(t.locations) for t in deep[:WALK])
@@ -609,13 +596,13 @@ class TestTopOrderStats:
         # marks drawn from 4 values tie often; ties go to the earlier box, also for m > k_n, in the
         # batch's walked boxes as in top_m
         monkeypatch.setattr(karlin_sim, "pareto_sample_batch",
-                            lambda rng, alpha, size: rng.integers(1, 5, size).astype(float))
-        batch = simulate_batch(ALPHA, BETA, 10 ** 4, replica_rng(11), 4)
+                            lambda rng, size: rng.integers(1, 5, size).astype(float))
+        batch = simulate_batch(BETA, 10 ** 4, replica_rng(11), 4)
         for r in range(batch.runs):
             _, marks = boxes_of(batch, r)
             order = np.argsort(-marks, kind="stable")
             assert np.array_equal(batch.top[r], batch.start[r] + order[:WALK])
-        batch = simulate(ALPHA, BETA, 10 ** 4, seed=11)
+        batch = simulate(BETA, 10 ** 4, seed=11)
         k_n = int(batch.k_n[0])
         for m in (1, 2, 5, k_n - 1, k_n, k_n + 3):
             values = [t.value for t in top_m(batch, m)]
@@ -626,7 +613,7 @@ class TestTopOrderStats:
 
     def test_csv_export_round_trip(self, capsys):
         # the CLI's simulate CSV holds top_m of the same run, each float as its repr
-        batch = simulate(ALPHA, BETA, 1000, seed=9)
+        batch = simulate(BETA, 1000, seed=9)
         assert cli.main(["simulate", "--beta", repr(BETA), "--n", "1000", "--seed", "9", "--top-m", "3"]) == 0
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert [r["rank"] for r in rows] == ["1", "2", "3"]
@@ -638,7 +625,7 @@ class TestTopOrderStats:
         assert locs == sorted(locs)
 
     def test_occupancy_json(self, capsys):
-        batch = simulate(ALPHA, BETA, 1000, seed=10)
+        batch = simulate(BETA, 1000, seed=10)
         assert cli.main(["simulate", "--beta", repr(BETA), "--n", "1000", "--seed", "10", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert (payload["n"], payload["seed"], payload["replica"]) == (1000, 10, 0)
@@ -649,7 +636,7 @@ class TestTopOrderStats:
 
 class TestEmpiricalSup:
     def test_full_carrier_and_empty(self):
-        batch = simulate_batch(ALPHA, BETA, 10 ** 4, replica_rng(11), 5)
+        batch = simulate_batch(BETA, 10 ** 4, replica_rng(11), 5)
         assert np.array_equal(empirical_sup(batch, UNIT), np.maximum.reduceat(batch.marks, batch.start))
         assert np.array_equal(empirical_sup(batch, normalize([])), np.zeros(5))
 
@@ -660,7 +647,7 @@ class TestEmpiricalSup:
             a = normalize([(pts[0], pts[1])])
             b = normalize([(pts[2], pts[3])])
             u = a.union(b)
-            batch = simulate_batch(ALPHA, BETA, 10 ** 4, replica_rng(12, r), 3, (a, b))
+            batch = simulate_batch(BETA, 10 ** 4, replica_rng(12, r), 3, (a, b))
             both = np.maximum(empirical_sup(batch, a), empirical_sup(batch, b))
             assert np.array_equal(empirical_sup(batch, u), both)
 
@@ -668,12 +655,12 @@ class TestEmpiricalSup:
 class TestVariantStar:
     def test_equals_sup_on_full_carrier(self):
         for seed in range(5):
-            batch = simulate_batch(ALPHA, BETA, 10 ** 4, replica_rng(seed), 3)
+            batch = simulate_batch(BETA, 10 ** 4, replica_rng(seed), 3)
             assert np.array_equal(variant_star_sup(batch, UNIT), empirical_sup(batch, UNIT))
 
     def test_dominated_on_subsets(self):
         family = (normalize([(0.2, 0.7)]), normalize([(0.0, 0.1), (0.8, 1.0)]))
-        batch = simulate_batch(ALPHA, BETA, 10 ** 4, replica_rng(14), 5, family)
+        batch = simulate_batch(BETA, 10 ** 4, replica_rng(14), 5, family)
         for a in family:
             assert np.all(variant_star_sup(batch, a) <= empirical_sup(batch, a))
         assert np.all(variant_star_sup(batch, normalize([])) == 0.0)
@@ -681,13 +668,13 @@ class TestVariantStar:
 
 class TestPatternCounts:
     def test_full_carrier_counts_all_boxes(self):
-        batch = simulate_batch(ALPHA, BETA, 10 ** 4, replica_rng(15), 3)
+        batch = simulate_batch(BETA, 10 ** 4, replica_rng(15), 3)
         assert pattern_count_table(batch, [UNIT]).tolist() == [[0, k] for k in batch.k_n]
 
     def test_partition_identity(self):
         # the nonzero codes of a family split the boxes hit in its union
         fam = [normalize([(0.0, 0.3)]), normalize([(0.2, 0.6)]), normalize([(0.5, 0.9)])]
-        batch = simulate_batch(ALPHA, BETA, 10 ** 4, replica_rng(16), 4, fam)
+        batch = simulate_batch(BETA, 10 ** 4, replica_rng(16), 4, fam)
         table = pattern_count_table(batch, fam)
         union_all = fam[0].union(fam[1]).union(fam[2])
         assert np.array_equal(table[:, 1:].sum(axis=1), pattern_count_table(batch, [union_all])[:, 1])
@@ -697,7 +684,7 @@ class TestPatternCounts:
         # tau / nu at beta = 0.5, Leb = 0.5 -> gamma(0.5) * sqrt(0.5)
         nu = nu_count(BETA, 10 ** 5)
         a = [normalize([(0.0, 0.5)])]
-        vals = pattern_count_table(simulate_batch(ALPHA, BETA, 10 ** 5, replica_rng(18), 40, a), a)[:, 1] / nu
+        vals = pattern_count_table(simulate_batch(BETA, 10 ** 5, replica_rng(18), 40, a), a)[:, 1] / nu
         target = math.gamma(0.5) * math.sqrt(0.5)
         assert abs(np.mean(vals) - target) <= 0.05 * target
 
@@ -727,7 +714,7 @@ class TestAgainstBruteForce:
         # the keys are distinct, the cells hold every box's balls and fill every cell, and the walked
         # boxes' positions fall in the cells of their rows, none of them twice
         family = (normalize([(0.0, 0.25)]), normalize([(0.1, 0.6)]))
-        batch = simulate_batch(ALPHA, beta, 20000, replica_rng(19), 3, family)
+        batch = simulate_batch(beta, 20000, replica_rng(19), 3, family)
         assert batch.cuts.tolist() == [0, 2000, 5000, 12000, 20000]
         for r in range(batch.runs):
             keys, _ = boxes_of(batch, r)
@@ -752,14 +739,14 @@ class TestAgainstBruteForce:
         # row of cells_of: the walked ranks and those placed past them (top_m needs b_n, so nu(n) > 0)
         n, family = case
         assume(nu_count(beta, n) > 0)
-        batch = simulate_batch(ALPHA, beta, n, replica_rng(seed), 1, family)
+        batch = simulate_batch(beta, n, replica_rng(seed), 1, family)
         assert_placed(batch, top_m(batch, m))
 
     @given(grid_family(), st.sampled_from(BETAS), st.integers(0, 2 ** 32))
     @settings(max_examples=150, deadline=None)
     def test_queries_match_position_scan(self, case, beta, seed):
         n, family = case
-        batch = simulate_batch(ALPHA, beta, n, replica_rng(seed), 2, family)
+        batch = simulate_batch(beta, n, replica_rng(seed), 2, family)
         positions = np.arange(n) / n
         table = pattern_count_table(batch, family)
         for r in range(batch.runs):

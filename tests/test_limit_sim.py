@@ -12,6 +12,7 @@ from karlin_rsm import cli
 from karlin_rsm import karlin_sim as ksim
 from karlin_rsm import limit_sim as lsim
 from karlin_rsm.choquet_oracle import mstar_theta, pattern_limit, theta
+from karlin_rsm.distributions import _alpha_power
 from karlin_rsm.interval_sets import CapacityError, IntervalSet, normalize
 from karlin_rsm.karlin_sim import replica_rng
 from karlin_rsm.limit_sim import (
@@ -116,7 +117,7 @@ class TestPatternRates:
         for family, i in (((big, tiny), 1), ((tiny, big), 0)):
             rates = pattern_rates(0.5, family)
             assert rates[np.arange(4) & (1 << i) != 0].sum() == pytest.approx(1e-150, rel=1e-14)
-            assert sample_karlin(np.random.default_rng(1), 1.0, 0.5, family).values[i] > 0
+            assert sample_karlin(np.random.default_rng(1), 0.5, family).values[i] > 0
 
     def test_any_carrier_and_read_only(self):
         fam = (IntervalSet(((0.0, 1.0),), (0.0, 3.0)), IntervalSet(((2.0, 3.0),), (0.0, 3.0)))
@@ -132,11 +133,11 @@ class TestPatternRates:
         for beta in (0.0, 1.0, 1.5):
             for sampler in (sample_karlin, sample_mstar):
                 with pytest.raises(ValueError, match="beta"):
-                    sampler(np.random.default_rng(0), 1.0, beta, fam)
+                    sampler(np.random.default_rng(0), beta, fam)
             with pytest.raises(ValueError, match="beta"):
-                coupled_batch(np.random.default_rng(0), 1.0, beta, fam, 1)
+                coupled_batch(np.random.default_rng(0), beta, fam, 1)
             with pytest.raises(ValueError, match="beta"):
-                top_m_batch(np.random.default_rng(0), 1.0, beta, 1, fam, 1)
+                top_m_batch(np.random.default_rng(0), beta, 1, fam, 1)
 
     def test_null_sets_have_no_rate(self):
         rates = pattern_rates(0.5, (normalize([]), normalize([(0.0, 0.25)])))
@@ -168,7 +169,7 @@ class TestManyAtoms:
     def test_mstar_one_clock_per_atom(self, name):
         family = self.FAMILIES[name]
         assert lsim._mstar_clocks(0.5, family).rates.size == 64
-        vals = mstar_batch(np.random.default_rng(31), 1.0, 0.5, family, N_MC)
+        vals = mstar_batch(np.random.default_rng(31), 0.5, family, N_MC)
         for j, a in enumerate(family):
             target = math.exp(-sum(mstar_theta(lo, hi, 0.5) for lo, hi in a.intervals))
             assert abs(np.mean(vals[:, j] <= 1.0) - target) <= binom_tol(target)
@@ -176,7 +177,7 @@ class TestManyAtoms:
     @pytest.mark.parametrize("name", FAMILIES)
     def test_karlin_marginals(self, name):
         family = self.FAMILIES[name]
-        vals = karlin_batch(np.random.default_rng(32), 1.0, 0.5, family, N_MC)
+        vals = karlin_batch(np.random.default_rng(32), 0.5, family, N_MC)
         for j, a in enumerate(family):
             target = math.exp(-theta(a, 0.5))
             assert abs(np.mean(vals[:, j] <= 1.0) - target) <= binom_tol(target)
@@ -184,36 +185,36 @@ class TestManyAtoms:
 
 class TestKarlinSampler:
     def test_full_set_frechet(self):
-        vals = karlin_batch(np.random.default_rng(24), 1.0, 0.5, [normalize([(0.0, 1.0)])], N_MC)
+        vals = karlin_batch(np.random.default_rng(24), 0.5, [normalize([(0.0, 1.0)])], N_MC)
         target = math.exp(-1.0)
         assert abs(np.mean(vals[:, 0] <= 1.0) - target) <= binom_tol(target)
 
     def test_quarter_set(self):
-        vals = karlin_batch(np.random.default_rng(25), 1.0, 0.5, [normalize([(0.0, 0.25)])], N_MC)
+        vals = karlin_batch(np.random.default_rng(25), 0.5, [normalize([(0.0, 0.25)])], N_MC)
         target = math.exp(-0.5)
         assert abs(np.mean(vals[:, 0] <= 1.0) - target) <= binom_tol(target)
 
     def test_two_halves_joint(self):
         fam = [normalize([(0.0, 0.5)]), normalize([(0.5, 1.0)])]
-        vals = karlin_batch(np.random.default_rng(26), 1.0, 0.5, fam, N_MC)
+        vals = karlin_batch(np.random.default_rng(26), 0.5, fam, N_MC)
         target = math.exp(-1.0)
         assert abs(np.mean((vals <= 1.0).all(axis=1)) - target) <= binom_tol(target)
 
     def test_zero_measure_sets_answered_zero(self):
         rng = np.random.default_rng(27)
         fam = [normalize([]), normalize([(0.3, 0.3)]), normalize([(0.0, 0.5)])]
-        s = sample_karlin(rng, 1.0, 0.5, fam)
+        s = sample_karlin(rng, 0.5, fam)
         assert s.values[0] == 0.0 and s.values[1] == 0.0 and s.values[2] > 0.0
         assert s.atoms_used >= 1
-        assert sample_karlin(rng, 1.0, 0.5, fam[:2]).atoms_used == 0
+        assert sample_karlin(rng, 0.5, fam[:2]).atoms_used == 0
 
     def test_single_replica_is_batch_of_one(self):
         fam = [normalize([(0.0, 0.2)]), normalize([(0.6, 0.9)])]
-        a = sample_karlin(replica_rng(28, 0), 1.0, 0.3, fam)
-        b = karlin_batch(replica_rng(28, 0), 1.0, 0.3, fam, 1)
+        a = sample_karlin(replica_rng(28, 0), 0.3, fam)
+        b = karlin_batch(replica_rng(28, 0), 0.3, fam, 1)
         assert a.values == tuple(b[0])
-        assert sample_mstar(replica_rng(28, 2), 1.0, 0.3, fam).values == tuple(
-            mstar_batch(replica_rng(28, 2), 1.0, 0.3, fam, 1)[0])
+        assert sample_mstar(replica_rng(28, 2), 0.3, fam).values == tuple(
+            mstar_batch(replica_rng(28, 2), 0.3, fam, 1)[0])
 
     def test_sup_measure_axiom_and_monotonicity(self):
         rng = np.random.default_rng(29)
@@ -221,7 +222,7 @@ class TestKarlinSampler:
         b = normalize([(0.5, 0.8)])
         fam = [a, b, a.union(b)]
         for _ in range(2000):
-            va, vb, vu = sample_karlin(rng, 1.3, 0.6, fam).values
+            va, vb, vu = sample_karlin(rng, 0.6, fam).values
             assert vu == max(va, vb)
             assert va <= vu and vb <= vu
 
@@ -229,7 +230,7 @@ class TestKarlinSampler:
         # hit rate 1e-150 per unit level: no atom walk, a finite value at once
         fam = [normalize([(0.0, 1e-300)])]
         t0 = time.perf_counter()
-        s = sample_karlin(np.random.default_rng(30), 1.0, 0.5, fam)
+        s = sample_karlin(np.random.default_rng(30), 0.5, fam)
         assert time.perf_counter() - t0 < 1.0
         assert 0.0 < s.values[0] < 1e-140 and s.atoms_used > 10 ** 140
 
@@ -237,31 +238,31 @@ class TestKarlinSampler:
 class TestWindowSampler:
     def test_width_one_identical(self):
         # the rates depend on the sets only; a wider carrier changes atoms_used alone
-        a = sample_karlin(np.random.default_rng(32), 1.0, 0.5, [normalize([(0.0, 0.4)])])
-        b = sample_karlin(np.random.default_rng(32), 1.0, 0.5, [IntervalSet(((0.0, 0.4),), (0.0, 4.0))])
+        a = sample_karlin(np.random.default_rng(32), 0.5, [normalize([(0.0, 0.4)])])
+        b = sample_karlin(np.random.default_rng(32), 0.5, [IntervalSet(((0.0, 0.4),), (0.0, 4.0))])
         assert a.values == b.values
 
     def test_window_median(self):
         # median of the value on [0, 4] is (4**beta)/log 2 at alpha 1
         fam = [IntervalSet(((0.0, 4.0),), (0.0, 4.0))]
-        vals = karlin_batch(np.random.default_rng(33), 1.0, 0.5, fam, N_MC)[:, 0]
+        vals = karlin_batch(np.random.default_rng(33), 0.5, fam, N_MC)[:, 0]
         assert np.median(vals) == pytest.approx(2.0 / math.log(2.0), rel=0.03)
 
     def test_self_similarity_two_sample(self):
         rng = np.random.default_rng(34)
-        w = karlin_batch(rng, 1.0, 0.5, [IntervalSet(((0.0, 2.0),), (0.0, 2.0))], 8000)[:, 0]
-        u = 2.0 ** 0.5 * karlin_batch(rng, 1.0, 0.5, [normalize([(0.0, 1.0)])], 8000)[:, 0]
+        w = karlin_batch(rng, 0.5, [IntervalSet(((0.0, 2.0),), (0.0, 2.0))], 8000)[:, 0]
+        u = 2.0 ** 0.5 * karlin_batch(rng, 0.5, [normalize([(0.0, 1.0)])], 8000)[:, 0]
         assert ks_2samp(w, u).pvalue > 0.01
 
 
 class TestVariantSampler:
     def test_marginal_on_interval(self):
-        vals = mstar_batch(np.random.default_rng(35), 1.0, 0.5, [normalize([(0.25, 1.0)])], N_MC)
+        vals = mstar_batch(np.random.default_rng(35), 0.5, [normalize([(0.25, 1.0)])], N_MC)
         target = math.exp(-0.5)  # exp(-(1**b - 0.25**b))
         assert abs(np.mean(vals[:, 0] <= 1.0) - target) <= binom_tol(target)
 
     def test_reduces_to_theta_at_zero(self):
-        vals = mstar_batch(np.random.default_rng(36), 1.0, 0.5, [normalize([(0.0, 0.49)])], N_MC)
+        vals = mstar_batch(np.random.default_rng(36), 0.5, [normalize([(0.0, 0.49)])], N_MC)
         target = math.exp(-(0.49 ** 0.5))
         assert abs(np.mean(vals[:, 0] <= 1.0) - target) <= binom_tol(target)
 
@@ -269,15 +270,15 @@ class TestVariantSampler:
         # on [0, t] both laws are Frechet with scale t**beta
         rng = np.random.default_rng(37)
         fam = [normalize([(0.0, 0.64)])]
-        star = mstar_batch(rng, 1.0, 0.5, fam, 8000)[:, 0]
-        full = karlin_batch(rng, 1.0, 0.5, fam, 8000)[:, 0]
+        star = mstar_batch(rng, 0.5, fam, 8000)[:, 0]
+        full = karlin_batch(rng, 0.5, fam, 8000)[:, 0]
         assert ks_2samp(star, full).pvalue > 0.01
 
     def test_coupled_domination_and_marginals(self):
         rng = np.random.default_rng(38)
         fam = [normalize([(0.25, 1.0)]), normalize([(0.1, 0.6)])]
         n = 10000
-        big, small = coupled_batch(rng, 1.0, 0.5, fam, n)
+        big, small = coupled_batch(rng, 0.5, fam, n)
         assert (big >= small).all()
         target = math.exp(-0.5)
         assert abs(np.mean(small[:, 0] <= 1.0) - target) <= binom_tol(target, n)
@@ -286,26 +287,26 @@ class TestVariantSampler:
         # 10 atoms and 11 gaps: one cell over the budget that also caps the sets
         fam = [normalize([(k / 10 + 0.02, k / 10 + 0.05)]) for k in range(10)]
         with pytest.raises(CapacityError, match="21 cells exceed the 20-cell"):
-            coupled_batch(np.random.default_rng(0), 1.0, 0.5, fam, 1)
+            coupled_batch(np.random.default_rng(0), 0.5, fam, 1)
 
     def test_unit_carrier_only(self):
         fam = [IntervalSet(((0.0, 1.0),), (0.0, 4.0))]
         with pytest.raises(ValueError, match="unit carrier"):
-            sample_mstar(np.random.default_rng(0), 1.0, 0.5, fam)
+            sample_mstar(np.random.default_rng(0), 0.5, fam)
         with pytest.raises(ValueError, match="unit carrier"):
-            coupled_batch(np.random.default_rng(0), 1.0, 0.5, fam, 1)
+            coupled_batch(np.random.default_rng(0), 0.5, fam, 1)
 
 
 class TestTopProcess:
     def test_first_value_law(self):
         fam = [normalize([(0.0, 0.25)])]
-        vals, _ = top_m_batch(np.random.default_rng(39), 1.0, 0.5, 1, fam, N_MC)
+        vals, _ = top_m_batch(np.random.default_rng(39), 0.5, 1, fam, N_MC)
         target = math.exp(-1.0)  # P(Gamma_1 ** -1 <= 1)
         assert abs(np.mean(vals[:, 0] <= 1.0) - target) <= binom_tol(target)
 
     def test_hit_marginal_and_independence(self):
         fam = [normalize([(0.0, 0.25)])]
-        vals, hits = top_m_batch(np.random.default_rng(40), 1.0, 0.5, 1, fam, N_MC)
+        vals, hits = top_m_batch(np.random.default_rng(40), 0.5, 1, fam, N_MC)
         vals, hits = vals[:, 0], hits[:, 0, 0]
         assert abs(hits.mean() - 0.5) <= binom_tol(0.5)
         # independence of the hit pattern and the level
@@ -316,12 +317,12 @@ class TestTopProcess:
 
     def test_joint_hits_product_form(self):
         fam = [normalize([(0.0, 0.25)]), normalize([(0.5, 0.75)])]
-        _, hits = top_m_batch(np.random.default_rng(41), 1.0, 0.5, 2, fam, N_MC)
+        _, hits = top_m_batch(np.random.default_rng(41), 0.5, 2, fam, N_MC)
         target = 0.25  # product of 0.25**0.5
         assert abs(np.mean(hits[:, 0, 0] & hits[:, 1, 1]) - target) <= binom_tol(target)
 
     def test_values_strictly_decreasing(self):
-        vals, _ = top_m_batch(np.random.default_rng(42), 2.0, 0.5, 6, [normalize([(0.0, 1.0)])], 1000)
+        vals, _ = top_m_batch(np.random.default_rng(42), 0.5, 6, [normalize([(0.0, 1.0)])], 1000)
         assert (np.diff(vals, axis=1) < 0).all()
 
 
@@ -350,9 +351,9 @@ class TestEqualityInLaw:
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed + 1)
         ours, ref = [], []
         for _ in range(self.R):
-            s = sample_karlin(rng, 1.0, 0.5, family)
+            s = sample_karlin(rng, 0.5, family)
             ours.append(s.values + (s.atoms_used,))
-            values, used = reference_karlin(ref_rng, 1.0, 0.5, family)
+            values, used = reference_karlin(ref_rng, 0.5, family)
             ref.append(values + (used,))
         d = len(family)
         self._compare(ours, ref, [lambda x: (x[:, :d] <= z).all(axis=1),
@@ -374,32 +375,44 @@ class TestEqualityInLaw:
         rng, ref_rng = np.random.default_rng(56), np.random.default_rng(57)
         ours, ref = [], []
         for _ in range(self.R):
-            s = sample_mstar(rng, 1.0, 0.5, fam)
+            s = sample_mstar(rng, 0.5, fam)
             ours.append(s.values + (s.atoms_used,))
-            values, used = reference_mstar(ref_rng, 1.0, 0.5, fam)
+            values, used = reference_mstar(ref_rng, 0.5, fam)
             ref.append(values + (used,))
         self._compare(ours, ref, [lambda x: (x[:, :3] <= 1.0).all(axis=1), lambda x: x[:, 3] <= 3])
 
     def test_coupled(self):
         fam = (normalize([(0.25, 1.0)]), normalize([(0.1, 0.6)]))
-        ours = np.hstack(coupled_batch(np.random.default_rng(58), 1.0, 0.5, fam, self.R))
+        ours = np.hstack(coupled_batch(np.random.default_rng(58), 0.5, fam, self.R))
         ref_rng = np.random.default_rng(59)
         ref = []
         for _ in range(self.R):
-            (ref_big, ref_small), _ = reference_coupled(ref_rng, 1.0, 0.5, fam)
+            (ref_big, ref_small), _ = reference_coupled(ref_rng, 0.5, fam)
             ref.append(ref_big + ref_small)
         self._compare(ours, ref, [lambda x: (x[:, :4] <= 1.0).all(axis=1), lambda x: x[:, 0] == x[:, 2]])
 
     def test_top_m(self):
         fam = (normalize([(0.0, 0.25)]), normalize([(0.2, 0.6)]))
-        values, hits = top_m_batch(np.random.default_rng(60), 1.0, 0.5, 3, fam, self.R)
+        values, hits = top_m_batch(np.random.default_rng(60), 0.5, 3, fam, self.R)
         ours = np.column_stack([values, hits.reshape(self.R, -1)])
         ref_rng = np.random.default_rng(61)
         ref = []
         for _ in range(self.R):
-            recs = reference_top_m(ref_rng, 1.0, 0.5, 3, fam)
+            recs = reference_top_m(ref_rng, 0.5, 3, fam)
             ref.append([v for v, _ in recs] + [h for _, hs in recs for h in hs])
         self._compare(ours, ref, [lambda x: x[:, 3] * x[:, 4] == 1, lambda x: x[:, 5] + x[:, 8] == 0])
+
+
+@pytest.mark.parametrize("alpha", [0.3, 3.0])
+def test_top_m_levels_of_index_alpha(alpha):
+    # the levels of index alpha are the arrivals of the race to the power -1/alpha: the levels drawn at
+    # alpha = 1 raised to 1/alpha, within 4 ulp
+    fam = (normalize([(0.0, 0.25)]), normalize([(0.2, 0.6)]))
+    values, _ = top_m_batch(replica_rng(5), 0.5, 3, fam, 1000)
+    rates = pattern_rates(0.5, fam)
+    g = replica_rng(5).standard_exponential((1000, 3, np.count_nonzero(rates))) / rates[rates > 0]
+    direct = np.cumsum(g.min(axis=2), axis=1) ** (-1.0 / alpha)
+    assert np.all(np.abs(_alpha_power(values, alpha) - direct) <= 4.0 * np.spacing(direct))
 
 
 @st.composite
@@ -417,13 +430,13 @@ class TestProperties:
     @given(interval_sets(), interval_sets(), st.integers(0, 2 ** 32))
     @settings(max_examples=100, deadline=None)
     def test_sup_measure_axiom_batch(self, a, b, seed):
-        vals = karlin_batch(replica_rng(seed), 1.0, 0.5, (a, b, a.union(b)), 50)
+        vals = karlin_batch(replica_rng(seed), 0.5, (a, b, a.union(b)), 50)
         assert np.array_equal(vals[:, 2], np.maximum(vals[:, 0], vals[:, 1]))
 
     @given(interval_sets(), interval_sets(), st.integers(0, 2 ** 32))
     @settings(max_examples=50, deadline=None)
     def test_sup_measure_axiom_urn(self, a, b, seed):
-        batch = ksim.simulate_batch(1.0, 0.5, 2000, replica_rng(seed), 3, family=(a, b))
+        batch = ksim.simulate_batch(0.5, 2000, replica_rng(seed), 3, family=(a, b))
         va, vb = ksim.empirical_sup(batch, a), ksim.empirical_sup(batch, b)
         assert np.array_equal(ksim.empirical_sup(batch, a.union(b)), np.maximum(va, vb))
 
@@ -431,15 +444,15 @@ class TestProperties:
     @settings(max_examples=50, deadline=None)
     def test_prefix_property(self, a, b, r, seed):
         fam = (a, b, normalize([(0.2, 0.3)]))
-        big = karlin_batch(replica_rng(seed), 1.0, 0.5, fam, 2 * r)
-        assert np.array_equal(karlin_batch(replica_rng(seed), 1.0, 0.5, fam, r), big[:r])
-        star = mstar_batch(replica_rng(seed), 1.0, 0.5, fam, 2 * r)
-        assert np.array_equal(mstar_batch(replica_rng(seed), 1.0, 0.5, fam, r), star[:r])
-        pair = coupled_batch(replica_rng(seed), 1.0, 0.5, fam, 2 * r)
-        for small, whole in zip(coupled_batch(replica_rng(seed), 1.0, 0.5, fam, r), pair):
+        big = karlin_batch(replica_rng(seed), 0.5, fam, 2 * r)
+        assert np.array_equal(karlin_batch(replica_rng(seed), 0.5, fam, r), big[:r])
+        star = mstar_batch(replica_rng(seed), 0.5, fam, 2 * r)
+        assert np.array_equal(mstar_batch(replica_rng(seed), 0.5, fam, r), star[:r])
+        pair = coupled_batch(replica_rng(seed), 0.5, fam, 2 * r)
+        for small, whole in zip(coupled_batch(replica_rng(seed), 0.5, fam, r), pair):
             assert np.array_equal(small, whole[:r])
-        top = top_m_batch(replica_rng(seed), 1.0, 0.5, 2, fam, 2 * r)
-        for small, whole in zip(top_m_batch(replica_rng(seed), 1.0, 0.5, 2, fam, r), top):
+        top = top_m_batch(replica_rng(seed), 0.5, 2, fam, 2 * r)
+        for small, whole in zip(top_m_batch(replica_rng(seed), 0.5, 2, fam, r), top):
             assert np.array_equal(small, whole[:r])
 
 
@@ -454,19 +467,28 @@ def test_csv_export(tmp_path, capsys):
     fam = [normalize([(0.0, 0.5)]), normalize([(0.5, 1.0)])]
     expected = []
     for r in range(3):
-        sample = sample_karlin(replica_rng(43, r), 1.0, 0.5, fam)
+        sample = sample_karlin(replica_rng(43, r), 0.5, fam)
         expected += [f"{r},{set_id},{value!r},{sample.atoms_used}" for set_id, value in enumerate(sample.values)]
     assert lines[1:] == expected
 
 
 _HALF = (normalize([(0.0, 0.5)]),)
 _SAMPLERS = {
-    "karlin_batch": lambda alpha, r: karlin_batch(replica_rng(1), alpha, 0.5, _HALF, r),
-    "mstar_batch": lambda alpha, r: mstar_batch(replica_rng(1), alpha, 0.5, _HALF, r),
-    "coupled_batch": lambda alpha, r: coupled_batch(replica_rng(1), alpha, 0.5, _HALF, r),
-    "top_m_batch": lambda alpha, r: top_m_batch(replica_rng(1), alpha, 0.5, 2, _HALF, r),
-    "sample_karlin": lambda alpha, r: sample_karlin(replica_rng(1), alpha, 0.5, _HALF),
-    "sample_mstar": lambda alpha, r: sample_mstar(replica_rng(1), alpha, 0.5, _HALF),
+    "karlin_batch": lambda r: karlin_batch(replica_rng(1), 0.5, _HALF, r),
+    "mstar_batch": lambda r: mstar_batch(replica_rng(1), 0.5, _HALF, r),
+    "coupled_batch": lambda r: coupled_batch(replica_rng(1), 0.5, _HALF, r),
+    "top_m_batch": lambda r: top_m_batch(replica_rng(1), 0.5, 2, _HALF, r),
+    "sample_karlin": lambda r: sample_karlin(replica_rng(1), 0.5, _HALF),
+    "sample_mstar": lambda r: sample_mstar(replica_rng(1), 0.5, _HALF),
+}
+# a call of the CLI that runs each sampler: limit-sample, or a suite it serves
+_ENTRY = {
+    "karlin_batch": ["verify", "--suite", "limit-vs-oracle"],
+    "mstar_batch": ["verify", "--suite", "extremal-mstar"],
+    "coupled_batch": ["verify", "--suite", "extremal-mstar"],
+    "top_m_batch": ["verify", "--suite", "locations"],
+    "sample_karlin": ["limit-sample", "--variant", "karlin"],
+    "sample_mstar": ["limit-sample", "--variant", "mstar"],
 }
 
 
@@ -474,6 +496,20 @@ _SAMPLERS = {
     *[(name, alpha, 5, "alpha") for name in _SAMPLERS for alpha in (math.inf, -1.0, 0.0, math.nan)],
     *[(name, 1.0, r, "replicas") for name in _SAMPLERS if name.endswith("_batch") for r in (-2, 0)],
 ])
-def test_samplers_reject_bad_alpha_and_replicas(name, alpha, replicas, field):
-    with pytest.raises(ValueError, match=field):
-        _SAMPLERS[name](alpha, replicas)
+def test_samplers_reject_bad_alpha_and_replicas(name, alpha, replicas, field, tmp_path, capsys, monkeypatch):
+    # the samplers draw at alpha = 1, so a bad alpha is rejected by the call that reads it: exit 2 with
+    # one line, before the sampler runs or --out is opened
+    if field == "replicas":
+        with pytest.raises(ValueError, match="replicas"):
+            _SAMPLERS[name](replicas)
+        return
+    command = _ENTRY[name]
+    query, out = tmp_path / "family.json", tmp_path / "out.csv"
+    query.write_text(json.dumps({"family": [{"intervals": [[0.0, 0.5]]}]}))
+    extra = ["--query", str(query)] if command[0] == "limit-sample" else []
+    monkeypatch.setattr(lsim, name, lambda *args: pytest.fail("a sampler ran"))
+    assert cli.main([*command, *extra, "--beta", "0.5", f"--alpha={alpha!r}", "--seed", "1",
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: alpha must be positive and finite") and len(err.splitlines()) == 1
+    assert not out.exists()

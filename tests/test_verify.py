@@ -357,7 +357,7 @@ def test_chunks_do_not_depend_on_the_part_size():
     short, long = (verify._urn_map(cfg, "discrete", (q,), stat, count=count) for count in (300, 600))
     assert short[0] == long[0] and [len(k_n) for k_n, _ in short] == [256, 44]
     offset = verify._offset(cfg, "discrete")
-    direct = karlin_sim.simulate_batch(1.0, 0.5, 10 ** 3, replica_rng(6, offset + 1), 256, (q,))
+    direct = karlin_sim.simulate_batch(0.5, 10 ** 3, replica_rng(6, offset + 1), 256, (q,))
     assert long[1] == stat(direct)
 
 
