@@ -11,6 +11,7 @@ byte-identical across runs and thread counts; without one a fresh 64-bit
 seed is drawn from system entropy and printed to stderr.  The CSV and JSON
 formats of ``simulate`` and ``limit-sample`` are written here and nowhere else,
 and their values are taken from alpha = 1, where the samplers draw, to ``--alpha``.
+A ``verify`` report is the one at alpha = 1: ``verify`` only checks ``--alpha``.
 """
 
 from __future__ import annotations
@@ -84,7 +85,8 @@ def _family_from_json(obj) -> tuple:
 
 
 def _add_common(p):
-    p.add_argument("--alpha", type=float, default=1.0, help="tail index of marks, applied to printed values")
+    p.add_argument("--alpha", type=float, default=1.0,
+                   help="tail index of marks, applied to printed values (verify: checked only)")
     p.add_argument("--beta", type=float, required=True, help="memory parameter in (0,1)")
     p.add_argument("--seed", type=int, default=None, help="64-bit seed; drawn from entropy if absent")
     p.add_argument("--out", default=None, help="output path (stdout if absent)")
@@ -176,6 +178,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _check_alpha(args.alpha)  # no suite reads it: the report at any alpha is the one at alpha = 1
     seed = _resolve_seed(args.seed)
     n_grid = None  # the suite's default
     if args.n is not None:
@@ -188,7 +191,6 @@ def _cmd_verify(args) -> int:
         family = _family_from_json(_load_json(args.query))
     cfg = SuiteConfig(
         suite=args.suite,
-        alpha=args.alpha,
         beta=args.beta,
         n_grid=n_grid,
         replicas=args.replicas,

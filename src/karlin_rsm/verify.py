@@ -30,11 +30,10 @@ for any ``threads`` setting.  The urn rows compare with exact finite-n
 means where one exists (``mean_kn_ratio`` and the pattern rows), and
 each of them takes the larger of its constant and 99 % of its standard
 error, estimated from the replicas.
-Every confidence bound is at the 99 % level.  The samplers draw at alpha =
-1, a value of index alpha being the 1/alpha-th power of one drawn: the KS
-rows, which that map leaves alone, read Frechet laws of index 1, a level z
-is read as z**alpha, and the extremal medians are taken to the power, so
-every estimate, target and gate stays one of index alpha.
+Every confidence bound is at the 99 % level.  A value of index alpha is the
+1/alpha-th power of one drawn, an increasing map, so a check of a law at index
+alpha is the same check at index 1 with its thresholds mapped: the suites read
+the draws at alpha = 1, and no suite takes alpha.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ import numpy as np
 from . import choquet_oracle as oracle
 from . import karlin_sim as ksim
 from . import limit_sim as lsim
-from .distributions import _alpha_power, _check_alpha, frechet_cdf, qbeta_pmf, qbeta_tail
+from .distributions import frechet_cdf, qbeta_pmf, qbeta_tail
 from .interval_sets import UNIT, IntervalSet, normalize
 from .karlin_sim import replica_rng
 
@@ -139,7 +138,6 @@ _CHI2_10_QUANTILE = 23.209251158954356
 @dataclass(frozen=True)
 class SuiteConfig:
     suite: str
-    alpha: float = 1.0
     beta: float = 0.5
     n_grid: tuple = None  # None: the suite's default, as for replicas
     replicas: int = None
@@ -173,8 +171,7 @@ class SuiteConfig:
             raise ValueError(f"n grid {self.n_grid} repeats a point")
         if len(self.n_grid) > 1 and self.suite != "marginal":
             raise ValueError(f"the {self.suite} suite takes one n, got the grid {self.n_grid}")
-        _check_alpha(self.alpha)  # every suite, so a bad n, alpha or beta exits before any part runs
-        for n in self.n_grid:
+        for n in self.n_grid:  # every suite, so a bad n or beta exits before any part runs
             ksim.b_n(self.beta, n)
             if n > ksim.MAX_N:
                 raise ksim.ResourceError(f"n={n} exceeds the allocation budget n <= {ksim.MAX_N}")
@@ -374,10 +371,10 @@ def _mean_row(cfg, check, values, target, rel, n=0, estimate=None) -> CheckRow:
     return _row(cfg, check, est, target, tol, abs(est - target) <= tol, n, len(values))
 
 
-def _median_gate(alpha: float, replicas: int) -> float:
-    """Relative gate of a Frechet(alpha) sample median: ``median_rel``, or 99 % of its
-    relative standard error 1/(alpha ln 2 sqrt(replicas)) where that is larger."""
-    se = 1.0 / (alpha * math.log(2.0) * math.sqrt(replicas))
+def _median_gate(replicas: int) -> float:
+    """Relative gate of a Frechet(1) sample median: ``median_rel``, or 99 % of its
+    relative standard error 1/(ln 2 sqrt(replicas)) where that is larger."""
+    se = 1.0 / (math.log(2.0) * math.sqrt(replicas))
     return max(DEFAULT_THRESHOLDS["median_rel"], _NORMAL_QUANTILE * se)
 
 
@@ -543,7 +540,7 @@ def _random_queries(cfg: SuiteConfig):
             lo = float(rng.uniform(0.0, 1.0 - width))
             z = float(rng.uniform(0.7, 2.0))
             pairs.append((normalize([(lo, lo + width)]), z))
-        queries.append(oracle.ChoquetQuery(pairs=tuple(pairs), alpha=cfg.alpha, beta=cfg.beta))
+        queries.append(oracle.ChoquetQuery(pairs=tuple(pairs), alpha=1.0, beta=cfg.beta))
     return queries
 
 
@@ -585,7 +582,7 @@ def suite_limit_vs_oracle(cfg: SuiteConfig) -> list:
     for qi, q in enumerate(queries):
         family = tuple(a for a, _ in q.pairs)
         zs = np.array([z for _, z in q.pairs])
-        hits = int((_karlin(cfg, family, f"q{qi}") <= zs ** cfg.alpha).all(axis=1).sum())
+        hits = int((_karlin(cfg, family, f"q{qi}") <= zs).all(axis=1).sum())
         rows.append(_binom_row(cfg, f"joint_cdf_q{qi}", hits, cfg.replicas, oracle.joint_cdf(q)))
         families.append(family)
 
@@ -601,7 +598,7 @@ def suite_limit_vs_oracle(cfg: SuiteConfig) -> list:
     tau_rows = []
     p_joints = {}
     for t, fam in windows:
-        below = _karlin(cfg, fam, f"t{t}") <= z ** cfg.alpha
+        below = _karlin(cfg, fam, f"t{t}") <= z
         p_single = int(below[:, 0].sum()) / cfg.replicas
         p_joint = int(below.all(axis=1).sum()) / cfg.replicas
         tau_hat = math.log(p_joint) - 2.0 * math.log(p_single)
@@ -609,7 +606,7 @@ def suite_limit_vs_oracle(cfg: SuiteConfig) -> list:
         se = math.sqrt(
             (1.0 - p_joint) / (p_joint * cfg.replicas) + 4.0 * (1.0 - p_single) / (p_single * cfg.replicas)
         )
-        target = oracle.tau_z(t, z, cfg.alpha, cfg.beta)
+        target = oracle.tau_z(t, z, 1.0, cfg.beta)
         tau_rows.append((t, tau_hat, se))
         p_joints[t] = p_joint
         rows.append(_row(cfg, f"tau_z_t{t}", tau_hat, target, mult * se,
@@ -626,8 +623,8 @@ def suite_limit_vs_oracle(cfg: SuiteConfig) -> list:
     p_joint = p_joints[2.0]
     neg_log = -math.log(p_joint)
     se_neglog = math.sqrt((1.0 - p_joint) / (p_joint * cfg.replicas))
-    union_form = 2.0 ** cfg.beta * z ** -cfg.alpha
-    and_form = (2.0 - 2.0 ** cfg.beta) * z ** -cfg.alpha
+    union_form = 2.0 ** cfg.beta / z
+    and_form = (2.0 - 2.0 ** cfg.beta) / z
     crit = mult * se_neglog
     rows.append(_row(cfg, "adjudication_joint_exponent_union_form", neg_log, union_form, crit,
                      abs(neg_log - union_form) <= crit, replicas=cfg.replicas))
@@ -649,10 +646,9 @@ def suite_extremal_and_mstar(cfg: SuiteConfig) -> list:
     for t in (0.25, 1.0, 4.0):
         fam = (IntervalSet(((0.0, t),), (0.0, max(t, 1.0))),)
         vals[t] = _karlin(cfg, fam, f"t{t}")[:, 0]
-        median = float(np.median(_alpha_power(vals[t], cfg.alpha)))  # of the values of index alpha
-        med_target = _alpha_power(t ** cfg.beta / math.log(2.0), cfg.alpha)
-        rows.append(_rel_row(cfg, f"extremal_median_t{t}", median, med_target,
-                             _median_gate(cfg.alpha, cfg.replicas), replicas=cfg.replicas))
+        median = float(np.median(vals[t]))
+        rows.append(_rel_row(cfg, f"extremal_median_t{t}", median, t ** cfg.beta / math.log(2.0),
+                             _median_gate(cfg.replicas), replicas=cfg.replicas))
         rows.append(_frechet_row(cfg, f"extremal_ks_t{t}", vals[t], t ** cfg.beta))
 
     # self-similarity: the [0, 4] window versus the 4**beta-scaled [0, 1] window
@@ -662,14 +658,13 @@ def suite_extremal_and_mstar(cfg: SuiteConfig) -> list:
     tr = _karlin(cfg, (normalize([(0.0, 0.5)]), normalize([(0.5, 1.0)])), "translation")
     rows.append(_two_sample_row(cfg, "translation_invariance_two_sample", tr[:, 0], tr[:, 1]))
 
-    # variant marginal on [a, b): P(M* <= z) = exp(-(b**beta - a**beta) z**-alpha)
+    # variant marginal on [a, b): P(M* <= z) = exp(-(b**beta - a**beta) / z)
     a_lo, b_hi, z = 0.25, 1.0, 1.0
     star_vals = lsim.mstar_batch(_stream(cfg, "mstar_marginal"), cfg.beta, (normalize([(a_lo, b_hi)]),),
                                  cfg.replicas)[:, 0]
     sigma_star = oracle.mstar_theta(a_lo, b_hi, cfg.beta)
-    target_p = math.exp(-sigma_star * z ** -cfg.alpha)
-    rows.append(_binom_row(cfg, "mstar_marginal_prob", int((star_vals <= z ** cfg.alpha).sum()), cfg.replicas,
-                           target_p))
+    rows.append(_binom_row(cfg, "mstar_marginal_prob", int((star_vals <= z).sum()), cfg.replicas,
+                           math.exp(-sigma_star / z)))
     rows.append(_frechet_row(cfg, "mstar_marginal_ks", star_vals, sigma_star))
 
     # variant equals the time-changed law on [0, t]

@@ -36,7 +36,7 @@ def row(report, name):
 @pytest.fixture(scope="module")
 def limit_oracle_report():
     cfg = SuiteConfig(
-        suite="limit-vs-oracle", alpha=1.0, beta=0.5, n_grid=(10 ** 5,),
+        suite="limit-vs-oracle", beta=0.5, n_grid=(10 ** 5,),
         replicas=10 ** 5, seed=ACCEPTANCE_SEED, threads=THREADS,
     )
     return run_suite(cfg)
@@ -45,7 +45,7 @@ def limit_oracle_report():
 @pytest.fixture(scope="module")
 def extremal_report():
     cfg = SuiteConfig(
-        suite="extremal-mstar", alpha=1.0, beta=0.5, n_grid=(10 ** 5,),
+        suite="extremal-mstar", beta=0.5, n_grid=(10 ** 5,),
         replicas=10 ** 5, seed=ACCEPTANCE_SEED, threads=THREADS,
     )
     return run_suite(cfg)
@@ -126,7 +126,7 @@ def test_04_limit_sampler_vs_oracle(limit_oracle_report):
 def test_05_empirical_marginal_convergence():
     grid = (10 ** 3, 10 ** 4, 10 ** 5)
     cfg = SuiteConfig(
-        suite="marginal", alpha=1.0, beta=0.5, n_grid=grid, replicas=2000,
+        suite="marginal", beta=0.5, n_grid=grid, replicas=2000,
         seed=ACCEPTANCE_SEED, threads=THREADS,
     )
     rep = run_suite(cfg)
@@ -140,7 +140,7 @@ def test_05_empirical_marginal_convergence():
     ks_by_n = {n: [] for n in grid}
     for rep_idx in range(3):
         cfg_r = SuiteConfig(
-            suite="marginal", alpha=1.0, beta=0.5, n_grid=grid, replicas=8000,
+            suite="marginal", beta=0.5, n_grid=grid, replicas=8000,
             seed=ACCEPTANCE_SEED + 1000 * rep_idx, threads=THREADS,
         )
         r = run_suite(cfg_r)
@@ -156,7 +156,7 @@ def test_05_empirical_marginal_convergence():
 
 def test_06_top_order_locations():
     cfg = SuiteConfig(
-        suite="locations", alpha=1.0, beta=0.5, n_grid=(10 ** 5,), replicas=10 ** 4,
+        suite="locations", beta=0.5, n_grid=(10 ** 5,), replicas=10 ** 4,
         seed=ACCEPTANCE_SEED, threads=THREADS,
     )
     rep = run_suite(cfg)
@@ -169,7 +169,7 @@ def test_06_top_order_locations():
 
 def test_07_occupancy_laws():
     cfg = SuiteConfig(
-        suite="occupancy", alpha=1.0, beta=0.5, n_grid=(10 ** 6,), replicas=100,
+        suite="occupancy", beta=0.5, n_grid=(10 ** 6,), replicas=100,
         seed=ACCEPTANCE_SEED, threads=THREADS,
     )
     rep = run_suite(cfg)
@@ -182,7 +182,7 @@ def test_07_occupancy_laws():
 
 def test_08_pattern_limits():
     cfg = SuiteConfig(
-        suite="patterns", alpha=1.0, beta=0.5, n_grid=(10 ** 6,), replicas=100,
+        suite="patterns", beta=0.5, n_grid=(10 ** 6,), replicas=100,
         seed=ACCEPTANCE_SEED, threads=THREADS,
     )
     rep = run_suite(cfg)
@@ -249,7 +249,7 @@ def test_12_determinism_across_threads():
     for suite, kw in small:
         out = []
         for threads in (1, 3):
-            cfg = SuiteConfig(suite=suite, alpha=1.0, seed=ACCEPTANCE_SEED, threads=threads, **kw)
+            cfg = SuiteConfig(suite=suite, seed=ACCEPTANCE_SEED, threads=threads, **kw)
             rep = run_suite(cfg)
             out.append((rep.to_csv(), rep.to_json()))
         ok = ok and out[0] == out[1]

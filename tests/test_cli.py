@@ -172,8 +172,9 @@ class TestUsageErrors:
         *[["verify", "--suite", suite, "--replicas", "100"] for suite in ("marginal", "occupancy", "patterns")],
     ])
     def test_bad_alpha_exits_two_before_any_draw(self, argv, tmp_path, capsys, monkeypatch):
-        # alpha is checked where it is read, before any run is drawn or --out opened; the suites that
-        # run the limit samplers and limit-sample are test_limit_sim's test_samplers_reject_bad_alpha_...
+        # alpha is checked by the command, before any run is drawn or --out opened (verify checks it though
+        # no suite reads it); the suites that run the limit samplers and limit-sample are test_limit_sim's
+        # test_samplers_reject_bad_alpha_...
         _no_samplers(monkeypatch)
         out = tmp_path / "out"
         for alpha in ("0.0", "-1.0", "nan", "inf"):
@@ -191,11 +192,14 @@ class TestUsageErrors:
     def test_small_alpha_runs(self, argv):
         # every alpha > 0 runs: the urn's marks and b_n are drawn at alpha = 1, and only the printed
         # values take the power 1/alpha.  These calls exited 2 while the urn's marks of index alpha,
-        # or b_n, could overflow; now stderr holds no warning (BIN makes one fatal) and no error
+        # or b_n, could overflow; now stderr holds no warning (BIN makes one fatal) and no error, and a
+        # verify report, which reads the draws at alpha = 1 only, is the one at alpha = 1
         res = run_cli(*argv, "--beta", "0.5", "--seed", "1")
         if argv[0] == "verify":
             assert res.returncode in (0, 1) and res.stderr.startswith(f"suite {argv[2]}: ")
             assert len(res.stderr.splitlines()) == 1
+            at_one = run_cli(*argv, "--beta", "0.5", "--seed", "1", "--alpha", "1")
+            assert (at_one.returncode, at_one.stdout) == (res.returncode, res.stdout)
         else:
             assert (res.returncode, res.stderr) == (0, "")
             assert all(math.isfinite(float(row.split(",")[2])) for row in res.stdout.splitlines()[1:])
