@@ -39,36 +39,41 @@ def theta(k: IntervalSet, beta: float) -> float:
 
 @dataclass(frozen=True)
 class ChoquetQuery:
-    """A finite family of (set, threshold) pairs plus the two indices."""
+    """A finite family of (set, threshold) pairs at index 1, plus beta."""
 
-    pairs: tuple  # of (IntervalSet, z > 0)
-    alpha: float
+    pairs: tuple  # of (IntervalSet, z): z in [0, inf], where 0 and inf are the limits of small and large z
     beta: float
 
     def __post_init__(self):
-        _check_alpha(self.alpha)
         _check_beta(self.beta)
         if not self.pairs:
             raise ValueError("query must contain at least one pair")
         for _, z in self.pairs:
-            if not z > 0:
-                raise ValueError(f"thresholds must be positive, got {z}")
+            if not z >= 0:
+                raise ValueError(f"thresholds must be nonnegative, got {z}")
 
     @property
     def weights(self) -> tuple:
-        return tuple(z ** -self.alpha for _, z in self.pairs)
+        return tuple(1.0 / z if z else math.inf for _, z in self.pairs)
 
     @classmethod
     def from_json(cls, obj) -> "ChoquetQuery":
-        """The query of a JSON object; a malformed field's error starts with its JSON path."""
+        """The query of a JSON object; a malformed field's error starts with its JSON path.  Its
+        thresholds z > 0 are at index alpha, and P(M_alpha(A) <= z) = P(M_1(A) <= z**alpha)."""
         alpha, beta, raw = _json_fields(obj, ("alpha", "beta", "pairs"), "")
+        alpha = _json_number(alpha, "alpha")
+        _check_alpha(alpha)
         if not isinstance(raw, list) or not raw:
             raise ValueError("pairs: expected a nonempty list of {set, z} objects")
         pairs = []
         for i, pair in enumerate(raw):
             a, z = _json_fields(pair, ("set", "z"), f"pairs[{i}]")
-            pairs.append((IntervalSet.from_json(a, f"pairs[{i}].set"), _json_number(z, f"pairs[{i}].z")))
-        return cls(pairs=tuple(pairs), alpha=_json_number(alpha, "alpha"), beta=_json_number(beta, "beta"))
+            a, z = IntervalSet.from_json(a, f"pairs[{i}].set"), _json_number(z, f"pairs[{i}].z")
+            if not z > 0:
+                raise ValueError(f"thresholds must be positive, got {z}")
+            with np.errstate(over="ignore"):  # C pow as float's ** (not np.power's SIMD); inf past float range
+                pairs.append((a, float(np.float64(z) ** alpha)))
+        return cls(pairs=tuple(pairs), beta=_json_number(beta, "beta"))
 
 
 def _leb(atoms, owners, sets: int) -> float:
@@ -79,9 +84,9 @@ def _leb(atoms, owners, sets: int) -> float:
 def tail_dependence(q: ChoquetQuery) -> float:
     """Choquet integral of max_i w_i 1_{A_i} against theta, by layer cake.
 
-    Weights w_i = z_i**-alpha are sorted decreasingly and the integral is
+    Weights w_i = 1/z_i are sorted decreasingly and the integral is
     sum_k (w_(k) - w_(k+1)) * Leb(A_(1) u ... u A_(k))**beta; ties collapse
-    automatically because their increments vanish.
+    because their increments vanish, and a union of measure 0 adds nothing.
     """
     atoms, owners = atomize([a for a, _ in q.pairs])
     order = sorted(range(len(q.pairs)), key=lambda i: -q.weights[i])
@@ -90,8 +95,9 @@ def tail_dependence(q: ChoquetQuery) -> float:
     cum = 0
     for k, i in enumerate(order):
         cum |= 1 << i
-        if w[k] > w[k + 1]:
-            total += (w[k] - w[k + 1]) * _leb(atoms, owners, cum) ** q.beta
+        leb = _leb(atoms, owners, cum)
+        if w[k] > w[k + 1] and leb > 0:
+            total += (w[k] - w[k + 1]) * leb ** q.beta
     return float(total)
 
 
@@ -100,13 +106,13 @@ def joint_cdf(q: ChoquetQuery) -> float:
     return math.exp(-tail_dependence(q))
 
 
-def tau_z(t: float, z: float, alpha: float, beta: float) -> float:
+def tau_z(t: float, z: float, beta: float) -> float:
     """Non-ergodicity statistic of the unit max-increment process.
 
     tau_z(t) = log P(increment at 0 <= z, increment at t <= z)
                - 2 log P(increment <= z), computed on the window [0, t+1]
     (the law is translation invariant).  For t > 1 this is the constant
-    (2 - 2**beta) * z**-alpha > 0, which is what rules out ergodicity.
+    (2 - 2**beta) / z > 0, which is what rules out ergodicity.
     """
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
@@ -115,8 +121,8 @@ def tau_z(t: float, z: float, alpha: float, beta: float) -> float:
     carrier = (0.0, t + 1.0)
     a1 = IntervalSet(((0.0, 1.0),), carrier)
     a2 = IntervalSet(((t, t + 1.0),), carrier)
-    single = tail_dependence(ChoquetQuery(pairs=((a1, z),), alpha=alpha, beta=beta))
-    joint = tail_dependence(ChoquetQuery(pairs=((a1, z), (a2, z)), alpha=alpha, beta=beta))
+    single = tail_dependence(ChoquetQuery(pairs=((a1, z),), beta=beta))
+    joint = tail_dependence(ChoquetQuery(pairs=((a1, z), (a2, z)), beta=beta))
     return 2.0 * single - joint
 
 

@@ -11,7 +11,8 @@ byte-identical across runs and thread counts; without one a fresh 64-bit
 seed is drawn from system entropy and printed to stderr.  The CSV and JSON
 formats of ``simulate`` and ``limit-sample`` are written here and nowhere else,
 and their values are taken from alpha = 1, where the samplers draw, to ``--alpha``.
-A ``verify`` report is the one at alpha = 1: ``verify`` only checks ``--alpha``.
+A ``verify`` report is the one at alpha = 1: ``verify`` only checks ``--alpha``,
+and ``oracle`` maps its query's thresholds to index 1 (``ChoquetQuery.from_json``).
 """
 
 from __future__ import annotations

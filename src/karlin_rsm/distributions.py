@@ -7,10 +7,9 @@ with infinite mean whose tail decays like ``k**-beta``).  A run counts zeta
 draws up to a label L by one multinomial (:func:`_zeta_head`, cut from the
 table :func:`_zeta_pmf`) and draws the rest from Y | Y > L by rejection
 (:func:`_zeta_tail`, which also defines the label keys).  Indices are plain
-floats: ``alpha`` (Frechet), ``beta`` (block sizes), s = 1/beta (zeta); marks
-are drawn at alpha = 1 (:func:`_alpha_power`).  All samplers are pure given an
-explicit ``numpy.random.Generator`` handle; parallel callers must use distinct
-generators.
+floats: ``beta`` (block sizes) and s = 1/beta (zeta); marks and Frechet laws
+are of index 1.  All samplers are pure given an explicit generator
+(``numpy.random.Generator``); parallel callers must use distinct ones.
 """
 
 from __future__ import annotations
@@ -44,15 +43,14 @@ def _alpha_power(x, alpha: float):
     return out if out.ndim else float(out)
 
 
-def frechet_cdf(z, alpha: float, sigma: float = 1.0):
-    """CDF of the alpha-Frechet law of scale sigma, z -> exp(-sigma * z**-alpha); 0 for z <= 0 by
+def frechet_cdf(z, sigma: float = 1.0):
+    """CDF of the Frechet law of index 1 and scale sigma, z -> exp(-sigma / z); 0 for z <= 0 by
     convention."""
-    _check_alpha(alpha)
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     z = np.asarray(z, dtype=float)
     with np.errstate(divide="ignore"):
-        out = np.where(z > 0, np.exp(-sigma * np.maximum(z, 0.0) ** -alpha), 0.0)
+        out = np.where(z > 0, np.exp(-sigma * np.maximum(z, 0.0) ** -1.0), 0.0)
     return out if out.ndim else float(out)
 
 

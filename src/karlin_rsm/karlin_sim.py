@@ -1,8 +1,7 @@
 """Heavy-tailed infinite-urn simulation, drawn many runs at a time.
 
 Boxes are drawn with zeta frequencies p_ell = ell**-s / zeta(s), s = 1/beta,
-each occupied box carries one Pareto(1) mark (of index alpha: its 1/alpha-th
-power, which only a printed value takes), and the observed process is the
+each occupied box carries one Pareto(1) mark, and the observed process is the
 mark of the drawn box.  The module exposes exact finite-n means (:func:`nu_count`,
 :func:`mean_occupancy`, :func:`mean_pattern_counts`), the occupancy
 statistics, the top order statistics with their location sets, the empirical
@@ -145,8 +144,7 @@ def mean_pattern_counts(beta: float, n: int, family) -> np.ndarray:
 
 
 def b_n(beta: float, n: int) -> float:
-    """Normalisation c_n = gamma(1-beta) * nu((0, n]) of the Pareto(1) marks (c_n**(1/alpha) at
-    index alpha).
+    """Normalisation c_n = gamma(1-beta) * nu((0, n]) of the Pareto(1) marks.
 
     Uses the exact counting function in place of its asymptote, which reduces finite-n bias.
     Raises ValueError below n = zeta(1/beta), where no box has 1/p_ell <= n and nu is 0.

@@ -1,7 +1,6 @@
 """Exact joint samplers of the limiting random sup-measures.
 
-Each limit object is a Poisson sequence of levels ``1/gamma`` (of index
-alpha: their 1/alpha-th powers, which only a printed value takes) whose atoms
+Each limit object is a Poisson sequence of levels ``1/gamma`` whose atoms
 carry i.i.d. random hitting sets; a query set takes the level of the first
 atom whose hitting set meets it.  Every joint law depends on
 the sets only through ``theta(K) = Leb(K)**beta``, so by the marking

@@ -30,10 +30,7 @@ for any ``threads`` setting.  The urn rows compare with exact finite-n
 means where one exists (``mean_kn_ratio`` and the pattern rows), and
 each of them takes the larger of its constant and 99 % of its standard
 error, estimated from the replicas.
-Every confidence bound is at the 99 % level.  A value of index alpha is the
-1/alpha-th power of one drawn, an increasing map, so a check of a law at index
-alpha is the same check at index 1 with its thresholds mapped: the suites read
-the draws at alpha = 1, and no suite takes alpha.
+Every confidence bound is at the 99 % level.
 """
 
 from __future__ import annotations
@@ -381,7 +378,7 @@ def _median_gate(replicas: int) -> float:
 def _frechet_row(cfg, check, values, sigma, crit=None, n=0) -> CheckRow:
     """KS distance of the draws from the Frechet law of index 1 and scale sigma, gated at the 99 %
     critical value at their count, or at crit where that is larger."""
-    stat = ks_statistic(np.sort(values), lambda z: frechet_cdf(z, 1.0, sigma))
+    stat = ks_statistic(np.sort(values), lambda z: frechet_cdf(z, sigma))
     crit = ks_critical(len(values)) if crit is None else max(crit, ks_critical(len(values)))
     return _row(cfg, check, stat, 0.0, crit, stat <= crit, n, len(values))
 
@@ -540,7 +537,7 @@ def _random_queries(cfg: SuiteConfig):
             lo = float(rng.uniform(0.0, 1.0 - width))
             z = float(rng.uniform(0.7, 2.0))
             pairs.append((normalize([(lo, lo + width)]), z))
-        queries.append(oracle.ChoquetQuery(pairs=tuple(pairs), alpha=1.0, beta=cfg.beta))
+        queries.append(oracle.ChoquetQuery(pairs=tuple(pairs), beta=cfg.beta))
     return queries
 
 
@@ -606,7 +603,7 @@ def suite_limit_vs_oracle(cfg: SuiteConfig) -> list:
         se = math.sqrt(
             (1.0 - p_joint) / (p_joint * cfg.replicas) + 4.0 * (1.0 - p_single) / (p_single * cfg.replicas)
         )
-        target = oracle.tau_z(t, z, 1.0, cfg.beta)
+        target = oracle.tau_z(t, z, cfg.beta)
         tau_rows.append((t, tau_hat, se))
         p_joints[t] = p_joint
         rows.append(_row(cfg, f"tau_z_t{t}", tau_hat, target, mult * se,

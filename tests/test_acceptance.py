@@ -102,9 +102,9 @@ def test_03_oracle_vs_quadrature():
             w = float(rng.uniform(0.08, 0.4))
             lo = float(rng.uniform(0.0, 1.0 - w))
             pairs.append((normalize([(lo, lo + w)]), float(rng.uniform(0.5, 2.5))))
+        alpha = float(rng.uniform(0.5, 2.0))  # the thresholds are drawn at index alpha and held at index 1
         q = ChoquetQuery(
-            pairs=tuple(pairs),
-            alpha=float(rng.uniform(0.5, 2.0)),
+            pairs=tuple((a, z ** alpha) for a, z in pairs),
             beta=float(rng.uniform(0.05, 0.95)),
         )
         worst = max(worst, abs(tail_dependence(q) - exponent_by_quadrature(q)))

@@ -22,18 +22,20 @@ from karlin_rsm.limit_sim import pattern_rates
 from oracles import exponent_by_quadrature
 
 
-def query(pairs, alpha=1.0, beta=0.5):
-    return ChoquetQuery(pairs=tuple(pairs), alpha=alpha, beta=beta)
+def query(pairs, beta=0.5):
+    return ChoquetQuery(pairs=tuple(pairs), beta=beta)
 
 
 def random_query(rng, d_max=4, carrier=(0.0, 1.0)):
+    # a random query at an index alpha in [0.5, 2], held at index 1: its thresholds z**alpha
     d = int(rng.integers(1, d_max + 1))
     pairs = []
     for _ in range(d):
         w = float(rng.uniform(0.08, 0.4))
         lo = float(rng.uniform(carrier[0], carrier[1] - w))
         pairs.append((normalize([(lo, lo + w)], carrier=carrier), float(rng.uniform(0.5, 2.5))))
-    return query(pairs, alpha=float(rng.uniform(0.5, 2.0)), beta=float(rng.uniform(0.05, 0.95)))
+    alpha = float(rng.uniform(0.5, 2.0))
+    return query([(a, z ** alpha) for a, z in pairs], beta=float(rng.uniform(0.05, 0.95)))
 
 
 class TestTheta:
@@ -71,9 +73,7 @@ class TestTailDependence:
         for _ in range(50):
             q = random_query(rng)
             c = float(rng.uniform(0.2, 5.0))
-            scaled = query(
-                [(a, z * c ** (-1.0 / q.alpha)) for a, z in q.pairs], alpha=q.alpha, beta=q.beta
-            )
+            scaled = query([(a, z / c) for a, z in q.pairs], beta=q.beta)
             assert tail_dependence(scaled) == pytest.approx(c * tail_dependence(q), rel=1e-12)
 
     def test_monotone_in_sets(self):
@@ -84,11 +84,11 @@ class TestTailDependence:
             a0, z0 = grown[0]
             lo, hi = a0.intervals[0]
             grown[0] = (normalize([(max(0.0, lo - 0.05), min(1.0, hi + 0.05))]), z0)
-            q2 = query(grown, alpha=q.alpha, beta=q.beta)
+            q2 = query(grown, beta=q.beta)
             assert tail_dependence(q2) >= tail_dependence(q) - 1e-14
 
     def test_max_linear_form_of_the_pattern_rates(self):
-        # TD(q) = sum over patterns S != 0 of p_S max_{i in S} z_i**-alpha, p = pattern_rates: the
+        # TD(q) = sum over patterns S != 0 of p_S max_{i in S} 1/z_i, p = pattern_rates: the
         # oracle's layer cake against the limit sampler's clock rates, on families of overlapping sets
         rng = np.random.default_rng(9)
         overlapping = 0
@@ -96,8 +96,8 @@ class TestTailDependence:
             d = int(rng.integers(2, 6))
             fam = [normalize([tuple(sorted(rng.uniform(0.0, 1.0, 2))) for _ in range(rng.integers(1, 4))])
                    for _ in range(d)]
-            q = query(zip(fam, rng.uniform(0.2, 5.0, d)), alpha=float(rng.uniform(0.2, 5.0)),
-                      beta=float(rng.uniform(0.05, 0.95)))
+            z = rng.uniform(0.2, 5.0, d) ** float(rng.uniform(0.2, 5.0))  # thresholds at an index in [0.2, 5]
+            q = query(zip(fam, z.tolist()), beta=float(rng.uniform(0.05, 0.95)))
             rates = pattern_rates(q.beta, fam)
             codes = np.arange(1, 2 ** d)
             inside = (codes[:, None] >> np.arange(d)) & 1 == 1
@@ -128,28 +128,36 @@ class TestJointCdf:
             w = float(rng.uniform(0.05, 0.95))
             lo = float(rng.uniform(0, 1 - w))
             z = float(rng.uniform(0.3, 4.0))
-            alpha, beta = float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.1, 0.9))
-            q = query([(normalize([(lo, lo + w)]), z)], alpha=alpha, beta=beta)
-            assert joint_cdf(q) == pytest.approx(frechet_cdf(z, alpha, w ** beta), rel=1e-13)
+            beta = float(rng.uniform(0.1, 0.9))
+            q = query([(normalize([(lo, lo + w)]), z)], beta=beta)
+            assert joint_cdf(q) == pytest.approx(frechet_cdf(z, w ** beta), rel=1e-13)
 
     def test_max_stability(self):
-        # scaling every threshold by c raises the joint law to c**-alpha
+        # scaling every threshold by c raises the joint law to 1/c
         rng = np.random.default_rng(5)
         for _ in range(25):
             q = random_query(rng)
             c = float(rng.uniform(0.5, 3.0))
-            q2 = query([(a, c * z) for a, z in q.pairs], alpha=q.alpha, beta=q.beta)
-            assert joint_cdf(q2) == pytest.approx(joint_cdf(q) ** (c ** -q.alpha), rel=1e-11)
+            q2 = query([(a, c * z) for a, z in q.pairs], beta=q.beta)
+            assert joint_cdf(q2) == pytest.approx(joint_cdf(q) ** (1.0 / c), rel=1e-11)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            query([(normalize([(0.0, 0.5)]), 0.0)])
+        for z in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="thresholds"):
+                query([(normalize([(0.0, 0.5)]), z)])
         with pytest.raises(ValueError):
             query([])
         with pytest.raises(ValueError):
-            ChoquetQuery(pairs=((normalize([(0.0, 0.5)]), 1.0),), alpha=1.0, beta=1.0)
-        with pytest.raises(ValueError):
-            query([(normalize([(0.0, 0.5)]), 1.0)], alpha=math.inf)
+            ChoquetQuery(pairs=((normalize([(0.0, 0.5)]), 1.0),), beta=1.0)
+
+    def test_thresholds_zero_and_inf_are_the_limits(self):
+        # M(A) > 0 a.s. where Leb(A) > 0, so P(M(A) <= 0) = 0; a set of measure 0 has M = 0 and adds
+        # nothing, its weight inf included; a threshold inf drops its pair
+        half, empty, other = normalize([(0.0, 0.5)]), normalize([]), normalize([(0.5, 0.75)])
+        assert joint_cdf(query([(half, 0.0), (other, 1.0)])) == 0.0
+        assert tail_dependence(query([(half, 0.0), (other, 1.0)])) == math.inf
+        for dropped in ((empty, 0.0), (half, math.inf)):
+            assert tail_dependence(query([dropped, (other, 1.0)])) == tail_dependence(query([(other, 1.0)])) == 0.5
 
 
 class TestExtremalProcess:
@@ -175,26 +183,26 @@ class TestExtremalProcess:
     def test_marginal_is_frechet_scale_t_beta(self):
         for t in (0.25, 1.0, 4.0):
             for z in (0.5, 1.0, 2.0):
-                assert self.cdf([t], [z]) == pytest.approx(frechet_cdf(z, 1.0, t ** 0.5))
+                assert self.cdf([t], [z]) == pytest.approx(frechet_cdf(z, t ** 0.5))
 
 
 class TestTauZ:
     def test_perfect_overlap(self):
-        assert tau_z(0.0, 1.0, 1.0, 0.5) == pytest.approx(1.0)
-        assert tau_z(0.0, 2.0, 1.0, 0.5) == pytest.approx(0.5)
+        assert tau_z(0.0, 1.0, 0.5) == pytest.approx(1.0)
+        assert tau_z(0.0, 2.0, 0.5) == pytest.approx(0.5)
 
     def test_constant_and_positive_beyond_one(self):
         target = 2.0 - math.sqrt(2.0)
         for t in (1.5, 2.0, 5.0, 100.0):
-            assert tau_z(t, 1.0, 1.0, 0.5) == pytest.approx(target, rel=1e-12)
+            assert tau_z(t, 1.0, 0.5) == pytest.approx(target, rel=1e-12)
         assert target > 0
 
     def test_overlapping_window(self):
         for t in (0.25, 0.5, 0.75):
-            assert tau_z(t, 1.0, 1.0, 0.5) == pytest.approx(2.0 - (1.0 + t) ** 0.5, rel=1e-12)
+            assert tau_z(t, 1.0, 0.5) == pytest.approx(2.0 - (1.0 + t) ** 0.5, rel=1e-12)
 
-    def test_scaling_in_z_and_alpha(self):
-        assert tau_z(3.0, 2.0, 2.0, 0.5) == pytest.approx((2.0 - 2.0 ** 0.5) / 4.0, rel=1e-12)
+    def test_scaling_in_z(self):
+        assert tau_z(3.0, 4.0, 0.5) == pytest.approx((2.0 - 2.0 ** 0.5) / 4.0, rel=1e-12)
 
 
 class TestPatternLimits:
@@ -282,7 +290,7 @@ class TestQueryJson:
     def test_round_trip(self):
         q = query([(normalize([(0.0, 0.25)]), 1.0), (normalize([(0.5, 1.0)]), 2.0)])
         text = json.dumps({
-            "alpha": q.alpha,
+            "alpha": 1.0,
             "beta": q.beta,
             "pairs": [{"set": {"carrier": list(a.carrier), "intervals": [list(iv) for iv in a.intervals]},
                        "z": z} for a, z in q.pairs],
@@ -292,3 +300,25 @@ class TestQueryJson:
     def test_missing_field_named(self):
         with pytest.raises(ValueError, match="beta"):
             ChoquetQuery.from_json({"alpha": 1.0, "pairs": []})
+
+    def test_query_at_alpha_is_the_index_one_query_at_z_to_the_alpha(self):
+        # P(M_alpha(A) <= z) = P(M_1(A) <= z**alpha); at alpha = 1 the thresholds stay as they are
+        def at_alpha(q, alpha):
+            pairs = [{"set": {"intervals": [list(iv) for iv in a.intervals]}, "z": z} for a, z in q.pairs]
+            return {"alpha": alpha, "beta": q.beta, "pairs": pairs}
+
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            q, alpha = random_query(rng), float(rng.uniform(0.2, 5.0))
+            assert ChoquetQuery.from_json(at_alpha(q, 1.0)) == q
+            mapped = query([(a, z ** alpha) for a, z in q.pairs], beta=q.beta)
+            assert ChoquetQuery.from_json(at_alpha(q, alpha)) == mapped
+
+    @pytest.mark.parametrize("alpha, z, what", [
+        (0.0, 1.0, "alpha"), (-1.0, 1.0, "alpha"), (math.inf, 1.0, "alpha"), (math.nan, 1.0, "alpha"),
+        (2.0, 0.0, "thresholds"), (2.0, -1.0, "thresholds"), (2.0, math.nan, "thresholds"),
+    ])
+    def test_bad_alpha_or_threshold(self, alpha, z, what):
+        obj = {"alpha": alpha, "beta": 0.5, "pairs": [{"set": {"intervals": [[0.0, 0.25]]}, "z": z}]}
+        with pytest.raises(ValueError, match=what):
+            ChoquetQuery.from_json(obj)

@@ -69,6 +69,24 @@ class TestOracleCommand:
         assert res.returncode == 2
 
 
+@pytest.mark.parametrize("first, z, alpha, cdf, td", [
+    ([[0.0, 0.25]], 1e-200, 3.0, "0", "inf"),  # z**alpha below float range: weight inf
+    ([[0.0, 0.25]], 0.5, 1e308, "0", "inf"),
+    ([], 1e-200, 3.0, "0.606530659713", "0.5"),  # weight inf on a set of measure 0 adds nothing
+    ([[0.0, 0.25]], 2.0, 1e308, "0.606530659713", "0.5"),  # z**alpha beyond float range: the pair drops
+    ([[0.0, 0.25]], 1e200, 3.0, "0.606530659713", "0.5"),
+])
+def test_oracle_thresholds_beyond_float_range_at_index_one(first, z, alpha, cdf, td, tmp_path, capsys):
+    # a threshold z at index alpha is z**alpha at index 1; where that leaves float range the oracle
+    # prints the limit answer, with nothing on stderr
+    query = tmp_path / "query.json"
+    query.write_text(json.dumps({"alpha": alpha, "beta": 0.5, "pairs": [
+        {"set": {"intervals": first}, "z": z}, {"set": {"intervals": [[0.5, 0.75]]}, "z": 1.0}]}))
+    for statistic, want in (("joint-cdf", cdf), ("tail-dependence", td)):
+        assert cli.main(["oracle", "--query", str(query), "--statistic", statistic]) == 0
+        assert capsys.readouterr() == (want + "\n", "")
+
+
 def test_all_lists_exactly_the_public_api():
     # every name in __all__ exists, and every public function or class a
     # module defines is in its __all__, for every module of the package

@@ -1,9 +1,10 @@
-"""What the CLI prints, pinned.
+"""What the CLI prints and what the samplers draw, pinned.
 
-``golden.json`` holds the sha256 of about twenty outputs at fixed seeds and
-small scales, with the numpy version they were recorded under: numpy does not
-promise ``Generator`` streams across versions, so under another numpy the test
-fails and names both.  A change that moves a stream updates the file in the
+``golden.json`` holds the sha256 of about thirty outputs at fixed seeds and
+small scales, and of the arrays of every sampler below them (bytes, dtype and
+shape), with the numpy version they were recorded under: numpy does not
+promise ``Generator`` streams across versions, so under another numpy the tests
+fail and name both.  A change that moves a stream updates the file in the
 same diff and names each moved digest; a change that claims the same bytes
 leaves it alone.  Regenerate with ``PYTHONPATH=src python tests/test_golden.py
 --write``.  A ``verify`` report does not depend on ``--alpha`` at all.
@@ -21,6 +22,9 @@ import numpy as np
 import pytest
 
 from karlin_rsm import cli
+from karlin_rsm import karlin_sim as ksim
+from karlin_rsm import limit_sim as lsim
+from karlin_rsm.interval_sets import normalize
 
 GOLDEN = Path(__file__).with_name("golden.json")
 
@@ -44,8 +48,13 @@ def verify_argv(suite, fmt, beta="0.5"):
             "--format", fmt)
 
 
-def golden_calls(family: str, query: str) -> dict:
-    """Name -> argv of each pinned output; ``family`` and ``query`` are the paths of FAMILY and QUERY."""
+# the oracle's thresholds at index 1 are z**alpha: these pin that map
+ORACLE_ALPHAS = ("0.3", "3")
+
+
+def golden_calls(directory: Path) -> dict:
+    """Name -> argv of each pinned output, reading the query files that :func:`digests` writes."""
+    family, query = str(directory / "family.json"), str(directory / "query.json")
     calls = {}
     for beta in ("0.5", "0.9"):
         for fmt in ("csv", "json"):
@@ -58,6 +67,9 @@ def golden_calls(family: str, query: str) -> dict:
                 "--seed", "1", "--query", family)
     for statistic in ("joint-cdf", "tail-dependence"):
         calls[f"oracle_{statistic}"] = ("oracle", "--query", query, "--statistic", statistic)
+        for alpha in ORACLE_ALPHAS:
+            calls[f"oracle_{statistic}_alpha{alpha}"] = (
+                "oracle", "--query", str(directory / f"query_alpha{alpha}.json"), "--statistic", statistic)
     for suite in SUITE_SCALES:
         for fmt in ("csv", "json"):
             calls[f"verify_{suite}_{fmt}"] = verify_argv(suite, fmt)
@@ -76,22 +88,70 @@ def output(argv) -> bytes:
 
 
 def digests(directory: Path) -> dict:
-    family, query = directory / "family.json", directory / "query.json"
-    family.write_text(json.dumps(FAMILY))
-    query.write_text(json.dumps(QUERY))
-    return {name: hashlib.sha256(output(argv)).hexdigest()
-            for name, argv in golden_calls(str(family), str(query)).items()}
+    (directory / "family.json").write_text(json.dumps(FAMILY))
+    (directory / "query.json").write_text(json.dumps(QUERY))
+    for alpha in ORACLE_ALPHAS:
+        (directory / f"query_alpha{alpha}.json").write_text(json.dumps({**QUERY, "alpha": float(alpha)}))
+    return {name: hashlib.sha256(output(argv)).hexdigest() for name, argv in golden_calls(directory).items()}
 
 
-def test_golden_digests(tmp_path):
+def array_digest(*arrays) -> str:
+    """sha256 of each array's dtype, shape and bytes, in turn."""
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def array_digests() -> dict:
+    """Name -> digest of each sampler array: every ``UrnBatch`` field, its cells and walked
+    positions on a 2-set family, and the limit samplers' batches on a 3-set family and on a family
+    of the carrier [0, 10]."""
+    got = {}
+    pair = tuple(normalize(s["intervals"]) for s in FAMILY["family"][:2])
+    for beta in (0.3, 0.5, 0.9, 0.99):
+        for n, runs in ((1, 3), (50, 40), (2000, 10)):
+            batch = ksim.simulate_batch(beta, n, ksim.replica_rng(7, n), runs, pair)
+            name = f"simulate_batch_beta{beta}_n{n}_runs{runs}"
+            for key in ("cuts", "run", "keys", "counts", "marks", "k_n", "top", "top_cells", "streams",
+                        "cells"):
+                got[f"{name}.{key}"] = array_digest(getattr(batch, key))
+            got[f"{name}.walked_positions"] = array_digest(
+                *(box for r in range(runs) for box in batch.walked_positions(r)))
+    three = tuple(normalize(s["intervals"]) for s in FAMILY["family"])
+    wide = tuple(normalize(ivs, carrier=(0.0, 10.0)) for ivs in ([(0.0, 3.0)], [(2.0, 7.5), (9.0, 10.0)]))
+    for name, family in (("three", three), ("carrier10", wide)):
+        got[f"karlin_batch_{name}"] = array_digest(lsim.karlin_batch(ksim.replica_rng(7), 0.5, family, 300))
+        levels, hits = lsim.top_m_batch(ksim.replica_rng(7), 0.5, 4, family, 300)
+        got[f"top_m_batch_{name}.levels"] = array_digest(levels)
+        got[f"top_m_batch_{name}.hits"] = array_digest(hits)
+    got["mstar_batch_three"] = array_digest(lsim.mstar_batch(ksim.replica_rng(7), 0.5, three, 300))
+    got["coupled_batch_three"] = array_digest(*lsim.coupled_batch(ksim.replica_rng(7), 0.5, three, 300))
+    return got
+
+
+def recorded() -> dict:
     golden = json.loads(GOLDEN.read_text())
     if golden["numpy"] != np.__version__:
         pytest.fail(f"golden digests were recorded under numpy {golden['numpy']}, this is numpy "
                     f"{np.__version__}; install the recorded one (constraints.txt)", pytrace=False)
-    got = digests(tmp_path)
-    assert sorted(got) == sorted(golden["sha256"])
-    moved = sorted(name for name in got if got[name] != golden["sha256"][name])
+    return golden
+
+
+def assert_same(got: dict, pinned: dict):
+    assert sorted(got) == sorted(pinned)
+    moved = sorted(name for name in got if got[name] != pinned[name])
     assert not moved, f"digests moved: {moved}"
+
+
+def test_golden_digests(tmp_path):
+    assert_same(digests(tmp_path), recorded()["sha256"])
+
+
+def test_array_digests():
+    assert_same(array_digests(), recorded()["arrays"])
 
 
 @pytest.mark.parametrize("suite", sorted(SUITE_SCALES))
@@ -109,4 +169,5 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
     with tempfile.TemporaryDirectory() as tmp:
-        GOLDEN.write_text(json.dumps({"numpy": np.__version__, "sha256": digests(Path(tmp))}, indent=2) + "\n")
+        GOLDEN.write_text(json.dumps({"numpy": np.__version__, "sha256": digests(Path(tmp)),
+                                      "arrays": array_digests()}, indent=2) + "\n")
