@@ -7,6 +7,8 @@ into a layer cake over the sorted weights, which is what
 :func:`tail_dependence` computes; everything else here is a reparametrized
 call into it, plus the table of occupancy-pattern limits (indexed by the
 bitmask of the sets hit) and the functional of the first-occurrence variant.
+A query is built from Python values, with its thresholds at index 1; the CLI
+reads it from JSON and maps its thresholds to index 1.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .distributions import _check_alpha, _check_beta
-from .interval_sets import IntervalSet, _json_fields, _json_number, atomize
+from .distributions import _check_beta
+from .interval_sets import IntervalSet, atomize
 
 __all__ = [
     "ChoquetQuery",
@@ -55,25 +57,6 @@ class ChoquetQuery:
     @property
     def weights(self) -> tuple:
         return tuple(1.0 / z if z else math.inf for _, z in self.pairs)
-
-    @classmethod
-    def from_json(cls, obj) -> "ChoquetQuery":
-        """The query of a JSON object; a malformed field's error starts with its JSON path.  Its
-        thresholds z > 0 are at index alpha, and P(M_alpha(A) <= z) = P(M_1(A) <= z**alpha)."""
-        alpha, beta, raw = _json_fields(obj, ("alpha", "beta", "pairs"), "")
-        alpha = _json_number(alpha, "alpha")
-        _check_alpha(alpha)
-        if not isinstance(raw, list) or not raw:
-            raise ValueError("pairs: expected a nonempty list of {set, z} objects")
-        pairs = []
-        for i, pair in enumerate(raw):
-            a, z = _json_fields(pair, ("set", "z"), f"pairs[{i}]")
-            a, z = IntervalSet.from_json(a, f"pairs[{i}].set"), _json_number(z, f"pairs[{i}].z")
-            if not z > 0:
-                raise ValueError(f"thresholds must be positive, got {z}")
-            with np.errstate(over="ignore"):  # C pow as float's ** (not np.power's SIMD); inf past float range
-                pairs.append((a, float(np.float64(z) ** alpha)))
-        return cls(pairs=tuple(pairs), beta=_json_number(beta, "beta"))
 
 
 def _leb(atoms, owners, sets: int) -> float:

@@ -8,8 +8,9 @@ draws up to a label L by one multinomial (:func:`_zeta_head`, cut from the
 table :func:`_zeta_pmf`) and draws the rest from Y | Y > L by rejection
 (:func:`_zeta_tail`, which also defines the label keys).  Indices are plain
 floats: ``beta`` (block sizes) and s = 1/beta (zeta); marks and Frechet laws
-are of index 1.  All samplers are pure given an explicit generator
-(``numpy.random.Generator``); parallel callers must use distinct ones.
+are of index 1, and only the CLI maps values to another index.  All samplers
+are pure given an explicit generator (``numpy.random.Generator``); parallel
+callers must use distinct ones.
 """
 
 from __future__ import annotations
@@ -35,14 +36,6 @@ def pareto_sample_batch(rng: np.random.Generator, size: int) -> np.ndarray:
     return 1.0 / (1.0 - rng.random(size))
 
 
-def _alpha_power(x, alpha: float):
-    """x**(1/alpha) of a float or an array: the values of index alpha of the package's alpha-free
-    marks, levels and normalisation.  A value beyond float range is inf."""
-    with np.errstate(over="ignore"):
-        out = np.power(x, 1.0 / alpha)
-    return out if out.ndim else float(out)
-
-
 def frechet_cdf(z, sigma: float = 1.0):
     """CDF of the Frechet law of index 1 and scale sigma, z -> exp(-sigma / z); 0 for z <= 0 by
     convention."""
@@ -52,11 +45,6 @@ def frechet_cdf(z, sigma: float = 1.0):
     with np.errstate(divide="ignore"):
         out = np.where(z > 0, np.exp(-sigma * np.maximum(z, 0.0) ** -1.0), 0.0)
     return out if out.ndim else float(out)
-
-
-def _check_alpha(alpha: float):
-    if not 0.0 < alpha < math.inf:
-        raise ValueError(f"alpha must be positive and finite, got {alpha}")
 
 
 def _check_beta(beta: float):

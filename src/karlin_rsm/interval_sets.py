@@ -4,7 +4,8 @@ Query sets, compact hitting sets and their Lebesgue measures are all
 represented here as normalized unions of ``[lo, hi)`` pairs.  The half-open
 convention means sample positions ``i/n`` and atom boundaries are counted
 exactly once; the laws evaluated downstream depend on the sets only through
-Lebesgue measure, so boundary conventions are null events throughout.
+Lebesgue measure, so boundary conventions are null events throughout.  Sets
+are built from Python numbers; the CLI reads them from JSON.
 A family reaches them through :func:`atomize`: its ``(lo, hi)`` atoms, each
 with the bitmask of the sets that hold it.  Pattern laws are the
 :func:`moebius` inversion of functionals of the unions (:func:`union_measures`).
@@ -100,46 +101,6 @@ class IntervalSet:
         exactly the points :meth:`contains_points` accepts on ``np.arange(n) / n``."""
         ranges = [(_grid_index(lo, n), _grid_index(hi, n)) for lo, hi in self.intervals]
         return [(lo, hi) for lo, hi in ranges if lo < hi]
-
-    @classmethod
-    def from_json(cls, obj, path: str) -> "IntervalSet":
-        """The set of a JSON object at ``path``; every error message starts with the path."""
-        (intervals,) = _json_fields(obj, ("intervals",), path)
-        carrier = _json_pair(obj.get("carrier", list(UNIT)), f"{path}.carrier")
-        if not isinstance(intervals, list):
-            raise ValueError(f"{path}.intervals: expected a list of [lo, hi]")
-        raw = [_json_pair(pair, f"{path}.intervals[{i}]") for i, pair in enumerate(intervals)]
-        try:
-            return normalize(raw, carrier)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-
-
-def _json_fields(obj, fields, path: str) -> list:
-    """The values of the required fields of a JSON object at ``path`` ("" for a query's root)."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"{path or 'query'}: expected an object with fields {', '.join(fields)}")
-    for field in fields:
-        if field not in obj:
-            raise ValueError(f"{path + '.' if path else ''}{field}: missing")
-    return [obj[field] for field in fields]
-
-
-def _json_number(value, path: str) -> float:
-    """A JSON number as a float; anything else, booleans included, raises naming ``path``."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{path}: expected a number")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"{path}: number out of float range") from None
-
-
-def _json_pair(value, path: str) -> tuple:
-    """A JSON ``[lo, hi]`` array as two floats; anything else raises naming ``path``."""
-    if not isinstance(value, list) or len(value) != 2:
-        raise ValueError(f"{path}: expected [lo, hi]")
-    return _json_number(value[0], f"{path}[0]"), _json_number(value[1], f"{path}[1]")
 
 
 def _grid_index(x: float, n: int) -> int:

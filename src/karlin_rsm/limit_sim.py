@@ -82,8 +82,10 @@ def _family(family) -> tuple:
     if not family:
         raise ValueError("query family must be nonempty")
     lo, hi = family[0].carrier
-    if not math.isfinite(hi - lo):
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"carrier {family[0].carrier} must be a finite interval")
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"carrier {family[0].carrier} has a length hi - lo beyond float range")
     return family
 
 

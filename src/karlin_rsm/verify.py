@@ -30,19 +30,17 @@ for any ``threads`` setting.  The urn rows compare with exact finite-n
 means where one exists (``mean_kn_ratio`` and the pattern rows), and
 each of them takes the larger of its constant and 99 % of its standard
 error, estimated from the replicas.
-Every confidence bound is at the 99 % level.
+Every confidence bound is at the 99 % level.  A run returns a :class:`SuiteReport`
+of :class:`CheckRow` values; the CLI writes it as CSV or JSON.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -176,10 +174,6 @@ class SuiteConfig:
             raise ValueError("threads must be at least 1")
 
 
-# report columns, in the order of the CheckRow fields (``passed`` is "pass")
-_REPORT_FIELDS = ("suite", "check", "estimate", "target", "se_or_crit", "pass", "n", "replicas", "seed")
-
-
 @dataclass(frozen=True)
 class CheckRow:
     suite: str
@@ -213,21 +207,6 @@ class SuiteReport:
     @property
     def all_pass(self) -> bool:
         return all(r.passed for r in self.rows)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(_REPORT_FIELDS)
-        for r in self.rows:
-            writer.writerow(
-                [r.suite, r.check, repr(r.estimate), repr(r.target), repr(r.se_or_crit),
-                 "true" if r.passed else "false", r.n, r.replicas, r.seed]
-            )
-        return buf.getvalue()
-
-    def to_json(self) -> str:
-        rows = [dict(zip(_REPORT_FIELDS, astuple(r))) for r in self.rows]
-        return json.dumps({"suite": self.suite, "seed": self.seed, "rows": rows}, indent=2)
 
 
 # ---------------------------------------------------------------------------

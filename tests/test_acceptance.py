@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from karlin_rsm.choquet_oracle import ChoquetQuery, tail_dependence
+from karlin_rsm.cli import _report_csv, _report_json
 from karlin_rsm.distributions import qbeta_pmf, qbeta_tail
 from karlin_rsm.interval_sets import normalize
 from karlin_rsm.verify import SuiteConfig, run_suite, wilson_ci
@@ -251,6 +252,6 @@ def test_12_determinism_across_threads():
         for threads in (1, 3):
             cfg = SuiteConfig(suite=suite, seed=ACCEPTANCE_SEED, threads=threads, **kw)
             rep = run_suite(cfg)
-            out.append((rep.to_csv(), rep.to_json()))
+            out.append((_report_csv(rep), _report_json(rep)))
         ok = ok and out[0] == out[1]
     emit(12, "determinism: every suite byte-identical across thread counts", ok)

@@ -15,6 +15,7 @@ from karlin_rsm.choquet_oracle import (
     tau_z,
     theta,
 )
+from karlin_rsm.cli import _query_from_json
 from karlin_rsm.distributions import frechet_cdf
 from karlin_rsm.interval_sets import IntervalSet, normalize
 from karlin_rsm.limit_sim import pattern_rates
@@ -295,11 +296,11 @@ class TestQueryJson:
             "pairs": [{"set": {"carrier": list(a.carrier), "intervals": [list(iv) for iv in a.intervals]},
                        "z": z} for a, z in q.pairs],
         })
-        assert ChoquetQuery.from_json(json.loads(text)) == q
+        assert _query_from_json(json.loads(text)) == q
 
     def test_missing_field_named(self):
         with pytest.raises(ValueError, match="beta"):
-            ChoquetQuery.from_json({"alpha": 1.0, "pairs": []})
+            _query_from_json({"alpha": 1.0, "pairs": []})
 
     def test_query_at_alpha_is_the_index_one_query_at_z_to_the_alpha(self):
         # P(M_alpha(A) <= z) = P(M_1(A) <= z**alpha); at alpha = 1 the thresholds stay as they are
@@ -310,9 +311,9 @@ class TestQueryJson:
         rng = np.random.default_rng(8)
         for _ in range(50):
             q, alpha = random_query(rng), float(rng.uniform(0.2, 5.0))
-            assert ChoquetQuery.from_json(at_alpha(q, 1.0)) == q
+            assert _query_from_json(at_alpha(q, 1.0)) == q
             mapped = query([(a, z ** alpha) for a, z in q.pairs], beta=q.beta)
-            assert ChoquetQuery.from_json(at_alpha(q, alpha)) == mapped
+            assert _query_from_json(at_alpha(q, alpha)) == mapped
 
     @pytest.mark.parametrize("alpha, z, what", [
         (0.0, 1.0, "alpha"), (-1.0, 1.0, "alpha"), (math.inf, 1.0, "alpha"), (math.nan, 1.0, "alpha"),
@@ -321,4 +322,4 @@ class TestQueryJson:
     def test_bad_alpha_or_threshold(self, alpha, z, what):
         obj = {"alpha": alpha, "beta": 0.5, "pairs": [{"set": {"intervals": [[0.0, 0.25]]}, "z": z}]}
         with pytest.raises(ValueError, match=what):
-            ChoquetQuery.from_json(obj)
+            _query_from_json(obj)

@@ -4,10 +4,13 @@
 small scales, and of the arrays of every sampler below them (bytes, dtype and
 shape), with the numpy version they were recorded under: numpy does not
 promise ``Generator`` streams across versions, so under another numpy the tests
-fail and name both.  A change that moves a stream updates the file in the
-same diff and names each moved digest; a change that claims the same bytes
-leaves it alone.  Regenerate with ``PYTHONPATH=src python tests/test_golden.py
---write``.  A ``verify`` report does not depend on ``--alpha`` at all.
+fail and name both.  It also holds numpy's CPU dispatch targets then, since a
+SIMD loop of ``np.power`` need not round as libm's ``pow`` does: moved digests
+are reported with the recorded and the running dispatch.  A change that moves
+a stream updates the file in the same diff and names each moved digest; a
+change that claims the same bytes leaves it alone.  Regenerate with
+``PYTHONPATH=src python tests/test_golden.py --write``.  A ``verify`` report
+does not depend on ``--alpha`` at all.
 """
 
 import contextlib
@@ -140,18 +143,34 @@ def recorded() -> dict:
     return golden
 
 
-def assert_same(got: dict, pinned: dict):
+def cpu_dispatch() -> list:
+    """numpy's active SIMD dispatch targets: the ones it was built for that this CPU has."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    return sorted(target for target in __cpu_dispatch__ if __cpu_features__.get(target))
+
+
+def assert_same(got: dict, golden: dict, section: str):
+    pinned = golden[section]
     assert sorted(got) == sorted(pinned)
     moved = sorted(name for name in got if got[name] != pinned[name])
-    assert not moved, f"digests moved: {moved}"
+    assert not moved, (f"digests moved: {moved}; numpy's CPU dispatch was {golden['dispatch']} where they "
+                       f"were recorded and is {cpu_dispatch()} here")
 
 
 def test_golden_digests(tmp_path):
-    assert_same(digests(tmp_path), recorded()["sha256"])
+    assert_same(digests(tmp_path), recorded(), "sha256")
 
 
 def test_array_digests():
-    assert_same(array_digests(), recorded()["arrays"])
+    assert_same(array_digests(), recorded(), "arrays")
+
+
+def test_moved_digests_name_both_cpu_dispatch_sets():
+    golden = {"dispatch": ["RECORDED_TARGET"], "arrays": {"a": "1", "b": "2"}}
+    with pytest.raises(AssertionError) as exc:
+        assert_same({"a": "1", "b": "3"}, golden, "arrays")
+    message = str(exc.value)
+    assert "['b']" in message and "['RECORDED_TARGET']" in message and str(cpu_dispatch()) in message
 
 
 @pytest.mark.parametrize("suite", sorted(SUITE_SCALES))
@@ -169,5 +188,5 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
     with tempfile.TemporaryDirectory() as tmp:
-        GOLDEN.write_text(json.dumps({"numpy": np.__version__, "sha256": digests(Path(tmp)),
-                                      "arrays": array_digests()}, indent=2) + "\n")
+        GOLDEN.write_text(json.dumps({"numpy": np.__version__, "dispatch": cpu_dispatch(),
+                                      "sha256": digests(Path(tmp)), "arrays": array_digests()}, indent=2) + "\n")

@@ -11,6 +11,7 @@ import pytest
 from scipy import stats as sps
 
 from karlin_rsm import karlin_sim, verify
+from karlin_rsm.cli import _report_csv, _report_json
 from karlin_rsm.interval_sets import normalize
 from karlin_rsm.karlin_sim import replica_rng
 from karlin_rsm.verify import (
@@ -288,14 +289,14 @@ class TestReports:
 
     def test_csv_round_trip(self):
         rep = self._tiny_report()
-        recs = list(csv.reader(io.StringIO(rep.to_csv())))
+        recs = list(csv.reader(io.StringIO(_report_csv(rep))))
         assert recs[0] == list(REPORT_FIELDS)
         back = [CheckRow(*rec[:5], rec[5] == "true", *rec[6:]) for rec in recs[1:]]
         assert back == rep.rows
 
     def test_json_round_trip(self):
         rep = self._tiny_report()
-        payload = json.loads(rep.to_json())
+        payload = json.loads(_report_json(rep))
         assert (payload["suite"], payload["seed"]) == (rep.suite, rep.seed)
         back = [CheckRow(*(rec[k] for k in REPORT_FIELDS)) for rec in payload["rows"]]
         assert back == rep.rows
@@ -304,8 +305,8 @@ class TestReports:
     def _same_bytes_on_threads(**base):
         rep1 = run_suite(SuiteConfig(threads=1, **base))
         rep4 = run_suite(SuiteConfig(threads=4, **base))
-        assert rep1.to_csv() == rep4.to_csv()
-        assert rep1.to_json() == rep4.to_json()
+        assert _report_csv(rep1) == _report_csv(rep4)
+        assert _report_json(rep1) == _report_json(rep4)
 
     def test_thread_count_does_not_change_bytes(self):
         # the long runs come in three chunks of at most 107 runs, which threads share
@@ -319,7 +320,7 @@ class TestReports:
 
     def test_rerun_identical(self):
         cfg = SuiteConfig(suite="patterns", beta=0.5, n_grid=(10 ** 4,), replicas=100, seed=3)
-        assert run_suite(cfg).to_csv() == run_suite(cfg).to_csv()
+        assert _report_csv(run_suite(cfg)) == _report_csv(run_suite(cfg))
 
     def test_order_of_the_query_sets_changes_no_value(self):
         # the sets cut the same cells in either order, so each pattern reads the same counts
