@@ -5,7 +5,6 @@ from . import choquet_oracle, distributions, interval_sets, karlin_sim, limit_si
 from .choquet_oracle import ChoquetQuery
 from .interval_sets import IntervalSet, normalize
 from .karlin_sim import UrnBatch, replica_rng, simulate, simulate_batch
-from .limit_sim import LimitSample, sample_karlin, sample_mstar
 from .verify import SuiteConfig, SuiteReport, run_suite
 
 __version__ = "0.1.0"
@@ -18,9 +17,6 @@ __all__ = [
     "replica_rng",
     "simulate",
     "simulate_batch",
-    "LimitSample",
-    "sample_karlin",
-    "sample_mstar",
     "SuiteConfig",
     "SuiteReport",
     "run_suite",

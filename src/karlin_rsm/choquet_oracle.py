@@ -5,8 +5,7 @@ max of weighted indicators against the extremal coefficient functional
 ``theta(K) = Leb(K)**beta``.  Comonotonic additivity turns that integral
 into a layer cake over the sorted weights, which is what
 :func:`tail_dependence` computes; everything else here is a reparametrized
-call into it, plus the table of occupancy-pattern limits (indexed by the
-bitmask of the sets hit) and the functional of the first-occurrence variant.
+call into it, plus the functional of the first-occurrence variant.
 A query is built from Python values, with its thresholds at index 1; the CLI
 reads it from JSON and maps its thresholds to index 1.
 """
@@ -15,9 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
-
-import numpy as np
 
 from .distributions import _check_beta
 from .interval_sets import IntervalSet, atomize
@@ -28,7 +24,6 @@ __all__ = [
     "tail_dependence",
     "joint_cdf",
     "tau_z",
-    "pattern_limit",
     "mstar_theta",
 ]
 
@@ -107,33 +102,6 @@ def tau_z(t: float, z: float, beta: float) -> float:
     single = tail_dependence(ChoquetQuery(pairs=((a1, z),), beta=beta))
     joint = tail_dependence(ChoquetQuery(pairs=((a1, z), (a2, z)), beta=beta))
     return 2.0 * single - joint
-
-
-def pattern_limit(beta: float, family) -> np.ndarray:
-    """Limits of the normalized occupancy-pattern counts, one per entry of the pattern table.
-
-    Entry S (bit k for set k, as in ``karlin_sim.pattern_count_table``)
-    counts the boxes hit in exactly the sets of S.  For S > 0,
-    inclusion-exclusion over the hit events followed by termwise
-    integration gives gamma(1-beta) * sum over T within S of
-    (-1)**(|T|+1) * Leb(union of T and the sets outside S)**beta, the empty
-    T contributing -Leb(union of the sets outside S)**beta.  Entry 0, the
-    boxes hit nowhere, is gamma(1-beta) * (Leb(carrier)**beta - Leb(union)**beta).
-    """
-    _check_beta(beta)
-    atoms, owners = atomize(family)
-    full = (1 << len(family)) - 1
-    lo, hi = family[0].carrier
-    table = [(hi - lo) ** beta - _leb(atoms, owners, full) ** beta]
-    for hit_mask in range(1, full + 1):
-        hit = [k for k in range(len(family)) if hit_mask >> k & 1]
-        total = 0.0
-        for size in range(0, len(hit) + 1):
-            sign = 1.0 if size % 2 == 1 else -1.0
-            for subset in combinations(hit, size):
-                total += sign * _leb(atoms, owners, full & ~hit_mask | sum(1 << k for k in subset)) ** beta
-        table.append(total)
-    return math.gamma(1.0 - beta) * np.array(table)
 
 
 def mstar_theta(a: float, b: float, beta: float) -> float:

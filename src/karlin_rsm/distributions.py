@@ -86,6 +86,8 @@ def qbeta_pmf(k: int, beta: float) -> float:
     _check_beta(beta)
     if k < 1:
         raise ValueError(f"qbeta_pmf requires k >= 1, got {k}")
+    if k > 1e300:  # the Stirling limit, as in the tail: k may lie beyond float range
+        return beta * math.exp(-(1.0 + beta) * math.log(k) - math.lgamma(1.0 - beta))
     # (1-beta)_(k-1 rising) = gamma(k-beta) / gamma(1-beta)
     return beta * math.exp(_log_core(float(k), beta))
 
@@ -93,10 +95,11 @@ def qbeta_pmf(k: int, beta: float) -> float:
 def _log_qbeta_tail(k, beta: float) -> float:
     if k == 0:
         return 0.0
-    kf = float(k)
-    if kf > 1e300:
-        # Stirling limit of the exact ratio; error O(1/k) is invisible here.
+    if k > 1e300:
+        # Stirling limit of the exact ratio; error O(1/k) is invisible here, and k may lie beyond
+        # float range, so it is compared before any conversion.
         return -beta * math.log(k) - math.lgamma(1.0 - beta)
+    kf = float(k)
     # gamma(k+1-beta) = (k-beta) gamma(k-beta)
     return math.log(kf - beta) + _log_core(kf, beta)
 

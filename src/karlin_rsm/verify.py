@@ -80,7 +80,7 @@ DEFAULT_THRESHOLDS = {
     "ks_star": 0.07,            # KS bound for the discrete first-occurrence variant (see _frechet_row)
     "occupancy_rel": 0.02,      # relative error of mean K_n / nu(n) (see _mean_row)
     "pattern_rel": 0.05,        # relative error of pattern counts from their exact means (see _mean_row)
-    "median_rel": 0.02,         # relative error of extremal-process medians (see _median_gate)
+    "median_rel": 0.02,         # relative error of extremal-process medians (see _median_row)
     "binom_se_mult": 3.0,       # +-k*SE window for binomial comparisons
 }
 
@@ -333,11 +333,6 @@ def _binom_row(cfg, check, hits, trials, target, n=0) -> CheckRow:
     return _row(cfg, check, est, target, crit, abs(est - target) <= crit, n, trials)
 
 
-def _rel_row(cfg, check, estimate, target, rel, n=0, replicas=0) -> CheckRow:
-    tol = rel * abs(target)
-    return _row(cfg, check, estimate, target, tol, abs(estimate - target) <= tol, n, replicas)
-
-
 def _mean_row(cfg, check, values, target, rel, n=0, estimate=None) -> CheckRow:
     """Mean of the values against target, gated at the relative ``rel``, or at 99 % of the mean's
     standard error estimated from the values' spread where that is larger.  A caller that has
@@ -347,11 +342,13 @@ def _mean_row(cfg, check, values, target, rel, n=0, estimate=None) -> CheckRow:
     return _row(cfg, check, est, target, tol, abs(est - target) <= tol, n, len(values))
 
 
-def _median_gate(replicas: int) -> float:
-    """Relative gate of a Frechet(1) sample median: ``median_rel``, or 99 % of its
-    relative standard error 1/(ln 2 sqrt(replicas)) where that is larger."""
-    se = 1.0 / (math.log(2.0) * math.sqrt(replicas))
-    return max(DEFAULT_THRESHOLDS["median_rel"], _NORMAL_QUANTILE * se)
+def _median_row(cfg, check, values, target) -> CheckRow:
+    """Sample median of Frechet(1) draws against target, gated at the relative ``median_rel``, or at
+    99 % of the median's relative standard error 1/(ln 2 sqrt(replicas)) where that is larger."""
+    est = float(np.median(values))
+    se = 1.0 / (math.log(2.0) * math.sqrt(len(values)))
+    tol = max(DEFAULT_THRESHOLDS["median_rel"], _NORMAL_QUANTILE * se) * abs(target)
+    return _row(cfg, check, est, target, tol, abs(est - target) <= tol, replicas=len(values))
 
 
 def _frechet_row(cfg, check, values, sigma, crit=None, n=0) -> CheckRow:
@@ -475,8 +472,9 @@ def suite_occupancy(cfg: SuiteConfig) -> list:
 
 
 def suite_patterns(cfg: SuiteConfig) -> list:
-    """Occupancy-pattern counts against their exact finite-n means, which tend to the closed-form
-    limits (``choquet_oracle.pattern_limit``) as n grows."""
+    """Occupancy-pattern counts against their exact finite-n means.  As n grows, the mean count of
+    the boxes hit in exactly the sets S, over nu(n), tends to gamma(1 - beta) * p_S, with p_S the
+    rate of the limit atoms whose hit pattern is S (``limit_sim.pattern_rates``)."""
     n = max(cfg.n_grid)
     nu = ksim.nu_count(cfg.beta, n)
     family = cfg.family
@@ -622,9 +620,7 @@ def suite_extremal_and_mstar(cfg: SuiteConfig) -> list:
     for t in (0.25, 1.0, 4.0):
         fam = (IntervalSet(((0.0, t),), (0.0, max(t, 1.0))),)
         vals[t] = _karlin(cfg, fam, f"t{t}")[:, 0]
-        median = float(np.median(vals[t]))
-        rows.append(_rel_row(cfg, f"extremal_median_t{t}", median, t ** cfg.beta / math.log(2.0),
-                             _median_gate(cfg.replicas), replicas=cfg.replicas))
+        rows.append(_median_row(cfg, f"extremal_median_t{t}", vals[t], t ** cfg.beta / math.log(2.0)))
         rows.append(_frechet_row(cfg, f"extremal_ks_t{t}", vals[t], t ** cfg.beta))
 
     # self-similarity: the [0, 4] window versus the 4**beta-scaled [0, 1] window

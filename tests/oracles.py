@@ -5,9 +5,10 @@ from a truncated series with an Euler-Maclaurin tail, zeta labels from
 Devroye's rejection over the whole support, the urn from one label per
 step instead of box counts, a run's steps from its cells in one fixed
 arrangement instead of its placed positions, set algebra is checked
-against dense boolean grids, and the joint-law exponent is recomputed by
+against dense boolean grids, the joint-law exponent is recomputed by
 adaptive quadrature of the pattern-expanded integrand instead of the layer
-cake.
+cake, and the occupancy-pattern limits by float subset sums instead of a
+Moebius inversion.
 """
 
 import math
@@ -324,6 +325,35 @@ def hit_pattern_pmf(beta: float, measures) -> np.ndarray:
             if mask >> j & 1:
                 p[mask] -= p[mask ^ 1 << j]
     return np.maximum(p, 0.0)
+
+
+def pattern_limit_by_subsets(beta: float, family) -> np.ndarray:
+    """Limits of the normalized occupancy-pattern counts, by float subset sums in O(3**d).
+
+    Entry S (bit k for set k) counts the boxes hit in exactly the sets of S.
+    For S > 0, inclusion-exclusion over the hit events followed by termwise
+    integration gives gamma(1-beta) * sum over T within S of
+    (-1)**(|T|+1) * Leb(union of T and the sets outside S)**beta, the empty
+    T contributing -Leb(union of the sets outside S)**beta.  Entry 0, the
+    boxes hit nowhere, is gamma(1-beta) * (Leb(carrier)**beta - Leb(union)**beta).
+    """
+    atoms, owners = atomize(family)
+
+    def leb(sets):
+        return sum((hi - lo for (lo, hi), owner in zip(atoms, owners) if owner & sets), 0.0)
+
+    full = (1 << len(family)) - 1
+    lo, hi = family[0].carrier
+    table = [(hi - lo) ** beta - leb(full) ** beta]
+    for hit_mask in range(1, full + 1):
+        hit = [k for k in range(len(family)) if hit_mask >> k & 1]
+        total = 0.0
+        for size in range(0, len(hit) + 1):
+            sign = 1.0 if size % 2 == 1 else -1.0
+            for subset in combinations(hit, size):
+                total += sign * leb(full & ~hit_mask | sum(1 << k for k in subset)) ** beta
+        table.append(total)
+    return math.gamma(1.0 - beta) * np.array(table)
 
 
 @lru_cache(maxsize=16)

@@ -10,7 +10,6 @@ from karlin_rsm.choquet_oracle import (
     ChoquetQuery,
     joint_cdf,
     mstar_theta,
-    pattern_limit,
     tail_dependence,
     tau_z,
     theta,
@@ -20,7 +19,7 @@ from karlin_rsm.distributions import frechet_cdf
 from karlin_rsm.interval_sets import IntervalSet, normalize
 from karlin_rsm.limit_sim import pattern_rates
 
-from oracles import exponent_by_quadrature
+from oracles import exponent_by_quadrature, pattern_limit_by_subsets
 
 
 def query(pairs, beta=0.5):
@@ -206,6 +205,12 @@ class TestTauZ:
         assert tau_z(3.0, 4.0, 0.5) == pytest.approx((2.0 - 2.0 ** 0.5) / 4.0, rel=1e-12)
 
 
+def pattern_limit(beta, family):
+    """The occupancy-pattern limits, gamma(1 - beta) p_S entry by entry; pattern_rates checks beta."""
+    rates = pattern_rates(beta, family)
+    return math.gamma(1.0 - beta) * rates
+
+
 class TestPatternLimits:
     def test_single_set(self):
         # entry 0 holds the boxes outside [0, 1/2), entry 1 those inside
@@ -251,14 +256,14 @@ class TestPatternLimits:
            st.floats(0.05, 0.95))
     @settings(max_examples=60, deadline=None)
     def test_equals_the_limit_samplers_rates(self, raw, beta):
-        # the oracle's own float subset sums against limit_sim's exact Moebius inversion of the
-        # union measures: they share no code, and agree entry by entry, the idle entry 0 included,
-        # to 1e-12 of the table's total gamma(1 - beta) (an empty pattern's sum may cancel to
-        # +-1e-17 where the exact inversion gives 0)
+        # float subset sums (oracles.pattern_limit_by_subsets) against limit_sim's exact Moebius
+        # inversion of the union measures: they share no code, and agree entry by entry, the idle
+        # entry 0 included, to 1e-12 of the table's total gamma(1 - beta) (an empty pattern's sum
+        # may cancel to +-1e-17 where the exact inversion gives 0)
         fam = tuple(normalize([(min(a, b), max(a, b)) for a, b in pairs if a != b] or [(0.0, 0.5)])
                     for pairs in raw)
-        got = pattern_limit(beta, fam)
-        want = math.gamma(1.0 - beta) * pattern_rates(beta, fam)
+        got = pattern_limit_by_subsets(beta, fam)
+        want = pattern_limit(beta, fam)
         assert got.shape == want.shape == (2 ** len(fam),)
         assert np.abs(got - want).max() <= 1e-12 * math.gamma(1.0 - beta), (got, want)
 

@@ -85,6 +85,18 @@ class TestBlockSizeLaw:
         assert qbeta_tail(1, 0.5) == pytest.approx(0.5, rel=1e-12)
         assert qbeta_tail(2, 0.5) == pytest.approx(0.375, rel=1e-12)
 
+    def test_integers_beyond_float_range(self):
+        # k = 10**400 is compared with 1e300 before any float conversion: the tail is its Stirling
+        # limit k**-beta / gamma(1 - beta) and the pmf, beta k**-(1+beta) / gamma(1 - beta), is below
+        # float range; on either side of the switch at 1e300 both agree with that limit
+        assert qbeta_tail(10 ** 400, 0.5) == pytest.approx(10.0 ** -200 / math.gamma(0.5), rel=1e-13)
+        assert qbeta_pmf(10 ** 400, 0.5) == 0.0
+        for k in (10 ** 300 // 2, 2 * 10 ** 300):
+            for beta in (0.001, 0.01):
+                g = math.gamma(1.0 - beta)
+                assert qbeta_tail(k, beta) == pytest.approx(k ** -beta / g, rel=1e-12)
+                assert qbeta_pmf(k, beta) == pytest.approx(beta * k ** -(1.0 + beta) / g, rel=1e-12)
+
     def test_domain(self):
         with pytest.raises(ValueError):
             qbeta_pmf(0, 0.5)

@@ -10,7 +10,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from karlin_rsm import cli, karlin_sim
-from karlin_rsm.choquet_oracle import pattern_limit
 from karlin_rsm.distributions import (
     ZETA_TABLE_SIZE,
     _zeta_head,
@@ -43,6 +42,7 @@ from karlin_rsm.karlin_sim import (
     variant_star_sup,
 )
 
+from karlin_rsm.limit_sim import pattern_rates
 from karlin_rsm.verify import two_sample_ks, two_sample_ks_critical
 
 from oracles import cell_arrangement, expected_boxes, reference_urn, zeta_series
@@ -340,10 +340,10 @@ class TestCountFirst:
             assert got == pytest.approx([expected_boxes(beta, 4000, 6000), only_first, only_second, both], rel=1e-6)
 
     def test_exact_pattern_means_tend_to_the_limit(self):
-        # the table of E[boxes hit in exactly the sets S] / nu(n) -> pattern_limit, entry by entry, the
-        # largest relative gap shrinking in n; FAMILY is disjoint, so entry 3 holds the boxes hit in both
+        # the table of E[boxes hit in exactly the sets S] / nu(n) -> gamma(1 - beta) p_S, entry by entry,
+        # the largest relative gap shrinking in n; FAMILY is disjoint, so entry 3 holds the boxes hit in both
         for beta in (0.5, 0.9):
-            limit = pattern_limit(beta, FAMILY)
+            limit = math.gamma(1.0 - beta) * pattern_rates(beta, FAMILY)
             gaps = [np.abs(mean_pattern_counts(beta, n, FAMILY) / nu_count(beta, n) / limit - 1.0).max()
                     for n in (10 ** 3, 10 ** 5, 10 ** 7, 10 ** 9)]
             assert all(a > b for a, b in zip(gaps, gaps[1:])) and gaps[-1] < 0.01, (beta, gaps)

@@ -11,7 +11,7 @@ from scipy.stats import ks_2samp
 from karlin_rsm import cli
 from karlin_rsm import karlin_sim as ksim
 from karlin_rsm import limit_sim as lsim
-from karlin_rsm.choquet_oracle import mstar_theta, pattern_limit, theta
+from karlin_rsm.choquet_oracle import mstar_theta, theta
 from karlin_rsm.interval_sets import CapacityError, IntervalSet, normalize
 from karlin_rsm.karlin_sim import replica_rng
 from karlin_rsm.limit_sim import (
@@ -27,6 +27,7 @@ from karlin_rsm.verify import two_sample_ks_critical
 
 from oracles import (
     HitPatternSampler,
+    pattern_limit_by_subsets,
     reference_coupled,
     reference_karlin,
     reference_mstar,
@@ -98,9 +99,10 @@ class TestPatternRates:
     FAMILY = (normalize([(0.1, 0.4)]), normalize([(0.3, 0.7)]), normalize([(0.2, 0.35), (0.8, 0.9)]))
 
     def test_equal_pattern_limits(self):
-        # p_S is the occupancy-pattern limit of S divided by gamma(1 - beta), entry 0 (no set hit) included
+        # p_S is the occupancy-pattern limit of S, by float subset sums, divided by gamma(1 - beta),
+        # entry 0 (no set hit) included
         for beta in (0.2, 0.5, 0.9):
-            target = pattern_limit(beta, self.FAMILY) / math.gamma(1.0 - beta)
+            target = pattern_limit_by_subsets(beta, self.FAMILY) / math.gamma(1.0 - beta)
             assert pattern_rates(beta, self.FAMILY).tolist() == pytest.approx(target.tolist(), rel=1e-12, abs=1e-15)
 
     def test_add_up_to_theta(self):

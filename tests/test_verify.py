@@ -105,10 +105,15 @@ class TestGates:
         values = np.ones(replicas)  # any sample: the gate depends on its size only
         return verify._frechet_row(SuiteConfig(suite="marginal"), "ks", values, 1.0, crit).se_or_crit
 
+    @staticmethod
+    def median_gate(replicas):
+        values = np.ones(replicas)  # any sample: the relative gate depends on its size only
+        return verify._median_row(SuiteConfig(suite="extremal-mstar"), "median", values, 1.0).se_or_crit
+
     def test_fixed_gate_holds_at_the_acceptance_scales(self):
         # test_05 (2000 replicas), test_09 (1e5) and test_10 (2000 discrete runs) keep their gates
         assert self.ks_gate(0.05, 2000) == 0.05 > ks_critical(2000) == pytest.approx(0.0364, abs=1e-4)
-        assert verify._median_gate(10 ** 5) == 0.02
+        assert self.median_gate(10 ** 5) == 0.02
         assert 2.5758 / (math.log(2.0) * math.sqrt(10 ** 5)) == pytest.approx(0.0118, abs=1e-4)
         assert self.ks_gate(0.07, 2000) == 0.07
         assert self.ks_gate(None, 2000) == ks_critical(2000)
@@ -122,9 +127,9 @@ class TestGates:
         assert self.ks_gate(0.30, 29) > 0.30 == self.ks_gate(0.30, 30)
         for replicas in (2500, 34_000, 35_000, 10 ** 5):
             se = 1.0 / (math.log(2.0) * math.sqrt(replicas))
-            assert verify._median_gate(replicas) == pytest.approx(max(0.02, verify._NORMAL_QUANTILE * se))
-        assert verify._median_gate(34_000) > 0.02 == verify._median_gate(35_000)
-        assert verify._median_gate(2500) == pytest.approx(0.0743, abs=1e-4)
+            assert self.median_gate(replicas) == pytest.approx(max(0.02, verify._NORMAL_QUANTILE * se))
+        assert self.median_gate(34_000) > 0.02 == self.median_gate(35_000)
+        assert self.median_gate(2500) == pytest.approx(0.0743, abs=1e-4)
 
     def test_frechet_median_relative_se(self):
         # the sample median of Frechet(alpha) has relative SE 1/(alpha ln 2 sqrt(R)): 1/(2 f(m) m sqrt(R))
@@ -139,7 +144,7 @@ class TestGates:
         extremal = {row.check: row for row in run_suite(
             SuiteConfig(suite="extremal-mstar", n_grid=(10 ** 3,), replicas=2500, seed=3)).rows}
         row = extremal["extremal_median_t1.0"]
-        assert row.se_or_crit == pytest.approx(verify._median_gate(2500) * row.target)
+        assert row.se_or_crit == pytest.approx(self.median_gate(2500) * row.target)
         assert extremal["variant_discrete_ks"].se_or_crit == 0.07
 
 
