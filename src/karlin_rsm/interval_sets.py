@@ -74,21 +74,6 @@ class IntervalSet:
         _check_carrier(self, other)
         return normalize(list(self.intervals) + list(other.intervals), self.carrier)
 
-    def complement(self) -> "IntervalSet":
-        """Carrier minus this set; requires a finite carrier."""
-        lo_c, hi_c = self.carrier
-        if not (math.isfinite(lo_c) and math.isfinite(hi_c)):
-            raise ValueError("complement requires a finite carrier")
-        out = []
-        cursor = lo_c
-        for lo, hi in self.intervals:
-            if cursor < lo:
-                out.append((cursor, lo))
-            cursor = hi
-        if cursor < hi_c:
-            out.append((cursor, hi_c))
-        return IntervalSet(tuple(out), self.carrier)
-
     def contains_points(self, xs: np.ndarray) -> np.ndarray:
         """Vectorized membership for half-open intervals."""
         if not self.intervals:

@@ -101,11 +101,19 @@ def nu_count(beta: float, x: float) -> int:
     if not x > 0:
         raise ValueError(f"nu_count requires x > 0, got {x}")
     cand = int((x / norm) ** beta)
-    while (cand + 1) ** s * norm <= x:
+    while _inverse_p(cand + 1, s, norm) <= x:
         cand += 1
-    while cand >= 1 and cand ** s * norm > x:
+    while cand >= 1 and _inverse_p(cand, s, norm) > x:
         cand -= 1
     return cand
+
+
+def _inverse_p(label: int, s: float, norm: float) -> float:
+    """1/p_label = label**s * zeta(s); inf beyond float range, where it exceeds any x."""
+    try:
+        return label ** s * norm
+    except OverflowError:
+        return math.inf
 
 
 def mean_occupancy(beta: float, n: int) -> float:

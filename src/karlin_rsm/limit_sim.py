@@ -17,8 +17,9 @@ over the unions of sets.
 The first-occurrence variant M* reads only the leftmost point of a hitting
 set, which lands in [a, b) at rate b**beta - a**beta: one clock per atom of
 the family, on the unit carrier only.  The coupled pair runs the pattern
-clocks over the cells of [0, 1), the atoms and the gaps between them (at
-most ``PATTERN_BUDGET``), and M* reads the lowest cell of each pattern.
+clocks over the cells of [0, 1), the pieces between 0, 1 and the atoms'
+ends (at most ``PATTERN_BUDGET``), and M* reads the lowest cell of each
+pattern.  :func:`_clocks` builds every race, and drops its clocks of rate 0.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .distributions import _check_beta
-from .interval_sets import PATTERN_BUDGET, UNIT, CapacityError, atomize, moebius, normalize, union_measures
+from .interval_sets import PATTERN_BUDGET, UNIT, CapacityError, atomize, moebius, union_measures
 
 __all__ = [
     "LimitSample",
@@ -68,13 +69,12 @@ class _Clocks:
     idle: float  # rate of the atoms that hit no clock; only atoms_used sees it
 
 
-def _hits(codes: np.ndarray, sets: int) -> np.ndarray:
-    """(clocks, sets) True where a clock's code, a bitmask over the sets, holds the set."""
-    return (codes[:, None] & (1 << np.arange(sets))) != 0
-
-
-def _clocks(rates: np.ndarray, hits: np.ndarray, idle: float) -> _Clocks:
-    return _Clocks(rates, np.where(hits, 0.0, np.inf), idle)
+def _clocks(rates: np.ndarray, codes: np.ndarray, outputs: int, idle: float = 0.0) -> _Clocks:
+    """The one race of every limit object: the clocks of positive rate, in order; clock c
+    hits output i when bit i of its hit code ``codes[c]`` is set."""
+    live = rates > 0
+    hits = (codes[live, None] & (1 << np.arange(outputs))) != 0
+    return _Clocks(rates[live], np.where(hits, 0.0, np.inf), idle)
 
 
 def _family(family) -> tuple:
@@ -122,8 +122,7 @@ def pattern_rates(beta: float, family) -> np.ndarray:
 @lru_cache(maxsize=256)
 def _karlin_clocks(beta: float, family: tuple) -> _Clocks:
     rates = _karlin_rates(beta, family)
-    live = np.flatnonzero(rates[1:]) + 1
-    return _clocks(rates[live], _hits(live, len(family)), float(rates[0]))
+    return _clocks(rates[1:], np.arange(1, rates.size), len(family), float(rates[0]))
 
 
 def _mstar_rate(lo: float, hi: float, beta: float) -> float:
@@ -139,31 +138,32 @@ def _mstar_clocks(beta: float, family: tuple) -> _Clocks:
     _require_unit(family)
     atoms, owners = atomize(family)
     rates = np.array([_mstar_rate(lo, hi, beta) for lo, hi in atoms])
-    hits = _hits(np.array(owners, dtype=np.int64), len(family))
-    return _clocks(rates, hits, max(0.0, 1.0 - float(rates.sum())))
+    idle = max(0.0, 1.0 - float(rates.sum()))
+    return _clocks(rates, np.array(owners, dtype=np.int64), len(family), idle)  # int64 with no atoms too
 
 
 @lru_cache(maxsize=256)
 def _coupled_clocks(beta: float, family: tuple) -> _Clocks:
-    """Pattern clocks over the atoms and gaps of [0, 1), left to right.
+    """Pattern clocks over the cells of [0, 1), the pieces between 0, 1 and the atoms' ends.
 
     The leftmost point of a hitting set lies in the lowest cell it hits, so
-    M* of a set reads the clocks whose lowest cell is inside the set.
+    M* of set i (output d + i) reads the clocks whose lowest cell is inside the set.
     """
     _check_beta(beta)
     _require_unit(family)
     atoms, owners = atomize(family)
-    cells = sorted(atoms + list(normalize(atoms).complement().intervals))
+    ends = sorted({0.0, 1.0, *(end for atom in atoms for end in atom)})
+    cells = list(zip(ends, ends[1:]))
     if len(cells) > PATTERN_BUDGET:
         raise CapacityError(f"{len(cells)} cells exceed the {PATTERN_BUDGET}-cell pattern budget")
     rates = moebius(union_measures(cells, [1 << c for c in range(len(cells))], len(cells)) ** beta)
-    live = np.flatnonzero(rates[1:]) + 1
+    rates[0] = 0.0  # every atom hits a cell
     owner = dict(zip(atoms, owners))  # gaps hold no set
     meets = np.zeros(1, dtype=np.int64)  # meets[P]: the sets that the cells of pattern P hold
     for cell in cells:
         meets = np.concatenate([meets, meets | owner.get(cell, 0)])
-    hits = np.hstack([_hits(meets[live], len(family)), _hits(meets[live & -live], len(family))])
-    return _clocks(rates[live], hits, 0.0)  # the cells cover [0, 1)
+    patterns = np.arange(rates.size)
+    return _clocks(rates, meets | meets[patterns & -patterns] << len(family), 2 * len(family))
 
 
 def _chunks(replicas: int, per_replica: int) -> list:
@@ -252,9 +252,9 @@ def top_m_batch(rng: np.random.Generator, beta: float, m: int, family, replicas:
     if m < 1:
         raise ValueError("m must be at least 1")
     family = _family(family)
-    rates = _karlin_rates(beta, family)
-    live = np.flatnonzero(rates)  # pattern 0 first: the atoms that hit no set race too
-    rates, hits = rates[live], _hits(live, len(family))
+    rates = _karlin_rates(beta, family)  # pattern 0 races too: the atoms that hit no set
+    clocks = _clocks(rates, np.arange(rates.size), len(family))
+    rates, hits = clocks.rates, clocks.misses == 0
     values, winners = [], []
     for size in _chunks(replicas, m * rates.size):
         g = rng.standard_exponential((size, m, rates.size)) / rates

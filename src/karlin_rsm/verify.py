@@ -431,9 +431,11 @@ def suite_locations(cfg: SuiteConfig) -> list:
     joint_target = math.prod(oracle.theta(a, cfg.beta) for a in family)
     rows.append(_wilson_row(cfg, "hit_joint", int(hits.all(axis=1).sum()), cfg.replicas, joint_target, n=n))
     for k in range(m):
-        vals = values[:, k]
-        rows.append(_two_sample_row(cfg, f"value_top{k + 1}_two_sample", vals[np.isfinite(vals)],
-                                    limit_values[:, k], n=n))
+        vals = values[np.isfinite(values[:, k]), k]
+        if not vals.size:
+            raise ValueError(f"no run of n={n} draws has a box of mark rank {k + 1}, "
+                             f"so value_top{k + 1} has no sample")
+        rows.append(_two_sample_row(cfg, f"value_top{k + 1}_two_sample", vals, limit_values[:, k], n=n))
     return rows
 
 

@@ -421,7 +421,8 @@ def reference_coupled(rng, beta: float, family):
     """
     atoms, owners = atomize(family)
     union = normalize([iv for a in family for iv in a.intervals])
-    cells = sorted(atoms + list(union.complement().intervals))
+    edges = [0.0, *(end for iv in union.intervals for end in iv), 1.0]  # gap k is [edges[2k], edges[2k+1])
+    cells = sorted(atoms + [(lo, hi) for lo, hi in zip(edges[::2], edges[1::2]) if lo < hi])
     sampler = HitPatternSampler(beta, [hi - lo for lo, hi in cells])
     member = [sum(1 << cells.index(a) for a, owner in zip(atoms, owners) if owner >> i & 1)
               for i in range(len(family))]

@@ -774,6 +774,40 @@ class TestVerifyCommand:
         assert res.returncode == 1
 
 
+    def test_locations_names_the_rank_without_a_sample(self, tmp_path, capsys):
+        # a run of n = 3 draws has at most 3 boxes, so the fourth of 5 sets has no urn value to compare
+        query = tmp_path / "family.json"
+        query.write_text(json.dumps({"family": [{"intervals": [[i / 5, i / 5 + 0.1]]} for i in range(5)]}))
+        assert cli.main(["verify", "--suite", "locations", "--beta", "0.5", "--n", "3", "--replicas", "100",
+                         "--seed", "1", "--threads", "1", "--query", str(query)]) == 2
+        assert capsys.readouterr().err == (
+            "error: no run of n=3 draws has a box of mark rank 4, so value_top4 has no sample\n")
+
+
+SUITES = ("marginal", "locations", "occupancy", "patterns", "limit-vs-oracle", "extremal-mstar")
+TINY = ["--beta", "0.0001", "--seed", "1"]  # s = 1/beta = 1e4, so 2**s * zeta(s) is beyond float range
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["simulate", *TINY, "--n", "1000"], id="simulate-csv"),
+    pytest.param(["simulate", *TINY, "--n", "1000", "--format", "json"], id="simulate-json"),
+    pytest.param(["limit-sample", *TINY, "--replicas", "5", "--query", "{family}"], id="limit-sample"),
+    pytest.param(["oracle", "--query", "{query}"], id="oracle"),
+    *(pytest.param(["verify", "--suite", suite, *TINY, "--n", "10000", "--replicas", "100", "--threads", "1"],
+                   id=suite) for suite in SUITES),
+])
+def test_beta_below_one_over_1024_runs(argv, family_file, tmp_path, capsys):
+    # every call ends in an exit code: 0, a suite's 1 by its rows, or its 2 with one error line
+    # (locations: every run has k_n = 1 box, so rank 2 has no sample)
+    query = tmp_path / "tiny.json"
+    query.write_text(json.dumps({"alpha": 1.0, "beta": 0.0001,
+                                 "pairs": [{"set": {"intervals": [[0.0, 0.25]]}, "z": 1.0}]}))
+    code = cli.main([arg.format(family=family_file, query=query) for arg in argv])
+    err = capsys.readouterr().err
+    assert code in ((0, 1, 2) if argv[0] == "verify" else (0,)), err
+    assert code < 2 or err.startswith("error: ") and len(err.splitlines()) == 1, err
+
+
 class _ReadRecorder(argparse.Namespace):
     """A parsed namespace that records which options are read."""
 

@@ -121,6 +121,13 @@ class TestFrequencyModel:
                 assert 1.0 / (k ** -s / norm) <= x
             assert 1.0 / ((k + 1) ** -s / norm) > x
 
+    @pytest.mark.parametrize("beta", [1e-9, 1e-4, 0.0009, 1 / 1024])
+    def test_nu_count_below_beta_one_over_1024(self, beta):
+        # s = 1/beta >= 1024, so 2**s * zeta(s) is beyond float range: only label 1 has 1/p <= n
+        for n in (10, 10 ** 7):
+            assert nu_count(beta, n) == 1
+            assert b_n(beta, n) == math.gamma(1.0 - beta)
+
     def test_b_n_values(self):
         # c_n = gamma(1 - beta) nu((0, n]), the normalisation of the Pareto(1) marks, at every alpha
         assert b_n(BETA, 10 ** 4) == pytest.approx(math.gamma(0.5) * 77, rel=1e-12)
