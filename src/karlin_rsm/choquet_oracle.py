@@ -7,7 +7,9 @@ into a layer cake over the sorted weights, which is what
 :func:`tail_dependence` computes; everything else here is a reparametrized
 call into it, plus the functional of the first-occurrence variant.
 A query is built from Python values, with its thresholds at index 1; the CLI
-reads it from JSON and maps its thresholds to index 1.
+reads it from JSON and maps its thresholds to index 1.  The arithmetic is
+pure Python: this module and :mod:`~karlin_rsm.interval_sets`, which it
+reads, import no numpy.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .distributions import _check_beta
 from .interval_sets import IntervalSet, atomize
 
 __all__ = [
@@ -26,6 +27,12 @@ __all__ = [
     "tau_z",
     "mstar_theta",
 ]
+
+
+def _check_beta(beta: float):
+    """beta, the index of theta, lies in (0, 1); every module of the package checks it here."""
+    if not 0.0 < beta < 1.0:
+        raise ValueError(f"beta must lie in (0, 1), got {beta}")
 
 
 def theta(k: IntervalSet, beta: float) -> float:

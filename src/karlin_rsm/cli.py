@@ -14,6 +14,10 @@ JSON of ``simulate`` and ``limit-sample``, and the ``verify`` reports.  So is
 alpha, since the library works at index 1: a printed value x is x**(1/alpha),
 and a query threshold z is z**alpha at index 1, both by libm's pow
 (:func:`_power`); ``verify`` only checks ``--alpha`` and reports at alpha = 1.
+Each handler imports the library modules it runs when it is called, so
+``oracle`` runs on the pure-Python oracle without numpy, and ``simulate`` and
+``limit-sample`` never load ``verify``; an unknown ``--suite`` is named by
+``verify.SuiteConfig``.
 """
 
 from __future__ import annotations
@@ -25,20 +29,25 @@ import io
 import json
 import math
 import os
-import secrets
 import sys
 from dataclasses import astuple
 
-from . import karlin_sim as ksim
-from . import limit_sim as lsim
 from .choquet_oracle import ChoquetQuery, joint_cdf, tail_dependence
-from .interval_sets import UNIT, IntervalSet, normalize
-from .karlin_sim import replica_rng
-from .verify import MAX_REPLICAS, SuiteConfig, SUITES, run_suite
+from .interval_sets import UNIT, IntervalSet, ResourceError, normalize
 
 __all__ = ["main"]
 
 EXIT_CLOSED_PIPE = 141  # 128 + SIGPIPE
+
+
+def __getattr__(name):
+    # the handlers import the samplers when they run; perfbench/test_perfbench.py's
+    # test_install_traces_and_restores still reads cli.replica_rng, as karlin_sim holds it now
+    if name == "replica_rng":
+        from .karlin_sim import replica_rng
+
+        return replica_rng
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _positive_int(text: str) -> int:
@@ -55,6 +64,8 @@ def _positive_int(text: str) -> int:
 def _resolve_seed(seed) -> int:
     if seed is not None:
         return seed
+    import secrets
+
     fresh = secrets.randbits(64)
     print(f"seed: {fresh}", file=sys.stderr)
     return fresh
@@ -208,7 +219,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run a statistical verification suite")
     _add_common(p_ver)
-    p_ver.add_argument("--suite", required=True, choices=sorted(SUITES))
+    p_ver.add_argument("--suite", required=True, help="suite to run; an unknown name exits 2 naming the suites")
     p_ver.add_argument("--n", default=None, help="n or comma-separated n grid")
     p_ver.add_argument("--replicas", type=_positive_int, default=None)
     p_ver.add_argument("--threads", type=int, default=os.cpu_count() or 1)
@@ -219,13 +230,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args) -> int:
+    from . import karlin_sim as ksim
+
     seed = _resolve_seed(args.seed)
     _check_alpha(args.alpha)
     p = 1.0 / args.alpha
     ksim.b_n(args.beta, args.n)  # every output prints b_n: fail before drawing
     # the batch of one that ksim.simulate returns, drawn here: perfbench's tracer counter on simulate
     # reads fields of the run type it returned before, until that counter moves to simulate_batch
-    batch = ksim.simulate_batch(args.beta, args.n, replica_rng(seed), 1)
+    batch = ksim.simulate_batch(args.beta, args.n, ksim.replica_rng(seed), 1)
     if args.format == "json":
         histogram = sorted(ksim.occupancy_histogram(batch).items())
         b_n = _power(batch.b_n, p)
@@ -245,6 +258,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_limit_sample(args) -> int:
+    from . import limit_sim as lsim
+    from .karlin_sim import MAX_REPLICAS, replica_rng
+
     if args.replicas > MAX_REPLICAS:  # the suites' per-part bound; it bounds the run time, not memory
         raise ValueError(f"replica count must be at most {MAX_REPLICAS}, got {args.replicas}")
     seed = _resolve_seed(args.seed)
@@ -272,6 +288,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import SuiteConfig, run_suite
+
     _check_alpha(args.alpha)  # no suite reads it: the report at any alpha is the one at alpha = 1
     seed = _resolve_seed(args.seed)
     n_grid = None  # the suite's default
@@ -311,7 +329,7 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_CLOSED_PIPE
-    except (ValueError, OSError, ksim.ResourceError) as exc:
+    except (ValueError, OSError, ResourceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

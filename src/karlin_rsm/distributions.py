@@ -20,6 +20,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .choquet_oracle import _check_beta
+
 __all__ = [
     "pareto_sample_batch",
     "frechet_cdf",
@@ -45,11 +47,6 @@ def frechet_cdf(z, sigma: float = 1.0):
     with np.errstate(divide="ignore"):
         out = np.where(z > 0, np.exp(-sigma * np.maximum(z, 0.0) ** -1.0), 0.0)
     return out if out.ndim else float(out)
-
-
-def _check_beta(beta: float):
-    if not 0.0 < beta < 1.0:
-        raise ValueError(f"beta must lie in (0, 1), got {beta}")
 
 
 def _stirling_series(x: float) -> float:
@@ -135,13 +132,19 @@ def _scaled_zeta_tail(s: float, n: float) -> float:
     return total
 
 
+def _zeta_tail_mass(s: float, n: float) -> float:
+    """The sum of k**-s over k >= n (n >= 16).  Where n**(1-s) underflows, the sum is 0.0 in float,
+    and the Euler-Maclaurin terms, which grow like s**14, may overflow: 0 * inf would be NaN."""
+    power = n ** (1.0 - s)
+    return power * _scaled_zeta_tail(s, n) if power else 0.0
+
+
 def riemann_zeta(s: float) -> float:
     """zeta(s) for real s > 1: 15 terms summed, the rest by Euler-Maclaurin from
-    N = 16 (:func:`_scaled_zeta_tail`).  Within a few ulp for every s > 1."""
+    N = 16 (:func:`_zeta_tail_mass`).  Within a few ulp for every s > 1."""
     if not s > 1.0:
         raise ValueError(f"riemann_zeta requires s > 1, got {s}")
-    n = _ZETA_HEAD + 1.0
-    return sum(k ** -s for k in range(1, _ZETA_HEAD + 1)) + n ** (1.0 - s) * _scaled_zeta_tail(s, n)
+    return sum(k ** -s for k in range(1, _ZETA_HEAD + 1)) + _zeta_tail_mass(s, _ZETA_HEAD + 1.0)
 
 
 ZETA_TABLE_SIZE = 2 ** 12
@@ -184,9 +187,7 @@ def _zeta_tail(rng: np.random.Generator, s: float, size: int, after: int) -> np.
 def _zeta_pmf(s: float) -> np.ndarray:
     """P(Y = k) for k = 1..L, then P(Y > L), for L = ZETA_TABLE_SIZE: the table :func:`_zeta_head` cuts."""
     k = np.arange(1, ZETA_TABLE_SIZE + 1, dtype=float)
-    start = ZETA_TABLE_SIZE + 1.0
-    tail = start ** (1.0 - s) * _scaled_zeta_tail(s, start)
-    return np.append(k ** -s, tail) / riemann_zeta(s)
+    return np.append(k ** -s, _zeta_tail_mass(s, ZETA_TABLE_SIZE + 1.0)) / riemann_zeta(s)
 
 
 @lru_cache(maxsize=64)

@@ -9,17 +9,20 @@ are built from Python numbers; the CLI reads them from JSON.
 A family reaches them through :func:`atomize`: its ``(lo, hi)`` atoms, each
 with the bitmask of the sets that hold it.  Pattern laws are the
 :func:`moebius` inversion of functionals of the unions (:func:`union_measures`).
+Only the functions that return arrays import numpy, when they are called, so
+the set algebra and the closed-form oracle run without it.  The two budget
+errors of the package live here, beside the pattern budget.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = [
     "CapacityError",
+    "ResourceError",
     "IntervalSet",
     "normalize",
     "atomize",
@@ -37,6 +40,10 @@ _SCALE = 1 << 1074  # every double is an integer multiple of 2**-1074
 
 class CapacityError(ValueError):
     """Raised when a set family exceeds the pattern-enumeration budget."""
+
+
+class ResourceError(RuntimeError):
+    """Requested simulation exceeds the allocation budget."""
 
 
 def _check_carrier(a: "IntervalSet", b: "IntervalSet"):
@@ -76,6 +83,8 @@ class IntervalSet:
 
     def contains_points(self, xs: np.ndarray) -> np.ndarray:
         """Vectorized membership for half-open intervals."""
+        import numpy as np
+
         if not self.intervals:
             return np.zeros(np.shape(xs), dtype=bool)
         flat = np.array([v for pair in self.intervals for v in pair])
@@ -145,9 +154,10 @@ def atomize(family) -> tuple:
 
     bounds = sorted({v for s in family for pair in s.intervals for v in pair})
     pieces = list(zip(bounds, bounds[1:]))
-    mids = np.array([0.5 * (lo + hi) for lo, hi in pieces])
-    inside = np.array([s.contains_points(mids) for s in family])
-    owners = (inside.T.astype(np.int64) << np.arange(len(family))).sum(axis=1).tolist()
+    flats = [[v for pair in s.intervals for v in pair] for s in family]
+    mids = [0.5 * (lo + hi) for lo, hi in pieces]
+    # a midpoint lies in a set when an odd number of the set's ends are at or below it
+    owners = [sum((bisect_right(flat, mid) & 1) << i for i, flat in enumerate(flats)) for mid in mids]
     return [piece for piece, owner in zip(pieces, owners) if owner], [owner for owner in owners if owner]
 
 
@@ -158,6 +168,8 @@ def union_measures(pieces, owners, sets: int) -> np.ndarray:
     of the sets holding piece j, as :func:`atomize` gives them; each union
     adds its pieces left to right.
     """
+    import numpy as np
+
     unions = np.arange(1 << sets)
     leb = np.zeros(unions.size)
     for (lo, hi), owner in zip(pieces, owners):
@@ -174,6 +186,8 @@ def moebius(f: np.ndarray) -> np.ndarray:
     measure 1e-300 beside one of 1/2 keeps its rate).  Each entry is rounded
     once, and rounding residue below 0 is cut to 0.  Entry 0 is meaningless.
     """
+    import numpy as np
+
     exact = [num * (_SCALE // den) for num, den in map(float.as_integer_ratio, f[::-1].tolist())]
     h = np.array(exact, dtype=object)  # h[V] = f[V^c], in units of 2**-1074
     for j in range(f.size.bit_length() - 1):

@@ -36,15 +36,9 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .distributions import (
-    ZETA_TABLE_SIZE,
-    _check_beta,
-    _zeta_head,
-    _zeta_tail,
-    pareto_sample_batch,
-    riemann_zeta,
-)
-from .interval_sets import IntervalSet, atomize, moebius, normalize, union_measures
+from .choquet_oracle import _check_beta
+from .distributions import ZETA_TABLE_SIZE, _zeta_head, _zeta_tail, pareto_sample_batch, riemann_zeta
+from .interval_sets import IntervalSet, ResourceError, atomize, moebius, normalize, union_measures
 
 __all__ = [
     "UrnBatch",
@@ -73,10 +67,7 @@ CHUNK = 2 ** 8  # runs of a batch that one stream draws (chunk_runs)
 CHUNK_KEYS = 2 ** 20  # keys a chunk is expected to sort at most, which bounds its memory
 THREAD_BREAK_EVEN = 2 ** 14  # keys per chunk from which two threads beat one (measured break-even)
 WALK = 5  # boxes of every run split in mark order when it is drawn
-
-
-class ResourceError(RuntimeError):
-    """Requested simulation exceeds the allocation budget."""
+MAX_REPLICAS = 1 << 20  # replica_rng streams per suite part or limit-sample call; part k starts at k * MAX_REPLICAS
 
 
 def replica_rng(seed: int, replica: int = 0) -> np.random.Generator:
@@ -118,8 +109,17 @@ def _inverse_p(label: int, s: float, norm: float) -> float:
 
 def mean_occupancy(beta: float, n: int) -> float:
     """E K_n = sum over ell of 1 - (1 - p_ell)**n: directly up to H with n p_H < 1/2, then the
-    integral of 1 - exp(-n p_x) from H + 1/2 (midpoint rule) as a series in n p_(H + 1/2)."""
+    integral of 1 - exp(-n p_x) from H + 1/2 (midpoint rule) as a series in n p_(H + 1/2).
+
+    Domain: 1 - beta >= 1e-7.  The integral divides by s - 1, and s = 1/beta is rounded, so the
+    result carries a relative error of about 2**-53 / (1 - beta): 1e-9 at the edge, and 11 % at
+    1 - beta = 1e-15, where it exceeds n.  A suite needs n >= zeta(1/beta) > 1/(1 - beta) - 1 and
+    n <= MAX_N, so it meets the edge only at n = MAX_N, and exits 2 there.
+    """
     _check_beta(beta)
+    if 1.0 - beta < 1e-7:
+        raise ValueError(f"mean_occupancy requires 1 - beta >= 1e-7, where s - 1 = 1/beta - 1 keeps its "
+                         f"digits, got beta = {beta!r}")
     s, norm = 1.0 / beta, riemann_zeta(1.0 / beta)
     if n == 0:
         return 0.0

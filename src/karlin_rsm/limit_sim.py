@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .distributions import _check_beta
+from .choquet_oracle import _check_beta
 from .interval_sets import PATTERN_BUDGET, UNIT, CapacityError, atomize, moebius, union_measures
 
 __all__ = [

@@ -50,7 +50,7 @@ from . import karlin_sim as ksim
 from . import limit_sim as lsim
 from .distributions import frechet_cdf, qbeta_pmf, qbeta_tail
 from .interval_sets import UNIT, IntervalSet, normalize
-from .karlin_sim import replica_rng
+from .karlin_sim import MAX_REPLICAS, replica_rng
 
 __all__ = [
     "SuiteConfig",
@@ -83,8 +83,6 @@ DEFAULT_THRESHOLDS = {
     "median_rel": 0.02,         # relative error of extremal-process medians (see _median_row)
     "binom_se_mult": 3.0,       # +-k*SE window for binomial comparisons
 }
-
-MAX_REPLICAS = 1 << 20  # per suite part or limit-sample call; part k streams from k * MAX_REPLICAS
 
 # Stream block of each part of each suite; tests/test_verify.py checks that
 # no two parts of a suite share a stream.  Grid point k of the marginal suite

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from karlin_rsm import cli
+from karlin_rsm import cli, karlin_sim, limit_sim, verify
 from karlin_rsm.verify import SuiteReport
 
 BIN = [sys.executable, "-W", "error::RuntimeWarning", "-m", "karlin_rsm.cli"]  # a warning fails, as in process
@@ -124,6 +124,7 @@ class TestUsageErrors:
     def test_unknown_suite(self):
         res = run_cli("verify", "--suite", "bogus", "--beta", "0.5")
         assert res.returncode == 2
+        assert "error: unknown suite 'bogus'; choose from" in res.stderr and "occupancy" in res.stderr
 
     def test_domain_error_beta(self):
         res = run_cli("simulate", "--beta", "1.5", "--n", "100", "--seed", "1")
@@ -277,10 +278,10 @@ def _no_samplers(monkeypatch):
         raise AssertionError("a sampler ran")
 
     for name in ("simulate", "simulate_batch"):
-        monkeypatch.setattr(cli.ksim, name, no_run)
+        monkeypatch.setattr(karlin_sim, name, no_run)
     for name in ("karlin_batch", "mstar_batch", "coupled_batch", "top_m_batch",
                  "sample_karlin", "sample_mstar"):
-        monkeypatch.setattr(cli.lsim, name, no_run)
+        monkeypatch.setattr(limit_sim, name, no_run)
 
 
 def _family_json(tmp_path, carrier, intervals):
@@ -641,6 +642,54 @@ def test_readme_library_example_runs():
     assert res.returncode == 0, res.stderr
 
 
+def _modules_after(code: str) -> set:
+    """The numpy and karlin_rsm modules that a fresh interpreter holds after running ``code``."""
+    probe = (f"{code}\nimport sys\nprint(' '.join(m for m in sys.modules if m.split('.')[0] in "
+             "('numpy', 'karlin_rsm')), file=sys.stderr)")
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    return set(res.stderr.splitlines()[-1].split())
+
+
+class TestImportsOnlyWhatRuns:
+    def test_oracle_imports_no_numpy(self, query_file):
+        code = f"from karlin_rsm import cli\nassert cli.main(['oracle', '--query', {query_file!r}]) == 0"
+        modules = _modules_after(code)
+        assert "numpy" not in modules and "karlin_rsm.cli" in modules
+
+    def test_oracle_runs_with_numpy_blocked(self, query_file):
+        code = ("import sys; sys.modules['numpy'] = None; from karlin_rsm.cli import main; "
+                f"sys.exit(main(['oracle', '--query', {query_file!r}]))")
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert (res.returncode, res.stdout, res.stderr) == (0, run_cli("oracle", "--query", query_file).stdout, "")
+
+    def test_package_import_needs_no_numpy(self):
+        assert _modules_after("import karlin_rsm") == {
+            "karlin_rsm", "karlin_rsm.choquet_oracle", "karlin_rsm.interval_sets"}
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--beta", "0.5", "--n", "1000", "--seed", "1"],
+        ["limit-sample", "--beta", "0.5", "--replicas", "3", "--seed", "1", "--query", "{family}"],
+    ])
+    def test_samplers_do_not_import_verify(self, argv, family_file, tmp_path):
+        argv = [a.format(family=family_file) for a in argv] + ["--out", str(tmp_path / "out")]
+        modules = _modules_after(f"from karlin_rsm import cli\nassert cli.main({argv!r}) == 0")
+        assert "karlin_rsm.verify" not in modules and "numpy" in modules
+
+    def test_library_names_resolve_on_first_use(self):
+        code = ("import karlin_rsm\n"
+                "from karlin_rsm import karlin_sim\n"
+                "assert karlin_rsm.simulate is karlin_sim.simulate\n"
+                "assert karlin_rsm.verify.SUITES and karlin_rsm.limit_sim.pattern_rates\n"
+                "namespace = {}\n"
+                "exec('from karlin_rsm import *', namespace)\n"
+                "assert set(karlin_rsm.__all__) <= set(namespace)\n"
+                "assert not hasattr(karlin_rsm, 'no_such_name')\n"
+                "from karlin_rsm import cli\n"
+                "assert cli.replica_rng is karlin_sim.replica_rng and not hasattr(cli, 'no_such_name')")
+        assert {"karlin_rsm.verify", "karlin_rsm.limit_sim"} <= _modules_after(code)
+
+
 def _peak_rss_mb(argv) -> float:
     """Peak resident memory of a CLI call, in MB, from ``os.wait4`` in a small process that starts it.
 
@@ -762,7 +811,7 @@ class TestVerifyCommand:
             configs.append(cfg)
             return SuiteReport(cfg.suite, cfg.seed, [])
 
-        monkeypatch.setattr(cli, "run_suite", recording)
+        monkeypatch.setattr(verify, "run_suite", recording)
         assert cli.main(["verify", "--suite", "occupancy", "--beta", "0.5", "--seed", "1"]) == 0
         assert (configs[0].n_grid, configs[0].replicas) == ((10 ** 6,), 100)
 
@@ -806,6 +855,18 @@ def test_beta_below_one_over_1024_runs(argv, family_file, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code in ((0, 1, 2) if argv[0] == "verify" else (0,)), err
     assert code < 2 or err.startswith("error: ") and len(err.splitlines()) == 1, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--beta", "1e-30", "--n", "1000", "--seed", "1"],
+    ["verify", "--suite", "occupancy", "--beta", "1e-30", "--n", "1000", "--replicas", "100", "--seed", "1",
+     "--threads", "1"],
+])
+def test_beta_whose_zeta_tail_underflows_runs(argv, capsys):
+    # s = 1e30: 16**(1 - s) underflows while the Euler-Maclaurin terms of zeta overflow; 0 * inf was a
+    # NaN, and every call exited 2 with "cannot convert float NaN to integer"
+    code = cli.main(argv)
+    assert code in (0, 1), capsys.readouterr().err
 
 
 class _ReadRecorder(argparse.Namespace):

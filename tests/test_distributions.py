@@ -181,6 +181,12 @@ class TestRiemannZeta:
             with pytest.raises(ValueError):
                 riemann_zeta(s)
 
+    def test_tail_below_float_range(self):
+        # 16**(1 - s) underflows to 0 while the Euler-Maclaurin terms overflow: the tail is 0.0
+        for s in (1e26, 1e30, 1e300):
+            assert riemann_zeta(s) == 1.0
+        assert _zeta_pmf(1e30).tolist() == [1.0] + [0.0] * ZETA_TABLE_SIZE
+
 
 class _Stub:
     """A generator whose uniforms all equal ``u``."""

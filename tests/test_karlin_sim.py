@@ -317,6 +317,13 @@ class TestCountFirst:
         for n in (10, 10 ** 3, 10 ** 6):
             assert mean_occupancy(beta, n) == pytest.approx(expected_boxes(beta, n, 0), rel=1e-6)
 
+    def test_mean_occupancy_domain(self):
+        # s = 1/beta is rounded, so s - 1 loses its digits as beta -> 1: at n = 1e4 these read
+        # 10000.0000095, 1.11e4 and 2.0e4, more than n
+        for beta in (1 - 1e-7, 1 - 1e-15, 1 - 2 ** -53):
+            with pytest.raises(ValueError, match=r"1 - beta >= 1e-7"):
+                mean_occupancy(beta, 10 ** 4)
+
     def test_mean_occupancy_where_p_1_rounds_to_1(self):
         # below beta of about 0.02, p_1 = 1 / zeta(1/beta) rounds to 1: every draw falls in box 1
         assert mean_occupancy(0.01, 1000) == pytest.approx(1.0, rel=0.0, abs=1e-12)
