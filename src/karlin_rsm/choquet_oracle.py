@@ -115,10 +115,13 @@ def mstar_theta(a: float, b: float, beta: float) -> float:
     """Functional of the first-occurrence variant on [a, b): b**beta - a**beta.
 
     Equals the Lebesgue measure of the image of [a, b] under t -> t**beta,
-    and agrees with theta on [0, b).
+    and agrees with theta on [0, b).  Where b < 2a it is computed as
+    a**beta * expm1(beta * log1p((b - a) / a)), without cancellation.
     """
     _check_beta(beta)
     if a < 0 or a >= b:
         raise ValueError(f"need 0 <= a < b, got a={a}, b={b}")
-    return b ** beta - a ** beta
+    if b >= 2.0 * a:
+        return b ** beta - a ** beta
+    return a ** beta * math.expm1(beta * math.log1p((b - a) / a))
 

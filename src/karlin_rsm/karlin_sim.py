@@ -109,12 +109,16 @@ def _inverse_p(label: int, s: float, norm: float) -> float:
 
 def mean_occupancy(beta: float, n: int) -> float:
     """E K_n = sum over ell of 1 - (1 - p_ell)**n: directly up to H with n p_H < 1/2, then the
-    integral of 1 - exp(-n p_x) from H + 1/2 (midpoint rule) as a series in n p_(H + 1/2).
+    integral of 1 - exp(-n p_x) from H + 1/2 (midpoint rule) as a series in n p_(H + 1/2); at most n.
 
-    Domain: 1 - beta >= 1e-7.  The integral divides by s - 1, and s = 1/beta is rounded, so the
-    result carries a relative error of about 2**-53 / (1 - beta): 1e-9 at the edge, and 11 % at
-    1 - beta = 1e-15, where it exceeds n.  A suite needs n >= zeta(1/beta) > 1/(1 - beta) - 1 and
-    n <= MAX_N, so it meets the edge only at n = MAX_N, and exits 2 there.
+    The tail term is Poissonized, 1 - exp(-n p) in place of 1 - (1 - p)**n, so the result reads
+    low.  Against a direct sum plus a Hurwitz-zeta tail, for beta in {0.5, 0.9, 0.99, 1 - 1e-5}
+    and n from 1 to 1e7, the relative error was at most 2.8e-7 (-2.7e-7 at beta = 0.9, n = 1e3;
+    at n = 1e5, -1.6e-7 at beta = 0.9, -9.8e-9 at 0.99 and -3.7e-11 at 0.5).
+    Domain: 1 - beta >= 1e-7.  The integral divides by s - 1, and s = 1/beta is rounded, which
+    adds a relative error of about 2**-53 / (1 - beta): 1e-9 at the edge, and 11 % at
+    1 - beta = 1e-15.  A suite needs n >= zeta(1/beta) > 1/(1 - beta) - 1 and n <= MAX_N, so it
+    meets the edge only at n = MAX_N, and exits 2 there.
     """
     _check_beta(beta)
     if 1.0 - beta < 1e-7:
@@ -130,7 +134,7 @@ def mean_occupancy(beta: float, n: int) -> float:
     t = c * a ** -s
     series = sum((-t) ** k / (math.factorial(k) * (k - beta)) for k in range(1, 25))
     with np.errstate(divide="ignore"):  # p_1 rounds to 1 below beta of about 0.02: log1p(-1) = -inf
-        return float(-np.expm1(n * np.log1p(-p)).sum()) - beta * a * series
+        return min(float(n), float(-np.expm1(n * np.log1p(-p)).sum()) - beta * a * series)
 
 
 def mean_pattern_counts(beta: float, n: int, family) -> np.ndarray:

@@ -15,8 +15,8 @@ number of intervals; the rates are the :func:`moebius` inversion of theta
 over the unions of sets.
 
 The first-occurrence variant M* reads only the leftmost point of a hitting
-set, which lands in [a, b) at rate b**beta - a**beta: one clock per atom of
-the family, on the unit carrier only.  The coupled pair runs the pattern
+set, which lands in [a, b) at rate b**beta - a**beta (``mstar_theta``): one
+clock per atom of the family, on the unit carrier only.  The coupled pair runs the pattern
 clocks over the cells of [0, 1), the pieces between 0, 1 and the atoms'
 ends (at most ``PATTERN_BUDGET``), and M* reads the lowest cell of each
 pattern.  :func:`_clocks` builds every race, and drops its clocks of rate 0.
@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .choquet_oracle import _check_beta
+from .choquet_oracle import _check_beta, mstar_theta
 from .interval_sets import PATTERN_BUDGET, UNIT, CapacityError, atomize, moebius, union_measures
 
 __all__ = [
@@ -125,19 +125,12 @@ def _karlin_clocks(beta: float, family: tuple) -> _Clocks:
     return _clocks(rates[1:], np.arange(1, rates.size), len(family), float(rates[0]))
 
 
-def _mstar_rate(lo: float, hi: float, beta: float) -> float:
-    """hi**beta - lo**beta, without cancellation for atoms narrower than lo."""
-    if hi >= 2.0 * lo:
-        return hi ** beta - lo ** beta
-    return lo ** beta * math.expm1(beta * math.log1p((hi - lo) / lo))
-
-
 @lru_cache(maxsize=256)
 def _mstar_clocks(beta: float, family: tuple) -> _Clocks:
     _check_beta(beta)
     _require_unit(family)
     atoms, owners = atomize(family)
-    rates = np.array([_mstar_rate(lo, hi, beta) for lo, hi in atoms])
+    rates = np.array([mstar_theta(lo, hi, beta) for lo, hi in atoms])
     idle = max(0.0, 1.0 - float(rates.sum()))
     return _clocks(rates, np.array(owners, dtype=np.int64), len(family), idle)  # int64 with no atoms too
 

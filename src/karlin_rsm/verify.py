@@ -13,11 +13,12 @@ closed-form sampling law, take the larger of their constant and that law's
 
 Each suite's inputs are listed in one table, ``_SUITE_INPUTS``, which
 only :class:`SuiteConfig` reads; its parts (an urn family or one limit
-batch, each limit family drawn once) and their stream blocks in another,
-:data:`_PARTS`.  An urn part gets its runs from one function, ``_urn_map``,
-which draws them as batches of ``karlin_sim.chunk_runs`` runs (2**8 unless
-runs are long), cut into the cells of the part's query sets, and hands each
-batch to the suite's statistic, whose queries return one value per run:
+batch: a window group is one family, drawn once, whose columns its rows
+read) and their stream blocks in another, :data:`_PARTS`.  An urn part
+gets its runs from one function, ``_urn_map``, which draws them as batches
+of ``karlin_sim.chunk_runs`` runs (2**8 unless runs are long), cut into the
+cells of the part's query sets, and hands each batch to the suite's
+statistic, whose queries return one value per run:
 chunk c draws from the counter-based stream ``replica_rng(seed, block *
 2**20 + c)``; only a part whose chunks are large enough to share
 (``karlin_sim.threads_pay``) runs them on more than one thread, at most one
@@ -85,11 +86,12 @@ DEFAULT_THRESHOLDS = {
 }
 
 # Stream block of each part of each suite; tests/test_verify.py checks that
-# no two parts of a suite share a stream.  Grid point k of the marginal suite
-# is its own urn part, at block k.  Query 7 draws from block 11, as block 7
-# holds the stream of the query parameters.  Block 10 of limit-vs-oracle and
-# blocks 3 and 7 of extremal-mstar are unused, so that no later part's stream
-# moves.
+# no two parts of a suite share a stream, and that a suite opens the blocks
+# listed here and no other.  Grid point k of the marginal suite is its own
+# urn part, at block k.  Query 7 draws from block 11, as block 7 holds the
+# stream of the query parameters.  Each window group is one family, so one
+# part: blocks 10, 13 and 14 of limit-vs-oracle and 1-4, 6 and 7 of
+# extremal-mstar are unused, so that no later part's stream moves.
 _PARTS = {
     "marginal": {"grid": 0},
     "locations": {"urn": 0, "top_m": 1},
@@ -97,12 +99,9 @@ _PARTS = {
     "patterns": {"urn": 0},
     "limit-vs-oracle": {
         "q0": 0, "q1": 1, "q2": 2, "q3": 3, "q4": 4, "q5": 5, "q6": 6, "queries": 7, "q8": 8,
-        "q9": 9, "q7": 11, "t1.5": 12, "t2.0": 13, "t5.0": 14,
+        "q9": 9, "q7": 11, "windows": 12,
     },
-    "extremal-mstar": {
-        "t0.25": 0, "t1.0": 1, "t4.0": 2, "translation": 4, "mstar_marginal": 5,
-        "time_change": 6, "coupled": 8, "discrete": 9,
-    },
+    "extremal-mstar": {"windows": 0, "mstar": 5, "coupled": 8, "discrete": 9},
 }
 
 # Per suite: default n, replicas and query family, and the most sets a family
@@ -560,21 +559,19 @@ def suite_limit_vs_oracle(cfg: SuiteConfig) -> list:
         rows.append(_binom_row(cfg, f"joint_cdf_q{qi}", hits, cfg.replicas, oracle.joint_cdf(q)))
         families.append(family)
 
-    # non-ergodicity statistic on windows [0, t+1]
-    windows = []
-    for t in (1.5, 2.0, 5.0):
-        carrier = (0.0, t + 1.0)
-        windows.append((t, (IntervalSet(((0.0, 1.0),), carrier), IntervalSet(((t, t + 1.0),), carrier))))
-    rows.append(_pattern_rates_row(cfg, families + [fam for _, fam in windows]))
+    # non-ergodicity statistic on the windows [0, 1) and [t, t + 1), drawn as one family on [0, 6]
+    times = (1.5, 2.0, 5.0)
+    windows = tuple(IntervalSet(((t, t + 1.0),), (0.0, 6.0)) for t in (0.0, *times))
+    rows.append(_pattern_rates_row(cfg, families + [windows]))
 
     z = 1.0
     mult = DEFAULT_THRESHOLDS["binom_se_mult"]
+    below = _karlin(cfg, windows, "windows") <= z
+    p_single = int(below[:, 0].sum()) / cfg.replicas
     tau_rows = []
     p_joints = {}
-    for t, fam in windows:
-        below = _karlin(cfg, fam, f"t{t}") <= z
-        p_single = int(below[:, 0].sum()) / cfg.replicas
-        p_joint = int(below.all(axis=1).sum()) / cfg.replicas
+    for j, t in enumerate(times, 1):
+        p_joint = int((below[:, 0] & below[:, j]).sum()) / cfg.replicas
         tau_hat = math.log(p_joint) - 2.0 * math.log(p_single)
         # conservative SE: Var(log p) ~ (1-p)/(p N); covariance is positive
         se = math.sqrt(
@@ -593,7 +590,7 @@ def suite_limit_vs_oracle(cfg: SuiteConfig) -> list:
     rows.append(_row(cfg, "tau_strictly_positive", min(a for _, a, _ in tau_rows), 0.0, 0.0, positive,
                      replicas=cfg.replicas))
 
-    # adjudication of the joint exponent on disjoint unit windows: [0, 1) and [2, 3), the t = 2 batch
+    # adjudication of the joint exponent on disjoint unit windows: [0, 1) and [2, 3), the t = 2 columns
     p_joint = p_joints[2.0]
     neg_log = -math.log(p_joint)
     se_neglog = math.sqrt((1.0 - p_joint) / (p_joint * cfg.replicas))
@@ -610,40 +607,42 @@ def suite_limit_vs_oracle(cfg: SuiteConfig) -> list:
 def suite_extremal_and_mstar(cfg: SuiteConfig) -> list:
     """Extremal process, self-similarity, and the first-occurrence variant.
 
-    Medians and KS of M([0, t]) against Frechet with scale t**beta; window
-    versus scaled-unit two-sample KS; translation invariance; the variant
-    marginal law, the pathwise domination of the coupled pair, and the
-    discrete variant's convergence.
+    One batch on [0, 4] draws the windows [0, t] and the increments [0, 1/2)
+    and [1/2, 1): medians and KS of M([0, t]) against Frechet with scale
+    t**beta; the joint law of the windows, each scaled to unit scale, by a KS
+    of their max; translation invariance of the increments.  One M* batch
+    draws the variant marginal and its time change; then the pathwise
+    domination of the coupled pair, and the discrete variant's convergence.
     """
     rows = []
-    vals = {}
-    for t in (0.25, 1.0, 4.0):
-        fam = (IntervalSet(((0.0, t),), (0.0, max(t, 1.0))),)
-        vals[t] = _karlin(cfg, fam, f"t{t}")[:, 0]
-        rows.append(_median_row(cfg, f"extremal_median_t{t}", vals[t], t ** cfg.beta / math.log(2.0)))
-        rows.append(_frechet_row(cfg, f"extremal_ks_t{t}", vals[t], t ** cfg.beta))
+    times = (0.25, 1.0, 4.0)
+    sets = [(0.0, t) for t in times] + [(0.0, 0.5), (0.5, 1.0)]
+    levels = _karlin(cfg, tuple(IntervalSet((ab,), (0.0, 4.0)) for ab in sets), "windows")
+    for j, t in enumerate(times):
+        rows.append(_median_row(cfg, f"extremal_median_t{t}", levels[:, j], t ** cfg.beta / math.log(2.0)))
+        rows.append(_frechet_row(cfg, f"extremal_ks_t{t}", levels[:, j], t ** cfg.beta))
 
-    # self-similarity: the [0, 4] window versus the 4**beta-scaled [0, 1] window
-    rows.append(_two_sample_row(cfg, "self_similarity_two_sample", vals[4.0], vals[1.0] * 4.0 ** cfg.beta))
+    # self-similarity: max_t M([0, t]) / t**beta is Frechet with scale 4**beta times the tail
+    # dependence of the windows scaled by 1/4, at thresholds t**beta
+    scaled = oracle.ChoquetQuery(tuple((normalize([(0.0, t / 4.0)]), t ** cfg.beta) for t in times), cfg.beta)
+    joint = (levels[:, :3] / np.array(times) ** cfg.beta).max(axis=1)
+    sigma = 4.0 ** cfg.beta * oracle.tail_dependence(scaled)
+    rows.append(_frechet_row(cfg, "self_similarity_joint_ks", joint, sigma))
 
     # translation invariance of increments: same-width windows at two origins
-    tr = _karlin(cfg, (normalize([(0.0, 0.5)]), normalize([(0.5, 1.0)])), "translation")
-    rows.append(_two_sample_row(cfg, "translation_invariance_two_sample", tr[:, 0], tr[:, 1]))
+    rows.append(_two_sample_row(cfg, "translation_invariance_two_sample", levels[:, 3], levels[:, 4]))
 
-    # variant marginal on [a, b): P(M* <= z) = exp(-(b**beta - a**beta) / z)
-    a_lo, b_hi, z = 0.25, 1.0, 1.0
-    star_vals = lsim.mstar_batch(_stream(cfg, "mstar_marginal"), cfg.beta, (normalize([(a_lo, b_hi)]),),
-                                 cfg.replicas)[:, 0]
+    # variant marginal on [a, b): P(M* <= z) = exp(-(b**beta - a**beta) / z), and the variant on
+    # [0, t] against the time-changed law
+    a_lo, b_hi, z, t_tc = 0.25, 1.0, 1.0, 0.49
+    star_set = normalize([(a_lo, b_hi)])
+    star = lsim.mstar_batch(_stream(cfg, "mstar"), cfg.beta, (star_set, normalize([(0.0, t_tc)])),
+                            cfg.replicas)
     sigma_star = oracle.mstar_theta(a_lo, b_hi, cfg.beta)
-    rows.append(_binom_row(cfg, "mstar_marginal_prob", int((star_vals <= z).sum()), cfg.replicas,
+    rows.append(_binom_row(cfg, "mstar_marginal_prob", int((star[:, 0] <= z).sum()), cfg.replicas,
                            math.exp(-sigma_star / z)))
-    rows.append(_frechet_row(cfg, "mstar_marginal_ks", star_vals, sigma_star))
-
-    # variant equals the time-changed law on [0, t]
-    t_tc = 0.49
-    tc_vals = lsim.mstar_batch(_stream(cfg, "time_change"), cfg.beta, (normalize([(0.0, t_tc)]),),
-                               cfg.replicas)[:, 0]
-    rows.append(_frechet_row(cfg, "mstar_time_change_ks", tc_vals, t_tc ** cfg.beta))
+    rows.append(_frechet_row(cfg, "mstar_marginal_ks", star[:, 0], sigma_star))
+    rows.append(_frechet_row(cfg, "mstar_time_change_ks", star[:, 1], t_tc ** cfg.beta))
 
     # pathwise domination of the coupled pair
     big, small = lsim.coupled_batch(_stream(cfg, "coupled"), cfg.beta,
@@ -654,7 +653,6 @@ def suite_extremal_and_mstar(cfg: SuiteConfig) -> list:
 
     # discrete first-occurrence variant against its limit law
     n = max(cfg.n_grid)
-    star_set = normalize([(a_lo, b_hi)])
     n_star = min(cfg.replicas, 2000)
     disc_vals = np.concatenate(_urn_map(
         cfg, "discrete", (star_set,), lambda batch: ksim.variant_star_sup(batch, star_set) / batch.b_n,

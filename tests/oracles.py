@@ -18,6 +18,7 @@ from itertools import combinations
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import zeta as hurwitz_zeta
 
 from karlin_rsm.distributions import pareto_sample_batch, qbeta_tail
 from karlin_rsm.interval_sets import CapacityError, atomize, normalize
@@ -71,6 +72,29 @@ def expected_boxes(beta: float, hit: int, miss: int, head: int = 2 ** 22) -> flo
     quad = (hit + miss) * (hit + miss - 1) / 2 - miss * (miss - 1) / 2
     a = head + 1.0
     return total + hit * _power_tail(s, a) / norm - quad * _power_tail(2.0 * s, a) / norm ** 2
+
+
+def occupancy_by_hurwitz_tail(beta: float, n: int) -> float:
+    """E K_n = sum over l of 1 - (1 - p_l)**n, p_l = l**-s / zeta(s), without Poissonization.
+
+    The terms up to L, where n p_L <= 1/4, are summed directly; beyond L the
+    sum is the binomial series sum_k (-1)**(k + 1) C(n, k) zeta(k s, L + 1) /
+    zeta(s)**k (Hurwitz zeta), cut where a term falls below 1e-17 of the head.
+    """
+    s = 1.0 / beta
+    norm = float(hurwitz_zeta(s))
+    last = int(math.ceil((4.0 * n / norm) ** beta)) + 1
+    p = np.arange(1.0, last + 1.0) ** -s / norm
+    head = math.fsum(-np.expm1(n * np.log1p(-p)))
+    tail, log_coef = 0.0, 0.0
+    for k in range(1, n + 1):
+        log_coef += math.log((n - k + 1) / (k * norm))  # C(n, k) / zeta(s)**k, by its ratios
+        hz = float(hurwitz_zeta(k * s, last + 1.0))
+        term = math.exp(log_coef + math.log(hz)) if hz > 0 else 0.0
+        tail += term if k % 2 else -term
+        if term < 1e-17 * head:
+            break
+    return head + tail
 
 
 def zeta_devroye(rng: np.random.Generator, s: float, size: int) -> np.ndarray:

@@ -196,11 +196,11 @@ def test_08_pattern_limits():
 
 def test_09_extremal_process(extremal_report):
     med_rows = [row(extremal_report, f"extremal_median_t{t}") for t in (0.25, 1.0, 4.0)]
-    selfsim = row(extremal_report, "self_similarity_two_sample")
+    selfsim = row(extremal_report, "self_similarity_joint_ks")
     ok = all(r.passed for r in med_rows) and selfsim.passed
     worst = max(abs(r.estimate - r.target) / r.target for r in med_rows)
-    emit(9, "extremal process: medians within 2% at t in {1/4, 1, 4}; self-similarity KS at 99%",
-         ok, f"worst median rel err={worst:.4f}; two-sample KS={selfsim.estimate:.4f}")
+    emit(9, "extremal process: medians within 2% at t in {1/4, 1, 4}; joint self-similarity KS at 99%",
+         ok, f"worst median rel err={worst:.4f}; joint KS={selfsim.estimate:.4f} (gate {selfsim.se_or_crit:.4f})")
 
 
 def test_10_variant_measure(extremal_report):

@@ -285,6 +285,14 @@ class TestVariantFunctional:
             numeric = grid[-1] - grid[0]
             assert mstar_theta(a, b, beta) == pytest.approx(numeric, rel=1e-9)
 
+    def test_narrow_interval_without_cancellation(self):
+        # b**beta - a**beta cancels about 38 of its bits here; the expansion to second order in the
+        # width h is exact to about (h / a)**2
+        a, beta = 0.25, 0.9
+        h = (a + 1e-12) - a
+        want = a ** beta * beta * (h / a) * (1.0 + (beta - 1.0) * h / (2.0 * a))
+        assert mstar_theta(a, a + 1e-12, beta) == pytest.approx(want, rel=1e-12, abs=0)
+
     def test_domain(self):
         with pytest.raises(ValueError):
             mstar_theta(0.5, 0.5, 0.5)

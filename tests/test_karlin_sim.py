@@ -45,7 +45,7 @@ from karlin_rsm.karlin_sim import (
 from karlin_rsm.limit_sim import pattern_rates
 from karlin_rsm.verify import two_sample_ks, two_sample_ks_critical
 
-from oracles import cell_arrangement, expected_boxes, reference_urn, zeta_series
+from oracles import cell_arrangement, expected_boxes, occupancy_by_hurwitz_tail, reference_urn, zeta_series
 
 BETA = 0.5
 QUARTER = normalize([(0.0, 0.25)])
@@ -316,6 +316,15 @@ class TestCountFirst:
         assert mean_occupancy(beta, 1) == pytest.approx(1.0, rel=1e-6)
         for n in (10, 10 ** 3, 10 ** 6):
             assert mean_occupancy(beta, n) == pytest.approx(expected_boxes(beta, n, 0), rel=1e-6)
+
+    @pytest.mark.parametrize("beta", [0.5, 0.9, 0.99, 1 - 1e-5])
+    def test_mean_occupancy_against_a_hurwitz_tail(self, beta):
+        # the Poissonized tail reads low by up to 2.7e-7 (beta = 0.9, n = 1e3), and the result never
+        # exceeds n: at beta = 1 - 1e-5 and n = 1 the rounding of s - 1 alone once read 1 + 7.6e-13
+        for n in (1, 10, 10 ** 3, 10 ** 5, 10 ** 7):
+            got = mean_occupancy(beta, n)
+            assert got <= n
+            assert got == pytest.approx(occupancy_by_hurwitz_tail(beta, n), rel=5e-7, abs=0)
 
     def test_mean_occupancy_domain(self):
         # s = 1/beta is rounded, so s - 1 loses its digits as beta -> 1: at n = 1e4 these read

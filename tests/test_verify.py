@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from karlin_rsm import karlin_sim, verify
+from karlin_rsm import karlin_sim, limit_sim, verify
 from karlin_rsm.cli import _report_csv, _report_json
 from karlin_rsm.interval_sets import normalize
 from karlin_rsm.karlin_sim import replica_rng
@@ -436,7 +436,7 @@ SUITE_CHECKS = {
     ],
     "extremal-mstar": [
         *(f"extremal_{stat}_t{t}" for t in (0.25, 1.0, 4.0) for stat in ("median", "ks")),
-        "self_similarity_two_sample", "translation_invariance_two_sample", "mstar_marginal_prob",
+        "self_similarity_joint_ks", "translation_invariance_two_sample", "mstar_marginal_prob",
         "mstar_marginal_ks", "mstar_time_change_ks", "coupled_domination", "variant_discrete_ks",
     ],
 }
@@ -457,8 +457,9 @@ def test_benchmark_row_counts_match_the_suites(monkeypatch):
 def test_suite_parts_draw_disjoint_streams(suite, monkeypatch):
     # Every stream a suite opens, in order (one thread).  A part is a run of
     # consecutive offsets: an urn part opens offset, offset + 1, ...; a limit
-    # part opens one offset.  No offset may be opened twice, and no block of
-    # 2**20 offsets may hold two parts.
+    # part opens one offset.  No offset may be opened twice, no block of
+    # 2**20 offsets may hold two parts, and the blocks opened are exactly
+    # those that the suite's parts list.
     opened = []
 
     def recording(seed, replica=0):
@@ -482,3 +483,25 @@ def test_suite_parts_draw_disjoint_streams(suite, monkeypatch):
         parts_of_block.setdefault(off // verify.MAX_REPLICAS, set()).add(part)
     shared = sorted(block for block, parts in parts_of_block.items() if len(parts) > 1)
     assert not shared, f"blocks {shared} hold more than one part"
+    assert set(parts_of_block) == set(verify._PARTS[suite].values())
+
+
+@pytest.mark.parametrize("seed", [42, 1, 2])
+def test_self_similarity_row_sees_the_joint_law(seed, monkeypatch):
+    # A mutant that draws each window from its own single-set batch keeps
+    # every window's marginal but not their joint law: the row passes the
+    # sampler and fails the mutant far beyond its critical value.
+    cfg = SuiteConfig(suite="extremal-mstar", n_grid=(10 ** 3,), replicas=2 * 10 ** 4, seed=seed, threads=1)
+
+    def joint_row():
+        return next(r for r in run_suite(cfg).rows if r.check == "self_similarity_joint_ks")
+
+    assert joint_row().passed
+
+    def separate(cfg, family, part):
+        rng = verify._stream(cfg, part)
+        return np.column_stack([limit_sim.karlin_batch(rng, cfg.beta, (a,), cfg.replicas)[:, 0] for a in family])
+
+    monkeypatch.setattr(verify, "_karlin", separate)
+    row = joint_row()
+    assert row.estimate > 10 * row.se_or_crit, (row.estimate, row.se_or_crit)
