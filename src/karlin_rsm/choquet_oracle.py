@@ -115,13 +115,16 @@ def mstar_theta(a: float, b: float, beta: float) -> float:
     """Functional of the first-occurrence variant on [a, b): b**beta - a**beta.
 
     Equals the Lebesgue measure of the image of [a, b] under t -> t**beta,
-    and agrees with theta on [0, b).  Where b < 2a it is computed as
-    a**beta * expm1(beta * log1p((b - a) / a)), without cancellation.
+    and agrees with theta on [0, b).  It is computed without cancellation at
+    any beta as b**beta * -expm1(-beta * log(b / a)), with the log taken as
+    log1p((b - a) / a), or as log(b) - log(a) where b / a is beyond float range.
     """
     _check_beta(beta)
     if a < 0 or a >= b:
         raise ValueError(f"need 0 <= a < b, got a={a}, b={b}")
-    if b >= 2.0 * a:
-        return b ** beta - a ** beta
-    return a ** beta * math.expm1(beta * math.log1p((b - a) / a))
+    if a == 0.0:
+        return b ** beta
+    ratio = (b - a) / a
+    log_ratio = math.log1p(ratio) if ratio < math.inf else math.log(b) - math.log(a)
+    return b ** beta * -math.expm1(-beta * log_ratio)
 

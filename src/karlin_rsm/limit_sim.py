@@ -14,12 +14,12 @@ each with the bitmask of the sets that hold it, so a family may hold any
 number of intervals; the rates are the :func:`moebius` inversion of theta
 over the unions of sets.
 
-The first-occurrence variant M* reads only the leftmost point of a hitting
-set, which lands in [a, b) at rate b**beta - a**beta (``mstar_theta``): one
-clock per atom of the family, on the unit carrier only.  The coupled pair runs the pattern
-clocks over the cells of [0, 1), the pieces between 0, 1 and the atoms'
-ends (at most ``PATTERN_BUDGET``), and M* reads the lowest cell of each
-pattern.  :func:`_clocks` builds every race, and drops its clocks of rate 0.
+The first-occurrence variant M* reads only the leftmost point of a hitting set, which
+lands in [a, b) at rate b**beta - a**beta (``mstar_theta``): one clock per atom of the
+family, on the unit carrier only.  The coupled pair runs the pattern clocks over the cells
+of [0, 1), the pieces between 0, 1 and the atoms' ends (at most ``PATTERN_BUDGET``), and
+M* reads the lowest cell of each pattern.  :func:`_clocks` builds every race as a boolean
+hit matrix, one row per output and one column per clock, and drops its clocks of rate 0.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ class _Clocks:
     """Independent exponential clocks and the outputs each of them hits."""
 
     rates: np.ndarray  # (clocks,) positive rates
-    misses: np.ndarray  # (clocks, outputs): 0 where the clock hits the output, else inf
+    hits: np.ndarray  # (outputs, clocks): True where the clock hits the output
     idle: float  # rate of the atoms that hit no clock; only atoms_used sees it
 
 
@@ -73,8 +73,7 @@ def _clocks(rates: np.ndarray, codes: np.ndarray, outputs: int, idle: float = 0.
     """The one race of every limit object: the clocks of positive rate, in order; clock c
     hits output i when bit i of its hit code ``codes[c]`` is set."""
     live = rates > 0
-    hits = (codes[live, None] & (1 << np.arange(outputs))) != 0
-    return _Clocks(rates[live], np.where(hits, 0.0, np.inf), idle)
+    return _Clocks(rates[live], (codes[live] >> np.arange(outputs)[:, None] & 1) == 1, idle)
 
 
 def _family(family) -> tuple:
@@ -169,7 +168,7 @@ def _chunks(replicas: int, per_replica: int) -> list:
 
 def _first_hits(g: np.ndarray, clocks: _Clocks) -> np.ndarray:
     """Per replica and output, the first arrival among the clocks it reads; inf for none."""
-    return (g[:, :, None] + clocks.misses).min(axis=1, initial=np.inf)
+    return np.where(clocks.hits, g[:, None, :], np.inf).min(axis=2, initial=np.inf)
 
 
 def _batch(rng, clocks: _Clocks, replicas: int) -> np.ndarray:
@@ -181,7 +180,7 @@ def _batch(rng, clocks: _Clocks, replicas: int) -> np.ndarray:
     k = clocks.rates.size
     first = [
         _first_hits(rng.standard_exponential((size, k)) / clocks.rates, clocks)
-        for size in _chunks(replicas, clocks.misses.size)
+        for size in _chunks(replicas, clocks.hits.size)
     ]
     return 1.0 / np.concatenate(first)
 
@@ -189,6 +188,8 @@ def _batch(rng, clocks: _Clocks, replicas: int) -> np.ndarray:
 def _poisson(rng: np.random.Generator, lam: float) -> int:
     if lam < _POISSON_MAX:
         return int(rng.poisson(lam))
+    if lam == math.inf:
+        raise ValueError("atoms_used is beyond float range: its expected count overflows")
     # the normal limit; its error, of order lam**-0.5, is below float resolution
     return int(round(lam + math.sqrt(lam) * rng.standard_normal()))
 
@@ -247,13 +248,13 @@ def top_m_batch(rng: np.random.Generator, beta: float, m: int, family, replicas:
     family = _family(family)
     rates = _karlin_rates(beta, family)  # pattern 0 races too: the atoms that hit no set
     clocks = _clocks(rates, np.arange(rates.size), len(family))
-    rates, hits = clocks.rates, clocks.misses == 0
+    rates = clocks.rates
     values, winners = [], []
     for size in _chunks(replicas, m * rates.size):
         g = rng.standard_exponential((size, m, rates.size)) / rates
         values.append(1.0 / np.cumsum(g.min(axis=2), axis=1))
         winners.append(g.argmin(axis=2))
-    return np.concatenate(values), hits[np.concatenate(winners)]
+    return np.concatenate(values), clocks.hits.T[np.concatenate(winners)]
 
 
 def sample_karlin(rng: np.random.Generator, beta: float, family) -> LimitSample:

@@ -211,23 +211,23 @@ class SuiteReport:
 
 
 def ks_statistic(samples, cdf) -> float:
-    """Sup distance between the empirical CDF and a reference, exact at jumps.
+    """Sup distance between the empirical CDF and a reference, exact at jumps and ties.
 
     ``samples`` must be sorted ascending; the reference is a nondecreasing
-    CDF that maps an array to an array of the same shape.  Left limits at the jump points are taken one float
-    ulp below the samples, so step references (e.g. the samples' own
-    empirical CDF) are handled exactly as well as continuous laws.
+    CDF that maps an array to an array of the same shape.  Each distinct value is
+    read once, with its left limit one float ulp below it, so step references (e.g.
+    the samples' own empirical CDF) are handled exactly as well as continuous laws.
     """
     x = np.asarray(samples, dtype=float)
     if x.size < 2:
         raise ValueError("need at least 2 samples")
     if np.any(np.diff(x) < 0):
         raise ValueError("samples must be sorted ascending")
-    n = x.size
+    last = np.append(np.diff(x) != 0, True)  # the last sample of each run of equal values
+    hi = (np.flatnonzero(last) + 1) / x.size
+    x, lo = x[last], np.concatenate(([0.0], hi[:-1]))  # a run starts where the one before it ends
     f_right = np.asarray(cdf(x), dtype=float)
     f_left = np.asarray(cdf(np.nextafter(x, -np.inf)), dtype=float)
-    hi = np.arange(1, n + 1) / n
-    lo = np.arange(0, n) / n
     return float(np.max(np.maximum(np.abs(f_right - hi), np.abs(f_left - lo))))
 
 

@@ -1,5 +1,7 @@
+import decimal
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -292,6 +294,20 @@ class TestVariantFunctional:
         h = (a + 1e-12) - a
         want = a ** beta * beta * (h / a) * (1.0 + (beta - 1.0) * h / (2.0 * a))
         assert mstar_theta(a, a + 1e-12, beta) == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("beta", [5e-324, 1e-300, 1e-20, 1e-16, 1e-12, 1e-4, 0.3, 0.5, 0.9, 1 - 2 ** -53])
+    def test_exact_at_every_beta(self, beta):
+        # b**beta - a**beta cancels more of its digits the smaller beta is; 400 digits hold it at any beta
+        pairs = [(0.0, 1.0), (0.0, 5e-324), (0.25, 1.0), (0.25, 0.5), (0.2, 0.6), (0.49, 1.0), (2.0, 6.0),
+                 (0.25, 0.25 + 1e-12), (1.0, 1.0 + 2 ** -52), (1e-5, 1.0), (5e-324, 1.0), (5e-324, 1e-323),
+                 (1e-300, 1e300), (1e10, 3e10), (1e300, 3e300)]
+        with decimal.localcontext(prec=400):
+            for a, b in pairs:
+                power_a = (decimal.Decimal(beta) * decimal.Decimal(a).ln()).exp() if a else 0
+                exact = (decimal.Decimal(beta) * decimal.Decimal(b).ln()).exp() - power_a
+                if sys.float_info.min <= exact <= sys.float_info.max:
+                    err = abs(decimal.Decimal(mstar_theta(a, b, beta)) / exact - 1)
+                    assert err <= decimal.Decimal(1e-15), (a, b, float(err))
 
     def test_domain(self):
         with pytest.raises(ValueError):

@@ -468,6 +468,13 @@ class TestLimitSampleDomain:
         assert err.startswith("error: ") and "unit carrier" in err and len(err.splitlines()) == 1
         assert not out.exists()  # the first replica fails before the output is opened
 
+    def test_atoms_used_beyond_float_range_exits_two(self, tmp_path, capsys):
+        # the set waits about 1e300**0.999 levels, while idle atoms arrive at rate about 1e10**0.999: their
+        # expected count, about 1e310, is beyond float range
+        query = _family_json(tmp_path, [0, 1e10], [[0.0, 1e-300]])
+        _exits_two(capsys, ["limit-sample", "--beta", "0.999", "--replicas", "3", "--seed", "1", "--query", query],
+                   "atoms_used is beyond float range")
+
     def test_levels_beyond_float_range_print_inf(self, tmp_path):
         # on the carrier [0, 1e300] the pattern rate is 1e150, so every first arrival is about 1e-150
         # and its level at alpha = 0.1 about 1e1500: inf, with no RuntimeWarning (BIN makes one fatal)
@@ -867,6 +874,14 @@ def test_beta_whose_zeta_tail_underflows_runs(argv, capsys):
     # NaN, and every call exited 2 with "cannot convert float NaN to integer"
     code = cli.main(argv)
     assert code in (0, 1), capsys.readouterr().err
+
+
+def test_mstar_rows_at_tiny_beta_end_by_their_verdict(capsys):
+    # at beta = 1e-20 the plain b**beta - a**beta is 0.0, which leaves the M* rows' Frechet laws no scale
+    code = cli.main(["verify", "--suite", "extremal-mstar", "--beta", "1e-20", "--n", "1000", "--replicas", "100",
+                     "--seed", "1", "--threads", "1"])
+    err = capsys.readouterr().err
+    assert code in (0, 1) and err.startswith("suite extremal-mstar: ") and len(err.splitlines()) == 1, err
 
 
 class _ReadRecorder(argparse.Namespace):

@@ -12,7 +12,7 @@ from karlin_rsm import cli
 from karlin_rsm import karlin_sim as ksim
 from karlin_rsm import limit_sim as lsim
 from karlin_rsm.choquet_oracle import mstar_theta, theta
-from karlin_rsm.interval_sets import CapacityError, IntervalSet, normalize
+from karlin_rsm.interval_sets import CapacityError, IntervalSet, atomize, normalize
 from karlin_rsm.karlin_sim import replica_rng
 from karlin_rsm.limit_sim import (
     coupled_batch,
@@ -184,6 +184,60 @@ class TestManyAtoms:
             assert abs(np.mean(vals[:, j] <= 1.0) - target) <= binom_tol(target)
 
 
+def first_hits_by_loops(g, codes, outputs: int) -> np.ndarray:
+    """Per replica and output, the least arrival among the clocks whose code has the output's bit set."""
+    return np.array([[min((x for x, code in zip(row, codes) if code >> i & 1), default=math.inf)
+                      for i in range(outputs)] for row in g.tolist()])
+
+
+class TestRace:
+    """The clock race that every limit object runs, against plain loops over the clocks' hit codes."""
+
+    THREE = (normalize([(0.0, 0.25)]), normalize([(0.2, 0.6)]), normalize([(0.5, 0.9)]))
+
+    @staticmethod
+    def check_first_hits(clocks, rates, codes, outputs: int):
+        live = rates > 0
+        assert np.array_equal(clocks.rates, rates[live])
+        g = np.random.default_rng(41).standard_exponential((7, clocks.rates.size)) / clocks.rates
+        assert np.array_equal(lsim._first_hits(g, clocks), first_hits_by_loops(g, np.asarray(codes)[live], outputs))
+
+    def test_karlin_with_a_set_of_measure_zero(self):
+        fam = (normalize([(0.0, 0.5)]), normalize([]), normalize([(0.25, 0.75)]), normalize([(0.7, 0.8)]))
+        rates = pattern_rates(0.5, fam)
+        self.check_first_hits(lsim._karlin_clocks(0.5, fam), rates[1:], range(1, rates.size), len(fam))
+
+    def test_mstar(self):
+        atoms, owners = atomize(self.THREE)
+        rates = np.array([mstar_theta(lo, hi, 0.3) for lo, hi in atoms])
+        self.check_first_hits(lsim._mstar_clocks(0.3, self.THREE), rates, owners, 3)
+
+    def test_coupled(self):
+        # the pattern clocks over the cells: M of set i reads the patterns with a cell inside it, and M*
+        # of set i (output 3 + i) the patterns whose lowest cell is inside it
+        ends = sorted({0.0, 1.0, *(end for a in self.THREE for iv in a.intervals for end in iv)})
+        cells = list(zip(ends, ends[1:]))
+        holds = [sum(1 << i for i, a in enumerate(self.THREE)
+                     if any(lo <= (left + right) / 2 < hi for lo, hi in a.intervals)) for left, right in cells]
+        codes = [0]
+        for p in range(1, 2 ** len(cells)):
+            inside = [c for c in range(len(cells)) if p >> c & 1]
+            codes.append(int(np.bitwise_or.reduce([holds[c] for c in inside])) | holds[inside[0]] << 3)
+        rates = pattern_rates(0.4, [normalize([cell]) for cell in cells]).copy()
+        rates[0] = 0.0
+        self.check_first_hits(lsim._coupled_clocks(0.4, self.THREE), rates, codes, 6)
+
+    @pytest.mark.parametrize("sampler", [karlin_batch, mstar_batch])
+    def test_prefix_through_chunks_of_one_replica(self, sampler):
+        # 12 sets of 240 intervals: 4095 clocks of M and 2880 of M*, so each chunk holds one replica
+        fam = tuple(normalize([((12 * j + i) / 2880, (12 * j + i + 0.5) / 2880) for j in range(240)])
+                    for i in range(12))
+        clocks = (lsim._karlin_clocks if sampler is karlin_batch else lsim._mstar_clocks)(0.5, fam)
+        assert lsim._chunks(6, clocks.hits.size) == [1] * 6
+        big = sampler(replica_rng(43), 0.5, fam, 6)
+        assert np.array_equal(sampler(replica_rng(43), 0.5, fam, 3), big[:3])
+
+
 class TestKarlinSampler:
     def test_full_set_frechet(self):
         vals = karlin_batch(np.random.default_rng(24), 0.5, [normalize([(0.0, 1.0)])], N_MC)
@@ -289,6 +343,13 @@ class TestVariantSampler:
         fam = [normalize([(k / 10 + 0.02, k / 10 + 0.05)]) for k in range(10)]
         with pytest.raises(CapacityError, match="21 cells exceed the 20-cell"):
             coupled_batch(np.random.default_rng(0), 0.5, fam, 1)
+
+    def test_tiny_beta_keeps_every_atom(self):
+        # at beta = 1e-20 the plain 0.5**beta - 0.25**beta is 0.0, and a clock of rate 0 is dropped
+        fam = (normalize([(0.0, 0.25)]), normalize([(0.2, 0.6)]), normalize([(0.5, 0.9)]))
+        clocks = lsim._mstar_clocks(1e-20, fam)
+        assert clocks.rates.size == 5
+        assert clocks.rates[clocks.hits[1]].sum() == pytest.approx(1e-20 * math.log(3.0), rel=1e-14)
 
     def test_unit_carrier_only(self):
         fam = [IntervalSet(((0.0, 1.0),), (0.0, 4.0))]

@@ -52,12 +52,12 @@ class TestKsStatistic:
 
     def test_self_step_cdf_is_zero(self):
         rng = np.random.default_rng(1)
-        x = np.sort(rng.random(500))
+        for x in (np.sort(rng.random(500)), np.sort(rng.integers(0, 5, 100)).astype(float)):  # distinct, tied
 
-        def ecdf(v):
-            return np.searchsorted(x, v, side="right") / x.size
+            def ecdf(v):
+                return np.searchsorted(x, v, side="right") / x.size
 
-        assert ks_statistic(x, ecdf) == 0.0
+            assert ks_statistic(x, ecdf) == 0.0
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
